@@ -24,7 +24,6 @@ from .complexes import (
     vertex_point,
 )
 from .errors import (
-    ChainBudgetExceeded,
     DisconnectedComplex,
     DuplicateVertex,
     EmptyIntersection,
@@ -70,7 +69,6 @@ from .oracle import (
 )
 from .pathmetric import (
     Chain,
-    PathOptions,
     PathResult,
     PathWitness,
     chain_lp,

@@ -1,16 +1,14 @@
 """Named property suites runnable against any complex + vertex metric.
 
 Each check samples with its own deterministically derived RNG, so `check
---suite all --seed N` is reproducible.  Checks are pure and independent;
-the runner may execute them on a bounded worker pool and orders results by
-name before reporting.
+--suite all --seed N` is reproducible.  The runner executes only the
+requested suite's checks, one after another, and orders results by suite
+and name before reporting.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +61,7 @@ TOL = 1e-9
 @dataclass
 class CheckResult:
     name: str
-    suite: str
+    suite: str = ""  # set by run_checks from the check's @_suite
     passed: int = 0
     failed: int = 0
     notes: list[str] = field(default_factory=list)
@@ -142,8 +140,19 @@ def find_nontrivial_automorphism(K: SimplicialComplex, budget: int = 50_000) -> 
 # --------------------------------------------------------------------------
 # individual checks; each returns a CheckResult
 
+def _suite(name: str):
+    """Mark a check as part of the named suite; run_checks selects by it."""
+
+    def mark(check):
+        check.suite = name
+        return check
+
+    return mark
+
+
+@_suite("complex")
 def _check_face_closure(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("faces-closed-under-subsets", "complex")
+    r = CheckResult("faces-closed-under-subsets")
     for s in ctx.K.maximal_simplices:
         if len(s) > 6:
             r.notes.append(f"simplex {s} too large for exhaustive subset check")
@@ -158,8 +167,9 @@ def _check_face_closure(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("complex")
 def _check_simplex_l1_axioms(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("simplex-l1-metric-axioms", "complex")
+    r = CheckResult("simplex-l1-metric-axioms")
     rng = ctx.rng("simplex-l1")
     for _ in range(ctx.triples):
         sigma = ctx.K.maximal_simplices[rng.integers(len(ctx.K.maximal_simplices))]
@@ -176,9 +186,10 @@ def _check_simplex_l1_axioms(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("complex")
 def _check_simplex_l1_restriction(ctx: CheckContext) -> CheckResult:
     # the l1 value must only depend on coordinates, not the ambient simplex
-    r = CheckResult("simplex-l1-face-restriction", "complex")
+    r = CheckResult("simplex-l1-face-restriction")
     rng = ctx.rng("l1-restriction")
     for _ in range(ctx.pairs):
         sigma = ctx.K.maximal_simplices[rng.integers(len(ctx.K.maximal_simplices))]
@@ -193,8 +204,9 @@ def _check_simplex_l1_restriction(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("complex")
 def _check_automorphism_l1(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("automorphism-preserves-simplex-l1", "complex")
+    r = CheckResult("automorphism-preserves-simplex-l1")
     g = find_nontrivial_automorphism(ctx.K)
     if g is None:
         r.notes.append("no nontrivial automorphism found; identity only")
@@ -210,8 +222,9 @@ def _check_automorphism_l1(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("vertex")
 def _check_vertex_agreement_solver(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("word-metric-equals-chain-solver", "vertex")
+    r = CheckResult("word-metric-equals-chain-solver")
     if len(ctx.K.vertices) > 14:
         r.notes.append("complex too large; covered by the shortcut check")
         return r
@@ -226,8 +239,9 @@ def _check_vertex_agreement_solver(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("vertex")
 def _check_minimal_bound(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("minimal-linear-bound-attained", "vertex")
+    r = CheckResult("minimal-linear-bound-attained")
     table = word_metric(ctx.K)
     c = ctx.metric.minimal_C
     gap = np.inf
@@ -244,8 +258,9 @@ def _check_minimal_bound(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("vertex")
 def _check_vertex_dd_identities(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("vertex-dd-identities", "vertex")
+    r = CheckResult("vertex-dd-identities")
     rng = ctx.rng("vertex-dd")
     vs = list(ctx.K.vertices)
     dd = lambda *args: double_difference_vertices(ctx.metric, *args)
@@ -263,8 +278,9 @@ def _check_vertex_dd_identities(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("vertex")
 def _check_vertex_gp_relation(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("vertex-gp-dd-relation", "vertex")
+    r = CheckResult("vertex-gp-dd-relation")
     rng = ctx.rng("vertex-gp")
     vs = list(ctx.K.vertices)
     for _ in range(ctx.triples):
@@ -279,8 +295,9 @@ def _check_vertex_gp_relation(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("vertex")
 def _check_hyperbolicity(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("four-point-delta-scan", "vertex")
+    r = CheckResult("four-point-delta-scan")
     if len(ctx.K.vertices) > 60:
         r.notes.append("skipped: quartic scan limited to 60 vertices")
         return r
@@ -290,8 +307,9 @@ def _check_hyperbolicity(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("path")
 def _check_path_axioms(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("path-metric-axioms", "path")
+    r = CheckResult("path-metric-axioms")
     rng = ctx.rng("path-axioms")
     for _ in range(max(1, ctx.triples // 3)):
         x = random_point(ctx.K, rng)
@@ -311,8 +329,9 @@ def _check_path_axioms(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("path")
 def _check_path_restriction(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("path-restriction-and-diameter", "path")
+    r = CheckResult("path-restriction-and-diameter")
     rng = ctx.rng("path-restriction")
     for _ in range(ctx.pairs):
         x, y = random_same_simplex_pair(ctx.K, rng)
@@ -323,8 +342,9 @@ def _check_path_restriction(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("path")
 def _check_path_vertex_agreement(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("path-vertex-agreement", "path")
+    r = CheckResult("path-vertex-agreement")
     table = word_metric(ctx.K)
     vs = ctx.K.vertices
     pairs = list(itertools.combinations(vs, 2))
@@ -340,8 +360,9 @@ def _check_path_vertex_agreement(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("path")
 def _check_witness_soundness(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("path-witness-soundness", "path")
+    r = CheckResult("path-witness-soundness")
     rng = ctx.rng("witness")
     for _ in range(max(1, ctx.pairs // 2)):
         x = random_point(ctx.K, rng)
@@ -359,8 +380,9 @@ def _check_witness_soundness(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("path")
 def _check_disjoint_floor(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("path-disjoint-support-floor", "path")
+    r = CheckResult("path-disjoint-support-floor")
     if len(ctx.K.vertices) < 2:
         r.notes.append("single vertex; no disjoint pairs")
         return r
@@ -374,8 +396,9 @@ def _check_disjoint_floor(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("extension")
 def _check_ext_axioms(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("ext-metric-axioms", "extension")
+    r = CheckResult("ext-metric-axioms")
     rng = ctx.rng("ext-axioms")
     M = ctx.M
     for _ in range(max(1, ctx.triples // 3)):
@@ -395,8 +418,9 @@ def _check_ext_axioms(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("extension")
 def _check_ext_vertex_restriction(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("ext-vertex-restriction", "extension")
+    r = CheckResult("ext-vertex-restriction")
     vs = ctx.K.vertices
     pairs = list(itertools.combinations(vs, 2))[:400]
     for u, v in pairs:
@@ -407,8 +431,9 @@ def _check_ext_vertex_restriction(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("extension")
 def _check_ext_disjoint(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("ext-disjoint-support-bilinear", "extension")
+    r = CheckResult("ext-disjoint-support-bilinear")
     if len(ctx.K.vertices) < 2:
         r.notes.append("single vertex; no disjoint pairs")
         return r
@@ -424,8 +449,9 @@ def _check_ext_disjoint(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("extension")
 def _check_mixed_inequality(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("ext-mixed-triangle-inequality", "extension")
+    r = CheckResult("ext-mixed-triangle-inequality")
     rng = ctx.rng("mixed")
     two_c = 2.0 * ctx.metric.C
     for _ in range(max(1, ctx.triples // 3)):
@@ -445,8 +471,9 @@ def _check_mixed_inequality(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("extension")
 def _check_bilinear_triangle(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("bilinear-triangle-inequality", "extension")
+    r = CheckResult("bilinear-triangle-inequality")
     rng = ctx.rng("bilinear-triangle")
     for _ in range(max(1, ctx.triples // 3)):
         x = random_point(ctx.K, rng)
@@ -462,8 +489,9 @@ def _check_bilinear_triangle(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("extension")
 def _check_ext_dd_identities(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("ext-dd-identities-and-gp", "extension")
+    r = CheckResult("ext-dd-identities-and-gp")
     rng = ctx.rng("ext-dd")
     M = ctx.M
     for _ in range(max(1, ctx.triples // 4)):
@@ -483,8 +511,9 @@ def _check_ext_dd_identities(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("extension")
 def _check_sandwich(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("ext-bilinear-sandwich", "extension")
+    r = CheckResult("ext-bilinear-sandwich")
     if not ctx.metric.has_qi_constants:
         r.notes.append("skipped: no quasi-isometry constants supplied")
         return r
@@ -500,8 +529,9 @@ def _check_sandwich(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("probes")
 def _check_dd_window(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("dd-window-4bprime", "probes")
+    r = CheckResult("dd-window-4bprime")
     if not ctx.metric.has_qi_constants:
         r.notes.append("skipped: no quasi-isometry constants supplied")
         return r
@@ -522,8 +552,9 @@ def _check_dd_window(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("extension")
 def _check_automorphism_ext(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("automorphism-ext-invariance", "extension")
+    r = CheckResult("automorphism-ext-invariance")
     g = find_nontrivial_automorphism(ctx.K)
     if g is None:
         r.notes.append("no nontrivial automorphism found; skipped")
@@ -547,8 +578,9 @@ def _check_automorphism_ext(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("probes")
 def _check_probe_reproducibility(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("probe-reproducibility", "probes")
+    r = CheckResult("probe-reproducibility")
     base = min(ctx.K.vertices)
     ray = deepest_ray(ctx.K, base)
     if ray.depth < 1:
@@ -563,6 +595,7 @@ def _check_probe_reproducibility(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("probes")
 def _check_divergence_tree(ctx: CheckContext) -> CheckResult:
     """Word-metric divergence on trees, against the combinatorial oracle.
 
@@ -570,7 +603,7 @@ def _check_divergence_tree(ctx: CheckContext) -> CheckResult:
     the two fixed points at ray(t), which on a tree is the distance from
     ray(t) to the path between them; the straight coincidence negates it.
     """
-    r = CheckResult("divergence-signs-on-tree", "probes")
+    r = CheckResult("divergence-signs-on-tree")
     n = len(ctx.K.vertices)
     edges = sum(1 for s in ctx.K.faces if len(s) == 2)
     if edges != n - 1:
@@ -603,8 +636,9 @@ def _check_divergence_tree(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("probes")
 def _check_decay(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("decay-probe", "probes")
+    r = CheckResult("decay-probe")
     if not ctx.metric.has_qi_constants:
         r.notes.append("skipped: no quasi-isometry constants supplied")
         return r
@@ -619,8 +653,9 @@ def _check_decay(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("oracle")
 def _check_oracle_sandwich(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("oracle-grid-sandwich", "oracle")
+    r = CheckResult("oracle-grid-sandwich")
     if ctx.K.dimension > 2 or len(ctx.K.vertices) > 12:
         r.notes.append("skipped: oracle comparison limited to dim<=2, 12 vertices")
         return r
@@ -643,8 +678,9 @@ def _check_oracle_sandwich(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("oracle")
 def _check_naive_violation(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("naive-bilinear-identity-violation", "oracle")
+    r = CheckResult("naive-bilinear-identity-violation")
     edges = [s for s in ctx.K.faces if len(s) == 2]
     if not edges:
         r.notes.append("skipped: complex has no edge")
@@ -664,8 +700,9 @@ def _check_naive_violation(ctx: CheckContext) -> CheckResult:
     return r
 
 
+@_suite("oracle")
 def _check_tripwire(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("lower-bound-tripwire", "oracle")
+    r = CheckResult("lower-bound-tripwire")
     log = tripwire_log()
     if log.violations:
         r.failed += len(log.violations)
@@ -718,15 +755,17 @@ def run_checks(
     triples: int = 120,
     pairs: int = 80,
 ) -> list[CheckResult]:
-    """Run one suite (or all) and return results sorted by suite and name."""
+    """Run one suite (or all) and return results sorted by suite and name.
+
+    The tripwire check runs last, for the oracle suite and for all.
+    """
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
     ctx = CheckContext(K=K, metric=metric, seed=seed, triples=triples, pairs=pairs)
-    workers = os.environ.get("METRIC_EXT_THREADS")
-    max_workers = max(1, int(workers)) if workers else min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(lambda fn: fn(ctx), ALL_CHECKS))
-    results.append(_check_tripwire(ctx))
-    if suite != "all":
-        if suite not in SUITES:
-            raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
-        results = [r for r in results if r.suite == suite]
+    results = []
+    for check in [*ALL_CHECKS, _check_tripwire]:
+        if suite in ("all", check.suite):
+            result = check(ctx)
+            result.suite = check.suite
+            results.append(result)
     return sorted(results, key=lambda r: (r.suite, r.name))

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .checks import run_checks
+from .checks import SUITES, run_checks
 from .complexes import vertex_point
 from .errors import InternalConsistencyError, MetricExtError
 from .extension import (
@@ -122,7 +122,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check", help="run property suites")
     p.add_argument("-c", "--complex", required=True)
     p.add_argument("-m", "--metric", default="word")
-    p.add_argument("--suite", default="all")
+    p.add_argument("--suite", default="all", choices=SUITES + ("all",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--triples", type=int, default=120)
     p.add_argument("--pairs", type=int, default=80)

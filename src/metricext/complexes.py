@@ -48,6 +48,8 @@ class SimplicialComplex:
     maximal_simplices: tuple[Simplex, ...]
     faces: frozenset[Simplex]
     adjacency: Mapping[str, tuple[str, ...]] = field(compare=False, hash=False)
+    # vertex -> indices into maximal_simplices of the maximal simplices holding it
+    incidence: Mapping[str, tuple[int, ...]] = field(compare=False, hash=False)
 
     @property
     def dimension(self) -> int:
@@ -68,7 +70,10 @@ class SimplicialComplex:
     def maximal_containing(self, vertices: Iterable[str]) -> list[Simplex]:
         """Maximal simplices containing the given vertex set, canonical order."""
         want = set(vertices)
-        return [m for m in self.maximal_simplices if want.issubset(m)]
+        if not want:
+            return list(self.maximal_simplices)
+        hits = set.intersection(*(set(self.incidence.get(v, ())) for v in want))
+        return [self.maximal_simplices[i] for i in sorted(hits)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -130,11 +135,17 @@ def build_complex(
             adjacency[b].append(a)
     adj = {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
 
+    incidence: dict[str, list[int]] = {v: [] for v in sorted(vset)}
+    for i, s in enumerate(maximal):
+        for v in s:
+            incidence[v].append(i)
+
     return SimplicialComplex(
         vertices=tuple(sorted(vset)),
         maximal_simplices=maximal,
         faces=frozenset(faces),
         adjacency=adj,
+        incidence={v: tuple(ix) for v, ix in incidence.items()},
     )
 
 

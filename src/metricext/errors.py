@@ -84,10 +84,6 @@ class EndpointNotInCarrier(MetricExtError):
     pass
 
 
-class ChainBudgetExceeded(MetricExtError):
-    """Search budget hit before optimality could be proven; never silent."""
-
-
 # --- oracle ---------------------------------------------------------------
 
 class PointNotOnGrid(MetricExtError):

@@ -27,7 +27,7 @@ from .complexes import (
     simplex_l1,
 )
 from .errors import MissingQIConstants
-from .pathmetric import PathOptions, l1_path_distance, lower_bounds
+from .pathmetric import l1_path_distance, lower_bounds
 from .vertexmetrics import VertexMetric, word_metric
 
 VALUE_TOL = 1e-9
@@ -62,7 +62,6 @@ class ExtendedMetric:
 
     K: SimplicialComplex
     vertex: VertexMetric
-    path_options: PathOptions = field(default_factory=PathOptions)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -114,7 +113,7 @@ class ExtendedMetric:
             floor = max(floor, max(v for _, v in lower_bounds(self.K, y, x)))
             if self.scale * floor >= bilinear:
                 return (bilinear, "bilinear")
-            path_value = l1_path_distance(self.K, x, y, self.path_options).value
+            path_value = l1_path_distance(self.K, x, y).value
         scaled = self.scale * path_value
         if bilinear <= scaled:
             return (bilinear, "bilinear")

@@ -6,27 +6,30 @@ minimum length over all paths.  The solver works in three tiers:
 
   1. points in a common simplex: the l1 distance itself is optimal;
   2. two vertices: the word metric with an edge-path witness;
-  3. general case: depth-first enumeration of simple chains of maximal
-     simplices inside a routing ball, with branch-and-bound pruning, where
-     each chain's optimum is an exact rational minimum-cost flow over the
-     chain's interface faces.
+  3. general case: an exact best-first (A*) search over chains of maximal
+     simplices.
 
-The flow formulation: half the l1 distance between two distributions equals
-the least mass that must move between them (any move inside one simplex
-costs 1 per unit), so the best path through a fixed chain is a layered
-transportation problem with 0/1 unit costs.  Solving it in exact rational
-arithmetic makes values and witnesses reproducible bit-for-bit and invariant
-under vertex relabelings.
+Along a fixed chain, half the l1 distance between two distributions is the
+least mass that must move between them, so each unit of mass sent from u in
+supp(x) to v in supp(y) pays the fewest vertex switches it needs through
+the chain's interface faces.  Those moves are uncapacitated, so the chain's
+optimum is a transportation problem whose costs a DP over the faces gives
+(`chain_lp`).  The search carries that DP from simplex to simplex: a state
+is the last simplex plus the switch counts reaching each of its vertices,
+its priority an exact transport that never overestimates and is exact once
+the simplex holds supp(y), and states dominated at the same simplex are
+dropped, which keeps the search finite.  Exact rational arithmetic makes
+values and witnesses reproducible bit-for-bit and invariant under vertex
+relabelings.
 
-Every solved distance is checked against the registered lower bounds; a
-result below any bound is recorded and raised as an internal inconsistency,
-never returned.
+Every solved distance is checked against the admissible lower bounds its
+query computed; a result below any bound is recorded and raised as an
+internal inconsistency, never returned.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -41,7 +44,6 @@ from .complexes import (
     vertex_point,
 )
 from .errors import (
-    ChainBudgetExceeded,
     EmptyIntersection,
     EndpointNotInCarrier,
     InternalConsistencyError,
@@ -84,7 +86,7 @@ def _assert_above_bounds(value: float, bounds: Iterable[tuple[str, float]], cont
 
 
 # --------------------------------------------------------------------------
-# chains, witnesses, options
+# chains and witnesses
 
 @dataclass(frozen=True)
 class Chain:
@@ -122,19 +124,6 @@ class PathWitness:
             raise InvalidCarrier(f"stored length {self.length} != recomputed {total}")
 
 
-@dataclass(frozen=True)
-class PathOptions:
-    """Search limits; defaults are derived from the routing upper bound."""
-
-    max_chain_length: int | None = None
-    enumerate_simple_chains_only: bool = True
-    max_nodes: int = 100_000
-
-    def __post_init__(self):
-        if self.max_chain_length is not None and self.max_chain_length < 1:
-            raise ValueError("max_chain_length must be >= 1")
-
-
 class PathResult(NamedTuple):
     value: float
     witness: PathWitness
@@ -167,140 +156,85 @@ def path_length(
 
 
 # --------------------------------------------------------------------------
-# layered min-cost flow (the per-chain optimum)
+# the per-chain optimum: switch-count DP plus an exact transport
 
-class _LayeredFlow:
-    """Min-cost flow through layers of vertex sets with 0/1 move costs.
+def _enter(val: dict[str, int], layer: Sequence[str]) -> dict[str, int]:
+    """Fewest switches to each vertex of the next layer, given those to the last.
 
-    Layer 0 carries the start distribution as supply, the final layer the
-    end distribution as demand; between consecutive layers every move costs
-    1 per unit of mass except staying on the same vertex.  With ``exact``
-    all mass arithmetic is Fraction-exact (weights converted from their
-    binary float values); costs are integers either way.
+    Mass stays on its vertex if the layer holds it, and otherwise switches
+    once from the cheapest vertex of the last layer.  Counts within a layer
+    differ by at most one, so staying is never worse than switching.
     """
-
-    def __init__(
-        self,
-        layers: Sequence[Sequence[str]],
-        supply: dict[str, float],
-        demand: dict[str, float],
-        exact: bool,
-    ):
-        self.exact = exact
-        conv = Fraction if exact else float
-        self.nodes: list[tuple] = [("s",), ("t",)]
-        index: dict[tuple, int] = {("s",): 0, ("t",): 1}
-        for li, layer in enumerate(layers):
-            for v in sorted(layer):
-                index[(li, v)] = len(self.nodes)
-                self.nodes.append((li, v))
-        self.index = index
-        n = len(self.nodes)
-        self.tail: list[int] = []
-        self.head: list[int] = []
-        self.cap: list = []
-        self.cost: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-
-        total_supply = sum(conv(supply[v]) for v in sorted(supply))
-        total_demand = sum(conv(demand[v]) for v in sorted(demand))
-        # Rebalance the demand so flow conservation is exact even though the
-        # two float weight vectors need not sum to the same binary value.
-        scale = total_supply / total_demand
-        inf_cap = conv(4)
-
-        def add_arc(u: int, v: int, cap, cost: int) -> None:
-            for t_, h_, c_, w_ in ((u, v, cap, cost), (v, u, conv(0), -cost)):
-                self.adj[t_].append(len(self.tail))
-                self.tail.append(t_)
-                self.head.append(h_)
-                self.cap.append(c_)
-                self.cost.append(w_)
-
-        for v in sorted(supply):
-            add_arc(0, index[(0, v)], conv(supply[v]), 0)
-        last = len(layers) - 1
-        for v in sorted(demand):
-            add_arc(index[(last, v)], 1, conv(demand[v]) * scale, 0)
-        for li in range(len(layers) - 1):
-            for u in sorted(layers[li]):
-                for w in sorted(layers[li + 1]):
-                    add_arc(index[(li, u)], index[(li + 1, w)], inf_cap, 0 if u == w else 1)
-        self.total = total_supply
-
-    def solve(self):
-        """Successive shortest paths (SPFA); returns (cost, arc flows)."""
-        conv = Fraction if self.exact else float
-        zero = conv(0)
-        eps = zero if self.exact else 1e-15
-        n = len(self.nodes)
-        flow = [zero] * len(self.tail)
-        remaining = self.total
-        total_cost = zero
-        while remaining > eps:
-            dist = [None] * n
-            parent = [-1] * n
-            dist[0] = 0
-            queue = deque([0])
-            inq = [False] * n
-            inq[0] = True
-            while queue:
-                u = queue.popleft()
-                inq[u] = False
-                du = dist[u]
-                for a in self.adj[u]:
-                    if self.cap[a] - flow[a] <= eps:
-                        continue
-                    v = self.head[a]
-                    nd = du + self.cost[a]
-                    if dist[v] is None or nd < dist[v]:
-                        dist[v] = nd
-                        parent[v] = a
-                        if not inq[v]:
-                            queue.append(v)
-                            inq[v] = True
-            if dist[1] is None:
-                raise EmptyIntersection("flow network is disconnected")
-            bottleneck = remaining
-            v = 1
-            while v != 0:
-                a = parent[v]
-                avail = self.cap[a] - flow[a]
-                if avail < bottleneck:
-                    bottleneck = avail
-                v = self.tail[a]
-            v = 1
-            while v != 0:
-                a = parent[v]
-                flow[a] += bottleneck
-                flow[a ^ 1] -= bottleneck
-                total_cost += bottleneck * self.cost[a]
-                v = self.tail[a]
-            remaining -= bottleneck
-        return total_cost, flow
-
-    def layer_distributions(self, flow, num_layers: int) -> list[dict]:
-        """Mass arriving at each layer's vertices, reconstructed from flows."""
-        conv = Fraction if self.exact else float
-        eps = conv(0) if self.exact else 1e-15
-        dists: list[dict] = [dict() for _ in range(num_layers)]
-        for a in range(0, len(self.tail), 2):  # forward arcs only
-            node = self.nodes[self.head[a]]
-            if len(node) == 2 and flow[a] > eps:
-                li, v = node
-                dists[li][v] = dists[li].get(v, conv(0)) + flow[a]
-        return dists
+    switch = min(val.values()) + 1
+    return {w: val.get(w, switch) for w in layer}
 
 
-def _chain_flow_value(
-    layers: Sequence[Sequence[str]],
-    supply: dict[str, float],
-    demand: dict[str, float],
-    exact: bool,
-):
-    lf = _LayeredFlow(layers, supply, demand, exact)
-    cost, flow = lf.solve()
-    return lf, cost, flow
+def _masses(x: BarycentricPoint, y: BarycentricPoint) -> tuple[list[Fraction], list[Fraction]]:
+    """Exact weights of x and y; y's are rescaled to x's exact total.
+
+    The two float weight vectors need not sum to the same binary value, and
+    a transport needs supply and demand to balance exactly.
+    """
+    supply = [Fraction(w) for _, w in x.items]
+    demand = [Fraction(w) for _, w in y.items]
+    scale = sum(supply) / sum(demand)
+    return supply, [d * scale for d in demand]
+
+
+def _transport(
+    supply: Sequence[Fraction], demand: Sequence[Fraction], cost: Sequence[Sequence[int]]
+) -> tuple[Fraction, list[list[Fraction]]]:
+    """Exact min-cost transport by successive shortest paths; (cost, flows).
+
+    Rows are sources, columns sinks, every row-column arc is uncapacitated.
+    Each round runs Bellman-Ford from the rows with supply left over the
+    residual graph (forward arcs at +cost, used arcs back at -cost) and
+    sends as much as a cheapest path to an unfilled column allows.
+    Augmenting along any shortest path keeps the residual graph free of
+    negative cycles, so the flow is optimal once every column is filled.
+    """
+    m, n = len(supply), len(demand)
+    left, need = list(supply), list(demand)
+    flow = [[Fraction(0)] * n for _ in range(m)]
+    while any(need):
+        dist: list = [0 if left[i] else None for i in range(m)] + [None] * n
+        prev: list = [None] * (m + n)
+        changed = True
+        while changed:
+            changed = False
+            for i in range(m):
+                if dist[i] is None:
+                    continue
+                for j in range(n):
+                    d = dist[i] + cost[i][j]
+                    if dist[m + j] is None or d < dist[m + j]:
+                        dist[m + j], prev[m + j], changed = d, i, True
+            for j in range(n):
+                if dist[m + j] is None:
+                    continue
+                for i in range(m):
+                    d = dist[m + j] - cost[i][j]
+                    if flow[i][j] and (dist[i] is None or d < dist[i]):
+                        dist[i], prev[i], changed = d, m + j, True
+        j = next(j for j in range(n) if need[j])
+        arcs = []  # (row, column, forward) along the path, sink first
+        node = m + j
+        while True:
+            i = prev[node]
+            arcs.append((i, node - m, True))
+            if prev[i] is None:
+                break
+            node = prev[i]
+            arcs.append((i, node - m, False))
+        amount = min([left[i], need[j]] + [flow[a][b] for a, b, fwd in arcs if not fwd])
+        for a, b, fwd in arcs:
+            flow[a][b] += amount if fwd else -amount
+        left[i] -= amount
+        need[j] -= amount
+    total = sum(
+        (flow[i][j] * cost[i][j] for i in range(m) for j in range(n)), Fraction(0)
+    )
+    return total, flow
 
 
 def chain_lp(
@@ -312,9 +246,11 @@ def chain_lp(
     """Exact optimum over paths with the given carrier sequence.
 
     Interior breakpoints are constrained to the interface faces of the
-    chain; the minimum of the summed l1 lengths is solved as a layered
-    transportation problem in exact rational arithmetic.  Returns the value
-    and one optimal interior breakpoint assignment.
+    chain.  Each unit of mass moved from u in supp(x) to v in supp(y) pays
+    the fewest vertex switches along the faces, which a DP gives; nothing
+    caps those moves, so the optimum is an exact rational transport between
+    x and y.  The breakpoints follow each used (u, v) pair's optimal
+    positions.  Returns the value and one optimal breakpoint assignment.
     """
     sigma = chain.simplices
     if not set(x.support) <= set(sigma[0]):
@@ -322,14 +258,28 @@ def chain_lp(
     if not set(y.support) <= set(sigma[-1]):
         raise EndpointNotInCarrier(f"supp {y.support} not inside last simplex {sigma[-1]}")
     faces = chain.faces()  # raises EmptyIntersection on invalid chains
-    layers: list[Sequence[str]] = [x.support, *faces, y.support]
-    lf, cost, flow = _chain_flow_value(layers, x.weights, y.weights, exact=True)
-    dists = lf.layer_distributions(flow, len(layers))
-    breakpoints = [
-        make_point(K, {v: float(w) for v, w in d.items()})
-        for d in dists[1:-1]
-    ]
-    return float(cost), breakpoints
+    routes = []  # per u in supp(x): switch counts at {u}, each face, supp(y)
+    for u in x.support:
+        dp = [{u: 0}]
+        for layer in (*faces, y.support):
+            dp.append(_enter(dp[-1], layer))
+        routes.append(dp)
+    supply, demand = _masses(x, y)
+    cost = [[dp[-1][v] for v in y.support] for dp in routes]
+    value, flow = _transport(supply, demand, cost)
+
+    mass: list[dict[str, Fraction]] = [{} for _ in faces]
+    for row, dp in zip(flow, routes):
+        for amount, v in zip(row, y.support):
+            if not amount:
+                continue
+            w = v
+            for i in range(len(faces), 0, -1):  # dp[i] holds the counts on faces[i - 1]
+                if w not in dp[i]:
+                    w = min(dp[i], key=lambda p: (dp[i][p], p))
+                mass[i - 1][w] = mass[i - 1].get(w, Fraction(0)) + amount
+    breakpoints = [make_point(K, {v: float(m) for v, m in d.items()}) for d in mass]
+    return float(value), breakpoints
 
 
 # --------------------------------------------------------------------------
@@ -378,24 +328,6 @@ def lower_bounds(
                 total += abs(a - b)
         out.append(("sphere", 0.5 * total))
     return out
-
-
-def _transit_bound(
-    xw: dict[str, float], yw: dict[str, float], face: Simplex
-) -> float:
-    """min over b supported in face of (l1(x,b) + l1(b,y)) / 2, closed form.
-
-    Any path forced through the face pays at least this much: coordinates
-    outside the face must drain on the way in and refill on the way out,
-    and the face must be able to carry total mass 1.
-    """
-    fs = set(face)
-    keys = sorted(set(xw) | set(yw))
-    base = 0.5 * sum(abs(xw.get(v, 0.0) - yw.get(v, 0.0)) for v in keys)
-    outside = sum(min(xw.get(v, 0.0), yw.get(v, 0.0)) for v in keys if v not in fs)
-    lo = sum(min(xw.get(v, 0.0), yw.get(v, 0.0)) for v in face)
-    hi = sum(max(xw.get(v, 0.0), yw.get(v, 0.0)) for v in face)
-    return base + outside + max(0.0, lo - 1.0, 1.0 - hi)
 
 
 # --------------------------------------------------------------------------
@@ -453,20 +385,18 @@ def l1_path_distance(
     K: SimplicialComplex,
     x: BarycentricPoint,
     y: BarycentricPoint,
-    opts: PathOptions | None = None,
 ) -> PathResult:
     """Exact path distance with an attaining witness.
 
     Tier 1 and 2 shortcuts (common simplex, vertex pair) return closed
-    forms; the general case enumerates chains.  The result is checked
-    against every registered lower bound before being returned.
+    forms; the general case runs the best-first chain search.  The result
+    is checked against every lower bound the query computed.
     """
-    opts = opts or PathOptions()
     word_metric(K)  # raises DisconnectedComplex early
-
     if x.key() == y.key():
         return PathResult(0.0, PathWitness(points=(x,), carriers=(), length=0.0))
 
+    bounds = lower_bounds(K, x, y)
     carrier = common_simplex(K, x, y)
     if carrier is not None:
         value = simplex_l1(x, y)
@@ -476,9 +406,10 @@ def l1_path_distance(
         witness = _vertex_route_witness(K, x, y, table)
         result = PathResult(float(table.distance(x.support[0], y.support[0])), witness)
     else:
-        result = _solve_by_chains(K, x, y, opts)
+        bounds += lower_bounds(K, y, x)
+        result = _solve_by_search(K, x, y, bounds)
 
-    _assert_above_bounds(result.value, lower_bounds(K, x, y), "l1_path_distance")
+    _assert_above_bounds(result.value, bounds, "l1_path_distance")
     return result
 
 
@@ -486,143 +417,131 @@ def chain_solver_distance(
     K: SimplicialComplex,
     x: BarycentricPoint,
     y: BarycentricPoint,
-    opts: PathOptions | None = None,
 ) -> PathResult:
     """Diagnostic entry point that skips the closed-form shortcuts.
 
-    Exercises the chain enumeration even on vertex pairs and common-simplex
-    pairs, so the chain solver can be validated against the closed forms.
+    Exercises the chain search even on vertex pairs and common-simplex
+    pairs, so the search can be validated against the closed forms.
     """
-    opts = opts or PathOptions()
     word_metric(K)
     if x.key() == y.key():
         return PathResult(0.0, PathWitness(points=(x,), carriers=(), length=0.0))
-    result = _solve_by_chains(K, x, y, opts)
-    _assert_above_bounds(result.value, lower_bounds(K, x, y), "chain_solver_distance")
+    bounds = lower_bounds(K, x, y) + lower_bounds(K, y, x)
+    result = _solve_by_search(K, x, y, bounds)
+    _assert_above_bounds(result.value, bounds, "chain_solver_distance")
     return result
 
 
-def _solve_by_chains(
+def _solve_by_search(
     K: SimplicialComplex,
     x: BarycentricPoint,
     y: BarycentricPoint,
-    opts: PathOptions,
+    bounds: list[tuple[str, float]],
 ) -> PathResult:
+    """The vertex route, unless the best-first search finds a shorter chain."""
     table = word_metric(K)
-    xw, yw = x.weights, y.weights
+    incumbent = _vertex_route_witness(K, x, y, table)
+    if incumbent.length <= max(b for _, b in bounds) + TIE_TOL:
+        return PathResult(incumbent.length, incumbent)
+    found = _best_first(K, x, y, table, incumbent.length)
+    if found is None:
+        return PathResult(incumbent.length, incumbent)
 
-    min_cross = min(table.distance(u, v) for u in x.support for v in y.support)
-    routing_upper = 2.0 + min_cross
-    radius = math.ceil(routing_upper) + 1
-    max_len = opts.max_chain_length or (2 * math.ceil(routing_upper) + 3)
-
-    ball = {
-        z
-        for z in K.vertices
-        if min(table.distance(u, z) for u in x.support) <= radius
-    }
-    candidates = [m for m in K.maximal_simplices if set(m) <= ball]
-    starts = [i for i, m in enumerate(candidates) if set(x.support) <= set(m)]
-    target = set(y.support)
-
-    incumbent_witness = _vertex_route_witness(K, x, y, table)
-    best_value = incumbent_witness.length
-    best_chain: tuple[int, ...] | None = None
-    best_lp: tuple[float, list[BarycentricPoint]] | None = None
-
-    global_lb = max(v for _, v in lower_bounds(K, x, y))
-    global_lb = max(global_lb, max(v for _, v in lower_bounds(K, y, x)))
-    if best_value <= global_lb + TIE_TOL:
-        return PathResult(best_value, incumbent_witness)
-
-    nodes_visited = 0
-    truncated_bounds: list[float] = []
-    simple_only = opts.enumerate_simple_chains_only
-    candidate_sets = [set(m) for m in candidates]
-
-    def bound_for(faces: list[Simplex], kept: set[str], transit_max: float) -> float:
-        # forced-zero coordinate bound: a coordinate missing from any
-        # interface face crossed so far must fully drain and refill
-        total = 0.0
-        for v in sorted(set(xw) | set(yw)):
-            a, b = xw.get(v, 0.0), yw.get(v, 0.0)
-            total += (a + b) if v not in kept else abs(a - b)
-        bound = max(0.5 * total, transit_max, global_lb)
-        if len(faces) >= 3:
-            layers = [x.support, *faces, y.support]
-            _, cost, _ = _chain_flow_value(layers, xw, yw, exact=False)
-            bound = max(bound, float(cost) - 1e-9)
-        return bound
-
-    # Depth-first in canonical order; the first strict improvement wins, so
-    # equal-value witnesses resolve to the smallest non-dominated chain.
-    stack: list[tuple[tuple[int, ...], list[Simplex], set[str], float, float]] = []
-    for s in sorted(starts, reverse=True):
-        stack.append(((s,), [], set(K.vertices), 0.0, 0.0))
-
-    while stack:
-        chain, faces, kept, transit_max, bound = stack.pop()
-        nodes_visited += 1
-        if bound > best_value + VALUE_TOL:
-            continue  # best improved since this node was pushed
-        if nodes_visited > opts.max_nodes:
-            truncated_bounds.append(bound)
-            continue
-
-        last_set = candidate_sets[chain[-1]]
-        if target <= last_set:
-            chain_obj = Chain(simplices=tuple(candidates[i] for i in chain))
-            value, breakpoints = chain_lp(K, chain_obj, x, y)
-            if value < best_value - TIE_TOL:
-                best_value = value
-                best_chain = chain
-                best_lp = (value, breakpoints)
-                if best_value <= global_lb + TIE_TOL:
-                    break
-            continue  # extending a completed chain can never improve it
-
-        if len(chain) >= max_len:
-            truncated_bounds.append(bound)
-            continue
-
-        # interface the incoming breakpoint is confined to; an extension whose
-        # simplex already contains it is dominated (the last simplex could be
-        # skipped without increasing the value), so that chain is redundant
-        prev_interface = set(faces[-1]) if faces else set(x.support)
-        for nxt in range(len(candidates) - 1, -1, -1):
-            if nxt == chain[-1] or (simple_only and nxt in chain):
-                continue
-            nxt_set = candidate_sets[nxt]
-            if prev_interface <= nxt_set:
-                continue
-            overlap = last_set & nxt_set
-            if not overlap:
-                continue
-            face = tuple(sorted(overlap))
-            new_faces = faces + [face]
-            new_kept = kept & overlap
-            new_transit = max(transit_max, _transit_bound(xw, yw, face))
-            new_bound = bound_for(new_faces, new_kept, new_transit)
-            if new_bound > best_value + VALUE_TOL:
-                continue
-            stack.append((chain + (nxt,), new_faces, new_kept, new_transit, new_bound))
-
-    if truncated_bounds and min(truncated_bounds) < best_value - VALUE_TOL:
-        raise ChainBudgetExceeded(
-            f"search truncated at {nodes_visited} nodes (chain length cap {max_len}) "
-            f"with unproven branches below the best value {best_value}"
-        )
-
-    if best_chain is None:
-        return PathResult(best_value, incumbent_witness)
-
-    value, breakpoints = best_lp
+    carriers, bound = found
+    value, breakpoints = chain_lp(K, Chain(simplices=carriers), x, y)
     points = (x, *breakpoints, y)
-    carriers = tuple(candidates[i] for i in best_chain)
     length = path_length(K, points, carriers)
-    if abs(length - value) > VALUE_TOL:
+    if abs(value - float(bound)) > TIE_TOL or abs(length - value) > VALUE_TOL:
         raise InternalConsistencyError(
-            f"witness length {length} disagrees with flow value {value}"
+            f"search value {float(bound)}, chain optimum {value} and witness length "
+            f"{length} disagree"
         )
-    witness = PathWitness(points=points, carriers=carriers, length=length)
-    return PathResult(value, witness)
+    return PathResult(value, PathWitness(points=points, carriers=carriers, length=length))
+
+
+def _best_first(
+    K: SimplicialComplex,
+    x: BarycentricPoint,
+    y: BarycentricPoint,
+    table,
+    incumbent: float,
+) -> tuple[tuple[Simplex, ...], Fraction] | None:
+    """Best chain shorter than the incumbent by more than TIE_TOL, or None.
+
+    A state is a maximal simplex sigma reached by a chain from supp(x) plus,
+    for each u in supp(x), the fewest switches val_u(w) that bring the mass
+    of u to each w in sigma.  States are popped in the order of an exact
+    transport whose cost from u to v is min_w val_u(w) + word(w, v): a
+    bound no extension of the chain can beat, equal to the chain optimum
+    once sigma holds supp(y).  So the first such state popped is optimal.
+    A state is dropped when another state at the same sigma is nowhere
+    worse; a chain that returns to a simplex is always dropped this way,
+    so the search is finite.
+    """
+    M = K.maximal_simplices
+    target = set(y.support)
+    supply, demand = _masses(x, y)
+    to_y: dict[str, tuple[int, ...]] = {}
+    transports: dict[tuple, Fraction] = {}
+    labels: list[tuple[Simplex, tuple, int | None]] = []  # (sigma, vals, parent)
+    alive: list[bool] = []
+    front: dict[Simplex, list[int]] = {}  # sigma -> its undominated live labels
+    heap: list[tuple[Fraction, int]] = []
+
+    def bound(sigma: Simplex, vals: tuple) -> Fraction:
+        for w in sigma:
+            if w not in to_y:
+                to_y[w] = tuple(table.distance(w, v) for v in y.support)
+        cost = tuple(
+            tuple(min(c + to_y[w][j] for w, c in zip(sigma, row)) for j in range(len(y.support)))
+            for row in vals
+        )
+        if cost not in transports:
+            transports[cost] = _transport(supply, demand, cost)[0]
+        return transports[cost]
+
+    def push(sigma: Simplex, vals: tuple, parent: int | None) -> None:
+        kept = front.setdefault(sigma, [])
+        if any(_dominates(labels[k][1], vals) for k in kept):
+            return
+        b = bound(sigma, vals)
+        if b >= incumbent - TIE_TOL:
+            return
+        for k in [k for k in kept if _dominates(vals, labels[k][1])]:
+            alive[k] = False
+            kept.remove(k)
+        kept.append(len(labels))
+        labels.append((sigma, vals, parent))
+        alive.append(True)
+        heapq.heappush(heap, (b, len(labels) - 1))
+
+    for sigma in K.maximal_containing(x.support):
+        push(sigma, tuple(tuple(int(w != u) for w in sigma) for u in x.support), None)
+
+    while heap:
+        b, li = heapq.heappop(heap)
+        if not alive[li]:
+            continue
+        sigma, vals, _ = labels[li]
+        if target <= set(sigma):
+            chain = []
+            while li is not None:
+                chain.append(labels[li][0])
+                li = labels[li][2]
+            return tuple(reversed(chain)), b
+        for j in sorted({j for w in sigma for j in K.incidence[w]}):
+            tau = M[j]
+            if tau == sigma:
+                continue
+            shared = set(tau)
+            vals_tau = []
+            for row in vals:
+                entered = _enter({w: c for w, c in zip(sigma, row) if w in shared}, tau)
+                vals_tau.append(tuple(entered[w] for w in tau))
+            push(tau, tuple(vals_tau), li)
+    return None
+
+
+def _dominates(a: tuple, b: tuple) -> bool:
+    """Whether switch-count vectors a are nowhere larger than b."""
+    return all(p <= q for ra, rb in zip(a, b) for p, q in zip(ra, rb))

@@ -179,5 +179,16 @@ class TestCheck:
         assert code == 0, out
         assert "FAIL" not in out
 
-    def test_unknown_suite_is_validation_error(self, tree_file):
-        assert main(["check", "-c", tree_file, "--suite", "bogus"]) == 1
+    def test_unknown_suite_is_usage_error(self, tree_file):
+        with pytest.raises(SystemExit) as info:
+            main(["check", "-c", tree_file, "--suite", "bogus"])
+        assert info.value.code == 64
+
+    def test_runs_only_the_requested_suite(self, tree_file, capsys):
+        for suite, tripwire in (("path", False), ("oracle", True)):
+            code = main(["check", "-c", tree_file, "--suite", suite, "--json",
+                         "--triples", "6", "--pairs", "8"])
+            assert code == 0
+            rows = json.loads(capsys.readouterr().out)
+            assert rows and {r["suite"] for r in rows} == {suite}
+            assert any(r["name"] == "lower-bound-tripwire" for r in rows) == tripwire

@@ -66,6 +66,19 @@ class TestBuildComplex:
             assert v not in ns
             assert len(ns) == len(set(ns))
 
+    def test_maximal_containing_matches_scan(self, complex_fleet):
+        for K in complex_fleet.values():
+            for s in sorted(K.faces)[:60]:
+                want = [m for m in K.maximal_simplices if set(s) <= set(m)]
+                assert K.maximal_containing(s) == want
+            assert K.maximal_containing([]) == list(K.maximal_simplices)
+
+    def test_incidence_is_not_part_of_identity(self, book):
+        same = build_complex(list(book.vertices), book.maximal_simplices)
+        assert same == book and hash(same) == hash(book)
+        held = [book.maximal_simplices[i] for i in book.incidence["b"]]
+        assert held == [("a", "b", "c"), ("b", "c", "d")]
+
 
 class TestMakePoint:
     def test_midpoint(self, path3):

@@ -1,17 +1,16 @@
-"""Path metric: shortcuts, chain solver, bounds, witnesses."""
+"""Path metric: shortcuts, chain search, bounds, witnesses."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from metricext import (
     Chain,
-    ChainBudgetExceeded,
     EmptyIntersection,
     EndpointNotInCarrier,
     InvalidCarrier,
-    PathOptions,
     build_complex,
     chain_lp,
     chain_solver_distance,
@@ -26,8 +25,10 @@ from metricext import (
 )
 from metricext.generators import (
     cycle_complex,
+    path_complex,
     random_point,
     random_same_simplex_pair,
+    rips_complex,
     tree_complex,
 )
 from metricext.oracle import grid_oracle_path_distance
@@ -93,6 +94,26 @@ class TestChainLP:
         chain = Chain(simplices=(("a", "b", "c"), ("b", "c", "d"), ("c", "d", "e")))
         value, bps = chain_lp(strip, chain, x, y)
         assert value == pytest.approx(1.5, abs=1e-12)
+
+    def test_random_chains_of_the_fleet(self, complex_fleet):
+        # a chain's optimum is attained by its witness, never beats the
+        # path distance, and inside one simplex is the l1 distance itself
+        rng = np.random.default_rng(8)
+        for name, K in complex_fleet.items():
+            for _ in range(12):
+                chain = [K.maximal_simplices[rng.integers(len(K.maximal_simplices))]]
+                for _ in range(int(rng.integers(0, 5))):
+                    nxt = [m for m in K.maximal_simplices if m != chain[-1] and set(m) & set(chain[-1])]
+                    if not nxt:
+                        break
+                    chain.append(nxt[rng.integers(len(nxt))])
+                x = random_point(K, rng, face=chain[0])
+                y = random_point(K, rng, face=chain[-1])
+                value, bps = chain_lp(K, Chain(simplices=tuple(chain)), x, y)
+                assert value == pytest.approx(path_length(K, [x, *bps, y], chain), abs=1e-9), name
+                assert value >= l1_path_distance(K, x, y).value - 1e-9, name
+                if len(chain) == 1:
+                    assert value == pytest.approx(simplex_l1(x, y), abs=1e-12), name
 
 
 class TestL1PathDistance:
@@ -187,28 +208,6 @@ class TestChainSolverAgainstClosedForms:
             got = chain_solver_distance(strip, x, y).value
             assert got == pytest.approx(simplex_l1(x, y), abs=1e-9)
 
-    def test_non_simple_chains_change_nothing(self, strip, book, rng):
-        # allowing repeated simplices can only tie the simple-chain optimum;
-        # where the relaxed search cannot prove optimality it must say so
-        relaxed = PathOptions(enumerate_simple_chains_only=False, max_chain_length=6)
-        x = make_point(strip, {"a": 0.5, "b": 0.5})
-        y = make_point(strip, {"d": 0.5, "e": 0.5})
-        assert l1_path_distance(strip, x, y, relaxed).value == pytest.approx(
-            l1_path_distance(strip, x, y).value, abs=1e-9
-        )
-        returned = 0
-        for _ in range(10):
-            p = random_point(book, rng)
-            q = random_point(book, rng)
-            a = l1_path_distance(book, p, q).value
-            try:
-                b = l1_path_distance(book, p, q, relaxed).value
-            except ChainBudgetExceeded:
-                continue  # loud refusal is the documented outcome here
-            returned += 1
-            assert a == pytest.approx(b, abs=1e-9)
-        assert returned > 0
-
 
 class TestOracleAgreement:
     def test_grid_sandwich_on_strip(self, strip, rng):
@@ -223,18 +222,35 @@ class TestOracleAgreement:
             assert grid - exact <= strip.dimension * (1 / 16) * (1 + exact)
 
 
-class TestOptionsAndBudget:
-    def test_budget_exceeded_is_loud(self):
-        K = cycle_complex(12)
-        a = K.vertices
-        x = make_point(K, {a[0]: 0.5, a[1]: 0.5})
-        y = make_point(K, {a[6]: 0.5, a[7]: 0.5})
-        with pytest.raises(ChainBudgetExceeded):
-            l1_path_distance(K, x, y, PathOptions(max_chain_length=2))
+# grid pairs of rips_complex(path_complex(40), 3) with long optimal chains,
+# and their exact distances
+HARD_RIPS_PAIRS = [
+    ({"p05": 1.0}, {"p24": 0.5, "p25": 0.5}, 7.0),
+    ({"p18": 0.25, "p20": 0.75}, {"p01": 0.25, "p02": 0.375, "p03": 0.375}, 6.0),
+    ({"p36": 0.25, "p37": 0.75}, {"p11": 0.375, "p12": 0.125, "p13": 0.125, "p14": 0.375}, 8.375),
+    ({"p34": 0.25, "p36": 0.375, "p37": 0.375}, {"p17": 0.25, "p18": 0.5, "p19": 0.25}, 6.125),
+    ({"p14": 0.125, "p15": 0.25, "p16": 0.375, "p17": 0.25}, {"p31": 0.375, "p33": 0.625}, 5.75),
+]
 
-    def test_max_chain_length_validation(self):
-        with pytest.raises(ValueError):
-            PathOptions(max_chain_length=0)
+
+@pytest.fixture(scope="module")
+def rips_path40():
+    return rips_complex(path_complex(40), 3)
+
+
+class TestOptionsAndBudget:
+    """Hard pairs finish in bounded time; answers repeat exactly."""
+
+    @pytest.mark.parametrize("xw, yw, want", HARD_RIPS_PAIRS)
+    def test_hard_rips_pairs_finish_exactly(self, rips_path40, xw, yw, want):
+        K = rips_path40
+        x, y = make_point(K, xw), make_point(K, yw)
+        start = time.perf_counter()
+        value, witness = l1_path_distance(K, x, y)
+        assert time.perf_counter() - start < 1.0
+        assert value == pytest.approx(want, abs=1e-9)
+        witness.validate(K)
+        assert grid_oracle_path_distance(K, x, y, 1 / 8) == pytest.approx(value, abs=1e-9)
 
     def test_deterministic_witness(self, book, rng):
         pairs = [(random_point(book, rng), random_point(book, rng)) for _ in range(10)]
