@@ -5,15 +5,25 @@ canonical list of maximal simplices.  Simplices are sorted tuples of string
 vertex labels; all iteration uses lexicographic label order so outputs are
 reproducible bit-for-bit.  Complexes and points are immutable after
 construction and safe to share across threads.
+
+Each complex owns its derived tables (adjacency, vertex -> maximal-simplex
+incidence, and the word table, built on first use); they are freed with it
+and take no part in its equality or hash.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
+
 from .errors import (
+    DisconnectedComplex,
     DuplicateVertex,
     EmptySimplex,
     NegativeWeight,
@@ -40,6 +50,18 @@ def make_simplex(vertices: Iterable[str]) -> Simplex:
     return vs
 
 
+@dataclass(frozen=True, eq=False)
+class WordMetricTable:
+    """All-pairs breadth-first distances on the 1-skeleton."""
+
+    order: tuple[str, ...]
+    matrix: np.ndarray  # integer distances
+    index: dict[str, int] = field(repr=False)
+
+    def distance(self, u: str, v: str) -> float:
+        return float(self.matrix[self.index[u], self.index[v]])
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Finite abstract simplicial complex, closed under taking faces."""
@@ -50,6 +72,22 @@ class SimplicialComplex:
     adjacency: Mapping[str, tuple[str, ...]] = field(compare=False, hash=False)
     # vertex -> indices into maximal_simplices of the maximal simplices holding it
     incidence: Mapping[str, tuple[int, ...]] = field(compare=False, hash=False)
+
+    @cached_property
+    def word_table(self) -> WordMetricTable:
+        """The package's one source of word distances, a dense table built on first use.
+
+        Raises DisconnectedComplex on every access if the 1-skeleton is not connected.
+        """
+        order = self.vertices
+        index = {v: i for i, v in enumerate(order)}
+        rows = [index[v] for v in order for _ in self.adjacency[v]]
+        cols = [index[w] for v in order for w in self.adjacency[v]]
+        graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(order),) * 2)
+        dist = shortest_path(graph, method="D", unweighted=True, directed=False)
+        if np.isinf(dist).any():
+            raise DisconnectedComplex("1-skeleton is not connected")
+        return WordMetricTable(order=order, matrix=dist.astype(np.int64), index=index)
 
     @property
     def dimension(self) -> int:

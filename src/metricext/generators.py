@@ -23,7 +23,7 @@ from .complexes import (
     vertex_point,
 )
 from .errors import InvalidParameters
-from .vertexmetrics import bfs_distances, word_metric
+from .vertexmetrics import word_metric
 
 
 def _labels(prefix: str, count: int) -> list[str]:
@@ -237,6 +237,19 @@ def grid_point(
     return make_point(K, {v: (1 + int(e)) / n for v, e in zip(face, extra)})
 
 
+def _random_geodesic(K: SimplicialComplex, rng: np.random.Generator, u: str, v: str) -> list[str]:
+    """Shortest edge path from u to v, each step drawn among the neighbours one step closer."""
+    table = word_metric(K)
+    index = table.index
+    to_v = table.matrix[index[v]]
+    path = [u]
+    while path[-1] != v:
+        step = to_v[index[path[-1]]] - 1
+        nxts = [w for w in K.adjacency[path[-1]] if to_v[index[w]] == step]
+        path.append(nxts[rng.integers(len(nxts))])
+    return path
+
+
 def sample_geodesic_triples(
     K: SimplicialComplex, rng: np.random.Generator, count: int
 ) -> list[tuple[str, str, str]]:
@@ -246,12 +259,7 @@ def sample_geodesic_triples(
     for _ in range(count):
         u = verts[rng.integers(len(verts))]
         v = verts[rng.integers(len(verts))]
-        dist = bfs_distances(K, v)
-        path = [u]
-        while path[-1] != v:
-            cur = path[-1]
-            nxts = [w for w in K.adjacency[cur] if dist[w] == dist[cur] - 1]
-            path.append(nxts[rng.integers(len(nxts))])
+        path = _random_geodesic(K, rng, u, v)
         w = path[rng.integers(len(path))]
         out.append((u, w, v))
     return out
@@ -269,24 +277,20 @@ def nested_quadruples(
     least min_gap, which drives the crossing double differences up.  Uniform
     sampling almost never produces such configurations.
     """
+    table = word_metric(K)
     verts = list(K.vertices)
     out = []
     tries = 0
     while len(out) < count and tries < count * 50:
         tries += 1
         u = verts[rng.integers(len(verts))]
-        dist_u = bfs_distances(K, u)
-        far = max(dist_u.values())
+        from_u = table.matrix[table.index[u]]
+        far = from_u.max()
         if far < min_gap + 2:
             continue
-        candidates = sorted(v for v, d in dist_u.items() if d == far)
+        candidates = [v for v, d in zip(table.order, from_u) if d == far]
         b = candidates[rng.integers(len(candidates))]
-        dist_b = bfs_distances(K, b)
-        path = [u]
-        while path[-1] != b:
-            cur = path[-1]
-            nxts = [w for w in K.adjacency[cur] if dist_b[w] == dist_b[cur] - 1]
-            path.append(nxts[rng.integers(len(nxts))])
+        path = _random_geodesic(K, rng, u, b)
         length = len(path) - 1
         lo = int(rng.integers(1, max(2, length - min_gap - 1)))
         hi = lo + min_gap + int(rng.integers(0, max(1, length - lo - min_gap)))

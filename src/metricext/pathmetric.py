@@ -49,7 +49,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidCarrier,
 )
-from .vertexmetrics import bfs_distances, word_metric
+from .vertexmetrics import geodesic, word_metric
 
 VALUE_TOL = 1e-9
 TIE_TOL = 1e-12
@@ -308,41 +308,30 @@ def lower_bounds(
 
     max_w = max(w for _, w in x.items)
     center = min(v for v, w in x.items if w == max_w)
-    dist = bfs_distances(K, center)
-    if all(v in dist for v in y.support):
-        wx: dict[int, float] = {}
-        wy: dict[int, float] = {}
-        for v, w in x.items:
-            wx[dist[v]] = wx.get(dist[v], 0.0) + w
-        for v, w in y.items:
-            wy[dist[v]] = wy.get(dist[v], 0.0) + w
-        top_x = max(wx)
-        top_y = max(wy)
-        total = 0.0
-        for k in range(0, max(top_x, top_y) + 1):
-            a = wx.get(k, 0.0)
-            b = wy.get(k, 0.0)
-            if top_x < k < top_y:
-                total += abs(a - 1.0) + abs(1.0 - b)
-            else:
-                total += abs(a - b)
-        out.append(("sphere", 0.5 * total))
+    table = word_metric(K)
+    dist = {v: int(table.distance(center, v)) for v in (*x.support, *y.support)}
+    wx: dict[int, float] = {}
+    wy: dict[int, float] = {}
+    for v, w in x.items:
+        wx[dist[v]] = wx.get(dist[v], 0.0) + w
+    for v, w in y.items:
+        wy[dist[v]] = wy.get(dist[v], 0.0) + w
+    top_x = max(wx)
+    top_y = max(wy)
+    total = 0.0
+    for k in range(0, max(top_x, top_y) + 1):
+        a = wx.get(k, 0.0)
+        b = wy.get(k, 0.0)
+        if top_x < k < top_y:
+            total += abs(a - 1.0) + abs(1.0 - b)
+        else:
+            total += abs(a - b)
+    out.append(("sphere", 0.5 * total))
     return out
 
 
 # --------------------------------------------------------------------------
 # the main solver
-
-def _shortest_vertex_path(K: SimplicialComplex, u: str, v: str) -> list[str]:
-    """Deterministic shortest edge path: greedy descent on BFS distances."""
-    dist = bfs_distances(K, v)
-    path = [u]
-    cur = u
-    while cur != v:
-        cur = min(w for w in K.adjacency[cur] if dist[w] == dist[cur] - 1)
-        path.append(cur)
-    return path
-
 
 def _vertex_route_witness(
     K: SimplicialComplex,
@@ -364,7 +353,7 @@ def _vertex_route_witness(
     if not (x.is_vertex and x.support[0] == u):
         points.append(vertex_point(K, u))
         carriers.append(x.support)
-    for w in _shortest_vertex_path(K, u, v)[1:]:
+    for w in geodesic(K, u, v)[1:]:
         prev = points[-1].support[0]
         points.append(vertex_point(K, w))
         carriers.append(tuple(sorted((prev, w))))

@@ -23,7 +23,7 @@ from .extension import (
     double_difference_bilinear,
     double_difference_ext,
 )
-from .vertexmetrics import bfs_distances, double_difference_vertices, word_metric
+from .vertexmetrics import double_difference_vertices, geodesic, word_metric
 
 VALUE_TOL = 1e-9
 DEFAULT_CONVERGENCE_TOL = 1e-3
@@ -56,9 +56,9 @@ def make_ray(K: SimplicialComplex, vertices: Sequence[str]) -> RaySpec:
     vs = tuple(vertices)
     if not vs:
         raise InvalidConfiguration("a ray needs at least its base vertex")
-    dist = bfs_distances(K, vs[0])
+    table = word_metric(K)
     for k, v in enumerate(vs):
-        if v not in dist or dist[v] != k:
+        if v not in table.index or table.distance(vs[0], v) != k:
             raise InvalidConfiguration(f"ray vertex {v!r} at index {k} is not at distance {k}")
     for a, b in zip(vs, vs[1:]):
         if b not in K.adjacency[a]:
@@ -68,15 +68,9 @@ def make_ray(K: SimplicialComplex, vertices: Sequence[str]) -> RaySpec:
 
 def deepest_ray(K: SimplicialComplex, base: str) -> RaySpec:
     """Geodesic from base to a farthest vertex (lexicographic tie-break)."""
-    dist = bfs_distances(K, base)
-    far = max(dist.values())
-    target = min(v for v, d in dist.items() if d == far)
-    back = bfs_distances(K, target)
-    path = [base]
-    while path[-1] != target:
-        cur = path[-1]
-        path.append(min(w for w in K.adjacency[cur] if back[w] == back[cur] - 1))
-    return make_ray(K, path)
+    table = word_metric(K)
+    target = table.order[int(np.argmax(table.matrix[table.index[base]]))]
+    return make_ray(K, geodesic(K, base, target))
 
 
 @dataclass(frozen=True)

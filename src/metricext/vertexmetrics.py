@@ -1,10 +1,11 @@
 """Vertex-level metrics: word metric, validation, constants, diagnostics.
 
-The word metric gives every edge of the 1-skeleton length 1.  User-supplied
-vertex metrics are validated exhaustively against the metric axioms and
-against the linear bound d(u,v) <= C * word(u,v) that the extension
-construction requires.  Vertex-level Gromov products, double differences and
-the four-point hyperbolicity scan live here as well.
+The word metric gives every edge of the 1-skeleton length 1; its table,
+kept on the complex, is the package's one source of word distances.
+User-supplied vertex metrics are validated exhaustively against the metric
+axioms and against the linear bound d(u,v) <= C * word(u,v) that the
+extension construction requires.  Vertex-level Gromov products, double
+differences and the four-point hyperbolicity scan live here as well.
 
 Convention: the double difference of (x, x', y, y') is
 
@@ -18,15 +19,11 @@ package relies on that normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, WordMetricTable
 from .errors import (
-    DisconnectedComplex,
     MetricAxiomError,
     SuppliedConstantTooSmall,
 )
@@ -46,57 +43,29 @@ class MetricViolation:
         return f"{self.kind}{self.vertices} margin={self.margin:.3g}"
 
 
-@dataclass(frozen=True, eq=False)
-class WordMetricTable:
-    """All-pairs breadth-first distances on the 1-skeleton."""
-
-    order: tuple[str, ...]
-    matrix: np.ndarray  # integer distances
-    index: dict[str, int] = field(repr=False)
-
-    def distance(self, u: str, v: str) -> float:
-        return float(self.matrix[self.index[u], self.index[v]])
-
-
-@lru_cache(maxsize=None)
 def word_metric(K: SimplicialComplex) -> WordMetricTable:
-    """BFS all-pairs distance table; rejects disconnected complexes."""
-    order = K.vertices
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    rows, cols = [], []
-    for v in order:
-        for w in K.adjacency[v]:
-            rows.append(index[v])
-            cols.append(index[w])
-    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    dist = shortest_path(graph, method="D", unweighted=True, directed=False)
-    if np.isinf(dist).any():
-        raise DisconnectedComplex("1-skeleton is not connected")
-    return WordMetricTable(order=order, matrix=dist.astype(np.int64), index=index)
+    """The word table of K, built on first use and kept on K; rejects disconnected complexes."""
+    return K.word_table
 
 
-def bfs_distances(K: SimplicialComplex, source: str) -> dict[str, int]:
-    """Single-source BFS on the 1-skeleton; works on any component."""
-    dist = {source: 0}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in K.adjacency[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+def geodesic(K: SimplicialComplex, u: str, v: str) -> list[str]:
+    """Shortest edge path from u to v: the least neighbour one step closer to v, each step."""
+    table = word_metric(K)
+    index = table.index
+    to_v = table.matrix[index[v]]
+    path = [u]
+    while path[-1] != v:
+        step = to_v[index[path[-1]]] - 1
+        path.append(min(w for w in K.adjacency[path[-1]] if to_v[index[w]] == step))
+    return path
 
 
 def sphere(K: SimplicialComplex, u: str, k: int) -> tuple[str, ...]:
     """Vertices at word-metric distance exactly k from u."""
     if k < 0:
         raise ValueError("radius must be nonnegative")
-    dist = bfs_distances(K, u)
-    return tuple(sorted(v for v, d in dist.items() if d == k))
+    table = word_metric(K)
+    return tuple(v for v, d in zip(table.order, table.matrix[table.index[u]]) if d == k)
 
 
 def metric_violations(order: tuple[str, ...], matrix: np.ndarray) -> list[MetricViolation]:

@@ -1,6 +1,10 @@
 """CLI surface: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,7 +124,6 @@ class TestDDandGP:
 
 class TestProbeCommands:
     def test_divergence(self, tree_file, capsys):
-        data = json.loads((open(tree_file)).read())
         # find a root-to-leaf ray by labels: t00 -> t01 -> t03 -> t07
         slots = json.dumps([
             {"ray": ["t00", "t01", "t03", "t07"]},
@@ -192,3 +195,28 @@ class TestCheck:
             rows = json.loads(capsys.readouterr().out)
             assert rows and {r["suite"] for r in rows} == {suite}
             assert any(r["name"] == "lower-bound-tripwire" for r in rows) == tripwire
+
+    def test_same_output_under_every_hash_seed(self, tmp_path):
+        path = tmp_path / "random.json"
+        assert main(["gen", "-k", "random", "-p", "14", "-p", "0.3", "-o", str(path)]) == 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            run = subprocess.run(
+                [sys.executable, "-m", "metricext.cli", "check", "-c", str(path), "--json",
+                 "--suite", "all", "--seed", "7", "--triples", "30", "--pairs", "20"],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_tripwire_reports_only_its_own_run(self, tree_file, capsys):
+        notes = []
+        for _ in range(2):
+            assert main(["check", "-c", tree_file, "--suite", "all", "--json",
+                         "--triples", "6", "--pairs", "8"]) == 0
+            rows = json.loads(capsys.readouterr().out)
+            notes.append(next(r["notes"] for r in rows if r["name"] == "lower-bound-tripwire"))
+        assert notes[0] == notes[1]
+        assert not notes[0][0].startswith("0 bound checks")

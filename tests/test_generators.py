@@ -20,6 +20,7 @@ from metricext.generators import (
     random_disjoint_pair,
     random_point,
     rips_complex,
+    sample_geodesic_triples,
     simplex_complex,
     tree_complex,
 )
@@ -95,6 +96,20 @@ class TestSamplers:
             p = grid_point(strip, rng, 16)
             for _, w in p.items:
                 assert abs(w * 16 - round(w * 16)) < 1e-12
+
+    def test_geodesic_samplers_reproduce_their_samples(self):
+        # Values from the samplers' BFS-based implementation; the word-table
+        # descent makes the same draws in the same order.
+        K = random_complex(20, 0.18, seed=5)
+        assert sample_geodesic_triples(K, np.random.default_rng(1), 5) == [
+            ("g09", "g10", "g10"), ("g00", "g02", "g02"), ("g04", "g14", "g06"),
+            ("g16", "g08", "g05"), ("g12", "g12", "g10"),
+        ]
+        K = tree_complex(2, 5)
+        assert nested_quadruples(K, np.random.default_rng(4), 4, min_gap=4) == [
+            ("t45", "t30", "t62", "t01"), ("t59", "t10", "t46", "t02"),
+            ("t28", "t04", "t40", "t13"), ("t39", "t06", "t59", "t04"),
+        ]
 
     def test_nested_quadruples_have_gap(self):
         K = path_complex(20)

@@ -1,6 +1,8 @@
 """Word metric, vertex metric validation, vertex-level diagnostics."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -10,20 +12,32 @@ from metricext import (
     MetricAxiomError,
     SuppliedConstantTooSmall,
     build_complex,
+    deepest_ray,
     double_difference_vertices,
     gromov_product_vertices,
     hyperbolicity_delta,
     linear_bound_constant,
+    lower_bounds,
+    make_ray,
     metric_violations,
     qi_constants_check,
     sphere,
     transformed_word_metric,
     validate_vertex_metric,
+    vertex_point,
     word_metric,
     word_vertex_metric,
 )
-from metricext.generators import cycle_complex, path_complex, simplex_complex, tree_complex
-from metricext.oracle import tree_gromov_oracle
+from metricext.generators import (
+    cycle_complex,
+    nested_quadruples,
+    path_complex,
+    sample_geodesic_triples,
+    simplex_complex,
+    tree_complex,
+)
+from metricext.oracle import _oracle_bfs, tree_gromov_oracle, tree_vertex_path
+from metricext.vertexmetrics import geodesic
 
 
 class TestWordMetric:
@@ -39,14 +53,61 @@ class TestWordMetric:
 
     def test_disconnected_rejected(self):
         K = build_complex(["a", "b", "c"], [["a", "b"], ["c"]])
-        with pytest.raises(DisconnectedComplex):
-            word_metric(K)
+        rng = np.random.default_rng(0)
+        readers = [
+            lambda: word_metric(K),
+            lambda: lower_bounds(K, vertex_point(K, "a"), vertex_point(K, "b")),
+            lambda: sphere(K, "a", 1),
+            lambda: make_ray(K, ["a", "b"]),
+            lambda: deepest_ray(K, "a"),
+            lambda: sample_geodesic_triples(K, rng, 1),
+            lambda: nested_quadruples(K, rng, 1),
+        ]
+        # every call raises, not only the first
+        for read in [*readers, *readers]:
+            with pytest.raises(DisconnectedComplex):
+                read()
+
+    def test_table_lives_and_dies_with_the_complex(self):
+        K = tree_complex(2, 3)
+        table = word_metric(K)
+        assert word_metric(K) is table
+        twin = tree_complex(2, 3)
+        assert twin == K and hash(twin) == hash(K)
+        assert word_metric(twin) is not table
+        complex_ref, table_ref = weakref.ref(K), weakref.ref(table)
+        del K, table
+        gc.collect()
+        assert complex_ref() is None and table_ref() is None
+
+    def test_rows_match_the_oracle_bfs(self, complex_fleet):
+        for K in complex_fleet.values():
+            t = word_metric(K)
+            for u in K.vertices:
+                row = dict(zip(t.order, t.matrix[t.index[u]].tolist()))
+                assert row == _oracle_bfs(K, u)
 
     def test_edge_iff_distance_one(self, book):
         t = word_metric(book)
         for u, v in itertools.combinations(book.vertices, 2):
             is_edge = tuple(sorted((u, v))) in book.faces
             assert (t.distance(u, v) == 1) == is_edge
+
+
+class TestGeodesic:
+    def test_is_a_shortest_edge_path(self, complex_fleet):
+        for K in complex_fleet.values():
+            t = word_metric(K)
+            for u, v in itertools.product(K.vertices, repeat=2):
+                path = geodesic(K, u, v)
+                assert path[0] == u and path[-1] == v
+                assert len(path) - 1 == t.distance(u, v)
+                assert all(b in K.adjacency[a] for a, b in zip(path, path[1:]))
+
+    def test_trees_match_the_oracle(self):
+        for K in (tree_complex(2, 4), tree_complex(3, 2), path_complex(12)):
+            for u, v in itertools.product(K.vertices, repeat=2):
+                assert geodesic(K, u, v) == tree_vertex_path(K, u, v)
 
 
 class TestSphere:
