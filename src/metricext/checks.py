@@ -684,7 +684,7 @@ def _check_oracle_sandwich(ctx: CheckContext) -> CheckResult:
 @_suite("oracle")
 def _check_naive_violation(ctx: CheckContext) -> CheckResult:
     r = CheckResult("naive-bilinear-identity-violation")
-    edges = [s for s in ctx.K.faces if len(s) == 2]
+    edges = ctx.K.edges()
     if not edges:
         r.notes.append("skipped: complex has no edge")
         return r

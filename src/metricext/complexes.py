@@ -6,9 +6,14 @@ vertex labels; all iteration uses lexicographic label order so outputs are
 reproducible bit-for-bit.  Complexes and points are immutable after
 construction and safe to share across threads.
 
+Construction is local: a listed simplex is maximal when no other listed
+simplex holds all of its vertices, which is read off a vertex -> listed-simplex
+index instead of a scan over all pairs of listed simplices.
+
 Each complex owns its derived tables (adjacency, vertex -> maximal-simplex
-incidence, and the word table, built on first use); they are freed with it
-and take no part in its equality or hash.
+incidence, and, built on first use, the word table and the grid oracle's
+graphs by resolution); they are freed with it and take no part in its
+equality or hash.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -33,6 +38,9 @@ from .errors import (
     UnknownVertexInSimplex,
     WeightsNotNormalizable,
 )
+
+if TYPE_CHECKING:
+    from .oracle import GridGraph
 
 Simplex = tuple[str, ...]
 
@@ -88,6 +96,11 @@ class SimplicialComplex:
         if np.isinf(dist).any():
             raise DisconnectedComplex("1-skeleton is not connected")
         return WordMetricTable(order=order, matrix=dist.astype(np.int64), index=index)
+
+    @cached_property
+    def grids(self) -> dict[int, GridGraph]:
+        """The grid oracle's graphs by resolution n, filled by `oracle.build_grid`."""
+        return {}
 
     @property
     def dimension(self) -> int:
@@ -153,9 +166,17 @@ def build_complex(
     for v in sorted(vset - covered):
         listed.append((v,))
 
+    # A listed simplex is maximal iff no other distinct listed simplex holds
+    # all of its vertices: the intersection of its vertices' holder sets is
+    # itself alone.  This touches each vertex's holders, not all pairs.
+    distinct = list(dict.fromkeys(listed))
+    holders: dict[str, set[int]] = {v: set() for v in vset}
+    for i, s in enumerate(distinct):
+        for v in s:
+            holders[v].add(i)
     maximal = tuple(
         sorted(
-            {s for s in listed if not any(set(s) < set(t) for t in listed)},
+            (s for s in distinct if len(set.intersection(*(holders[v] for v in s))) == 1),
             key=lambda s: (len(s), s),
         )
     )

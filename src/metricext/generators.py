@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -74,6 +74,27 @@ def tree_complex(branching: int, depth: int) -> SimplicialComplex:
     return build_complex(vs, edges or [vs])
 
 
+def _cliques(vs: Sequence[str], edges: Iterable[Sequence[int]], max_size: int) -> list[list[str]]:
+    """Every clique of at most max_size vertices; edges are index pairs i < j into vs.
+
+    Each clique is grown once, through the common higher-numbered neighbours of
+    its members (Bron & Kerbosch, 1973)."""
+    up: list[set[int]] = [set() for _ in vs]
+    for i, j in edges:
+        up[i].add(j)
+    out: list[list[str]] = []
+
+    def grow(clique: tuple[int, ...], common: set[int]) -> None:
+        out.append([vs[i] for i in clique])
+        if len(clique) < max_size:
+            for j in sorted(common):
+                grow(clique + (j,), common & up[j])
+
+    for i in range(len(vs)):
+        grow((i,), up[i])
+    return out
+
+
 def rips_complex(base: SimplicialComplex, radius: float, max_dim: int = 3) -> SimplicialComplex:
     """Truncated flag complex of the radius-r neighborhood graph.
 
@@ -82,19 +103,8 @@ def rips_complex(base: SimplicialComplex, radius: float, max_dim: int = 3) -> Si
     """
     if radius < 1 or max_dim < 1:
         raise InvalidParameters("need radius >= 1 and max_dim >= 1")
-    table = word_metric(base)
-    vs = list(base.vertices)
-    adj = {
-        frozenset((u, v))
-        for u, v in combinations(vs, 2)
-        if table.distance(u, v) <= radius
-    }
-    simplices: list[list[str]] = [[v] for v in vs]
-    for size in range(2, max_dim + 2):
-        for combo in combinations(vs, size):
-            if all(frozenset((a, b)) in adj for a, b in combinations(combo, 2)):
-                simplices.append(list(combo))
-    return build_complex(vs, simplices)
+    near = np.argwhere(np.triu(word_metric(base).matrix <= radius, k=1)).tolist()
+    return build_complex(base.vertices, _cliques(base.vertices, near, max_dim + 1))
 
 
 def random_complex(
@@ -104,11 +114,7 @@ def random_complex(
     if n < 2 or not (0.0 <= density <= 1.0):
         raise InvalidParameters("need n >= 2 and density in [0, 1]")
     rng = np.random.default_rng(seed)
-    vs = _labels("g", n)
-    adj: set[frozenset[str]] = set()
-    for i, j in combinations(range(n), 2):
-        if rng.random() < density:
-            adj.add(frozenset((vs[i], vs[j])))
+    edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < density]
     # join components deterministically so the complex is connected
     parent = list(range(n))
 
@@ -118,19 +124,12 @@ def random_complex(
             i = parent[i]
         return i
 
-    for e in sorted(adj, key=sorted):
-        a, b = sorted(e)
-        parent[find(vs.index(a))] = find(vs.index(b))
+    for i, j in edges:
+        parent[find(i)] = find(j)
     reps = sorted({find(i) for i in range(n)})
-    for a, b in zip(reps, reps[1:]):
-        adj.add(frozenset((vs[a], vs[b])))
-
-    simplices: list[list[str]] = [[v] for v in vs]
-    for size in range(2, max_dim + 2):
-        for combo in combinations(vs, size):
-            if all(frozenset((a, b)) in adj for a, b in combinations(combo, 2)):
-                simplices.append(list(combo))
-    return build_complex(vs, simplices)
+    edges += zip(reps, reps[1:])
+    vs = _labels("g", n)
+    return build_complex(vs, _cliques(vs, edges, max_dim + 1))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -53,10 +52,12 @@ class GridGraph:
     graph: csr_matrix
 
 
-@lru_cache(maxsize=8)
 def build_grid(K: SimplicialComplex, n: int) -> GridGraph:
+    """The grid graph at resolution 1/n, built on first use and kept on K."""
     if n < 2:
         raise ResolutionTooCoarse("need resolution 1/n with n >= 2")
+    if n in K.grids:
+        return K.grids[n]
     node_set: set[GridNode] = set()
     for sigma in K.maximal_simplices:
         for comp in _compositions(n, len(sigma)):
@@ -98,7 +99,8 @@ def build_grid(K: SimplicialComplex, n: int) -> GridGraph:
         )
     else:
         graph = csr_matrix((len(nodes), len(nodes)))
-    return GridGraph(K=K, n=n, nodes=nodes, index=index, graph=graph)
+    grid = K.grids[n] = GridGraph(K=K, n=n, nodes=nodes, index=index, graph=graph)
+    return grid
 
 
 def snap_to_grid_node(x: BarycentricPoint, n: int) -> GridNode:

@@ -1,6 +1,7 @@
 """Complex construction, barycentric points, per-simplex l1 metric."""
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,39 @@ class TestBuildComplex:
     def test_uncovered_vertex_becomes_zero_simplex(self):
         K = build_complex(["a", "b", "c"], [["a", "b"]])
         assert ("c",) in K.maximal_simplices
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_indexed_maximality_matches_the_pairwise_scan(self, data):
+        vs = [f"v{i}" for i in range(data.draw(st.integers(1, 9), label="n"))]
+        listed = data.draw(
+            st.lists(st.lists(st.sampled_from(vs), min_size=1, max_size=5), max_size=12),
+            label="listed",
+        )
+        # repeats and nested faces of listed simplices, in any vertex order
+        if listed:
+            for s in data.draw(st.lists(st.sampled_from(listed), max_size=4), label="again"):
+                listed.append(list(reversed(s)))
+                listed.append(s[: data.draw(st.integers(1, len(s)), label="face")])
+        K = build_complex(data.draw(st.permutations(vs), label="order"), listed)
+
+        canon = [tuple(sorted(set(s))) for s in listed]
+        canon += [(v,) for v in vs if not any(v in s for s in canon)]
+        want = sorted(
+            {s for s in canon if not any(set(s) < set(t) for t in canon)},
+            key=lambda s: (len(s), s),
+        )
+        assert K.vertices == tuple(sorted(vs))
+        assert K.maximal_simplices == tuple(want)
+        faces = {f for s in want for k in range(1, len(s) + 1) for f in combinations(s, k)}
+        assert K.faces == faces
+        assert K.incidence == {
+            v: tuple(i for i, s in enumerate(want) if v in s) for v in K.vertices
+        }
+        assert K.adjacency == {
+            v: tuple(w for w in K.vertices if w != v and tuple(sorted((v, w))) in K.faces)
+            for v in K.vertices
+        }
 
     def test_adjacency_is_simple_graph(self, book):
         for v, ns in book.adjacency.items():

@@ -1,5 +1,9 @@
 """Generators, samplers, file round-trips."""
 
+import hashlib
+import json
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from metricext import (
 )
 from metricext.fileio import complex_from_dict, complex_to_dict
 from metricext.generators import (
+    _cliques,
     cycle_complex,
     grid_point,
     nested_quadruples,
@@ -55,6 +60,48 @@ class TestGenerators:
         b = random_complex(14, 0.2, seed=42)
         assert a == b
         word_vertex_metric(a)  # raises if disconnected
+
+    def test_bench_complexes_keep_their_fingerprints(self):
+        # The fingerprints bench/pool.json was made on: vertices and maximal
+        # simplices, as JSON, through sha256.
+        def fingerprint(K):
+            text = json.dumps([list(K.vertices), [list(s) for s in K.maximal_simplices]])
+            return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+        assert {
+            "tree2_11": fingerprint(tree_complex(2, 11)),
+            "tree2_9": fingerprint(tree_complex(2, 9)),
+            "random80": fingerprint(random_complex(80, 0.08, seed=1)),
+            "rips_c30": fingerprint(rips_complex(cycle_complex(30), 2)),
+            "random30": fingerprint(random_complex(30, 0.15, seed=0)),
+            "rips_c12": fingerprint(rips_complex(cycle_complex(12), 2)),
+            "rips_p40": fingerprint(rips_complex(path_complex(40), 3)),
+        } == {
+            "tree2_11": "b687237961f644bb",
+            "tree2_9": "cba8888c50063f44",
+            "random80": "8fd81c65eea346fa",
+            "rips_c30": "6023df44f2efb4ca",
+            "random30": "e15ef6fe4bd85b8c",
+            "rips_c12": "0a97cccb84365400",
+            "rips_p40": "4b8434a3b38edd60",
+        }
+
+    def test_clique_enumerator_matches_the_combinations_filter(self):
+        rng = np.random.default_rng(7)
+        for _ in range(80):
+            n, max_size = int(rng.integers(1, 14)), int(rng.integers(1, 6))
+            density = rng.random()
+            vs = [f"v{i:02d}" for i in range(n)]
+            edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < density]
+            adj = {frozenset((vs[i], vs[j])) for i, j in edges}
+            want = [
+                list(c)
+                for size in range(1, max_size + 1)
+                for c in combinations(vs, size)
+                if all(frozenset(p) in adj for p in combinations(c, 2))
+            ]
+            got = _cliques(vs, edges, max_size)
+            assert sorted(got, key=lambda c: (len(c), c)) == want
 
     def test_generate_dispatch(self):
         assert generate(GeneratorSpec("cycle", (5,))).vertices == cycle_complex(5).vertices

@@ -1,5 +1,8 @@
 """Grid oracle, exhaustive scanner, tree Gromov oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from metricext import (
     word_metric,
     word_vertex_metric,
 )
-from metricext.generators import cycle_complex, grid_point, tree_complex
+from metricext.generators import cycle_complex, grid_point, rips_complex, tree_complex
 
 
 class TestGridGraph:
@@ -37,6 +40,30 @@ class TestGridGraph:
         grid = build_grid(triangle, 16)
         # compositions of 16 into 3 parts
         assert len(grid.nodes) == 153
+
+    def test_grid_values_are_pinned(self):
+        # Node count, edge count and total weight of two grids: keeping grids
+        # on the complex must not change what is built.
+        for K, n, want in (
+            (rips_complex(cycle_complex(8), 2), 8, (288, 7632, 3642.0)),
+            (tree_complex(2, 3), 4, (57, 140, 70.0)),
+        ):
+            grid = build_grid(K, n)
+            assert (len(grid.nodes), grid.graph.nnz, float(grid.graph.sum())) == want
+
+    def test_grid_lives_and_dies_with_the_complex(self):
+        K = tree_complex(2, 3)
+        x, y = vertex_point(K, "t00"), vertex_point(K, "t14")
+        assert grid_oracle_path_distance(K, x, y, 1 / 4) == pytest.approx(3.0)
+        grid = build_grid(K, 4)
+        assert K.grids[4] is grid and build_grid(K, 4) is grid
+        twin = tree_complex(2, 3)
+        assert twin == K and hash(twin) == hash(K)
+        assert build_grid(twin, 4) is not grid and build_grid(twin, 4).nodes == grid.nodes
+        complex_ref, grid_ref = weakref.ref(K), weakref.ref(grid)
+        del K, grid
+        gc.collect()
+        assert complex_ref() is None and grid_ref() is None
 
 
 class TestGridOracle:
