@@ -1,6 +1,7 @@
 """Independent brute-force oracles.
 
-Ground truth for the solvers lives here: a grid-discretized Dijkstra that
+Ground truth for the solvers lives here: a grid oracle that counts the
+fewest unit transfers of weight 1/n between two grid points and so
 upper-approximates the path distance, an exhaustive metric-axiom scanner,
 and a combinatorial Gromov-product oracle for trees.  Nothing in this
 module calls the solver code it is meant to check; the small primitives
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,9 +41,16 @@ def _compositions(total: int, parts: int):
 class GridGraph:
     """All barycentric points with coordinates in multiples of 1/n.
 
-    Nodes are stored as integer numerators to avoid floating-point drift;
-    two nodes are adjacent iff their supports fit in one simplex, weighted
-    by the simplex l1 length.
+    Nodes are stored as integer numerators to avoid floating-point drift.
+    An edge is a unit transfer: it moves 1/n of weight from one vertex of a
+    maximal simplex to another vertex of that simplex.  Edges have weight 1
+    and are stored once in each direction; a path of k hops has length k/n.
+
+    This is the grid path metric.  Two nodes a, b of one simplex are
+    Σ|a−b|/2 transfers apart without leaving it, and no fewer suffice, since
+    one transfer changes Σ|a−b| by at most 2.  So the fewest hops, over n,
+    equal the shortest path through straight pieces between nodes that share
+    a simplex, each of l1 length Σ|a−b|/(2n).
     """
 
     K: SimplicialComplex
@@ -58,48 +66,27 @@ def build_grid(K: SimplicialComplex, n: int) -> GridGraph:
         raise ResolutionTooCoarse("need resolution 1/n with n >= 2")
     if n in K.grids:
         return K.grids[n]
-    node_set: set[GridNode] = set()
+    index: dict[GridNode, int] = {}
+    tails: list[int] = []
+    heads: list[int] = []
     for sigma in K.maximal_simplices:
+        local: dict[tuple[int, ...], int] = {}
         for comp in _compositions(n, len(sigma)):
             node = tuple((v, c) for v, c in zip(sigma, comp) if c > 0)
-            node_set.add(node)
-    nodes = tuple(sorted(node_set))
-    index = {node: i for i, node in enumerate(nodes)}
-    supports = [frozenset(v for v, _ in node) for node in nodes]
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for sigma in K.maximal_simplices:
-        sigma_set = set(sigma)
-        members = [i for i, s in enumerate(supports) if s <= sigma_set]
-        if len(members) < 2:
-            continue
-        pos = {v: j for j, v in enumerate(sigma)}
-        coords = np.zeros((len(members), len(sigma)), dtype=np.int64)
-        for row, i in enumerate(members):
-            for v, c in nodes[i]:
-                coords[row, pos[v]] = c
-        member_arr = np.asarray(members)
-        # pairwise l1 on numerators, block-wise to bound memory
-        for a in range(len(members)):
-            diffs = np.abs(coords[a + 1 :] - coords[a]).sum(axis=1)
-            rows.append(np.full(len(diffs), member_arr[a]))
-            cols.append(member_arr[a + 1 :])
-            vals.append(diffs.astype(np.float64) / (2.0 * n))
-    if rows:
-        i = np.concatenate(rows)
-        j = np.concatenate(cols)
-        w = np.concatenate(vals)
-        # a pair inside several maximal simplices gets equal weights; keep one
-        flat = i * len(nodes) + j
-        _, keep = np.unique(flat, return_index=True)
-        graph = csr_matrix(
-            (w[keep], (i[keep], j[keep])), shape=(len(nodes), len(nodes))
-        )
-    else:
-        graph = csr_matrix((len(nodes), len(nodes)))
-    grid = K.grids[n] = GridGraph(K=K, n=n, nodes=nodes, index=index, graph=graph)
+            local[comp] = index.setdefault(node, len(index))
+        pairs = list(permutations(range(len(sigma)), 2))
+        for comp, tail in local.items():
+            for i, j in pairs:
+                if comp[i]:
+                    step = list(comp)
+                    step[i] -= 1
+                    step[j] += 1
+                    tails.append(tail)
+                    heads.append(local[tuple(step)])
+    graph = csr_matrix((np.ones(len(tails)), (tails, heads)), shape=(len(index), len(index)))
+    # a transfer inside a face of several maximal simplices was listed, and summed, once per simplex
+    graph.data[:] = 1.0
+    grid = K.grids[n] = GridGraph(K=K, n=n, nodes=tuple(index), index=index, graph=graph)
     return grid
 
 
@@ -124,7 +111,8 @@ def _node_l1(x: BarycentricPoint, node: GridNode, n: int) -> float:
 def grid_oracle_path_distance(
     K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint, h: float
 ) -> float:
-    """Shortest grid-path length from x to y at resolution h = 1/n.
+    """Shortest grid-path length from x to y at resolution h = 1/n: the
+    fewest unit transfers between their grid nodes, over n.
 
     Breakpoints are restricted to grid nodes, so the value is always an
     upper approximation of the true path distance, and refining h can only
@@ -146,11 +134,10 @@ def grid_oracle_path_distance(
     src, dst = endpoints
     if src == dst:
         return 0.0
-    dist = dijkstra(grid.graph, directed=False, indices=[src])[0]
-    value = dist[dst]
-    if np.isinf(value):
+    hops = dijkstra(grid.graph, directed=True, unweighted=True, indices=src)[dst]
+    if np.isinf(hops):
         raise ResolutionTooCoarse("grid graph is disconnected at this resolution")
-    return float(value)
+    return float(hops) / n
 
 
 @dataclass(frozen=True)

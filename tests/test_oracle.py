@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from metricext import (
     NotATree,
@@ -22,7 +24,34 @@ from metricext import (
     word_metric,
     word_vertex_metric,
 )
-from metricext.generators import cycle_complex, grid_point, rips_complex, tree_complex
+from metricext.checks import CheckContext
+from metricext.generators import (
+    cycle_complex,
+    grid_point,
+    path_complex,
+    random_complex,
+    rips_complex,
+    tree_complex,
+)
+from metricext.oracle import _compositions
+
+
+def complete_grid_distances(K, n, index):
+    """All-pairs grid distances over the same-simplex complete graph.
+
+    The reference construction: two grid nodes are joined iff they lie in one
+    maximal simplex, by an edge of their simplex l1 length Σ|a−b|/(2n).
+    """
+    weights = {}
+    for sigma in K.maximal_simplices:
+        comps = list(_compositions(n, len(sigma)))
+        ids = [index[tuple((v, c) for v, c in zip(sigma, comp) if c > 0)] for comp in comps]
+        for a, (ia, ca) in enumerate(zip(ids, comps)):
+            for ib, cb in zip(ids[a + 1 :], comps[a + 1 :]):
+                weights[ia, ib] = sum(abs(p - q) for p, q in zip(ca, cb)) / (2.0 * n)
+    rows, cols = zip(*weights)
+    graph = csr_matrix((list(weights.values()), (rows, cols)), shape=(len(index), len(index)))
+    return dijkstra(graph, directed=False)
 
 
 class TestGridGraph:
@@ -42,14 +71,29 @@ class TestGridGraph:
         assert len(grid.nodes) == 153
 
     def test_grid_values_are_pinned(self):
-        # Node count, edge count and total weight of two grids: keeping grids
-        # on the complex must not change what is built.
+        # Node count, edge count and total weight of two grids; every edge is
+        # one unit transfer of weight 1, stored once in each direction.
         for K, n, want in (
-            (rips_complex(cycle_complex(8), 2), 8, (288, 7632, 3642.0)),
-            (tree_complex(2, 3), 4, (57, 140, 70.0)),
+            (rips_complex(cycle_complex(8), 2), 8, (288, 1600, 1600.0)),
+            (tree_complex(2, 3), 4, (57, 112, 112.0)),
         ):
             grid = build_grid(K, n)
             assert (len(grid.nodes), grid.graph.nnz, float(grid.graph.sum())) == want
+
+    def test_unit_moves_match_the_complete_graph(self):
+        for K, n in (
+            (rips_complex(cycle_complex(8), 2), 8),
+            (tree_complex(2, 3), 4),
+            (rips_complex(path_complex(8), 3), 6),
+            (random_complex(14, 0.3, seed=2), 10),
+        ):
+            grid = build_grid(K, n)
+            got = dijkstra(grid.graph, directed=True, unweighted=True) / n
+            want = complete_grid_distances(K, n, grid.index)
+            if n & (n - 1) == 0:
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_grid_lives_and_dies_with_the_complex(self):
         K = tree_complex(2, 3)
@@ -94,6 +138,24 @@ class TestGridOracle:
         x = make_point(triangle, {"a": 1 / 3, "b": 1 / 3, "c": 1 / 3})
         with pytest.raises(PointNotOnGrid):
             grid_oracle_path_distance(triangle, x, vertex_point(triangle, "a"), 1 / 4)
+
+    def test_sandwich_pairs_are_pinned(self):
+        # The 20 pairs the oracle-sandwich check draws on this complex at
+        # check seed 0, with their values at 1/16 and 1/32 as the complete
+        # same-simplex graph gave them: the unit-transfer graph keeps every bit.
+        K = rips_complex(cycle_complex(12), 2)
+        rng = CheckContext(K=K, metric=word_vertex_metric(K)).rng("oracle")
+        want = [
+            (3.0, 3.0), (2.6875, 2.6875), (2.25, 2.25), (3.0, 3.0), (3.3125, 3.3125),
+            (2.5, 2.5), (1.0625, 1.0625), (0.625, 0.625), (2.25, 2.25), (2.0, 2.0),
+            (2.625, 2.625), (3.0, 3.0), (2.0, 2.0), (0.9375, 0.9375), (1.0, 1.0),
+            (2.8125, 2.8125), (2.0, 2.0), (0.6875, 0.6875), (1.9375, 1.9375), (2.9375, 2.9375),
+        ]
+        got = []
+        for _ in want:
+            x, y = grid_point(K, rng, 16), grid_point(K, rng, 16)
+            got.append(tuple(grid_oracle_path_distance(K, x, y, h) for h in (1 / 16, 1 / 32)))
+        assert got == want
 
     def test_refinement_monotone(self, strip, rng):
         for _ in range(20):
