@@ -198,11 +198,10 @@ def _cmd_dist(args) -> int:
               f"bilinear extension = {value:.12g}")
         return EXIT_OK
     M = ExtendedMetric(K, vm)
-    value, branch = M.distance_with_branch(x, y)
+    value, branch, witness = M.distance_with_witness(x, y)
     payload = {"kind": "extended", "value": value, "branch": branch}
     text = f"extended distance = {value:.12g}  (branch: {branch})"
-    if branch == "l1path":
-        _, witness = l1_path_distance(K, x, y)
+    if witness is not None:
         payload["witness"] = witness_to_dict(witness)
         text += "\nwitness: " + " -> ".join(
             "{" + ", ".join(f"{v}:{w:.4g}" for v, w in p.items) + "}"

@@ -11,13 +11,22 @@ simplex holds all of its vertices, which is read off a vertex -> listed-simplex
 index instead of a scan over all pairs of listed simplices.
 
 Each complex owns its derived tables (adjacency, vertex -> maximal-simplex
-incidence, and, built on first use, the word table and the grid oracle's
+incidence, and, created on first use, the word table and the grid oracle's
 graphs by resolution); they are freed with it and take no part in its
 equality or hash.
+
+The word table holds no V^2 array.  It answers word distances on demand:
+a row is one single-source search, kept in a small LRU; a single distance
+is read from a kept row of either end, or found by a bidirectional search
+over the adjacency and remembered in a bounded memo.  Its dense `matrix` is
+built only for the consumers that need every pair (validating an explicit
+metric, the four-point scan, the automorphism check's matrix comparison).
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -49,6 +58,11 @@ Simplex = tuple[str, ...]
 WEIGHT_FLOOR = 1e-12
 SUM_TOLERANCE = 1e-9
 
+# What a word table keeps: rows up to this many int32 entries in all (4 MiB),
+# and this many searched pairs.  They bound memory; answers do not depend on them.
+ROW_ENTRIES_KEPT = 1 << 20
+PAIRS_KEPT = 1 << 16
+
 
 def make_simplex(vertices: Iterable[str]) -> Simplex:
     """Canonical simplex: sorted, duplicate-free, nonempty tuple of labels."""
@@ -58,16 +72,107 @@ def make_simplex(vertices: Iterable[str]) -> Simplex:
     return vs
 
 
-@dataclass(frozen=True, eq=False)
 class WordMetricTable:
-    """All-pairs breadth-first distances on the 1-skeleton."""
+    """Word distances on the 1-skeleton, computed on demand.
 
-    order: tuple[str, ...]
-    matrix: np.ndarray  # integer distances
-    index: dict[str, int] = field(repr=False)
+    Nothing V^2 is held: a row (one vertex's distances to all others) is one
+    single-source search, and the last `rows_kept` rows are kept.  A single
+    distance is read from a kept row of either end; otherwise a bidirectional
+    breadth-first search finds it and the last `PAIRS_KEPT` such answers are
+    remembered.  `matrix`, the dense all-pairs table, is built only when a
+    consumer that needs every pair asks for it.  The caches only ever hold
+    exact distances, so which one answers never changes a value.
+    """
+
+    def __init__(self, order: tuple[str, ...], adjacency: Mapping[str, tuple[str, ...]]):
+        self.order = order
+        self.index = {v: i for i, v in enumerate(order)}
+        self.adjacency = adjacency
+        self.rows_kept = max(1, ROW_ENTRIES_KEPT // len(order))
+        rows = [self.index[v] for v in order for _ in adjacency[v]]
+        cols = [self.index[w] for v in order for w in adjacency[v]]
+        self._graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(order),) * 2)
+        first = self._search_row(0)
+        if np.isinf(first).any():
+            raise DisconnectedComplex("1-skeleton is not connected")
+        self._rows: OrderedDict[str, np.ndarray] = OrderedDict()
+        self._keep_row(order[0], first)
+        self._pairs: dict[tuple[str, str], float] = {}
+        self._lock = threading.Lock()
+
+    def _search_row(self, i: int) -> np.ndarray:
+        # the graph is symmetric, so a directed search gives the same row without a transpose
+        return shortest_path(self._graph, method="D", unweighted=True, directed=True, indices=i)
+
+    def _keep_row(self, u: str, dist: np.ndarray) -> np.ndarray:
+        row = dist.astype(np.int32)
+        row.flags.writeable = False
+        self._rows[u] = row
+        if len(self._rows) > self.rows_kept:
+            self._rows.popitem(last=False)
+        return row
+
+    def row(self, u: str) -> np.ndarray:
+        """Read-only distances from u to every vertex, in `order`."""
+        with self._lock:
+            row = self._rows.get(u)
+            if row is not None:
+                self._rows.move_to_end(u)
+                return row
+        dist = self._search_row(self.index[u])
+        with self._lock:
+            return self._keep_row(u, dist)
 
     def distance(self, u: str, v: str) -> float:
-        return float(self.matrix[self.index[u], self.index[v]])
+        """Word distance from u to v: read from a kept row, remembered, or searched."""
+        row = self._rows.get(u)
+        if row is not None:
+            return float(row.item(self.index[v]))
+        row = self._rows.get(v)
+        if row is not None:
+            return float(row.item(self.index[u]))
+        key = (u, v) if u <= v else (v, u)
+        d = self._pairs.get(key)
+        if d is None:
+            d = float(self._search_pair(u, v))
+            with self._lock:
+                self._pairs[key] = d
+                if len(self._pairs) > PAIRS_KEPT:
+                    del self._pairs[next(iter(self._pairs))]
+        return d
+
+    def _search_pair(self, u: str, v: str) -> int:
+        """Breadth-first search from both ends, a whole level of the smaller frontier at a time.
+
+        Before a level of one side is grown, the two searched balls are
+        disjoint, so the distance exceeds the sum of their radii; the first
+        vertex the growing side finds in the other ball therefore closes a
+        shortest path.
+        """
+        if u == v:
+            return 0
+        adjacency = self.adjacency
+        seen = ({u: 0}, {v: 0})
+        frontier = [[u], [v]]
+        while frontier[0] and frontier[1]:
+            side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
+            mine, other = seen[side], seen[1 - side]
+            grown = []
+            for a in frontier[side]:
+                step = mine[a] + 1
+                for b in adjacency[a]:
+                    if b in other:
+                        return step + other[b]
+                    if b not in mine:
+                        mine[b] = step
+                        grown.append(b)
+            frontier[side] = grown
+        raise DisconnectedComplex(f"no edge path from {u!r} to {v!r}")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense all-pairs table (int64), built on first use."""
+        return shortest_path(self._graph, method="D", unweighted=True, directed=False).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -83,19 +188,11 @@ class SimplicialComplex:
 
     @cached_property
     def word_table(self) -> WordMetricTable:
-        """The package's one source of word distances, a dense table built on first use.
+        """The package's one source of word distances, created on first use.
 
         Raises DisconnectedComplex on every access if the 1-skeleton is not connected.
         """
-        order = self.vertices
-        index = {v: i for i, v in enumerate(order)}
-        rows = [index[v] for v in order for _ in self.adjacency[v]]
-        cols = [index[w] for v in order for w in self.adjacency[v]]
-        graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(order),) * 2)
-        dist = shortest_path(graph, method="D", unweighted=True, directed=False)
-        if np.isinf(dist).any():
-            raise DisconnectedComplex("1-skeleton is not connected")
-        return WordMetricTable(order=order, matrix=dist.astype(np.int64), index=index)
+        return WordMetricTable(self.vertices, self.adjacency)
 
     @cached_property
     def grids(self) -> dict[int, GridGraph]:

@@ -27,7 +27,14 @@ from .complexes import (
     simplex_l1,
 )
 from .errors import MissingQIConstants
-from .pathmetric import l1_path_distance, lower_bounds
+from .pathmetric import (  # noqa: F401 - bench/workloads.py reads extension.l1_path_distance
+    PathResult,
+    PathWitness,
+    _path_by_search,
+    _trivial_witness,
+    l1_path_distance,
+    lower_bounds,
+)
 from .vertexmetrics import VertexMetric, word_metric
 
 VALUE_TOL = 1e-9
@@ -63,6 +70,7 @@ class ExtendedMetric:
     K: SimplicialComplex
     vertex: VertexMetric
     _cache: dict = field(default_factory=dict, repr=False)
+    _witnesses: dict = field(default_factory=dict, repr=False)  # the path behind each l1path answer
 
     def __post_init__(self):
         # The linear bound underlying the whole construction.
@@ -89,34 +97,56 @@ class ExtendedMetric:
     def distance_with_branch(
         self, x: BarycentricPoint, y: BarycentricPoint
     ) -> tuple[float, Branch]:
-        kx, ky = x.key(), y.key()
-        key = (kx, ky) if kx <= ky else (ky, kx)
+        key = self._key(x, y)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._compute(x, y)
+            hit = self._compute(x, y, key)
             self._cache[key] = hit
         return hit
 
-    def _compute(self, x: BarycentricPoint, y: BarycentricPoint) -> tuple[float, Branch]:
+    def distance_with_witness(
+        self, x: BarycentricPoint, y: BarycentricPoint
+    ) -> tuple[float, Branch, PathWitness | None]:
+        """Value and branch, plus the path from x to y behind an l1path answer.
+
+        The witness is the one the query was solved with (None on the
+        bilinear branch); asking for it solves nothing again.
+        """
+        value, branch = self.distance_with_branch(x, y)
+        witness = self._witnesses.get(self._key(x, y))
+        if witness is not None and witness.points[0].key() != x.key():
+            witness = witness.reversed()
+        return value, branch, witness
+
+    @staticmethod
+    def _key(x: BarycentricPoint, y: BarycentricPoint) -> tuple:
+        kx, ky = x.key(), y.key()
+        return (kx, ky) if kx <= ky else (ky, kx)
+
+    def _compute(self, x: BarycentricPoint, y: BarycentricPoint, key: tuple) -> tuple[float, Branch]:
         if x.key() == y.key():
-            return (0.0, "bilinear" if x.is_vertex else "l1path")
+            if x.is_vertex:
+                return (0.0, "bilinear")
+            self._witnesses[key] = PathWitness(points=(x,), carriers=(), length=0.0)
+            return (0.0, "l1path")
         if x.is_vertex and y.is_vertex:
             return (self.vertex.distance(x.support[0], y.support[0]), "bilinear")
         bilinear = bilinear_extension(self.vertex, x, y)
         if not set(x.support) & set(y.support):
             # disjoint supports: the bilinear branch always wins
             return (bilinear, "bilinear")
-        if common_simplex(self.K, x, y) is not None:
-            path_value = simplex_l1(x, y)
+        carrier = common_simplex(self.K, x, y)
+        if carrier is not None:
+            path = PathResult(simplex_l1(x, y), _trivial_witness(self.K, x, y, carrier))
         else:
-            floor = max(v for _, v in lower_bounds(self.K, x, y))
-            floor = max(floor, max(v for _, v in lower_bounds(self.K, y, x)))
-            if self.scale * floor >= bilinear:
+            bounds = lower_bounds(self.K, x, y) + lower_bounds(self.K, y, x)
+            if self.scale * max(v for _, v in bounds) >= bilinear:
                 return (bilinear, "bilinear")
-            path_value = l1_path_distance(self.K, x, y).value
-        scaled = self.scale * path_value
+            path = _path_by_search(self.K, x, y, bounds)
+        scaled = self.scale * path.value
         if bilinear <= scaled:
             return (bilinear, "bilinear")
+        self._witnesses[key] = path.witness
         return (scaled, "l1path")
 
 

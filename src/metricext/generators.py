@@ -103,8 +103,26 @@ def rips_complex(base: SimplicialComplex, radius: float, max_dim: int = 3) -> Si
     """
     if radius < 1 or max_dim < 1:
         raise InvalidParameters("need radius >= 1 and max_dim >= 1")
-    near = np.argwhere(np.triu(word_metric(base).matrix <= radius, k=1)).tolist()
+    word_metric(base)  # a disconnected base is rejected, as by every word-metric reader
+    index = {v: i for i, v in enumerate(base.vertices)}
+    near = [
+        (i, index[w]) for i, v in enumerate(base.vertices) for w in _ball(base, v, radius) if index[w] > i
+    ]
     return build_complex(base.vertices, _cliques(base.vertices, near, max_dim + 1))
+
+
+def _ball(K: SimplicialComplex, v: str, radius: float) -> set[str]:
+    """Vertices at word distance at most radius from v, by a breadth-first search cut at that depth."""
+    ball, frontier, depth = {v}, [v], 1
+    while frontier and depth <= radius:
+        grown = []
+        for a in frontier:
+            for b in K.adjacency[a]:
+                if b not in ball:
+                    ball.add(b)
+                    grown.append(b)
+        frontier, depth = grown, depth + 1
+    return ball
 
 
 def random_complex(
@@ -240,7 +258,7 @@ def _random_geodesic(K: SimplicialComplex, rng: np.random.Generator, u: str, v: 
     """Shortest edge path from u to v, each step drawn among the neighbours one step closer."""
     table = word_metric(K)
     index = table.index
-    to_v = table.matrix[index[v]]
+    to_v = table.row(v)
     path = [u]
     while path[-1] != v:
         step = to_v[index[path[-1]]] - 1
@@ -283,7 +301,7 @@ def nested_quadruples(
     while len(out) < count and tries < count * 50:
         tries += 1
         u = verts[rng.integers(len(verts))]
-        from_u = table.matrix[table.index[u]]
+        from_u = table.row(u)
         far = from_u.max()
         if far < min_gap + 2:
             continue

@@ -116,6 +116,10 @@ class PathWitness:
     carriers: tuple[Simplex, ...]
     length: float
 
+    def reversed(self) -> PathWitness:
+        """The same path walked from its last point to its first."""
+        return PathWitness(points=self.points[::-1], carriers=self.carriers[::-1], length=self.length)
+
     def validate(self, K: SimplicialComplex) -> None:
         if len(self.points) != len(self.carriers) + 1:
             raise InvalidCarrier("need one carrier per consecutive point pair")
@@ -395,9 +399,24 @@ def l1_path_distance(
         witness = _vertex_route_witness(K, x, y, table)
         result = PathResult(float(table.distance(x.support[0], y.support[0])), witness)
     else:
-        bounds += lower_bounds(K, y, x)
-        result = _solve_by_search(K, x, y, bounds)
+        return _path_by_search(K, x, y, bounds + lower_bounds(K, y, x))
 
+    _assert_above_bounds(result.value, bounds, "l1_path_distance")
+    return result
+
+
+def _path_by_search(
+    K: SimplicialComplex,
+    x: BarycentricPoint,
+    y: BarycentricPoint,
+    bounds: list[tuple[str, float]],
+) -> PathResult:
+    """Tier 3 for a query whose lower bounds, x to y then y to x, are already known.
+
+    `l1_path_distance` and `ExtendedMetric` both solve here, so each query
+    computes its bounds once and is checked against all of them.
+    """
+    result = _solve_by_search(K, x, y, bounds)
     _assert_above_bounds(result.value, bounds, "l1_path_distance")
     return result
 

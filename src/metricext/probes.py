@@ -57,8 +57,11 @@ def make_ray(K: SimplicialComplex, vertices: Sequence[str]) -> RaySpec:
     if not vs:
         raise InvalidConfiguration("a ray needs at least its base vertex")
     table = word_metric(K)
+    if vs[0] not in table.index:
+        raise InvalidConfiguration(f"ray base {vs[0]!r} is not a vertex of the complex")
+    from_base = table.row(vs[0])
     for k, v in enumerate(vs):
-        if v not in table.index or table.distance(vs[0], v) != k:
+        if v not in table.index or from_base[table.index[v]] != k:
             raise InvalidConfiguration(f"ray vertex {v!r} at index {k} is not at distance {k}")
     for a, b in zip(vs, vs[1:]):
         if b not in K.adjacency[a]:
@@ -69,7 +72,7 @@ def make_ray(K: SimplicialComplex, vertices: Sequence[str]) -> RaySpec:
 def deepest_ray(K: SimplicialComplex, base: str) -> RaySpec:
     """Geodesic from base to a farthest vertex (lexicographic tie-break)."""
     table = word_metric(K)
-    target = table.order[int(np.argmax(table.matrix[table.index[base]]))]
+    target = table.order[int(np.argmax(table.row(base)))]
     return make_ray(K, geodesic(K, base, target))
 
 

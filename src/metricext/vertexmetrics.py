@@ -1,10 +1,15 @@
 """Vertex-level metrics: word metric, validation, constants, diagnostics.
 
 The word metric gives every edge of the 1-skeleton length 1; its table,
-kept on the complex, is the package's one source of word distances.
-User-supplied vertex metrics are validated exhaustively against the metric
-axioms and against the linear bound d(u,v) <= C * word(u,v) that the
-extension construction requires.  Vertex-level Gromov products, double
+kept on the complex, is the package's one source of word distances.  It
+serves them on demand: rows by single-source search, single pairs from a
+kept row or by bidirectional search, and a dense `matrix` only when asked.
+The word-derived vertex metrics (the word metric itself and its concave
+transforms) are evaluated per pair from that table, with closed-form
+constants, so they hold nothing V^2 either.  User-supplied vertex metrics
+are dense; they are validated exhaustively against the metric axioms and
+against the linear bound d(u,v) <= C * word(u,v) that the extension
+construction requires.  Vertex-level Gromov products, double
 differences and the four-point hyperbolicity scan live here as well.
 
 Convention: the double difference of (x, x', y, y') is
@@ -18,7 +23,8 @@ package relies on that normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +58,7 @@ def geodesic(K: SimplicialComplex, u: str, v: str) -> list[str]:
     """Shortest edge path from u to v: the least neighbour one step closer to v, each step."""
     table = word_metric(K)
     index = table.index
-    to_v = table.matrix[index[v]]
+    to_v = table.row(v)
     path = [u]
     while path[-1] != v:
         step = to_v[index[path[-1]]] - 1
@@ -65,7 +71,7 @@ def sphere(K: SimplicialComplex, u: str, k: int) -> tuple[str, ...]:
     if k < 0:
         raise ValueError("radius must be nonnegative")
     table = word_metric(K)
-    return tuple(v for v, d in zip(table.order, table.matrix[table.index[u]]) if d == k)
+    return tuple(v for v, d in zip(table.order, table.row(u)) if d == k)
 
 
 def metric_violations(order: tuple[str, ...], matrix: np.ndarray) -> list[MetricViolation]:
@@ -158,29 +164,60 @@ def qi_constants_check(
     )
 
 
-@dataclass(frozen=True, eq=False)
 class VertexMetric:
     """Validated metric on the vertex set, with its linear-bound constant.
 
     C always satisfies d(u,v) <= C * word(u,v); (A, B) are optional
     quasi-isometry constants against the word metric and unlock the
     bounded-difference checks downstream.
+
+    An explicit metric is its dense `matrix` over `order`.  A word-derived
+    metric (`word_vertex_metric`, `transformed_word_metric`) holds no matrix:
+    each distance is  scale*t + saturation*(1 - 2**(-t))  of one word-table
+    lookup t, and `matrix` is built on first use, for the consumers that
+    need every pair.
     """
 
-    order: tuple[str, ...]
-    matrix: np.ndarray
-    C: float
-    minimal_C: float
-    A: float | None = None
-    B: float | None = None
-    index: dict[str, int] = field(default=None, repr=False)
+    def __init__(
+        self,
+        order: tuple[str, ...],
+        matrix: np.ndarray | None,
+        C: float,
+        minimal_C: float,
+        A: float | None = None,
+        B: float | None = None,
+        index: dict[str, int] | None = None,
+    ):
+        self.order = order
+        self.C = C
+        self.minimal_C = minimal_C
+        self.A = A
+        self.B = B
+        self.index = index
+        # (word table, scale, saturation) of a word-derived metric, set by _word_derived
+        self._transform: tuple[WordMetricTable, float, float] | None = None
+        if matrix is not None:
+            self.matrix = matrix
 
     def distance(self, u: str, v: str) -> float:
         return float(self.matrix[self.index[u], self.index[v]])
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix over `order`; a word-derived metric builds it here."""
+        word, scale, saturation = self._transform
+        t = word.matrix.astype(float)
+        return scale * t + saturation * (1.0 - np.power(2.0, -t))
+
     @property
     def has_qi_constants(self) -> bool:
         return self.A is not None and self.B is not None
+
+    def __repr__(self) -> str:
+        return (
+            f"VertexMetric({len(self.order)} vertices, C={self.C}, minimal_C={self.minimal_C}, "
+            f"A={self.A}, B={self.B})"
+        )
 
 
 def validate_vertex_metric(
@@ -236,19 +273,36 @@ def validate_vertex_metric(
     )
 
 
+def _word_derived(K: SimplicialComplex, scale: float, saturation: float) -> VertexMetric:
+    """scale*t + saturation*(1 - 2**(-t)) of the word distance t, as a vertex metric.
+
+    The transform is concave and increasing with value 0 at 0, so t = 1
+    gives the minimal linear bound and every constant is a closed form.
+    """
+    word = word_metric(K)
+    metric = VertexMetric(
+        order=word.order,
+        matrix=None,
+        C=scale + saturation / 2.0,
+        minimal_C=scale * 1.0 + saturation * (1.0 - 2.0**-1.0),
+        A=max(scale, 1.0 / scale),
+        B=float(saturation),
+        index=word.index,
+    )
+    metric._transform = (word, scale, saturation)
+
+    def distance(u: str, v: str) -> float:
+        t = word.distance(u, v)
+        return scale * t + saturation * (1.0 - 2.0**-t)
+
+    # Per pair from the word table; the untransformed word metric is the table's own distance.
+    metric.distance = word.distance if (scale, saturation) == (1.0, 0.0) else distance
+    return metric
+
+
 def word_vertex_metric(K: SimplicialComplex) -> VertexMetric:
     """The word metric packaged as a vertex metric (C=1, QI constants (1,0))."""
-    word = word_metric(K)
-    m = word.matrix.astype(float)
-    return VertexMetric(
-        order=word.order,
-        matrix=m,
-        C=1.0,
-        minimal_C=1.0,
-        A=1.0,
-        B=0.0,
-        index=dict(word.index),
-    )
+    return _word_derived(K, 1.0, 0.0)
 
 
 def transformed_word_metric(
@@ -262,20 +316,7 @@ def transformed_word_metric(
     """
     if scale <= 0 or saturation < 0:
         raise ValueError("need scale > 0 and saturation >= 0")
-    word = word_metric(K)
-    t = word.matrix.astype(float)
-    m = scale * t + saturation * (1.0 - np.power(2.0, -t))
-    np.fill_diagonal(m, 0.0)
-    A = max(scale, 1.0 / scale)
-    return VertexMetric(
-        order=word.order,
-        matrix=m,
-        C=scale + saturation / 2.0,
-        minimal_C=minimal_linear_bound(m, word),
-        A=A,
-        B=float(saturation),
-        index=dict(word.index),
-    )
+    return _word_derived(K, scale, saturation)
 
 
 def gromov_product_vertices(table, a: str, b: str, c: str) -> float:

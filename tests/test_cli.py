@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from metricext import cli
 from metricext.cli import main
+from metricext.fileio import save_complex
+from metricext.generators import cycle_complex, rips_complex
 
 
 @pytest.fixture
@@ -86,6 +89,24 @@ class TestDist:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["value"] == pytest.approx(1.0)
+        assert len(data["witness"]["points"]) == 3
+
+    def test_extended_witness_is_not_solved_again(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "rips.json"
+        save_complex(rips_complex(cycle_complex(8), 2), str(path))
+
+        def second_solve(*args):
+            raise AssertionError("the path was solved a second time")
+
+        monkeypatch.setattr(cli, "l1_path_distance", second_solve)
+        code = main([
+            "dist", "-c", str(path), "-m", "word", "--kind", "extended", "--json",
+            "-x", '{"c00": 0.0625, "c01": 0.46875, "c02": 0.46875}',
+            "-y", '{"c01": 0.46875, "c02": 0.46875, "c03": 0.0625}',
+        ])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["value"], data["branch"]) == (0.375, "l1path")
         assert len(data["witness"]["points"]) == 3
 
     def test_vertex_kind_rejects_interior(self, path3_file):

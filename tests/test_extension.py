@@ -17,16 +17,21 @@ from metricext import (
     gromov_product_ext,
     gromov_product_vertices,
     l1_path_distance,
+    lower_bounds,
     make_point,
     sandwich_check,
     transformed_word_metric,
+    tripwire_log,
     vertex_point,
     word_vertex_metric,
 )
+from metricext import extension as extension_module
+from metricext import pathmetric as pathmetric_module
 from metricext.generators import (
     cycle_complex,
     random_disjoint_pair,
     random_point,
+    rips_complex,
     sample_geodesic_triples,
     tree_complex,
     tree_reflection,
@@ -96,6 +101,39 @@ class TestExtendedDistance:
         value, branch = extended_distance(M, x, y)
         assert branch == "l1path"
         assert value == pytest.approx(3.0 * simplex_l1_local(x, y), abs=1e-12)
+
+    def test_witness_is_the_solved_path(self, triangle):
+        K = rips_complex(cycle_complex(8), 2)
+        M = ExtendedMetric(K, word_vertex_metric(K))
+        x = make_point(K, {"c00": 0.0625, "c01": 0.46875, "c02": 0.46875})
+        y = make_point(K, {"c01": 0.46875, "c02": 0.46875, "c03": 0.0625})
+        path = l1_path_distance(K, x, y)
+        assert M.distance_with_witness(x, y) == (3.0 * path.value, "l1path", path.witness)
+        value, branch, back = M.distance_with_witness(y, x)  # answered from the cache
+        assert (value, branch) == (3.0 * path.value, "l1path")
+        assert back.points == path.witness.points[::-1] and back.length == path.witness.length
+        back.validate(K)
+        tri = ExtendedMetric(triangle, word_vertex_metric(triangle))
+        a = make_point(triangle, {"a": 0.50, "b": 0.50})
+        b = make_point(triangle, {"a": 0.49, "b": 0.51})
+        assert tri.distance_with_witness(a, b)[2] == l1_path_distance(triangle, a, b).witness
+        assert tri.distance_with_witness(a, a) == (0.0, "l1path", l1_path_distance(triangle, a, a).witness)
+        u = vertex_point(triangle, "a")
+        assert tri.distance_with_witness(u, b) == (*tri.distance_with_branch(u, b), None)
+
+    def test_each_direction_bounded_once(self, monkeypatch):
+        K = rips_complex(cycle_complex(8), 2)
+        M = ExtendedMetric(K, word_vertex_metric(K))
+        x = make_point(K, {"c00": 0.0625, "c01": 0.46875, "c02": 0.46875})
+        y = make_point(K, {"c01": 0.46875, "c02": 0.46875, "c03": 0.0625})
+        calls = []
+        counted = lambda K, a, b: calls.append((a, b)) or lower_bounds(K, a, b)
+        monkeypatch.setattr(extension_module, "lower_bounds", counted)
+        monkeypatch.setattr(pathmetric_module, "lower_bounds", counted)
+        checks = tripwire_log().checks
+        assert M.distance_with_branch(x, y)[1] == "l1path"  # the search tier ran
+        assert calls == [(x, y), (y, x)]
+        assert tripwire_log().checks - checks == 2 * len(lower_bounds(K, x, y))
 
     def test_disjoint_supports_use_bilinear(self, book, rng):
         vm = word_vertex_metric(book)

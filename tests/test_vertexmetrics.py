@@ -6,8 +6,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricext import (
+    ExtendedMetric,
     DisconnectedComplex,
     MetricAxiomError,
     SuppliedConstantTooSmall,
@@ -18,6 +21,7 @@ from metricext import (
     hyperbolicity_delta,
     linear_bound_constant,
     lower_bounds,
+    make_point,
     make_ray,
     metric_violations,
     qi_constants_check,
@@ -28,16 +32,18 @@ from metricext import (
     word_metric,
     word_vertex_metric,
 )
+from metricext import complexes
 from metricext.generators import (
     cycle_complex,
     nested_quadruples,
     path_complex,
+    random_complex,
     sample_geodesic_triples,
     simplex_complex,
     tree_complex,
 )
 from metricext.oracle import _oracle_bfs, tree_gromov_oracle, tree_vertex_path
-from metricext.vertexmetrics import geodesic
+from metricext.vertexmetrics import geodesic, minimal_linear_bound
 
 
 class TestWordMetric:
@@ -86,6 +92,71 @@ class TestWordMetric:
             for u in K.vertices:
                 row = dict(zip(t.order, t.matrix[t.index[u]].tolist()))
                 assert row == _oracle_bfs(K, u)
+
+    def test_distances_rows_and_searches_match_the_oracle_bfs(self, complex_fleet):
+        for K in [*complex_fleet.values(), tree_complex(2, 6)]:
+            K = build_complex(K.vertices, K.maximal_simplices)  # its table has kept nothing yet
+            t = word_metric(K)
+            oracle = {u: _oracle_bfs(K, u) for u in K.vertices}
+            for u, v in itertools.product(K.vertices, repeat=2):
+                assert t._search_pair(u, v) == oracle[u][v]
+                assert t.distance(u, v) == oracle[u][v]
+            for u in K.vertices:
+                assert dict(zip(t.order, t.row(u).tolist())) == oracle[u]
+            assert "matrix" not in vars(t)
+
+    @given(n=st.integers(2, 14), density=st.floats(0.0, 0.7), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_memo_hits_row_hits_and_fresh_searches_agree(self, n, density, seed):
+        K = random_complex(n, density, seed=seed)
+        pairs = list(itertools.product(K.vertices, repeat=2))
+        t = word_metric(K)
+        searched = [t._search_pair(u, v) for u, v in pairs]
+        first = [t.distance(u, v) for u, v in pairs]  # searches, kept in the memo
+        again = [t.distance(u, v) for u, v in pairs]
+        assert set(t._pairs) <= {(u, v) for u, v in pairs if u <= v} and t._pairs
+        rows = word_metric(build_complex(K.vertices, K.maximal_simplices))
+        for u in K.vertices:
+            rows.row(u)
+        from_rows = [rows.distance(u, v) for u, v in pairs]
+        assert not rows._pairs  # every answer was read from a kept row
+        want = [_oracle_bfs(K, u)[v] for u, v in pairs]
+        assert searched == first == again == from_rows == want
+
+    def test_small_caches_evict_and_stay_exact(self, monkeypatch):
+        monkeypatch.setattr(complexes, "ROW_ENTRIES_KEPT", 3 * 15)
+        monkeypatch.setattr(complexes, "PAIRS_KEPT", 5)
+        K = tree_complex(2, 3)  # 15 vertices: three rows fit
+        t = word_metric(K)
+        assert t.rows_kept == 3
+        for u, v in itertools.product(K.vertices, repeat=2):
+            assert t.row(u)[t.index[v]] == _oracle_bfs(K, u)[v]
+            assert len(t._rows) <= 3
+        fresh = word_metric(build_complex(K.vertices, K.maximal_simplices))
+        for u, v in itertools.product(K.vertices, repeat=2):
+            assert fresh.distance(u, v) == _oracle_bfs(K, u)[v]
+            assert len(fresh._pairs) <= 5
+
+    def test_rows_are_read_only(self, book):
+        with pytest.raises(ValueError):
+            word_metric(book).row("a")[0] = 7
+
+    def test_queries_on_a_big_tree_build_no_dense_table(self):
+        K = tree_complex(2, 12)
+        M = ExtendedMetric(K, word_vertex_metric(K))
+        rng = np.random.default_rng(0)
+        inner = [v for v in K.vertices if len(K.adjacency[v]) >= 2]
+        for _ in range(200):  # two edge points sharing their support vertex v
+            v = inner[rng.integers(len(inner))]
+            u1, u2 = rng.choice(K.adjacency[v], size=2, replace=False)
+            a, b = rng.integers(1, 8, size=2)
+            x = make_point(K, {v: a / 8, str(u1): 1 - a / 8})
+            y = make_point(K, {v: b / 8, str(u2): 1 - b / 8})
+            M.distance(x, y)
+        deepest_ray(K, min(K.vertices))
+        table = word_metric(K)
+        assert "matrix" not in vars(table) and "matrix" not in vars(M.vertex)
+        assert len(table._rows) <= table.rows_kept
 
     def test_edge_iff_distance_one(self, book):
         t = word_metric(book)
@@ -166,6 +237,52 @@ class TestLinearBound:
         off = ~np.eye(len(t.order), dtype=bool)
         assert slack[off].min() >= -1e-9
         assert slack[off].min() <= 1e-9  # attained somewhere
+
+
+# (C, minimal_C, A, B) of transformed_word_metric(K, scale, saturation), as the
+# dense all-pairs scan gave them on every fleet complex
+DENSE_SCAN_CONSTANTS = {
+    (1.0, 0.0): (1.0, 1.0, 1.0, 0.0),
+    (1.5, 0.5): (1.75, 1.75, 1.5, 0.5),
+    (1.25, 0.8): (1.65, 1.65, 1.25, 0.8),
+    (1.25, 0.75): (1.625, 1.625, 1.25, 0.75),
+    (1.2, 0.4): (1.4, 1.4, 1.2, 0.4),
+    (1.0, 0.9): (1.45, 1.45, 1.0, 0.9),
+    (1.5, 0.0): (1.5, 1.5, 1.5, 0.0),
+    (0.7, 2.3): (1.8499999999999999, 1.8499999999999999, 1.4285714285714286, 2.3),
+    (3.0, 0.1): (3.05, 3.05, 3.0, 0.1),
+}
+
+
+def dense_transformed_word_metric(K, scale, saturation):
+    """The dense matrix and scanned minimal C the transformed word metric was once built from."""
+    word = word_metric(K)
+    t = word.matrix.astype(float)
+    m = scale * t + saturation * (1.0 - np.power(2.0, -t))
+    np.fill_diagonal(m, 0.0)
+    return m, minimal_linear_bound(m, word)
+
+
+class TestWordDerivedMetrics:
+    def test_transformed_metric_equals_the_dense_scan(self, complex_fleet):
+        for K in complex_fleet.values():
+            for (scale, saturation), constants in DENSE_SCAN_CONSTANTS.items():
+                vm = transformed_word_metric(K, scale, saturation)
+                m, minimal = dense_transformed_word_metric(K, scale, saturation)
+                assert (vm.C, vm.minimal_C, vm.A, vm.B) == constants
+                assert vm.minimal_C == minimal
+                for u, v in itertools.product(K.vertices, repeat=2):
+                    assert vm.distance(u, v) == m[vm.index[u], vm.index[v]]
+                assert np.array_equal(vm.matrix, m)
+
+    def test_word_vertex_metric_is_the_word_table(self, complex_fleet):
+        for K in complex_fleet.values():
+            vm = word_vertex_metric(K)
+            t = word_metric(K)
+            assert (vm.C, vm.minimal_C, vm.A, vm.B) == (1.0, 1.0, 1.0, 0.0)
+            for u, v in itertools.product(K.vertices, repeat=2):
+                assert vm.distance(u, v) == t.distance(u, v)
+            assert np.array_equal(vm.matrix, t.matrix.astype(float))
 
 
 class TestQIConstants:
