@@ -11,9 +11,10 @@ simplex holds all of its vertices, which is read off a vertex -> listed-simplex
 index instead of a scan over all pairs of listed simplices.
 
 Each complex owns its derived tables (adjacency, vertex -> maximal-simplex
-incidence, and, created on first use, the word table and the grid oracle's
-graphs by resolution); they are freed with it and take no part in its
-equality or hash.
+incidence, and, created on first use, the word table, the grid oracle's
+graphs by resolution and the shared-vertex position maps between
+intersecting maximal simplices); they are freed with it and take no part in
+its equality or hash.
 
 The word table holds no V^2 array.  It answers word distances on demand:
 a row is one single-source search, kept in a small LRU; a single distance
@@ -52,6 +53,8 @@ if TYPE_CHECKING:
     from .oracle import GridGraph
 
 Simplex = tuple[str, ...]
+# (index of the other maximal simplex, position map, shared positions): see SimplicialComplex.overlaps
+Overlap = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 # Stored weights below this are treated as exact zeros; support membership is
 # thresholded so floating-point noise cannot create phantom support vertices.
@@ -125,6 +128,8 @@ class WordMetricTable:
 
     def distance(self, u: str, v: str) -> float:
         """Word distance from u to v: read from a kept row, remembered, or searched."""
+        if u == v:
+            return 0.0
         row = self._rows.get(u)
         if row is not None:
             return float(row.item(self.index[v]))
@@ -199,6 +204,25 @@ class SimplicialComplex:
         """The grid oracle's graphs by resolution n, filled by `oracle.build_grid`."""
         return {}
 
+    @cached_property
+    def overlaps(self) -> tuple[tuple[Overlap, ...], ...]:
+        """Per maximal simplex s, one (t, positions, shared) per other maximal simplex t meeting it.
+
+        The t ascend.  positions[q] is the position in s of the q-th vertex
+        of t, or -1 if s lacks it; shared lists the positions in s of the
+        vertices the two share.  Built on first use, for the path search.
+        """
+        M = self.maximal_simplices
+        out = []
+        for s, sigma in enumerate(M):
+            at = {w: p for p, w in enumerate(sigma)}
+            row = []
+            for t in sorted({t for w in sigma for t in self.incidence[w]} - {s}):
+                positions = tuple(at.get(w, -1) for w in M[t])
+                row.append((t, positions, tuple(p for p in positions if p >= 0)))
+            out.append(tuple(row))
+        return tuple(out)
+
     @property
     def dimension(self) -> int:
         return max(len(s) for s in self.maximal_simplices) - 1
@@ -217,11 +241,14 @@ class SimplicialComplex:
 
     def maximal_containing(self, vertices: Iterable[str]) -> list[Simplex]:
         """Maximal simplices containing the given vertex set, canonical order."""
+        return [self.maximal_simplices[i] for i in self.maximal_indices_containing(vertices)]
+
+    def maximal_indices_containing(self, vertices: Iterable[str]) -> list[int]:
+        """Indices into maximal_simplices of those containing the given vertex set, ascending."""
         want = set(vertices)
         if not want:
-            return list(self.maximal_simplices)
-        hits = set.intersection(*(set(self.incidence.get(v, ())) for v in want))
-        return [self.maximal_simplices[i] for i in sorted(hits)]
+            return list(range(len(self.maximal_simplices)))
+        return sorted(set.intersection(*(set(self.incidence.get(v, ())) for v in want)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

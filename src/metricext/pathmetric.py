@@ -16,11 +16,17 @@ the chain's interface faces.  Those moves are uncapacitated, so the chain's
 optimum is a transportation problem whose costs a DP over the faces gives
 (`chain_lp`).  The search carries that DP from simplex to simplex: a state
 is the last simplex plus the switch counts reaching each of its vertices,
-its priority an exact transport that never overestimates and is exact once
-the simplex holds supp(y), and states dominated at the same simplex are
-dropped, which keeps the search finite.  Exact rational arithmetic makes
-values and witnesses reproducible bit-for-bit and invariant under vertex
-relabelings.
+its priority a transport that never overestimates and is exact once the
+simplex holds supp(y), and states dominated at the same simplex are
+dropped, which keeps the search finite.
+
+The search core runs in Python ints.  The dyadic float weights scale to
+integer supplies and demands that balance exactly (`_masses`), every cost
+is a switch count plus a word distance, so each transport is an integer
+transport, solved exactly; an answer is divided by its scale once.  That
+makes values and witnesses reproducible bit-for-bit and invariant under
+vertex relabelings.  The vertex route that seeds the search is carried as
+its cost, and its witness is built only when it is the answer.
 
 Every solved distance is checked against the admissible lower bounds its
 query computed; a result below any bound is recorded and raised as an
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from fractions import Fraction
+from operator import add, le
 from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import (
@@ -160,84 +166,120 @@ def path_length(
 
 
 # --------------------------------------------------------------------------
-# the per-chain optimum: switch-count DP plus an exact transport
+# the per-chain optimum: switch-count DP plus an exact integer transport
 
-def _enter(val: dict[str, int], layer: Sequence[str]) -> dict[str, int]:
-    """Fewest switches to each vertex of the next layer, given those to the last.
+def _masses(x: BarycentricPoint, y: BarycentricPoint) -> tuple[list[int], list[int], int]:
+    """Integer supplies and demands that balance exactly, and their common scale.
 
-    Mass stays on its vertex if the layer holds it, and otherwise switches
-    once from the cheapest vertex of the last layer.  Counts within a layer
-    differ by at most one, so staying is never worse than switching.
+    Float weights are dyadic, so over the largest denominator den of their
+    exact ratios (a power of two, hence the lcm) x_u = a_u / den and
+    y_v = b_v / den with integers a, b.  Supply a_u * sum(b) and demand
+    b_v * sum(a) both total sum(a) * sum(b); they are x and y, y rescaled to
+    x's exact total, times the scale den * sum(b).
     """
-    switch = min(val.values()) + 1
-    return {w: val.get(w, switch) for w in layer}
-
-
-def _masses(x: BarycentricPoint, y: BarycentricPoint) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact weights of x and y; y's are rescaled to x's exact total.
-
-    The two float weight vectors need not sum to the same binary value, and
-    a transport needs supply and demand to balance exactly.
-    """
-    supply = [Fraction(w) for _, w in x.items]
-    demand = [Fraction(w) for _, w in y.items]
-    scale = sum(supply) / sum(demand)
-    return supply, [d * scale for d in demand]
+    xs = [w.as_integer_ratio() for _, w in x.items]
+    ys = [w.as_integer_ratio() for _, w in y.items]
+    den = max(d for _, d in xs + ys)
+    a = [n * (den // d) for n, d in xs]
+    b = [n * (den // d) for n, d in ys]
+    sa, sb = sum(a), sum(b)
+    return [n * sb for n in a], [n * sa for n in b], den * sb
 
 
 def _transport(
-    supply: Sequence[Fraction], demand: Sequence[Fraction], cost: Sequence[Sequence[int]]
-) -> tuple[Fraction, list[list[Fraction]]]:
-    """Exact min-cost transport by successive shortest paths; (cost, flows).
+    supply: Sequence[int], demand: Sequence[int], cost: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]]]:
+    """Exact min-cost transport in integers by successive shortest paths; (cost, flows).
 
-    Rows are sources, columns sinks, every row-column arc is uncapacitated.
-    Each round runs Bellman-Ford from the rows with supply left over the
-    residual graph (forward arcs at +cost, used arcs back at -cost) and
-    sends as much as a cheapest path to an unfilled column allows.
-    Augmenting along any shortest path keeps the residual graph free of
-    negative cycles, so the flow is optimal once every column is filled.
+    Rows are sources, columns sinks, every row-column arc is uncapacitated;
+    supplies are positive and total the demands.  Each round finds the
+    distances from the rows with supply left over the residual graph
+    (forward arcs at +cost, used arcs back at -cost) by Dijkstra on costs
+    reduced by the last round's distances, which keeps every reduced cost
+    nonnegative (Edmonds & Karp 1972; Tomizawa 1971).  It then sends as much
+    as a shortest path to the first unfilled column allows.  Augmenting along
+    shortest paths keeps the residual graph free of negative cycles, so the
+    flow is optimal once every column is filled.  The path is canonical:
+    among shortest paths, one with fewest arcs, each node taking its
+    lowest-index predecessor one arc nearer the sources, so the flows do not
+    depend on how the distances were found.
     """
     m, n = len(supply), len(demand)
+    rows, cols = range(m), range(n)
     left, need = list(supply), list(demand)
-    flow = [[Fraction(0)] * n for _ in range(m)]
+    flow = [[0] * n for _ in rows]
+    pot_r, pot_c = [0] * m, [0] * n  # the last round's distances
     while any(need):
-        dist: list = [0 if left[i] else None for i in range(m)] + [None] * n
-        prev: list = [None] * (m + n)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(m):
-                if dist[i] is None:
-                    continue
-                for j in range(n):
-                    d = dist[i] + cost[i][j]
-                    if dist[m + j] is None or d < dist[m + j]:
-                        dist[m + j], prev[m + j], changed = d, i, True
-            for j in range(n):
-                if dist[m + j] is None:
-                    continue
-                for i in range(m):
-                    d = dist[m + j] - cost[i][j]
-                    if flow[i][j] and (dist[i] is None or d < dist[i]):
-                        dist[i], prev[i], changed = d, m + j, True
-        j = next(j for j in range(n) if need[j])
-        arcs = []  # (row, column, forward) along the path, sink first
-        node = m + j
+        # Dijkstra from the rows with supply left, settling the least reduced distance first
+        dr: list = [0 if left[i] else None for i in rows]
+        dc: list = [None] * n
+        open_r, open_c = list(rows), list(cols)
         while True:
-            i = prev[node]
-            arcs.append((i, node - m, True))
-            if prev[i] is None:
+            best = None
+            for i in open_r:
+                if dr[i] is not None and (best is None or dr[i] - pot_r[i] < best):
+                    best, at, on_row = dr[i] - pot_r[i], i, True
+            for c in open_c:
+                if dc[c] is not None and (best is None or dc[c] - pot_c[c] < best):
+                    best, at, on_row = dc[c] - pot_c[c], c, False
+            if best is None:
                 break
-            node = prev[i]
-            arcs.append((i, node - m, False))
-        amount = min([left[i], need[j]] + [flow[a][b] for a, b, fwd in arcs if not fwd])
-        for a, b, fwd in arcs:
-            flow[a][b] += amount if fwd else -amount
+            if on_row:
+                open_r.remove(at)
+                base, line = dr[at], cost[at]
+                for c in open_c:
+                    if dc[c] is None or base + line[c] < dc[c]:
+                        dc[c] = base + line[c]
+            else:
+                open_c.remove(at)
+                base = dc[at]
+                for i in open_r:
+                    if flow[i][at] and (dr[i] is None or base - cost[i][at] < dr[i]):
+                        dr[i] = base - cost[i][at]
+        pot_r, pot_c = dr, dc
+        # canonical shortest path to column j: breadth-first over tight arcs from the sources at 0
+        j = next(c for c in cols if need[c])
+        via_r: list = [None] * m  # the column before each row
+        via_c: list = [None] * n  # the row before each column
+        seen_r = [bool(left[i]) and dr[i] == 0 for i in rows]
+        seen_c = [False] * n
+        level, on_rows = [i for i in rows if seen_r[i]], True
+        while not seen_c[j]:
+            grown = []
+            if on_rows:
+                for c in cols:
+                    if not seen_c[c]:
+                        for i in level:
+                            if dr[i] + cost[i][c] == dc[c]:
+                                via_c[c], seen_c[c] = i, True
+                                grown.append(c)
+                                break
+            else:
+                for i in rows:
+                    if not seen_r[i]:
+                        for c in level:
+                            if flow[i][c] and dc[c] - cost[i][c] == dr[i]:
+                                via_r[i], seen_r[i] = c, True
+                                grown.append(i)
+                                break
+            level, on_rows = grown, not on_rows
+        forward, backward = [], []  # arcs (row, column) along the path
+        c = j
+        while True:
+            i = via_c[c]
+            forward.append((i, c))
+            c = via_r[i]
+            if c is None:
+                break
+            backward.append((i, c))
+        amount = min([left[i], need[j]] + [flow[a][b] for a, b in backward])
+        for a, b in forward:
+            flow[a][b] += amount
+        for a, b in backward:
+            flow[a][b] -= amount
         left[i] -= amount
         need[j] -= amount
-    total = sum(
-        (flow[i][j] * cost[i][j] for i in range(m) for j in range(n)), Fraction(0)
-    )
+    total = sum(f * c for line, fl in zip(cost, flow) for f, c in zip(fl, line))
     return total, flow
 
 
@@ -252,9 +294,10 @@ def chain_lp(
     Interior breakpoints are constrained to the interface faces of the
     chain.  Each unit of mass moved from u in supp(x) to v in supp(y) pays
     the fewest vertex switches along the faces, which a DP gives; nothing
-    caps those moves, so the optimum is an exact rational transport between
-    x and y.  The breakpoints follow each used (u, v) pair's optimal
-    positions.  Returns the value and one optimal breakpoint assignment.
+    caps those moves, so the optimum is a transport between x and y, solved
+    in integers and divided by its scale once.  The breakpoints follow each
+    used (u, v) pair's optimal positions.  Returns the value and one optimal
+    breakpoint assignment.
     """
     sigma = chain.simplices
     if not set(x.support) <= set(sigma[0]):
@@ -266,13 +309,15 @@ def chain_lp(
     for u in x.support:
         dp = [{u: 0}]
         for layer in (*faces, y.support):
-            dp.append(_enter(dp[-1], layer))
+            # mass stays on a vertex the layer holds, or switches once from the cheapest
+            switch = min(dp[-1].values()) + 1
+            dp.append({w: dp[-1].get(w, switch) for w in layer})
         routes.append(dp)
-    supply, demand = _masses(x, y)
+    supply, demand, scale = _masses(x, y)
     cost = [[dp[-1][v] for v in y.support] for dp in routes]
-    value, flow = _transport(supply, demand, cost)
+    total, flow = _transport(supply, demand, cost)
 
-    mass: list[dict[str, Fraction]] = [{} for _ in faces]
+    mass: list[dict[str, int]] = [{} for _ in faces]
     for row, dp in zip(flow, routes):
         for amount, v in zip(row, y.support):
             if not amount:
@@ -281,9 +326,10 @@ def chain_lp(
             for i in range(len(faces), 0, -1):  # dp[i] holds the counts on faces[i - 1]
                 if w not in dp[i]:
                     w = min(dp[i], key=lambda p: (dp[i][p], p))
-                mass[i - 1][w] = mass[i - 1].get(w, Fraction(0)) + amount
-    breakpoints = [make_point(K, {v: float(m) for v, m in d.items()}) for d in mass]
-    return float(value), breakpoints
+                mass[i - 1][w] = mass[i - 1].get(w, 0) + amount
+    # int / int is correctly rounded: the exact quotient, rounded once
+    breakpoints = [make_point(K, {v: m / scale for v, m in d.items()}) for d in mass]
+    return total / scale, breakpoints
 
 
 # --------------------------------------------------------------------------
@@ -337,21 +383,23 @@ def lower_bounds(
 # --------------------------------------------------------------------------
 # the main solver
 
-def _vertex_route_witness(
-    K: SimplicialComplex,
-    x: BarycentricPoint,
-    y: BarycentricPoint,
-    table,
+def _vertex_route(x: BarycentricPoint, y: BarycentricPoint, table) -> tuple[float, str, str]:
+    """The cheapest route that huddles x to some u, walks edges to v and spreads to y: (cost, u, v).
+
+    The cost is (1 - x_u) + word(u, v) + (1 - y_v), an upper bound on the
+    path distance; ties go to the least (u, v).
+    """
+    return min(
+        ((1.0 - wu) + table.distance(u, v) + (1.0 - wv), u, v)
+        for u, wu in x.items
+        for v, wv in y.items
+    )
+
+
+def _route_witness(
+    K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint, u: str, v: str
 ) -> PathWitness:
-    """Upper-bound witness: huddle to a support vertex, walk edges, spread."""
-    best = None
-    for u in x.support:
-        for v in y.support:
-            cost = (1.0 - x.get(u)) + table.distance(u, v) + (1.0 - y.get(v))
-            key = (cost, u, v)
-            if best is None or key < best:
-                best = key
-    _, u, v = best
+    """The vertex route's witness: huddle to u, walk a geodesic to v, spread to y."""
     points: list[BarycentricPoint] = [x]
     carriers: list[Simplex] = []
     if not (x.is_vertex and x.support[0] == u):
@@ -385,23 +433,22 @@ def l1_path_distance(
     forms; the general case runs the best-first chain search.  The result
     is checked against every lower bound the query computed.
     """
-    word_metric(K)  # raises DisconnectedComplex early
+    table = word_metric(K)  # raises DisconnectedComplex early
     if x.key() == y.key():
         return PathResult(0.0, PathWitness(points=(x,), carriers=(), length=0.0))
 
-    bounds = lower_bounds(K, x, y)
     carrier = common_simplex(K, x, y)
     if carrier is not None:
-        value = simplex_l1(x, y)
-        result = PathResult(value, _trivial_witness(K, x, y, carrier))
+        result = PathResult(simplex_l1(x, y), _trivial_witness(K, x, y, carrier))
     elif x.is_vertex and y.is_vertex:
-        table = word_metric(K)
-        witness = _vertex_route_witness(K, x, y, table)
-        result = PathResult(float(table.distance(x.support[0], y.support[0])), witness)
+        # the witness's geodesic keeps v's row, which the value and the bounds then read
+        u, v = x.support[0], y.support[0]
+        witness = _route_witness(K, x, y, u, v)
+        result = PathResult(float(table.distance(u, v)), witness)
     else:
-        return _path_by_search(K, x, y, bounds + lower_bounds(K, y, x))
+        return _path_by_search(K, x, y, lower_bounds(K, x, y) + lower_bounds(K, y, x))
 
-    _assert_above_bounds(result.value, bounds, "l1_path_distance")
+    _assert_above_bounds(result.value, lower_bounds(K, x, y), "l1_path_distance")
     return result
 
 
@@ -446,25 +493,29 @@ def _solve_by_search(
     y: BarycentricPoint,
     bounds: list[tuple[str, float]],
 ) -> PathResult:
-    """The vertex route, unless the best-first search finds a shorter chain."""
-    table = word_metric(K)
-    incumbent = _vertex_route_witness(K, x, y, table)
-    if incumbent.length <= max(b for _, b in bounds) + TIE_TOL:
-        return PathResult(incumbent.length, incumbent)
-    found = _best_first(K, x, y, table, incumbent.length)
-    if found is None:
-        return PathResult(incumbent.length, incumbent)
+    """The vertex route, unless the best-first search finds a shorter chain.
 
-    carriers, bound = found
-    value, breakpoints = chain_lp(K, Chain(simplices=carriers), x, y)
-    points = (x, *breakpoints, y)
-    length = path_length(K, points, carriers)
-    if abs(value - float(bound)) > TIE_TOL or abs(length - value) > VALUE_TOL:
-        raise InternalConsistencyError(
-            f"search value {float(bound)}, chain optimum {value} and witness length "
-            f"{length} disagree"
-        )
-    return PathResult(value, PathWitness(points=points, carriers=carriers, length=length))
+    The route is carried as its cost; its witness is built only when it is
+    the answer.
+    """
+    table = word_metric(K)
+    incumbent, u, v = _vertex_route(x, y, table)
+    if incumbent > max(b for _, b in bounds) + TIE_TOL:
+        found = _best_first(K, x, y, table, incumbent)
+        if found is not None:
+            carriers, bound, scale = found
+            value, breakpoints = chain_lp(K, Chain(simplices=carriers), x, y)
+            points = (x, *breakpoints, y)
+            length = path_length(K, points, carriers)
+            # the same integer transport over the same scale: equal bit for bit
+            if value != bound / scale or abs(length - value) > VALUE_TOL:
+                raise InternalConsistencyError(
+                    f"search value {bound / scale}, chain optimum {value} and witness length "
+                    f"{length} disagree"
+                )
+            return PathResult(value, PathWitness(points=points, carriers=carriers, length=length))
+    witness = _route_witness(K, x, y, u, v)
+    return PathResult(witness.length, witness)
 
 
 def _best_first(
@@ -473,83 +524,91 @@ def _best_first(
     y: BarycentricPoint,
     table,
     incumbent: float,
-) -> tuple[tuple[Simplex, ...], Fraction] | None:
-    """Best chain shorter than the incumbent by more than TIE_TOL, or None.
+) -> tuple[tuple[Simplex, ...], int, int] | None:
+    """Best chain shorter than the incumbent by more than TIE_TOL: (chain, total, scale), or None.
 
     A state is a maximal simplex sigma reached by a chain from supp(x) plus,
     for each u in supp(x), the fewest switches val_u(w) that bring the mass
-    of u to each w in sigma.  States are popped in the order of an exact
-    transport whose cost from u to v is min_w val_u(w) + word(w, v): a
-    bound no extension of the chain can beat, equal to the chain optimum
-    once sigma holds supp(y).  So the first such state popped is optimal.
-    A state is dropped when another state at the same sigma is nowhere
-    worse; a chain that returns to a simplex is always dropped this way,
-    so the search is finite.
+    of u to each w in sigma, as a tuple aligned with sigma.  States are
+    popped in the order of an integer transport (`_masses`, `_transport`)
+    whose cost from u to v is min_w val_u(w) + word(w, v): a bound no
+    extension of the chain can beat, equal to the chain optimum times the
+    scale once sigma holds supp(y).  So the first such state popped is
+    optimal.  A state is pruned when its total reaches
+    ceil((incumbent - TIE_TOL) * scale), which is exactly when its value is
+    no shorter than incumbent - TIE_TOL.  A state is dropped when another
+    state at the same sigma is nowhere worse; a chain that returns to a
+    simplex is always dropped this way, so the search is finite.
     """
     M = K.maximal_simplices
-    target = set(y.support)
-    supply, demand = _masses(x, y)
-    to_y: dict[str, tuple[int, ...]] = {}
-    transports: dict[tuple, Fraction] = {}
-    labels: list[tuple[Simplex, tuple, int | None]] = []  # (sigma, vals, parent)
+    overlaps = K.overlaps
+    ys = y.support
+    ends = set(K.maximal_indices_containing(ys))
+    supply, demand, scale = _masses(x, y)
+    p, q = (incumbent - TIE_TOL).as_integer_ratio()
+    cutoff = -(-p * scale // q)
+    index = table.index
+    rows_y = [table.row(v) for v in ys]  # one search per vertex of supp(y) answers every word(w, v)
+    to_y: dict[str, tuple[int, ...]] = {}  # w -> word(w, v) for v in supp(y)
+    columns: dict[int, tuple[tuple[int, ...], ...]] = {}  # s -> per v, word(w, v) along M[s]
+    transports: dict[tuple, int] = {}
+    labels: list[tuple[int, tuple, int | None]] = []  # (s, vals, parent)
     alive: list[bool] = []
-    front: dict[Simplex, list[int]] = {}  # sigma -> its undominated live labels
-    heap: list[tuple[Fraction, int]] = []
+    front: dict[int, list[int]] = {}  # s -> its undominated live labels
+    heap: list[tuple[int, int]] = []
 
-    def bound(sigma: Simplex, vals: tuple) -> Fraction:
-        for w in sigma:
-            if w not in to_y:
-                to_y[w] = tuple(table.distance(w, v) for v in y.support)
-        cost = tuple(
-            tuple(min(c + to_y[w][j] for w, c in zip(sigma, row)) for j in range(len(y.support)))
-            for row in vals
-        )
-        if cost not in transports:
-            transports[cost] = _transport(supply, demand, cost)[0]
-        return transports[cost]
+    def bound(s: int, vals: tuple) -> int:
+        cols = columns.get(s)
+        if cols is None:
+            for w in M[s]:
+                if w not in to_y:
+                    to_y[w] = tuple([row.item(index[w]) for row in rows_y])
+            cols = columns[s] = tuple(zip(*(to_y[w] for w in M[s])))
+        cost = tuple([tuple([min(map(add, row, col)) for col in cols]) for row in vals])
+        total = transports.get(cost)
+        if total is None:
+            total = transports[cost] = _transport(supply, demand, cost)[0]
+        return total
 
-    def push(sigma: Simplex, vals: tuple, parent: int | None) -> None:
-        kept = front.setdefault(sigma, [])
+    def push(s: int, vals: tuple, parent: int | None) -> None:
+        kept = front.setdefault(s, [])
         if any(_dominates(labels[k][1], vals) for k in kept):
             return
-        b = bound(sigma, vals)
-        if b >= incumbent - TIE_TOL:
+        b = bound(s, vals)
+        if b >= cutoff:
             return
         for k in [k for k in kept if _dominates(vals, labels[k][1])]:
             alive[k] = False
             kept.remove(k)
         kept.append(len(labels))
-        labels.append((sigma, vals, parent))
+        labels.append((s, vals, parent))
         alive.append(True)
         heapq.heappush(heap, (b, len(labels) - 1))
 
-    for sigma in K.maximal_containing(x.support):
-        push(sigma, tuple(tuple(int(w != u) for w in sigma) for u in x.support), None)
+    for s in K.maximal_indices_containing(x.support):
+        push(s, tuple(tuple(int(w != u) for w in M[s]) for u in x.support), None)
 
     while heap:
         b, li = heapq.heappop(heap)
         if not alive[li]:
             continue
-        sigma, vals, _ = labels[li]
-        if target <= set(sigma):
+        s, vals, _ = labels[li]
+        if s in ends:
             chain = []
             while li is not None:
-                chain.append(labels[li][0])
+                chain.append(M[labels[li][0]])
                 li = labels[li][2]
-            return tuple(reversed(chain)), b
-        for j in sorted({j for w in sigma for j in K.incidence[w]}):
-            tau = M[j]
-            if tau == sigma:
-                continue
-            shared = set(tau)
-            vals_tau = []
+            return tuple(reversed(chain)), b, scale
+        for t, positions, shared in overlaps[s]:
+            vals_t = []
             for row in vals:
-                entered = _enter({w: c for w, c in zip(sigma, row) if w in shared}, tau)
-                vals_tau.append(tuple(entered[w] for w in tau))
-            push(tau, tuple(vals_tau), li)
+                # mass stays on a shared vertex, or switches once from the cheapest one
+                switch = min(map(row.__getitem__, shared)) + 1
+                vals_t.append(tuple([row[p] if p >= 0 else switch for p in positions]))
+            push(t, tuple(vals_t), li)
     return None
 
 
 def _dominates(a: tuple, b: tuple) -> bool:
     """Whether switch-count vectors a are nowhere larger than b."""
-    return all(p <= q for ra, rb in zip(a, b) for p, q in zip(ra, rb))
+    return all(all(map(le, ra, rb)) for ra, rb in zip(a, b))

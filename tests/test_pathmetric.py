@@ -1,13 +1,21 @@
 """Path metric: shortcuts, chain search, bounds, witnesses."""
 
 import itertools
+import json
+import math
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricext import (
+    BarycentricPoint,
     Chain,
+    ExtendedMetric,
     EmptyIntersection,
     EndpointNotInCarrier,
     InvalidCarrier,
@@ -22,10 +30,14 @@ from metricext import (
     simplex_l1,
     vertex_point,
     word_metric,
+    word_vertex_metric,
 )
+from metricext import pathmetric
+from metricext.complexes import WordMetricTable
 from metricext.generators import (
     cycle_complex,
     path_complex,
+    random_complex,
     random_point,
     random_same_simplex_pair,
     rips_complex,
@@ -275,3 +287,186 @@ class TestAutomorphismInvariance:
             assert l1_path_distance(K, gx, gy).value == pytest.approx(
                 l1_path_distance(K, x, y).value, abs=1e-12
             )
+
+
+# --------------------------------------------------------------------------
+# the integer search core
+
+
+def _bellman_ford_transport(supply, demand, cost):
+    """Reference transport: Bellman-Ford rounds over Fractions, augmenting to the first unfilled column."""
+    m, n = len(supply), len(demand)
+    left, need = list(supply), list(demand)
+    flow = [[Fraction(0)] * n for _ in range(m)]
+    while any(need):
+        dist = [0 if left[i] else None for i in range(m)] + [None] * n
+        prev = [None] * (m + n)
+        changed = True
+        while changed:
+            changed = False
+            for i in range(m):
+                if dist[i] is None:
+                    continue
+                for j in range(n):
+                    d = dist[i] + cost[i][j]
+                    if dist[m + j] is None or d < dist[m + j]:
+                        dist[m + j], prev[m + j], changed = d, i, True
+            for j in range(n):
+                if dist[m + j] is None:
+                    continue
+                for i in range(m):
+                    d = dist[m + j] - cost[i][j]
+                    if flow[i][j] and (dist[i] is None or d < dist[i]):
+                        dist[i], prev[i], changed = d, m + j, True
+        j = next(j for j in range(n) if need[j])
+        arcs = []
+        node = m + j
+        while True:
+            i = prev[node]
+            arcs.append((i, node - m, True))
+            if prev[i] is None:
+                break
+            node = prev[i]
+            arcs.append((i, node - m, False))
+        amount = min([left[i], need[j]] + [flow[a][b] for a, b, fwd in arcs if not fwd])
+        for a, b, fwd in arcs:
+            flow[a][b] += amount if fwd else -amount
+        left[i] -= amount
+        need[j] -= amount
+    total = sum((flow[i][j] * cost[i][j] for i in range(m) for j in range(n)), Fraction(0))
+    return total, flow
+
+
+def _weights_point(weights):
+    return BarycentricPoint(items=tuple((f"v{i}", w) for i, w in enumerate(weights)))
+
+
+def _pool_queries():
+    """The path-fleet and hard-rips query pools of the benchmark, with their complexes."""
+    pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())
+    complexes = {
+        "rips_c30": rips_complex(cycle_complex(30), 2),
+        "random80": random_complex(80, 0.08, seed=1),
+        "tree2_9": tree_complex(2, 9),
+        "rips_p40": rips_complex(path_complex(40), 3),
+    }
+    scale = pool["resolution"]
+    for workload in ("path-fleet", "hard-rips"):
+        for q in pool["workloads"][workload]["queries"]:
+            K = complexes[q["complex"]]
+            x = make_point(K, {v: c / scale for v, c in q["x"].items()})
+            y = make_point(K, {v: c / scale for v, c in q["y"].items()})
+            yield q, K, x, y
+
+
+class TestIntegerSearchCore:
+    weight = st.builds(lambda num, k: num / 2**k, st.integers(1, 1024), st.integers(0, 10))
+
+    @given(
+        xw=st.lists(weight, min_size=1, max_size=5),
+        yw=st.lists(weight, min_size=1, max_size=5),
+        data=st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_transport_matches_the_rational_bellman_ford(self, xw, yw, data):
+        cost = data.draw(
+            st.lists(
+                st.lists(st.integers(0, 8), min_size=len(yw), max_size=len(yw)),
+                min_size=len(xw),
+                max_size=len(xw),
+            )
+        )
+        supply, demand, scale = pathmetric._masses(_weights_point(xw), _weights_point(yw))
+        assert all(type(v) is int for v in (*supply, *demand, scale))
+        assert sum(supply) == sum(demand)
+        total, flow = pathmetric._transport(supply, demand, cost)
+        assert [sum(row) for row in flow] == supply
+        assert [sum(col) for col in zip(*flow)] == demand
+        old_supply = [Fraction(w) for w in xw]
+        old_demand = [Fraction(w) * sum(old_supply) / sum(map(Fraction, yw)) for w in yw]
+        old_total, old_flow = _bellman_ford_transport(old_supply, old_demand, cost)
+        assert Fraction(total, scale) == old_total
+        assert [[Fraction(f, scale) for f in row] for row in flow] == old_flow
+
+    def test_pool_transports_are_integer(self, monkeypatch):
+        # every supply, demand and cost the search and chain_lp hand the
+        # transport is an int, and the answers are the pool's where it has one
+        real = pathmetric._transport
+        calls = []
+
+        def checked(supply, demand, cost):
+            calls.append(1)
+            assert all(type(v) is int for v in (*supply, *demand, *itertools.chain(*cost)))
+            return real(supply, demand, cost)
+
+        monkeypatch.setattr(pathmetric, "_transport", checked)
+        extended = {}
+        for q, K, x, y in _pool_queries():
+            if q["kind"] == "path":
+                value = l1_path_distance(K, x, y).value
+            else:
+                value = extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K))).distance(x, y)
+            if q["expected"] is not None:
+                assert value == pytest.approx(q["expected"], abs=1e-9), q["id"]
+        assert len(calls) > 300
+
+    @pytest.mark.parametrize("xw, yw, want", HARD_RIPS_PAIRS)
+    def test_search_prunes_exactly_at_the_incumbent_less_tie_tol(self, rips_path40, xw, yw, want):
+        # the optimum is found iff it lies below incumbent - TIE_TOL, compared as rationals
+        K = rips_path40
+        x, y = make_point(K, xw), make_point(K, yw)
+        table = word_metric(K)
+        chain, total, scale = pathmetric._best_first(K, x, y, table, want + 1.0)
+        optimum = Fraction(total, scale)
+
+        def below(incumbent):
+            return optimum < Fraction(incumbent - pathmetric.TIE_TOL)
+
+        hi = float(optimum) + pathmetric.TIE_TOL
+        while not below(hi):
+            hi = math.nextafter(hi, math.inf)
+        while below(math.nextafter(hi, -math.inf)):
+            hi = math.nextafter(hi, -math.inf)
+        lo = math.nextafter(hi, -math.inf)
+        assert pathmetric._best_first(K, x, y, table, hi) == (chain, total, scale)
+        assert pathmetric._best_first(K, x, y, table, lo) is None
+
+    def test_shared_positions_name_the_shared_vertices(self, complex_fleet):
+        for K in complex_fleet.values():
+            M = K.maximal_simplices
+            for s, row in enumerate(K.overlaps):
+                meeting = sorted(t for t in range(len(M)) if t != s and set(M[t]) & set(M[s]))
+                assert [t for t, _, _ in row] == meeting
+                for t, positions, shared in row:
+                    assert [M[s][p] if p >= 0 else None for p in positions] == [
+                        w if w in M[s] else None for w in M[t]
+                    ]
+                    assert sorted(M[s][p] for p in shared) == sorted(set(M[s]) & set(M[t]))
+
+    def test_vertex_pairs_search_one_row_each_and_no_pairs(self, monkeypatch):
+        # the vertex tier builds the geodesic's row before reading word(u, v)
+        K = tree_complex(2, 9)
+        table = word_metric(K)
+        counts = {"rows": 0, "pairs": 0}
+        search_row, search_pair = WordMetricTable._search_row, WordMetricTable._search_pair
+
+        def count_row(self, i):
+            counts["rows"] += 1
+            return search_row(self, i)
+
+        def count_pair(self, u, v):
+            counts["pairs"] += 1
+            return search_pair(self, u, v)
+
+        monkeypatch.setattr(WordMetricTable, "_search_row", count_row)
+        monkeypatch.setattr(WordMetricTable, "_search_pair", count_pair)
+        rng = np.random.default_rng(9)
+        pairs = []
+        while len(pairs) < 50:
+            u, v = (K.vertices[i] for i in rng.choice(len(K.vertices), size=2, replace=False))
+            if v not in K.adjacency[u]:
+                pairs.append((u, v))
+        for u, v in pairs:
+            value, witness = l1_path_distance(K, vertex_point(K, u), vertex_point(K, v))
+            assert value == table.distance(u, v) == witness.length
+        assert counts["rows"] <= 50 and counts["pairs"] == 0

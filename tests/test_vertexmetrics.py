@@ -114,7 +114,9 @@ class TestWordMetric:
         searched = [t._search_pair(u, v) for u, v in pairs]
         first = [t.distance(u, v) for u, v in pairs]  # searches, kept in the memo
         again = [t.distance(u, v) for u, v in pairs]
-        assert set(t._pairs) <= {(u, v) for u, v in pairs if u <= v} and t._pairs
+        # the memo holds exactly the distinct pairs the first vertex's row, kept at set-up, cannot answer
+        first_vertex = t.order[0]
+        assert set(t._pairs) == {(u, v) for u, v in pairs if u < v and first_vertex not in (u, v)}
         rows = word_metric(build_complex(K.vertices, K.maximal_simplices))
         for u in K.vertices:
             rows.row(u)
