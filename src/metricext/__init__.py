@@ -76,6 +76,7 @@ from .pathmetric import (
     l1_path_distance,
     lower_bounds,
     path_length,
+    query_bounds,
     reset_tripwire_log,
     tripwire_log,
 )

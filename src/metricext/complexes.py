@@ -6,6 +6,10 @@ vertex labels; all iteration uses lexicographic label order so outputs are
 reproducible bit-for-bit.  Complexes and points are immutable after
 construction and safe to share across threads.
 
+A barycentric point stores its sorted (vertex, weight) items and, once, when
+it is made, its support; the per-simplex l1 distance is one merge of two
+points' items.
+
 Construction is local: a listed simplex is maximal when no other listed
 simplex holds all of its vertices, which is read off a vertex -> listed-simplex
 index instead of a scan over all pairs of listed simplices.
@@ -26,6 +30,7 @@ metric, the four-point scan, the automorphism check's matrix comparison).
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -338,14 +343,17 @@ class BarycentricPoint:
 
     Weights are positive, sum to 1 (renormalized on construction) and the
     support spans a simplex of the owning complex.  Instances are hashable
-    and compare by their exact stored weights.
+    and compare by their exact stored weights; the support is stored once,
+    when the point is made.  `weights` is a fresh dict on every read, so a
+    caller may change it.
     """
 
     items: tuple[tuple[str, float], ...]  # sorted by label, weights > 0
+    # the labels of items, stored once; derived, so not part of equality, hash or repr
+    support: Simplex = field(init=False, compare=False, repr=False)
 
-    @property
-    def support(self) -> Simplex:
-        return tuple(v for v, _ in self.items)
+    def __post_init__(self):
+        object.__setattr__(self, "support", tuple([v for v, _ in self.items]))
 
     @property
     def weights(self) -> dict[str, float]:
@@ -370,12 +378,24 @@ class BarycentricPoint:
 
 
 def make_point(K: SimplicialComplex, weights: Mapping[str, float]) -> BarycentricPoint:
-    """Normalized barycentric point whose support must span a simplex of K."""
+    """Normalized barycentric point whose support must span a simplex of K.
+
+    Raises NegativeWeight on a negative weight, and WeightsNotNormalizable on
+    a NaN or infinite weight or when no weight survives normalization.
+    """
     for v, w in weights.items():
         if w < 0:
             raise NegativeWeight(f"weight of {v!r} is negative ({w})")
+        if not math.isfinite(w):
+            raise WeightsNotNormalizable(f"weight of {v!r} is not a finite number ({w})")
     kept = {v: float(w) for v, w in weights.items() if w >= WEIGHT_FLOOR}
     total = sum(kept[v] for v in sorted(kept))
+    if math.isinf(total):
+        # finite weights whose sum overflows: scale by the largest first (only here,
+        # so every point whose sum is finite keeps its bits)
+        top = max(kept.values())
+        kept = {v: w / top for v, w in kept.items()}
+        total = sum(kept[v] for v in sorted(kept))
     if total <= 0:
         raise WeightsNotNormalizable(f"weights sum to {total}, cannot normalize")
     normalized = {v: w / total for v, w in kept.items()}
@@ -394,7 +414,10 @@ def make_point(K: SimplicialComplex, weights: Mapping[str, float]) -> Barycentri
 
 
 def vertex_point(K: SimplicialComplex, v: str) -> BarycentricPoint:
-    return make_point(K, {v: 1.0})
+    """The point of weight 1 at v: make_point(K, {v: 1.0}), built without renormalizing."""
+    if (v,) not in K.faces:
+        raise SupportNotASimplex(f"support {(v,)} does not span a simplex")
+    return BarycentricPoint(items=((v, 1.0),))
 
 
 def support(x: BarycentricPoint) -> Simplex:
@@ -421,9 +444,30 @@ def simplex_l1(x: BarycentricPoint, y: BarycentricPoint) -> float:
     Defined for points in a common simplex; scaled so two distinct vertices
     are at distance exactly 1.  The value only depends on the coordinates,
     never on which common simplex is used.
+
+    One merge of the two label-sorted item lists gives |x_v - y_v| for
+    every label of either support, in label order.
     """
-    xw, yw = x.weights, y.weights
-    return 0.5 * sum(abs(xw.get(v, 0.0) - yw.get(v, 0.0)) for v in sorted(set(xw) | set(yw)))
+    a, b = x.items, y.items
+    na, nb = len(a), len(b)
+    i = j = 0
+    terms = []
+    while i < na and j < nb:
+        u, wu = a[i]
+        v, wv = b[j]
+        if u == v:
+            terms.append(abs(wu - wv))
+            i += 1
+            j += 1
+        elif u < v:
+            terms.append(abs(wu))
+            i += 1
+        else:
+            terms.append(abs(wv))
+            j += 1
+    terms += [abs(w) for _, w in a[i:]]
+    terms += [abs(w) for _, w in b[j:]]
+    return 0.5 * sum(terms)
 
 
 def simplex_l1_checked(

@@ -33,7 +33,7 @@ from .pathmetric import (  # noqa: F401 - bench/workloads.py reads extension.l1_
     _path_by_search,
     _trivial_witness,
     l1_path_distance,
-    lower_bounds,
+    query_bounds,
 )
 from .vertexmetrics import VertexMetric, word_metric
 
@@ -139,7 +139,7 @@ class ExtendedMetric:
         if carrier is not None:
             path = PathResult(simplex_l1(x, y), _trivial_witness(self.K, x, y, carrier))
         else:
-            bounds = lower_bounds(self.K, x, y) + lower_bounds(self.K, y, x)
+            bounds = query_bounds(self.K, x, y)
             if self.scale * max(v for _, v in bounds) >= bilinear:
                 return (bilinear, "bilinear")
             path = _path_by_search(self.K, x, y, bounds)

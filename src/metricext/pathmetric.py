@@ -26,18 +26,24 @@ is a switch count plus a word distance, so each transport is an integer
 transport, solved exactly; an answer is divided by its scale once.  That
 makes values and witnesses reproducible bit-for-bit and invariant under
 vertex relabelings.  The vertex route that seeds the search is carried as
-its cost, and its witness is built only when it is the answer.
+its cost, and its witness is built only when it is the answer.  Before a
+state's transport is solved, a floor that no transport total undercuts
+(each unit of supply, and of demand, pays at least its cheapest arc) is
+compared with the pruning cutoff; a state it already prunes is dropped
+unsolved, exactly as its total would have dropped it.
 
-Every solved distance is checked against the admissible lower bounds its
-query computed; a result below any bound is recorded and raised as an
-internal inconsistency, never returned.
+A query computes its admissible lower bounds in one pass (`query_bounds`,
+both directions of `lower_bounds` with the symmetric entries computed
+once).  The extension's floor and the search read that one list, and
+every solved distance is checked against it; a result below any bound is
+recorded and raised as an internal inconsistency, never returned.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import add, le
+from operator import add, itemgetter, le, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import (
@@ -283,6 +289,19 @@ def _transport(
     return total, flow
 
 
+def _transport_floor(
+    supply: Sequence[int], demand: Sequence[int], cost: Sequence[Sequence[int]]
+) -> int:
+    """A lower bound on `_transport`'s total.
+
+    Every unit of supply pays at least its row's cheapest arc, and every
+    unit of demand its column's, so neither sum exceeds the optimum.
+    """
+    by_rows = sum(map(mul, supply, map(min, cost)))
+    by_columns = sum(map(mul, demand, map(min, zip(*cost))))
+    return max(by_rows, by_columns)
+
+
 def chain_lp(
     K: SimplicialComplex,
     chain: Chain,
@@ -340,8 +359,8 @@ def lower_bounds(
 ) -> list[tuple[str, float]]:
     """Admissible lower bounds on the path distance, each individually valid.
 
-    coordinate: half the total variation of the coordinate vectors; any path
-      moves each coordinate at least that much.
+    coordinate: half the total variation of the coordinate vectors
+      (`simplex_l1`); any path moves each coordinate at least that much.
     disjoint_support: 1 when the supports are disjoint (each endpoint's mass
       must fully drain and refill).
     sphere: sphere-crossing count around the heaviest support vertex of x.
@@ -350,22 +369,50 @@ def lower_bounds(
       weight on the sphere of radius k, so that sphere's weight function
       varies by at least |w_k(x) - 1| + |1 - w_k(y)| along the path.
     """
-    xw, yw = x.weights, y.weights
-    coords = sorted(set(xw) | set(yw))
-    coordinate = 0.5 * sum(abs(xw.get(v, 0.0) - yw.get(v, 0.0)) for v in coords)
-    disjoint = 1.0 if not set(x.support) & set(y.support) else 0.0
-    out = [("coordinate", coordinate), ("disjoint_support", disjoint)]
+    return [
+        ("coordinate", simplex_l1(x, y)),
+        ("disjoint_support", _disjoint_support(x, y)),
+        ("sphere", _sphere_bound(word_metric(K), x, y)),
+    ]
 
-    max_w = max(w for _, w in x.items)
-    center = min(v for v, w in x.items if w == max_w)
+
+def query_bounds(
+    K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint
+) -> list[tuple[str, float]]:
+    """A query's bounds: lower_bounds(K, x, y) + lower_bounds(K, y, x), entry for entry.
+
+    The coordinate and disjoint-support bounds are symmetric (|a - b| and
+    |b - a| are the same float), so each is computed once; the sphere bound
+    is computed once around each end's heaviest vertex.
+    """
     table = word_metric(K)
-    dist = {v: int(table.distance(center, v)) for v in (*x.support, *y.support)}
+    coordinate = ("coordinate", simplex_l1(x, y))
+    disjoint = ("disjoint_support", _disjoint_support(x, y))
+    return [
+        coordinate,
+        disjoint,
+        ("sphere", _sphere_bound(table, x, y)),
+        coordinate,
+        disjoint,
+        ("sphere", _sphere_bound(table, y, x)),
+    ]
+
+
+def _disjoint_support(x: BarycentricPoint, y: BarycentricPoint) -> float:
+    return 1.0 if set(x.support).isdisjoint(y.support) else 0.0
+
+
+def _sphere_bound(table, x: BarycentricPoint, y: BarycentricPoint) -> float:
+    """The sphere bound of `lower_bounds`, centred at the least of x's heaviest vertices."""
+    center = max(x.items, key=itemgetter(1))[0]  # the first maximum: items ascend by label
     wx: dict[int, float] = {}
     wy: dict[int, float] = {}
     for v, w in x.items:
-        wx[dist[v]] = wx.get(dist[v], 0.0) + w
+        k = int(table.distance(center, v))
+        wx[k] = wx.get(k, 0.0) + w
     for v, w in y.items:
-        wy[dist[v]] = wy.get(dist[v], 0.0) + w
+        k = int(table.distance(center, v))
+        wy[k] = wy.get(k, 0.0) + w
     top_x = max(wx)
     top_y = max(wy)
     total = 0.0
@@ -376,8 +423,7 @@ def lower_bounds(
             total += abs(a - 1.0) + abs(1.0 - b)
         else:
             total += abs(a - b)
-    out.append(("sphere", 0.5 * total))
-    return out
+    return 0.5 * total
 
 
 # --------------------------------------------------------------------------
@@ -446,7 +492,7 @@ def l1_path_distance(
         witness = _route_witness(K, x, y, u, v)
         result = PathResult(float(table.distance(u, v)), witness)
     else:
-        return _path_by_search(K, x, y, lower_bounds(K, x, y) + lower_bounds(K, y, x))
+        return _path_by_search(K, x, y, query_bounds(K, x, y))
 
     _assert_above_bounds(result.value, lower_bounds(K, x, y), "l1_path_distance")
     return result
@@ -481,7 +527,7 @@ def chain_solver_distance(
     word_metric(K)
     if x.key() == y.key():
         return PathResult(0.0, PathWitness(points=(x,), carriers=(), length=0.0))
-    bounds = lower_bounds(K, x, y) + lower_bounds(K, y, x)
+    bounds = query_bounds(K, x, y)
     result = _solve_by_search(K, x, y, bounds)
     _assert_above_bounds(result.value, bounds, "chain_solver_distance")
     return result
@@ -536,9 +582,11 @@ def _best_first(
     scale once sigma holds supp(y).  So the first such state popped is
     optimal.  A state is pruned when its total reaches
     ceil((incumbent - TIE_TOL) * scale), which is exactly when its value is
-    no shorter than incumbent - TIE_TOL.  A state is dropped when another
-    state at the same sigma is nowhere worse; a chain that returns to a
-    simplex is always dropped this way, so the search is finite.
+    no shorter than incumbent - TIE_TOL; when `_transport_floor` already
+    reaches that cutoff, the state is pruned without solving its transport.
+    A state is dropped when another state at the same sigma is nowhere
+    worse; a chain that returns to a simplex is always dropped this way, so
+    the search is finite.
     """
     M = K.maximal_simplices
     overlaps = K.overlaps
@@ -567,6 +615,9 @@ def _best_first(
         cost = tuple([tuple([min(map(add, row, col)) for col in cols]) for row in vals])
         total = transports.get(cost)
         if total is None:
+            floor = _transport_floor(supply, demand, cost)
+            if floor >= cutoff:
+                return floor  # pruned, as the total it bounds would be
             total = transports[cost] = _transport(supply, demand, cost)[0]
         return total
 

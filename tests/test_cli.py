@@ -10,7 +10,8 @@ import pytest
 
 from metricext import cli
 from metricext.cli import main
-from metricext.fileio import save_complex
+from metricext.errors import WeightsNotNormalizable
+from metricext.fileio import load_complex, point_from_json, save_complex
 from metricext.generators import cycle_complex, rips_complex
 
 
@@ -115,6 +116,17 @@ class TestDist:
             "-x", '{"p00": 0.5, "p01": 0.5}', "-y", '{"p02": 1}',
         ])
         assert code == 1
+
+    def test_non_finite_weight_is_validation_error(self, path3_file, capsys):
+        K = load_complex(path3_file)
+        with pytest.raises(WeightsNotNormalizable):
+            point_from_json(K, '{"p00": NaN, "p01": 1}')
+        code = main([
+            "dist", "-c", path3_file, "--kind", "l1path",
+            "-x", '{"p00": NaN, "p01": 1}', "-y", '{"p02": 1}',
+        ])
+        assert code == 1
+        assert "not a finite number" in capsys.readouterr().err
 
     def test_invalid_point_is_validation_error(self, path3_file):
         code = main([

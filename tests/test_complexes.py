@@ -1,13 +1,16 @@
 """Complex construction, barycentric points, per-simplex l1 metric."""
 
 import math
+import pickle
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricext import (
+    BarycentricPoint,
     DuplicateVertex,
     EmptySimplex,
     NegativeWeight,
@@ -26,6 +29,7 @@ from metricext import (
     support,
     vertex_point,
 )
+from metricext.generators import random_point
 
 
 class TestBuildComplex:
@@ -144,6 +148,62 @@ class TestMakePoint:
     def test_tiny_weights_dropped(self, triangle):
         x = make_point(triangle, {"a": 0.5, "b": 0.5, "c": 1e-15})
         assert x.support == ("a", "b")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, path3, bad):
+        # NaN fails both `w < 0` and `w >= WEIGHT_FLOOR`; it must not be dropped silently
+        with pytest.raises(WeightsNotNormalizable):
+            make_point(path3, {"u": bad, "v": 1.0})
+        with pytest.raises(WeightsNotNormalizable):
+            make_point(path3, {"u": bad})
+
+    def test_overflowing_sum_is_scaled_first(self, path3):
+        huge = make_point(path3, {"u": 1e308, "v": 1e308})
+        assert huge == make_point(path3, {"u": 1.0, "v": 1.0})
+        x = make_point(path3, {"u": 1e308, "v": 1.5e308})
+        assert x.support == ("u", "v")
+        assert math.isclose(x.get("u"), 0.4) and math.isclose(x.get("v"), 0.6)
+
+
+class TestPointLayer:
+    def test_vertex_point_is_the_normalized_vertex(self, complex_fleet):
+        for K in complex_fleet.values():
+            for v in K.vertices:
+                p, q = vertex_point(K, v), make_point(K, {v: 1.0})
+                assert p == q and p.items == q.items and p.support == q.support == (v,)
+                assert type(p.items[0][1]) is float
+
+    def test_vertex_point_rejects_unknown_labels(self, path3):
+        with pytest.raises(SupportNotASimplex):
+            vertex_point(path3, "zz")
+
+    def test_support_is_stored_and_not_part_of_identity(self, triangle):
+        items = (("a", 0.25), ("c", 0.75))
+        p, q = BarycentricPoint(items=items), BarycentricPoint(items=tuple(list(items)))
+        assert p.items is not q.items
+        assert p == q and hash(p) == hash(q)
+        assert p.support == ("a", "c") and type(p.support) is tuple
+        assert "support" not in repr(p)
+        assert p == make_point(triangle, {"a": 1.0, "c": 3.0})
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and back.support == p.support
+        weights = p.weights
+        weights["b"] = 1.0  # a fresh dict: changing it changes no point
+        assert p.weights == {"a": 0.25, "c": 0.75}
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_simplex_l1_is_the_dict_formula_bit_for_bit(self, complex_fleet, data):
+        K = complex_fleet[data.draw(st.sampled_from(sorted(complex_fleet)), label="complex")]
+        sigma = data.draw(st.sampled_from(K.maximal_simplices), label="sigma")
+        face = st.lists(st.sampled_from(sigma), min_size=1, unique=True)
+        faces = [sorted(data.draw(face, label="face")) for _ in range(2)]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x, y = (random_point(K, rng, face=f) for f in faces)
+        xw, yw = x.weights, y.weights
+        want = 0.5 * sum(abs(xw.get(v, 0.0) - yw.get(v, 0.0)) for v in sorted(set(xw) | set(yw)))
+        assert simplex_l1(x, y) == want
+        assert simplex_l1(y, x) == want
 
 
 class TestCommonSimplex:

@@ -126,13 +126,20 @@ class TestExtendedDistance:
         M = ExtendedMetric(K, word_vertex_metric(K))
         x = make_point(K, {"c00": 0.0625, "c01": 0.46875, "c02": 0.46875})
         y = make_point(K, {"c01": 0.46875, "c02": 0.46875, "c03": 0.0625})
-        calls = []
-        counted = lambda K, a, b: calls.append((a, b)) or lower_bounds(K, a, b)
-        monkeypatch.setattr(extension_module, "lower_bounds", counted)
-        monkeypatch.setattr(pathmetric_module, "lower_bounds", counted)
+        query_bounds, sphere_bound = pathmetric_module.query_bounds, pathmetric_module._sphere_bound
+        queries, spheres, singles = [], [], []
+        counted_query = lambda K, a, b: queries.append((a, b)) or query_bounds(K, a, b)
+        counted_sphere = lambda table, a, b: spheres.append((a, b)) or sphere_bound(table, a, b)
+        monkeypatch.setattr(extension_module, "query_bounds", counted_query)
+        monkeypatch.setattr(pathmetric_module, "query_bounds", counted_query)
+        monkeypatch.setattr(pathmetric_module, "_sphere_bound", counted_sphere)
+        monkeypatch.setattr(pathmetric_module, "lower_bounds", lambda *args: singles.append(args))
         checks = tripwire_log().checks
         assert M.distance_with_branch(x, y)[1] == "l1path"  # the search tier ran
-        assert calls == [(x, y), (y, x)]
+        # one bounds pass: one sphere bound per direction, no single-direction bounds on top
+        assert queries == [(x, y)]
+        assert spheres == [(x, y), (y, x)]
+        assert singles == []
         assert tripwire_log().checks - checks == 2 * len(lower_bounds(K, x, y))
 
     def test_disjoint_supports_use_bilinear(self, book, rng):

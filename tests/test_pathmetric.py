@@ -1,11 +1,13 @@
 """Path metric: shortcuts, chain search, bounds, witnesses."""
 
+import heapq
 import itertools
 import json
 import math
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -190,6 +192,14 @@ class TestL1PathDistance:
             value, witness = l1_path_distance(strip, x, y)
             witness.validate(strip)
             assert abs(witness.length - value) <= 1e-9
+
+    def test_query_bounds_are_both_directions_entry_for_entry(self, complex_fleet, rng):
+        for K in complex_fleet.values():
+            for _ in range(30):
+                x, y = random_point(K, rng), random_point(K, rng)
+                got = pathmetric.query_bounds(K, x, y)
+                assert got == lower_bounds(K, x, y) + lower_bounds(K, y, x)
+                assert [type(b) for _, b in got] == [float] * 6
 
     def test_respects_all_lower_bounds(self, book, rng):
         for _ in range(40):
@@ -387,6 +397,59 @@ class TestIntegerSearchCore:
         old_total, old_flow = _bellman_ford_transport(old_supply, old_demand, cost)
         assert Fraction(total, scale) == old_total
         assert [[Fraction(f, scale) for f in row] for row in flow] == old_flow
+
+    @given(
+        xw=st.lists(weight, min_size=1, max_size=5),
+        yw=st.lists(weight, min_size=1, max_size=5),
+        data=st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_transport_floor_never_exceeds_the_total(self, xw, yw, data):
+        cost = data.draw(
+            st.lists(
+                st.lists(st.integers(0, 12), min_size=len(yw), max_size=len(yw)),
+                min_size=len(xw),
+                max_size=len(xw),
+            )
+        )
+        supply, demand, _ = pathmetric._masses(_weights_point(xw), _weights_point(yw))
+        floor = pathmetric._transport_floor(supply, demand, cost)
+        assert type(floor) is int
+        assert floor <= pathmetric._transport(supply, demand, cost)[0]
+
+    def test_floor_pruning_keeps_every_pushed_label(self, monkeypatch):
+        # the transports the floor skips would all have been pruned: with the
+        # floor switched off, the search pushes the same labels (so pops the
+        # same ones) and returns the same chain, while solving more transports
+        pushed, solved = [], [0]
+        transport = pathmetric._transport
+
+        def record(heap, item):
+            pushed.append(item)
+            heapq.heappush(heap, item)
+
+        def count(*args):
+            solved[0] += 1
+            return transport(*args)
+
+        counted_heap = SimpleNamespace(heappush=record, heappop=heapq.heappop)
+        monkeypatch.setattr(pathmetric, "heapq", counted_heap)
+        monkeypatch.setattr(pathmetric, "_transport", count)
+        queries = [(K, x, y) for q, K, x, y in _pool_queries() if q["kind"] == "path"]
+        runs = []
+        for floor in (pathmetric._transport_floor, lambda *args: 0):
+            monkeypatch.setattr(pathmetric, "_transport_floor", floor)
+            pushed.clear()
+            solved[0] = 0
+            found = []
+            for K, x, y in queries:
+                table = word_metric(K)
+                incumbent = pathmetric._vertex_route(x, y, table)[0]
+                found.append(pathmetric._best_first(K, x, y, table, incumbent))
+            runs.append((found, list(pushed), solved[0]))
+        (found, labels, with_floor), (found_off, labels_off, without) = runs
+        assert found == found_off and labels == labels_off
+        assert with_floor < without
 
     def test_pool_transports_are_integer(self, monkeypatch):
         # every supply, demand and cost the search and chain_lp hand the
