@@ -77,7 +77,6 @@ from .pathmetric import (
     lower_bounds,
     path_length,
     query_bounds,
-    reset_tripwire_log,
     tripwire_log,
 )
 from .probes import (

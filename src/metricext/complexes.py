@@ -25,7 +25,7 @@ a row is one single-source search, kept in a small LRU; a single distance
 is read from a kept row of either end, or found by a bidirectional search
 over the adjacency and remembered in a bounded memo.  Its dense `matrix` is
 built only for the consumers that need every pair (validating an explicit
-metric, the four-point scan, the automorphism check's matrix comparison).
+metric, the four-point scan).
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ Overlap = tuple[int, tuple[int, ...], tuple[int, ...]]
 # Stored weights below this are treated as exact zeros; support membership is
 # thresholded so floating-point noise cannot create phantom support vertices.
 WEIGHT_FLOOR = 1e-12
-SUM_TOLERANCE = 1e-9
 
 # What a word table keeps: rows up to this many int32 entries in all (4 MiB),
 # and this many searched pairs.  They bound memory; answers do not depend on them.
@@ -232,17 +231,8 @@ class SimplicialComplex:
     def dimension(self) -> int:
         return max(len(s) for s in self.maximal_simplices) - 1
 
-    def has_simplex(self, vertices: Iterable[str]) -> bool:
-        return tuple(sorted(set(vertices))) in self.faces
-
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        return self.adjacency[v]
-
     def edges(self) -> list[Simplex]:
         return sorted(s for s in self.faces if len(s) == 2)
-
-    def simplices_of_dimension(self, d: int) -> list[Simplex]:
-        return sorted(s for s in self.faces if len(s) == d + 1)
 
     def maximal_containing(self, vertices: Iterable[str]) -> list[Simplex]:
         """Maximal simplices containing the given vertex set, canonical order."""
@@ -483,9 +473,6 @@ class Automorphism:
     """Simplicial automorphism given by a vertex bijection."""
 
     mapping: tuple[tuple[str, str], ...]  # sorted by source label
-
-    def __call__(self, v: str) -> str:
-        return dict(self.mapping)[v]
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.mapping)

@@ -79,6 +79,9 @@ def point_from_json(K: SimplicialComplex, text: Any) -> BarycentricPoint:
     data = json.loads(text) if isinstance(text, str) else text
     if not isinstance(data, dict):
         raise InvalidParameters(f"point literal must be a JSON object, got {data!r}")
+    for k, v in data.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):  # bool is an int subclass
+            raise InvalidParameters(f"weight of {k!r} must be a JSON number, got {v!r}")
     return make_point(K, {str(k): float(v) for k, v in data.items()})
 
 

@@ -83,11 +83,6 @@ def tripwire_log() -> TripwireLog:
     return _TRIPWIRE
 
 
-def reset_tripwire_log() -> None:
-    _TRIPWIRE.checks = 0
-    _TRIPWIRE.violations.clear()
-
-
 def _assert_above_bounds(value: float, bounds: Iterable[tuple[str, float]], context: str) -> None:
     for name, bound in bounds:
         _TRIPWIRE.checks += 1

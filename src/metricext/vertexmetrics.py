@@ -109,24 +109,24 @@ def metric_violations(order: tuple[str, ...], matrix: np.ndarray) -> list[Metric
 
 def minimal_linear_bound(matrix: np.ndarray, word: WordMetricTable) -> float:
     """Least C with d(u,v) <= C * word(u,v) over all vertex pairs."""
+    if len(word.order) < 2:
+        raise ValueError("need at least two vertices")
     m = np.asarray(matrix, dtype=float)
     w = word.matrix.astype(float)
     off = ~np.eye(len(w), dtype=bool)
     return float(np.max(m[off] / w[off]))
 
 
-def linear_bound_constant(
-    matrix: np.ndarray, word: WordMetricTable, supplied: float | None = None
-) -> float:
+def linear_bound_constant(matrix: np.ndarray, word: WordMetricTable, supplied: float | None = None) -> float:
     """Minimal linear-bound constant, checking any user-supplied value."""
-    if len(word.order) < 2:
-        raise ValueError("need at least two vertices")
-    minimal = minimal_linear_bound(matrix, word)
+    return _checked_bound(minimal_linear_bound(matrix, word), supplied)
+
+
+def _checked_bound(minimal: float, supplied: float | None) -> float:
+    """The supplied linear-bound constant if it is at least the minimal one, else the minimal one."""
     if supplied is not None:
         if supplied < minimal - TRIANGLE_TOL:
-            raise SuppliedConstantTooSmall(
-                f"supplied C={supplied} below minimal C={minimal}"
-            )
+            raise SuppliedConstantTooSmall(f"supplied C={supplied} below minimal C={minimal}")
         return float(supplied)
     return minimal
 
@@ -228,24 +228,17 @@ def validate_vertex_metric(
     C: float | None = None,
     A: float | None = None,
     B: float | None = None,
-    check_axioms: bool = True,
 ) -> VertexMetric:
-    """Build a VertexMetric after exhaustive axiom and constant checks.
-
-    ``check_axioms=False`` is for matrices that are metrics by construction
-    (word metric, concave transforms of it); user-supplied matrices should
-    always go through the full scan.
-    """
+    """Build a VertexMetric after exhaustive axiom and constant checks."""
     order = tuple(order) if order is not None else K.vertices
     if sorted(order) != list(K.vertices):
         raise ValueError("metric order does not match the complex vertex set")
     m = np.asarray(matrix, dtype=float)
     if m.shape != (len(order), len(order)):
         raise ValueError(f"matrix shape {m.shape} does not match vertex count {len(order)}")
-    if check_axioms:
-        violations = metric_violations(order, m)
-        if violations:
-            raise MetricAxiomError(violations)
+    violations = metric_violations(order, m)
+    if violations:
+        raise MetricAxiomError(violations)
 
     word = word_metric(K)
     # Re-index the metric to the canonical vertex order of the complex.
@@ -253,7 +246,8 @@ def validate_vertex_metric(
         perm = [order.index(v) for v in word.order]
         m = m[np.ix_(perm, perm)]
         order = word.order
-    c_value = linear_bound_constant(m, word, supplied=C)
+    minimal = minimal_linear_bound(m, word)
+    c_value = _checked_bound(minimal, C)
     if A is not None or B is not None:
         if A is None or B is None:
             raise ValueError("supply both A and B or neither")
@@ -266,7 +260,7 @@ def validate_vertex_metric(
         order=order,
         matrix=m,
         C=c_value,
-        minimal_C=minimal_linear_bound(m, word),
+        minimal_C=minimal,
         A=A,
         B=B,
         index={v: i for i, v in enumerate(order)},

@@ -10,7 +10,7 @@ import pytest
 
 from metricext import cli
 from metricext.cli import main
-from metricext.errors import WeightsNotNormalizable
+from metricext.errors import InvalidParameters, WeightsNotNormalizable
 from metricext.fileio import load_complex, point_from_json, save_complex
 from metricext.generators import cycle_complex, rips_complex
 
@@ -127,6 +127,14 @@ class TestDist:
         ])
         assert code == 1
         assert "not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["true", "false", "null", '"1"'])
+    def test_non_number_weight_is_validation_error(self, path3_file, weight):
+        point = f'{{"p00": {weight}, "p01": 1}}'
+        with pytest.raises(InvalidParameters, match="must be a JSON number"):
+            point_from_json(load_complex(path3_file), point)
+        code = main(["dist", "-c", path3_file, "--kind", "l1path", "-x", point, "-y", '{"p02": 1}'])
+        assert code == 1
 
     def test_invalid_point_is_validation_error(self, path3_file):
         code = main([

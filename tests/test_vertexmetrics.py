@@ -32,7 +32,7 @@ from metricext import (
     word_metric,
     word_vertex_metric,
 )
-from metricext import complexes
+from metricext import complexes, vertexmetrics
 from metricext.generators import (
     cycle_complex,
     nested_quadruples,
@@ -231,6 +231,17 @@ class TestLinearBound:
         t = word_metric(book)
         with pytest.raises(SuppliedConstantTooSmall):
             linear_bound_constant(t.matrix.astype(float), t, supplied=0.5)
+
+    def test_validation_computes_the_minimal_bound_once(self, book, monkeypatch):
+        calls = []
+
+        def counted(matrix, word):
+            calls.append(word)
+            return minimal_linear_bound(matrix, word)
+
+        monkeypatch.setattr(vertexmetrics, "minimal_linear_bound", counted)
+        vm = validate_vertex_metric(book, 2.0 * word_metric(book).matrix, C=3.0)
+        assert (vm.C, vm.minimal_C, len(calls)) == (3.0, 2.0, 1)
 
     def test_minimal_attained(self, book):
         vm = transformed_word_metric(book, scale=1.5, saturation=0.5)
