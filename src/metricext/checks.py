@@ -105,38 +105,36 @@ def find_nontrivial_automorphism(K: SimplicialComplex) -> Automorphism | None:
     """A non-identity simplicial automorphism of K, or None when only the identity exists.
 
     Exact individualisation-refinement (Weisfeiler & Leman 1968; McKay & Piperno 2014), with
-    no budget and no size cap: every automorphism keeps the colours refined on the 1-skeleton.
-    The first vertex v of the first non-singleton cell is pinned against each other w of it,
-    and pairs are pinned depth first until mapping each cell onto its namesake in label order
-    passes `make_automorphism`.  If no w works, every automorphism fixes v, so v stays pinned.
+    no budget and no size cap.  Colours are refined on which maximal simplices hold each vertex,
+    so a pin splits vertices even where the 1-skeleton is complete.  The first vertex v of the
+    first non-singleton cell is pinned against each other w of it, and pairs are pinned depth
+    first until mapping each cell onto its namesake in label order passes `make_automorphism`.
+    If no w works, every automorphism fixes v, so v stays pinned.
     """
     vs = K.vertices
-    at = {v: i for i, v in enumerate(vs)}
-    adj = [[at[w] for w in K.adjacency[v]] for v in vs]
 
-    def refine(colour: list) -> list[int]:
+    def refine(colour: dict[str, int]) -> dict[str, int]:
         # a colour is named by the rank of its sorted signature, so names never depend on labels
         while True:
-            signature = [(c, tuple(sorted([colour[j] for j in adj[i]]))) for i, c in enumerate(colour)]
-            names = {s: r for r, s in enumerate(sorted(set(signature)))}
-            refined = [names[s] for s in signature]
-            if len(names) == len(set(colour)):
+            seen = [tuple(sorted([colour[v] for v in s])) for s in K.maximal_simplices]
+            signature = {v: (c, tuple(sorted([seen[s] for s in K.incidence[v]]))) for v, c in colour.items()}
+            names = {s: r for r, s in enumerate(sorted(set(signature.values())))}
+            refined = {v: names[s] for v, s in signature.items()}
+            if len(names) == len(set(colour.values())):
                 return refined
             colour = refined
 
-    def pin(colour: list[int], i: int) -> list[int]:
-        colour = colour.copy()
-        colour[i] = max(colour) + 1  # fresh, so two pins never share a colour
-        return refine(colour)
+    def pin(colour: dict[str, int], v: str) -> dict[str, int]:
+        return refine({**colour, v: max(colour.values()) + 1})  # fresh, so two pins never share a colour
 
-    def cells(colour: list[int]) -> tuple[dict[int, list[int]], int | None]:
+    def cells(colour: dict[str, int]) -> tuple[dict[int, list[str]], int | None]:
         """Colour -> its vertices in label order, and the first colour that several share."""
-        out: dict[int, list[int]] = {}
-        for i, c in enumerate(colour):
-            out.setdefault(c, []).append(i)
+        out: dict[int, list[str]] = {}
+        for v in vs:
+            out.setdefault(colour[v], []).append(v)
         return out, min((c for c, members in out.items() if len(members) > 1), default=None)
 
-    colour = refine([tuple(sorted(len(K.maximal_simplices[s]) for s in K.incidence[v])) for v in vs])
+    colour = refine(dict.fromkeys(vs, 0))
     top, split = cells(colour)
     while split is not None:
         fixed = pin(colour, top[split][0])
@@ -145,11 +143,11 @@ def find_nontrivial_automorphism(K: SimplicialComplex) -> Automorphism | None:
         while stack:
             a, b, w = stack.pop()
             b = pin(b, w)
-            if sorted(a) != sorted(b):
+            if sorted(a.values()) != sorted(b.values()):
                 continue
             (ca, inner), (cb, _) = cells(a), cells(b)
             try:
-                return make_automorphism(K, {vs[i]: vs[j] for c in ca for i, j in zip(ca[c], cb[c])})
+                return make_automorphism(K, {u: t for c in ca for u, t in zip(ca[c], cb[c])})
             except NotAnAutomorphism:
                 if inner is not None:
                     a = pin(a, ca[inner][0])

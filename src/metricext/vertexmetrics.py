@@ -109,24 +109,24 @@ def metric_violations(order: tuple[str, ...], matrix: np.ndarray) -> list[Metric
 
 def minimal_linear_bound(matrix: np.ndarray, word: WordMetricTable) -> float:
     """Least C with d(u,v) <= C * word(u,v) over all vertex pairs."""
-    if len(word.order) < 2:
-        raise ValueError("need at least two vertices")
     m = np.asarray(matrix, dtype=float)
     w = word.matrix.astype(float)
     off = ~np.eye(len(w), dtype=bool)
     return float(np.max(m[off] / w[off]))
 
 
-def linear_bound_constant(matrix: np.ndarray, word: WordMetricTable, supplied: float | None = None) -> float:
+def linear_bound_constant(
+    matrix: np.ndarray, word: WordMetricTable, supplied: float | None = None
+) -> float:
     """Minimal linear-bound constant, checking any user-supplied value."""
-    return _checked_bound(minimal_linear_bound(matrix, word), supplied)
-
-
-def _checked_bound(minimal: float, supplied: float | None) -> float:
-    """The supplied linear-bound constant if it is at least the minimal one, else the minimal one."""
+    if len(word.order) < 2:
+        raise ValueError("need at least two vertices")
+    minimal = minimal_linear_bound(matrix, word)
     if supplied is not None:
         if supplied < minimal - TRIANGLE_TOL:
-            raise SuppliedConstantTooSmall(f"supplied C={supplied} below minimal C={minimal}")
+            raise SuppliedConstantTooSmall(
+                f"supplied C={supplied} below minimal C={minimal}"
+            )
         return float(supplied)
     return minimal
 
@@ -246,8 +246,9 @@ def validate_vertex_metric(
         perm = [order.index(v) for v in word.order]
         m = m[np.ix_(perm, perm)]
         order = word.order
-    minimal = minimal_linear_bound(m, word)
-    c_value = _checked_bound(minimal, C)
+    minimal = linear_bound_constant(m, word)
+    if C is not None and C < minimal - TRIANGLE_TOL:
+        raise SuppliedConstantTooSmall(f"supplied C={C} below minimal C={minimal}")
     if A is not None or B is not None:
         if A is None or B is None:
             raise ValueError("supply both A and B or neither")
@@ -259,7 +260,7 @@ def validate_vertex_metric(
     return VertexMetric(
         order=order,
         matrix=m,
-        C=c_value,
+        C=minimal if C is None else float(C),
         minimal_C=minimal,
         A=A,
         B=B,

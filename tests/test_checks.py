@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from metricext import build_complex, validate_vertex_metric, word_vertex_metric
+from metricext import build_complex, make_automorphism, validate_vertex_metric, word_vertex_metric
 from metricext import checks
 from metricext.checks import find_nontrivial_automorphism, run_checks
 from metricext.generators import (
@@ -59,6 +59,32 @@ def moves_something(g):
     return any(u != v for u, v in g.mapping)
 
 
+def backtracking_has_automorphism(K):
+    """Whether a non-identity vertex map sends maximal simplices onto maximal simplices.
+
+    Extends a partial map in vertex order and checks each maximal simplex as soon as its
+    last vertex is mapped, so it reaches 12 vertices where trying all permutations cannot.
+    """
+    vs = K.vertices
+    maximal = set(K.maximal_simplices)
+    closed_at = {}
+    for s in maximal:
+        closed_at.setdefault(max(vs.index(v) for v in s), []).append(s)
+
+    def extend(image):
+        if len(image) == len(vs):
+            return image != list(vs)
+        for t in vs:
+            if t not in image:
+                g = dict(zip(vs, image + [t]))
+                fits = all(tuple(sorted(g[v] for v in s)) in maximal for s in closed_at.get(len(image), ()))
+                if fits and extend(image + [t]):
+                    return True
+        return False
+
+    return extend([])
+
+
 def test_agrees_with_brute_force_on_small_complexes():
     sweep = small_complexes(400)
     lone = sum(len(K.vertices) > 1 and any(not K.adjacency[v] for v in K.vertices) for K in sweep)
@@ -99,6 +125,33 @@ def test_finds_a_swap_away_from_the_highest_degree_vertex():
 def test_finds_automorphisms_beyond_32_vertices(make):
     g = find_nontrivial_automorphism(make())
     assert g is not None and moves_something(g)
+
+
+TWELVE = [f"v{i:02d}" for i in range(12)]
+# each vertex lies in three triangles, and no relabelling keeps the triangles
+RIGID_TRIANGLES = [
+    (0, 1, 2), (0, 2, 5), (0, 7, 9), (1, 4, 5), (1, 9, 10), (2, 3, 10),
+    (3, 4, 8), (3, 7, 11), (4, 5, 8), (6, 7, 11), (6, 8, 10), (6, 9, 11),
+]
+ROTATED_TRIANGLES = [(i, (i + 1) % 12, (i + 3) % 12) for i in range(12)]
+
+
+@pytest.mark.parametrize("triangles", [RIGID_TRIANGLES, ROTATED_TRIANGLES], ids=["rigid", "rotated"])
+def test_pins_split_a_complete_one_skeleton(triangles, monkeypatch):
+    # every pair is an edge, so only the triangles can tell the 12 vertices apart
+    edges = [list(e) for e in itertools.combinations(TWELVE, 2)]
+    K = build_complex(TWELVE, edges + [[TWELVE[i] for i in t] for t in triangles])
+    tries = []
+
+    def counted(K, mapping):
+        tries.append(mapping)
+        assert len(tries) <= 50, "the search is walking through colour-preserving permutations"
+        return make_automorphism(K, mapping)
+
+    monkeypatch.setattr(checks, "make_automorphism", counted)
+    g = find_nontrivial_automorphism(K)
+    assert (g is not None) == backtracking_has_automorphism(K) == (triangles is ROTATED_TRIANGLES)
+    assert g is None or moves_something(g)
 
 
 def test_proves_only_the_identity():
