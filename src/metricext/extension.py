@@ -10,6 +10,13 @@ where path is the l1 path metric and C bounds d against the word metric
 (d(u,v) <= C * word(u,v)).  The minimum agrees with d on vertices, equals D
 whenever the supports are disjoint, and is a genuine metric.
 
+A query settles on the bilinear branch as soon as 3C times a lower bound on
+the path reaches D.  Before any search, the query's admissible bounds give
+that floor; past it, the path search takes (D, 3C) as a ceiling and applies
+the same test to the bound of every state it would expand, so the floor
+acts at every search state, not only at the root.  A search that proves
+3C * path >= D answers the bilinear branch without an exact path.
+
 Double differences and Gromov products with respect to the extension follow
 the 0.5-normalized convention of vertexmetrics, so <a|b>_c = <c,a|b,c>
 holds verbatim.
@@ -142,7 +149,9 @@ class ExtendedMetric:
             bounds = query_bounds(self.K, x, y)
             if self.scale * max(v for _, v in bounds) >= bilinear:
                 return (bilinear, "bilinear")
-            path = _path_by_search(self.K, x, y, bounds)
+            path = _path_by_search(self.K, x, y, bounds, ceiling=(bilinear, self.scale))
+            if path is None:  # the search proved scale * path >= bilinear
+                return (bilinear, "bilinear")
         scaled = self.scale * path.value
         if bilinear <= scaled:
             return (bilinear, "bilinear")

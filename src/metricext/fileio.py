@@ -103,8 +103,13 @@ def slots_from_json(K: SimplicialComplex, text: Any) -> list[Slot]:
         raise InvalidParameters("slots must be a JSON array")
     slots: list[Slot] = []
     for entry in data:
+        if not isinstance(entry, dict):
+            raise InvalidParameters(f"slot {entry!r} must be a JSON object")
         if "ray" in entry:
-            slots.append(make_ray(K, entry["ray"]))
+            ray = entry["ray"]
+            if not isinstance(ray, list) or not all(isinstance(v, str) for v in ray):
+                raise InvalidParameters(f"ray {ray!r} must be a JSON array of vertex names")
+            slots.append(make_ray(K, ray))
         elif "point" in entry:
             slots.append(point_from_json(K, entry["point"]))
         else:

@@ -37,6 +37,14 @@ both directions of `lower_bounds` with the symmetric entries computed
 once).  The extension's floor and the search read that one list, and
 every solved distance is checked against it; a result below any bound is
 recorded and raised as an internal inconsistency, never returned.
+
+The extension needs only min(bilinear, 3C * path), so it hands the search
+a ceiling (bilinear, 3C).  The search then prunes every state whose bound
+already puts 3C * path at or above bilinear, so the extension's floor acts
+at every search state, not only at the root, and answers None when it has
+proved 3C * path >= bilinear; below the ceiling its answer and witness are
+the ones found without it.  `l1_path_distance` and `chain_solver_distance`
+pass no ceiling.
 """
 
 from __future__ import annotations
@@ -498,14 +506,18 @@ def _path_by_search(
     x: BarycentricPoint,
     y: BarycentricPoint,
     bounds: list[tuple[str, float]],
-) -> PathResult:
+    ceiling: tuple[float, float] | None = None,
+) -> PathResult | None:
     """Tier 3 for a query whose lower bounds, x to y then y to x, are already known.
 
     `l1_path_distance` and `ExtendedMetric` both solve here, so each query
-    computes its bounds once and is checked against all of them.
+    computes its bounds once and is checked against all of them.  With a
+    ceiling (bilinear, factor) the answer is None once factor * path is
+    proved to reach bilinear (`_solve_by_search`); no path is left to check.
     """
-    result = _solve_by_search(K, x, y, bounds)
-    _assert_above_bounds(result.value, bounds, "l1_path_distance")
+    result = _solve_by_search(K, x, y, bounds, ceiling)
+    if result is not None:
+        _assert_above_bounds(result.value, bounds, "l1_path_distance")
     return result
 
 
@@ -533,16 +545,26 @@ def _solve_by_search(
     x: BarycentricPoint,
     y: BarycentricPoint,
     bounds: list[tuple[str, float]],
-) -> PathResult:
+    ceiling: tuple[float, float] | None = None,
+) -> PathResult | None:
     """The vertex route, unless the best-first search finds a shorter chain.
 
-    The route is carried as its cost; its witness is built only when it is
-    the answer.
+    The route is carried as its cost; its witness is built only when the
+    search finds nothing.  A ceiling (bilinear, factor) is the stake of a
+    caller that only needs min(bilinear, factor * path): the search then
+    prunes every chain with factor * value >= bilinear as well, and when it
+    finds nothing and factor * the route's witness length reaches bilinear
+    too, the answer is None, a proof that factor * path >= bilinear.
+    Otherwise the result is the exact path, the same as without a ceiling
+    (see `_best_first`).  For the extension's own ceiling (D, 3C) the route
+    test always passes, since each support spans a simplex and so
+    D <= C * route, but it keeps the proof free of what the caller's
+    numbers mean.
     """
     table = word_metric(K)
     incumbent, u, v = _vertex_route(x, y, table)
     if incumbent > max(b for _, b in bounds) + TIE_TOL:
-        found = _best_first(K, x, y, table, incumbent)
+        found = _best_first(K, x, y, table, incumbent, ceiling)
         if found is not None:
             carriers, bound, scale = found
             value, breakpoints = chain_lp(K, Chain(simplices=carriers), x, y)
@@ -556,7 +578,29 @@ def _solve_by_search(
                 )
             return PathResult(value, PathWitness(points=points, carriers=carriers, length=length))
     witness = _route_witness(K, x, y, u, v)
+    if ceiling is not None:
+        bilinear, factor = ceiling
+        if factor * witness.length >= bilinear:
+            return None
     return PathResult(witness.length, witness)
+
+
+def _reaching_total(bilinear: float, factor: float, scale: int, cutoff: int) -> int:
+    """The least total T below cutoff with factor * (T / scale) >= bilinear, else cutoff.
+
+    The test is the caller's own, in floats, on the value `chain_lp` would
+    return (int / int, correctly rounded).  Division by a positive int and
+    multiplication by a positive float are monotone under rounding, so the
+    test is monotone in T and a binary search finds the least T.
+    """
+    lo, hi = 0, cutoff
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if factor * (mid / scale) >= bilinear:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _best_first(
@@ -565,6 +609,7 @@ def _best_first(
     y: BarycentricPoint,
     table,
     incumbent: float,
+    ceiling: tuple[float, float] | None = None,
 ) -> tuple[tuple[Simplex, ...], int, int] | None:
     """Best chain shorter than the incumbent by more than TIE_TOL: (chain, total, scale), or None.
 
@@ -582,6 +627,29 @@ def _best_first(
     A state is dropped when another state at the same sigma is nowhere
     worse; a chain that returns to a simplex is always dropped this way, so
     the search is finite.
+
+    A ceiling (bilinear, factor) lowers the cutoff R to E = the least total
+    T with factor * (T / scale) >= bilinear, when E < R (`_reaching_total`).
+    The answer is then the same as without it, or None where a chain of
+    total in [E, R) was pruned, as follows.
+
+    - Rounding is monotone, so a state whose bound reaches E cannot
+      complete to a chain whose value, times factor, falls below bilinear:
+      such a chain could not win the caller's min.
+    - A dominated state has a bound no lower than its dominator's, so a
+      state whose bound reaches E, kept or pruned, never drops or replaces
+      a state below E.  The states below
+      E are pushed and popped in the same order as without the ceiling;
+      every state popped before the goal has a bound below E, so a goal
+      found is the same chain, with the same total, breakpoints and witness.
+    - If nothing is found, a chain of total T in [E, R) may have been
+      pruned.  T < R puts T / scale below incumbent - TIE_TOL exactly.
+      Rounding T / scale, and the gap between the incumbent and the route's
+      witness length (the same sum, added up another way), are both far
+      below TIE_TOL, so the rounded T / scale is below that length and
+      factor * length reaches bilinear too.  The caller therefore tests the
+      route: when factor * length falls below bilinear, no such chain
+      exists and the route is the exact answer.
     """
     M = K.maximal_simplices
     overlaps = K.overlaps
@@ -590,6 +658,8 @@ def _best_first(
     supply, demand, scale = _masses(x, y)
     p, q = (incumbent - TIE_TOL).as_integer_ratio()
     cutoff = -(-p * scale // q)
+    if ceiling is not None:
+        cutoff = _reaching_total(*ceiling, scale, cutoff)
     index = table.index
     rows_y = [table.row(v) for v in ys]  # one search per vertex of supp(y) answers every word(w, v)
     to_y: dict[str, tuple[int, ...]] = {}  # w -> word(w, v) for v in supp(y)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from metricext import build_complex, tripwire_log
+from metricext import build_complex, make_point, tripwire_log
 from metricext.generators import (
     cycle_complex,
     path_complex,
@@ -47,6 +50,24 @@ def fleet():
         "random20": random_complex(20, 0.18, seed=5),
         "book": book_complex(),
     }
+
+
+def pool_queries(workloads=("path-fleet", "hard-rips")):
+    """The benchmark's fixed query pools (bench/pool.json, read only), with their complexes."""
+    pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())
+    complexes = {
+        "rips_c30": rips_complex(cycle_complex(30), 2),
+        "random80": random_complex(80, 0.08, seed=1),
+        "tree2_9": tree_complex(2, 9),
+        "rips_p40": rips_complex(path_complex(40), 3),
+    }
+    scale = pool["resolution"]
+    for workload in workloads:
+        for q in pool["workloads"][workload]["queries"]:
+            K = complexes[q["complex"]]
+            x = make_point(K, {v: c / scale for v, c in q["x"].items()})
+            y = make_point(K, {v: c / scale for v, c in q["y"].items()})
+            yield q, K, x, y
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import pytest
 from metricext import cli
 from metricext.cli import main
 from metricext.errors import InvalidParameters, WeightsNotNormalizable
-from metricext.fileio import load_complex, point_from_json, save_complex
+from metricext.fileio import load_complex, point_from_json, save_complex, slots_from_json
 from metricext.generators import cycle_complex, rips_complex
 
 
@@ -180,6 +180,22 @@ class TestProbeCommands:
 
     def test_convergence_needs_slots(self, tree_file):
         assert main(["probe", "convergence", "-c", tree_file]) == 1
+
+    @pytest.mark.parametrize("slots, message", [
+        ([1, 2, 3, 4], "must be a JSON object"),
+        ([{"ray": 5}, {"point": {"t00": 1}}, {"point": {"t01": 1}}, {"point": {"t02": 1}}],
+         "must be a JSON array of vertex names"),
+        ([{"ray": "t00"}, {"point": {"t00": 1}}, {"point": {"t01": 1}}, {"point": {"t02": 1}}],
+         "must be a JSON array of vertex names"),
+        ([{"ray": ["t00", 1]}, {"point": {"t00": 1}}, {"point": {"t01": 1}}, {"point": {"t02": 1}}],
+         "must be a JSON array of vertex names"),
+    ])
+    def test_malformed_slot_is_validation_error(self, tree_file, capsys, slots, message):
+        with pytest.raises(InvalidParameters, match=message):
+            slots_from_json(load_complex(tree_file), json.dumps(slots))
+        code = main(["probe", "divergence", "-c", tree_file, "--slots", json.dumps(slots)])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_convergence_probe(self, tree_file, capsys):
         slots = json.dumps([

@@ -1,9 +1,12 @@
 """Bilinear extension, corrected extension metric, double differences."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricext import (
     ExtendedMetric,
@@ -22,7 +25,9 @@ from metricext import (
     sandwich_check,
     transformed_word_metric,
     tripwire_log,
+    validate_vertex_metric,
     vertex_point,
+    word_metric,
     word_vertex_metric,
 )
 from metricext import extension as extension_module
@@ -36,6 +41,8 @@ from metricext.generators import (
     tree_complex,
     tree_reflection,
 )
+
+from conftest import pool_queries
 
 
 class TestBilinearExtension:
@@ -171,6 +178,95 @@ class TestExtendedDistance:
             lhs = bilinear_extension(vm, x, z)
             rhs = bilinear_extension(vm, x, y) + 2.0 * vm.C * l1_path_distance(book, y, z).value
             assert lhs <= rhs + 1e-9
+
+
+def _reference(M, x, y):
+    """min(bilinear, 3C * path) from the full path solve, ties reporting bilinear."""
+    bilinear = bilinear_extension(M.vertex, x, y)
+    path = l1_path_distance(M.K, x, y)
+    scaled = 3.0 * M.vertex.C * path.value
+    if bilinear <= scaled:
+        return (bilinear, "bilinear", None)
+    return (scaled, "l1path", path.witness)
+
+
+class TestSearchCeiling:
+    """The search stops once 3C * path reaches bilinear; every answer stays the full min's."""
+
+    def test_pool_pairs_match_the_reference(self):
+        for q, K, x, y in pool_queries(("path-fleet",)):
+            if q["kind"] == "ext":
+                M = ExtendedMetric(K, word_vertex_metric(K))
+                assert M.distance_with_witness(x, y) == _reference(M, x, y), q["id"]
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_near_pairs_match_the_reference(self, complex_fleet, data):
+        # most weight on an edge or more that two maximal simplices share, some
+        # off it: about a quarter reach the search, half of those decided by the ceiling
+        name = data.draw(st.sampled_from(sorted(complex_fleet)))
+        K = complex_fleet[name]
+        M = K.maximal_simplices
+        meeting = [(a, b) for a in M for b in M if a != b and len(set(a) & set(b)) >= 2]
+        if not meeting:  # a graph, or a lone simplex
+            return
+        a, b = data.draw(st.sampled_from(meeting))
+
+        def near(simplex):
+            return make_point(K, {
+                v: data.draw(st.integers(8, 32) if v in a and v in b else st.integers(0, 8))
+                for v in simplex
+            })
+
+        x, y = near(a), near(b)
+        vm = transformed_word_metric(
+            K, data.draw(st.sampled_from([1.0, 1.5])), data.draw(st.sampled_from([0.0, 0.5]))
+        )
+        ext = ExtendedMetric(K, vm)
+        assert ext.distance_with_witness(x, y) == _reference(ext, x, y)
+
+    def test_tie_at_the_ceiling_reports_bilinear(self):
+        # 3C * path(x, y) = 4.515625 * 0.125 = bilinear(x, y) exactly at C = tie
+        K = rips_complex(cycle_complex(8), 2)
+        x = make_point(K, {"c00": 1 / 16, "c01": 15 / 32, "c02": 15 / 32})
+        y = make_point(K, {"c01": 15 / 32, "c02": 15 / 32, "c03": 1 / 16})
+        word = word_metric(K).matrix
+        tie = 1.5052083333333333
+        below = math.nextafter(tie, 0.0)
+        answers, checked = {}, {}
+        for C in (tie, below):
+            M = ExtendedMetric(K, validate_vertex_metric(K, word, C=C))
+            assert M.vertex.minimal_C == 1.0 < C
+            checks = tripwire_log().checks
+            answers[C] = M.distance_with_witness(x, y)
+            checked[C] = tripwire_log().checks - checks
+            assert answers[C] == _reference(M, x, y)
+        assert answers[tie] == (0.564453125, "bilinear", None)
+        assert answers[below][:2] == (0.5644531249999999, "l1path")
+        assert answers[below][2].length == 0.125
+        # the ceiling decides the tie, leaving no path result to check against
+        # the query's six bounds; just below it the path is solved and checked
+        assert checked == {tie: 0, below: 6}
+
+    def test_rounding_near_the_ceiling_matches_the_reference(self):
+        # 3C * path(x, y) crosses bilinear(x, y) = 0.48046875 near C = 1.025; on
+        # each float C around it the answer is the full min's, so the cutoff
+        # takes its rounding from 3C * (total / scale), not from bilinear / 3C
+        K = rips_complex(cycle_complex(8), 2)
+        x = make_point(K, {"c00": 1 / 32, "c01": 7 / 32, "c02": 24 / 32})
+        y = make_point(K, {"c01": 8 / 32, "c02": 20 / 32, "c03": 4 / 32})
+        word = word_metric(K).matrix
+        C = 1.025
+        for _ in range(80):
+            C = math.nextafter(C, 0.0)
+        branches = set()
+        for _ in range(160):
+            M = ExtendedMetric(K, validate_vertex_metric(K, word, C=C))
+            got = M.distance_with_witness(x, y)
+            assert got == _reference(M, x, y), C
+            branches.add(got[1])
+            C = math.nextafter(C, math.inf)
+        assert branches == {"bilinear", "l1path"}
 
 
 def simplex_l1_local(x, y):

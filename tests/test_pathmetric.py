@@ -2,11 +2,9 @@
 
 import heapq
 import itertools
-import json
 import math
 import time
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,13 +37,14 @@ from metricext.complexes import WordMetricTable
 from metricext.generators import (
     cycle_complex,
     path_complex,
-    random_complex,
     random_point,
     random_same_simplex_pair,
     rips_complex,
     tree_complex,
 )
 from metricext.oracle import grid_oracle_path_distance
+
+from conftest import pool_queries
 
 
 class TestPathLength:
@@ -351,24 +350,6 @@ def _weights_point(weights):
     return BarycentricPoint(items=tuple((f"v{i}", w) for i, w in enumerate(weights)))
 
 
-def _pool_queries():
-    """The path-fleet and hard-rips query pools of the benchmark, with their complexes."""
-    pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())
-    complexes = {
-        "rips_c30": rips_complex(cycle_complex(30), 2),
-        "random80": random_complex(80, 0.08, seed=1),
-        "tree2_9": tree_complex(2, 9),
-        "rips_p40": rips_complex(path_complex(40), 3),
-    }
-    scale = pool["resolution"]
-    for workload in ("path-fleet", "hard-rips"):
-        for q in pool["workloads"][workload]["queries"]:
-            K = complexes[q["complex"]]
-            x = make_point(K, {v: c / scale for v, c in q["x"].items()})
-            y = make_point(K, {v: c / scale for v, c in q["y"].items()})
-            yield q, K, x, y
-
-
 class TestIntegerSearchCore:
     weight = st.builds(lambda num, k: num / 2**k, st.integers(1, 1024), st.integers(0, 10))
 
@@ -435,7 +416,7 @@ class TestIntegerSearchCore:
         counted_heap = SimpleNamespace(heappush=record, heappop=heapq.heappop)
         monkeypatch.setattr(pathmetric, "heapq", counted_heap)
         monkeypatch.setattr(pathmetric, "_transport", count)
-        queries = [(K, x, y) for q, K, x, y in _pool_queries() if q["kind"] == "path"]
+        queries = [(K, x, y) for q, K, x, y in pool_queries() if q["kind"] == "path"]
         runs = []
         for floor in (pathmetric._transport_floor, lambda *args: 0):
             monkeypatch.setattr(pathmetric, "_transport_floor", floor)
@@ -455,23 +436,72 @@ class TestIntegerSearchCore:
         # every supply, demand and cost the search and chain_lp hand the
         # transport is an int, and the answers are the pool's where it has one
         real = pathmetric._transport
-        calls = []
+        calls = {"path": 0, "ext": 0}
+        kind = [None]
 
         def checked(supply, demand, cost):
-            calls.append(1)
+            calls[kind[0]] += 1
             assert all(type(v) is int for v in (*supply, *demand, *itertools.chain(*cost)))
             return real(supply, demand, cost)
 
         monkeypatch.setattr(pathmetric, "_transport", checked)
         extended = {}
-        for q, K, x, y in _pool_queries():
+        for q, K, x, y in pool_queries():
+            kind[0] = q["kind"]
             if q["kind"] == "path":
                 value = l1_path_distance(K, x, y).value
             else:
                 value = extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K))).distance(x, y)
             if q["expected"] is not None:
                 assert value == pytest.approx(q["expected"], abs=1e-9), q["id"]
-        assert len(calls) > 300
+        # exact counts: the path queries solve what they always did; the
+        # extension's ceiling leaves its queries 41 transports, where the full
+        # path search behind each of them solved 171
+        assert calls == {"path": 153, "ext": 41}
+
+    @given(
+        total=st.integers(0, 2**40),
+        scale=st.integers(1, 2**40),
+        factor=st.floats(0.5, 10.0),
+        offset=st.sampled_from([-1, 0, 1]),
+        cutoff=st.integers(0, 2**41),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_reaching_total_is_the_least_reaching_bilinear(self, total, scale, factor, offset, cutoff):
+        # bilinear at, just below or just above factor * (total / scale), in floats
+        bilinear = factor * (total / scale)
+        if offset:
+            bilinear = math.nextafter(bilinear, offset * math.inf)
+
+        def reaches(t):
+            return factor * (t / scale) >= bilinear
+
+        least = pathmetric._reaching_total(bilinear, factor, scale, cutoff)
+        assert 0 <= least <= cutoff
+        assert least == cutoff or reaches(least)
+        assert least == 0 or not reaches(least - 1)
+
+    def test_a_ceiling_returns_the_path_or_proves_it_reaches_bilinear(self):
+        # with a ceiling (bilinear, factor) the search answers None only when
+        # factor * path >= bilinear, and otherwise the exact path and witness;
+        # bilinear one float above factor * path must therefore get the path
+        answers = {"path": 0, "none": 0}
+        for q, K, x, y in pool_queries(("path-fleet",)):
+            if x.key() == y.key():
+                continue
+            exact = chain_solver_distance(K, x, y)
+            bounds = pathmetric.query_bounds(K, x, y)
+            for factor in (1.0, 1.7, math.pi, 3.3000000000000003):
+                tie = factor * exact.value
+                for bilinear in (tie, math.nextafter(tie, math.inf)):
+                    got = pathmetric._path_by_search(K, x, y, bounds, (bilinear, factor))
+                    if got is None:
+                        assert tie >= bilinear, q["id"]
+                        answers["none"] += 1
+                    else:
+                        assert got == exact, q["id"]
+                        answers["path"] += 1
+        assert answers["path"] and answers["none"]
 
     @pytest.mark.parametrize("xw, yw, want", HARD_RIPS_PAIRS)
     def test_search_prunes_exactly_at_the_incumbent_less_tie_tol(self, rips_path40, xw, yw, want):
