@@ -378,29 +378,30 @@ def make_point(K: SimplicialComplex, weights: Mapping[str, float]) -> Barycentri
             raise NegativeWeight(f"weight of {v!r} is negative ({w})")
         if not math.isfinite(w):
             raise WeightsNotNormalizable(f"weight of {v!r} is not a finite number ({w})")
-    kept = {v: float(w) for v, w in weights.items() if w >= WEIGHT_FLOOR}
-    total = sum(kept[v] for v in sorted(kept))
+    # (label, weight) in label order: every sum below adds in that order
+    kept = sorted((v, float(w)) for v, w in weights.items() if w >= WEIGHT_FLOOR)
+    total = sum(w for _, w in kept)
     if math.isinf(total):
         # finite weights whose sum overflows: scale by the largest first (only here,
         # so every point whose sum is finite keeps its bits)
-        top = max(kept.values())
-        kept = {v: w / top for v, w in kept.items()}
-        total = sum(kept[v] for v in sorted(kept))
+        top = max(w for _, w in kept)
+        kept = [(v, w / top) for v, w in kept]
+        total = sum(w for _, w in kept)
     if total <= 0:
         raise WeightsNotNormalizable(f"weights sum to {total}, cannot normalize")
-    normalized = {v: w / total for v, w in kept.items()}
+    normalized = [(v, w / total) for v, w in kept]
     # Renormalization may expose weights under the floor; drop and repeat once.
-    again = {v: w for v, w in normalized.items() if w >= WEIGHT_FLOOR}
+    again = [(v, w) for v, w in normalized if w >= WEIGHT_FLOOR]
     if len(again) != len(normalized):
-        total = sum(again[v] for v in sorted(again))
+        total = sum(w for _, w in again)
         if total <= 0:
             raise WeightsNotNormalizable("all weight below representable floor")
-        normalized = {v: w / total for v, w in again.items()}
+        normalized = [(v, w / total) for v, w in again]
 
-    support = tuple(sorted(normalized))
-    if support not in K.faces:
-        raise SupportNotASimplex(f"support {support} does not span a simplex")
-    return BarycentricPoint(items=tuple((v, normalized[v]) for v in support))
+    point = BarycentricPoint(items=tuple(normalized))
+    if point.support not in K.faces:
+        raise SupportNotASimplex(f"support {point.support} does not span a simplex")
+    return point
 
 
 def vertex_point(K: SimplicialComplex, v: str) -> BarycentricPoint:
@@ -436,9 +437,12 @@ def simplex_l1(x: BarycentricPoint, y: BarycentricPoint) -> float:
     never on which common simplex is used.
 
     One merge of the two label-sorted item lists gives |x_v - y_v| for
-    every label of either support, in label order.
+    every label of either support, in label order; two vertices of weight
+    1.0 need no merge.
     """
     a, b = x.items, y.items
+    if len(a) == len(b) == 1 and a[0][1] == b[0][1] == 1.0:
+        return 0.0 if a[0][0] == b[0][0] else 1.0
     na, nb = len(a), len(b)
     i = j = 0
     terms = []

@@ -27,10 +27,14 @@ transport, solved exactly; an answer is divided by its scale once.  That
 makes values and witnesses reproducible bit-for-bit and invariant under
 vertex relabelings.  The vertex route that seeds the search is carried as
 its cost, and its witness is built only when it is the answer.  Before a
-state's transport is solved, a floor that no transport total undercuts
-(each unit of supply, and of demand, pays at least its cheapest arc) is
-compared with the pruning cutoff; a state it already prunes is dropped
-unsolved, exactly as its total would have dropped it.
+state is priced, a floor that no transport total undercuts (each unit of
+supply, and of demand, pays at least its cheapest arc) is compared with
+the pruning cutoff; a state it already prunes is dropped unpriced, exactly
+as its total would have dropped it.  A state whose supp(x) or supp(y) has
+one or two atoms is priced in closed form (`_transport_total`: the floor
+itself, or a fractional knapsack), which gives the solver's total, so
+pushes, pops and chains do not change; only larger states and
+`chain_lp`, which needs the flows, run the solver.
 
 A query computes its admissible lower bounds in one pass (`query_bounds`,
 both directions of `lower_bounds` with the symmetric entries computed
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import add, itemgetter, le, mul
+from operator import add, itemgetter, le, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import (
@@ -73,6 +77,9 @@ from .vertexmetrics import geodesic, word_metric
 
 VALUE_TOL = 1e-9
 TIE_TOL = 1e-12
+# how far factor * route cost must clear a ceiling's bilinear for the route's
+# witness to be skipped (see `_solve_by_search`)
+ROUTE_MARGIN = 2.0**-4
 
 
 # --------------------------------------------------------------------------
@@ -166,7 +173,8 @@ def path_length(
         if carrier not in K.faces:
             raise InvalidCarrier(f"carrier {carrier} is not a simplex of the complex")
         a, b = points[i], points[i + 1]
-        if not (set(a.support) <= set(carrier) and set(b.support) <= set(carrier)):
+        held = set(carrier)
+        if not (held.issuperset(a.support) and held.issuperset(b.support)):
             raise InvalidCarrier(
                 f"segment {i}: supports {a.support}, {b.support} not inside {carrier}"
             )
@@ -305,6 +313,42 @@ def _transport_floor(
     return max(by_rows, by_columns)
 
 
+def _transport_total(
+    supply: Sequence[int], demand: Sequence[int], cost: Sequence[Sequence[int]]
+) -> int:
+    """`_transport(supply, demand, cost)[0]`, in closed form when a side has one or two atoms.
+
+    With one row every arc carries its column's whole demand (with one
+    column, its row's whole supply): the total is `_transport_floor`'s.
+    With two rows, start from every column served by the second row: moving
+    a unit of column j to the first row changes the total by
+    cost[0][j] - cost[1][j], and the first row must take exactly supply[0]
+    units, at most demand[j] of them from column j.  That is a fractional
+    knapsack, so moving the supply to columns in ascending order of that
+    difference is optimal, and its total an integer.  Two columns are the
+    same with rows and columns exchanged.  Larger states solve the transport.
+    """
+    if len(supply) == 1:
+        return sum(map(mul, demand, cost[0]))
+    if len(demand) == 1:
+        return sum(map(mul, supply, next(zip(*cost))))
+    if len(supply) == 2:
+        return _knapsack(supply[0], demand, *cost)
+    if len(demand) == 2:
+        return _knapsack(demand[0], supply, *zip(*cost))
+    return _transport(supply, demand, cost)[0]
+
+
+def _knapsack(amount: int, caps: Sequence[int], first: Sequence[int], second: Sequence[int]) -> int:
+    """Least sum of first[j] * a_j + second[j] * (caps[j] - a_j) over 0 <= a_j <= caps[j] totalling amount."""
+    total = sum(map(mul, caps, second))
+    for change, cap in sorted(zip(map(sub, first, second), caps)):
+        moved = min(cap, amount)
+        total += moved * change
+        amount -= moved
+    return total
+
+
 def chain_lp(
     K: SimplicialComplex,
     chain: Chain,
@@ -406,12 +450,15 @@ def _disjoint_support(x: BarycentricPoint, y: BarycentricPoint) -> float:
 
 
 def _sphere_bound(table, x: BarycentricPoint, y: BarycentricPoint) -> float:
-    """The sphere bound of `lower_bounds`, centred at the least of x's heaviest vertices."""
+    """The sphere bound of `lower_bounds`, centred at the least of x's heaviest vertices.
+
+    supp(x) spans a simplex, so every other vertex of it lies at radius 1.
+    """
     center = max(x.items, key=itemgetter(1))[0]  # the first maximum: items ascend by label
     wx: dict[int, float] = {}
     wy: dict[int, float] = {}
     for v, w in x.items:
-        k = int(table.distance(center, v))
+        k = int(v != center)
         wx[k] = wx.get(k, 0.0) + w
     for v, w in y.items:
         k = int(table.distance(center, v))
@@ -560,6 +607,21 @@ def _solve_by_search(
     test always passes, since each support spans a simplex and so
     D <= C * route, but it keeps the proof free of what the caller's
     numbers mean.
+
+    The test is first made on the incumbent, which adds up the same route
+    as the witness length, (1 - x_u) + word(u, v) + (1 - y_v), in another
+    order.  Their gap is at most (7 word(u, v) + 2 |supp x| + 2 |supp y|
+    + 15) units of 2^-53: a few roundings per segment, plus coordinates
+    that sum to 1 only to within a rounding per atom.  The incumbent is at
+    least 1 when word(u, v) >= 1, and otherwise at least WEIGHT_FLOOR >
+    2^-40 (u = v, and x or y is not that vertex), so the gap stays below
+    2^-5 of the incumbent while each support has at most 60 atoms (a
+    simplex on 60 vertices has 2^60 faces, which no complex here stores).
+    When factor * incumbent clears bilinear * (1 + ROUTE_MARGIN), with
+    ROUTE_MARGIN = 2^-4, factor * length therefore reaches bilinear too
+    ((1 + 2^-4)(1 - 2^-5) > 1 with room for the products' roundings), and
+    the answer is None without the witness; only inside that margin is
+    the witness built and tested.
     """
     table = word_metric(K)
     incumbent, u, v = _vertex_route(x, y, table)
@@ -577,11 +639,13 @@ def _solve_by_search(
                     f"{length} disagree"
                 )
             return PathResult(value, PathWitness(points=points, carriers=carriers, length=length))
-    witness = _route_witness(K, x, y, u, v)
     if ceiling is not None:
         bilinear, factor = ceiling
-        if factor * witness.length >= bilinear:
+        if factor * incumbent >= bilinear * (1.0 + ROUTE_MARGIN):
             return None
+    witness = _route_witness(K, x, y, u, v)
+    if ceiling is not None and factor * witness.length >= bilinear:
+        return None
     return PathResult(witness.length, witness)
 
 
@@ -616,7 +680,7 @@ def _best_first(
     A state is a maximal simplex sigma reached by a chain from supp(x) plus,
     for each u in supp(x), the fewest switches val_u(w) that bring the mass
     of u to each w in sigma, as a tuple aligned with sigma.  States are
-    popped in the order of an integer transport (`_masses`, `_transport`)
+    popped in the order of an integer transport (`_masses`, `_transport_total`)
     whose cost from u to v is min_w val_u(w) + word(w, v): a bound no
     extension of the chain can beat, equal to the chain optimum times the
     scale once sigma holds supp(y).  So the first such state popped is
@@ -683,7 +747,7 @@ def _best_first(
             floor = _transport_floor(supply, demand, cost)
             if floor >= cutoff:
                 return floor  # pruned, as the total it bounds would be
-            total = transports[cost] = _transport(supply, demand, cost)[0]
+            total = transports[cost] = _transport_total(supply, demand, cost)
         return total
 
     def push(s: int, vals: tuple, parent: int | None) -> None:

@@ -61,8 +61,8 @@ def geodesic(K: SimplicialComplex, u: str, v: str) -> list[str]:
     to_v = table.row(v)
     path = [u]
     while path[-1] != v:
-        step = to_v[index[path[-1]]] - 1
-        path.append(min(w for w in K.adjacency[path[-1]] if to_v[index[w]] == step))
+        step = to_v.item(index[path[-1]]) - 1
+        path.append(min(w for w in K.adjacency[path[-1]] if to_v.item(index[w]) == step))
     return path
 
 

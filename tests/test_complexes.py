@@ -13,6 +13,7 @@ from metricext import (
     BarycentricPoint,
     DuplicateVertex,
     EmptySimplex,
+    MetricExtError,
     NegativeWeight,
     NoCommonSimplex,
     NotAnAutomorphism,
@@ -29,6 +30,7 @@ from metricext import (
     support,
     vertex_point,
 )
+from metricext.complexes import WEIGHT_FLOOR
 from metricext.generators import random_point
 
 
@@ -118,7 +120,82 @@ class TestBuildComplex:
         assert held == [("a", "b", "c"), ("b", "c", "d")]
 
 
+def _dict_make_point(K, weights):
+    """make_point as it once normalised, through three dicts: the bit-for-bit reference."""
+    for v, w in weights.items():
+        if w < 0:
+            raise NegativeWeight(f"weight of {v!r} is negative ({w})")
+        if not math.isfinite(w):
+            raise WeightsNotNormalizable(f"weight of {v!r} is not a finite number ({w})")
+    kept = {v: float(w) for v, w in weights.items() if w >= WEIGHT_FLOOR}
+    total = sum(kept[v] for v in sorted(kept))
+    if math.isinf(total):
+        top = max(kept.values())
+        kept = {v: w / top for v, w in kept.items()}
+        total = sum(kept[v] for v in sorted(kept))
+    if total <= 0:
+        raise WeightsNotNormalizable(f"weights sum to {total}, cannot normalize")
+    normalized = {v: w / total for v, w in kept.items()}
+    again = {v: w for v, w in normalized.items() if w >= WEIGHT_FLOOR}
+    if len(again) != len(normalized):
+        total = sum(again[v] for v in sorted(again))
+        if total <= 0:
+            raise WeightsNotNormalizable("all weight below representable floor")
+        normalized = {v: w / total for v, w in again.items()}
+    support = tuple(sorted(normalized))
+    if support not in K.faces:
+        raise SupportNotASimplex(f"support {support} does not span a simplex")
+    return BarycentricPoint(items=tuple((v, normalized[v]) for v in support))
+
+
+def _made(make, K, weights):
+    """A point's labels and weight bits, or the error's type and message."""
+    try:
+        p = make(K, weights)
+    except MetricExtError as exc:
+        return type(exc), str(exc)
+    return [(v, w.hex()) for v, w in p.items], p.support
+
+
+# weights that reach every branch: dropped under the floor, dropped only after
+# renormalising, sums that overflow, and each rejected value
+SPECIAL_WEIGHTS = [0.0, -0.0, 9e-13, 1e-12, 1.5e-12, 3e-12, 1e308, 1.5e308, math.nan, math.inf, -1.0, -1e-300]
+
+
 class TestMakePoint:
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_the_dict_normaliser_bit_for_bit(self, complex_fleet, data):
+        K = complex_fleet[data.draw(st.sampled_from(sorted(complex_fleet)), label="complex")]
+        sigma = data.draw(st.sampled_from(K.maximal_simplices), label="sigma")
+        labels = data.draw(st.lists(st.sampled_from(K.vertices), min_size=1, max_size=4, unique=True)
+                           if data.draw(st.booleans(), label="anywhere")
+                           else st.permutations(sigma), label="labels")
+        weight = st.one_of(
+            st.floats(0.0, 4.0),
+            st.floats(1e-13, 1e-11),
+            st.floats(1e300, 1.7e308),
+            st.sampled_from(SPECIAL_WEIGHTS),
+        )
+        weights = {v: data.draw(weight, label=v) for v in labels}
+        assert _made(make_point, K, weights) == _made(_dict_make_point, K, weights)
+
+    @pytest.mark.parametrize("weights", [
+        {"u": 2.0, "v": 1.5e-12},  # v survives the floor, then falls under it after normalising
+        {"v": 1.5e-12, "u": 3.0, "w": 0.0},
+        {"u": 1e308, "v": 1.5e308},  # the sum overflows: scaled by the largest first
+        {"u": 1.7e308, "v": 1.7e308, "w": 1e-12},
+        {"u": -0.1, "v": 1.1},
+        {"u": math.nan, "v": -1.0},
+        {"u": 1.0, "v": math.inf},
+        {"u": 0.0, "v": 9e-13},
+        {},
+        {"u": 0.5, "w": 0.5},
+        {"zz": 1.0},
+    ])
+    def test_each_branch_matches_the_dict_normaliser(self, path3, weights):
+        assert _made(make_point, path3, weights) == _made(_dict_make_point, path3, weights)
+
     def test_midpoint(self, path3):
         x = make_point(path3, {"u": 0.5, "v": 0.5})
         assert x.weights == {"u": 0.5, "v": 0.5}
@@ -192,14 +269,18 @@ class TestPointLayer:
         assert p.weights == {"a": 0.25, "c": 0.75}
 
     @given(data=st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_simplex_l1_is_the_dict_formula_bit_for_bit(self, complex_fleet, data):
         K = complex_fleet[data.draw(st.sampled_from(sorted(complex_fleet)), label="complex")]
         sigma = data.draw(st.sampled_from(K.maximal_simplices), label="sigma")
         face = st.lists(st.sampled_from(sigma), min_size=1, unique=True)
         faces = [sorted(data.draw(face, label="face")) for _ in range(2)]
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        x, y = (random_point(K, rng, face=f) for f in faces)
+        # vertex points (weight 1.0) half the time on each side, the same vertex included
+        x, y = (
+            vertex_point(K, f[0]) if data.draw(st.booleans(), label="vertex") else random_point(K, rng, face=f)
+            for f in faces
+        )
         xw, yw = x.weights, y.weights
         want = 0.5 * sum(abs(xw.get(v, 0.0) - yw.get(v, 0.0)) for v in sorted(set(xw) | set(yw)))
         assert simplex_l1(x, y) == want

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -190,8 +191,80 @@ def _reference(M, x, y):
     return (scaled, "l1path", path.witness)
 
 
+def _witness_decision(K, x, y, bounds, ceiling):
+    """`pathmetric._solve_by_search` deciding a route from its witness alone, as it once did."""
+    table = word_metric(K)
+    incumbent, u, v = pathmetric_module._vertex_route(x, y, table)
+    if incumbent > max(b for _, b in bounds) + pathmetric_module.TIE_TOL:
+        if pathmetric_module._best_first(K, x, y, table, incumbent, ceiling) is not None:
+            return pathmetric_module._solve_by_search(K, x, y, bounds, ceiling)
+    witness = pathmetric_module._route_witness(K, x, y, u, v)
+    bilinear, factor = ceiling
+    if factor * witness.length >= bilinear:
+        return None
+    return pathmetric_module.PathResult(witness.length, witness)
+
+
+def _route_decisions(M, x, y):
+    """The search's answer under the extension's ceiling, and the witness-based one; None if not asked."""
+    bilinear = bilinear_extension(M.vertex, x, y)
+    bounds = pathmetric_module.query_bounds(M.K, x, y)
+    if x.key() == y.key() or M.scale * max(v for _, v in bounds) >= bilinear:
+        return None
+    ceiling = (bilinear, M.scale)
+    got = pathmetric_module._solve_by_search(M.K, x, y, bounds, ceiling)
+    return got, _witness_decision(M.K, x, y, bounds, ceiling)
+
+
 class TestSearchCeiling:
     """The search stops once 3C * path reaches bilinear; every answer stays the full min's."""
+
+    def test_the_incumbent_decides_as_the_witness_would_on_the_pool(self, monkeypatch):
+        # every answer, None or path, is the one the witness-based test gives;
+        # the search builds the route's witness only inside ROUTE_MARGIN, and
+        # here never: each None is decided from the incumbent
+        built = []
+        route_witness = pathmetric_module._route_witness
+
+        def record(*args):
+            built.append(sys._getframe(1).f_code.co_name)
+            return route_witness(*args)
+
+        monkeypatch.setattr(pathmetric_module, "_route_witness", record)
+        answers = []
+        for q, K, x, y in pool_queries(("path-fleet",)):
+            if q["kind"] == "ext":
+                decisions = _route_decisions(ExtendedMetric(K, word_vertex_metric(K)), x, y)
+                if decisions is not None:
+                    got, want = decisions
+                    assert got == want, q["id"]
+                    answers.append(got is None)
+        assert answers.count(True) == 51 and answers.count(False) == 0
+        assert built.count("_witness_decision") == 51 and "_solve_by_search" not in built
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_the_incumbent_decides_as_the_witness_would_on_near_pairs(self, complex_fleet, data):
+        name = data.draw(st.sampled_from(sorted(complex_fleet)))
+        K = complex_fleet[name]
+        M = K.maximal_simplices
+        meeting = [(a, b) for a in M for b in M if a != b and len(set(a) & set(b)) >= 2]
+        if not meeting:
+            return
+        a, b = data.draw(st.sampled_from(meeting))
+
+        def near(simplex):
+            return make_point(K, {
+                v: data.draw(st.integers(8, 32) if v in a and v in b else st.integers(0, 8))
+                for v in simplex
+            })
+
+        vm = transformed_word_metric(
+            K, data.draw(st.sampled_from([1.0, 1.5])), data.draw(st.sampled_from([0.0, 0.5]))
+        )
+        decisions = _route_decisions(ExtendedMetric(K, vm), near(a), near(b))
+        if decisions is not None:
+            assert decisions[0] == decisions[1]
 
     def test_pool_pairs_match_the_reference(self):
         for q, K, x, y in pool_queries(("path-fleet",)):

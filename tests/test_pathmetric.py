@@ -200,6 +200,34 @@ class TestL1PathDistance:
                 assert got == lower_bounds(K, x, y) + lower_bounds(K, y, x)
                 assert [type(b) for _, b in got] == [float] * 6
 
+    def test_sphere_bound_is_the_table_lookup_bit_for_bit(self, complex_fleet, rng):
+        # supp(x) spans a simplex, so reading its radii from the word table
+        # gives what the bound now puts there: 0 at the centre, 1 elsewhere
+        def by_table(table, x, y):
+            center = max(x.items, key=lambda item: item[1])[0]
+            wx, wy = {}, {}
+            for v, w in x.items:
+                k = int(table.distance(center, v))
+                wx[k] = wx.get(k, 0.0) + w
+            for v, w in y.items:
+                k = int(table.distance(center, v))
+                wy[k] = wy.get(k, 0.0) + w
+            top_x, top_y = max(wx), max(wy)
+            total = 0.0
+            for k in range(0, max(top_x, top_y) + 1):
+                a, b = wx.get(k, 0.0), wy.get(k, 0.0)
+                total += abs(a - 1.0) + abs(1.0 - b) if top_x < k < top_y else abs(a - b)
+            return 0.5 * total
+
+        pairs = [(K, x, y) for _, K, x, y in pool_queries(("path-fleet", "hard-rips"))]
+        for K in complex_fleet.values():
+            pairs += [(K, random_point(K, rng), random_point(K, rng)) for _ in range(40)]
+            pairs += [(K, vertex_point(K, K.vertices[0]), random_point(K, rng))]
+        for K, x, y in pairs:
+            table = word_metric(K)
+            for a, b in ((x, y), (y, x)):
+                assert pathmetric._sphere_bound(table, a, b) == by_table(table, a, b)
+
     def test_respects_all_lower_bounds(self, book, rng):
         for _ in range(40):
             x = random_point(book, rng)
@@ -398,12 +426,71 @@ class TestIntegerSearchCore:
         assert type(floor) is int
         assert floor <= pathmetric._transport(supply, demand, cost)[0]
 
+    @given(
+        xw=st.lists(weight, min_size=1, max_size=4),
+        yw=st.lists(weight, min_size=1, max_size=4),
+        data=st.data(),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_transport_total_is_the_solved_total(self, xw, yw, data):
+        # every shape from 1x1 to 4x4; costs from 0..3 tie often, in the
+        # costs and in their row (column) differences, and are often zero
+        cost = data.draw(
+            st.lists(
+                st.lists(st.integers(0, 3), min_size=len(yw), max_size=len(yw)),
+                min_size=len(xw),
+                max_size=len(xw),
+            )
+        )
+        supply, demand, _ = pathmetric._masses(_weights_point(xw), _weights_point(yw))
+        total = pathmetric._transport_total(supply, demand, cost)
+        assert type(total) is int
+        assert total == pathmetric._transport(supply, demand, cost)[0]
+
+    def test_closed_form_totals_keep_every_label_and_chain(self, monkeypatch):
+        # pricing each state by the solver instead of the closed forms, the
+        # pool's path and extension queries push and pop the same labels,
+        # find the same chains and give the same answers and witnesses
+        pushed, popped, found = [], [], []
+        best_first = pathmetric._best_first
+
+        def record_push(heap, item):
+            pushed.append(item)
+            heapq.heappush(heap, item)
+
+        def record_pop(heap):
+            popped.append(heapq.heappop(heap))
+            return popped[-1]
+
+        def record_found(*args):
+            found.append(best_first(*args))
+            return found[-1]
+
+        monkeypatch.setattr(pathmetric, "heapq", SimpleNamespace(heappush=record_push, heappop=record_pop))
+        monkeypatch.setattr(pathmetric, "_best_first", record_found)
+        queries = list(pool_queries())
+        runs = []
+        for total in (pathmetric._transport_total, lambda *args: pathmetric._transport(*args)[0]):
+            monkeypatch.setattr(pathmetric, "_transport_total", total)
+            for log in (pushed, popped, found):
+                log.clear()
+            extended, answers = {}, []
+            for q, K, x, y in queries:
+                if q["kind"] == "path":
+                    answers.append(l1_path_distance(K, x, y))
+                else:
+                    M = extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K)))
+                    answers.append(M.distance_with_witness(x, y))
+            runs.append((answers, list(pushed), list(popped), list(found)))
+        assert runs[0] == runs[1]
+        assert runs[0][1] and runs[0][2] and any(f is not None for f in runs[0][3])
+
     def test_floor_pruning_keeps_every_pushed_label(self, monkeypatch):
-        # the transports the floor skips would all have been pruned: with the
+        # the states the floor skips would all have been pruned: with the
         # floor switched off, the search pushes the same labels (so pops the
-        # same ones) and returns the same chain, while solving more transports
+        # same ones) and returns the same chain, while pricing more states
         pushed, solved = [], [0]
-        transport = pathmetric._transport
+        transport = pathmetric._transport_total
 
         def record(heap, item):
             pushed.append(item)
@@ -415,7 +502,7 @@ class TestIntegerSearchCore:
 
         counted_heap = SimpleNamespace(heappush=record, heappop=heapq.heappop)
         monkeypatch.setattr(pathmetric, "heapq", counted_heap)
-        monkeypatch.setattr(pathmetric, "_transport", count)
+        monkeypatch.setattr(pathmetric, "_transport_total", count)
         queries = [(K, x, y) for q, K, x, y in pool_queries() if q["kind"] == "path"]
         runs = []
         for floor in (pathmetric._transport_floor, lambda *args: 0):
@@ -433,18 +520,35 @@ class TestIntegerSearchCore:
         assert with_floor < without
 
     def test_pool_transports_are_integer(self, monkeypatch):
-        # every supply, demand and cost the search and chain_lp hand the
-        # transport is an int, and the answers are the pool's where it has one
-        real = pathmetric._transport
-        calls = {"path": 0, "ext": 0}
-        kind = [None]
+        # every supply, demand and cost the search and chain_lp price is an
+        # int, closed forms included, and the answers are the pool's where it has one
+        real_total, real_solve = pathmetric._transport_total, pathmetric._transport
+        priced = {"path": 0, "ext": 0}  # search states priced, and chains chain_lp solves
+        solved = {"path": 0, "ext": 0}  # successive-shortest-path solves
+        kind, in_total = [None], [False]
 
-        def checked(supply, demand, cost):
-            calls[kind[0]] += 1
+        def check(supply, demand, cost):
             assert all(type(v) is int for v in (*supply, *demand, *itertools.chain(*cost)))
-            return real(supply, demand, cost)
 
-        monkeypatch.setattr(pathmetric, "_transport", checked)
+        def total(supply, demand, cost):
+            priced[kind[0]] += 1
+            check(supply, demand, cost)
+            in_total[0] = True
+            try:
+                value = real_total(supply, demand, cost)
+            finally:
+                in_total[0] = False
+            assert type(value) is int
+            return value
+
+        def solve(supply, demand, cost):
+            solved[kind[0]] += 1
+            priced[kind[0]] += not in_total[0]
+            check(supply, demand, cost)
+            return real_solve(supply, demand, cost)
+
+        monkeypatch.setattr(pathmetric, "_transport_total", total)
+        monkeypatch.setattr(pathmetric, "_transport", solve)
         extended = {}
         for q, K, x, y in pool_queries():
             kind[0] = q["kind"]
@@ -454,10 +558,14 @@ class TestIntegerSearchCore:
                 value = extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K))).distance(x, y)
             if q["expected"] is not None:
                 assert value == pytest.approx(q["expected"], abs=1e-9), q["id"]
-        # exact counts: the path queries solve what they always did; the
-        # extension's ceiling leaves its queries 41 transports, where the full
-        # path search behind each of them solved 171
-        assert calls == {"path": 153, "ext": 41}
+        # exact counts: the path queries price what they always did; the
+        # extension's ceiling leaves its queries 41 priced states, where the
+        # full path search behind each of them priced 171.  Only states with
+        # three atoms or more on both sides, and chain_lp's chains, reach the
+        # solver: all 41 ext states have three atoms a side, while 90 of the
+        # path queries' 153 have fewer on one side
+        assert priced == {"path": 153, "ext": 41}
+        assert solved == {"path": 63, "ext": 41}
 
     @given(
         total=st.integers(0, 2**40),
