@@ -179,7 +179,7 @@ def _check_face_closure(ctx: CheckContext) -> CheckResult:
             continue
         for k in range(1, len(s) + 1):
             for sub in itertools.combinations(s, k):
-                if sub in ctx.K.faces:
+                if ctx.K.spans(sub):
                     r.passed += 1
                 else:
                     r.failed += 1
@@ -634,7 +634,7 @@ def _check_divergence_tree(ctx: CheckContext) -> CheckResult:
     """
     r = CheckResult("divergence-signs-on-tree")
     n = len(ctx.K.vertices)
-    edges = sum(1 for s in ctx.K.faces if len(s) == 2)
+    edges = sum(map(len, ctx.K.adjacency.values())) // 2
     if edges != n - 1:
         r.notes.append("skipped: 1-skeleton is not a tree")
         return r

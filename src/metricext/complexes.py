@@ -1,10 +1,10 @@
 """Finite abstract simplicial complexes and barycentric points.
 
-A complex is stored as its full face set (closed under subsets) plus the
-canonical list of maximal simplices.  Simplices are sorted tuples of string
-vertex labels; all iteration uses lexicographic label order so outputs are
-reproducible bit-for-bit.  Complexes and points are immutable after
-construction and safe to share across threads.
+A complex is stored as the canonical list of its maximal simplices; a vertex
+set is a face when some maximal simplex holds it all (`spans`).  Simplices
+are sorted tuples of string vertex labels; all iteration uses lexicographic
+label order so outputs are reproducible bit-for-bit.  Complexes and points
+are immutable after construction and safe to share across threads.
 
 A barycentric point stores its sorted (vertex, weight) items and, once, when
 it is made, its support; the per-simplex l1 distance is one merge of two
@@ -35,8 +35,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -186,11 +185,10 @@ class WordMetricTable:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Finite abstract simplicial complex, closed under taking faces."""
+    """Finite abstract simplicial complex: its faces are the subsets of its maximal simplices."""
 
     vertices: tuple[str, ...]
     maximal_simplices: tuple[Simplex, ...]
-    faces: frozenset[Simplex]
     adjacency: Mapping[str, tuple[str, ...]] = field(compare=False, hash=False)
     # vertex -> indices into maximal_simplices of the maximal simplices holding it
     incidence: Mapping[str, tuple[int, ...]] = field(compare=False, hash=False)
@@ -227,16 +225,34 @@ class SimplicialComplex:
             out.append(tuple(row))
         return tuple(out)
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         return max(len(s) for s in self.maximal_simplices) - 1
 
     def edges(self) -> list[Simplex]:
-        return sorted(s for s in self.faces if len(s) == 2)
+        return [(a, b) for a, ns in self.adjacency.items() for b in ns if a < b]
 
-    def maximal_containing(self, vertices: Iterable[str]) -> list[Simplex]:
-        """Maximal simplices containing the given vertex set, canonical order."""
-        return [self.maximal_simplices[i] for i in self.maximal_indices_containing(vertices)]
+    def spans(self, s: Sequence[str]) -> bool:
+        """Whether the distinct labels s are a face: some maximal simplex holds them all.
+
+        One label is a vertex lookup and two an adjacency lookup; more are
+        tested against each maximal simplex holding s[0], unless they are
+        more than any simplex has.  () is no face.
+        """
+        if len(s) == 1:
+            return s[0] in self.incidence
+        if len(s) == 2:
+            return s[1] in self.adjacency.get(s[0], ())
+        if not s or len(s) > self.dimension + 1:
+            return False
+        for i in self.incidence.get(s[0], ()):
+            sigma = self.maximal_simplices[i]
+            for v in s:
+                if v not in sigma:
+                    break
+            else:
+                return True
+        return False
 
     def maximal_indices_containing(self, vertices: Iterable[str]) -> list[int]:
         """Indices into maximal_simplices of those containing the given vertex set, ascending."""
@@ -255,7 +271,7 @@ class SimplicialComplex:
 def build_complex(
     vertices: Iterable[str], maximal_simplices: Iterable[Iterable[str]]
 ) -> SimplicialComplex:
-    """Validate input, close under faces and build adjacency.
+    """Validate input, keep the maximal simplices and build adjacency and incidence.
 
     Raises DuplicateVertex, UnknownVertexInSimplex or EmptySimplex on bad
     input.  Listed simplices that turn out to be faces of other listed
@@ -300,30 +316,19 @@ def build_complex(
         )
     )
 
-    faces: set[Simplex] = set()
-    for s in maximal:
-        for k in range(1, len(s) + 1):
-            faces.update(combinations(s, k))
-
-    adjacency: dict[str, list[str]] = {v: [] for v in sorted(vset)}
-    for s in faces:
-        if len(s) == 2:
-            a, b = s
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-    adj = {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
-
-    incidence: dict[str, list[int]] = {v: [] for v in sorted(vset)}
+    # v's neighbours are the other vertices of the maximal simplices holding it
+    near: dict[str, set[str]] = {v: set() for v in vset}
+    incidence: dict[str, list[int]] = {v: [] for v in vset}
     for i, s in enumerate(maximal):
         for v in s:
+            near[v].update(s)
             incidence[v].append(i)
-
+    order = tuple(sorted(vset))
     return SimplicialComplex(
-        vertices=tuple(sorted(vset)),
+        vertices=order,
         maximal_simplices=maximal,
-        faces=frozenset(faces),
-        adjacency=adj,
-        incidence={v: tuple(ix) for v, ix in incidence.items()},
+        adjacency={v: tuple(sorted(near[v] - {v})) for v in order},
+        incidence={v: tuple(incidence[v]) for v in order},
     )
 
 
@@ -399,14 +404,14 @@ def make_point(K: SimplicialComplex, weights: Mapping[str, float]) -> Barycentri
         normalized = [(v, w / total) for v, w in again]
 
     point = BarycentricPoint(items=tuple(normalized))
-    if point.support not in K.faces:
+    if not K.spans(point.support):
         raise SupportNotASimplex(f"support {point.support} does not span a simplex")
     return point
 
 
 def vertex_point(K: SimplicialComplex, v: str) -> BarycentricPoint:
     """The point of weight 1 at v: make_point(K, {v: 1.0}), built without renormalizing."""
-    if (v,) not in K.faces:
+    if not K.spans((v,)):
         raise SupportNotASimplex(f"support {(v,)} does not span a simplex")
     return BarycentricPoint(items=((v, 1.0),))
 
@@ -421,12 +426,11 @@ def common_simplex(
 ) -> Simplex | None:
     """Smallest simplex containing both supports, or None.
 
-    Because faces are closed under subsets, a containing simplex exists iff
-    the support union itself is a face, and then the union is the canonical
-    smallest choice.
+    A simplex holds both supports iff it holds their union, so one exists
+    iff the union is a face, and then the union is the smallest choice.
     """
     union = tuple(sorted(set(x.support) | set(y.support)))
-    return union if union in K.faces else None
+    return union if K.spans(union) else None
 
 
 def simplex_l1(x: BarycentricPoint, y: BarycentricPoint) -> float:
@@ -486,10 +490,10 @@ def make_automorphism(K: SimplicialComplex, mapping: Mapping[str, str]) -> Autom
     """Validate that the vertex bijection maps simplices to simplices."""
     if sorted(mapping) != list(K.vertices) or sorted(mapping.values()) != list(K.vertices):
         raise NotAnAutomorphism("mapping is not a bijection of the vertex set")
-    # Checking maximal simplices suffices: faces of images are images of faces.
+    # Checking maximal simplices suffices: a face's image lies in its maximal simplex's image.
     for s in K.maximal_simplices:
         image = tuple(sorted(mapping[v] for v in s))
-        if image not in K.faces:
+        if not K.spans(image):
             raise NotAnAutomorphism(f"image {image} of simplex {s} is not a simplex")
     return Automorphism(mapping=tuple(sorted(mapping.items())))
 
@@ -501,6 +505,6 @@ def apply_automorphism(
     m = g.as_dict()
     relabeled = {m[v]: w for v, w in x.items}
     support = tuple(sorted(relabeled))
-    if support not in K.faces:
+    if not K.spans(support):
         raise NotAnAutomorphism(f"image support {support} is not a simplex")
     return BarycentricPoint(items=tuple((v, relabeled[v]) for v in support))

@@ -30,11 +30,22 @@ def complex_to_dict(K: SimplicialComplex) -> dict:
     }
 
 
-def complex_from_dict(data: dict) -> SimplicialComplex:
+def _is_labels(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def complex_from_dict(data: Any) -> SimplicialComplex:
+    if not isinstance(data, dict):
+        raise InvalidParameters(f"a complex must be a JSON object, got {type(data).__name__}")
     try:
-        return build_complex(data["vertices"], data["maximal_simplices"])
+        vertices, simplices = data["vertices"], data["maximal_simplices"]
     except KeyError as exc:
         raise InvalidParameters(f"complex file missing key {exc}") from exc
+    if not _is_labels(vertices):
+        raise InvalidParameters("vertices must be a JSON array of strings")
+    if not isinstance(simplices, list) or not all(map(_is_labels, simplices)):
+        raise InvalidParameters("maximal_simplices must be a JSON array of arrays of strings")
+    return build_complex(vertices, simplices)
 
 
 def load_complex(path: str | Path) -> SimplicialComplex:
@@ -107,7 +118,7 @@ def slots_from_json(K: SimplicialComplex, text: Any) -> list[Slot]:
             raise InvalidParameters(f"slot {entry!r} must be a JSON object")
         if "ray" in entry:
             ray = entry["ray"]
-            if not isinstance(ray, list) or not all(isinstance(v, str) for v in ray):
+            if not _is_labels(ray):
                 raise InvalidParameters(f"ray {ray!r} must be a JSON array of vertex names")
             slots.append(make_ray(K, ray))
         elif "point" in entry:

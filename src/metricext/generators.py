@@ -16,6 +16,7 @@ import numpy as np
 from .complexes import (
     Automorphism,
     BarycentricPoint,
+    Simplex,
     SimplicialComplex,
     build_complex,
     make_automorphism,
@@ -187,6 +188,12 @@ def generate(spec: GeneratorSpec) -> SimplicialComplex:
 # --------------------------------------------------------------------------
 # seeded samplers
 
+def _random_face(rng: np.random.Generator, sigma: Simplex) -> Simplex:
+    """A random face of sigma: first its size, then which vertices, kept in sigma's order."""
+    size = int(rng.integers(1, len(sigma) + 1))
+    return tuple(sigma[i] for i in sorted(rng.choice(len(sigma), size=size, replace=False)))
+
+
 def random_point(
     K: SimplicialComplex,
     rng: np.random.Generator,
@@ -195,10 +202,7 @@ def random_point(
 ) -> BarycentricPoint:
     """Random point with support equal to a random (or given) face."""
     if face is None:
-        sigma = K.maximal_simplices[rng.integers(len(K.maximal_simplices))]
-        size = int(rng.integers(1, len(sigma) + 1))
-        face = tuple(sorted(rng.choice(len(sigma), size=size, replace=False)))
-        face = tuple(sigma[i] for i in face)
+        face = _random_face(rng, K.maximal_simplices[rng.integers(len(K.maximal_simplices))])
     raw = min_weight + rng.random(len(face))
     return make_point(K, {v: float(w) for v, w in zip(face, raw)})
 
@@ -212,10 +216,7 @@ def random_same_simplex_pair(
 ) -> tuple[BarycentricPoint, BarycentricPoint]:
     sigma = K.maximal_simplices[rng.integers(len(K.maximal_simplices))]
     first = random_point(K, rng, face=sigma)
-
-    size = int(rng.integers(1, len(sigma) + 1))
-    picked = tuple(sorted(rng.choice(len(sigma), size=size, replace=False)))
-    second = random_point(K, rng, face=tuple(sigma[i] for i in picked))
+    second = random_point(K, rng, face=_random_face(rng, sigma))
     return first, second
 
 
@@ -243,10 +244,7 @@ def grid_point(
 ) -> BarycentricPoint:
     """Random point with all weights integer multiples of 1/n."""
     if face is None:
-        sigma = K.maximal_simplices[rng.integers(len(K.maximal_simplices))]
-        size = int(rng.integers(1, len(sigma) + 1))
-        picked = tuple(sorted(rng.choice(len(sigma), size=size, replace=False)))
-        face = tuple(sigma[i] for i in picked)
+        face = _random_face(rng, K.maximal_simplices[rng.integers(len(K.maximal_simplices))])
     k = len(face)
     if n < k:
         raise InvalidParameters(f"resolution 1/{n} too coarse for a face of size {k}")

@@ -216,7 +216,7 @@ def tree_gromov_oracle(K: SimplicialComplex, a: str, b: str, c: str) -> float:
     Only valid when the 1-skeleton is a tree.
     """
     n = len(K.vertices)
-    edges = sum(1 for s in K.faces if len(s) == 2)
+    edges = sum(map(len, K.adjacency.values())) // 2
     reach = _oracle_bfs(K, K.vertices[0])
     if edges != n - 1 or len(reach) != n:
         raise NotATree(f"{n} vertices with {edges} edges, reach {len(reach)}")

@@ -78,8 +78,10 @@ from .vertexmetrics import geodesic, word_metric
 VALUE_TOL = 1e-9
 TIE_TOL = 1e-12
 # how far factor * route cost must clear a ceiling's bilinear for the route's
-# witness to be skipped (see `_solve_by_search`)
+# witness to be skipped, and the most atoms per support for which that margin
+# is proved (see `_solve_by_search`)
 ROUTE_MARGIN = 2.0**-4
+ROUTE_MARGIN_ATOMS = 60
 
 
 # --------------------------------------------------------------------------
@@ -170,10 +172,10 @@ def path_length(
     total = 0.0
     for i, carrier in enumerate(carriers):
         carrier = tuple(sorted(carrier))
-        if carrier not in K.faces:
+        held = set(carrier)
+        if len(held) != len(carrier) or not K.spans(carrier):
             raise InvalidCarrier(f"carrier {carrier} is not a simplex of the complex")
         a, b = points[i], points[i + 1]
-        held = set(carrier)
         if not (held.issuperset(a.support) and held.issuperset(b.support)):
             raise InvalidCarrier(
                 f"segment {i}: supports {a.support}, {b.support} not inside {carrier}"
@@ -615,13 +617,14 @@ def _solve_by_search(
     that sum to 1 only to within a rounding per atom.  The incumbent is at
     least 1 when word(u, v) >= 1, and otherwise at least WEIGHT_FLOOR >
     2^-40 (u = v, and x or y is not that vertex), so the gap stays below
-    2^-5 of the incumbent while each support has at most 60 atoms (a
-    simplex on 60 vertices has 2^60 faces, which no complex here stores).
-    When factor * incumbent clears bilinear * (1 + ROUTE_MARGIN), with
-    ROUTE_MARGIN = 2^-4, factor * length therefore reaches bilinear too
-    ((1 + 2^-4)(1 - 2^-5) > 1 with room for the products' roundings), and
-    the answer is None without the witness; only inside that margin is
-    the witness built and tested.
+    2^-5 of the incumbent while each support has at most
+    ROUTE_MARGIN_ATOMS = 60 atoms (then 2 |supp x| + 2 |supp y| + 15 < 2^8).
+    When both supports are that small and factor * incumbent clears
+    bilinear * (1 + ROUTE_MARGIN), with ROUTE_MARGIN = 2^-4, factor * length
+    therefore reaches bilinear too ((1 + 2^-4)(1 - 2^-5) > 1 with room for
+    the products' roundings), and the answer is None without the witness.
+    Inside that margin, or for a support of more atoms, the witness is
+    built and tested.
     """
     table = word_metric(K)
     incumbent, u, v = _vertex_route(x, y, table)
@@ -641,7 +644,8 @@ def _solve_by_search(
             return PathResult(value, PathWitness(points=points, carriers=carriers, length=length))
     if ceiling is not None:
         bilinear, factor = ceiling
-        if factor * incumbent >= bilinear * (1.0 + ROUTE_MARGIN):
+        small = len(x.items) <= ROUTE_MARGIN_ATOMS and len(y.items) <= ROUTE_MARGIN_ATOMS
+        if small and factor * incumbent >= bilinear * (1.0 + ROUTE_MARGIN):
             return None
     witness = _route_witness(K, x, y, u, v)
     if ceiling is not None and factor * witness.length >= bilinear:

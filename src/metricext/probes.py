@@ -64,7 +64,7 @@ def make_ray(K: SimplicialComplex, vertices: Sequence[str]) -> RaySpec:
         if v not in table.index or from_base[table.index[v]] != k:
             raise InvalidConfiguration(f"ray vertex {v!r} at index {k} is not at distance {k}")
     for a, b in zip(vs, vs[1:]):
-        if b not in K.adjacency[a]:
+        if not K.spans((a, b)):
             raise InvalidConfiguration(f"ray vertices {a!r}, {b!r} are not adjacent")
     return RaySpec(base=vs[0], vertices=vs)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,33 @@ from metricext.generators import (
     simplex_complex,
     tree_complex,
 )
+
+
+def all_faces(K):
+    """Every face of K, by enumeration: each nonempty subset of each maximal simplex."""
+    return frozenset(
+        f for s in K.maximal_simplices for k in range(1, len(s) + 1) for f in combinations(s, k)
+    )
+
+
+def assert_spans_is_membership(K, up_to=4):
+    """K.spans(t) == (t in all_faces(K)) for every sorted vertex subset t of at most up_to vertices.
+
+    The empty tuple, an unknown label and a repeated pair are asked too.
+    """
+    faces = all_faces(K)
+    for k in range(up_to + 1):
+        for t in combinations(K.vertices, k):
+            assert K.spans(t) == (t in faces), t
+    for t in [("?",), (K.vertices[0], "?"), (K.vertices[0],) * 2]:
+        assert not K.spans(t), t
+
+
+def simplex_on_a_path(n, length):
+    """One simplex on s00 .. s{n-1}, its last vertex glued to a path p01 .. p{length}."""
+    simplex = [f"s{i:02d}" for i in range(n)]
+    path = [simplex[-1]] + [f"p{i:02d}" for i in range(1, length + 1)]
+    return build_complex(simplex + path[1:], [simplex, *zip(path, path[1:])])
 
 
 def book_complex():

@@ -16,6 +16,8 @@ from metricext.generators import (
     tree_complex,
 )
 
+from conftest import all_faces, assert_spans_is_membership
+
 
 def small_complexes(count, seed=0):
     """Seeded complexes on 1 to 7 vertices, alternating two kinds.
@@ -46,10 +48,11 @@ def small_complexes(count, seed=0):
 def brute_force_has_automorphism(K):
     """Whether any non-identity permutation of the vertices maps simplices to simplices."""
     vs = K.vertices
+    faces = all_faces(K)
     for image in itertools.permutations(vs):
         g = dict(zip(vs, image))
         if image != vs and all(
-            tuple(sorted(g[v] for v in s)) in K.faces for s in K.maximal_simplices
+            tuple(sorted(g[v] for v in s)) in faces for s in K.maximal_simplices
         ):
             return True
     return False
@@ -90,10 +93,10 @@ def test_agrees_with_brute_force_on_small_complexes():
     lone = sum(len(K.vertices) > 1 and any(not K.adjacency[v] for v in K.vertices) for K in sweep)
     non_flag = sum(
         any(
-            t not in K.faces and all(e in K.faces for e in itertools.combinations(t, 2))
+            t not in faces and all(e in faces for e in itertools.combinations(t, 2))
             for t in itertools.combinations(K.vertices, 3)
         )
-        for K in sweep
+        for K, faces in ((K, all_faces(K)) for K in sweep)
     )
     answers = []
     for K in sweep:
@@ -104,6 +107,11 @@ def test_agrees_with_brute_force_on_small_complexes():
     # the sweep covers both answers, non-flag complexes and lone vertices
     assert 50 <= sum(answers) <= 350
     assert lone >= 50 and non_flag >= 50
+
+
+def test_spans_is_face_membership_on_small_complexes():
+    for K in small_complexes(400):
+        assert_spans_is_membership(K)
 
 
 def test_finds_a_swap_away_from_the_highest_degree_vertex():

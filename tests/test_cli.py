@@ -11,7 +11,13 @@ import pytest
 from metricext import cli
 from metricext.cli import main
 from metricext.errors import InvalidParameters, WeightsNotNormalizable
-from metricext.fileio import load_complex, point_from_json, save_complex, slots_from_json
+from metricext.fileio import (
+    complex_from_dict,
+    load_complex,
+    point_from_json,
+    save_complex,
+    slots_from_json,
+)
 from metricext.generators import cycle_complex, rips_complex
 
 
@@ -39,6 +45,23 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"vertices": ["a"], "maximal_simplices": [["a", "b"]]}))
         assert main(["validate", "-c", str(bad)]) == 1
+
+    @pytest.mark.parametrize("data, message", [
+        ([1, 2], "must be a JSON object"),
+        ({"vertices": "ab", "maximal_simplices": [["a", "b"]]}, "vertices must be a JSON array of strings"),
+        ({"vertices": ["a", 1], "maximal_simplices": [["a"]]}, "vertices must be a JSON array of strings"),
+        ({"vertices": ["a", "b"], "maximal_simplices": "ab"}, "must be a JSON array of arrays of strings"),
+        ({"vertices": ["a", "b"], "maximal_simplices": ["ab"]}, "must be a JSON array of arrays of strings"),
+        ({"vertices": ["1", "2"], "maximal_simplices": [[1, 2]]}, "must be a JSON array of arrays of strings"),
+    ])
+    def test_malformed_complex_is_validation_error(self, tmp_path, capsys, data, message):
+        with pytest.raises(InvalidParameters, match=message):
+            complex_from_dict(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", "-c", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_bad_metric_matrix(self, path3_file, tmp_path):
         bad = tmp_path / "m.json"

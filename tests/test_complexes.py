@@ -33,19 +33,26 @@ from metricext import (
 from metricext.complexes import WEIGHT_FLOOR
 from metricext.generators import random_point
 
+from conftest import all_faces, assert_spans_is_membership
+
+
+def spanned(K):
+    """Every vertex subset K.spans, as sorted tuples."""
+    return {t for k in range(len(K.vertices) + 1) for t in combinations(K.vertices, k) if K.spans(t)}
+
 
 class TestBuildComplex:
     def test_triangle_closure(self):
         K = build_complex(["a", "b", "c"], [["a", "b", "c"]])
-        assert K.faces == frozenset(
-            {("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c"), ("a", "b", "c")}
-        )
+        assert spanned(K) == {
+            ("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c"), ("a", "b", "c")
+        }
         assert K.dimension == 2
         assert K.maximal_simplices == (("a", "b", "c"),)
 
     def test_single_vertex(self):
         K = build_complex(["a"], [["a"]])
-        assert K.faces == frozenset({("a",)})
+        assert spanned(K) == {("a",)}
         assert K.dimension == 0
 
     def test_unknown_vertex(self):
@@ -92,12 +99,13 @@ class TestBuildComplex:
         assert K.vertices == tuple(sorted(vs))
         assert K.maximal_simplices == tuple(want)
         faces = {f for s in want for k in range(1, len(s) + 1) for f in combinations(s, k)}
-        assert K.faces == faces
+        assert spanned(K) == faces
+        assert_spans_is_membership(K)
         assert K.incidence == {
             v: tuple(i for i, s in enumerate(want) if v in s) for v in K.vertices
         }
         assert K.adjacency == {
-            v: tuple(w for w in K.vertices if w != v and tuple(sorted((v, w))) in K.faces)
+            v: tuple(w for w in K.vertices if w != v and tuple(sorted((v, w))) in faces)
             for v in K.vertices
         }
 
@@ -108,10 +116,14 @@ class TestBuildComplex:
 
     def test_maximal_containing_matches_scan(self, complex_fleet):
         for K in complex_fleet.values():
-            for s in sorted(K.faces)[:60]:
-                want = [m for m in K.maximal_simplices if set(s) <= set(m)]
-                assert K.maximal_containing(s) == want
-            assert K.maximal_containing([]) == list(K.maximal_simplices)
+            for s in sorted(all_faces(K))[:60]:
+                want = [i for i, m in enumerate(K.maximal_simplices) if set(s) <= set(m)]
+                assert K.maximal_indices_containing(s) == want
+            assert K.maximal_indices_containing([]) == list(range(len(K.maximal_simplices)))
+
+    def test_spans_is_face_membership(self, complex_fleet):
+        for K in complex_fleet.values():
+            assert_spans_is_membership(K)
 
     def test_incidence_is_not_part_of_identity(self, book):
         same = build_complex(list(book.vertices), book.maximal_simplices)
@@ -143,7 +155,7 @@ def _dict_make_point(K, weights):
             raise WeightsNotNormalizable("all weight below representable floor")
         normalized = {v: w / total for v, w in again.items()}
     support = tuple(sorted(normalized))
-    if support not in K.faces:
+    if support not in all_faces(K):
         raise SupportNotASimplex(f"support {support} does not span a simplex")
     return BarycentricPoint(items=tuple((v, normalized[v]) for v in support))
 

@@ -43,7 +43,7 @@ from metricext.generators import (
     tree_reflection,
 )
 
-from conftest import pool_queries
+from conftest import pool_queries, simplex_on_a_path
 
 
 class TestBilinearExtension:
@@ -340,6 +340,72 @@ class TestSearchCeiling:
             branches.add(got[1])
             C = math.nextafter(C, math.inf)
         assert branches == {"bilinear", "l1path"}
+
+    @pytest.mark.parametrize("atoms, built", [(60, 0), (61, 1)])
+    def test_the_route_witness_decides_past_the_margin_atoms(self, monkeypatch, atoms, built):
+        # the incumbent's rounding gap is proved below 2^-5 of it only while each
+        # support has at most ROUTE_MARGIN_ATOMS atoms; past that the witness decides
+        assert pathmetric_module.ROUTE_MARGIN_ATOMS == 60
+        calls = []
+        route_witness = pathmetric_module._route_witness
+
+        def record(*args):
+            calls.append(sys._getframe(1).f_code.co_name)
+            return route_witness(*args)
+
+        monkeypatch.setattr(pathmetric_module, "_route_witness", record)
+        K = simplex_on_a_path(64, 10)
+        x = make_point(K, {f"s{i:02d}": 1.0 for i in range(atoms)})
+        y = vertex_point(K, "p10")
+        bounds = pathmetric_module.query_bounds(K, x, y)
+        ceiling = (bilinear_extension(word_vertex_metric(K), x, y), 3.0)
+        got = pathmetric_module._path_by_search(K, x, y, bounds, ceiling)
+        assert calls.count("_solve_by_search") == built
+        assert got is None and got == _witness_decision(K, x, y, bounds, ceiling)
+
+
+def _dyadic(K, counts):
+    """The point with weights proportional to counts, which sum to a power of two."""
+    total = sum(counts.values())
+    return make_point(K, {v: c / total for v, c in counts.items()})
+
+
+class TestSimplexOnAPath:
+    """A 24-vertex simplex glued to a path: 2^24 - 1 faces, none of them stored."""
+
+    # (x, y, path distance): every path crosses the glue vertex s23 unless x, y share a simplex
+    QUERIES = [
+        ({f"s{i:02d}": 1 for i in range(16)}, {"s23": 1, "p01": 1}, 1.5),
+        (
+            {**{f"s{i:02d}": 2 for i in range(8)}, **{f"s{i:02d}": 1 for i in range(8, 24)}},
+            {"p01": 1, "p02": 3},
+            (1 - 1 / 32) + 1 + 0.75,
+        ),
+        ({"s05": 1}, {"p03": 1, "p04": 1}, 4.5),
+        ({"s22": 1, "s23": 3}, {"s23": 3, "p01": 1}, 0.5),
+        ({"s00": 16, "s01": 16}, {"s00": 15, "s01": 17}, 1 / 32),
+    ]
+
+    def test_path_and_extension_queries(self):
+        K = simplex_on_a_path(24, 10)
+        assert K.dimension == 23 and len(K.maximal_simplices) == 11
+        M = ExtendedMetric(K, word_vertex_metric(K))
+        branches = []
+        for xc, yc, want in self.QUERIES:
+            x, y = _dyadic(K, xc), _dyadic(K, yc)
+            floor = max(v for _, v in pathmetric_module.query_bounds(K, x, y))
+            path = l1_path_distance(K, x, y)
+            path.witness.validate(K)
+            assert path.value == pytest.approx(want, abs=1e-12)
+            assert path.value >= floor - 1e-12
+            value, branch, witness = got = M.distance_with_witness(x, y)
+            assert got == _reference(M, x, y)
+            assert value >= min(bilinear_extension(M.vertex, x, y), M.scale * floor) - 1e-12
+            if witness is not None:
+                witness.validate(K)
+                assert value == M.scale * witness.length
+            branches.append(branch)
+        assert branches == ["bilinear"] * 4 + ["l1path"]
 
 
 def simplex_l1_local(x, y):

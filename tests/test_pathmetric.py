@@ -73,6 +73,14 @@ class TestPathLength:
         with pytest.raises(InvalidCarrier):
             path_length(path3, [x, y], [("u", "v", "w")])
 
+    @pytest.mark.parametrize("carrier", [(), ("a", "a"), ("a", "a", "b"), ("b", "a", "b"), ("a", "z")])
+    def test_carrier_that_is_no_simplex(self, triangle, carrier):
+        # empty, a repeated vertex or an unknown label, though it holds both supports
+        x, y = make_point(triangle, {"a": 1.0}), make_point(triangle, {"a": 0.5, "b": 0.5})
+        ends = [x, x] if len(set(carrier)) < 2 else [x, y]
+        with pytest.raises(InvalidCarrier, match="is not a simplex"):
+            path_length(triangle, ends, [carrier])
+
 
 class TestChainLP:
     def test_single_simplex(self, triangle):

@@ -45,6 +45,8 @@ from metricext.generators import (
 from metricext.oracle import _oracle_bfs, tree_gromov_oracle, tree_vertex_path
 from metricext.vertexmetrics import geodesic, minimal_linear_bound
 
+from conftest import all_faces
+
 
 class TestWordMetric:
     def test_path(self, path3):
@@ -162,8 +164,9 @@ class TestWordMetric:
 
     def test_edge_iff_distance_one(self, book):
         t = word_metric(book)
+        faces = all_faces(book)
         for u, v in itertools.combinations(book.vertices, 2):
-            is_edge = tuple(sorted((u, v))) in book.faces
+            is_edge = tuple(sorted((u, v))) in faces
             assert (t.distance(u, v) == 1) == is_edge
 
 
