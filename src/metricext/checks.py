@@ -10,6 +10,7 @@ automorphism checks share one exact search per run.
 from __future__ import annotations
 
 import itertools
+import math
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -369,16 +370,30 @@ def _check_path_restriction(ctx: CheckContext) -> CheckResult:
     return r
 
 
+def _pair_at(n: int, k: int) -> tuple[int, int]:
+    """Entry k of itertools.combinations(range(n), 2), without listing the pairs.
+
+    Counted from the last pair, entry m lies in row r counted from the last
+    row (row 0), r = floor((sqrt(8m + 1) - 1) / 2), since the last r rows
+    hold r(r+1)/2 pairs.
+    """
+    m = n * (n - 1) // 2 - 1 - k
+    r = (math.isqrt(8 * m + 1) - 1) // 2
+    return n - 2 - r, n - 1 - (m - r * (r + 1) // 2)
+
+
 @_suite("path")
 def _check_path_vertex_agreement(ctx: CheckContext) -> CheckResult:
     r = CheckResult("path-vertex-agreement")
     table = word_metric(ctx.K)
     vs = ctx.K.vertices
-    pairs = list(itertools.combinations(vs, 2))
-    if len(pairs) > 400:
+    n = len(vs)
+    count = n * (n - 1) // 2
+    pairs = itertools.combinations(vs, 2)
+    if count > 400:
         rng = ctx.rng("vertex-pairs")
-        idx = rng.choice(len(pairs), size=400, replace=False)
-        pairs = [pairs[i] for i in idx]
+        idx = rng.choice(count, size=400, replace=False)
+        pairs = [tuple(vs[i] for i in _pair_at(n, int(k))) for k in idx]
     for u, v in pairs:
         d = l1_path_distance(ctx.K, vertex_point(ctx.K, u), vertex_point(ctx.K, v)).value
         ok = d == table.distance(u, v)
@@ -448,9 +463,7 @@ def _check_ext_axioms(ctx: CheckContext) -> CheckResult:
 @_suite("extension")
 def _check_ext_vertex_restriction(ctx: CheckContext) -> CheckResult:
     r = CheckResult("ext-vertex-restriction")
-    vs = ctx.K.vertices
-    pairs = list(itertools.combinations(vs, 2))[:400]
-    for u, v in pairs:
+    for u, v in itertools.islice(itertools.combinations(ctx.K.vertices, 2), 400):
         d = ctx.M.distance(vertex_point(ctx.K, u), vertex_point(ctx.K, v))
         ok = d == ctx.metric.distance(u, v)
         r.passed += ok

@@ -11,11 +11,14 @@ where path is the l1 path metric and C bounds d against the word metric
 whenever the supports are disjoint, and is a genuine metric.
 
 A query settles on the bilinear branch as soon as 3C times a lower bound on
-the path reaches D.  Before any search, the query's admissible bounds give
-that floor; past it, the path search takes (D, 3C) as a ceiling and applies
-the same test to the bound of every state it would expand, so the floor
-acts at every search state, not only at the root.  A search that proves
-3C * path >= D answers the bilinear branch without an exact path.
+the path reaches D.  The coordinate bound (simplex_l1) is tested first, on
+its own: it makes almost every floor decision, and it is the exact path
+value when the supports share a simplex.  Only a query past it, with no
+common simplex, computes its admissible bounds (query_bounds) for the
+full floor; past that, the path search takes (D, 3C) as a ceiling and
+applies the same test to the bound of every state it would expand, so the
+floor acts at every search state, not only at the root.  A search that
+proves 3C * path >= D answers the bilinear branch without an exact path.
 
 Double differences and Gromov products with respect to the extension follow
 the 0.5-normalized convention of vertexmetrics, so <a|b>_c = <c,a|b,c>
@@ -131,6 +134,17 @@ class ExtendedMetric:
         return (kx, ky) if kx <= ky else (ky, kx)
 
     def _compute(self, x: BarycentricPoint, y: BarycentricPoint, key: tuple) -> tuple[float, Branch]:
+        """min(bilinear, 3C * path), deciding the floor with its cheapest sufficient test.
+
+        Past the disjoint-support return, the coordinate bound simplex_l1(x, y)
+        is tested alone before common_simplex and query_bounds.  The
+        decisions are the ones of testing max(query_bounds) after
+        common_simplex: the coordinate is entry 0 of query_bounds, the same
+        float, and float multiplication is monotone, so scale * coordinate
+        >= bilinear implies scale * max(bounds) >= bilinear; a common
+        simplex's path value is that same float, so its test is this one.
+        Values, branches, witnesses and tripwire counts are unchanged.
+        """
         if x.key() == y.key():
             if x.is_vertex:
                 return (0.0, "bilinear")
@@ -142,9 +156,12 @@ class ExtendedMetric:
         if not set(x.support) & set(y.support):
             # disjoint supports: the bilinear branch always wins
             return (bilinear, "bilinear")
+        coordinate = simplex_l1(x, y)
+        if self.scale * coordinate >= bilinear:
+            return (bilinear, "bilinear")
         carrier = common_simplex(self.K, x, y)
         if carrier is not None:
-            path = PathResult(simplex_l1(x, y), _trivial_witness(self.K, x, y, carrier))
+            path = PathResult(coordinate, _trivial_witness(self.K, x, y, carrier))
         else:
             bounds = query_bounds(self.K, x, y)
             if self.scale * max(v for _, v in bounds) >= bilinear:

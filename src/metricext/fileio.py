@@ -11,6 +11,7 @@ Probe slots:    [{"ray": ["a","b",...]}, {"point": {"a": 1.0}}, ...]
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -32,6 +33,14 @@ def complex_to_dict(K: SimplicialComplex) -> dict:
 
 def _is_labels(value: Any) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)  # bool is an int subclass
+
+
+def _is_finite_number(value: Any) -> bool:
+    return _is_number(value) and math.isfinite(value)  # Python's json reads NaN and Infinity
 
 
 def complex_from_dict(data: Any) -> SimplicialComplex:
@@ -72,14 +81,22 @@ def metric_from_spec(K: SimplicialComplex, spec: Any) -> VertexMetric:
     if kind != "explicit":
         raise InvalidParameters(f"unknown metric type {kind!r}")
     try:
-        order = tuple(spec["order"])
-        matrix = np.asarray(spec["matrix"], dtype=float)
+        order, matrix = spec["order"], spec["matrix"]
     except KeyError as exc:
         raise InvalidParameters(f"metric file missing key {exc}") from exc
+    if not _is_labels(order):
+        raise InvalidParameters("order must be a JSON array of strings")
+    if not isinstance(matrix, list) or not all(
+        isinstance(row, list) and all(map(_is_finite_number, row)) for row in matrix
+    ):
+        raise InvalidParameters("matrix must be a JSON array of arrays of finite numbers")
+    for name in ("C", "A", "B"):
+        if name in spec and not _is_finite_number(spec[name]):
+            raise InvalidParameters(f"{name} must be a finite JSON number, got {spec[name]!r}")
     return validate_vertex_metric(
         K,
-        matrix,
-        order,
+        np.asarray(matrix, dtype=float),
+        tuple(order),
         C=spec.get("C"),
         A=spec.get("A"),
         B=spec.get("B"),
@@ -91,7 +108,7 @@ def point_from_json(K: SimplicialComplex, text: Any) -> BarycentricPoint:
     if not isinstance(data, dict):
         raise InvalidParameters(f"point literal must be a JSON object, got {data!r}")
     for k, v in data.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):  # bool is an int subclass
+        if not _is_number(v):
             raise InvalidParameters(f"weight of {k!r} must be a JSON number, got {v!r}")
     return make_point(K, {str(k): float(v) for k, v in data.items()})
 

@@ -38,9 +38,11 @@ pushes, pops and chains do not change; only larger states and
 
 A query computes its admissible lower bounds in one pass (`query_bounds`,
 both directions of `lower_bounds` with the symmetric entries computed
-once).  The extension's floor and the search read that one list, and
-every solved distance is checked against it; a result below any bound is
-recorded and raised as an internal inconsistency, never returned.
+once).  The search reads that one list, and every solved distance is
+checked against it; a result below any bound is recorded and raised as an
+internal inconsistency, never returned.  The extension tests the
+coordinate bound, the list's first entry, on its own first, and computes
+`query_bounds` only for a query past it.
 
 The extension needs only min(bilinear, 3C * path), so it hands the search
 a ceiling (bilinear, 3C).  The search then prunes every state whose bound

@@ -80,19 +80,29 @@ def fleet():
     }
 
 
+POOL_COMPLEXES = {
+    "rips_c30": lambda: rips_complex(cycle_complex(30), 2),
+    "random80": lambda: random_complex(80, 0.08, seed=1),
+    "tree2_9": lambda: tree_complex(2, 9),
+    "tree2_11": lambda: tree_complex(2, 11),
+    "rips_p40": lambda: rips_complex(path_complex(40), 3),
+}
+
+
 def pool_queries(workloads=("path-fleet", "hard-rips")):
-    """The benchmark's fixed query pools (bench/pool.json, read only), with their complexes."""
+    """The benchmark's fixed query pools (bench/pool.json, read only), with their complexes.
+
+    Each complex is built when a query first needs it.
+    """
     pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())
-    complexes = {
-        "rips_c30": rips_complex(cycle_complex(30), 2),
-        "random80": random_complex(80, 0.08, seed=1),
-        "tree2_9": tree_complex(2, 9),
-        "rips_p40": rips_complex(path_complex(40), 3),
-    }
+    complexes = {}
     scale = pool["resolution"]
     for workload in workloads:
         for q in pool["workloads"][workload]["queries"]:
-            K = complexes[q["complex"]]
+            name = q["complex"]
+            if name not in complexes:
+                complexes[name] = POOL_COMPLEXES[name]()
+            K = complexes[name]
             x = make_point(K, {v: c / scale for v, c in q["x"].items()})
             y = make_point(K, {v: c / scale for v, c in q["y"].items()})
             yield q, K, x, y

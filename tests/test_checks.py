@@ -16,7 +16,7 @@ from metricext.generators import (
     tree_complex,
 )
 
-from conftest import all_faces, assert_spans_is_membership
+from conftest import all_faces, assert_spans_is_membership, fleet
 
 
 def small_complexes(count, seed=0):
@@ -201,3 +201,43 @@ def test_ext_invariance_skips_samples_the_metric_breaks():
     skipped = 20 - row.passed
     assert row.ok and 0 < skipped < 20
     assert row.notes == [f"{skipped} of 20 samples skipped: metric not invariant on their supports"]
+
+
+def test_pair_at_is_the_listed_pair():
+    for n in range(2, 40):
+        assert [checks._pair_at(n, k) for k in range(n * (n - 1) // 2)] == list(itertools.combinations(range(n), 2))
+    # far past what a list could hold: each entry's offset i(2n - i - 1)/2 + (j - i - 1) is k again
+    n = 2**32
+    count = n * (n - 1) // 2
+    for k in [0, 1, n - 2, n - 1, count // 2, count - 2, count - 1]:
+        i, j = checks._pair_at(n, k)
+        assert 0 <= i < j < n and i * (2 * n - i - 1) // 2 + (j - i - 1) == k
+
+
+def _listed_vertex_pairs(ctx):
+    """The pairs the vertex-pair checks drew when they listed every pair: (path, ext)."""
+    pairs = list(itertools.combinations(ctx.K.vertices, 2))
+    ext = pairs[:400]
+    if len(pairs) > 400:
+        idx = ctx.rng("vertex-pairs").choice(len(pairs), size=400, replace=False)
+        pairs = [pairs[i] for i in idx]
+    return pairs, ext
+
+
+@pytest.mark.parametrize("name", [*sorted(fleet()), "tree2_6"])
+def test_vertex_pair_checks_use_the_listed_pairs(name, monkeypatch):
+    K = tree_complex(2, 6) if name == "tree2_6" else fleet()[name]
+    ctx = checks.CheckContext(K, word_vertex_metric(K))
+    asked = []
+    vertex_point = checks.vertex_point
+    monkeypatch.setattr(checks, "vertex_point", lambda K, v: asked.append(v) or vertex_point(K, v))
+
+    def pairs_of(check):
+        asked.clear()
+        assert check(ctx).ok
+        return list(zip(asked[::2], asked[1::2]))
+
+    path, ext = _listed_vertex_pairs(ctx)
+    assert pairs_of(checks._check_path_vertex_agreement) == path
+    assert pairs_of(checks._check_ext_vertex_restriction) == ext
+    assert name != "tree2_6" or len(path) == len(ext) == 400

@@ -1,7 +1,9 @@
 """CLI surface: subcommands, formats, exit codes."""
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,11 +16,15 @@ from metricext.errors import InvalidParameters, WeightsNotNormalizable
 from metricext.fileio import (
     complex_from_dict,
     load_complex,
+    metric_from_spec,
     point_from_json,
     save_complex,
     slots_from_json,
 )
 from metricext.generators import cycle_complex, rips_complex
+
+
+NAN = float("nan")  # json.dumps writes it as NaN, which json.loads reads back
 
 
 @pytest.fixture
@@ -71,6 +77,37 @@ class TestValidate:
             "matrix": [[0, 1, 3], [1, 0, 1], [3, 1, 0]],
         }))
         assert main(["validate", "-c", path3_file, "-m", str(bad)]) == 1
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"order": 5, "matrix": [[0]]}, "order must be a JSON array of strings"),
+        ({"order": ["p00", 1, "p02"]}, "order must be a JSON array of strings"),
+        ({"matrix": [[0, 1, 2], [1, 0, 1], "210"]}, "matrix must be a JSON array of arrays of finite numbers"),
+        ({"matrix": [[0, 1, 2], [1, 0, 1], [2, "1", 0]]}, "matrix must be a JSON array of arrays of finite numbers"),
+        ({"matrix": [[0, 1, 2], [1, 0, 1], [2, True, 0]]}, "matrix must be a JSON array of arrays of finite numbers"),
+        ({"matrix": [[0, NAN, 2], [NAN, 0, 1], [2, 1, 0]]}, "matrix must be a JSON array of arrays of finite numbers"),
+        ({"C": "2"}, "C must be a finite JSON number, got '2'"),
+        ({"C": True}, "C must be a finite JSON number, got True"),
+        ({"C": NAN}, "C must be a finite JSON number, got nan"),
+        ({"C": math.inf}, "C must be a finite JSON number, got inf"),
+        ({"A": None, "B": 1}, "A must be a finite JSON number, got None"),
+    ])
+    def test_malformed_metric_is_validation_error(self, path3_file, tmp_path, capsys, fields, message):
+        spec = {"type": "explicit", "order": ["p00", "p01", "p02"], "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+        spec.update(fields)
+        K = load_complex(path3_file)
+        with pytest.raises(InvalidParameters, match=re.escape(message)):
+            metric_from_spec(K, spec)
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(spec))
+        assert main(["validate", "-c", path3_file, "-m", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    def test_well_formed_metric_constants_are_accepted(self, path3_file):
+        K = load_complex(path3_file)
+        spec = {"type": "explicit", "order": ["p02", "p01", "p00"], "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0.0]]}
+        assert metric_from_spec(K, spec).C == 1.0
+        assert metric_from_spec(K, {**spec, "C": 2}).C == 2.0
 
     def test_usage_error_is_64(self):
         with pytest.raises(SystemExit) as info:

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from metricext import (
     ExtendedMetric,
     MissingQIConstants,
+    PathResult,
     apply_automorphism,
     bilinear_extension,
+    common_simplex,
     double_difference_bilinear,
     double_difference_ext,
     extended_distance,
@@ -24,6 +26,7 @@ from metricext import (
     lower_bounds,
     make_point,
     sandwich_check,
+    simplex_l1,
     transformed_word_metric,
     tripwire_log,
     validate_vertex_metric,
@@ -362,6 +365,138 @@ class TestSearchCeiling:
         got = pathmetric_module._path_by_search(K, x, y, bounds, ceiling)
         assert calls.count("_solve_by_search") == built
         assert got is None and got == _witness_decision(K, x, y, bounds, ceiling)
+
+
+def _bounds_first(M, x, y):
+    """The answer when common_simplex and every bound are computed before the floor test.
+
+    For pairs that share a support vertex and are not both vertices or equal:
+    the order in which the extension decided them before it tested the
+    coordinate bound on its own.
+    """
+    bilinear = bilinear_extension(M.vertex, x, y)
+    carrier = common_simplex(M.K, x, y)
+    if carrier is not None:
+        path = PathResult(simplex_l1(x, y), pathmetric_module._trivial_witness(M.K, x, y, carrier))
+    else:
+        bounds = pathmetric_module.query_bounds(M.K, x, y)
+        if M.scale * max(v for _, v in bounds) >= bilinear:
+            return (bilinear, "bilinear", None)
+        path = pathmetric_module._path_by_search(M.K, x, y, bounds, ceiling=(bilinear, M.scale))
+        if path is None:
+            return (bilinear, "bilinear", None)
+    scaled = M.scale * path.value
+    if bilinear <= scaled:
+        return (bilinear, "bilinear", None)
+    return (scaled, "l1path", path.witness)
+
+
+def _reaches_the_floor(x, y):
+    """Whether the extension decides x, y past its early returns (equal, two vertices, disjoint)."""
+    return x.key() != y.key() and not (x.is_vertex and y.is_vertex) and bool(set(x.support) & set(y.support))
+
+
+def _count_lookups(mp):
+    """Record each call of common_simplex, query_bounds and _sphere_bound, by name."""
+    calls = []
+    for module, name in [
+        (extension_module, "common_simplex"),
+        (extension_module, "query_bounds"),
+        (pathmetric_module, "query_bounds"),
+        (pathmetric_module, "_sphere_bound"),
+    ]:
+        f = getattr(module, name)
+        mp.setattr(module, name, lambda *args, f=f, name=name: calls.append(name) or f(*args))
+    return calls
+
+
+def _floor_and_lookups(K, vm, x, y, calls):
+    """(whether the coordinate floor decides x, y; the lookups a fresh extension made for it)."""
+    M = ExtendedMetric(K, vm)
+    calls.clear()
+    value, branch = M.distance_with_branch(x, y)
+    floored = M.scale * simplex_l1(x, y) >= bilinear_extension(vm, x, y)
+    assert not floored or (value, branch) == (bilinear_extension(vm, x, y), "bilinear")
+    return floored, list(calls)
+
+
+def _near_pair(K, a, b, count):
+    """Points on maximal simplices a and b, with count(lo, hi) weight in [lo, hi] on each vertex.
+
+    Every vertex a and b share gets weight 1 to 32, so the supports share it;
+    the others 0 to 8.  With a == b, or all other weights 0, the pair shares a simplex.
+    """
+    def near(simplex):
+        return make_point(K, {v: count(1, 32) if v in a and v in b else count(0, 8) for v in simplex})
+
+    return near(a), near(b)
+
+
+def _meeting(K):
+    """Pairs of maximal simplices of K that share a vertex, each simplex with itself included."""
+    M = K.maximal_simplices
+    return [(a, b) for a in M for b in M if set(a) & set(b)]
+
+
+def _shared_vertex_pair(K, data):
+    a, b = data.draw(st.sampled_from(_meeting(K)))
+    return _near_pair(K, a, b, lambda lo, hi: data.draw(st.integers(lo, hi)))
+
+
+class TestCoordinateFloor:
+    """The coordinate bound is tested alone first; answers are the ones of the bounds-first order."""
+
+    def test_the_floor_skips_the_lookups_on_the_tree_pool(self, monkeypatch):
+        calls = _count_lookups(monkeypatch)
+        vm, floored = None, 0
+        for q, K, x, y in itertools.islice(pool_queries(("big-tree",)), 600):
+            vm = vm or word_vertex_metric(K)
+            assert _reaches_the_floor(x, y), q["id"]
+            decided, lookups = _floor_and_lookups(K, vm, x, y, calls)
+            assert lookups == [] if decided else lookups[0] == "common_simplex", q["id"]
+            floored += decided
+        assert floored == 600  # as on the benchmark's big-tree pass: the coordinate decides every one
+
+    def test_the_floor_skips_the_lookups_on_the_fleet(self, complex_fleet, monkeypatch):
+        calls = _count_lookups(monkeypatch)
+        rng = np.random.default_rng(7)
+        count = lambda lo, hi: int(rng.integers(lo, hi + 1))
+        floored = searched = 0
+        for K in complex_fleet.values():
+            vm = word_vertex_metric(K)
+            for a, b in _meeting(K)[:60]:
+                x, y = _near_pair(K, a, b, count)
+                if _reaches_the_floor(x, y):
+                    decided, lookups = _floor_and_lookups(K, vm, x, y, calls)
+                    assert lookups == [] if decided else lookups[0] == "common_simplex"
+                    floored += decided
+                    searched += "_sphere_bound" in lookups
+        assert floored > 0 and searched > 0
+
+    def test_pool_pairs_match_the_bounds_first_order(self):
+        for q, K, x, y in pool_queries(("path-fleet",)):
+            if q["kind"] == "ext" and _reaches_the_floor(x, y):
+                vm = word_vertex_metric(K)
+                value, branch, witness = ExtendedMetric(K, vm).distance_with_witness(x, y)
+                want = _bounds_first(ExtendedMetric(K, vm), x, y)
+                assert (value.hex(), branch, witness) == (want[0].hex(), *want[1:]), q["id"]
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_shared_vertex_pairs(self, complex_fleet, data):
+        # a pair the coordinate floor decides makes no lookup, and every answer is
+        # the bounds-first one; a == b, or zero weight off the shared face, shares a simplex
+        K = complex_fleet[data.draw(st.sampled_from(sorted(complex_fleet)))]
+        x, y = _shared_vertex_pair(K, data)
+        if not _reaches_the_floor(x, y):
+            return
+        vm = transformed_word_metric(K, data.draw(st.sampled_from([1.0, 1.5])), data.draw(st.sampled_from([0.0, 0.5])))
+        with pytest.MonkeyPatch.context() as mp:
+            decided, lookups = _floor_and_lookups(K, vm, x, y, _count_lookups(mp))
+        assert lookups == [] if decided else lookups[0] == "common_simplex"
+        value, branch, witness = ExtendedMetric(K, vm).distance_with_witness(x, y)
+        want = _bounds_first(ExtendedMetric(K, vm), x, y)
+        assert (value.hex(), branch, witness) == (want[0].hex(), *want[1:])
 
 
 def _dyadic(K, counts):
