@@ -3,6 +3,17 @@
 Every generator is deterministic: the same spec (and seed, where one
 applies) reproduces the same complex label-for-label.  Vertex labels are
 zero-padded so lexicographic order matches construction order.
+
+The samplers draw numpy's `Generator` stream themselves, through the public
+`rng.bit_generator.ctypes` interface (`next_uint32`, `next_double`), with
+numpy's own algorithms: `integers(n)` is Lemire's rejection on 32-bit words
+(Lemire 2019), `choice(k, size, replace=False)` is Floyd's sampling
+(Bentley & Floyd 1987) followed by the draws of numpy's shuffle, and
+`random(k)` is k calls of `next_double`.  A seed therefore gives the same
+points as numpy's calls would, without their per-call cost on arrays of one
+to three entries.  Draws where numpy's algorithm differs go to numpy: a face
+of more than 10,000 vertices and a range above 2**32.  `grid_point`'s
+multinomial is numpy's own call.
 """
 
 from __future__ import annotations
@@ -188,10 +199,86 @@ def generate(spec: GeneratorSpec) -> SimplicialComplex:
 # --------------------------------------------------------------------------
 # seeded samplers
 
+_WORD = 1 << 32  # numpy bounds a range of at most 2**32 values with 32-bit words
+_FLOYD_MAX = 10_000  # numpy samples a larger population without replacement by another method
+
+
+def _lemire(next_uint32, state, n: int) -> int:
+    """A uniform draw from range(n), 1 <= n <= 2**32, as numpy's `integers(n)` makes it.
+
+    Lemire's multiply-and-reject (Lemire 2019) on 32-bit words: the high
+    word of word * n, redrawn while the low word falls under 2**32 mod n.
+    n == 1 consumes no word and n == 2**32 takes one word as it is.
+    """
+    if n == 1:
+        return 0
+    if n == _WORD:
+        return next_uint32(state)
+    m = next_uint32(state) * n
+    if m & 0xFFFFFFFF < n:
+        threshold = _WORD % n
+        while m & 0xFFFFFFFF < threshold:
+            m = next_uint32(state) * n
+    return m >> 32
+
+
+def _below(rng: np.random.Generator, c, n: int) -> int:
+    """int(rng.integers(n)) on rng's bit generator interface c, whose lock the caller holds.
+
+    Beyond 2**32 numpy draws 64-bit words, and it raises for n <= 0; both go
+    to numpy, which may take the lock again (it is reentrant).
+    """
+    if 1 <= n <= _WORD:
+        return _lemire(c.next_uint32, c.state, n)
+    return int(rng.integers(n))
+
+
+def _face(rng: np.random.Generator, c, sigma: Simplex) -> Simplex:
+    """A random face of sigma, drawn on interface c under its lock: its size, then which vertices.
+
+    The indices are sorted(rng.choice(k, size=1 + int(rng.integers(k)),
+    replace=False)) for k = len(sigma), from the same stream.  Up to 10,000
+    vertices numpy's choice is Floyd's algorithm (Bentley & Floyd 1987): for
+    j in [k - size, k) draw i in [0, j] and take i, or j when i is taken.  A
+    shuffle of the sample follows; its size - 1 draws are made and dropped,
+    since the indices are sorted.
+    """
+    k = len(sigma)
+    size = 1 + _below(rng, c, k)
+    if k > _FLOYD_MAX:
+        return tuple(sigma[i] for i in sorted(rng.choice(k, size=size, replace=False).tolist()))
+    next_uint32, state = c.next_uint32, c.state
+    chosen: set[int] = set()
+    for j in range(k - size, k):
+        i = _lemire(next_uint32, state, j + 1)
+        chosen.add(j if i in chosen else i)
+    for j in range(size, 1, -1):
+        _lemire(next_uint32, state, j)
+    return tuple(sigma[i] for i in sorted(chosen))
+
+
+def _uniforms(c, k: int) -> list[float]:
+    """rng.random(k) as a list, drawn on interface c under its lock."""
+    next_double, state = c.next_double, c.state
+    return [next_double(state) for _ in range(k)]
+
+
+def _integer(rng: np.random.Generator, n: int) -> int:
+    """int(rng.integers(n)), drawn from the same stream."""
+    bits = rng.bit_generator
+    with bits.lock:
+        return _below(rng, bits.ctypes, n)
+
+
+def _pick(rng: np.random.Generator, items: Sequence):
+    return items[_integer(rng, len(items))]
+
+
 def _random_face(rng: np.random.Generator, sigma: Simplex) -> Simplex:
     """A random face of sigma: first its size, then which vertices, kept in sigma's order."""
-    size = int(rng.integers(1, len(sigma) + 1))
-    return tuple(sigma[i] for i in sorted(rng.choice(len(sigma), size=size, replace=False)))
+    bits = rng.bit_generator
+    with bits.lock:
+        return _face(rng, bits.ctypes, sigma)
 
 
 def random_point(
@@ -201,20 +288,25 @@ def random_point(
     min_weight: float = 0.05,
 ) -> BarycentricPoint:
     """Random point with support equal to a random (or given) face."""
-    if face is None:
-        face = _random_face(rng, K.maximal_simplices[rng.integers(len(K.maximal_simplices))])
-    raw = min_weight + rng.random(len(face))
-    return make_point(K, {v: float(w) for v, w in zip(face, raw)})
+    bits = rng.bit_generator
+    with bits.lock:  # one hold for all of the point's draws
+        c = bits.ctypes
+        if face is None:
+            simplices = K.maximal_simplices
+            face = _face(rng, c, simplices[_below(rng, c, len(simplices))])
+        weights = _uniforms(c, len(face))
+    low = float(min_weight)
+    return make_point(K, {v: low + w for v, w in zip(face, weights)})
 
 
 def random_vertex(K: SimplicialComplex, rng: np.random.Generator) -> BarycentricPoint:
-    return vertex_point(K, K.vertices[rng.integers(len(K.vertices))])
+    return vertex_point(K, _pick(rng, K.vertices))
 
 
 def random_same_simplex_pair(
     K: SimplicialComplex, rng: np.random.Generator
 ) -> tuple[BarycentricPoint, BarycentricPoint]:
-    sigma = K.maximal_simplices[rng.integers(len(K.maximal_simplices))]
+    sigma = _pick(rng, K.maximal_simplices)
     first = random_point(K, rng, face=sigma)
     second = random_point(K, rng, face=_random_face(rng, sigma))
     return first, second
@@ -229,11 +321,10 @@ def random_disjoint_pair(
         b = random_point(K, rng)
         if not set(a.support) & set(b.support):
             return a, b
-    verts = list(K.vertices)
-    u = verts[rng.integers(len(verts))]
-    rest = [v for v in verts if v != u]
-    v = rest[rng.integers(len(rest))]
-    return vertex_point(K, u), vertex_point(K, v)
+    verts = K.vertices
+    i = _integer(rng, len(verts))
+    j = _integer(rng, len(verts) - 1)  # an index among the other vertices
+    return vertex_point(K, verts[i]), vertex_point(K, verts[j + (j >= i)])
 
 
 def grid_point(
@@ -244,7 +335,7 @@ def grid_point(
 ) -> BarycentricPoint:
     """Random point with all weights integer multiples of 1/n."""
     if face is None:
-        face = _random_face(rng, K.maximal_simplices[rng.integers(len(K.maximal_simplices))])
+        face = _random_face(rng, _pick(rng, K.maximal_simplices))
     k = len(face)
     if n < k:
         raise InvalidParameters(f"resolution 1/{n} too coarse for a face of size {k}")
@@ -261,7 +352,7 @@ def _random_geodesic(K: SimplicialComplex, rng: np.random.Generator, u: str, v: 
     while path[-1] != v:
         step = to_v[index[path[-1]]] - 1
         nxts = [w for w in K.adjacency[path[-1]] if to_v[index[w]] == step]
-        path.append(nxts[rng.integers(len(nxts))])
+        path.append(_pick(rng, nxts))
     return path
 
 
@@ -272,10 +363,10 @@ def sample_geodesic_triples(
     verts = list(K.vertices)
     out = []
     for _ in range(count):
-        u = verts[rng.integers(len(verts))]
-        v = verts[rng.integers(len(verts))]
+        u = _pick(rng, verts)
+        v = _pick(rng, verts)
         path = _random_geodesic(K, rng, u, v)
-        w = path[rng.integers(len(path))]
+        w = _pick(rng, path)
         out.append((u, w, v))
     return out
 
@@ -298,17 +389,17 @@ def nested_quadruples(
     tries = 0
     while len(out) < count and tries < count * 50:
         tries += 1
-        u = verts[rng.integers(len(verts))]
+        u = _pick(rng, verts)
         from_u = table.row(u)
         far = from_u.max()
         if far < min_gap + 2:
             continue
         candidates = [v for v, d in zip(table.order, from_u) if d == far]
-        b = candidates[rng.integers(len(candidates))]
+        b = _pick(rng, candidates)
         path = _random_geodesic(K, rng, u, b)
         length = len(path) - 1
-        lo = int(rng.integers(1, max(2, length - min_gap - 1)))
-        hi = lo + min_gap + int(rng.integers(0, max(1, length - lo - min_gap)))
+        lo = 1 + _integer(rng, max(1, length - min_gap - 2))
+        hi = lo + min_gap + _integer(rng, max(1, length - lo - min_gap))
         hi = min(hi, length - 1)
         if hi - lo < min_gap:
             continue

@@ -23,6 +23,7 @@ package relies on that normalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +31,7 @@ import numpy as np
 
 from .complexes import SimplicialComplex, WordMetricTable
 from .errors import (
+    InvalidParameters,
     MetricAxiomError,
     SuppliedConstantTooSmall,
 )
@@ -229,13 +231,22 @@ def validate_vertex_metric(
     A: float | None = None,
     B: float | None = None,
 ) -> VertexMetric:
-    """Build a VertexMetric after exhaustive axiom and constant checks."""
+    """Build a VertexMetric after exhaustive axiom and constant checks.
+
+    A NaN or infinite matrix entry, and a constant that is NaN, infinite or a
+    bool, raise InvalidParameters: every axiom and bound test is false on NaN.
+    """
     order = tuple(order) if order is not None else K.vertices
     if sorted(order) != list(K.vertices):
         raise ValueError("metric order does not match the complex vertex set")
     m = np.asarray(matrix, dtype=float)
     if m.shape != (len(order), len(order)):
         raise ValueError(f"matrix shape {m.shape} does not match vertex count {len(order)}")
+    if not np.isfinite(m).all():
+        raise InvalidParameters("metric matrix has a NaN or infinite entry")
+    for name, value in (("C", C), ("A", A), ("B", B)):
+        if value is not None and (isinstance(value, (bool, np.bool_)) or not math.isfinite(value)):
+            raise InvalidParameters(f"{name} must be a finite number, got {value!r}")
     violations = metric_violations(order, m)
     if violations:
         raise MetricAxiomError(violations)

@@ -6,17 +6,25 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from numpy.random import MT19937, SFC64, Generator, Philox
 
 from metricext import (
     GeneratorSpec,
     InvalidParameters,
     generate,
     hyperbolicity_delta,
+    make_point,
+    vertex_point,
     word_vertex_metric,
 )
+from metricext import checks, generators
+from metricext.checks import run_checks
 from metricext.fileio import complex_from_dict, complex_to_dict
 from metricext.generators import (
     _cliques,
+    _integer,
+    _random_face,
+    _uniforms,
     cycle_complex,
     grid_point,
     nested_quadruples,
@@ -30,7 +38,7 @@ from metricext.generators import (
     tree_complex,
 )
 
-from conftest import all_faces
+from conftest import all_faces, fleet
 
 
 class TestGenerators:
@@ -171,3 +179,129 @@ class TestSamplers:
         t = word_metric(K)
         for u, a, b, c in quads:
             assert t.distance(c, a) >= 5
+
+
+# --------------------------------------------------------------------------
+# The samplers draw numpy's stream through the bit generator; these are the
+# numpy calls they replace, kept as the reference.
+
+def numpy_random_face(rng, sigma):
+    size = int(rng.integers(1, len(sigma) + 1))
+    return tuple(sigma[i] for i in sorted(rng.choice(len(sigma), size=size, replace=False)))
+
+
+def numpy_random_point(K, rng, face=None, min_weight=0.05):
+    if face is None:
+        face = numpy_random_face(rng, K.maximal_simplices[rng.integers(len(K.maximal_simplices))])
+    raw = min_weight + rng.random(len(face))
+    # built through the module's name, which the verdict test records, as random_point's points are
+    return generators.make_point(K, {v: float(w) for v, w in zip(face, raw)})
+
+
+def list_disjoint_fallback(K, rng):
+    verts = list(K.vertices)
+    u = verts[rng.integers(len(verts))]
+    rest = [v for v in verts if v != u]
+    v = rest[rng.integers(len(rest))]
+    return vertex_point(K, u), vertex_point(K, v)
+
+
+# next_uint32 buffers half of a 64-bit word on PCG64, SFC64 and Philox, and nothing on MT19937
+BIT_GENERATORS = {
+    "pcg64": np.random.default_rng,
+    "sfc64": lambda seed: Generator(SFC64(seed)),
+    "philox": lambda seed: Generator(Philox(seed)),
+    "mt19937": lambda seed: Generator(MT19937(seed)),
+}
+
+
+@pytest.fixture(params=sorted(BIT_GENERATORS))
+def twin_rngs(request):
+    """Two generators on one seed: one for the samplers' draws, one for numpy's own calls."""
+    make = BIT_GENERATORS[request.param]
+    return make(11), make(11)
+
+
+class TestDrawParity:
+    def test_integers(self, twin_rngs):
+        ours, theirs = twin_rngs
+        ranges = [*range(1, 71), 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 3 << 40]
+        for n in ranges:
+            for _ in range(4):
+                assert _integer(ours, n) == int(theirs.integers(n)), n
+                assert ours.random() == theirs.random()
+                assert _integer(ours, n) == int(theirs.integers(n)), n
+                assert int(ours.integers(7)) == int(theirs.integers(7))
+        with pytest.raises(ValueError):
+            _integer(ours, 0)
+
+    @pytest.mark.parametrize("ks", [range(1, 65), [10_000, 10_001]], ids=["1-64", "10000-10001"])
+    def test_faces(self, twin_rngs, ks):
+        ours, theirs = twin_rngs
+        for k in ks:
+            for _ in range(12 if k <= 64 else 2):
+                size = int(theirs.integers(1, k + 1))
+                want = sorted(int(i) for i in theirs.choice(k, size=size, replace=False))
+                assert list(_random_face(ours, tuple(range(k)))) == want, k
+                assert ours.random() == theirs.random()
+                assert int(ours.integers(7)) == int(theirs.integers(7))
+
+    def test_uniforms(self, twin_rngs):
+        ours, theirs = twin_rngs
+        for k in [*range(12), 100]:
+            with ours.bit_generator.lock:
+                assert _uniforms(ours.bit_generator.ctypes, k) == theirs.random(k).tolist()
+            assert ours.random() == theirs.random()
+            assert int(ours.integers(7)) == int(theirs.integers(7))
+
+    def test_points_and_faces_match_the_numpy_calls(self, twin_rngs, complex_fleet):
+        ours, theirs = twin_rngs
+        for K in complex_fleet.values():
+            for _ in range(20):
+                assert random_point(K, ours) == numpy_random_point(K, theirs)
+                sigma = K.maximal_simplices[-1]
+                assert _random_face(ours, sigma) == numpy_random_face(theirs, sigma)
+                assert random_point(K, ours, min_weight=0.5) == numpy_random_point(K, theirs, min_weight=0.5)
+
+    def test_disjoint_fallback_is_the_list_based_draw(self, complex_fleet):
+        for name, K in complex_fleet.items():
+            for seed in range(30):
+                got = random_disjoint_pair(K, np.random.default_rng(seed), max_tries=0)
+                assert got == list_disjoint_fallback(K, np.random.default_rng(seed)), (name, seed)
+                assert got[0] != got[1]
+
+    def test_disjoint_fallback_on_one_vertex_raises_as_before(self):
+        K = simplex_complex(0)
+        for draw in (random_disjoint_pair, lambda K, rng, max_tries: list_disjoint_fallback(K, rng)):
+            with pytest.raises(ValueError):
+                draw(K, np.random.default_rng(0), max_tries=0)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_check_verdicts_equal_the_numpy_drawn_samplers(self, seed, monkeypatch):
+        def run_all():
+            """Every fleet complex's CheckResults, and every point the samplers built for them."""
+            points = []
+
+            def recorded(build):
+                def build_and_record(*args):
+                    points.append(build(*args))
+                    return points[-1]
+
+                return build_and_record
+
+            with monkeypatch.context() as patch:
+                patch.setattr(generators, "make_point", recorded(make_point))
+                patch.setattr(generators, "vertex_point", recorded(vertex_point))
+                results = {
+                    name: run_checks(K, word_vertex_metric(K), suite="all", seed=seed)
+                    for name, K in fleet().items()
+                }
+            return results, points
+
+        drawn, drawn_points = run_all()
+        monkeypatch.setattr(generators, "_random_face", numpy_random_face)
+        monkeypatch.setattr(generators, "random_point", numpy_random_point)
+        monkeypatch.setattr(checks, "random_point", numpy_random_point)
+        results, points = run_all()
+        assert results == drawn
+        assert len(points) > 10_000 and points == drawn_points

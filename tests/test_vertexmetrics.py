@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from metricext import (
     ExtendedMetric,
     DisconnectedComplex,
+    InvalidParameters,
     MetricAxiomError,
     SuppliedConstantTooSmall,
     build_complex,
@@ -209,6 +210,33 @@ class TestValidateVertexMetric:
             validate_vertex_metric(path3, m, ("u", "v", "w"))
         kinds = {v.kind for v in info.value.violations}
         assert "TriangleViolation" in kinds
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_rejected(self, path3, entry):
+        # NaN passes every axiom comparison and would give C = minimal_C = nan
+        m = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
+        m[0, 2] = m[2, 0] = entry
+        with pytest.raises(InvalidParameters, match="matrix"):
+            validate_vertex_metric(path3, m, ("u", "v", "w"))
+
+    @pytest.mark.parametrize("name", ["C", "A", "B"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, np.True_])
+    def test_non_finite_or_bool_constant_is_rejected(self, path3, name, value):
+        m = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
+        constants = {"C": 2.0, "A": 1.0, "B": 0.0, name: value}
+        with pytest.raises(InvalidParameters, match=f"^{name} must be a finite number"):
+            validate_vertex_metric(path3, m, ("u", "v", "w"), **constants)
+
+    def test_finite_constants_still_pass(self, path3):
+        m = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
+        vm = validate_vertex_metric(path3, m, ("u", "v", "w"), C=2, A=1.0, B=np.float64(0.0))
+        assert (vm.C, vm.minimal_C) == (2.0, 1.0)
+
+    def test_nan_constant_no_longer_reaches_the_extension(self, path3):
+        # before the check, C=nan passed `C < minimal` and the extension answered (nan, "l1path")
+        m = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
+        with pytest.raises(InvalidParameters):
+            ExtendedMetric(path3, validate_vertex_metric(path3, m, ("u", "v", "w"), C=float("nan")))
 
     def test_nonzero_diagonal(self, path3):
         m = np.array([[0.1, 1, 2], [1, 0, 1], [2, 1, 0]])
