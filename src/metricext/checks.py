@@ -267,6 +267,9 @@ def _check_vertex_agreement_solver(ctx: CheckContext) -> CheckResult:
 @_suite("vertex")
 def _check_minimal_bound(ctx: CheckContext) -> CheckResult:
     r = CheckResult("minimal-linear-bound-attained")
+    if len(ctx.K.vertices) < 2:
+        r.notes.append("single vertex; no pair to attain C")
+        return r
     table = word_metric(ctx.K)
     c = ctx.metric.minimal_C
     gap = np.inf

@@ -40,7 +40,7 @@ from .errors import MissingQIConstants
 from .pathmetric import (  # noqa: F401 - bench/workloads.py reads extension.l1_path_distance
     PathResult,
     PathWitness,
-    _path_by_search,
+    _solve_by_search,
     _trivial_witness,
     l1_path_distance,
     query_bounds,
@@ -166,7 +166,7 @@ class ExtendedMetric:
             bounds = query_bounds(self.K, x, y)
             if self.scale * max(v for _, v in bounds) >= bilinear:
                 return (bilinear, "bilinear")
-            path = _path_by_search(self.K, x, y, bounds, ceiling=(bilinear, self.scale))
+            path = _solve_by_search(self.K, x, y, bounds, ceiling=(bilinear, self.scale))
             if path is None:  # the search proved scale * path >= bilinear
                 return (bilinear, "bilinear")
         scaled = self.scale * path.value

@@ -214,76 +214,49 @@ def _transport(
 
     Rows are sources, columns sinks, every row-column arc is uncapacitated;
     supplies are positive and total the demands.  Each round finds the
-    distances from the rows with supply left over the residual graph
-    (forward arcs at +cost, used arcs back at -cost) by Dijkstra on costs
-    reduced by the last round's distances, which keeps every reduced cost
-    nonnegative (Edmonds & Karp 1972; Tomizawa 1971).  It then sends as much
-    as a shortest path to the first unfilled column allows.  Augmenting along
-    shortest paths keeps the residual graph free of negative cycles, so the
-    flow is optimal once every column is filled.  The path is canonical:
-    among shortest paths, one with fewest arcs, each node taking its
-    lowest-index predecessor one arc nearer the sources, so the flows do not
-    depend on how the distances were found.
+    distances from the rows with supply left over the residual graph by
+    Bellman-Ford rounds (Bellman 1958; Ford 1956): rows relax every column
+    at +cost, then columns relax the rows that send them flow at -cost, each
+    in index order, and a node takes a predecessor only on a strict
+    improvement.  It then sends as much as the recorded path to the first
+    unfilled column allows.  Costs reduced by a round's distances are
+    nonnegative on every residual arc and zero along the path, so the arcs
+    an augmentation opens are zero too: the residual graph never holds a
+    negative cycle, the rounds end, and the flow is optimal once every
+    column is filled.
+
+    A pass relaxes only the nodes whose distance fell since they were last
+    relaxed.  A node relaxed at distance d left each neighbour at most
+    d + cost, and distances only fall, so until its own distance falls it
+    cannot strictly improve a neighbour.  Every distance and predecessor,
+    and so every flow, is the one rounds over all nodes give.
     """
     m, n = len(supply), len(demand)
     rows, cols = range(m), range(n)
     left, need = list(supply), list(demand)
     flow = [[0] * n for _ in rows]
-    pot_r, pot_c = [0] * m, [0] * n  # the last round's distances
     while any(need):
-        # Dijkstra from the rows with supply left, settling the least reduced distance first
-        dr: list = [0 if left[i] else None for i in rows]
+        dr: list = [0 if s else None for s in left]
         dc: list = [None] * n
-        open_r, open_c = list(rows), list(cols)
-        while True:
-            best = None
-            for i in open_r:
-                if dr[i] is not None and (best is None or dr[i] - pot_r[i] < best):
-                    best, at, on_row = dr[i] - pot_r[i], i, True
-            for c in open_c:
-                if dc[c] is not None and (best is None or dc[c] - pot_c[c] < best):
-                    best, at, on_row = dc[c] - pot_c[c], c, False
-            if best is None:
-                break
-            if on_row:
-                open_r.remove(at)
-                base, line = dr[at], cost[at]
-                for c in open_c:
-                    if dc[c] is None or base + line[c] < dc[c]:
-                        dc[c] = base + line[c]
-            else:
-                open_c.remove(at)
-                base = dc[at]
-                for i in open_r:
-                    if flow[i][at] and (dr[i] is None or base - cost[i][at] < dr[i]):
-                        dr[i] = base - cost[i][at]
-        pot_r, pot_c = dr, dc
-        # canonical shortest path to column j: breadth-first over tight arcs from the sources at 0
+        via_r: list = [None] * m  # the column each row was last improved from
+        via_c: list = [None] * n  # the row each column was last improved from
+        fell_r = [bool(s) for s in left]  # fell since last relaxed
+        while any(fell_r):
+            fell_c = [False] * n
+            for i in rows:
+                if fell_r[i]:
+                    fell_r[i] = False
+                    base = dr[i]
+                    for c, d in enumerate(cost[i]):
+                        if dc[c] is None or base + d < dc[c]:
+                            dc[c], via_c[c], fell_c[c] = base + d, i, True
+            for c in cols:
+                if fell_c[c]:
+                    base = dc[c]
+                    for i in rows:
+                        if flow[i][c] and (dr[i] is None or base - cost[i][c] < dr[i]):
+                            dr[i], via_r[i], fell_r[i] = base - cost[i][c], c, True
         j = next(c for c in cols if need[c])
-        via_r: list = [None] * m  # the column before each row
-        via_c: list = [None] * n  # the row before each column
-        seen_r = [bool(left[i]) and dr[i] == 0 for i in rows]
-        seen_c = [False] * n
-        level, on_rows = [i for i in rows if seen_r[i]], True
-        while not seen_c[j]:
-            grown = []
-            if on_rows:
-                for c in cols:
-                    if not seen_c[c]:
-                        for i in level:
-                            if dr[i] + cost[i][c] == dc[c]:
-                                via_c[c], seen_c[c] = i, True
-                                grown.append(c)
-                                break
-            else:
-                for i in rows:
-                    if not seen_r[i]:
-                        for c in level:
-                            if flow[i][c] and dc[c] - cost[i][c] == dr[i]:
-                                via_r[i], seen_r[i] = c, True
-                                grown.append(i)
-                                break
-            level, on_rows = grown, not on_rows
         forward, backward = [], []  # arcs (row, column) along the path
         c = j
         while True:
@@ -546,29 +519,9 @@ def l1_path_distance(
         witness = _route_witness(K, x, y, u, v)
         result = PathResult(float(table.distance(u, v)), witness)
     else:
-        return _path_by_search(K, x, y, query_bounds(K, x, y))
+        return _solve_by_search(K, x, y, query_bounds(K, x, y))
 
     _assert_above_bounds(result.value, lower_bounds(K, x, y), "l1_path_distance")
-    return result
-
-
-def _path_by_search(
-    K: SimplicialComplex,
-    x: BarycentricPoint,
-    y: BarycentricPoint,
-    bounds: list[tuple[str, float]],
-    ceiling: tuple[float, float] | None = None,
-) -> PathResult | None:
-    """Tier 3 for a query whose lower bounds, x to y then y to x, are already known.
-
-    `l1_path_distance` and `ExtendedMetric` both solve here, so each query
-    computes its bounds once and is checked against all of them.  With a
-    ceiling (bilinear, factor) the answer is None once factor * path is
-    proved to reach bilinear (`_solve_by_search`); no path is left to check.
-    """
-    result = _solve_by_search(K, x, y, bounds, ceiling)
-    if result is not None:
-        _assert_above_bounds(result.value, bounds, "l1_path_distance")
     return result
 
 
@@ -585,10 +538,7 @@ def chain_solver_distance(
     word_metric(K)
     if x.key() == y.key():
         return PathResult(0.0, PathWitness(points=(x,), carriers=(), length=0.0))
-    bounds = query_bounds(K, x, y)
-    result = _solve_by_search(K, x, y, bounds)
-    _assert_above_bounds(result.value, bounds, "chain_solver_distance")
-    return result
+    return _solve_by_search(K, x, y, query_bounds(K, x, y))
 
 
 def _solve_by_search(
@@ -627,6 +577,10 @@ def _solve_by_search(
     the products' roundings), and the answer is None without the witness.
     Inside that margin, or for a support of more atoms, the witness is
     built and tested.
+
+    `bounds` are the query's lower bounds, x to y then y to x
+    (`query_bounds`); every result but None is checked against each of
+    them once.
     """
     table = word_metric(K)
     incumbent, u, v = _vertex_route(x, y, table)
@@ -643,6 +597,7 @@ def _solve_by_search(
                     f"search value {bound / scale}, chain optimum {value} and witness length "
                     f"{length} disagree"
                 )
+            _assert_above_bounds(value, bounds, "path search")
             return PathResult(value, PathWitness(points=points, carriers=carriers, length=length))
     if ceiling is not None:
         bilinear, factor = ceiling
@@ -652,6 +607,7 @@ def _solve_by_search(
     witness = _route_witness(K, x, y, u, v)
     if ceiling is not None and factor * witness.length >= bilinear:
         return None
+    _assert_above_bounds(witness.length, bounds, "path search")
     return PathResult(witness.length, witness)
 
 

@@ -131,6 +131,19 @@ def _default_depths(slots: Sequence[Slot], start: int = 0) -> list[int]:
     return list(range(start, min(top, DEFAULT_DEPTH_MAX) + 1))
 
 
+def _dd_table(
+    M: ExtendedMetric, slots: Sequence[Slot], depths: Iterable[int] | None, start: int
+) -> list[tuple[float, float]]:
+    """(depth, extended double difference) at each depth, ascending; the default depths begin at start."""
+    if len(slots) != 4:
+        raise InvalidConfiguration("need exactly four slots")
+    _check_multiplicity(slots)
+    depth_list = sorted(depths) if depths is not None else _default_depths(slots, start)
+    if not depth_list:
+        raise InvalidConfiguration("need at least one depth")
+    return [(float(t), double_difference_ext(M, *_slot_points(M.K, slots, t))) for t in depth_list]
+
+
 def dd_convergence_probe(
     M: ExtendedMetric,
     slots: Sequence[Slot],
@@ -143,16 +156,7 @@ def dd_convergence_probe(
     below tol, otherwise "inconclusive"; finite tables can never refute
     continuity, so no negative verdict exists.
     """
-    if len(slots) != 4:
-        raise InvalidConfiguration("need exactly four slots")
-    _check_multiplicity(slots)
-    depth_list = sorted(depths) if depths is not None else _default_depths(slots)
-    if not depth_list:
-        raise InvalidConfiguration("need at least one depth")
-    table = []
-    for t in depth_list:
-        p = _slot_points(M.K, slots, t)
-        table.append((float(t), double_difference_ext(M, *p)))
+    table = _dd_table(M, slots, depths, start=0)
     if len(table) == 1:
         verdict = "converging" if not _ray_slots(slots) else "inconclusive"
         fitted = {}
@@ -177,9 +181,7 @@ def dd_divergence_probe(
     (first/third or second/fourth) to -infinity.  The verdict reports the
     observed behavior; the expected sign is recorded alongside.
     """
-    if len(slots) != 4:
-        raise InvalidConfiguration("need exactly four slots")
-    _check_multiplicity(slots)
+    table = _dd_table(M, slots, depths, start=1)
     crossed = (slots[0] == slots[3] and isinstance(slots[0], RaySpec)) or (
         slots[1] == slots[2] and isinstance(slots[1], RaySpec)
     )
@@ -187,11 +189,6 @@ def dd_divergence_probe(
         slots[1] == slots[3] and isinstance(slots[1], RaySpec)
     )
     expected = 1.0 if crossed else (-1.0 if straight else 0.0)
-    depth_list = sorted(depths) if depths is not None else _default_depths(slots, start=1)
-    table = []
-    for t in depth_list:
-        p = _slot_points(M.K, slots, t)
-        table.append((float(t), double_difference_ext(M, *p)))
     final_t, final_v = table[-1]
     if final_v >= final_t / 2.0:
         verdict = "+inf-divergent"

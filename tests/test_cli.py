@@ -257,6 +257,16 @@ class TestProbeCommands:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ray, extra", [
+        (["t00"], []),  # a depth-0 ray leaves no default depth from 1 on
+        (["t00", "t01"], ["--depth-max", "-1"]),
+    ])
+    def test_no_depth_is_validation_error(self, tree_file, capsys, ray, extra):
+        slots = json.dumps([{"ray": ray}, {"point": {"t00": 1}}, {"point": {"t02": 1}}, {"ray": ray}])
+        code = main(["probe", "divergence", "-c", tree_file, "--slots", slots, *extra])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: need at least one depth")
+
     def test_convergence_probe(self, tree_file, capsys):
         slots = json.dumps([
             {"ray": ["t00", "t02", "t06", "t14"]},
@@ -298,6 +308,16 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "FAIL" not in out
+
+    def test_one_vertex_complex_passes(self, tmp_path, capsys):
+        # no vertex pair: the minimal-C check has nothing to attain and passes with 0 ok
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"vertices": ["a"], "maximal_simplices": [["a"]]}))
+        assert main(["check", "-c", str(path), "--suite", "all", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert not any(r["failed"] for r in rows)
+        minimal = next(r for r in rows if r["name"] == "minimal-linear-bound-attained")
+        assert minimal["passed"] == 0 and minimal["notes"]
 
     def test_unknown_suite_is_usage_error(self, tree_file):
         with pytest.raises(SystemExit) as info:

@@ -362,7 +362,7 @@ class TestSearchCeiling:
         y = vertex_point(K, "p10")
         bounds = pathmetric_module.query_bounds(K, x, y)
         ceiling = (bilinear_extension(word_vertex_metric(K), x, y), 3.0)
-        got = pathmetric_module._path_by_search(K, x, y, bounds, ceiling)
+        got = pathmetric_module._solve_by_search(K, x, y, bounds, ceiling)
         assert calls.count("_solve_by_search") == built
         assert got is None and got == _witness_decision(K, x, y, bounds, ceiling)
 
@@ -382,7 +382,7 @@ def _bounds_first(M, x, y):
         bounds = pathmetric_module.query_bounds(M.K, x, y)
         if M.scale * max(v for _, v in bounds) >= bilinear:
             return (bilinear, "bilinear", None)
-        path = pathmetric_module._path_by_search(M.K, x, y, bounds, ceiling=(bilinear, M.scale))
+        path = pathmetric_module._solve_by_search(M.K, x, y, bounds, ceiling=(bilinear, M.scale))
         if path is None:
             return (bilinear, "bilinear", None)
     scaled = M.scale * path.value

@@ -6,6 +6,7 @@ import math
 import time
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -382,6 +383,105 @@ def _bellman_ford_transport(supply, demand, cost):
     return total, flow
 
 
+# the solver `_transport` replaced, kept verbatim: Dijkstra on reduced costs
+# plus a breadth-first search for the canonical augmenting path
+def _dijkstra_transport(
+    supply: Sequence[int], demand: Sequence[int], cost: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]]]:
+    """Exact min-cost transport in integers by successive shortest paths; (cost, flows).
+
+    Rows are sources, columns sinks, every row-column arc is uncapacitated;
+    supplies are positive and total the demands.  Each round finds the
+    distances from the rows with supply left over the residual graph
+    (forward arcs at +cost, used arcs back at -cost) by Dijkstra on costs
+    reduced by the last round's distances, which keeps every reduced cost
+    nonnegative (Edmonds & Karp 1972; Tomizawa 1971).  It then sends as much
+    as a shortest path to the first unfilled column allows.  Augmenting along
+    shortest paths keeps the residual graph free of negative cycles, so the
+    flow is optimal once every column is filled.  The path is canonical:
+    among shortest paths, one with fewest arcs, each node taking its
+    lowest-index predecessor one arc nearer the sources, so the flows do not
+    depend on how the distances were found.
+    """
+    m, n = len(supply), len(demand)
+    rows, cols = range(m), range(n)
+    left, need = list(supply), list(demand)
+    flow = [[0] * n for _ in rows]
+    pot_r, pot_c = [0] * m, [0] * n  # the last round's distances
+    while any(need):
+        # Dijkstra from the rows with supply left, settling the least reduced distance first
+        dr: list = [0 if left[i] else None for i in rows]
+        dc: list = [None] * n
+        open_r, open_c = list(rows), list(cols)
+        while True:
+            best = None
+            for i in open_r:
+                if dr[i] is not None and (best is None or dr[i] - pot_r[i] < best):
+                    best, at, on_row = dr[i] - pot_r[i], i, True
+            for c in open_c:
+                if dc[c] is not None and (best is None or dc[c] - pot_c[c] < best):
+                    best, at, on_row = dc[c] - pot_c[c], c, False
+            if best is None:
+                break
+            if on_row:
+                open_r.remove(at)
+                base, line = dr[at], cost[at]
+                for c in open_c:
+                    if dc[c] is None or base + line[c] < dc[c]:
+                        dc[c] = base + line[c]
+            else:
+                open_c.remove(at)
+                base = dc[at]
+                for i in open_r:
+                    if flow[i][at] and (dr[i] is None or base - cost[i][at] < dr[i]):
+                        dr[i] = base - cost[i][at]
+        pot_r, pot_c = dr, dc
+        # canonical shortest path to column j: breadth-first over tight arcs from the sources at 0
+        j = next(c for c in cols if need[c])
+        via_r: list = [None] * m  # the column before each row
+        via_c: list = [None] * n  # the row before each column
+        seen_r = [bool(left[i]) and dr[i] == 0 for i in rows]
+        seen_c = [False] * n
+        level, on_rows = [i for i in rows if seen_r[i]], True
+        while not seen_c[j]:
+            grown = []
+            if on_rows:
+                for c in cols:
+                    if not seen_c[c]:
+                        for i in level:
+                            if dr[i] + cost[i][c] == dc[c]:
+                                via_c[c], seen_c[c] = i, True
+                                grown.append(c)
+                                break
+            else:
+                for i in rows:
+                    if not seen_r[i]:
+                        for c in level:
+                            if flow[i][c] and dc[c] - cost[i][c] == dr[i]:
+                                via_r[i], seen_r[i] = c, True
+                                grown.append(i)
+                                break
+            level, on_rows = grown, not on_rows
+        forward, backward = [], []  # arcs (row, column) along the path
+        c = j
+        while True:
+            i = via_c[c]
+            forward.append((i, c))
+            c = via_r[i]
+            if c is None:
+                break
+            backward.append((i, c))
+        amount = min([left[i], need[j]] + [flow[a][b] for a, b in backward])
+        for a, b in forward:
+            flow[a][b] += amount
+        for a, b in backward:
+            flow[a][b] -= amount
+        left[i] -= amount
+        need[j] -= amount
+    total = sum(f * c for line, fl in zip(cost, flow) for f, c in zip(fl, line))
+    return total, flow
+
+
 def _weights_point(weights):
     return BarycentricPoint(items=tuple((f"v{i}", w) for i, w in enumerate(weights)))
 
@@ -414,6 +514,60 @@ class TestIntegerSearchCore:
         old_total, old_flow = _bellman_ford_transport(old_supply, old_demand, cost)
         assert Fraction(total, scale) == old_total
         assert [[Fraction(f, scale) for f in row] for row in flow] == old_flow
+
+    @given(
+        xw=st.lists(weight, min_size=1, max_size=6),
+        yw=st.lists(weight, min_size=1, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_transport_matches_the_dijkstra_solver(self, xw, yw, data):
+        cost = data.draw(
+            st.lists(
+                st.lists(st.integers(0, 8), min_size=len(yw), max_size=len(yw)),
+                min_size=len(xw),
+                max_size=len(xw),
+            )
+        )
+        supply, demand, _ = pathmetric._masses(_weights_point(xw), _weights_point(yw))
+        assert pathmetric._transport(supply, demand, cost) == _dijkstra_transport(supply, demand, cost)
+
+    @pytest.mark.parametrize("k", [8, 12, 16, 24])
+    def test_transport_matches_the_dijkstra_solver_on_large_squares(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(4):
+            xw, yw = ([int(n) / 2 ** int(e) for n, e in zip(rng.integers(1, 1025, k), rng.integers(0, 11, k))]
+                      for _ in range(2))
+            supply, demand, _ = pathmetric._masses(_weights_point(xw), _weights_point(yw))
+            cost = rng.integers(0, 9, (k, k)).tolist()
+            assert pathmetric._transport(supply, demand, cost) == _dijkstra_transport(supply, demand, cost)
+
+    def test_pool_chains_and_witnesses_match_the_dijkstra_solver(self, monkeypatch):
+        # every pool answer, witness and chain_lp breakpoint is the one the
+        # Dijkstra solver gives, bit for bit
+        solved = []
+        real_chain_lp = pathmetric.chain_lp
+
+        def record(*args):
+            solved.append(real_chain_lp(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(pathmetric, "chain_lp", record)
+        queries = list(pool_queries())
+        runs = []
+        for transport in (pathmetric._transport, _dijkstra_transport):
+            monkeypatch.setattr(pathmetric, "_transport", transport)
+            solved.clear()
+            extended, answers = {}, []
+            for q, K, x, y in queries:
+                if q["kind"] == "path":
+                    answers.append(l1_path_distance(K, x, y))
+                else:
+                    M = extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K)))
+                    answers.append(M.distance_with_witness(x, y))
+            runs.append((repr(answers), repr(solved)))
+        assert runs[0] == runs[1]
+        assert solved
 
     @given(
         xw=st.lists(weight, min_size=1, max_size=5),
@@ -610,7 +764,7 @@ class TestIntegerSearchCore:
             for factor in (1.0, 1.7, math.pi, 3.3000000000000003):
                 tie = factor * exact.value
                 for bilinear in (tie, math.nextafter(tie, math.inf)):
-                    got = pathmetric._path_by_search(K, x, y, bounds, (bilinear, factor))
+                    got = pathmetric._solve_by_search(K, x, y, bounds, (bilinear, factor))
                     if got is None:
                         assert tie >= bilinear, q["id"]
                         answers["none"] += 1
