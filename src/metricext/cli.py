@@ -51,6 +51,17 @@ EXIT_INTERNAL = 3
 EXIT_USAGE = 64
 
 
+def _sample_count(text: str) -> int:
+    """A --samples value: an int of at least 1, else a usage error (exit 64)."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"need at least one sample, got {count}")
+    return count
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors leave through exit code 64
         self.print_usage(sys.stderr)
@@ -105,7 +116,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--slots", default=None, help="JSON array of 4 slots (ray/point)")
     p.add_argument("--depth-max", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--samples", type=int, default=40)
+    p.add_argument("--samples", type=_sample_count, default=40)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda-grid", default=None, help="comma-separated values")
     p.add_argument("--threshold", type=float, default=None)
@@ -113,7 +124,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle-compare", help="exact solver vs grid oracle")
     p.add_argument("-c", "--complex", required=True)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_sample_count, default=20)
     p.add_argument("--resolution", type=int, default=16, help="grid is 1/n")
     p.add_argument("--refine", action="store_true", help="also run at 1/(2n)")
     p.add_argument("--seed", type=int, default=0)

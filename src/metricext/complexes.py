@@ -4,7 +4,7 @@ A complex is stored as the canonical list of its maximal simplices; a vertex
 set is a face when some maximal simplex holds it all (`spans`).  Simplices
 are sorted tuples of string vertex labels; all iteration uses lexicographic
 label order so outputs are reproducible bit-for-bit.  Complexes and points
-are immutable after construction and safe to share across threads.
+are immutable after construction.
 
 A barycentric point stores its sorted (vertex, weight) items and, once, when
 it is made, its support; the per-simplex l1 distance is one merge of two
@@ -16,9 +16,9 @@ index instead of a scan over all pairs of listed simplices.
 
 Each complex owns its derived tables (adjacency, vertex -> maximal-simplex
 incidence, and, created on first use, the word table, the grid oracle's
-graphs by resolution and the shared-vertex position maps between
-intersecting maximal simplices); they are freed with it and take no part in
-its equality or hash.
+graphs by resolution and, one maximal simplex at a time as the path search
+asks, the maximal simplices meeting it); they are freed with it and take no
+part in its equality or hash.
 
 The word table holds no V^2 array.  It answers word distances on demand:
 a row is one single-source search, kept in a small LRU; a single distance
@@ -31,7 +31,6 @@ metric, the four-point scan).
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -57,8 +56,6 @@ if TYPE_CHECKING:
     from .oracle import GridGraph
 
 Simplex = tuple[str, ...]
-# (index of the other maximal simplex, position map, shared positions): see SimplicialComplex.overlaps
-Overlap = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 # Stored weights below this are treated as exact zeros; support membership is
 # thresholded so floating-point noise cannot create phantom support vertices.
@@ -104,7 +101,6 @@ class WordMetricTable:
         self._rows: OrderedDict[str, np.ndarray] = OrderedDict()
         self._keep_row(order[0], first)
         self._pairs: dict[tuple[str, str], float] = {}
-        self._lock = threading.Lock()
 
     def _search_row(self, i: int) -> np.ndarray:
         # the graph is symmetric, so a directed search gives the same row without a transpose
@@ -120,14 +116,11 @@ class WordMetricTable:
 
     def row(self, u: str) -> np.ndarray:
         """Read-only distances from u to every vertex, in `order`."""
-        with self._lock:
-            row = self._rows.get(u)
-            if row is not None:
-                self._rows.move_to_end(u)
-                return row
-        dist = self._search_row(self.index[u])
-        with self._lock:
-            return self._keep_row(u, dist)
+        row = self._rows.get(u)
+        if row is not None:
+            self._rows.move_to_end(u)
+            return row
+        return self._keep_row(u, self._search_row(self.index[u]))
 
     def distance(self, u: str, v: str) -> float:
         """Word distance from u to v: read from a kept row, remembered, or searched."""
@@ -142,11 +135,9 @@ class WordMetricTable:
         key = (u, v) if u <= v else (v, u)
         d = self._pairs.get(key)
         if d is None:
-            d = float(self._search_pair(u, v))
-            with self._lock:
-                self._pairs[key] = d
-                if len(self._pairs) > PAIRS_KEPT:
-                    del self._pairs[next(iter(self._pairs))]
+            d = self._pairs[key] = float(self._search_pair(u, v))
+            if len(self._pairs) > PAIRS_KEPT:
+                del self._pairs[next(iter(self._pairs))]
         return d
 
     def _search_pair(self, u: str, v: str) -> int:
@@ -207,23 +198,21 @@ class SimplicialComplex:
         return {}
 
     @cached_property
-    def overlaps(self) -> tuple[tuple[Overlap, ...], ...]:
-        """Per maximal simplex s, one (t, positions, shared) per other maximal simplex t meeting it.
+    def _neighbour_rows(self) -> dict[int, tuple[int, ...]]:
+        """The rows `neighbours` has built, by maximal simplex."""
+        return {}
 
-        The t ascend.  positions[q] is the position in s of the q-th vertex
-        of t, or -1 if s lacks it; shared lists the positions in s of the
-        vertices the two share.  Built on first use, for the path search.
+    def neighbours(self, s: int) -> tuple[int, ...]:
+        """Indices of the other maximal simplices meeting maximal simplex s, ascending.
+
+        A row is built the first time it is asked for and kept on the complex.
         """
-        M = self.maximal_simplices
-        out = []
-        for s, sigma in enumerate(M):
-            at = {w: p for p, w in enumerate(sigma)}
-            row = []
-            for t in sorted({t for w in sigma for t in self.incidence[w]} - {s}):
-                positions = tuple(at.get(w, -1) for w in M[t])
-                row.append((t, positions, tuple(p for p in positions if p >= 0)))
-            out.append(tuple(row))
-        return tuple(out)
+        row = self._neighbour_rows.get(s)
+        if row is None:
+            incidence = self.incidence
+            row = tuple(sorted({t for w in self.maximal_simplices[s] for t in incidence[w]} - {s}))
+            self._neighbour_rows[s] = row
+        return row
 
     @cached_property
     def dimension(self) -> int:

@@ -173,24 +173,31 @@ class GeneratorSpec:
     max_dim: int = 3
 
 
+def _whole(value: float) -> int:
+    """A count parameter as an int; a fractional one raises InvalidParameters, not truncated."""
+    if not float(value).is_integer():
+        raise InvalidParameters(f"parameter {value!r} must be a whole number")
+    return int(value)
+
+
 def generate(spec: GeneratorSpec) -> SimplicialComplex:
     """Build the complex a GeneratorSpec describes."""
     k, p = spec.kind, spec.params
     try:
         if k == "simplex":
-            return simplex_complex(int(p[0]))
+            return simplex_complex(_whole(p[0]))
         if k == "path":
-            return path_complex(int(p[0]))
+            return path_complex(_whole(p[0]))
         if k == "cycle":
-            return cycle_complex(int(p[0]))
+            return cycle_complex(_whole(p[0]))
         if k == "tree":
-            return tree_complex(int(p[0]), int(p[1]))
+            return tree_complex(_whole(p[0]), _whole(p[1]))
         if k == "rips":
             if spec.base is None:
                 raise InvalidParameters("rips needs a base complex")
             return rips_complex(spec.base, float(p[0]), spec.max_dim)
         if k == "random":
-            return random_complex(int(p[0]), float(p[1]), spec.seed, spec.max_dim)
+            return random_complex(_whole(p[0]), float(p[1]), spec.seed, spec.max_dim)
     except IndexError as exc:
         raise InvalidParameters(f"kind {k!r} is missing parameters") from exc
     raise InvalidParameters(f"unknown generator kind {k!r}")

@@ -18,7 +18,11 @@ optimum is a transportation problem whose costs a DP over the faces gives
 is the last simplex plus the switch counts reaching each of its vertices,
 its priority a transport that never overestimates and is exact once the
 simplex holds supp(y), and states dominated at the same simplex are
-dropped, which keeps the search finite.
+dropped, which keeps the search finite.  On one simplex an atom's counts
+take two values, m and m + 1, so a state keeps per atom only m and the bit
+set Z of vertices at m: its arc costs, dominance tests and moves are a few
+integer operations each, whatever the simplex's size, and the search asks
+the complex only which simplices meet the one it expands (`neighbours`).
 
 The search core runs in Python ints.  The dyadic float weights scale to
 integer supplies and demands that balance exactly (`_masses`), every cost
@@ -57,7 +61,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import add, itemgetter, le, mul, sub
+from operator import itemgetter, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import (
@@ -641,18 +645,30 @@ def _best_first(
 
     A state is a maximal simplex sigma reached by a chain from supp(x) plus,
     for each u in supp(x), the fewest switches val_u(w) that bring the mass
-    of u to each w in sigma, as a tuple aligned with sigma.  States are
-    popped in the order of an integer transport (`_masses`, `_transport_total`)
-    whose cost from u to v is min_w val_u(w) + word(w, v): a bound no
-    extension of the chain can beat, equal to the chain optimum times the
-    scale once sigma holds supp(y).  So the first such state popped is
-    optimal.  A state is pruned when its total reaches
-    ceil((incumbent - TIE_TOL) * scale), which is exactly when its value is
-    no shorter than incumbent - TIE_TOL; when `_transport_floor` already
-    reaches that cutoff, the state is pruned without solving its transport.
+    of u to each w in sigma.  Those counts take two values only: at the
+    first simplex they are 0 at u and 1 elsewhere, and a move to t keeps the
+    shared vertices' counts and gives every other vertex of t the least of
+    them plus 1, so if val_u is m or m + 1 on sigma, it is on t too, with m
+    kept when some vertex at m is shared and m + 1 otherwise.  So val_u is
+    stored as (m, Z), Z the vertices at m as a bit set (bits are given to
+    vertices as the search first meets them), and a move to t gives
+    (m, Z & t) when that is not empty, else (m + 1, sigma & t).
+
+    States are popped in the order of an integer transport (`_masses`,
+    `_transport_total`) whose cost from u to v is min_w val_u(w) + word(w, v):
+    a bound no extension of the chain can beat, equal to the chain optimum
+    times the scale once sigma holds supp(y).  With d_v the least word
+    distance from sigma to v and Y_v the vertices of sigma at d_v, that cost
+    is m + d_v when Z meets Y_v and m + d_v + 1 otherwise.  So the first
+    state popped whose sigma holds supp(y) is optimal.  A state is pruned
+    when its total reaches ceil((incumbent - TIE_TOL) * scale), which is
+    exactly when its value is no shorter than incumbent - TIE_TOL; when
+    `_transport_floor` already reaches that cutoff, the state is pruned
+    without solving its transport, and that cost is remembered as pruned.
     A state is dropped when another state at the same sigma is nowhere
-    worse; a chain that returns to a simplex is always dropped this way, so
-    the search is finite.
+    worse: for every u, (m, Z) is nowhere above (m', Z') iff m < m', or
+    m == m' and Z holds Z'.  A chain that returns to a simplex is always
+    dropped this way, so the search is finite.
 
     A ceiling (bilinear, factor) lowers the cutoff R to E = the least total
     T with factor * (T / scale) >= bilinear, when E < R (`_reaching_total`).
@@ -678,7 +694,6 @@ def _best_first(
       exists and the route is the exact answer.
     """
     M = K.maximal_simplices
-    overlaps = K.overlaps
     ys = y.support
     ends = set(K.maximal_indices_containing(ys))
     supply, demand, scale = _masses(x, y)
@@ -688,69 +703,85 @@ def _best_first(
         cutoff = _reaching_total(*ceiling, scale, cutoff)
     index = table.index
     rows_y = [table.row(v) for v in ys]  # one search per vertex of supp(y) answers every word(w, v)
-    to_y: dict[str, tuple[int, ...]] = {}  # w -> word(w, v) for v in supp(y)
-    columns: dict[int, tuple[tuple[int, ...], ...]] = {}  # s -> per v, word(w, v) along M[s]
-    transports: dict[tuple, int] = {}
-    labels: list[tuple[int, tuple, int | None]] = []  # (s, vals, parent)
+    met: dict[str, tuple[int, list[int]]] = {}  # w -> (its bit, word(w, v) per v), on first touch
+    seen: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}  # s -> (bits of M[s], per v (d_v, Y_v))
+    transports: dict[tuple, int] = {}  # cost -> its total, or a floor at or above the cutoff
+    labels: list[tuple[int, tuple, int | None]] = []  # (s, state, parent); state: per u, (m, Z)
     alive: list[bool] = []
     front: dict[int, list[int]] = {}  # s -> its undominated live labels
     heap: list[tuple[int, int]] = []
 
-    def bound(s: int, vals: tuple) -> int:
-        cols = columns.get(s)
-        if cols is None:
-            for w in M[s]:
-                if w not in to_y:
-                    to_y[w] = tuple([row.item(index[w]) for row in rows_y])
-            cols = columns[s] = tuple(zip(*(to_y[w] for w in M[s])))
-        cost = tuple([tuple([min(map(add, row, col)) for col in cols]) for row in vals])
-        total = transports.get(cost)
-        if total is None:
-            floor = _transport_floor(supply, demand, cost)
-            if floor >= cutoff:
-                return floor  # pruned, as the total it bounds would be
-            total = transports[cost] = _transport_total(supply, demand, cost)
-        return total
+    def meet(s: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """Record s the first time the search meets it: its bits, and (d_v, Y_v) per v in supp(y)."""
+        ones, words = [], []
+        for w in M[s]:
+            known = met.get(w)
+            if known is None:
+                i = index[w]
+                known = met[w] = (1 << len(met), [row.item(i) for row in rows_y])
+            ones.append(known[0])
+            words.append(known[1])
+        near = []
+        for column in zip(*words):
+            d = min(column)
+            at = 0
+            for b, word in zip(ones, column):
+                if word == d:
+                    at |= b
+            near.append((d, at))
+        found = seen[s] = (sum(ones), tuple(near))  # distinct bits: their sum is their union
+        return found
 
-    def push(s: int, vals: tuple, parent: int | None) -> None:
-        kept = front.setdefault(s, [])
-        if any(_dominates(labels[k][1], vals) for k in kept):
-            return
-        b = bound(s, vals)
+    def push(s: int, near: tuple, state: tuple, parent: int | None) -> None:
+        kept = front.get(s)
+        if kept is None:
+            kept = front[s] = []
+        for k in kept:
+            if _dominates(labels[k][1], state):
+                return
+        cost = tuple([tuple([m + d if z & at else m + d + 1 for d, at in near]) for m, z in state])
+        b = transports.get(cost)
+        if b is None:
+            b = _transport_floor(supply, demand, cost)
+            if b < cutoff:
+                b = _transport_total(supply, demand, cost)
+            transports[cost] = b  # a floor at or above the cutoff prunes as the total it bounds would
         if b >= cutoff:
             return
-        for k in [k for k in kept if _dominates(vals, labels[k][1])]:
+        for k in [k for k in kept if _dominates(state, labels[k][1])]:
             alive[k] = False
             kept.remove(k)
         kept.append(len(labels))
-        labels.append((s, vals, parent))
+        labels.append((s, state, parent))
         alive.append(True)
         heapq.heappush(heap, (b, len(labels) - 1))
 
     for s in K.maximal_indices_containing(x.support):
-        push(s, tuple(tuple(int(w != u) for w in M[s]) for u in x.support), None)
+        near = meet(s)[1]
+        push(s, near, tuple([(0, met[u][0]) for u in x.support]), None)
 
     while heap:
         b, li = heapq.heappop(heap)
         if not alive[li]:
             continue
-        s, vals, _ = labels[li]
+        s, state, _ = labels[li]
         if s in ends:
             chain = []
             while li is not None:
                 chain.append(M[labels[li][0]])
                 li = labels[li][2]
             return tuple(reversed(chain)), b, scale
-        for t, positions, shared in overlaps[s]:
-            vals_t = []
-            for row in vals:
-                # mass stays on a shared vertex, or switches once from the cheapest one
-                switch = min(map(row.__getitem__, shared)) + 1
-                vals_t.append(tuple([row[p] if p >= 0 else switch for p in positions]))
-            push(t, tuple(vals_t), li)
+        ms = seen[s][0]
+        for t in K.neighbours(s):
+            mt, near = seen.get(t) or meet(t)
+            # mass stays on a shared vertex at m, or all of it switches once
+            push(t, near, tuple([(m, zt) if (zt := z & mt) else (m + 1, ms & mt) for m, z in state]), li)
     return None
 
 
 def _dominates(a: tuple, b: tuple) -> bool:
-    """Whether switch-count vectors a are nowhere larger than b."""
-    return all(all(map(le, ra, rb)) for ra, rb in zip(a, b))
+    """Whether the switch counts of state a are nowhere above those of state b."""
+    for (ma, za), (mb, zb) in zip(a, b):
+        if ma > mb or (ma == mb and zb & ~za):
+            return False
+    return True

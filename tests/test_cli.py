@@ -124,6 +124,19 @@ class TestGen:
     def test_rips_needs_base(self, capsys):
         assert main(["gen", "-k", "rips", "-p", "1"]) == 1
 
+    @pytest.mark.parametrize("params", [["2.7", "3"], ["2", "3.5"], ["nan", "3"]])
+    def test_fractional_count_is_validation_error(self, tmp_path, capsys, params):
+        # a count is not truncated: branching 2.7 used to build a binary tree
+        out = tmp_path / "tree.json"
+        args = ["gen", "-k", "tree", "-o", str(out)]
+        for value in params:
+            args += ["-p", value]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: parameter ")
+        assert not out.exists()
+        assert main(["gen", "-k", "random", "-p", "10.5", "-p", "0.3"]) == 1
+        assert main(["gen", "-k", "tree", "-p", "2.0", "-p", "3", "-o", str(out)]) == 0
+
     def test_deterministic_random(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["gen", "-k", "random", "-p", "10", "-p", "0.3", "--seed", "5", "-o", str(a)])
@@ -287,6 +300,14 @@ class TestProbeCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] in ("decay-consistent", "inconclusive")
 
+    @pytest.mark.parametrize("mode, samples", [("decay", "0"), ("decay", "-3"), ("windows", "0")])
+    def test_samples_below_one_is_usage_error(self, tree_file, capsys, mode, samples):
+        # no sample means no evidence: an empty table is not a verdict
+        with pytest.raises(SystemExit) as info:
+            main(["probe", mode, "-c", tree_file, "--samples", samples])
+        assert info.value.code == 64
+        assert "need at least one sample" in capsys.readouterr().err
+
     def test_windows(self, tree_file, capsys):
         code = main(["probe", "windows", "-c", tree_file, "-m", "word",
                      "--samples", "12", "--json"])
@@ -299,6 +320,15 @@ class TestOracleCompare:
         code = main(["oracle-compare", "-c", path3_file, "--samples", "6",
                      "--resolution", "8", "--refine"])
         assert code == 0
+
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_samples_below_one_is_usage_error(self, path3_file, capsys, samples):
+        # comparing nothing used to report a worst excess of 0 and exit 0
+        with pytest.raises(SystemExit) as info:
+            main(["oracle-compare", "-c", path3_file, "--samples", samples])
+        assert info.value.code == 64
+        captured = capsys.readouterr()
+        assert "need at least one sample" in captured.err and "worst" not in captured.out
 
 
 class TestCheck:

@@ -5,6 +5,8 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from heapq import heappop as _heappop, heappush as _heappush
+from operator import add, le
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -34,7 +36,7 @@ from metricext import (
     word_vertex_metric,
 )
 from metricext import pathmetric
-from metricext.complexes import WordMetricTable
+from metricext.complexes import Simplex, SimplicialComplex, WordMetricTable
 from metricext.generators import (
     cycle_complex,
     path_complex,
@@ -486,6 +488,170 @@ def _weights_point(weights):
     return BarycentricPoint(items=tuple((f"v{i}", w) for i, w in enumerate(weights)))
 
 
+# the search `_best_first` replaced, kept verbatim but for its names and the
+# overlaps table, now built here: each state stores per atom of supp(x) an
+# int tuple aligned with the simplex, and moves through shared positions
+def _overlaps(K):
+    """Per maximal simplex s, one (t, positions, shared) per other maximal simplex t meeting it.
+
+    The t ascend.  positions[q] is the position in s of the q-th vertex
+    of t, or -1 if s lacks it; shared lists the positions in s of the
+    vertices the two share.
+    """
+    M = K.maximal_simplices
+    out = []
+    for s, sigma in enumerate(M):
+        at = {w: p for p, w in enumerate(sigma)}
+        row = []
+        for t in sorted({t for w in sigma for t in K.incidence[w]} - {s}):
+            positions = tuple(at.get(w, -1) for w in M[t])
+            row.append((t, positions, tuple(p for p in positions if p >= 0)))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _tuple_best_first(
+    K: SimplicialComplex,
+    x: BarycentricPoint,
+    y: BarycentricPoint,
+    table,
+    incumbent: float,
+    ceiling: tuple[float, float] | None = None,
+) -> tuple[tuple[Simplex, ...], int, int] | None:
+    """Best chain shorter than the incumbent by more than TIE_TOL: (chain, total, scale), or None.
+
+    A state is a maximal simplex sigma reached by a chain from supp(x) plus,
+    for each u in supp(x), the fewest switches val_u(w) that bring the mass
+    of u to each w in sigma, as a tuple aligned with sigma.  States are
+    popped in the order of an integer transport (`_masses`, `_transport_total`)
+    whose cost from u to v is min_w val_u(w) + word(w, v): a bound no
+    extension of the chain can beat, equal to the chain optimum times the
+    scale once sigma holds supp(y).  So the first such state popped is
+    optimal.  A state is pruned when its total reaches
+    ceil((incumbent - TIE_TOL) * scale), which is exactly when its value is
+    no shorter than incumbent - TIE_TOL; when `_transport_floor` already
+    reaches that cutoff, the state is pruned without solving its transport.
+    A state is dropped when another state at the same sigma is nowhere
+    worse; a chain that returns to a simplex is always dropped this way, so
+    the search is finite.
+
+    A ceiling (bilinear, factor) lowers the cutoff R to E = the least total
+    T with factor * (T / scale) >= bilinear, when E < R (`_reaching_total`).
+    The answer is then the same as without it, or None where a chain of
+    total in [E, R) was pruned, as follows.
+
+    - Rounding is monotone, so a state whose bound reaches E cannot
+      complete to a chain whose value, times factor, falls below bilinear:
+      such a chain could not win the caller's min.
+    - A dominated state has a bound no lower than its dominator's, so a
+      state whose bound reaches E, kept or pruned, never drops or replaces
+      a state below E.  The states below
+      E are pushed and popped in the same order as without the ceiling;
+      every state popped before the goal has a bound below E, so a goal
+      found is the same chain, with the same total, breakpoints and witness.
+    - If nothing is found, a chain of total T in [E, R) may have been
+      pruned.  T < R puts T / scale below incumbent - TIE_TOL exactly.
+      Rounding T / scale, and the gap between the incumbent and the route's
+      witness length (the same sum, added up another way), are both far
+      below TIE_TOL, so the rounded T / scale is below that length and
+      factor * length reaches bilinear too.  The caller therefore tests the
+      route: when factor * length falls below bilinear, no such chain
+      exists and the route is the exact answer.
+    """
+    M = K.maximal_simplices
+    overlaps = _overlaps(K)
+    ys = y.support
+    ends = set(K.maximal_indices_containing(ys))
+    supply, demand, scale = pathmetric._masses(x, y)
+    p, q = (incumbent - pathmetric.TIE_TOL).as_integer_ratio()
+    cutoff = -(-p * scale // q)
+    if ceiling is not None:
+        cutoff = pathmetric._reaching_total(*ceiling, scale, cutoff)
+    index = table.index
+    rows_y = [table.row(v) for v in ys]  # one search per vertex of supp(y) answers every word(w, v)
+    to_y: dict[str, tuple[int, ...]] = {}  # w -> word(w, v) for v in supp(y)
+    columns: dict[int, tuple[tuple[int, ...], ...]] = {}  # s -> per v, word(w, v) along M[s]
+    transports: dict[tuple, int] = {}
+    labels: list[tuple[int, tuple, int | None]] = []  # (s, vals, parent)
+    alive: list[bool] = []
+    front: dict[int, list[int]] = {}  # s -> its undominated live labels
+    heap: list[tuple[int, int]] = []
+
+    def bound(s: int, vals: tuple) -> int:
+        cols = columns.get(s)
+        if cols is None:
+            for w in M[s]:
+                if w not in to_y:
+                    to_y[w] = tuple([row.item(index[w]) for row in rows_y])
+            cols = columns[s] = tuple(zip(*(to_y[w] for w in M[s])))
+        cost = tuple([tuple([min(map(add, row, col)) for col in cols]) for row in vals])
+        total = transports.get(cost)
+        if total is None:
+            floor = pathmetric._transport_floor(supply, demand, cost)
+            if floor >= cutoff:
+                return floor  # pruned, as the total it bounds would be
+            total = transports[cost] = pathmetric._transport_total(supply, demand, cost)
+        return total
+
+    def push(s: int, vals: tuple, parent: int | None) -> None:
+        kept = front.setdefault(s, [])
+        if any(_tuple_dominates(labels[k][1], vals) for k in kept):
+            return
+        b = bound(s, vals)
+        if b >= cutoff:
+            return
+        for k in [k for k in kept if _tuple_dominates(vals, labels[k][1])]:
+            alive[k] = False
+            kept.remove(k)
+        kept.append(len(labels))
+        labels.append((s, vals, parent))
+        alive.append(True)
+        heapq.heappush(heap, (b, len(labels) - 1))
+
+    for s in K.maximal_indices_containing(x.support):
+        push(s, tuple(tuple(int(w != u) for w in M[s]) for u in x.support), None)
+
+    while heap:
+        b, li = heapq.heappop(heap)
+        if not alive[li]:
+            continue
+        s, vals, _ = labels[li]
+        if s in ends:
+            chain = []
+            while li is not None:
+                chain.append(M[labels[li][0]])
+                li = labels[li][2]
+            return tuple(reversed(chain)), b, scale
+        for t, positions, shared in overlaps[s]:
+            vals_t = []
+            for row in vals:
+                # mass stays on a shared vertex, or switches once from the cheapest one
+                switch = min(map(row.__getitem__, shared)) + 1
+                vals_t.append(tuple([row[p] if p >= 0 else switch for p in positions]))
+            push(t, tuple(vals_t), li)
+    return None
+
+
+def _tuple_dominates(a: tuple, b: tuple) -> bool:
+    """Whether switch-count vectors a are nowhere larger than b."""
+    return all(all(map(le, ra, rb)) for ra, rb in zip(a, b))
+
+
+class _HeapLog:
+    """heapq's push and pop, logging every item pushed and popped."""
+
+    def __init__(self):
+        self.pushed, self.popped = [], []
+
+    def heappush(self, heap, item):
+        self.pushed.append(item)
+        _heappush(heap, item)
+
+    def heappop(self, heap):
+        self.popped.append(_heappop(heap))
+        return self.popped[-1]
+
+
 class TestIntegerSearchCore:
     weight = st.builds(lambda num, k: num / 2**k, st.integers(1, 1024), st.integers(0, 10))
 
@@ -794,17 +960,88 @@ class TestIntegerSearchCore:
         assert pathmetric._best_first(K, x, y, table, hi) == (chain, total, scale)
         assert pathmetric._best_first(K, x, y, table, lo) is None
 
-    def test_shared_positions_name_the_shared_vertices(self, complex_fleet):
+    def test_neighbours_list_the_simplices_that_meet_s(self, complex_fleet):
         for K in complex_fleet.values():
             M = K.maximal_simplices
-            for s, row in enumerate(K.overlaps):
-                meeting = sorted(t for t in range(len(M)) if t != s and set(M[t]) & set(M[s]))
-                assert [t for t, _, _ in row] == meeting
-                for t, positions, shared in row:
-                    assert [M[s][p] if p >= 0 else None for p in positions] == [
-                        w if w in M[s] else None for w in M[t]
-                    ]
-                    assert sorted(M[s][p] for p in shared) == sorted(set(M[s]) & set(M[t]))
+            for s in range(len(M)):
+                row = K.neighbours(s)
+                assert list(row) == sorted(set(row))
+                assert set(row) == {t for t in range(len(M)) if t != s and set(M[t]) & set(M[s])}
+                assert K.neighbours(s) is row
+        # one search builds the rows of the simplices it expands, not the
+        # whole table (the bounds decide a tree's queries, so the search is
+        # given an incumbent above the optimum, 5.25 = 84 / 16)
+        K = tree_complex(2, 9)
+        x = make_point(K, {"t0003": 0.5, "t0007": 0.5})
+        y = make_point(K, {"t0005": 0.25, "t0011": 0.75})
+        found = pathmetric._best_first(K, x, y, word_metric(K), 5.75)
+        assert found[1:] == (84, 16) and len(found[0]) == 6
+        assert 0 < len(K._neighbour_rows) < len(K.maximal_simplices)
+
+    def test_state_search_matches_the_tuple_search(self, monkeypatch, complex_fleet, rips_path40):
+        # the same chain, total and scale, and the same items pushed and
+        # popped, as the search over int tuples: on every search the pool's
+        # path and extension queries make (the extension's with its ceiling),
+        # the hard rips pairs and seeded random pairs on the fleet
+        calls = []
+        best_first = pathmetric._best_first
+
+        def record(*args):
+            calls.append(args)
+            return best_first(*args)
+
+        monkeypatch.setattr(pathmetric, "_best_first", record)
+        extended = {}
+        for q, K, x, y in pool_queries():
+            if q["kind"] == "path":
+                l1_path_distance(K, x, y)
+            else:
+                extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K))).distance(x, y)
+        monkeypatch.undo()
+        with_ceiling = sum(args[5] is not None for args in calls)
+        table = word_metric(rips_path40)
+        for xw, yw, want in HARD_RIPS_PAIRS:
+            calls.append((rips_path40, make_point(rips_path40, xw), make_point(rips_path40, yw), table, want + 1.0))
+        rng = np.random.default_rng(16)
+        for K in complex_fleet.values():
+            table = word_metric(K)
+            for _ in range(20):
+                x, y = random_point(K, rng), random_point(K, rng)
+                calls.append((K, x, y, table, pathmetric._vertex_route(x, y, table)[0]))
+        found = 0
+        for args in calls:
+            logs = _HeapLog(), _HeapLog()
+            monkeypatch.setattr(pathmetric, "heapq", logs[0])
+            monkeypatch.setitem(globals(), "heapq", logs[1])
+            got, want = pathmetric._best_first(*args), _tuple_best_first(*args)
+            monkeypatch.undo()
+            assert got == want
+            assert logs[0].pushed == logs[1].pushed and logs[0].popped == logs[1].popped
+            found += got is not None
+        assert with_ceiling and found > len(HARD_RIPS_PAIRS)
+
+    def test_a_pruned_cost_is_floored_once(self, monkeypatch):
+        # a cost whose floor pruned a state is remembered with that floor, so
+        # a later state with the same costs is pruned without flooring it
+        # again; the tuple search floors such a cost each time it meets it
+        floored = []
+        floor = pathmetric._transport_floor
+
+        def record(supply, demand, cost):
+            floored.append(cost)
+            return floor(supply, demand, cost)
+
+        monkeypatch.setattr(pathmetric, "_transport_floor", record)
+        repeats = {}
+        for search in (pathmetric._best_first, _tuple_best_first):
+            repeats[search] = 0
+            for q, K, x, y in pool_queries():
+                if q["kind"] == "path":
+                    table = word_metric(K)
+                    floored.clear()
+                    search(K, x, y, table, pathmetric._vertex_route(x, y, table)[0])
+                    repeats[search] += len(floored) - len(set(floored))
+        assert repeats[pathmetric._best_first] == 0 < repeats[_tuple_best_first]
 
     def test_vertex_pairs_search_one_row_each_and_no_pairs(self, monkeypatch):
         # the vertex tier builds the geodesic's row before reading word(u, v)
