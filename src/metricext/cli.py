@@ -51,15 +51,24 @@ EXIT_INTERNAL = 3
 EXIT_USAGE = 64
 
 
-def _sample_count(text: str) -> int:
-    """A --samples value: an int of at least 1, else a usage error (exit 64)."""
+def _int_at_least(text: str, least: int, need: str) -> int:
     try:
-        count = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"need at least one sample, got {count}")
-    return count
+    if value < least:
+        raise argparse.ArgumentTypeError(f"{need}, got {value}")
+    return value
+
+
+def _sample_count(text: str) -> int:
+    """A --samples, --pairs or --triples value: an int of at least 1, else a usage error (exit 64)."""
+    return _int_at_least(text, 1, "need at least one sample")
+
+
+def _seed(text: str) -> int:
+    """A --seed value: an int of at least 0, as numpy's generators take, else a usage error (exit 64)."""
+    return _int_at_least(text, 0, "need a seed of at least 0")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,7 +92,7 @@ def _build_parser() -> _Parser:
                    help="numeric parameters, repeatable (e.g. -p 2 -p 3)")
     p.add_argument("--base", default=None, help="base complex file (rips only)")
     p.add_argument("--max-dim", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--out", default=None, help="output file (default stdout)")
 
     p = sub.add_parser("dist", help="distance between two points")
@@ -117,7 +126,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--depth-max", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--samples", type=_sample_count, default=40)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--lambda-grid", default=None, help="comma-separated values")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--json", action="store_true")
@@ -127,16 +136,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=_sample_count, default=20)
     p.add_argument("--resolution", type=int, default=16, help="grid is 1/n")
     p.add_argument("--refine", action="store_true", help="also run at 1/(2n)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check", help="run property suites")
     p.add_argument("-c", "--complex", required=True)
     p.add_argument("-m", "--metric", default="word")
     p.add_argument("--suite", default="all", choices=SUITES + ("all",))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--triples", type=int, default=120)
-    p.add_argument("--pairs", type=int, default=80)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--triples", type=_sample_count, default=120)
+    p.add_argument("--pairs", type=_sample_count, default=80)
     p.add_argument("--json", action="store_true")
 
     return parser

@@ -10,9 +10,11 @@ A barycentric point stores its sorted (vertex, weight) items and, once, when
 it is made, its support; the per-simplex l1 distance is one merge of two
 points' items.
 
-Construction is local: a listed simplex is maximal when no other listed
-simplex holds all of its vertices, which is read off a vertex -> listed-simplex
-index instead of a scan over all pairs of listed simplices.
+Construction is one bulk pass over the simplices that survive.  No other
+listed simplex can hold one of the largest listed size, so those are maximal
+untested; a smaller one is maximal when no other listed simplex holds all of
+its vertices, read off a vertex -> listed-simplex index that is built only
+when such a simplex exists.  The generators list only maximal simplices.
 
 Each complex owns its derived tables (adjacency, vertex -> maximal-simplex
 incidence, and, created on first use, the word table, the grid oracle's
@@ -34,6 +36,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -89,12 +92,19 @@ class WordMetricTable:
 
     def __init__(self, order: tuple[str, ...], adjacency: Mapping[str, tuple[str, ...]]):
         self.order = order
-        self.index = {v: i for i, v in enumerate(order)}
+        n = len(order)
+        self.index = index = dict(zip(order, range(n)))
         self.adjacency = adjacency
-        self.rows_kept = max(1, ROW_ENTRIES_KEPT // len(order))
-        rows = [self.index[v] for v in order for _ in adjacency[v]]
-        cols = [self.index[w] for v in order for w in adjacency[v]]
-        self._graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(order),) * 2)
+        self.rows_kept = max(1, ROW_ENTRIES_KEPT // n)
+        # row i holds the indices of order[i]'s neighbours, ascending as adjacency lists them
+        neighbours = list(map(adjacency.__getitem__, order))
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.fromiter(map(len, neighbours), dtype=np.int32, count=n), out=indptr[1:])
+        entries = int(indptr[-1])
+        indices = np.fromiter(
+            map(index.__getitem__, chain.from_iterable(neighbours)), dtype=np.int32, count=entries
+        )
+        self._graph = csr_matrix((np.ones(entries), indices, indptr), shape=(n, n))
         first = self._search_row(0)
         if np.isinf(first).any():
             raise DisconnectedComplex("1-skeleton is not connected")
@@ -263,9 +273,9 @@ def build_complex(
     """Validate input, keep the maximal simplices and build adjacency and incidence.
 
     Raises DuplicateVertex, UnknownVertexInSimplex or EmptySimplex on bad
-    input.  Listed simplices that turn out to be faces of other listed
-    simplices are absorbed, so ``maximal_simplices`` on the result is a true
-    antichain.
+    input, for the first offender in input order.  Listed simplices that
+    turn out to be faces of other listed simplices are absorbed, so
+    ``maximal_simplices`` on the result is a true antichain.
     """
     vlist = list(vertices)
     vset = set(vlist)
@@ -279,45 +289,47 @@ def build_complex(
     listed: list[Simplex] = []
     for raw in maximal_simplices:
         s = make_simplex(raw)
-        unknown = [v for v in s if v not in vset]
-        if unknown:
-            raise UnknownVertexInSimplex(f"simplex {s} uses unknown vertex {unknown[0]!r}")
+        if not vset.issuperset(s):
+            unknown = next(v for v in s if v not in vset)
+            raise UnknownVertexInSimplex(f"simplex {s} uses unknown vertex {unknown!r}")
         listed.append(s)
-
-    # Every vertex must appear in at least one simplex; lone vertices are
-    # carried as 0-simplices.
-    covered = {v for s in listed for v in s}
-    for v in sorted(vset - covered):
-        listed.append((v,))
-
-    # A listed simplex is maximal iff no other distinct listed simplex holds
-    # all of its vertices: the intersection of its vertices' holder sets is
-    # itself alone.  This touches each vertex's holders, not all pairs.
     distinct = list(dict.fromkeys(listed))
-    holders: dict[str, set[int]] = {v: set() for v in vset}
-    for i, s in enumerate(distinct):
-        for v in s:
-            holders[v].add(i)
-    maximal = tuple(
-        sorted(
-            (s for s in distinct if len(set.intersection(*(holders[v] for v in s))) == 1),
-            key=lambda s: (len(s), s),
-        )
-    )
 
-    # v's neighbours are the other vertices of the maximal simplices holding it
-    near: dict[str, set[str]] = {v: set() for v in vset}
-    incidence: dict[str, list[int]] = {v: [] for v in vset}
+    # No other distinct listed simplex can hold one of the largest listed
+    # size, so those are maximal untested.  A smaller one is maximal iff the
+    # intersection of its vertices' holder sets is itself alone.
+    top = max(map(len, distinct), default=0)
+    maximal = distinct
+    if any(len(s) < top for s in distinct):
+        holders: dict[str, set[int]] = {v: set() for v in vset}
+        for i, s in enumerate(distinct):
+            for v in s:
+                holders[v].add(i)
+        maximal = [
+            s for s in distinct
+            if len(s) == top or len(set.intersection(*(holders[v] for v in s))) == 1
+        ]
+    # Every vertex must appear in at least one simplex; a lone vertex is
+    # carried as a 0-simplex, maximal since no listed simplex holds it.
+    lone = vset.difference(*maximal)
+    maximal = sorted(maximal + [(v,) for v in lone])
+    maximal.sort(key=len)  # stable: by size, then by label within a size
+
+    incidence: dict[str, list[int]] = {v: [] for v in sorted(vset)}
     for i, s in enumerate(maximal):
         for v in s:
-            near[v].update(s)
             incidence[v].append(i)
-    order = tuple(sorted(vset))
+    # v's neighbours are the other vertices of the maximal simplices holding it
+    adjacency: dict[str, tuple[str, ...]] = {}
+    for v, held in incidence.items():
+        near = set(chain.from_iterable(map(maximal.__getitem__, held)))
+        near.discard(v)
+        adjacency[v] = tuple(sorted(near))
     return SimplicialComplex(
-        vertices=order,
-        maximal_simplices=maximal,
-        adjacency={v: tuple(sorted(near[v] - {v})) for v in order},
-        incidence={v: tuple(incidence[v]) for v in order},
+        vertices=tuple(incidence),
+        maximal_simplices=tuple(maximal),
+        adjacency=adjacency,
+        incidence={v: tuple(held) for v, held in incidence.items()},
     )
 
 

@@ -19,7 +19,6 @@ multinomial is numpy's own call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -81,29 +80,37 @@ def tree_complex(branching: int, depth: int) -> SimplicialComplex:
         raise InvalidParameters("need branching >= 1 and depth >= 0")
     count = sum(branching**k for k in range(depth + 1))
     vs = _labels("t", count)
-    children = _tree_children(branching, count)
-    edges = [[vs[i], vs[c]] for i in range(count) for c in children[i]]
+    edges = [(vs[(c - 1) // branching], vs[c]) for c in range(1, count)]
     return build_complex(vs, edges or [vs])
 
 
 def _cliques(vs: Sequence[str], edges: Iterable[Sequence[int]], max_size: int) -> list[list[str]]:
-    """Every clique of at most max_size vertices; edges are index pairs i < j into vs.
+    """The flag complex's maximal simplices of at most max_size vertices; edges are pairs i < j.
 
-    Each clique is grown once, through the common higher-numbered neighbours of
-    its members (Bron & Kerbosch, 1973)."""
+    Every clique is grown once, through the common higher-numbered
+    neighbours of its members (Bron & Kerbosch, 1973), and listed when it
+    has max_size vertices or no vertex is adjacent to all of its members:
+    the cliques of at most max_size vertices that no larger such clique
+    holds.  Edges index into vs.
+    """
     up: list[set[int]] = [set() for _ in vs]
+    near: list[set[int]] = [set() for _ in vs]
     for i, j in edges:
         up[i].add(j)
+        near[i].add(j)
+        near[j].add(i)
     out: list[list[str]] = []
 
-    def grow(clique: tuple[int, ...], common: set[int]) -> None:
-        out.append([vs[i] for i in clique])
-        if len(clique) < max_size:
+    def grow(clique: tuple[int, ...], common: set[int], shared: set[int]) -> None:
+        # shared: the vertices adjacent to every member; common: those numbered above them all
+        if len(clique) == max_size or not shared:
+            out.append([vs[i] for i in clique])
+        else:
             for j in sorted(common):
-                grow(clique + (j,), common & up[j])
+                grow(clique + (j,), common & up[j], shared & near[j])
 
     for i in range(len(vs)):
-        grow((i,), up[i])
+        grow((i,), up[i], near[i])
     return out
 
 
@@ -144,7 +151,10 @@ def random_complex(
     if n < 2 or not (0.0 <= density <= 1.0):
         raise InvalidParameters("need n >= 2 and density in [0, 1]")
     rng = np.random.default_rng(seed)
-    edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < density]
+    # one uniform per pair, in combinations order: the stream of n(n-1)/2 scalar draws
+    drawn = np.flatnonzero(rng.random(n * (n - 1) // 2) < density)
+    rows, cols = np.triu_indices(n, 1)
+    edges = list(zip(rows[drawn].tolist(), cols[drawn].tolist()))
     # join components deterministically so the complex is connected
     parent = list(range(n))
 

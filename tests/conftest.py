@@ -8,9 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from metricext import build_complex, make_point, tripwire_log
+from metricext.complexes import Simplex, SimplicialComplex, make_simplex
+from metricext.errors import DuplicateVertex, EmptySimplex, UnknownVertexInSimplex
 from metricext.generators import (
+    _ball,
+    _labels,
     cycle_complex,
     path_complex,
     random_complex,
@@ -18,6 +23,7 @@ from metricext.generators import (
     simplex_complex,
     tree_complex,
 )
+from metricext.vertexmetrics import word_metric
 
 
 def all_faces(K):
@@ -38,6 +44,135 @@ def assert_spans_is_membership(K, up_to=4):
             assert K.spans(t) == (t in faces), t
     for t in [("?",), (K.vertices[0], "?"), (K.vertices[0],) * 2]:
         assert not K.spans(t), t
+
+
+# --------------------------------------------------------------------------
+# The list-built construction: build_complex, the clique enumerator, the
+# generators that call it and the word table's graph as they were before
+# construction became one bulk pass.  The bulk build must equal them.
+
+
+def reference_build_complex(vertices, maximal_simplices):
+    vlist = list(vertices)
+    vset = set(vlist)
+    if len(vlist) != len(vset):
+        seen: set[str] = set()
+        dup = next(v for v in vlist if v in seen or seen.add(v))
+        raise DuplicateVertex(f"vertex {dup!r} listed twice")
+    if not vlist:
+        raise EmptySimplex("a complex needs at least one vertex")
+
+    listed: list[Simplex] = []
+    for raw in maximal_simplices:
+        s = make_simplex(raw)
+        unknown = [v for v in s if v not in vset]
+        if unknown:
+            raise UnknownVertexInSimplex(f"simplex {s} uses unknown vertex {unknown[0]!r}")
+        listed.append(s)
+
+    # Every vertex must appear in at least one simplex; lone vertices are
+    # carried as 0-simplices.
+    covered = {v for s in listed for v in s}
+    for v in sorted(vset - covered):
+        listed.append((v,))
+
+    # A listed simplex is maximal iff no other distinct listed simplex holds
+    # all of its vertices: the intersection of its vertices' holder sets is
+    # itself alone.  This touches each vertex's holders, not all pairs.
+    distinct = list(dict.fromkeys(listed))
+    holders: dict[str, set[int]] = {v: set() for v in vset}
+    for i, s in enumerate(distinct):
+        for v in s:
+            holders[v].add(i)
+    maximal = tuple(
+        sorted(
+            (s for s in distinct if len(set.intersection(*(holders[v] for v in s))) == 1),
+            key=lambda s: (len(s), s),
+        )
+    )
+
+    # v's neighbours are the other vertices of the maximal simplices holding it
+    near: dict[str, set[str]] = {v: set() for v in vset}
+    incidence: dict[str, list[int]] = {v: [] for v in vset}
+    for i, s in enumerate(maximal):
+        for v in s:
+            near[v].update(s)
+            incidence[v].append(i)
+    order = tuple(sorted(vset))
+    return SimplicialComplex(
+        vertices=order,
+        maximal_simplices=maximal,
+        adjacency={v: tuple(sorted(near[v] - {v})) for v in order},
+        incidence={v: tuple(incidence[v]) for v in order},
+    )
+
+
+def reference_cliques(vs, edges, max_size):
+    """Every clique of at most max_size vertices; edges are index pairs i < j into vs."""
+    up: list[set[int]] = [set() for _ in vs]
+    for i, j in edges:
+        up[i].add(j)
+    out: list[list[str]] = []
+
+    def grow(clique: tuple[int, ...], common: set[int]) -> None:
+        out.append([vs[i] for i in clique])
+        if len(clique) < max_size:
+            for j in sorted(common):
+                grow(clique + (j,), common & up[j])
+
+    for i in range(len(vs)):
+        grow((i,), up[i])
+    return out
+
+
+def reference_random_edges(n, density, seed):
+    """random_complex's graph as index pairs: one scalar draw per pair, then the joins."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < density]
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in edges:
+        parent[find(i)] = find(j)
+    reps = sorted({find(i) for i in range(n)})
+    edges += zip(reps, reps[1:])
+    return edges
+
+
+def reference_random_complex(n, density, seed, max_dim=3):
+    vs = _labels("g", n)
+    edges = reference_random_edges(n, density, seed)
+    return reference_build_complex(vs, reference_cliques(vs, edges, max_dim + 1))
+
+
+def reference_rips_complex(base, radius, max_dim=3):
+    word_metric(base)
+    index = {v: i for i, v in enumerate(base.vertices)}
+    near = [
+        (i, index[w]) for i, v in enumerate(base.vertices) for w in _ball(base, v, radius) if index[w] > i
+    ]
+    return reference_build_complex(base.vertices, reference_cliques(base.vertices, near, max_dim + 1))
+
+
+def list_built_graph(order, adjacency):
+    """The word table's sparse 1-skeleton, from per-entry row and column lists."""
+    index = {v: i for i, v in enumerate(order)}
+    rows = [index[v] for v in order for _ in adjacency[v]]
+    cols = [index[w] for v in order for w in adjacency[v]]
+    return csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(order),) * 2)
+
+
+def assert_same_complex(K, want):
+    """Equal vertices and maximal simplices, in order, and equal adjacency and incidence."""
+    assert K.vertices == want.vertices
+    assert K.maximal_simplices == want.maximal_simplices
+    assert list(K.adjacency.items()) == list(want.adjacency.items())
+    assert list(K.incidence.items()) == list(want.incidence.items())
 
 
 def simplex_on_a_path(n, length):

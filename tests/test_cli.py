@@ -354,6 +354,18 @@ class TestCheck:
             main(["check", "-c", tree_file, "--suite", "bogus"])
         assert info.value.code == 64
 
+    @pytest.mark.parametrize(
+        "flag, count", [("--pairs", "-3"), ("--pairs", "0"), ("--triples", "0"), ("--triples", "-1")]
+    )
+    def test_counts_below_one_are_usage_errors(self, tree_file, capsys, flag, count):
+        # no sampled pair or triple used to pass its checks vacuously and exit 0
+        with pytest.raises(SystemExit) as info:
+            main(["check", "-c", tree_file, flag, count])
+        assert info.value.code == 64
+        captured = capsys.readouterr()
+        assert f"argument {flag}: need at least one sample, got {count}" in captured.err
+        assert "total:" not in captured.out
+
     def test_runs_only_the_requested_suite(self, tree_file, capsys):
         for suite, tripwire in (("path", False), ("oracle", True)):
             code = main(["check", "-c", tree_file, "--suite", suite, "--json",
@@ -387,3 +399,19 @@ class TestCheck:
             notes.append(next(r["notes"] for r in rows if r["name"] == "lower-bound-tripwire"))
         assert notes[0] == notes[1]
         assert not notes[0][0].startswith("0 bound checks")
+
+
+class TestSeed:
+    @pytest.mark.parametrize("command", [
+        ["gen", "-k", "random", "-p", "6", "-p", "0.3"],
+        ["check"],
+        ["probe", "decay"],
+        ["oracle-compare"],
+    ])
+    def test_negative_seed_is_usage_error(self, tree_file, capsys, command):
+        # numpy's own refusal exited 1 with a message that named no flag
+        args = command + (["-c", tree_file] if command[0] != "gen" else []) + ["--seed", "-1"]
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == 64
+        assert "argument --seed: need a seed of at least 0, got -1" in capsys.readouterr().err

@@ -33,7 +33,12 @@ from metricext import (
 from metricext.complexes import WEIGHT_FLOOR
 from metricext.generators import random_point
 
-from conftest import all_faces, assert_spans_is_membership
+from conftest import (
+    all_faces,
+    assert_same_complex,
+    assert_spans_is_membership,
+    reference_build_complex,
+)
 
 
 def spanned(K):
@@ -108,6 +113,40 @@ class TestBuildComplex:
             v: tuple(w for w in K.vertices if w != v and tuple(sorted((v, w))) in faces)
             for v in K.vertices
         }
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bulk_build_equals_the_list_built_reference(self, data):
+        vs = [f"v{i}" for i in range(data.draw(st.integers(0, 8), label="n"))]
+        vertices = data.draw(st.permutations(vs), label="order")
+        if vs and data.draw(st.booleans(), label="repeat a vertex"):
+            at = data.draw(st.integers(0, len(vertices)), label="at")
+            vertices.insert(at, data.draw(st.sampled_from(vs), label="repeated"))
+        # simplices of one or several sizes, with repeated labels inside a simplex
+        simplex = st.lists(st.sampled_from(vs), min_size=1, max_size=5)
+        listed = data.draw(st.lists(simplex, max_size=10), label="listed") if vs else []
+        if listed:
+            # faces of listed simplices, and copies of them in another vertex order
+            for s in data.draw(st.lists(st.sampled_from(listed), max_size=6), label="again"):
+                listed.append(data.draw(st.permutations(s), label="copy"))
+                listed.append(s[: data.draw(st.integers(1, len(s)), label="face")])
+        listed = data.draw(st.permutations(listed), label="shuffled")
+        # empty and unknown-label simplices, anywhere: the first offender is reported
+        bad = st.sampled_from([[], ["x"], ["v0", "y"], ["z", "z"]])
+        for s in data.draw(st.lists(bad, max_size=3), label="bad"):
+            listed.insert(data.draw(st.integers(0, len(listed)), label="at"), list(s))
+
+        def outcome(build):
+            try:
+                return build(vertices, listed)
+            except MetricExtError as exc:
+                return type(exc), str(exc)
+
+        got, want = outcome(build_complex), outcome(reference_build_complex)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same_complex(got, want)
 
     def test_adjacency_is_simple_graph(self, book):
         for v, ns in book.adjacency.items():

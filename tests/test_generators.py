@@ -38,7 +38,14 @@ from metricext.generators import (
     tree_complex,
 )
 
-from conftest import all_faces, fleet
+from conftest import (
+    all_faces,
+    assert_same_complex,
+    fleet,
+    reference_random_complex,
+    reference_random_edges,
+    reference_rips_complex,
+)
 
 
 class TestGenerators:
@@ -104,14 +111,52 @@ class TestGenerators:
             vs = [f"v{i:02d}" for i in range(n)]
             edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < density]
             adj = {frozenset((vs[i], vs[j])) for i, j in edges}
-            want = [
+            cliques = [
                 list(c)
                 for size in range(1, max_size + 1)
                 for c in combinations(vs, size)
                 if all(frozenset(p) in adj for p in combinations(c, 2))
             ]
+            # only the maximal ones are listed: the flag complex's maximal simplices
+            want = [c for c in cliques if not any(set(c) < set(d) for d in cliques)]
             got = _cliques(vs, edges, max_size)
             assert sorted(got, key=lambda c: (len(c), c)) == want
+
+    def test_flag_complexes_equal_the_full_clique_build(self):
+        for n, density, seed in [(14, 0.25, 3), (20, 0.18, 5), (80, 0.08, 1), (30, 0.15, 0)]:
+            assert_same_complex(
+                random_complex(n, density, seed), reference_random_complex(n, density, seed)
+            )
+        for base, radius, max_dim in [
+            (cycle_complex(8), 2, 3),
+            (path_complex(10), 2, 3),
+            (cycle_complex(30), 2, 3),
+            (cycle_complex(12), 2, 3),
+            (path_complex(40), 3, 3),
+            (cycle_complex(40), 6, 6),
+        ]:
+            assert_same_complex(
+                rips_complex(base, radius, max_dim), reference_rips_complex(base, radius, max_dim)
+            )
+        rng = np.random.default_rng(17)
+        for _ in range(80):
+            n, seed, max_dim = int(rng.integers(2, 18)), int(rng.integers(1000)), int(rng.integers(1, 5))
+            density = float(rng.random())
+            K = random_complex(n, density, seed, max_dim)
+            assert_same_complex(K, reference_random_complex(n, density, seed, max_dim))
+            radius = int(rng.integers(1, 4))
+            assert_same_complex(
+                rips_complex(K, radius, max_dim), reference_rips_complex(K, radius, max_dim)
+            )
+
+    @pytest.mark.parametrize("density", [0.05, 0.3, 0.9])
+    def test_random_edges_are_the_scalar_draws(self, density):
+        # one rng.random(k) is the stream of k scalar rng.random() calls
+        for seed in range(20):
+            n = 5 + seed
+            K = random_complex(n, density, seed)
+            vs = K.vertices
+            assert K.edges() == sorted((vs[i], vs[j]) for i, j in reference_random_edges(n, density, seed))
 
     def test_generate_dispatch(self):
         assert generate(GeneratorSpec("cycle", (5,))).vertices == cycle_complex(5).vertices

@@ -46,7 +46,7 @@ from metricext.generators import (
 from metricext.oracle import _oracle_bfs, tree_gromov_oracle, tree_vertex_path
 from metricext.vertexmetrics import geodesic, minimal_linear_bound
 
-from conftest import all_faces
+from conftest import all_faces, list_built_graph
 
 
 class TestWordMetric:
@@ -61,21 +61,33 @@ class TestWordMetric:
             assert t.distance(u, v) == 1
 
     def test_disconnected_rejected(self):
-        K = build_complex(["a", "b", "c"], [["a", "b"], ["c"]])
-        rng = np.random.default_rng(0)
-        readers = [
-            lambda: word_metric(K),
-            lambda: lower_bounds(K, vertex_point(K, "a"), vertex_point(K, "b")),
-            lambda: sphere(K, "a", 1),
-            lambda: make_ray(K, ["a", "b"]),
-            lambda: deepest_ray(K, "a"),
-            lambda: sample_geodesic_triples(K, rng, 1),
-            lambda: nested_quadruples(K, rng, 1),
-        ]
-        # every call raises, not only the first
-        for read in [*readers, *readers]:
-            with pytest.raises(DisconnectedComplex):
-                read()
+        # a vertex of degree 0, and two components that each have an edge
+        for K in (
+            build_complex(["a", "b", "c"], [["a", "b"], ["c"]]),
+            build_complex(["a", "b", "c", "d"], [["a", "b"], ["c", "d"]]),
+        ):
+            rng = np.random.default_rng(0)
+            readers = [
+                lambda: word_metric(K),
+                lambda: lower_bounds(K, vertex_point(K, "a"), vertex_point(K, "b")),
+                lambda: sphere(K, "a", 1),
+                lambda: make_ray(K, ["a", "b"]),
+                lambda: deepest_ray(K, "a"),
+                lambda: sample_geodesic_triples(K, rng, 1),
+                lambda: nested_quadruples(K, rng, 1),
+            ]
+            # every call raises, not only the first
+            for read in [*readers, *readers]:
+                with pytest.raises(DisconnectedComplex):
+                    read()
+
+    def test_graph_equals_the_list_built_one(self, complex_fleet):
+        for K in [*complex_fleet.values(), tree_complex(2, 9)]:
+            got, want = word_metric(K)._graph, list_built_graph(K.vertices, K.adjacency)
+            for part in ("indptr", "indices", "data"):
+                a, b = getattr(got, part), getattr(want, part)
+                assert a.dtype == b.dtype and np.array_equal(a, b), part
+            assert got.shape == want.shape
 
     def test_table_lives_and_dies_with_the_complex(self):
         K = tree_complex(2, 3)
