@@ -120,7 +120,7 @@ def rips_complex(base: SimplicialComplex, radius: float, max_dim: int = 3) -> Si
     Vertices at word distance <= r in the base 1-skeleton become adjacent;
     every clique with at most max_dim + 1 vertices becomes a simplex.
     """
-    if radius < 1 or max_dim < 1:
+    if not radius >= 1 or max_dim < 1:  # a NaN radius fails the first test
         raise InvalidParameters("need radius >= 1 and max_dim >= 1")
     word_metric(base)  # a disconnected base is rejected, as by every word-metric reader
     index = {v: i for i, v in enumerate(base.vertices)}
@@ -148,13 +148,19 @@ def random_complex(
     n: int, density: float, seed: int, max_dim: int = 3
 ) -> SimplicialComplex:
     """Flag complex over a connected Erdos-Renyi-style graph."""
-    if n < 2 or not (0.0 <= density <= 1.0):
-        raise InvalidParameters("need n >= 2 and density in [0, 1]")
+    if n < 2 or not (0.0 <= density <= 1.0) or max_dim < 1:
+        raise InvalidParameters("need n >= 2, density in [0, 1] and max_dim >= 1")
     rng = np.random.default_rng(seed)
-    # one uniform per pair, in combinations order: the stream of n(n-1)/2 scalar draws
-    drawn = np.flatnonzero(rng.random(n * (n - 1) // 2) < density)
-    rows, cols = np.triu_indices(n, 1)
-    edges = list(zip(rows[drawn].tolist(), cols[drawn].tolist()))
+    # one uniform per pair, in combinations order: the stream of n(n-1)/2 scalar draws,
+    # made 2**16 at a time so that memory does not grow with the pairs
+    pairs, block = n * (n - 1) // 2, 1 << 16
+    lengths = np.arange(n - 1, 0, -1)
+    starts = np.cumsum(lengths) - lengths  # row i's pairs (i, j > i) start at flat index starts[i]
+    edges = []
+    for first in range(0, pairs, block):
+        drawn = np.flatnonzero(rng.random(min(block, pairs - first)) < density) + first
+        rows = np.searchsorted(starts, drawn, side="right") - 1
+        edges += zip(rows.tolist(), (drawn - starts[rows] + rows + 1).tolist())
     # join components deterministically so the complex is connected
     parent = list(range(n))
 

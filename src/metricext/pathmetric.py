@@ -83,11 +83,6 @@ from .vertexmetrics import geodesic, word_metric
 
 VALUE_TOL = 1e-9
 TIE_TOL = 1e-12
-# how far factor * route cost must clear a ceiling's bilinear for the route's
-# witness to be skipped, and the most atoms per support for which that margin
-# is proved (see `_solve_by_search`)
-ROUTE_MARGIN = 2.0**-4
-ROUTE_MARGIN_ATOMS = 60
 
 
 # --------------------------------------------------------------------------
@@ -493,6 +488,22 @@ def _route_witness(
     return PathWitness(points=tuple(points), carriers=tuple(carriers), length=length)
 
 
+def _route_length(x: BarycentricPoint, y: BarycentricPoint, u: str, v: str, word: int) -> float:
+    """`_route_witness(K, x, y, u, v).length` bit for bit, where word = word(u, v).
+
+    `path_length` adds from 0.0, left to right, the huddle simplex_l1(x, e_u),
+    word edges of exactly 1.0 each, and the spread simplex_l1(e_v, y).  With
+    u in supp(x), simplex_l1 sums |x_u - 1| at u and |x_w| elsewhere, in
+    label order, as here (and so for y and v: |a - b| is |b - a|).  A segment
+    the witness skips, x being e_u or y e_v, is 0.0 here, which adds no bit.
+    The same floats are added in the same order, and nothing is built.
+    """
+    total = 0.5 * sum([abs(c - 1.0) if t == u else abs(c) for t, c in x.items])  # 0.0 + huddle
+    for _ in range(word):
+        total += 1.0
+    return total + 0.5 * sum([abs(c - 1.0) if t == v else abs(c) for t, c in y.items])
+
+
 def _trivial_witness(
     K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint, carrier: Simplex
 ) -> PathWitness:
@@ -554,33 +565,17 @@ def _solve_by_search(
 ) -> PathResult | None:
     """The vertex route, unless the best-first search finds a shorter chain.
 
-    The route is carried as its cost; its witness is built only when the
-    search finds nothing.  A ceiling (bilinear, factor) is the stake of a
-    caller that only needs min(bilinear, factor * path): the search then
-    prunes every chain with factor * value >= bilinear as well, and when it
-    finds nothing and factor * the route's witness length reaches bilinear
+    The route is carried as its cost; its witness is built only when it is
+    the answer.  A ceiling (bilinear, factor) is the stake of a caller that
+    only needs min(bilinear, factor * path): the search then prunes every
+    chain with factor * value >= bilinear as well, and when it finds nothing
+    and factor * the route's exact length (`_route_length`) reaches bilinear
     too, the answer is None, a proof that factor * path >= bilinear.
     Otherwise the result is the exact path, the same as without a ceiling
     (see `_best_first`).  For the extension's own ceiling (D, 3C) the route
     test always passes, since each support spans a simplex and so
     D <= C * route, but it keeps the proof free of what the caller's
     numbers mean.
-
-    The test is first made on the incumbent, which adds up the same route
-    as the witness length, (1 - x_u) + word(u, v) + (1 - y_v), in another
-    order.  Their gap is at most (7 word(u, v) + 2 |supp x| + 2 |supp y|
-    + 15) units of 2^-53: a few roundings per segment, plus coordinates
-    that sum to 1 only to within a rounding per atom.  The incumbent is at
-    least 1 when word(u, v) >= 1, and otherwise at least WEIGHT_FLOOR >
-    2^-40 (u = v, and x or y is not that vertex), so the gap stays below
-    2^-5 of the incumbent while each support has at most
-    ROUTE_MARGIN_ATOMS = 60 atoms (then 2 |supp x| + 2 |supp y| + 15 < 2^8).
-    When both supports are that small and factor * incumbent clears
-    bilinear * (1 + ROUTE_MARGIN), with ROUTE_MARGIN = 2^-4, factor * length
-    therefore reaches bilinear too ((1 + 2^-4)(1 - 2^-5) > 1 with room for
-    the products' roundings), and the answer is None without the witness.
-    Inside that margin, or for a support of more atoms, the witness is
-    built and tested.
 
     `bounds` are the query's lower bounds, x to y then y to x
     (`query_bounds`); every result but None is checked against each of
@@ -605,12 +600,9 @@ def _solve_by_search(
             return PathResult(value, PathWitness(points=points, carriers=carriers, length=length))
     if ceiling is not None:
         bilinear, factor = ceiling
-        small = len(x.items) <= ROUTE_MARGIN_ATOMS and len(y.items) <= ROUTE_MARGIN_ATOMS
-        if small and factor * incumbent >= bilinear * (1.0 + ROUTE_MARGIN):
+        if factor * _route_length(x, y, u, v, int(table.distance(u, v))) >= bilinear:
             return None
     witness = _route_witness(K, x, y, u, v)
-    if ceiling is not None and factor * witness.length >= bilinear:
-        return None
     _assert_above_bounds(witness.length, bounds, "path search")
     return PathResult(witness.length, witness)
 
@@ -687,11 +679,11 @@ def _best_first(
     - If nothing is found, a chain of total T in [E, R) may have been
       pruned.  T < R puts T / scale below incumbent - TIE_TOL exactly.
       Rounding T / scale, and the gap between the incumbent and the route's
-      witness length (the same sum, added up another way), are both far
+      exact length (the same sum, added up another way), are both far
       below TIE_TOL, so the rounded T / scale is below that length and
       factor * length reaches bilinear too.  The caller therefore tests the
-      route: when factor * length falls below bilinear, no such chain
-      exists and the route is the exact answer.
+      route's length (`_route_length`): when factor * length falls below
+      bilinear, no such chain exists and the route is the exact answer.
     """
     M = K.maximal_simplices
     ys = y.support

@@ -117,20 +117,11 @@ def minimal_linear_bound(matrix: np.ndarray, word: WordMetricTable) -> float:
     return float(np.max(m[off] / w[off]))
 
 
-def linear_bound_constant(
-    matrix: np.ndarray, word: WordMetricTable, supplied: float | None = None
-) -> float:
-    """Minimal linear-bound constant, checking any user-supplied value."""
+def linear_bound_constant(matrix: np.ndarray, word: WordMetricTable) -> float:
+    """Minimal linear-bound constant; `validate_vertex_metric` checks a supplied C against it."""
     if len(word.order) < 2:
         raise ValueError("need at least two vertices")
-    minimal = minimal_linear_bound(matrix, word)
-    if supplied is not None:
-        if supplied < minimal - TRIANGLE_TOL:
-            raise SuppliedConstantTooSmall(
-                f"supplied C={supplied} below minimal C={minimal}"
-            )
-        return float(supplied)
-    return minimal
+    return minimal_linear_bound(matrix, word)
 
 
 @dataclass(frozen=True)
@@ -222,6 +213,13 @@ class VertexMetric:
         )
 
 
+def _require_finite(**values: float | None) -> None:
+    """Raise InvalidParameters for a given value that is NaN, infinite or a bool; None is not given."""
+    for name, value in values.items():
+        if value is not None and (isinstance(value, (bool, np.bool_)) or not math.isfinite(value)):
+            raise InvalidParameters(f"{name} must be a finite number, got {value!r}")
+
+
 def validate_vertex_metric(
     K: SimplicialComplex,
     matrix: np.ndarray,
@@ -244,9 +242,7 @@ def validate_vertex_metric(
         raise ValueError(f"matrix shape {m.shape} does not match vertex count {len(order)}")
     if not np.isfinite(m).all():
         raise InvalidParameters("metric matrix has a NaN or infinite entry")
-    for name, value in (("C", C), ("A", A), ("B", B)):
-        if value is not None and (isinstance(value, (bool, np.bool_)) or not math.isfinite(value)):
-            raise InvalidParameters(f"{name} must be a finite number, got {value!r}")
+    _require_finite(C=C, A=A, B=B)
     violations = metric_violations(order, m)
     if violations:
         raise MetricAxiomError(violations)
@@ -318,8 +314,10 @@ def transformed_word_metric(
 
     Concave increasing with value 0 at 0, so the result is again a metric;
     it is (max(scale, 1/scale), saturation)-quasi-isometric to the word
-    metric, with minimal linear bound scale + saturation/2.
+    metric, with minimal linear bound scale + saturation/2.  A NaN, infinite
+    or bool scale or saturation raises InvalidParameters.
     """
+    _require_finite(scale=scale, saturation=saturation)
     if scale <= 0 or saturation < 0:
         raise ValueError("need scale > 0 and saturation >= 0")
     return _word_derived(K, scale, saturation)

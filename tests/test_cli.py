@@ -137,6 +137,22 @@ class TestGen:
         assert main(["gen", "-k", "random", "-p", "10.5", "-p", "0.3"]) == 1
         assert main(["gen", "-k", "tree", "-p", "2.0", "-p", "3", "-o", str(out)]) == 0
 
+    @pytest.mark.parametrize("args", [
+        ["-k", "rips", "-p", "nan", "--base", "cycle6"],
+        ["-k", "rips", "-p", "0.5", "--base", "cycle6"],
+        ["-k", "random", "-p", "6", "-p", "0.9", "--max-dim", "0"],
+        ["-k", "random", "-p", "6", "-p", "0.9", "--max-dim", "-2"],
+    ])
+    def test_out_of_range_generator_parameter_is_validation_error(self, tmp_path, capsys, args):
+        # each once wrote a complex: lone vertices, or a random one past its dimension cap
+        base = tmp_path / "c6.json"
+        save_complex(cycle_complex(6), str(base))
+        out = tmp_path / "out.json"
+        args = [str(base) if a == "cycle6" else a for a in args]
+        assert main(["gen", *args, "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: need ")
+        assert not out.exists()
+
     def test_deterministic_random(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["gen", "-k", "random", "-p", "10", "-p", "0.3", "--seed", "5", "-o", str(a)])

@@ -222,10 +222,10 @@ def _route_decisions(M, x, y):
 class TestSearchCeiling:
     """The search stops once 3C * path reaches bilinear; every answer stays the full min's."""
 
-    def test_the_incumbent_decides_as_the_witness_would_on_the_pool(self, monkeypatch):
+    def test_the_route_length_decides_as_the_witness_would_on_the_pool(self, monkeypatch):
         # every answer, None or path, is the one the witness-based test gives;
-        # the search builds the route's witness only inside ROUTE_MARGIN, and
-        # here never: each None is decided from the incumbent
+        # the search never builds the route's witness for a None: the route's
+        # exact length decides it
         built = []
         route_witness = pathmetric_module._route_witness
 
@@ -247,7 +247,7 @@ class TestSearchCeiling:
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_the_incumbent_decides_as_the_witness_would_on_near_pairs(self, complex_fleet, data):
+    def test_the_route_length_decides_as_the_witness_would_on_near_pairs(self, complex_fleet, data):
         name = data.draw(st.sampled_from(sorted(complex_fleet)))
         K = complex_fleet[name]
         M = K.maximal_simplices
@@ -344,11 +344,29 @@ class TestSearchCeiling:
             C = math.nextafter(C, math.inf)
         assert branches == {"bilinear", "l1path"}
 
-    @pytest.mark.parametrize("atoms, built", [(60, 0), (61, 1)])
-    def test_the_route_witness_decides_past_the_margin_atoms(self, monkeypatch, atoms, built):
-        # the incumbent's rounding gap is proved below 2^-5 of it only while each
-        # support has at most ROUTE_MARGIN_ATOMS atoms; past that the witness decides
-        assert pathmetric_module.ROUTE_MARGIN_ATOMS == 60
+    def test_the_route_length_not_the_incumbent_decides(self, complex_fleet):
+        # the incumbent adds up the same route in another order; where the two
+        # round apart, a bilinear between them is decided as the witness decides it
+        rng = np.random.default_rng(0)
+        routes = 0
+        for K in complex_fleet.values():
+            table = word_metric(K)
+            for _ in range(100):
+                x, y = random_point(K, rng), random_point(K, rng)
+                incumbent, u, v = pathmetric_module._vertex_route(x, y, table)
+                length = pathmetric_module._route_witness(K, x, y, u, v).length
+                if x.key() == y.key() or incumbent == length:
+                    continue
+                bounds = pathmetric_module.query_bounds(K, x, y)
+                ceiling = (max(incumbent, length), 1.0)
+                got = pathmetric_module._solve_by_search(K, x, y, bounds, ceiling)
+                assert got == _witness_decision(K, x, y, bounds, ceiling)
+                routes += got is not None and got.value == length < incumbent
+        assert routes > 0
+
+    @pytest.mark.parametrize("atoms", [60, 61, 64])
+    def test_the_route_length_decides_large_supports(self, monkeypatch, atoms):
+        # the route's exact length decides whatever the supports' size: no witness is built
         calls = []
         route_witness = pathmetric_module._route_witness
 
@@ -363,7 +381,7 @@ class TestSearchCeiling:
         bounds = pathmetric_module.query_bounds(K, x, y)
         ceiling = (bilinear_extension(word_vertex_metric(K), x, y), 3.0)
         got = pathmetric_module._solve_by_search(K, x, y, bounds, ceiling)
-        assert calls.count("_solve_by_search") == built
+        assert calls.count("_solve_by_search") == 0
         assert got is None and got == _witness_decision(K, x, y, bounds, ceiling)
 
 

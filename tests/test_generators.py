@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -157,6 +158,35 @@ class TestGenerators:
             K = random_complex(n, density, seed)
             vs = K.vertices
             assert K.edges() == sorted((vs[i], vs[j]) for i, j in reference_random_edges(n, density, seed))
+
+    def test_random_edges_drawn_in_blocks_are_the_scalar_draws(self):
+        # 79,800 pairs: the uniforms are drawn in two blocks, one stream
+        n, density, seed = 400, 0.01, 3
+        K = random_complex(n, density, seed)
+        vs = K.vertices
+        assert K.edges() == sorted((vs[i], vs[j]) for i, j in reference_random_edges(n, density, seed))
+
+    def test_random_complex_memory_does_not_grow_with_the_pairs(self):
+        # 4.5 million pairs: all their uniforms at once took 77 MiB
+        tracemalloc.start()
+        try:
+            random_complex(3000, 0.001, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("radius", [float("nan"), 0.5, 0, -1])
+    def test_rips_radius_below_one_is_rejected(self, radius):
+        # a NaN radius once gave lone vertices, which no later command accepts
+        with pytest.raises(InvalidParameters, match="need radius >= 1"):
+            rips_complex(cycle_complex(6), radius)
+
+    @pytest.mark.parametrize("max_dim", [0, -2])
+    def test_random_max_dim_below_one_is_rejected(self, max_dim):
+        # 0 gave a disconnected complex of lone vertices, and -2 ignored the cap
+        with pytest.raises(InvalidParameters, match="max_dim >= 1"):
+            random_complex(6, 0.9, seed=0, max_dim=max_dim)
 
     def test_generate_dispatch(self):
         assert generate(GeneratorSpec("cycle", (5,))).vertices == cycle_complex(5).vertices

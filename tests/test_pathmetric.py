@@ -39,15 +39,17 @@ from metricext import pathmetric
 from metricext.complexes import Simplex, SimplicialComplex, WordMetricTable
 from metricext.generators import (
     cycle_complex,
+    grid_point,
     path_complex,
     random_point,
     random_same_simplex_pair,
+    random_vertex,
     rips_complex,
     tree_complex,
 )
 from metricext.oracle import grid_oracle_path_distance
 
-from conftest import pool_queries
+from conftest import pool_queries, simplex_on_a_path
 
 
 class TestPathLength:
@@ -246,6 +248,59 @@ class TestL1PathDistance:
             value = l1_path_distance(book, x, y).value
             for name, bound in lower_bounds(book, x, y):
                 assert value >= bound - 1e-9, name
+
+
+def _assert_route_lengths(K, x, y):
+    """`_route_length` is the route witness's length (==) for every (u, v) in supp(x) x supp(y)."""
+    table = word_metric(K)
+    for u in x.support:
+        for v in y.support:
+            want = pathmetric._route_witness(K, x, y, u, v).length
+            assert pathmetric._route_length(x, y, u, v, int(table.distance(u, v))) == want, (x, y, u, v)
+
+
+class TestRouteLength:
+    """The route's length adds the witness's segment lengths, bit for bit, without the witness."""
+
+    def test_pool_pairs(self):
+        for _, K, x, y in pool_queries():
+            _assert_route_lengths(K, x, y)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_grid_and_vertex_points(self, complex_fleet, data):
+        K = complex_fleet[data.draw(st.sampled_from(sorted(complex_fleet)))]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(["random", "grid", "vertex", "same simplex"]))
+        if kind == "same simplex":  # supports that share vertices: routes with u == v
+            x, y = random_same_simplex_pair(K, rng)
+        else:
+            def point():
+                if kind == "grid":
+                    return grid_point(K, rng, 128)
+                if kind == "vertex" and data.draw(st.booleans()):
+                    return random_vertex(K, rng)
+                return random_point(K, rng)
+
+            x, y = point(), point()
+        _assert_route_lengths(K, x, y)
+
+    @pytest.mark.parametrize("atoms", [60, 61, 64])
+    def test_large_supports(self, atoms):
+        K = simplex_on_a_path(64, 10)
+        rng = np.random.default_rng(atoms)
+        simplex = K.maximal_simplices[-1]
+        assert len(simplex) == 64
+        x = make_point(K, {v: w for v, w in zip(simplex[:atoms], rng.random(atoms) + 0.05)})
+        for y in (vertex_point(K, "p10"), vertex_point(K, "s63"), grid_point(K, rng, 128, face=simplex[-8:])):
+            _assert_route_lengths(K, x, y)
+            _assert_route_lengths(K, y, x)
+
+    def test_a_vertex_route_with_no_segment(self, path3):
+        # x is e_u, y is e_v and u == v: no segment, and the length is 0.0
+        x = vertex_point(path3, "v")
+        assert pathmetric._route_length(x, x, "v", "v", 0) == 0.0
+        _assert_route_lengths(path3, x, x)
 
 
 class TestChainSolverAgainstClosedForms:

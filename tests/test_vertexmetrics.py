@@ -273,7 +273,7 @@ class TestLinearBound:
     def test_supplied_too_small(self, book):
         t = word_metric(book)
         with pytest.raises(SuppliedConstantTooSmall):
-            linear_bound_constant(t.matrix.astype(float), t, supplied=0.5)
+            validate_vertex_metric(book, t.matrix.astype(float), C=0.5)
 
     def test_validation_computes_the_minimal_bound_once(self, book, monkeypatch):
         calls = []
@@ -330,6 +330,19 @@ class TestWordDerivedMetrics:
                 for u, v in itertools.product(K.vertices, repeat=2):
                     assert vm.distance(u, v) == m[vm.index[u], vm.index[v]]
                 assert np.array_equal(vm.matrix, m)
+
+    @pytest.mark.parametrize("name", ["scale", "saturation"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, np.True_])
+    def test_non_finite_or_bool_transform_is_rejected(self, path3, name, value):
+        # a NaN scale would give C = nan, and extended distances of nan
+        params = {"scale": 1.5, "saturation": 0.5, name: value}
+        with pytest.raises(InvalidParameters, match=f"^{name} must be a finite number"):
+            transformed_word_metric(path3, **params)
+
+    @pytest.mark.parametrize("scale, saturation", [(0.0, 0.5), (-1.5, 0.5), (1.5, -0.5)])
+    def test_out_of_range_transform_is_rejected(self, path3, scale, saturation):
+        with pytest.raises(ValueError, match="need scale > 0 and saturation >= 0"):
+            transformed_word_metric(path3, scale, saturation)
 
     def test_word_vertex_metric_is_the_word_table(self, complex_fleet):
         for K in complex_fleet.values():
