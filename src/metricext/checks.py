@@ -1,10 +1,15 @@
 """Named property suites runnable against any complex + vertex metric.
 
-Each check samples with its own RNG, seeded from the seed and a crc32 of its
-tag (never the per-process salted `hash`), so `check --seed N` prints the same
-in every process.  The runner executes only the requested suite's checks, one
-after another, and orders results by suite and name before reporting.  The
-automorphism checks share one exact search per run.
+A check is declared once, by `@_check(suite, name)` on its body: that
+registers it in ALL_CHECKS, in definition order, and hands the body a
+CheckResult carrying its name and suite.  SUITES lists the suites in order of
+their first check.  Each check samples with its own RNG, seeded from the seed
+and a crc32 of its tag (never the per-process salted `hash`), so
+`check --seed N` prints the same in every process.  The runner executes only
+the requested suite's checks, one after another in registry order (the
+tripwire check is defined last), and orders results by suite and name before
+reporting.  The checks share one ExtendedMetric and one exact automorphism
+search per run.
 """
 
 from __future__ import annotations
@@ -13,12 +18,15 @@ import itertools
 import math
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
+from typing import Callable
 
 import numpy as np
 
 from .complexes import (
+    VALUE_TOL,
     Automorphism,
+    BarycentricPoint,
     SimplicialComplex,
     apply_automorphism,
     make_automorphism,
@@ -59,13 +67,11 @@ from .vertexmetrics import (
     word_vertex_metric,
 )
 
-TOL = 1e-9
-
 
 @dataclass
 class CheckResult:
     name: str
-    suite: str = ""  # set by run_checks from the check's @_suite
+    suite: str
     passed: int = 0
     failed: int = 0
     notes: list[str] = field(default_factory=list)
@@ -159,21 +165,34 @@ def find_nontrivial_automorphism(K: SimplicialComplex) -> Automorphism | None:
 
 
 # --------------------------------------------------------------------------
-# individual checks; each returns a CheckResult
+# individual checks
 
-def _suite(name: str):
-    """Mark a check as part of the named suite; run_checks selects by it."""
+ALL_CHECKS: list[Callable[[CheckContext], CheckResult]] = []  # run order: definition order
 
-    def mark(check):
-        check.suite = name
+
+def _check(suite: str, name: str):
+    """Register a check under its suite and name, after every check defined before it.
+
+    The body fills in the CheckResult it is handed; the registered check
+    takes a CheckContext and returns that result.
+    """
+
+    def register(body: Callable[[CheckContext, CheckResult], None]):
+        @wraps(body)
+        def check(ctx: CheckContext) -> CheckResult:
+            result = CheckResult(name, suite)
+            body(ctx, result)
+            return result
+
+        check.suite = suite
+        ALL_CHECKS.append(check)
         return check
 
-    return mark
+    return register
 
 
-@_suite("complex")
-def _check_face_closure(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("faces-closed-under-subsets")
+@_check("complex", "faces-closed-under-subsets")
+def _check_face_closure(ctx: CheckContext, r: CheckResult) -> None:
     for s in ctx.K.maximal_simplices:
         if len(s) > 6:
             r.notes.append(f"simplex {s} too large for exhaustive subset check")
@@ -185,32 +204,28 @@ def _check_face_closure(ctx: CheckContext) -> CheckResult:
                 else:
                     r.failed += 1
                     r.notes.append(f"missing face {sub}")
-    return r
 
 
-@_suite("complex")
-def _check_simplex_l1_axioms(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("simplex-l1-metric-axioms")
+@_check("complex", "simplex-l1-metric-axioms")
+def _check_simplex_l1_axioms(ctx: CheckContext, r: CheckResult) -> None:
     rng = ctx.rng("simplex-l1")
     for _ in range(ctx.triples):
         sigma = ctx.K.maximal_simplices[rng.integers(len(ctx.K.maximal_simplices))]
         pts = [random_point(ctx.K, rng, face=sigma) for _ in range(3)]
         x, y, z = pts
         ok = (
-            abs(simplex_l1(x, y) - simplex_l1(y, x)) <= TOL
-            and simplex_l1(x, x) <= TOL
-            and simplex_l1(x, z) <= simplex_l1(x, y) + simplex_l1(y, z) + TOL
-            and simplex_l1(x, y) <= 1.0 + TOL
+            abs(simplex_l1(x, y) - simplex_l1(y, x)) <= VALUE_TOL
+            and simplex_l1(x, x) <= VALUE_TOL
+            and simplex_l1(x, z) <= simplex_l1(x, y) + simplex_l1(y, z) + VALUE_TOL
+            and simplex_l1(x, y) <= 1.0 + VALUE_TOL
         )
         r.passed += ok
         r.failed += not ok
-    return r
 
 
-@_suite("complex")
-def _check_simplex_l1_restriction(ctx: CheckContext) -> CheckResult:
+@_check("complex", "simplex-l1-face-restriction")
+def _check_simplex_l1_restriction(ctx: CheckContext, r: CheckResult) -> None:
     # the l1 value must only depend on coordinates, not the ambient simplex
-    r = CheckResult("simplex-l1-face-restriction")
     rng = ctx.rng("l1-restriction")
     for _ in range(ctx.pairs):
         sigma = ctx.K.maximal_simplices[rng.integers(len(ctx.K.maximal_simplices))]
@@ -219,19 +234,17 @@ def _check_simplex_l1_restriction(ctx: CheckContext) -> CheckResult:
         y = random_point(ctx.K, rng, face=face)
         ambient = simplex_l1(x, y)
         direct = 0.5 * sum(abs(x.get(v) - y.get(v)) for v in face)
-        ok = abs(ambient - direct) <= TOL
+        ok = abs(ambient - direct) <= VALUE_TOL
         r.passed += ok
         r.failed += not ok
-    return r
 
 
-@_suite("complex")
-def _check_automorphism_l1(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("automorphism-preserves-simplex-l1")
+@_check("complex", "automorphism-preserves-simplex-l1")
+def _check_automorphism_l1(ctx: CheckContext, r: CheckResult) -> None:
     g = ctx.automorphism
     if g is None:
         r.notes.append("only the identity exists; nothing to compare")
-        return r
+        return
     rng = ctx.rng("auto-l1")
     for _ in range(ctx.pairs):
         x, y = random_same_simplex_pair(ctx.K, rng)
@@ -240,15 +253,13 @@ def _check_automorphism_l1(ctx: CheckContext) -> CheckResult:
         ok = abs(simplex_l1(x, y) - simplex_l1(gx, gy)) <= 1e-12
         r.passed += ok
         r.failed += not ok
-    return r
 
 
-@_suite("vertex")
-def _check_vertex_agreement_solver(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("word-metric-equals-chain-solver")
+@_check("vertex", "word-metric-equals-chain-solver")
+def _check_vertex_agreement_solver(ctx: CheckContext, r: CheckResult) -> None:
     if len(ctx.K.vertices) > 14:
         r.notes.append("complex too large; covered by the shortcut check")
-        return r
+        return
     table = word_metric(ctx.K)
     vs = ctx.K.vertices
     for i, u in enumerate(vs):
@@ -256,20 +267,18 @@ def _check_vertex_agreement_solver(ctx: CheckContext) -> CheckResult:
         for v in vs[i + 1 :]:
             got = chain_solver_distance(ctx.K, vertex_point(ctx.K, u), vertex_point(ctx.K, v)).value
             want = float(from_u[table.index[v]])
-            ok = abs(got - want) <= TOL
+            ok = abs(got - want) <= VALUE_TOL
             r.passed += ok
             r.failed += not ok
             if not ok:
                 r.notes.append(f"({u},{v}): solver {got} != word {want}")
-    return r
 
 
-@_suite("vertex")
-def _check_minimal_bound(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("minimal-linear-bound-attained")
+@_check("vertex", "minimal-linear-bound-attained")
+def _check_minimal_bound(ctx: CheckContext, r: CheckResult) -> None:
     if len(ctx.K.vertices) < 2:
         r.notes.append("single vertex; no pair to attain C")
-        return r
+        return
     table = word_metric(ctx.K)
     c = ctx.metric.minimal_C
     gap = np.inf
@@ -278,40 +287,36 @@ def _check_minimal_bound(ctx: CheckContext) -> CheckResult:
         from_u = table.row(u)
         for v in vs[i + 1 :]:
             slack = c * float(from_u[table.index[v]]) - ctx.metric.distance(u, v)
-            if slack < -TOL:
+            if slack < -VALUE_TOL:
                 r.failed += 1
             else:
                 r.passed += 1
             gap = min(gap, slack)
-    if gap > TOL:
+    if gap > VALUE_TOL:
         r.failed += 1
         r.notes.append(f"minimal C not attained (slack {gap})")
-    return r
 
 
-@_suite("vertex")
-def _check_vertex_dd_identities(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("vertex-dd-identities")
+@_check("vertex", "vertex-dd-identities")
+def _check_vertex_dd_identities(ctx: CheckContext, r: CheckResult) -> None:
     rng = ctx.rng("vertex-dd")
     vs = list(ctx.K.vertices)
     dd = lambda *args: double_difference_vertices(ctx.metric, *args)
     for _ in range(ctx.triples):
         a, a2, a3, b, b2, w = (vs[rng.integers(len(vs))] for _ in range(6))
         checks = [
-            abs(dd(a, a2, b, b2) - dd(b, b2, a, a2)) <= TOL,
-            abs(dd(a, a2, b, b2) + dd(a2, a, b, b2)) <= TOL,
-            abs(dd(a, a, b, b2)) <= TOL and abs(dd(a, a2, b, b)) <= TOL,
-            abs(dd(a, a2, b, b2) + dd(a2, a3, b, b2) - dd(a, a3, b, b2)) <= TOL,
-            abs(dd(a, a2, b, w) + dd(b, a, a2, w) + dd(a2, b, a, w)) <= TOL,
+            abs(dd(a, a2, b, b2) - dd(b, b2, a, a2)) <= VALUE_TOL,
+            abs(dd(a, a2, b, b2) + dd(a2, a, b, b2)) <= VALUE_TOL,
+            abs(dd(a, a, b, b2)) <= VALUE_TOL and abs(dd(a, a2, b, b)) <= VALUE_TOL,
+            abs(dd(a, a2, b, b2) + dd(a2, a3, b, b2) - dd(a, a3, b, b2)) <= VALUE_TOL,
+            abs(dd(a, a2, b, w) + dd(b, a, a2, w) + dd(a2, b, a, w)) <= VALUE_TOL,
         ]
         r.passed += sum(checks)
         r.failed += len(checks) - sum(checks)
-    return r
 
 
-@_suite("vertex")
-def _check_vertex_gp_relation(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("vertex-gp-dd-relation")
+@_check("vertex", "vertex-gp-dd-relation")
+def _check_vertex_gp_relation(ctx: CheckContext, r: CheckResult) -> None:
     rng = ctx.rng("vertex-gp")
     vs = list(ctx.K.vertices)
     for _ in range(ctx.triples):
@@ -320,27 +325,23 @@ def _check_vertex_gp_relation(ctx: CheckContext) -> CheckResult:
         rhs = gromov_product_vertices(ctx.metric, b, x, a) - gromov_product_vertices(
             ctx.metric, b, y, a
         )
-        ok = abs(lhs - rhs) <= TOL
+        ok = abs(lhs - rhs) <= VALUE_TOL
         r.passed += ok
         r.failed += not ok
-    return r
 
 
-@_suite("vertex")
-def _check_hyperbolicity(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("four-point-delta-scan")
+@_check("vertex", "four-point-delta-scan")
+def _check_hyperbolicity(ctx: CheckContext, r: CheckResult) -> None:
     if len(ctx.K.vertices) > 60:
         r.notes.append("skipped: quartic scan limited to 60 vertices")
-        return r
+        return
     delta = hyperbolicity_delta(ctx.metric)
     r.passed += 1
     r.notes.append(f"delta = {delta:.6g}")
-    return r
 
 
-@_suite("path")
-def _check_path_axioms(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("path-metric-axioms")
+@_check("path", "path-metric-axioms")
+def _check_path_axioms(ctx: CheckContext, r: CheckResult) -> None:
     rng = ctx.rng("path-axioms")
     for _ in range(max(1, ctx.triples // 3)):
         x = random_point(ctx.K, rng)
@@ -351,26 +352,23 @@ def _check_path_axioms(ctx: CheckContext) -> CheckResult:
         dxz = l1_path_distance(ctx.K, x, z).value
         dyz = l1_path_distance(ctx.K, y, z).value
         ok = (
-            abs(dxy - dyx) <= TOL
+            abs(dxy - dyx) <= VALUE_TOL
             and l1_path_distance(ctx.K, x, x).value == 0.0
-            and dxz <= dxy + dyz + TOL
+            and dxz <= dxy + dyz + VALUE_TOL
         )
         r.passed += ok
         r.failed += not ok
-    return r
 
 
-@_suite("path")
-def _check_path_restriction(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("path-restriction-and-diameter")
+@_check("path", "path-restriction-and-diameter")
+def _check_path_restriction(ctx: CheckContext, r: CheckResult) -> None:
     rng = ctx.rng("path-restriction")
     for _ in range(ctx.pairs):
         x, y = random_same_simplex_pair(ctx.K, rng)
         d = l1_path_distance(ctx.K, x, y).value
-        ok = abs(d - simplex_l1(x, y)) <= TOL and d <= 1.0 + TOL
+        ok = abs(d - simplex_l1(x, y)) <= VALUE_TOL and d <= 1.0 + VALUE_TOL
         r.passed += ok
         r.failed += not ok
-    return r
 
 
 def _pair_at(n: int, k: int) -> tuple[int, int]:
@@ -385,9 +383,8 @@ def _pair_at(n: int, k: int) -> tuple[int, int]:
     return n - 2 - r, n - 1 - (m - r * (r + 1) // 2)
 
 
-@_suite("path")
-def _check_path_vertex_agreement(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("path-vertex-agreement")
+@_check("path", "path-vertex-agreement")
+def _check_path_vertex_agreement(ctx: CheckContext, r: CheckResult) -> None:
     table = word_metric(ctx.K)
     vs = ctx.K.vertices
     n = len(vs)
@@ -402,12 +399,10 @@ def _check_path_vertex_agreement(ctx: CheckContext) -> CheckResult:
         ok = d == table.distance(u, v)
         r.passed += ok
         r.failed += not ok
-    return r
 
 
-@_suite("path")
-def _check_witness_soundness(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("path-witness-soundness")
+@_check("path", "path-witness-soundness")
+def _check_witness_soundness(ctx: CheckContext, r: CheckResult) -> None:
     rng = ctx.rng("witness")
     for _ in range(max(1, ctx.pairs // 2)):
         x = random_point(ctx.K, rng)
@@ -415,35 +410,31 @@ def _check_witness_soundness(ctx: CheckContext) -> CheckResult:
         value, witness = l1_path_distance(ctx.K, x, y)
         try:
             witness.validate(ctx.K)
-            ok = abs(witness.length - value) <= TOL
-            ok = ok and all(value >= b - TOL for _, b in lower_bounds(ctx.K, x, y))
+            ok = abs(witness.length - value) <= VALUE_TOL
+            ok = ok and all(value >= b - VALUE_TOL for _, b in lower_bounds(ctx.K, x, y))
         except MetricExtError as exc:
             ok = False
             r.notes.append(str(exc))
         r.passed += ok
         r.failed += not ok
-    return r
 
 
-@_suite("path")
-def _check_disjoint_floor(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("path-disjoint-support-floor")
+@_check("path", "path-disjoint-support-floor")
+def _check_disjoint_floor(ctx: CheckContext, r: CheckResult) -> None:
     if len(ctx.K.vertices) < 2:
         r.notes.append("single vertex; no disjoint pairs")
-        return r
+        return
     rng = ctx.rng("disjoint")
     for _ in range(max(1, ctx.pairs // 2)):
         x, y = random_disjoint_pair(ctx.K, rng)
         d = l1_path_distance(ctx.K, x, y).value
-        ok = d >= 1.0 - TOL
+        ok = d >= 1.0 - VALUE_TOL
         r.passed += ok
         r.failed += not ok
-    return r
 
 
-@_suite("extension")
-def _check_ext_axioms(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("ext-metric-axioms")
+@_check("extension", "ext-metric-axioms")
+def _check_ext_axioms(ctx: CheckContext, r: CheckResult) -> None:
     rng = ctx.rng("ext-axioms")
     M = ctx.M
     for _ in range(max(1, ctx.triples // 3)):
@@ -454,47 +445,41 @@ def _check_ext_axioms(ctx: CheckContext) -> CheckResult:
         dxz = M.distance(x, z)
         dyz = M.distance(y, z)
         ok = (
-            dxz <= dxy + dyz + TOL
+            dxz <= dxy + dyz + VALUE_TOL
             and M.distance(x, x) == 0.0
             and (x.key() == y.key() or dxy > 0.0)
         )
         r.passed += ok
         r.failed += not ok
-    return r
 
 
-@_suite("extension")
-def _check_ext_vertex_restriction(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("ext-vertex-restriction")
+@_check("extension", "ext-vertex-restriction")
+def _check_ext_vertex_restriction(ctx: CheckContext, r: CheckResult) -> None:
     for u, v in itertools.islice(itertools.combinations(ctx.K.vertices, 2), 400):
         d = ctx.M.distance(vertex_point(ctx.K, u), vertex_point(ctx.K, v))
         ok = d == ctx.metric.distance(u, v)
         r.passed += ok
         r.failed += not ok
-    return r
 
 
-@_suite("extension")
-def _check_ext_disjoint(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("ext-disjoint-support-bilinear")
+@_check("extension", "ext-disjoint-support-bilinear")
+def _check_ext_disjoint(ctx: CheckContext, r: CheckResult) -> None:
     if len(ctx.K.vertices) < 2:
         r.notes.append("single vertex; no disjoint pairs")
-        return r
+        return
     rng = ctx.rng("ext-disjoint")
     for _ in range(max(1, ctx.pairs // 2)):
         x, y = random_disjoint_pair(ctx.K, rng)
         value, branch = ctx.M.distance_with_branch(x, y)
         bil = bilinear_extension(ctx.metric, x, y)
         d_path = l1_path_distance(ctx.K, x, y).value
-        ok = branch == "bilinear" and value == bil and bil <= ctx.M.scale * d_path + TOL
+        ok = branch == "bilinear" and value == bil and bil <= ctx.M.scale * d_path + VALUE_TOL
         r.passed += ok
         r.failed += not ok
-    return r
 
 
-@_suite("extension")
-def _check_mixed_inequality(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("ext-mixed-triangle-inequality")
+@_check("extension", "ext-mixed-triangle-inequality")
+def _check_mixed_inequality(ctx: CheckContext, r: CheckResult) -> None:
     rng = ctx.rng("mixed")
     two_c = 2.0 * ctx.metric.C
     for _ in range(max(1, ctx.triples // 3)):
@@ -504,19 +489,17 @@ def _check_mixed_inequality(ctx: CheckContext) -> CheckResult:
         lhs = bilinear_extension(ctx.metric, x, z)
         rhs_base = bilinear_extension(ctx.metric, x, y)
         floor = max(v for _, v in lower_bounds(ctx.K, y, z))
-        if lhs <= rhs_base + two_c * floor + TOL:
+        if lhs <= rhs_base + two_c * floor + VALUE_TOL:
             r.passed += 1  # already provable from the admissible lower bound
             continue
         d = l1_path_distance(ctx.K, y, z).value
-        ok = lhs <= rhs_base + two_c * d + TOL
+        ok = lhs <= rhs_base + two_c * d + VALUE_TOL
         r.passed += ok
         r.failed += not ok
-    return r
 
 
-@_suite("extension")
-def _check_bilinear_triangle(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("bilinear-triangle-inequality")
+@_check("extension", "bilinear-triangle-inequality")
+def _check_bilinear_triangle(ctx: CheckContext, r: CheckResult) -> None:
     rng = ctx.rng("bilinear-triangle")
     for _ in range(max(1, ctx.triples // 3)):
         x = random_point(ctx.K, rng)
@@ -525,16 +508,14 @@ def _check_bilinear_triangle(ctx: CheckContext) -> CheckResult:
         ok = bilinear_extension(ctx.metric, x, z) <= (
             bilinear_extension(ctx.metric, x, y)
             + bilinear_extension(ctx.metric, y, z)
-            + TOL
+            + VALUE_TOL
         )
         r.passed += ok
         r.failed += not ok
-    return r
 
 
-@_suite("extension")
-def _check_ext_dd_identities(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("ext-dd-identities-and-gp")
+@_check("extension", "ext-dd-identities-and-gp")
+def _check_ext_dd_identities(ctx: CheckContext, r: CheckResult) -> None:
     rng = ctx.rng("ext-dd")
     M = ctx.M
     for _ in range(max(1, ctx.triples // 4)):
@@ -542,24 +523,22 @@ def _check_ext_dd_identities(ctx: CheckContext) -> CheckResult:
         a, a2, b, b2, w = pts
         dd = lambda *args: double_difference_ext(M, *args)
         checks = [
-            abs(dd(a, a2, b, b2) - dd(b, b2, a, a2)) <= TOL,
-            abs(dd(a, a2, b, b2) + dd(a2, a, b, b2)) <= TOL,
-            abs(dd(a, a, b, b2)) <= TOL,
-            abs(dd(a, a2, b, b2) + dd(a2, w, b, b2) - dd(a, w, b, b2)) <= TOL,
-            abs(dd(a, b, w, a2) + dd(w, a, b, a2) + dd(b, w, a, a2)) <= TOL,
-            abs(gromov_product_ext(M, a, b, w) - dd(w, a, b, w)) <= TOL,
+            abs(dd(a, a2, b, b2) - dd(b, b2, a, a2)) <= VALUE_TOL,
+            abs(dd(a, a2, b, b2) + dd(a2, a, b, b2)) <= VALUE_TOL,
+            abs(dd(a, a, b, b2)) <= VALUE_TOL,
+            abs(dd(a, a2, b, b2) + dd(a2, w, b, b2) - dd(a, w, b, b2)) <= VALUE_TOL,
+            abs(dd(a, b, w, a2) + dd(w, a, b, a2) + dd(b, w, a, a2)) <= VALUE_TOL,
+            abs(gromov_product_ext(M, a, b, w) - dd(w, a, b, w)) <= VALUE_TOL,
         ]
         r.passed += sum(checks)
         r.failed += len(checks) - sum(checks)
-    return r
 
 
-@_suite("extension")
-def _check_sandwich(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("ext-bilinear-sandwich")
+@_check("extension", "ext-bilinear-sandwich")
+def _check_sandwich(ctx: CheckContext, r: CheckResult) -> None:
     if not ctx.metric.has_qi_constants:
         r.notes.append("skipped: no quasi-isometry constants supplied")
-        return r
+        return
     rng = ctx.rng("sandwich")
     for _ in range(max(1, ctx.pairs // 2)):
         x = random_point(ctx.K, rng)
@@ -569,39 +548,14 @@ def _check_sandwich(ctx: CheckContext) -> CheckResult:
         r.failed += not res.passed
         if not res.passed:
             r.notes.append(res.message)
-    return r
 
 
-@_suite("probes")
-def _check_dd_window(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("dd-window-4bprime")
-    if not ctx.metric.has_qi_constants:
-        r.notes.append("skipped: no quasi-isometry constants supplied")
-        return r
-    rng = ctx.rng("window")
-    samples = []
-    for _ in range(max(1, ctx.pairs // 2)):
-        kind = rng.integers(2)
-        pts = [
-            random_vertex(ctx.K, rng) if kind else random_point(ctx.K, rng)
-            for _ in range(4)
-        ]
-        samples.append(tuple(pts))
-    res = equivalence_windows_check(ctx.M, samples)
-    r.passed += res.checked if res.passed else 0
-    r.failed += 0 if res.passed else 1
-    if res.alpha is not None:
-        r.notes.append(f"fitted alpha={res.alpha}, beta={res.beta}")
-    return r
-
-
-@_suite("extension")
-def _check_automorphism_ext(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("automorphism-ext-invariance")
+@_check("extension", "automorphism-ext-invariance")
+def _check_automorphism_ext(ctx: CheckContext, r: CheckResult) -> None:
     g = ctx.automorphism
     if g is None:
         r.notes.append("only the identity exists; nothing to compare")
-        return r
+        return
     d = ctx.metric.distance
     image = g.as_dict()
     rng = ctx.rng("auto-ext")
@@ -620,45 +574,62 @@ def _check_automorphism_ext(ctx: CheckContext) -> CheckResult:
     skipped = samples - r.passed - r.failed
     if skipped:
         r.notes.append(f"{skipped} of {samples} samples skipped: metric not invariant on their supports")
-    return r
 
 
-@_suite("probes")
-def _check_probe_reproducibility(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("probe-reproducibility")
+@_check("probes", "dd-window-4bprime")
+def _check_dd_window(ctx: CheckContext, r: CheckResult) -> None:
+    if not ctx.metric.has_qi_constants:
+        r.notes.append("skipped: no quasi-isometry constants supplied")
+        return
+    rng = ctx.rng("window")
+    samples = []
+    for _ in range(max(1, ctx.pairs // 2)):
+        kind = rng.integers(2)
+        pts = [
+            random_vertex(ctx.K, rng) if kind else random_point(ctx.K, rng)
+            for _ in range(4)
+        ]
+        samples.append(tuple(pts))
+    res = equivalence_windows_check(ctx.M, samples)
+    r.passed += res.checked if res.passed else 0
+    r.failed += 0 if res.passed else 1
+    if res.alpha is not None:
+        r.notes.append(f"fitted alpha={res.alpha}, beta={res.beta}")
+
+
+@_check("probes", "probe-reproducibility")
+def _check_probe_reproducibility(ctx: CheckContext, r: CheckResult) -> None:
     base = min(ctx.K.vertices)
     ray = deepest_ray(ctx.K, base)
     if ray.depth < 1:
         r.notes.append("complex has no room for rays; skipped")
-        return r
+        return
     fixed = vertex_point(ctx.K, ray.vertices[0])
     rep1 = dd_divergence_probe(ctx.M, [ray, fixed, fixed, ray])
     rep2 = dd_divergence_probe(ctx.M, [ray, fixed, fixed, ray])
     ok = rep1 == rep2
     r.passed += ok
     r.failed += not ok
-    return r
 
 
-@_suite("probes")
-def _check_divergence_tree(ctx: CheckContext) -> CheckResult:
+@_check("probes", "divergence-signs-on-tree")
+def _check_divergence_tree(ctx: CheckContext, r: CheckResult) -> None:
     """Word-metric divergence on trees, against the combinatorial oracle.
 
     With x = y' = ray(t) the double difference equals the Gromov product of
     the two fixed points at ray(t), which on a tree is the distance from
     ray(t) to the path between them; the straight coincidence negates it.
     """
-    r = CheckResult("divergence-signs-on-tree")
     n = len(ctx.K.vertices)
     edges = sum(map(len, ctx.K.adjacency.values())) // 2
     if edges != n - 1:
         r.notes.append("skipped: 1-skeleton is not a tree")
-        return r
+        return
     base = min(ctx.K.vertices)
     ray = deepest_ray(ctx.K, base)
     if ray.depth < 4:
         r.notes.append("skipped: tree too shallow")
-        return r
+        return
     M = ExtendedMetric(ctx.K, word_vertex_metric(ctx.K))
     ua, ub = ray.vertices[0], ray.vertices[1]
     a2 = vertex_point(ctx.K, ua)
@@ -673,20 +644,18 @@ def _check_divergence_tree(ctx: CheckContext) -> CheckResult:
             r.notes.append(f"expected {want}, got {rep.verdict}")
         for t, value in rep.table:
             closed_form = sign * tree_gromov_oracle(ctx.K, ua, ub, ray.vertices[int(t)])
-            if abs(value - closed_form) <= TOL:
+            if abs(value - closed_form) <= VALUE_TOL:
                 r.passed += 1
             else:
                 r.failed += 1
                 r.notes.append(f"depth {t}: probe {value} != oracle {closed_form}")
-    return r
 
 
-@_suite("probes")
-def _check_decay(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("decay-probe")
+@_check("probes", "decay-probe")
+def _check_decay(ctx: CheckContext, r: CheckResult) -> None:
     if not ctx.metric.has_qi_constants:
         r.notes.append("skipped: no quasi-isometry constants supplied")
-        return r
+        return
     rng = ctx.rng("decay")
     quads = nested_quadruples(ctx.K, rng, count=20)
     points = [
@@ -695,41 +664,48 @@ def _check_decay(ctx: CheckContext) -> CheckResult:
     rep = decay_probe(ctx.M, points)
     r.passed += 1
     r.notes.append(f"verdict: {rep.verdict} ({len(rep.table)} samples)")
-    return r
 
 
-@_suite("oracle")
-def _check_oracle_sandwich(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("oracle-grid-sandwich")
+def grid_sandwich(
+    K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint, n: int, refine: bool = True
+) -> tuple[dict[str, float], bool]:
+    """The exact path value against the grid oracle at 1/n, and at 1/(2n) when refining.
+
+    Returns the row (exact, grid, gap, tol, and grid_fine when refining) and
+    whether exact <= grid <= exact + tol, tol = max(1, dim K) / n * (1 + exact),
+    and the finer grid is no longer than the coarse one.
+    """
+    exact = l1_path_distance(K, x, y).value
+    grid = grid_oracle_path_distance(K, x, y, 1.0 / n)
+    tol = max(1, K.dimension) * (1.0 / n) * (1.0 + exact)
+    row = {"exact": exact, "grid": grid, "gap": grid - exact, "tol": tol}
+    ok = exact <= grid + VALUE_TOL and grid - exact <= tol
+    if refine:
+        row["grid_fine"] = fine = grid_oracle_path_distance(K, x, y, 1.0 / (2 * n))
+        ok = ok and fine <= grid + VALUE_TOL
+    return row, ok
+
+
+@_check("oracle", "oracle-grid-sandwich")
+def _check_oracle_sandwich(ctx: CheckContext, r: CheckResult) -> None:
     if ctx.K.dimension > 2 or len(ctx.K.vertices) > 12:
         r.notes.append("skipped: oracle comparison limited to dim<=2, 12 vertices")
-        return r
+        return
     rng = ctx.rng("oracle")
-    n = 16
     for _ in range(max(1, ctx.pairs // 4)):
-        x = grid_point(ctx.K, rng, n)
-        y = grid_point(ctx.K, rng, n)
-        exact = l1_path_distance(ctx.K, x, y).value
-        coarse = grid_oracle_path_distance(ctx.K, x, y, 1.0 / n)
-        fine = grid_oracle_path_distance(ctx.K, x, y, 1.0 / (2 * n))
-        tol = ctx.K.dimension * (1.0 / n) * (1.0 + exact)
-        ok = (
-            exact <= coarse + TOL
-            and coarse - exact <= tol
-            and fine <= coarse + TOL
-        )
+        x = grid_point(ctx.K, rng, 16)
+        y = grid_point(ctx.K, rng, 16)
+        ok = grid_sandwich(ctx.K, x, y, 16)[1]
         r.passed += ok
         r.failed += not ok
-    return r
 
 
-@_suite("oracle")
-def _check_naive_violation(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("naive-bilinear-identity-violation")
+@_check("oracle", "naive-bilinear-identity-violation")
+def _check_naive_violation(ctx: CheckContext, r: CheckResult) -> None:
     edges = ctx.K.edges()
     if not edges:
         r.notes.append("skipped: complex has no edge")
-        return r
+        return
     u, v = edges[0]
     pts = [
         vertex_point(ctx.K, u),
@@ -742,12 +718,11 @@ def _check_naive_violation(ctx: CheckContext) -> CheckResult:
     ok = any(s.kind == "Identity" for s in viols)
     r.passed += ok
     r.failed += not ok
-    return r
 
 
-@_suite("oracle")
-def _check_tripwire(ctx: CheckContext) -> CheckResult:
-    r = CheckResult("lower-bound-tripwire")
+@_check("oracle", "lower-bound-tripwire")
+def _check_tripwire(ctx: CheckContext, r: CheckResult) -> None:
+    # defined last, so it runs last and counts the bound checks of every check before it
     log = tripwire_log()
     checks, seen = ctx.tripwire_start
     violations = log.violations[seen:]
@@ -757,41 +732,9 @@ def _check_tripwire(ctx: CheckContext) -> CheckResult:
     else:
         r.passed += 1
         r.notes.append(f"{log.checks - checks} bound checks, no violations")
-    return r
 
 
-ALL_CHECKS = [
-    _check_face_closure,
-    _check_simplex_l1_axioms,
-    _check_simplex_l1_restriction,
-    _check_automorphism_l1,
-    _check_vertex_agreement_solver,
-    _check_minimal_bound,
-    _check_vertex_dd_identities,
-    _check_vertex_gp_relation,
-    _check_hyperbolicity,
-    _check_path_axioms,
-    _check_path_restriction,
-    _check_path_vertex_agreement,
-    _check_witness_soundness,
-    _check_disjoint_floor,
-    _check_ext_axioms,
-    _check_ext_vertex_restriction,
-    _check_ext_disjoint,
-    _check_mixed_inequality,
-    _check_bilinear_triangle,
-    _check_ext_dd_identities,
-    _check_sandwich,
-    _check_automorphism_ext,
-    _check_dd_window,
-    _check_probe_reproducibility,
-    _check_divergence_tree,
-    _check_decay,
-    _check_oracle_sandwich,
-    _check_naive_violation,
-]
-
-SUITES = ("complex", "vertex", "path", "extension", "probes", "oracle")
+SUITES = tuple(dict.fromkeys(check.suite for check in ALL_CHECKS))
 
 
 def run_checks(
@@ -809,10 +752,5 @@ def run_checks(
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
     ctx = CheckContext(K=K, metric=metric, seed=seed, triples=triples, pairs=pairs)
-    results = []
-    for check in [*ALL_CHECKS, _check_tripwire]:
-        if suite in ("all", check.suite):
-            result = check(ctx)
-            result.suite = check.suite
-            results.append(result)
+    results = [check(ctx) for check in ALL_CHECKS if suite in ("all", check.suite)]
     return sorted(results, key=lambda r: (r.suite, r.name))

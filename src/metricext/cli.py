@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from .checks import SUITES, run_checks
-from .complexes import vertex_point
+from .checks import SUITES, grid_sandwich, run_checks
+from .complexes import VALUE_TOL, vertex_point
 from .errors import InternalConsistencyError, MetricExtError
 from .extension import (
     ExtendedMetric,
@@ -29,12 +29,12 @@ from .fileio import (
     load_complex,
     metric_from_spec,
     point_from_json,
+    points_from_json,
     save_complex,
     slots_from_json,
     witness_to_dict,
 )
 from .generators import GeneratorSpec, generate, grid_point, nested_quadruples, random_point, random_vertex
-from .oracle import grid_oracle_path_distance
 from .pathmetric import l1_path_distance, tripwire_log
 from .probes import (
     dd_convergence_probe,
@@ -234,9 +234,7 @@ def _cmd_dist(args) -> int:
 def _cmd_dd(args) -> int:
     K = load_complex(args.complex)
     vm = metric_from_spec(K, args.metric)
-    pts = [point_from_json(K, p) for p in json.loads(args.points)]
-    if len(pts) != 4:
-        raise MetricExtError("dd needs exactly four points")
+    pts = points_from_json(K, args.points, 4)
     if args.kind == "vertex":
         if not all(p.is_vertex for p in pts):
             raise MetricExtError("--kind vertex needs four vertex points")
@@ -253,9 +251,7 @@ def _cmd_dd(args) -> int:
 def _cmd_gp(args) -> int:
     K = load_complex(args.complex)
     vm = metric_from_spec(K, args.metric)
-    pts = [point_from_json(K, p) for p in json.loads(args.points)]
-    if len(pts) != 3:
-        raise MetricExtError("gp needs exactly three points")
+    pts = points_from_json(K, args.points, 3)
     if args.kind == "vertex":
         if not all(p.is_vertex for p in pts):
             raise MetricExtError("--kind vertex needs three vertex points")
@@ -333,18 +329,9 @@ def _cmd_oracle_compare(args) -> int:
     for _ in range(args.samples):
         x = grid_point(K, rng, n)
         y = grid_point(K, rng, n)
-        exact = l1_path_distance(K, x, y).value
-        grid = grid_oracle_path_distance(K, x, y, 1.0 / n)
-        tol = max(1, K.dimension) * (1.0 / n) * (1.0 + exact)
-        row = {"exact": exact, "grid": grid, "gap": grid - exact, "tol": tol}
-        if args.refine:
-            fine = grid_oracle_path_distance(K, x, y, 1.0 / (2 * n))
-            row["grid_fine"] = fine
-            if fine > grid + 1e-9:
-                failed = True
-        worst_low = max(worst_low, exact - grid)
-        if exact > grid + 1e-9 or grid - exact > tol:
-            failed = True
+        row, ok = grid_sandwich(K, x, y, n, refine=args.refine)
+        worst_low = max(worst_low, row["exact"] - row["grid"])
+        failed = failed or not ok
         rows.append(row)
     if args.json:
         print(json.dumps({"rows": rows, "failed": failed}, indent=2))
@@ -355,7 +342,7 @@ def _cmd_oracle_compare(args) -> int:
             print(f"{row['exact']:>12.8f} {row['grid']:>12.8f} "
                   f"{row['gap']:>12.3e} {row['tol']:>10.4f}")
         print(f"worst exact-over-grid excess: {worst_low:.3e}")
-    if worst_low > 1e-9:
+    if worst_low > VALUE_TOL:
         return EXIT_INTERNAL  # solver exceeded its own upper oracle
     return EXIT_OK if not failed else EXIT_SUITE
 

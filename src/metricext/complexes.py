@@ -64,6 +64,9 @@ Simplex = tuple[str, ...]
 # thresholded so floating-point noise cannot create phantom support vertices.
 WEIGHT_FLOOR = 1e-12
 
+# The one tolerance for comparing computed values: axioms, bounds, identities.
+VALUE_TOL = 1e-9
+
 # What a word table keeps: rows up to this many int32 entries in all (4 MiB),
 # and this many searched pairs.  They bound memory; answers do not depend on them.
 ROW_ENTRIES_KEPT = 1 << 20

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .complexes import (
+    VALUE_TOL,
     BarycentricPoint,
     SimplicialComplex,
     common_simplex,
@@ -46,8 +47,6 @@ from .pathmetric import (  # noqa: F401 - bench/workloads.py reads extension.l1_
     query_bounds,
 )
 from .vertexmetrics import VertexMetric, word_metric
-
-VALUE_TOL = 1e-9
 
 Branch = str  # "bilinear" | "l1path"
 
@@ -144,6 +143,13 @@ class ExtendedMetric:
         >= bilinear implies scale * max(bounds) >= bilinear; a common
         simplex's path value is that same float, so its test is this one.
         Values, branches, witnesses and tripwire counts are unchanged.
+
+        Every path that reaches the l1path answer has scale * path < bilinear,
+        so that answer needs no final comparison: a common simplex has failed
+        the coordinate test; a chain's total lies below the cutoff that the
+        ceiling sets (`_reaching_total`); and the route is returned only when
+        scale * `_route_length` < bilinear, which is its witness length bit
+        for bit.
         """
         if x.key() == y.key():
             if x.is_vertex:
@@ -169,11 +175,8 @@ class ExtendedMetric:
             path = _solve_by_search(self.K, x, y, bounds, ceiling=(bilinear, self.scale))
             if path is None:  # the search proved scale * path >= bilinear
                 return (bilinear, "bilinear")
-        scaled = self.scale * path.value
-        if bilinear <= scaled:
-            return (bilinear, "bilinear")
         self._witnesses[key] = path.witness
-        return (scaled, "l1path")
+        return (self.scale * path.value, "l1path")
 
 
 def extended_distance(

@@ -5,6 +5,7 @@ Metric file:    {"type": "word"}
              or {"type": "explicit", "order": [...], "matrix": [[...], ...],
                  "A": ..., "B": ..., "C": ...}   (constants optional)
 Point literal:  {"a": 0.25, "b": 0.75}
+Point list:     [{"a": 1.0}, {"a": 0.5, "b": 0.5}, ...]   (dd four, gp three)
 Probe slots:    [{"ray": ["a","b",...]}, {"point": {"a": 1.0}}, ...]
 """
 
@@ -111,6 +112,16 @@ def point_from_json(K: SimplicialComplex, text: Any) -> BarycentricPoint:
         if not _is_number(v):
             raise InvalidParameters(f"weight of {k!r} must be a JSON number, got {v!r}")
     return make_point(K, {str(k): float(v) for k, v in data.items()})
+
+
+def points_from_json(K: SimplicialComplex, text: Any, count: int) -> list[BarycentricPoint]:
+    """A JSON array of exactly `count` point literals."""
+    data = json.loads(text) if isinstance(text, str) else text
+    if not isinstance(data, list) or len(data) != count:
+        raise InvalidParameters(
+            f"points must be a JSON array of {count} point objects, got {json.dumps(data)}"
+        )
+    return [point_from_json(K, p) for p in data]
 
 
 def point_to_dict(x: BarycentricPoint) -> dict:

@@ -394,16 +394,18 @@ def sample_geodesic_triples(
     return out
 
 
+MIN_GAP = 6  # nested_quadruples' least separation of c and a along the geodesic
+
+
 def nested_quadruples(
     K: SimplicialComplex,
     rng: np.random.Generator,
     count: int,
-    min_gap: int = 6,
 ) -> list[tuple[str, str, str, str]]:
     """Vertex quadruples (u, a, b, c) placed along long geodesics.
 
     u and b sit near the two ends, c after u and a before b, separated by at
-    least min_gap, which drives the crossing double differences up.  Uniform
+    least MIN_GAP, which drives the crossing double differences up.  Uniform
     sampling almost never produces such configurations.
     """
     table = word_metric(K)
@@ -415,16 +417,16 @@ def nested_quadruples(
         u = _pick(rng, verts)
         from_u = table.row(u)
         far = from_u.max()
-        if far < min_gap + 2:
+        if far < MIN_GAP + 2:
             continue
         candidates = [v for v, d in zip(table.order, from_u) if d == far]
         b = _pick(rng, candidates)
         path = _random_geodesic(K, rng, u, b)
         length = len(path) - 1
-        lo = 1 + _integer(rng, max(1, length - min_gap - 2))
-        hi = lo + min_gap + _integer(rng, max(1, length - lo - min_gap))
+        lo = 1 + _integer(rng, max(1, length - MIN_GAP - 2))
+        hi = lo + MIN_GAP + _integer(rng, max(1, length - lo - MIN_GAP))
         hi = min(hi, length - 1)
-        if hi - lo < min_gap:
+        if hi - lo < MIN_GAP:
             continue
         c, a = path[lo], path[hi]
         out.append((u, a, b, c))
@@ -434,7 +436,7 @@ def nested_quadruples(
 # --------------------------------------------------------------------------
 # stock automorphisms of the generated families
 
-def cycle_rotation(K: SimplicialComplex, shift: int = 1) -> Automorphism:
+def cycle_rotation(K: SimplicialComplex, shift: int) -> Automorphism:
     vs = list(K.vertices)
     n = len(vs)
     return make_automorphism(K, {vs[i]: vs[(i + shift) % n] for i in range(n)})

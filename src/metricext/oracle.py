@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .complexes import BarycentricPoint, SimplicialComplex
+from .complexes import VALUE_TOL, BarycentricPoint, SimplicialComplex
 from .errors import NotATree, PointNotOnGrid, ResolutionTooCoarse
 
 GridNode = tuple[tuple[str, int], ...]  # sorted (vertex, numerator), numerators sum to n
@@ -153,7 +153,6 @@ class ScanViolation:
 def exhaustive_metric_scan(
     dist: Callable[[BarycentricPoint, BarycentricPoint], float],
     points: Sequence[BarycentricPoint],
-    tol: float = 1e-9,
 ) -> list[ScanViolation]:
     """All symmetry / identity / triangle violations over the sample set.
 
@@ -168,19 +167,19 @@ def exhaustive_metric_scan(
         for j in range(m):
             d[i, j] = dist(points[i], points[j])
     out: list[ScanViolation] = []
-    for i, j in zip(*np.nonzero(np.abs(d - d.T) > tol)):
+    for i, j in zip(*np.nonzero(np.abs(d - d.T) > VALUE_TOL)):
         if i < j:
             out.append(ScanViolation("Symmetry", (int(i), int(j)), float(abs(d[i, j] - d[j, i]))))
     keys = [p.key() for p in points]
     for i in range(m):
-        if abs(d[i, i]) > tol:
+        if abs(d[i, i]) > VALUE_TOL:
             out.append(ScanViolation("Identity", (i,), float(abs(d[i, i]))))
         for j in range(m):
-            if i < j and keys[i] != keys[j] and abs(d[i, j]) <= tol:
+            if i < j and keys[i] != keys[j] and abs(d[i, j]) <= VALUE_TOL:
                 out.append(ScanViolation("PositiveDistance", (i, j), float(d[i, j])))
     for k in range(m):
         slack = d - (d[:, k][:, None] + d[k, :][None, :])
-        for i, j in np.argwhere(slack > tol):
+        for i, j in np.argwhere(slack > VALUE_TOL):
             out.append(ScanViolation("Triangle", (int(i), int(k), int(j)), float(slack[i, j])))
     return out
 

@@ -65,6 +65,7 @@ from operator import itemgetter, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import (
+    VALUE_TOL,
     BarycentricPoint,
     SimplicialComplex,
     Simplex,
@@ -81,7 +82,6 @@ from .errors import (
 )
 from .vertexmetrics import geodesic, word_metric
 
-VALUE_TOL = 1e-9
 TIE_TOL = 1e-12
 
 

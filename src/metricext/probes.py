@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .complexes import BarycentricPoint, SimplicialComplex, vertex_point
+from .complexes import VALUE_TOL, BarycentricPoint, SimplicialComplex, vertex_point
 from .errors import InvalidConfiguration, MissingQIConstants
 from .extension import (
     ExtendedMetric,
@@ -25,7 +25,6 @@ from .extension import (
 )
 from .vertexmetrics import double_difference_vertices, geodesic, word_metric
 
-VALUE_TOL = 1e-9
 DEFAULT_CONVERGENCE_TOL = 1e-3
 DEFAULT_DEPTH_MAX = 12
 DEFAULT_LAMBDA_GRID = tuple(np.round(np.arange(0.5, 0.951, 0.05), 2))

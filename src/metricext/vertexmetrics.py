@@ -29,14 +29,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import SimplicialComplex, WordMetricTable
+from .complexes import VALUE_TOL, SimplicialComplex, WordMetricTable
 from .errors import (
     InvalidParameters,
     MetricAxiomError,
     SuppliedConstantTooSmall,
 )
-
-TRIANGLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,21 +81,21 @@ def metric_violations(order: tuple[str, ...], matrix: np.ndarray) -> list[Metric
     if m.shape != (n, n):
         raise ValueError(f"matrix shape {m.shape} does not match {n} vertices")
     out: list[MetricViolation] = []
-    for i, j in zip(*np.nonzero(np.abs(m - m.T) > TRIANGLE_TOL)):
+    for i, j in zip(*np.nonzero(np.abs(m - m.T) > VALUE_TOL)):
         if i < j:
             out.append(MetricViolation("NotSymmetric", (order[i], order[j]), float(abs(m[i, j] - m[j, i]))))
-    for i, j in zip(*np.nonzero(m < -TRIANGLE_TOL)):
+    for i, j in zip(*np.nonzero(m < -VALUE_TOL)):
         out.append(MetricViolation("NegativeDistance", (order[i], order[j]), float(-m[i, j])))
-    for (i,) in zip(*np.nonzero(np.abs(np.diag(m)) > TRIANGLE_TOL)):
+    for (i,) in zip(*np.nonzero(np.abs(np.diag(m)) > VALUE_TOL)):
         out.append(MetricViolation("NonzeroDiagonal", (order[i],), float(abs(m[i, i]))))
     offdiag = ~np.eye(n, dtype=bool)
-    for i, j in zip(*np.nonzero(offdiag & (np.abs(m) <= TRIANGLE_TOL))):
+    for i, j in zip(*np.nonzero(offdiag & (np.abs(m) <= VALUE_TOL))):
         if i < j:
             out.append(MetricViolation("ZeroOffDiagonal", (order[i], order[j]), float(m[i, j])))
     # Triangle inequality, one middle vertex at a time (O(n^3) but vectorized).
     for k in range(n):
         slack = m - (m[:, k][:, None] + m[k, :][None, :])
-        bad = np.argwhere(slack > TRIANGLE_TOL)
+        bad = np.argwhere(slack > VALUE_TOL)
         for i, j in bad:
             out.append(
                 MetricViolation(
@@ -141,8 +139,8 @@ def qi_constants_check(
     w = word.matrix.astype(float)
     order = word.order
     witnesses: list[tuple[str, str, str]] = []
-    upper_bad = np.argwhere(m > A * w + B + TRIANGLE_TOL)
-    lower_bad = np.argwhere(m < w / A - B - TRIANGLE_TOL)
+    upper_bad = np.argwhere(m > A * w + B + VALUE_TOL)
+    lower_bad = np.argwhere(m < w / A - B - VALUE_TOL)
     for i, j in upper_bad:
         if i < j:
             witnesses.append(("upper", order[i], order[j]))
@@ -164,9 +162,10 @@ class VertexMetric:
     quasi-isometry constants against the word metric and unlock the
     bounded-difference checks downstream.
 
-    An explicit metric is its dense `matrix` over `order`.  A word-derived
-    metric (`word_vertex_metric`, `transformed_word_metric`) holds no matrix:
-    each distance is  scale*t + saturation*(1 - 2**(-t))  of one word-table
+    `index` maps each vertex to its position in `order`.  An explicit metric
+    is its dense `matrix` over `order`.  A word-derived metric
+    (`word_vertex_metric`, `transformed_word_metric`) holds no matrix: each
+    distance is  scale*t + saturation*(1 - 2**(-t))  of one word-table
     lookup t, and `matrix` is built on first use, for the consumers that
     need every pair.
     """
@@ -177,16 +176,16 @@ class VertexMetric:
         matrix: np.ndarray | None,
         C: float,
         minimal_C: float,
+        index: dict[str, int],
         A: float | None = None,
         B: float | None = None,
-        index: dict[str, int] | None = None,
     ):
         self.order = order
         self.C = C
         self.minimal_C = minimal_C
+        self.index = index
         self.A = A
         self.B = B
-        self.index = index
         # (word table, scale, saturation) of a word-derived metric, set by _word_derived
         self._transform: tuple[WordMetricTable, float, float] | None = None
         if matrix is not None:
@@ -254,7 +253,7 @@ def validate_vertex_metric(
         m = m[np.ix_(perm, perm)]
         order = word.order
     minimal = linear_bound_constant(m, word)
-    if C is not None and C < minimal - TRIANGLE_TOL:
+    if C is not None and C < minimal - VALUE_TOL:
         raise SuppliedConstantTooSmall(f"supplied C={C} below minimal C={minimal}")
     if A is not None or B is not None:
         if A is None or B is None:

@@ -262,7 +262,7 @@ def test_criterion_10_decay(deep_tree):
     K, M = deep_tree
     assert (M.vertex.A, M.vertex.B) == (1.0, 0.0)
     rng = np.random.default_rng(1010)
-    quads = nested_quadruples(K, rng, count=40, min_gap=6)
+    quads = nested_quadruples(K, rng, count=40)
     points = [tuple(vertex_point(K, v) for v in q) for q in quads]
     report = decay_probe(M, points, threshold=6.0)
     assert report.verdict == "decay-consistent"

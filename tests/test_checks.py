@@ -241,3 +241,52 @@ def test_vertex_pair_checks_use_the_listed_pairs(name, monkeypatch):
     assert pairs_of(checks._check_path_vertex_agreement) == path
     assert pairs_of(checks._check_ext_vertex_restriction) == ext
     assert name != "tree2_6" or len(path) == len(ext) == 400
+
+
+def test_the_registry_runs_every_check_once_in_order():
+    # the run order is kept: the checks share one ExtendedMetric cache, so a
+    # check's cost (and its traced time) depends on the checks before it
+    assert [check.__name__ for check in checks.ALL_CHECKS] == [
+        "_check_face_closure",
+        "_check_simplex_l1_axioms",
+        "_check_simplex_l1_restriction",
+        "_check_automorphism_l1",
+        "_check_vertex_agreement_solver",
+        "_check_minimal_bound",
+        "_check_vertex_dd_identities",
+        "_check_vertex_gp_relation",
+        "_check_hyperbolicity",
+        "_check_path_axioms",
+        "_check_path_restriction",
+        "_check_path_vertex_agreement",
+        "_check_witness_soundness",
+        "_check_disjoint_floor",
+        "_check_ext_axioms",
+        "_check_ext_vertex_restriction",
+        "_check_ext_disjoint",
+        "_check_mixed_inequality",
+        "_check_bilinear_triangle",
+        "_check_ext_dd_identities",
+        "_check_sandwich",
+        "_check_automorphism_ext",
+        "_check_dd_window",
+        "_check_probe_reproducibility",
+        "_check_divergence_tree",
+        "_check_decay",
+        "_check_oracle_sandwich",
+        "_check_naive_violation",
+        "_check_tripwire",
+    ]
+    defined = [name for name in vars(checks) if name.startswith("_check_")]
+    assert sorted(defined) == sorted(check.__name__ for check in checks.ALL_CHECKS)
+    assert all(getattr(checks, check.__name__) is check for check in checks.ALL_CHECKS)
+    assert checks.SUITES == ("complex", "vertex", "path", "extension", "probes", "oracle")
+
+
+def test_each_check_returns_a_result_named_by_its_registration():
+    K = tree_complex(2, 3)
+    results = [check(checks.CheckContext(K, word_vertex_metric(K))) for check in checks.ALL_CHECKS]
+    assert [r.suite for r in results] == [check.suite for check in checks.ALL_CHECKS]
+    assert len({r.name for r in results}) == len(results)
+    ran = run_checks(K, word_vertex_metric(K))
+    assert [(r.suite, r.name) for r in ran] == sorted((r.suite, r.name) for r in results)

@@ -18,6 +18,7 @@ from metricext.fileio import (
     load_complex,
     metric_from_spec,
     point_from_json,
+    points_from_json,
     save_complex,
     slots_from_json,
 )
@@ -250,6 +251,18 @@ class TestDDandGP:
         assert main(["gp", *args]) == 0
         v2 = json.loads(capsys.readouterr().out)["value"]
         assert v1 == v2 == pytest.approx(0.0)
+
+
+    @pytest.mark.parametrize("command, count", [("dd", 4), ("gp", 3)])
+    @pytest.mark.parametrize("points", ["5", "null", '"ab"', '[{"p00":1},{"p01":1}]'])
+    def test_points_not_an_array_of_the_count_is_validation_error(
+        self, path3_file, capsys, command, count, points
+    ):
+        message = f"points must be a JSON array of {count} point objects, got "
+        with pytest.raises(InvalidParameters, match=re.escape(message)):
+            points_from_json(load_complex(path3_file), points, count)
+        assert main([command, "-c", path3_file, "--points", points]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestProbeCommands:

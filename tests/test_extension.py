@@ -184,6 +184,18 @@ class TestExtendedDistance:
             assert lhs <= rhs + 1e-9
 
 
+def _near_pair_in(K, data, a, b):
+    """Points on maximal simplices a and b, most of their weight where a and b meet."""
+
+    def near(simplex):
+        return make_point(K, {
+            v: data.draw(st.integers(8, 32) if v in a and v in b else st.integers(0, 8))
+            for v in simplex
+        })
+
+    return near(a), near(b)
+
+
 def _reference(M, x, y):
     """min(bilinear, 3C * path) from the full path solve, ties reporting bilinear."""
     bilinear = bilinear_extension(M.vertex, x, y)
@@ -254,18 +266,11 @@ class TestSearchCeiling:
         meeting = [(a, b) for a in M for b in M if a != b and len(set(a) & set(b)) >= 2]
         if not meeting:
             return
-        a, b = data.draw(st.sampled_from(meeting))
-
-        def near(simplex):
-            return make_point(K, {
-                v: data.draw(st.integers(8, 32) if v in a and v in b else st.integers(0, 8))
-                for v in simplex
-            })
-
+        x, y = _near_pair_in(K, data, *data.draw(st.sampled_from(meeting)))
         vm = transformed_word_metric(
             K, data.draw(st.sampled_from([1.0, 1.5])), data.draw(st.sampled_from([0.0, 0.5]))
         )
-        decisions = _route_decisions(ExtendedMetric(K, vm), near(a), near(b))
+        decisions = _route_decisions(ExtendedMetric(K, vm), x, y)
         if decisions is not None:
             assert decisions[0] == decisions[1]
 
@@ -286,15 +291,7 @@ class TestSearchCeiling:
         meeting = [(a, b) for a in M for b in M if a != b and len(set(a) & set(b)) >= 2]
         if not meeting:  # a graph, or a lone simplex
             return
-        a, b = data.draw(st.sampled_from(meeting))
-
-        def near(simplex):
-            return make_point(K, {
-                v: data.draw(st.integers(8, 32) if v in a and v in b else st.integers(0, 8))
-                for v in simplex
-            })
-
-        x, y = near(a), near(b)
+        x, y = _near_pair_in(K, data, *data.draw(st.sampled_from(meeting)))
         vm = transformed_word_metric(
             K, data.draw(st.sampled_from([1.0, 1.5])), data.draw(st.sampled_from([0.0, 0.5]))
         )
@@ -383,6 +380,59 @@ class TestSearchCeiling:
         got = pathmetric_module._solve_by_search(K, x, y, bounds, ceiling)
         assert calls.count("_solve_by_search") == 0
         assert got is None and got == _witness_decision(K, x, y, bounds, ceiling)
+
+
+def _l1path_below_bilinear(M, x, y):
+    """Whether ext(x, y) took the l1path branch; if so, its value is 3C * path and below D."""
+    value, branch = M.distance_with_branch(x, y)
+    if branch == "l1path":
+        bilinear = bilinear_extension(M.vertex, x, y)
+        assert value == M.scale * l1_path_distance(M.K, x, y).value < bilinear
+    return branch == "l1path"
+
+
+class TestL1PathBelowBilinear:
+    """Every path that reaches the l1path answer has 3C * path < D; the answer compares nothing more."""
+
+    def test_pool_and_seeded_near_pairs(self, complex_fleet):
+        # under the word metric and one transformed metric; the pool's pairs
+        # all settle on the bilinear branch, so near pairs on the fleet, some in
+        # one simplex and some reaching the search, give the l1path answers
+        for q, K, x, y in pool_queries():
+            for vm in (word_vertex_metric(K), transformed_word_metric(K, 1.5, 0.5)):
+                assert not _l1path_below_bilinear(ExtendedMetric(K, vm), x, y), q["id"]
+        rng = np.random.default_rng(0)
+        found = {"common simplex": 0, "search": 0}
+        for K in complex_fleet.values():
+            S = K.maximal_simplices
+            meeting = [(a, b) for a in S for b in S if len(set(a) & set(b)) >= 2]
+            for vm in (word_vertex_metric(K), transformed_word_metric(K, 1.5, 0.5)):
+                M = ExtendedMetric(K, vm)
+                for a, b in (meeting[i] for i in rng.integers(len(meeting), size=40) if meeting):
+                    x, y = (
+                        make_point(K, {
+                            v: int(rng.integers(8, 33)) if v in a and v in b else int(rng.integers(0, 9))
+                            for v in s
+                        })
+                        for s in (a, b)
+                    )
+                    if _l1path_below_bilinear(M, x, y):
+                        found["common simplex" if common_simplex(K, x, y) else "search"] += 1
+        assert found == {"common simplex": 468, "search": 17}
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_near_pairs(self, complex_fleet, data):
+        K = complex_fleet[data.draw(st.sampled_from(sorted(complex_fleet)))]
+        S = K.maximal_simplices
+        meeting = [(a, b) for a in S for b in S if len(set(a) & set(b)) >= 2]
+        if not meeting:
+            return
+        x, y = _near_pair_in(K, data, *data.draw(st.sampled_from(meeting)))
+        vm = transformed_word_metric(
+            K, data.draw(st.sampled_from([1.0, 1.5])), data.draw(st.sampled_from([0.0, 0.5]))
+        )
+        _l1path_below_bilinear(ExtendedMetric(K, vm), x, y)
 
 
 def _bounds_first(M, x, y):

@@ -230,7 +230,7 @@ class TestSamplers:
             for _, w in p.items:
                 assert abs(w * 16 - round(w * 16)) < 1e-12
 
-    def test_geodesic_samplers_reproduce_their_samples(self):
+    def test_geodesic_samplers_reproduce_their_samples(self, monkeypatch):
         # Values from the samplers' BFS-based implementation; the word-table
         # descent makes the same draws in the same order.
         K = random_complex(20, 0.18, seed=5)
@@ -239,15 +239,17 @@ class TestSamplers:
             ("g16", "g08", "g05"), ("g12", "g12", "g10"),
         ]
         K = tree_complex(2, 5)
-        assert nested_quadruples(K, np.random.default_rng(4), 4, min_gap=4) == [
+        monkeypatch.setattr(generators, "MIN_GAP", 4)
+        assert nested_quadruples(K, np.random.default_rng(4), 4) == [
             ("t45", "t30", "t62", "t01"), ("t59", "t10", "t46", "t02"),
             ("t28", "t04", "t40", "t13"), ("t39", "t06", "t59", "t04"),
         ]
 
-    def test_nested_quadruples_have_gap(self):
+    def test_nested_quadruples_have_gap(self, monkeypatch):
         K = path_complex(20)
         rng = np.random.default_rng(3)
-        quads = nested_quadruples(K, rng, count=10, min_gap=5)
+        monkeypatch.setattr(generators, "MIN_GAP", 5)
+        quads = nested_quadruples(K, rng, count=10)
         assert quads
         from metricext import word_metric
 

@@ -125,7 +125,7 @@ class TestDecayProbe:
         K = tree_complex(2, 6)
         M = ExtendedMetric(K, word_vertex_metric(K))
         rng = np.random.default_rng(12)
-        quads = nested_quadruples(K, rng, count=30, min_gap=6)
+        quads = nested_quadruples(K, rng, count=30)
         points = [tuple(vertex_point(K, v) for v in q) for q in quads]
         report = decay_probe(M, points)
         assert report.verdict == "decay-consistent"
@@ -146,7 +146,7 @@ class TestDecayProbe:
         K = cycle_complex(40)
         M = ExtendedMetric(K, word_vertex_metric(K))
         rng = np.random.default_rng(15)
-        quads = nested_quadruples(K, rng, count=25, min_gap=6)
+        quads = nested_quadruples(K, rng, count=25)
         points = [tuple(vertex_point(K, v) for v in q) for q in quads]
         report = decay_probe(M, points)
         assert report.verdict in ("decay-consistent", "violated", "inconclusive")
