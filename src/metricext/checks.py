@@ -47,8 +47,8 @@ from .generators import (
     nested_quadruples,
     random_disjoint_pair,
     random_point,
+    random_quadruples,
     random_same_simplex_pair,
-    random_vertex,
 )
 from .oracle import exhaustive_metric_scan, grid_oracle_path_distance, tree_gromov_oracle
 from .pathmetric import (
@@ -66,6 +66,10 @@ from .vertexmetrics import (
     word_metric,
     word_vertex_metric,
 )
+
+DEFAULT_TRIPLES = 120  # geodesic triples a run samples
+DEFAULT_PAIRS = 80  # point pairs a run samples; some checks take a share of them
+GRID_RESOLUTION = 16  # the oracle grid's spacing is 1/GRID_RESOLUTION
 
 
 @dataclass
@@ -91,8 +95,8 @@ class CheckContext:
     K: SimplicialComplex
     metric: VertexMetric
     seed: int = 0
-    triples: int = 120
-    pairs: int = 80
+    triples: int = DEFAULT_TRIPLES
+    pairs: int = DEFAULT_PAIRS
 
     def __post_init__(self):
         self.M = ExtendedMetric(self.K, self.metric)
@@ -581,15 +585,7 @@ def _check_dd_window(ctx: CheckContext, r: CheckResult) -> None:
     if not ctx.metric.has_qi_constants:
         r.notes.append("skipped: no quasi-isometry constants supplied")
         return
-    rng = ctx.rng("window")
-    samples = []
-    for _ in range(max(1, ctx.pairs // 2)):
-        kind = rng.integers(2)
-        pts = [
-            random_vertex(ctx.K, rng) if kind else random_point(ctx.K, rng)
-            for _ in range(4)
-        ]
-        samples.append(tuple(pts))
+    samples = random_quadruples(ctx.K, ctx.rng("window"), max(1, ctx.pairs // 2))
     res = equivalence_windows_check(ctx.M, samples)
     r.passed += res.checked if res.passed else 0
     r.failed += 0 if res.passed else 1
@@ -693,9 +689,9 @@ def _check_oracle_sandwich(ctx: CheckContext, r: CheckResult) -> None:
         return
     rng = ctx.rng("oracle")
     for _ in range(max(1, ctx.pairs // 4)):
-        x = grid_point(ctx.K, rng, 16)
-        y = grid_point(ctx.K, rng, 16)
-        ok = grid_sandwich(ctx.K, x, y, 16)[1]
+        x = grid_point(ctx.K, rng, GRID_RESOLUTION)
+        y = grid_point(ctx.K, rng, GRID_RESOLUTION)
+        ok = grid_sandwich(ctx.K, x, y, GRID_RESOLUTION)[1]
         r.passed += ok
         r.failed += not ok
 
@@ -742,8 +738,8 @@ def run_checks(
     metric: VertexMetric,
     suite: str = "all",
     seed: int = 0,
-    triples: int = 120,
-    pairs: int = 80,
+    triples: int = DEFAULT_TRIPLES,
+    pairs: int = DEFAULT_PAIRS,
 ) -> list[CheckResult]:
     """Run one suite (or all) and return results sorted by suite and name.
 

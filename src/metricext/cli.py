@@ -1,9 +1,12 @@
 """Command-line workbench.
 
 Subcommands: validate, gen, dist, dd, gp, probe, oracle-compare, check.
-JSON is the single exchange format; tables go to stdout for humans, --json
-switches to machine output.  Exit codes: 0 success, 1 validation failure,
-2 property-suite failure, 3 internal inconsistency, 64 usage error.
+Shared options: -c/--complex (all but gen), -m/--metric (dist, dd, gp, probe,
+check: default word; validate: no default), --json (all but validate and gen),
+--seed (gen, probe, oracle-compare, check: default 0).  JSON is the single
+exchange format; tables go to stdout for humans, --json switches to machine
+output.  Exit codes: 0 success, 1 validation failure, 2 property-suite
+failure, 3 internal inconsistency, 64 usage error.
 """
 
 from __future__ import annotations
@@ -11,10 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
-from .checks import SUITES, grid_sandwich, run_checks
+from .checks import DEFAULT_PAIRS, DEFAULT_TRIPLES, GRID_RESOLUTION, SUITES, grid_sandwich, run_checks
 from .complexes import VALUE_TOL, vertex_point
 from .errors import InternalConsistencyError, MetricExtError
 from .extension import (
@@ -34,9 +39,13 @@ from .fileio import (
     slots_from_json,
     witness_to_dict,
 )
-from .generators import GeneratorSpec, generate, grid_point, nested_quadruples, random_point, random_vertex
-from .pathmetric import l1_path_distance, tripwire_log
+from .generators import (
+    DEFAULT_MAX_DIM, GeneratorSpec, generate, grid_point, nested_quadruples, random_quadruples
+)
+from .pathmetric import PathWitness, l1_path_distance, tripwire_log
 from .probes import (
+    DEFAULT_CONVERGENCE_TOL,
+    DEFAULT_LAMBDA_GRID,
     dd_convergence_probe,
     dd_divergence_probe,
     decay_probe,
@@ -52,6 +61,7 @@ EXIT_USAGE = 64
 
 
 def _int_at_least(text: str, least: int, need: str) -> int:
+    """An int of at least `least`; anything else is a usage error (exit 64)."""
     try:
         value = int(text)
     except ValueError:
@@ -61,14 +71,9 @@ def _int_at_least(text: str, least: int, need: str) -> int:
     return value
 
 
-def _sample_count(text: str) -> int:
-    """A --samples, --pairs or --triples value: an int of at least 1, else a usage error (exit 64)."""
-    return _int_at_least(text, 1, "need at least one sample")
-
-
-def _seed(text: str) -> int:
-    """A --seed value: an int of at least 0, as numpy's generators take, else a usage error (exit 64)."""
-    return _int_at_least(text, 0, "need a seed of at least 0")
+_sample_count = partial(_int_at_least, least=1, need="need at least one sample")
+_seed = partial(_int_at_least, least=0, need="need a seed of at least 0")  # numpy's least seed
+_resolution = partial(_int_at_least, least=2, need="need a resolution of at least 2")  # the grid oracle's
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,82 +82,80 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _option(*flags: str, **kwargs) -> _Parser:
+    """A parent parser that declares one option shared by several subcommands."""
+    parent = _Parser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="metricext", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    complex_ = _option("-c", "--complex", required=True)
+    metric = _option("-m", "--metric", default="word", help="metric file or 'word'")
+    seed = _option("--seed", type=_seed, default=0)
+    as_json = _option("--json", action="store_true")
+    query = [complex_, metric, as_json]
 
-    p = sub.add_parser("validate", help="validate a complex (and optional metric) file")
-    p.add_argument("-c", "--complex", required=True)
+    p = sub.add_parser("validate", parents=[complex_],
+                       help="validate a complex (and optional metric) file")
     p.add_argument("-m", "--metric", default=None, help="metric file or 'word'")
 
-    p = sub.add_parser("gen", help="generate a test complex")
+    p = sub.add_parser("gen", parents=[seed], help="generate a test complex")
     p.add_argument("-k", "--kind", required=True,
                    choices=["simplex", "path", "cycle", "tree", "rips", "random"])
     p.add_argument("-p", "--param", action="append", type=float, default=[],
                    help="numeric parameters, repeatable (e.g. -p 2 -p 3)")
     p.add_argument("--base", default=None, help="base complex file (rips only)")
-    p.add_argument("--max-dim", type=int, default=3)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     p.add_argument("-o", "--out", default=None, help="output file (default stdout)")
 
-    p = sub.add_parser("dist", help="distance between two points")
-    p.add_argument("-c", "--complex", required=True)
-    p.add_argument("-m", "--metric", default="word", help="metric file or 'word'")
+    p = sub.add_parser("dist", parents=query, help="distance between two points")
     p.add_argument("--kind", default="extended",
                    choices=["vertex", "bilinear", "l1path", "extended"])
     p.add_argument("-x", required=True, help="point as JSON map")
     p.add_argument("-y", required=True, help="point as JSON map")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("dd", help="double difference of four points")
-    p.add_argument("-c", "--complex", required=True)
-    p.add_argument("-m", "--metric", default="word")
+    p = sub.add_parser("dd", parents=query, help="double difference of four points")
     p.add_argument("--kind", default="extended", choices=["vertex", "bilinear", "extended"])
     p.add_argument("--points", required=True, help="JSON array of four point maps")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("gp", help="Gromov product of three points")
-    p.add_argument("-c", "--complex", required=True)
-    p.add_argument("-m", "--metric", default="word")
+    p = sub.add_parser("gp", parents=query, help="Gromov product of three points")
     p.add_argument("--kind", default="extended", choices=["vertex", "extended"])
     p.add_argument("--points", required=True, help="JSON array of three point maps")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("probe", help="boundary probes")
+    p = sub.add_parser("probe", parents=query + [seed], help="boundary probes")
     p.add_argument("mode", choices=["convergence", "divergence", "decay", "windows"])
-    p.add_argument("-c", "--complex", required=True)
-    p.add_argument("-m", "--metric", default="word")
     p.add_argument("--slots", default=None, help="JSON array of 4 slots (ray/point)")
     p.add_argument("--depth-max", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=float, default=DEFAULT_CONVERGENCE_TOL)
     p.add_argument("--samples", type=_sample_count, default=40)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--lambda-grid", default=None, help="comma-separated values")
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("oracle-compare", help="exact solver vs grid oracle")
-    p.add_argument("-c", "--complex", required=True)
+    p = sub.add_parser("oracle-compare", parents=[complex_, as_json, seed],
+                       help="exact solver vs grid oracle")
     p.add_argument("--samples", type=_sample_count, default=20)
-    p.add_argument("--resolution", type=int, default=16, help="grid is 1/n")
+    p.add_argument("--resolution", type=_resolution, default=GRID_RESOLUTION, help="grid is 1/n")
     p.add_argument("--refine", action="store_true", help="also run at 1/(2n)")
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("check", help="run property suites")
-    p.add_argument("-c", "--complex", required=True)
-    p.add_argument("-m", "--metric", default="word")
+    p = sub.add_parser("check", parents=query + [seed], help="run property suites")
     p.add_argument("--suite", default="all", choices=SUITES + ("all",))
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--triples", type=_sample_count, default=120)
-    p.add_argument("--pairs", type=_sample_count, default=80)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--triples", type=_sample_count, default=DEFAULT_TRIPLES)
+    p.add_argument("--pairs", type=_sample_count, default=DEFAULT_PAIRS)
 
     return parser
 
 
 def _emit(data: dict, as_json: bool, text: str) -> None:
     print(json.dumps(data, indent=2) if as_json else text)
+
+
+def _witness_text(witness: PathWitness) -> str:
+    return "witness: " + " -> ".join(
+        "{" + ", ".join(f"{v}:{w:.4g}" for v, w in p.items) + "}" for p in witness.points
+    )
 
 
 def _cmd_validate(args) -> int:
@@ -199,10 +202,7 @@ def _cmd_dist(args) -> int:
         _emit(
             {"kind": "l1path", "value": value, "witness": witness_to_dict(witness)},
             args.json,
-            f"l1path distance = {value:.12g}\nwitness: " + " -> ".join(
-                "{" + ", ".join(f"{v}:{w:.4g}" for v, w in p.items) + "}"
-                for p in witness.points
-            ),
+            f"l1path distance = {value:.12g}\n" + _witness_text(witness),
         )
         return EXIT_OK
     vm = metric_from_spec(K, args.metric)
@@ -223,10 +223,7 @@ def _cmd_dist(args) -> int:
     text = f"extended distance = {value:.12g}  (branch: {branch})"
     if witness is not None:
         payload["witness"] = witness_to_dict(witness)
-        text += "\nwitness: " + " -> ".join(
-            "{" + ", ".join(f"{v}:{w:.4g}" for v, w in p.items) + "}"
-            for p in witness.points
-        )
+        text += "\n" + _witness_text(witness)
     _emit(payload, args.json, text)
     return EXIT_OK
 
@@ -283,39 +280,22 @@ def _cmd_probe(args) -> int:
         grid = (
             tuple(float(s) for s in args.lambda_grid.split(","))
             if args.lambda_grid
-            else None
+            else DEFAULT_LAMBDA_GRID
         )
         quads = nested_quadruples(K, rng, count=args.samples)
         points = [tuple(vertex_point(K, v) for v in q) for q in quads]
-        kwargs = {"threshold": args.threshold}
-        if grid is not None:
-            kwargs["lambda_grid"] = grid
-        report = decay_probe(M, points, **kwargs)
+        report = decay_probe(M, points, lambda_grid=grid, threshold=args.threshold)
         _emit(report.to_dict(), args.json, report.to_text())
         return EXIT_OK
     # windows
-    samples = []
-    for _ in range(args.samples):
-        pick = rng.integers(2)
-        samples.append(tuple(
-            random_vertex(K, rng) if pick else random_point(K, rng) for _ in range(4)
-        ))
-    res = equivalence_windows_check(M, samples)
-    payload = {
-        "passed": res.passed,
-        "worst_margin": res.worst_margin,
-        "alpha": res.alpha,
-        "beta": res.beta,
-        "checked": res.checked,
-        "vertex_checked": res.vertex_checked,
-    }
+    res = equivalence_windows_check(M, random_quadruples(K, rng, args.samples))
     text = (
         f"4B' window: {'pass' if res.passed else 'FAIL'} "
         f"(worst margin {res.worst_margin:.6g} over {res.checked} samples)\n"
         f"fitted word-metric window: alpha={res.alpha}, beta={res.beta} "
         f"on {res.vertex_checked} vertex quadruples"
     )
-    _emit(payload, args.json, text)
+    _emit(asdict(res), args.json, text)
     return EXIT_OK if res.passed else EXIT_INTERNAL
 
 
@@ -354,19 +334,7 @@ def _cmd_check(args) -> int:
         K, vm, suite=args.suite, seed=args.seed, triples=args.triples, pairs=args.pairs
     )
     if args.json:
-        print(json.dumps(
-            [
-                {
-                    "suite": r.suite,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "failed": r.failed,
-                    "notes": r.notes,
-                }
-                for r in results
-            ],
-            indent=2,
-        ))
+        print(json.dumps([{"suite": r.suite, **asdict(r)} for r in results], indent=2))
     else:
         for r in results:
             print(r.line())

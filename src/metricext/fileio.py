@@ -104,8 +104,13 @@ def metric_from_spec(K: SimplicialComplex, spec: Any) -> VertexMetric:
     )
 
 
+def _parsed(text: Any) -> Any:
+    """JSON text parsed, or an already parsed value as it is."""
+    return json.loads(text) if isinstance(text, str) else text
+
+
 def point_from_json(K: SimplicialComplex, text: Any) -> BarycentricPoint:
-    data = json.loads(text) if isinstance(text, str) else text
+    data = _parsed(text)
     if not isinstance(data, dict):
         raise InvalidParameters(f"point literal must be a JSON object, got {data!r}")
     for k, v in data.items():
@@ -116,7 +121,7 @@ def point_from_json(K: SimplicialComplex, text: Any) -> BarycentricPoint:
 
 def points_from_json(K: SimplicialComplex, text: Any, count: int) -> list[BarycentricPoint]:
     """A JSON array of exactly `count` point literals."""
-    data = json.loads(text) if isinstance(text, str) else text
+    data = _parsed(text)
     if not isinstance(data, list) or len(data) != count:
         raise InvalidParameters(
             f"points must be a JSON array of {count} point objects, got {json.dumps(data)}"
@@ -137,7 +142,7 @@ def witness_to_dict(w: PathWitness) -> dict:
 
 
 def slots_from_json(K: SimplicialComplex, text: Any) -> list[Slot]:
-    data = json.loads(text) if isinstance(text, str) else text
+    data = _parsed(text)
     if not isinstance(data, list):
         raise InvalidParameters("slots must be a JSON array")
     slots: list[Slot] = []

@@ -36,6 +36,8 @@ from .complexes import (
 from .errors import InvalidParameters
 from .vertexmetrics import word_metric
 
+DEFAULT_MAX_DIM = 3  # the largest simplex dimension a rips or random complex keeps
+
 
 def _labels(prefix: str, count: int) -> list[str]:
     width = max(2, len(str(count - 1)))
@@ -114,7 +116,9 @@ def _cliques(vs: Sequence[str], edges: Iterable[Sequence[int]], max_size: int) -
     return out
 
 
-def rips_complex(base: SimplicialComplex, radius: float, max_dim: int = 3) -> SimplicialComplex:
+def rips_complex(
+    base: SimplicialComplex, radius: float, max_dim: int = DEFAULT_MAX_DIM
+) -> SimplicialComplex:
     """Truncated flag complex of the radius-r neighborhood graph.
 
     Vertices at word distance <= r in the base 1-skeleton become adjacent;
@@ -145,7 +149,7 @@ def _ball(K: SimplicialComplex, v: str, radius: float) -> set[str]:
 
 
 def random_complex(
-    n: int, density: float, seed: int, max_dim: int = 3
+    n: int, density: float, seed: int, max_dim: int = DEFAULT_MAX_DIM
 ) -> SimplicialComplex:
     """Flag complex over a connected Erdos-Renyi-style graph."""
     if n < 2 or not (0.0 <= density <= 1.0) or max_dim < 1:
@@ -186,7 +190,7 @@ class GeneratorSpec:
     params: tuple[float, ...] = ()
     seed: int = 0
     base: SimplicialComplex | None = None
-    max_dim: int = 3
+    max_dim: int = DEFAULT_MAX_DIM
 
 
 def _whole(value: float) -> int:
@@ -324,6 +328,19 @@ def random_point(
 
 def random_vertex(K: SimplicialComplex, rng: np.random.Generator) -> BarycentricPoint:
     return vertex_point(K, _pick(rng, K.vertices))
+
+
+def random_quadruples(
+    K: SimplicialComplex, rng: np.random.Generator, count: int
+) -> list[tuple[BarycentricPoint, ...]]:
+    """Quadruples of four random vertices or of four random points, a fair draw picking which."""
+    out = []
+    for _ in range(count):
+        vertices = rng.integers(2)
+        out.append(tuple(
+            random_vertex(K, rng) if vertices else random_point(K, rng) for _ in range(4)
+        ))
+    return out
 
 
 def random_same_simplex_pair(

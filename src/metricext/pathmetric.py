@@ -547,8 +547,11 @@ def chain_solver_distance(
 ) -> PathResult:
     """Diagnostic entry point that skips the closed-form shortcuts.
 
-    Exercises the chain search even on vertex pairs and common-simplex
-    pairs, so the search can be validated against the closed forms.
+    Common-simplex pairs go through the chain search, so it can be validated
+    against the closed form.  Vertex pairs go through the same entry but
+    never reach the search: for two vertices the sphere bound equals the
+    word distance, the route's own cost, so `_solve_by_search` returns the
+    route without calling `_best_first`.
     """
     word_metric(K)
     if x.key() == y.key():

@@ -34,8 +34,11 @@ DEFAULT_LAMBDA_GRID = tuple(np.round(np.arange(0.5, 0.951, 0.05), 2))
 class RaySpec:
     """Finite stand-in for a boundary point: a geodesic vertex ray."""
 
-    base: str
     vertices: tuple[str, ...]
+
+    @property
+    def base(self) -> str:
+        return self.vertices[0]
 
     @property
     def depth(self) -> int:
@@ -65,7 +68,7 @@ def make_ray(K: SimplicialComplex, vertices: Sequence[str]) -> RaySpec:
     for a, b in zip(vs, vs[1:]):
         if not K.spans((a, b)):
             raise InvalidConfiguration(f"ray vertices {a!r}, {b!r} are not adjacent")
-    return RaySpec(base=vs[0], vertices=vs)
+    return RaySpec(vs)
 
 
 def deepest_ray(K: SimplicialComplex, base: str) -> RaySpec:

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -341,7 +342,9 @@ class TestProbeCommands:
         code = main(["probe", "windows", "-c", tree_file, "-m", "word",
                      "--samples", "12", "--json"])
         assert code == 0
-        assert json.loads(capsys.readouterr().out)["passed"] is True
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is True
+        assert list(payload) == ["passed", "worst_margin", "alpha", "beta", "checked", "vertex_checked"]
 
 
 class TestOracleCompare:
@@ -358,6 +361,23 @@ class TestOracleCompare:
         assert info.value.code == 64
         captured = capsys.readouterr()
         assert "need at least one sample" in captured.err and "worst" not in captured.out
+
+    @pytest.mark.parametrize("resolution", ["1", "0", "-2"])
+    def test_resolution_below_two_is_usage_error(self, tmp_path, capsys, resolution):
+        # the grid oracle needs n >= 2; a coarser grid used to exit 1, blaming a face of the complex
+        path = tmp_path / "cycle.json"
+        assert main(["gen", "-k", "cycle", "-p", "6", "-o", str(path)]) == 0
+        with pytest.raises(SystemExit) as info:
+            main(["oracle-compare", "-c", str(path), "--resolution", resolution])
+        assert info.value.code == 64
+        captured = capsys.readouterr()
+        assert f"argument --resolution: need a resolution of at least 2, got {resolution}" in captured.err
+        assert "worst" not in captured.out
+
+    def test_resolution_two_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "cycle.json"
+        assert main(["gen", "-k", "cycle", "-p", "6", "-o", str(path)]) == 0
+        assert main(["oracle-compare", "-c", str(path), "--resolution", "2", "--samples", "3"]) == 0
 
 
 class TestCheck:
@@ -377,6 +397,11 @@ class TestCheck:
         assert not any(r["failed"] for r in rows)
         minimal = next(r for r in rows if r["name"] == "minimal-linear-bound-attained")
         assert minimal["passed"] == 0 and minimal["notes"]
+
+    def test_json_records_keep_their_key_order(self, tree_file, capsys):
+        assert main(["check", "-c", tree_file, "--suite", "complex", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows and all(list(r) == ["suite", "name", "passed", "failed", "notes"] for r in rows)
 
     def test_unknown_suite_is_usage_error(self, tree_file):
         with pytest.raises(SystemExit) as info:
@@ -444,3 +469,82 @@ class TestSeed:
             main(args)
         assert info.value.code == 64
         assert "argument --seed: need a seed of at least 0, got -1" in capsys.readouterr().err
+
+
+# Every option of every subcommand as the CLI declared it before its shared options moved
+# into parent parsers: (command, dest) -> (option strings, default, type, choices, required,
+# action).  The one change since is --resolution's type: below 2 it is now a usage error.
+SURFACE = {
+    ('validate', 'complex'): (('-c', '--complex'), None, None, None, True, '_StoreAction'),
+    ('validate', 'metric'): (('-m', '--metric'), None, None, None, False, '_StoreAction'),
+    ('gen', 'kind'): (('-k', '--kind'), None, None, ('simplex', 'path', 'cycle', 'tree', 'rips', 'random'), True, '_StoreAction'),
+    ('gen', 'param'): (('-p', '--param'), [], float, None, False, '_AppendAction'),
+    ('gen', 'base'): (('--base',), None, None, None, False, '_StoreAction'),
+    ('gen', 'max_dim'): (('--max-dim',), 3, int, None, False, '_StoreAction'),
+    ('gen', 'seed'): (('--seed',), 0, cli._seed, None, False, '_StoreAction'),
+    ('gen', 'out'): (('-o', '--out'), None, None, None, False, '_StoreAction'),
+    ('dist', 'complex'): (('-c', '--complex'), None, None, None, True, '_StoreAction'),
+    ('dist', 'metric'): (('-m', '--metric'), 'word', None, None, False, '_StoreAction'),
+    ('dist', 'kind'): (('--kind',), 'extended', None, ('vertex', 'bilinear', 'l1path', 'extended'), False, '_StoreAction'),
+    ('dist', 'x'): (('-x',), None, None, None, True, '_StoreAction'),
+    ('dist', 'y'): (('-y',), None, None, None, True, '_StoreAction'),
+    ('dist', 'json'): (('--json',), False, None, None, False, '_StoreTrueAction'),
+    ('dd', 'complex'): (('-c', '--complex'), None, None, None, True, '_StoreAction'),
+    ('dd', 'metric'): (('-m', '--metric'), 'word', None, None, False, '_StoreAction'),
+    ('dd', 'kind'): (('--kind',), 'extended', None, ('vertex', 'bilinear', 'extended'), False, '_StoreAction'),
+    ('dd', 'points'): (('--points',), None, None, None, True, '_StoreAction'),
+    ('dd', 'json'): (('--json',), False, None, None, False, '_StoreTrueAction'),
+    ('gp', 'complex'): (('-c', '--complex'), None, None, None, True, '_StoreAction'),
+    ('gp', 'metric'): (('-m', '--metric'), 'word', None, None, False, '_StoreAction'),
+    ('gp', 'kind'): (('--kind',), 'extended', None, ('vertex', 'extended'), False, '_StoreAction'),
+    ('gp', 'points'): (('--points',), None, None, None, True, '_StoreAction'),
+    ('gp', 'json'): (('--json',), False, None, None, False, '_StoreTrueAction'),
+    ('probe', 'mode'): ((), None, None, ('convergence', 'divergence', 'decay', 'windows'), True, '_StoreAction'),
+    ('probe', 'complex'): (('-c', '--complex'), None, None, None, True, '_StoreAction'),
+    ('probe', 'metric'): (('-m', '--metric'), 'word', None, None, False, '_StoreAction'),
+    ('probe', 'slots'): (('--slots',), None, None, None, False, '_StoreAction'),
+    ('probe', 'depth_max'): (('--depth-max',), None, int, None, False, '_StoreAction'),
+    ('probe', 'tol'): (('--tol',), 0.001, float, None, False, '_StoreAction'),
+    ('probe', 'samples'): (('--samples',), 40, cli._sample_count, None, False, '_StoreAction'),
+    ('probe', 'seed'): (('--seed',), 0, cli._seed, None, False, '_StoreAction'),
+    ('probe', 'lambda_grid'): (('--lambda-grid',), None, None, None, False, '_StoreAction'),
+    ('probe', 'threshold'): (('--threshold',), None, float, None, False, '_StoreAction'),
+    ('probe', 'json'): (('--json',), False, None, None, False, '_StoreTrueAction'),
+    ('oracle-compare', 'complex'): (('-c', '--complex'), None, None, None, True, '_StoreAction'),
+    ('oracle-compare', 'samples'): (('--samples',), 20, cli._sample_count, None, False, '_StoreAction'),
+    ('oracle-compare', 'resolution'): (('--resolution',), 16, cli._resolution, None, False, '_StoreAction'),
+    ('oracle-compare', 'refine'): (('--refine',), False, None, None, False, '_StoreTrueAction'),
+    ('oracle-compare', 'seed'): (('--seed',), 0, cli._seed, None, False, '_StoreAction'),
+    ('oracle-compare', 'json'): (('--json',), False, None, None, False, '_StoreTrueAction'),
+    ('check', 'complex'): (('-c', '--complex'), None, None, None, True, '_StoreAction'),
+    ('check', 'metric'): (('-m', '--metric'), 'word', None, None, False, '_StoreAction'),
+    ('check', 'suite'): (('--suite',), 'all', None, ('complex', 'vertex', 'path', 'extension', 'probes', 'oracle', 'all'), False, '_StoreAction'),
+    ('check', 'seed'): (('--seed',), 0, cli._seed, None, False, '_StoreAction'),
+    ('check', 'triples'): (('--triples',), 120, cli._sample_count, None, False, '_StoreAction'),
+    ('check', 'pairs'): (('--pairs',), 80, cli._sample_count, None, False, '_StoreAction'),
+    ('check', 'json'): (('--json',), False, None, None, False, '_StoreTrueAction'),
+}
+
+
+class TestCommandSurface:
+    def test_every_option_is_declared_as_before(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == ["validate", "gen", "dist", "dd", "gp", "probe", "oracle-compare", "check"]
+        surface = {
+            (command, a.dest): (
+                tuple(a.option_strings), a.default, a.type,
+                None if a.choices is None else tuple(a.choices), a.required, type(a).__name__,
+            )
+            for command, p in sub.choices.items()
+            for a in p._actions
+            if a.dest != "help"
+        }
+        assert surface == SURFACE
+
+    @pytest.mark.parametrize("command", ["validate", "gen", "dist", "dd", "gp", "probe", "oracle-compare", "check"])
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: metricext {command} ")

@@ -33,6 +33,8 @@ from metricext.generators import (
     random_complex,
     random_disjoint_pair,
     random_point,
+    random_quadruples,
+    random_vertex,
     rips_complex,
     sample_geodesic_triples,
     simplex_complex,
@@ -229,6 +231,16 @@ class TestSamplers:
             p = grid_point(strip, rng, 16)
             for _, w in p.items:
                 assert abs(w * 16 - round(w * 16)) < 1e-12
+
+    def test_random_quadruples_are_the_inline_draws(self):
+        # the loop the probe-window check and `probe windows` each ran: one fair bit, then four draws
+        K = rips_complex(cycle_complex(8), 2)
+        rng = np.random.default_rng(6)
+        want = []
+        for _ in range(12):
+            pick = rng.integers(2)
+            want.append(tuple(random_vertex(K, rng) if pick else random_point(K, rng) for _ in range(4)))
+        assert random_quadruples(K, np.random.default_rng(6), 12) == want
 
     def test_geodesic_samplers_reproduce_their_samples(self, monkeypatch):
         # Values from the samplers' BFS-based implementation; the word-table
