@@ -253,6 +253,38 @@ class TestDDandGP:
         v2 = json.loads(capsys.readouterr().out)["value"]
         assert v1 == v2 == pytest.approx(0.0)
 
+    # Every --kind of dd and gp, pinned to the values the commands printed when each
+    # metric had its own copy of the formula; the one shared formula must give them bit for bit.
+    TREE_NEAR = '[{"t03":0.5,"t07":0.5},{"t03":0.25,"t07":0.75},{"t03":0.625,"t07":0.375},{"t13":1}]'
+    RIPS_NEAR = ('[{"c00":0.25,"c01":0.375,"c02":0.375},{"c01":0.375,"c02":0.375,"c03":0.25},'
+                 '{"c04":0.5,"c05":0.5},{"c02":0.2,"c03":0.8}]')
+
+    @pytest.mark.parametrize("command, complex_, kind, points, value", [
+        ("dd", "tree", "vertex", '[{"t07":1},{"t13":1},{"t08":1},{"t14":1}]', -4.0),
+        ("dd", "tree", "bilinear", '[{"t07":1},{"t13":1},{"t08":1},{"t14":1}]', -4.0),
+        ("dd", "tree", "bilinear", TREE_NEAR, 0.09375),
+        ("dd", "tree", "extended", TREE_NEAR, 0.03125),
+        ("dd", "rips", "vertex", '[{"c00":1},{"c03":1},{"c01":1},{"c05":1}]', -0.5),
+        ("dd", "rips", "bilinear", RIPS_NEAR, -0.07499999999999996),
+        ("dd", "rips", "extended", RIPS_NEAR, -0.07499999999999996),
+        ("gp", "tree", "vertex", '[{"t07":1},{"t10":1},{"t13":1}]', 4.0),
+        ("gp", "tree", "extended", '[{"t03":0.5,"t07":0.5},{"t03":0.25,"t07":0.75},{"t10":0.5,"t04":0.5}]', 2.875),
+        ("gp", "rips", "extended", '[{"c00":0.25,"c01":0.375,"c02":0.375},{"c04":0.5,"c05":0.5},{"c02":0.2,"c03":0.8}]',
+         0.20625000000000004),
+    ])
+    def test_every_kind_keeps_its_pinned_value(
+        self, tree_file, tmp_path, capsys, command, complex_, kind, points, value
+    ):
+        if complex_ == "rips":
+            cycle, complex_ = tmp_path / "cycle.json", str(tmp_path / "rips.json")
+            assert main(["gen", "-k", "cycle", "-p", "8", "-o", str(cycle)]) == 0
+            assert main(["gen", "-k", "rips", "-p", "2", "--base", str(cycle), "-o", complex_]) == 0
+        else:
+            complex_ = tree_file
+        capsys.readouterr()
+        assert main([command, "-c", complex_, "--kind", kind, "--points", points, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"kind": kind, "value": value}
+
 
     @pytest.mark.parametrize("command, count", [("dd", 4), ("gp", 3)])
     @pytest.mark.parametrize("points", ["5", "null", '"ab"', '[{"p00":1},{"p01":1}]'])
