@@ -19,8 +19,6 @@ from .complexes import (
     make_point,
     make_simplex,
     simplex_l1,
-    simplex_l1_checked,
-    support,
     vertex_point,
 )
 from .errors import (
@@ -37,7 +35,6 @@ from .errors import (
     MetricExtError,
     MissingQIConstants,
     NegativeWeight,
-    NoCommonSimplex,
     NotAnAutomorphism,
     NotATree,
     PointNotOnGrid,
@@ -51,11 +48,6 @@ from .extension import (
     ExtendedMetric,
     SandwichResult,
     bilinear_extension,
-    double_difference_bilinear,
-    double_difference_ext,
-    extended_distance,
-    geodesic_defect,
-    gromov_product_ext,
     sandwich_check,
 )
 from .generators import GeneratorSpec, generate
@@ -95,11 +87,11 @@ from .vertexmetrics import (
     QICheckResult,
     VertexMetric,
     WordMetricTable,
-    double_difference_vertices,
-    gromov_product_vertices,
+    double_difference,
+    gromov_product,
     hyperbolicity_delta,
-    linear_bound_constant,
     metric_violations,
+    minimal_linear_bound,
     qi_constants_check,
     sphere,
     transformed_word_metric,

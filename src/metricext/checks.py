@@ -18,7 +18,7 @@ import itertools
 import math
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 from typing import Callable
 
 import numpy as np
@@ -38,8 +38,6 @@ from .errors import MetricExtError, NotAnAutomorphism
 from .extension import (
     ExtendedMetric,
     bilinear_extension,
-    double_difference_ext,
-    gromov_product_ext,
     sandwich_check,
 )
 from .generators import (
@@ -60,8 +58,8 @@ from .pathmetric import (
 from .probes import dd_divergence_probe, decay_probe, deepest_ray, equivalence_windows_check
 from .vertexmetrics import (
     VertexMetric,
-    double_difference_vertices,
-    gromov_product_vertices,
+    double_difference,
+    gromov_product,
     hyperbolicity_delta,
     word_metric,
     word_vertex_metric,
@@ -305,7 +303,7 @@ def _check_minimal_bound(ctx: CheckContext, r: CheckResult) -> None:
 def _check_vertex_dd_identities(ctx: CheckContext, r: CheckResult) -> None:
     rng = ctx.rng("vertex-dd")
     vs = list(ctx.K.vertices)
-    dd = lambda *args: double_difference_vertices(ctx.metric, *args)
+    dd = partial(double_difference, ctx.metric.distance)
     for _ in range(ctx.triples):
         a, a2, a3, b, b2, w = (vs[rng.integers(len(vs))] for _ in range(6))
         checks = [
@@ -323,12 +321,11 @@ def _check_vertex_dd_identities(ctx: CheckContext, r: CheckResult) -> None:
 def _check_vertex_gp_relation(ctx: CheckContext, r: CheckResult) -> None:
     rng = ctx.rng("vertex-gp")
     vs = list(ctx.K.vertices)
+    d = ctx.metric.distance
     for _ in range(ctx.triples):
         a, b, x, y = (vs[rng.integers(len(vs))] for _ in range(4))
-        lhs = double_difference_vertices(ctx.metric, a, b, x, y)
-        rhs = gromov_product_vertices(ctx.metric, b, x, a) - gromov_product_vertices(
-            ctx.metric, b, y, a
-        )
+        lhs = double_difference(d, a, b, x, y)
+        rhs = gromov_product(d, b, x, a) - gromov_product(d, b, y, a)
         ok = abs(lhs - rhs) <= VALUE_TOL
         r.passed += ok
         r.failed += not ok
@@ -521,18 +518,18 @@ def _check_bilinear_triangle(ctx: CheckContext, r: CheckResult) -> None:
 @_check("extension", "ext-dd-identities-and-gp")
 def _check_ext_dd_identities(ctx: CheckContext, r: CheckResult) -> None:
     rng = ctx.rng("ext-dd")
-    M = ctx.M
+    d = ctx.M.distance
+    dd = partial(double_difference, d)
     for _ in range(max(1, ctx.triples // 4)):
         pts = [random_point(ctx.K, rng) for _ in range(5)]
         a, a2, b, b2, w = pts
-        dd = lambda *args: double_difference_ext(M, *args)
         checks = [
             abs(dd(a, a2, b, b2) - dd(b, b2, a, a2)) <= VALUE_TOL,
             abs(dd(a, a2, b, b2) + dd(a2, a, b, b2)) <= VALUE_TOL,
             abs(dd(a, a, b, b2)) <= VALUE_TOL,
             abs(dd(a, a2, b, b2) + dd(a2, w, b, b2) - dd(a, w, b, b2)) <= VALUE_TOL,
             abs(dd(a, b, w, a2) + dd(w, a, b, a2) + dd(b, w, a, a2)) <= VALUE_TOL,
-            abs(gromov_product_ext(M, a, b, w) - dd(w, a, b, w)) <= VALUE_TOL,
+            abs(gromov_product(d, a, b, w) - dd(w, a, b, w)) <= VALUE_TOL,
         ]
         r.passed += sum(checks)
         r.failed += len(checks) - sum(checks)

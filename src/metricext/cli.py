@@ -22,13 +22,7 @@ import numpy as np
 from .checks import DEFAULT_PAIRS, DEFAULT_TRIPLES, GRID_RESOLUTION, SUITES, grid_sandwich, run_checks
 from .complexes import VALUE_TOL, vertex_point
 from .errors import InternalConsistencyError, MetricExtError
-from .extension import (
-    ExtendedMetric,
-    bilinear_extension,
-    double_difference_bilinear,
-    double_difference_ext,
-    gromov_product_ext,
-)
+from .extension import ExtendedMetric, bilinear_extension
 from .fileio import (
     complex_to_dict,
     load_complex,
@@ -51,7 +45,7 @@ from .probes import (
     decay_probe,
     equivalence_windows_check,
 )
-from .vertexmetrics import double_difference_vertices, gromov_product_vertices
+from .vertexmetrics import double_difference, gromov_product
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -228,35 +222,29 @@ def _cmd_dist(args) -> int:
     return EXIT_OK
 
 
-def _cmd_dd(args) -> int:
+# dd and gp: how many points (as a word and a number), the formula, its name in the text output
+_FORMULAS = {
+    "dd": ("four", 4, double_difference, "double difference"),
+    "gp": ("three", 3, gromov_product, "gromov product"),
+}
+
+
+def _cmd_dd_gp(args) -> int:
+    """The dd or gp formula over the given points, with the --kind distance."""
+    word, count, formula, name = _FORMULAS[args.command]
     K = load_complex(args.complex)
     vm = metric_from_spec(K, args.metric)
-    pts = points_from_json(K, args.points, 4)
+    pts = points_from_json(K, args.points, count)
     if args.kind == "vertex":
         if not all(p.is_vertex for p in pts):
-            raise MetricExtError("--kind vertex needs four vertex points")
-        value = double_difference_vertices(vm, *[p.support[0] for p in pts])
+            raise MetricExtError(f"--kind vertex needs {word} vertex points")
+        d, pts = vm.distance, [p.support[0] for p in pts]
     elif args.kind == "bilinear":
-        value = double_difference_bilinear(ExtendedMetric(K, vm), *pts)
+        d = partial(bilinear_extension, vm)
     else:
-        value = double_difference_ext(ExtendedMetric(K, vm), *pts)
-    _emit({"kind": args.kind, "value": value}, args.json,
-          f"double difference ({args.kind}) = {value:.12g}")
-    return EXIT_OK
-
-
-def _cmd_gp(args) -> int:
-    K = load_complex(args.complex)
-    vm = metric_from_spec(K, args.metric)
-    pts = points_from_json(K, args.points, 3)
-    if args.kind == "vertex":
-        if not all(p.is_vertex for p in pts):
-            raise MetricExtError("--kind vertex needs three vertex points")
-        value = gromov_product_vertices(vm, *[p.support[0] for p in pts])
-    else:
-        value = gromov_product_ext(ExtendedMetric(K, vm), *pts)
-    _emit({"kind": args.kind, "value": value}, args.json,
-          f"gromov product ({args.kind}) = {value:.12g}")
+        d = ExtendedMetric(K, vm).distance
+    value = formula(d, *pts)
+    _emit({"kind": args.kind, "value": value}, args.json, f"{name} ({args.kind}) = {value:.12g}")
     return EXIT_OK
 
 
@@ -301,8 +289,12 @@ def _cmd_probe(args) -> int:
 
 def _cmd_oracle_compare(args) -> int:
     K = load_complex(args.complex)
-    rng = np.random.default_rng(args.seed)
     n = args.resolution
+    if n <= K.dimension:  # a grid point on a face of dim K + 1 vertices needs n >= dim K + 1
+        print(f"metricext oracle-compare: error: argument --resolution: need a resolution above "
+              f"the complex's dimension {K.dimension}, got {n}", file=sys.stderr)
+        return EXIT_USAGE
+    rng = np.random.default_rng(args.seed)
     rows = []
     worst_low = 0.0
     failed = False
@@ -350,8 +342,8 @@ _COMMANDS = {
     "validate": _cmd_validate,
     "gen": _cmd_gen,
     "dist": _cmd_dist,
-    "dd": _cmd_dd,
-    "gp": _cmd_gp,
+    "dd": _cmd_dd_gp,
+    "gp": _cmd_dd_gp,
     "probe": _cmd_probe,
     "oracle-compare": _cmd_oracle_compare,
     "check": _cmd_check,

@@ -48,7 +48,6 @@ from .errors import (
     DuplicateVertex,
     EmptySimplex,
     NegativeWeight,
-    NoCommonSimplex,
     NotAnAutomorphism,
     SupportNotASimplex,
     UnknownVertexInSimplex,
@@ -420,11 +419,6 @@ def vertex_point(K: SimplicialComplex, v: str) -> BarycentricPoint:
     return BarycentricPoint(items=((v, 1.0),))
 
 
-def support(x: BarycentricPoint) -> Simplex:
-    """Vertices carrying nonzero weight."""
-    return x.support
-
-
 def common_simplex(
     K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint
 ) -> Simplex | None:
@@ -470,14 +464,6 @@ def simplex_l1(x: BarycentricPoint, y: BarycentricPoint) -> float:
     terms += [abs(w) for _, w in a[i:]]
     terms += [abs(w) for _, w in b[j:]]
     return 0.5 * sum(terms)
-
-
-def simplex_l1_checked(
-    K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint
-) -> float:
-    if common_simplex(K, x, y) is None:
-        raise NoCommonSimplex(f"supports {x.support} and {y.support} share no simplex")
-    return simplex_l1(x, y)
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,6 @@ class SupportNotASimplex(MetricExtError):
     pass
 
 
-class NoCommonSimplex(MetricExtError):
-    pass
-
-
 class NotAnAutomorphism(MetricExtError):
     pass
 

@@ -20,15 +20,16 @@ applies the same test to the bound of every state it would expand, so the
 floor acts at every search state, not only at the root.  A search that
 proves 3C * path >= D answers the bilinear branch without an exact path.
 
-Double differences and Gromov products with respect to the extension follow
-the 0.5-normalized convention of vertexmetrics, so <a|b>_c = <c,a|b,c>
-holds verbatim.
+Double differences and Gromov products with respect to the extension, or
+to the bilinear form, are vertexmetrics' `double_difference` and
+`gromov_product` of `ExtendedMetric.distance`, or of
+`functools.partial(bilinear_extension, metric)`: the one definition of each,
+0.5-normalized, so <a|b>_c = <c,a|b,c> holds verbatim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .complexes import (
     VALUE_TOL,
@@ -106,6 +107,7 @@ class ExtendedMetric:
     def distance_with_branch(
         self, x: BarycentricPoint, y: BarycentricPoint
     ) -> tuple[float, Branch]:
+        """min of the bilinear and rescaled-path branches; ties report bilinear."""
         key = self._key(x, y)
         hit = self._cache.get(key)
         if hit is None:
@@ -179,13 +181,6 @@ class ExtendedMetric:
         return (self.scale * path.value, "l1path")
 
 
-def extended_distance(
-    M: ExtendedMetric, x: BarycentricPoint, y: BarycentricPoint
-) -> tuple[float, Branch]:
-    """min of the bilinear and rescaled-path branches; ties report bilinear."""
-    return M.distance_with_branch(x, y)
-
-
 @dataclass(frozen=True)
 class SandwichResult:
     passed: bool
@@ -218,57 +213,3 @@ def sandwich_check(
         width=width,
         message=msg,
     )
-
-
-def double_difference_ext(
-    M: ExtendedMetric,
-    x: BarycentricPoint,
-    x2: BarycentricPoint,
-    y: BarycentricPoint,
-    y2: BarycentricPoint,
-) -> float:
-    """<x,x2|y,y2> = (d(x,y) - d(x2,y) - d(x,y2) + d(x2,y2)) / 2 for the extension."""
-    d = M.distance
-    # grouped so repeated arguments cancel to exactly zero in floating point
-    return 0.5 * ((d(x, y) - d(x2, y)) + (d(x2, y2) - d(x, y2)))
-
-
-def double_difference_bilinear(
-    M: ExtendedMetric,
-    x: BarycentricPoint,
-    x2: BarycentricPoint,
-    y: BarycentricPoint,
-    y2: BarycentricPoint,
-) -> float:
-    """The same double difference formed with the bilinear values throughout."""
-    b = lambda p, q: bilinear_extension(M.vertex, p, q)
-    return 0.5 * ((b(x, y) - b(x2, y)) + (b(x2, y2) - b(x, y2)))
-
-
-def gromov_product_ext(
-    M: ExtendedMetric,
-    a: BarycentricPoint,
-    b: BarycentricPoint,
-    c: BarycentricPoint,
-) -> float:
-    """<a|b>_c = (d(a,c) + d(b,c) - d(a,b)) / 2; equals <c,a|b,c>."""
-    d = M.distance
-    return 0.5 * (d(a, c) + d(b, c) - d(a, b))
-
-
-def geodesic_defect(M: ExtendedMetric, samples: Iterable[tuple[str, str, str]]) -> float:
-    """Largest additivity defect of the extension along word-metric geodesics.
-
-    Considers sampled vertex triples (u, w, v) with w on a shortest edge
-    path from u to v and returns max |d(u,v) - d(u,w) - d(w,v)|.  Triples
-    where w is not on a geodesic are skipped.
-    """
-    word = word_metric(M.K)
-    vm = M.vertex
-    worst = 0.0
-    for u, w, v in samples:
-        if word.distance(u, w) + word.distance(w, v) != word.distance(u, v):
-            continue
-        defect = abs(vm.distance(u, v) - vm.distance(u, w) - vm.distance(w, v))
-        worst = max(worst, defect)
-    return worst

@@ -24,12 +24,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .complexes import (
-    Automorphism,
     BarycentricPoint,
     Simplex,
     SimplicialComplex,
     build_complex,
-    make_automorphism,
     make_point,
     vertex_point,
 )
@@ -67,13 +65,6 @@ def cycle_complex(n: int) -> SimplicialComplex:
     vs = _labels("c", n)
     edges = [[vs[i], vs[(i + 1) % n]] for i in range(n)]
     return build_complex(vs, edges)
-
-
-def _tree_children(branching: int, count: int) -> dict[int, list[int]]:
-    return {
-        i: [c for c in range(branching * i + 1, branching * i + branching + 1) if c < count]
-        for i in range(count)
-    }
 
 
 def tree_complex(branching: int, depth: int) -> SimplicialComplex:
@@ -226,6 +217,8 @@ def generate(spec: GeneratorSpec) -> SimplicialComplex:
 # --------------------------------------------------------------------------
 # seeded samplers
 
+MIN_WEIGHT = 0.05  # random_point's least weight before normalizing
+DISJOINT_TRIES = 200  # random_disjoint_pair's draws of a point pair before its vertex-pair fallback
 _WORD = 1 << 32  # numpy bounds a range of at most 2**32 values with 32-bit words
 _FLOYD_MAX = 10_000  # numpy samples a larger population without replacement by another method
 
@@ -309,12 +302,12 @@ def _random_face(rng: np.random.Generator, sigma: Simplex) -> Simplex:
 
 
 def random_point(
-    K: SimplicialComplex,
-    rng: np.random.Generator,
-    face: Sequence[str] | None = None,
-    min_weight: float = 0.05,
+    K: SimplicialComplex, rng: np.random.Generator, face: Sequence[str] | None = None
 ) -> BarycentricPoint:
-    """Random point with support equal to a random (or given) face."""
+    """Random point with support equal to a random (or given) face.
+
+    Each weight is MIN_WEIGHT plus a uniform draw, before normalizing.
+    """
     bits = rng.bit_generator
     with bits.lock:  # one hold for all of the point's draws
         c = bits.ctypes
@@ -322,8 +315,7 @@ def random_point(
             simplices = K.maximal_simplices
             face = _face(rng, c, simplices[_below(rng, c, len(simplices))])
         weights = _uniforms(c, len(face))
-    low = float(min_weight)
-    return make_point(K, {v: low + w for v, w in zip(face, weights)})
+    return make_point(K, {v: MIN_WEIGHT + w for v, w in zip(face, weights)})
 
 
 def random_vertex(K: SimplicialComplex, rng: np.random.Generator) -> BarycentricPoint:
@@ -353,10 +345,10 @@ def random_same_simplex_pair(
 
 
 def random_disjoint_pair(
-    K: SimplicialComplex, rng: np.random.Generator, max_tries: int = 200
+    K: SimplicialComplex, rng: np.random.Generator
 ) -> tuple[BarycentricPoint, BarycentricPoint]:
-    """Two points with disjoint supports; falls back to a vertex pair."""
-    for _ in range(max_tries):
+    """Two points with disjoint supports; after DISJOINT_TRIES failed draws, a vertex pair."""
+    for _ in range(DISJOINT_TRIES):
         a = random_point(K, rng)
         b = random_point(K, rng)
         if not set(a.support) & set(b.support):
@@ -396,21 +388,6 @@ def _random_geodesic(K: SimplicialComplex, rng: np.random.Generator, u: str, v: 
     return path
 
 
-def sample_geodesic_triples(
-    K: SimplicialComplex, rng: np.random.Generator, count: int
-) -> list[tuple[str, str, str]]:
-    """(u, w, v) with w on a shortest edge path from u to v."""
-    verts = list(K.vertices)
-    out = []
-    for _ in range(count):
-        u = _pick(rng, verts)
-        v = _pick(rng, verts)
-        path = _random_geodesic(K, rng, u, v)
-        w = _pick(rng, path)
-        out.append((u, w, v))
-    return out
-
-
 MIN_GAP = 6  # nested_quadruples' least separation of c and a along the geodesic
 
 
@@ -448,40 +425,3 @@ def nested_quadruples(
         c, a = path[lo], path[hi]
         out.append((u, a, b, c))
     return out
-
-
-# --------------------------------------------------------------------------
-# stock automorphisms of the generated families
-
-def cycle_rotation(K: SimplicialComplex, shift: int) -> Automorphism:
-    vs = list(K.vertices)
-    n = len(vs)
-    return make_automorphism(K, {vs[i]: vs[(i + shift) % n] for i in range(n)})
-
-
-def path_reversal(K: SimplicialComplex) -> Automorphism:
-    vs = list(K.vertices)
-    return make_automorphism(K, {v: w for v, w in zip(vs, reversed(vs))})
-
-
-def simplex_transposition(K: SimplicialComplex) -> Automorphism:
-    vs = list(K.vertices)
-    mapping = {v: v for v in vs}
-    mapping[vs[0]], mapping[vs[1]] = vs[1], vs[0]
-    return make_automorphism(K, mapping)
-
-
-def tree_reflection(K: SimplicialComplex, branching: int) -> Automorphism:
-    """Mirror the complete tree by reversing every child list."""
-    count = len(K.vertices)
-    vs = list(K.vertices)
-    children = _tree_children(branching, count)
-    mapping: dict[str, str] = {}
-
-    def walk(i: int, j: int) -> None:
-        mapping[vs[i]] = vs[j]
-        for ci, cj in zip(children[i], reversed(children[j])):
-            walk(ci, cj)
-
-    walk(0, 0)
-    return make_automorphism(K, mapping)

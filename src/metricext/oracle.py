@@ -116,8 +116,9 @@ def grid_oracle_path_distance(
 
     Breakpoints are restricted to grid nodes, so the value is always an
     upper approximation of the true path distance, and refining h can only
-    tighten it.  Points must sit on the grid (within h/2 in l1); callers
-    snap first.
+    tighten it.  Each point is snapped to its nearest grid node
+    (`snap_to_grid_node`); one farther than h/2 in l1 from every node, or
+    snapping to no node of the grid, raises PointNotOnGrid.
     """
     n = round(1.0 / h)
     if abs(1.0 / h - n) > 1e-9:

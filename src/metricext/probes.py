@@ -12,18 +12,15 @@ theorem whenever quasi-isometry constants are supplied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .complexes import VALUE_TOL, BarycentricPoint, SimplicialComplex, vertex_point
 from .errors import InvalidConfiguration, MissingQIConstants
-from .extension import (
-    ExtendedMetric,
-    double_difference_bilinear,
-    double_difference_ext,
-)
-from .vertexmetrics import double_difference_vertices, geodesic, word_metric
+from .extension import ExtendedMetric, bilinear_extension
+from .vertexmetrics import double_difference, geodesic, word_metric
 
 DEFAULT_CONVERGENCE_TOL = 1e-3
 DEFAULT_DEPTH_MAX = 12
@@ -143,7 +140,8 @@ def _dd_table(
     depth_list = sorted(depths) if depths is not None else _default_depths(slots, start)
     if not depth_list:
         raise InvalidConfiguration("need at least one depth")
-    return [(float(t), double_difference_ext(M, *_slot_points(M.K, slots, t))) for t in depth_list]
+    d = M.distance
+    return [(float(t), double_difference(d, *_slot_points(M.K, slots, t))) for t in depth_list]
 
 
 def dd_convergence_probe(
@@ -221,15 +219,13 @@ def decay_probe(
     if not M.vertex.has_qi_constants:
         raise MissingQIConstants("decay probe needs quasi-isometry constants")
     T = threshold if threshold is not None else 6.0 * (M.vertex.A + M.vertex.B)
+    d = M.distance
     rows = []
     for u, a, b, c in quadruples:
-        m = max(
-            double_difference_ext(M, u, a, b, c),
-            double_difference_ext(M, u, b, a, c),
-        )
+        m = max(double_difference(d, u, a, b, c), double_difference(d, u, b, a, c))
         if m < T:
             continue
-        rows.append((float(m), abs(double_difference_ext(M, u, c, a, b))))
+        rows.append((float(m), abs(double_difference(d, u, c, a, b))))
     rows.sort()
     if not rows:
         return ProbeReport(
@@ -283,21 +279,22 @@ def equivalence_windows_check(
     """
     window = 4.0 * M.sandwich_width
     word = word_metric(M.K)
+    bilinear = partial(bilinear_extension, M.vertex)
     worst = 0.0
     checked = 0
     vertex_rows: list[tuple[float, float]] = []
     passed = True
     for quad in samples:
         checked += 1
-        dd_e = double_difference_ext(M, *quad)
-        dd_b = double_difference_bilinear(M, *quad)
+        dd_e = double_difference(M.distance, *quad)
+        dd_b = double_difference(bilinear, *quad)
         margin = abs(dd_e - dd_b)
         worst = max(worst, margin)
         if margin > window + VALUE_TOL:
             passed = False
         if all(p.is_vertex for p in quad):
             labels = [p.support[0] for p in quad]
-            vertex_rows.append((double_difference_vertices(word, *labels), dd_e))
+            vertex_rows.append((double_difference(word.distance, *labels), dd_e))
     alpha = beta = None
     if vertex_rows:
         best = None

@@ -9,10 +9,13 @@ transforms) are evaluated per pair from that table, with closed-form
 constants, so they hold nothing V^2 either.  User-supplied vertex metrics
 are dense; they are validated exhaustively against the metric axioms and
 against the linear bound d(u,v) <= C * word(u,v) that the extension
-construction requires.  Vertex-level Gromov products, double
-differences and the four-point hyperbolicity scan live here as well.
+construction requires.  The four-point hyperbolicity scan lives here too.
 
-Convention: the double difference of (x, x', y, y') is
+`double_difference` and `gromov_product` are the package's one definition
+of each, for any distance function d: a word table's or vertex metric's
+`distance` on vertex labels, an ExtendedMetric's `distance`, or
+`functools.partial(bilinear_extension, metric)` for the bilinear form on
+points.  The double difference of (x, x', y, y') is
 
     0.5 * ( d(x,y) - d(x',y) - d(x,y') + d(x',y') )
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -108,18 +112,16 @@ def metric_violations(order: tuple[str, ...], matrix: np.ndarray) -> list[Metric
 
 
 def minimal_linear_bound(matrix: np.ndarray, word: WordMetricTable) -> float:
-    """Least C with d(u,v) <= C * word(u,v) over all vertex pairs."""
+    """Least C with d(u,v) <= C * word(u,v) over all vertex pairs.
+
+    `validate_vertex_metric` checks a supplied C against it.
+    """
+    if len(word.order) < 2:
+        raise ValueError("need at least two vertices")
     m = np.asarray(matrix, dtype=float)
     w = word.matrix.astype(float)
     off = ~np.eye(len(w), dtype=bool)
     return float(np.max(m[off] / w[off]))
-
-
-def linear_bound_constant(matrix: np.ndarray, word: WordMetricTable) -> float:
-    """Minimal linear-bound constant; `validate_vertex_metric` checks a supplied C against it."""
-    if len(word.order) < 2:
-        raise ValueError("need at least two vertices")
-    return minimal_linear_bound(matrix, word)
 
 
 @dataclass(frozen=True)
@@ -252,7 +254,7 @@ def validate_vertex_metric(
         perm = [order.index(v) for v in word.order]
         m = m[np.ix_(perm, perm)]
         order = word.order
-    minimal = linear_bound_constant(m, word)
+    minimal = minimal_linear_bound(m, word)
     if C is not None and C < minimal - VALUE_TOL:
         raise SuppliedConstantTooSmall(f"supplied C={C} below minimal C={minimal}")
     if A is not None or B is not None:
@@ -322,15 +324,16 @@ def transformed_word_metric(
     return _word_derived(K, scale, saturation)
 
 
-def gromov_product_vertices(table, a: str, b: str, c: str) -> float:
-    """<a|b>_c = (d(a,c) + d(b,c) - d(a,b)) / 2."""
-    d = table.distance
+def gromov_product(d: Callable, a, b, c) -> float:
+    """<a|b>_c = (d(a,c) + d(b,c) - d(a,b)) / 2 for the distance function d."""
     return 0.5 * (d(a, c) + d(b, c) - d(a, b))
 
 
-def double_difference_vertices(table, x: str, x2: str, y: str, y2: str) -> float:
-    """<x,x2|y,y2> = (d(x,y) - d(x2,y) - d(x,y2) + d(x2,y2)) / 2."""
-    d = table.distance
+def double_difference(d: Callable, x, x2, y, y2) -> float:
+    """<x,x2|y,y2> = (d(x,y) - d(x2,y) - d(x,y2) + d(x2,y2)) / 2 for the distance function d.
+
+    Grouped so that repeated arguments cancel to exactly zero in floating point.
+    """
     return 0.5 * ((d(x, y) - d(x2, y)) + (d(x2, y2) - d(x, y2)))
 
 

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from metricext import build_complex, make_point, tripwire_log
+from metricext import build_complex, make_automorphism, make_point, tripwire_log
 from metricext.complexes import Simplex, SimplicialComplex, make_simplex
 from metricext.errors import DuplicateVertex, EmptySimplex, UnknownVertexInSimplex
 from metricext.generators import (
     _ball,
     _labels,
+    _pick,
+    _random_geodesic,
     cycle_complex,
     path_complex,
     random_complex,
@@ -213,6 +215,60 @@ def fleet():
         "random20": random_complex(20, 0.18, seed=5),
         "book": book_complex(),
     }
+
+
+# --------------------------------------------------------------------------
+# Geodesic triples and stock automorphisms of the generated families
+
+
+def sample_geodesic_triples(K, rng, count):
+    """(u, w, v) with w on a shortest edge path from u to v."""
+    verts = list(K.vertices)
+    out = []
+    for _ in range(count):
+        u = _pick(rng, verts)
+        v = _pick(rng, verts)
+        path = _random_geodesic(K, rng, u, v)
+        w = _pick(rng, path)
+        out.append((u, w, v))
+    return out
+
+
+def cycle_rotation(K, shift):
+    vs = list(K.vertices)
+    n = len(vs)
+    return make_automorphism(K, {vs[i]: vs[(i + shift) % n] for i in range(n)})
+
+
+def path_reversal(K):
+    vs = list(K.vertices)
+    return make_automorphism(K, {v: w for v, w in zip(vs, reversed(vs))})
+
+
+def simplex_transposition(K):
+    vs = list(K.vertices)
+    mapping = {v: v for v in vs}
+    mapping[vs[0]], mapping[vs[1]] = vs[1], vs[0]
+    return make_automorphism(K, mapping)
+
+
+def tree_reflection(K, branching):
+    """Mirror the complete tree by reversing every child list."""
+    count = len(K.vertices)
+    vs = list(K.vertices)
+    children = {
+        i: [c for c in range(branching * i + 1, branching * i + branching + 1) if c < count]
+        for i in range(count)
+    }
+    mapping = {}
+
+    def walk(i, j):
+        mapping[vs[i]] = vs[j]
+        for ci, cj in zip(children[i], reversed(children[j])):
+            walk(ci, cj)
+
+    walk(0, 0)
+    return make_automorphism(K, mapping)
 
 
 POOL_COMPLEXES = {

@@ -6,6 +6,7 @@ deferred to later calibration.
 """
 
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,11 +18,10 @@ from metricext import (
     dd_divergence_probe,
     decay_probe,
     deepest_ray,
-    double_difference_bilinear,
-    double_difference_ext,
+    double_difference,
     exhaustive_metric_scan,
     grid_oracle_path_distance,
-    gromov_product_ext,
+    gromov_product,
     l1_path_distance,
     lower_bounds,
     make_point,
@@ -35,22 +35,26 @@ from metricext import (
 )
 from metricext.generators import (
     cycle_complex,
-    cycle_rotation,
     grid_point,
     nested_quadruples,
     path_complex,
-    path_reversal,
     random_disjoint_pair,
     random_point,
     random_same_simplex_pair,
     rips_complex,
     simplex_complex,
-    simplex_transposition,
     tree_complex,
-    tree_reflection,
 )
 
-from conftest import book_complex, fleet, strip_complex
+from conftest import (
+    book_complex,
+    cycle_rotation,
+    fleet,
+    path_reversal,
+    simplex_transposition,
+    strip_complex,
+    tree_reflection,
+)
 
 TOL = 1e-9
 EXACT = 1e-12
@@ -207,7 +211,8 @@ def test_criterion_07_sandwich(complexes):
         for _ in range(100):
             quad = [random_point(K, rng) for _ in range(4)]
             gap = abs(
-                double_difference_ext(M, *quad) - double_difference_bilinear(M, *quad)
+                double_difference(M.distance, *quad)
+                - double_difference(partial(bilinear_extension, vm), *quad)
             )
             assert gap <= 4.0 * width + TOL, name
     _report(7, "bilinear sandwich with B' = 2(A+B) and the 4B' window hold")
@@ -220,7 +225,7 @@ def test_criterion_08_dd_identities_and_gp(complexes):
         K = complexes[name]
         M = ExtendedMetric(K, word_vertex_metric(K))
         rng = np.random.default_rng(808)
-        dd = lambda *a: double_difference_ext(M, *a)
+        dd = partial(double_difference, M.distance)
         for _ in range(100):
             a, a2, a3, b, b2 = (random_point(K, rng) for _ in range(5))
             assert abs(dd(a, a2, b, b2) - dd(b, b2, a, a2)) <= TOL
@@ -229,7 +234,7 @@ def test_criterion_08_dd_identities_and_gp(complexes):
             assert dd(a, a, b, b2) == 0.0 and dd(a, a2, b, b) == 0.0
             assert abs(dd(a, a2, b, b2) + dd(a2, a3, b, b2) - dd(a, a3, b, b2)) <= TOL
             assert abs(dd(a, b, a3, b2) + dd(a3, a, b, b2) + dd(b, a3, a, b2)) <= TOL
-            assert abs(gromov_product_ext(M, a, b, b2) - dd(b2, a, b, b2)) <= TOL
+            assert abs(gromov_product(M.distance, a, b, b2) - dd(b2, a, b, b2)) <= TOL
             count += 1
     assert count >= 300
     _report(8, f"double-difference identities and GP consistency on {count} tuples")
@@ -301,10 +306,10 @@ def test_criterion_11_automorphism_invariance():
             gpts = [apply_automorphism(K, g, p) for p in pts]
             assert abs(M.distance(pts[0], pts[1]) - M.distance(gpts[0], gpts[1])) <= EXACT, name
             assert abs(
-                double_difference_ext(M, *pts) - double_difference_ext(M, *gpts)
+                double_difference(M.distance, *pts) - double_difference(M.distance, *gpts)
             ) <= EXACT, name
             assert abs(
-                gromov_product_ext(M, *pts[:3]) - gromov_product_ext(M, *gpts[:3])
+                gromov_product(M.distance, *pts[:3]) - gromov_product(M.distance, *gpts[:3])
             ) <= EXACT, name
     _report(11, "extension, double differences, Gromov products automorphism-invariant on 5 complexes")
 

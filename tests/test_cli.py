@@ -253,8 +253,8 @@ class TestDDandGP:
         v2 = json.loads(capsys.readouterr().out)["value"]
         assert v1 == v2 == pytest.approx(0.0)
 
-    # Every --kind of dd and gp, pinned to the values the commands printed when each
-    # metric had its own copy of the formula; the one shared formula must give them bit for bit.
+    # Every --kind of dd and gp on fixed points, pinned bit for bit: the one formula of each
+    # must give every metric's value exactly, with the float operations in the same order.
     TREE_NEAR = '[{"t03":0.5,"t07":0.5},{"t03":0.25,"t07":0.75},{"t03":0.625,"t07":0.375},{"t13":1}]'
     RIPS_NEAR = ('[{"c00":0.25,"c01":0.375,"c02":0.375},{"c01":0.375,"c02":0.375,"c03":0.25},'
                  '{"c04":0.5,"c05":0.5},{"c02":0.2,"c03":0.8}]')
@@ -410,6 +410,23 @@ class TestOracleCompare:
         path = tmp_path / "cycle.json"
         assert main(["gen", "-k", "cycle", "-p", "6", "-o", str(path)]) == 0
         assert main(["oracle-compare", "-c", str(path), "--resolution", "2", "--samples", "3"]) == 0
+
+    @pytest.mark.parametrize("dim, resolution", [(2, "2"), (3, "2"), (3, "3")])
+    def test_resolution_not_above_the_dimension_is_usage_error(self, tmp_path, capsys, dim, resolution):
+        # a grid point on a face of dim K + 1 vertices needs n >= dim K + 1; this used to exit 1
+        # from the sampler, blaming one drawn face
+        cycle, rips = tmp_path / "cycle.json", str(tmp_path / "rips.json")
+        assert main(["gen", "-k", "cycle", "-p", "8", "-o", str(cycle)]) == 0
+        assert main(["gen", "-k", "rips", "-p", str(dim), "--base", str(cycle), "-o", rips]) == 0
+        capsys.readouterr()
+        assert main(["oracle-compare", "-c", rips, "--resolution", resolution]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"metricext oracle-compare: error: argument --resolution: need a resolution above "
+            f"the complex's dimension {dim}, got {resolution}\n"
+        )
+        assert main(["oracle-compare", "-c", rips, "--resolution", str(dim + 1), "--samples", "5"]) == 0
 
 
 class TestCheck:

@@ -15,7 +15,6 @@ from metricext import (
     EmptySimplex,
     MetricExtError,
     NegativeWeight,
-    NoCommonSimplex,
     NotAnAutomorphism,
     SupportNotASimplex,
     UnknownVertexInSimplex,
@@ -26,8 +25,6 @@ from metricext import (
     make_automorphism,
     make_point,
     simplex_l1,
-    simplex_l1_checked,
-    support,
     vertex_point,
 )
 from metricext.complexes import WEIGHT_FLOOR
@@ -250,7 +247,7 @@ class TestMakePoint:
     def test_midpoint(self, path3):
         x = make_point(path3, {"u": 0.5, "v": 0.5})
         assert x.weights == {"u": 0.5, "v": 0.5}
-        assert support(x) == ("u", "v")
+        assert x.support == ("u", "v")
 
     def test_vertex_case(self, path3):
         x = make_point(path3, {"u": 1.0})
@@ -370,13 +367,6 @@ class TestSimplexL1:
     def test_identity(self, triangle):
         x = make_point(triangle, {"a": 0.3, "b": 0.7})
         assert simplex_l1(x, x) == 0.0
-
-    def test_no_common_simplex_checked(self, path3):
-        x = make_point(path3, {"u": 0.5, "v": 0.5})
-        y = make_point(path3, {"v": 0.5, "w": 0.5})
-        with pytest.raises(NoCommonSimplex):
-            simplex_l1_checked(path3, vertex_point(path3, "u"), y)
-        assert simplex_l1_checked(path3, x, vertex_point(path3, "v")) == 0.5
 
     @given(
         a=st.floats(0.01, 10),

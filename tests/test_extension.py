@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,12 +17,8 @@ from metricext import (
     apply_automorphism,
     bilinear_extension,
     common_simplex,
-    double_difference_bilinear,
-    double_difference_ext,
-    extended_distance,
-    geodesic_defect,
-    gromov_product_ext,
-    gromov_product_vertices,
+    double_difference,
+    gromov_product,
     l1_path_distance,
     lower_bounds,
     make_point,
@@ -41,12 +38,10 @@ from metricext.generators import (
     random_disjoint_pair,
     random_point,
     rips_complex,
-    sample_geodesic_triples,
     tree_complex,
-    tree_reflection,
 )
 
-from conftest import pool_queries, simplex_on_a_path
+from conftest import pool_queries, sample_geodesic_triples, simplex_on_a_path, tree_reflection
 
 
 class TestBilinearExtension:
@@ -85,15 +80,15 @@ class TestExtendedDistance:
     def test_same_point_zero(self, path3):
         M = ExtendedMetric(path3, word_vertex_metric(path3))
         x = make_point(path3, {"u": 0.5, "v": 0.5})
-        assert extended_distance(M, x, x) == (0.0, "l1path")
+        assert M.distance_with_branch(x, x) == (0.0, "l1path")
         u = vertex_point(path3, "u")
-        assert extended_distance(M, u, u) == (0.0, "bilinear")
+        assert M.distance_with_branch(u, u) == (0.0, "bilinear")
 
     def test_extends_vertex_metric(self, book):
         vm = transformed_word_metric(book, scale=1.5, saturation=0.5)
         M = ExtendedMetric(book, vm)
         for u, v in itertools.combinations(book.vertices, 2):
-            value, branch = extended_distance(M, vertex_point(book, u), vertex_point(book, v))
+            value, branch = M.distance_with_branch(vertex_point(book, u), vertex_point(book, v))
             assert value == vm.distance(u, v)
             assert branch == "bilinear"
 
@@ -101,7 +96,7 @@ class TestExtendedDistance:
         M = ExtendedMetric(path3, word_vertex_metric(path3))
         x = make_point(path3, {"u": 0.5, "v": 0.5})
         y = make_point(path3, {"v": 0.5, "w": 0.5})
-        value, branch = extended_distance(M, x, y)
+        value, branch = M.distance_with_branch(x, y)
         assert value == pytest.approx(1.0, abs=1e-12)
         assert branch == "bilinear"
 
@@ -109,7 +104,7 @@ class TestExtendedDistance:
         M = ExtendedMetric(triangle, word_vertex_metric(triangle))
         x = make_point(triangle, {"a": 0.50, "b": 0.50})
         y = make_point(triangle, {"a": 0.49, "b": 0.51})
-        value, branch = extended_distance(M, x, y)
+        value, branch = M.distance_with_branch(x, y)
         assert branch == "l1path"
         assert value == pytest.approx(3.0 * simplex_l1_local(x, y), abs=1e-12)
 
@@ -158,7 +153,7 @@ class TestExtendedDistance:
         M = ExtendedMetric(book, vm)
         for _ in range(60):
             x, y = random_disjoint_pair(book, rng)
-            value, branch = extended_distance(M, x, y)
+            value, branch = M.distance_with_branch(x, y)
             assert branch == "bilinear"
             assert value == bilinear_extension(vm, x, y)
             d_path = l1_path_distance(book, x, y).value
@@ -628,11 +623,11 @@ class TestSandwich:
 
     def test_requires_constants(self, book):
         vm = word_vertex_metric(book)
-        partial = type(vm)(
+        without_qi = type(vm)(
             order=vm.order, matrix=vm.matrix, C=vm.C, minimal_C=vm.minimal_C,
             A=None, B=None, index=vm.index,
         )
-        M = ExtendedMetric(book, partial)
+        M = ExtendedMetric(book, without_qi)
         with pytest.raises(MissingQIConstants):
             sandwich_check(M, vertex_point(book, "a"), vertex_point(book, "b"))
 
@@ -640,7 +635,7 @@ class TestSandwich:
 class TestDoubleDifferenceExt:
     def test_identities_at_arbitrary_points(self, book, rng):
         M = ExtendedMetric(book, transformed_word_metric(book, 1.2, 0.4))
-        dd = lambda *a: double_difference_ext(M, *a)
+        dd = partial(double_difference, M.distance)
         for _ in range(120):
             a, a2, a3, b, b2 = (random_point(book, rng) for _ in range(5))
             assert dd(a, a2, b, b2) == pytest.approx(dd(b, b2, a, a2), abs=1e-9)
@@ -658,33 +653,52 @@ class TestDoubleDifferenceExt:
         vm = transformed_word_metric(book, 1.25, 0.8)
         M = ExtendedMetric(book, vm)
         window = 4.0 * M.sandwich_width
+        bilinear = partial(bilinear_extension, vm)
         for _ in range(80):
             quad = [random_point(book, rng) for _ in range(4)]
-            gap = abs(double_difference_ext(M, *quad) - double_difference_bilinear(M, *quad))
+            gap = abs(double_difference(M.distance, *quad) - double_difference(bilinear, *quad))
             assert gap <= window + 1e-9
 
     def test_gp_consistency(self, book, rng):
         M = ExtendedMetric(book, word_vertex_metric(book))
         for _ in range(120):
             a, b, c = (random_point(book, rng) for _ in range(3))
-            gp = gromov_product_ext(M, a, b, c)
-            assert gp == pytest.approx(double_difference_ext(M, c, a, b, c), abs=1e-9)
+            gp = gromov_product(M.distance, a, b, c)
+            assert gp == pytest.approx(double_difference(M.distance, c, a, b, c), abs=1e-9)
             assert gp >= -1e-9
 
     def test_gp_at_base_zero(self, book):
         M = ExtendedMetric(book, word_vertex_metric(book))
         a = vertex_point(book, "a")
         b = vertex_point(book, "b")
-        assert gromov_product_ext(M, a, b, a) == 0.0
+        assert gromov_product(M.distance, a, b, a) == 0.0
 
     def test_vertex_triples_match_vertex_layer(self, book):
         vm = transformed_word_metric(book, 1.5, 0.0)
         M = ExtendedMetric(book, vm)
         for a, b, c in itertools.permutations(book.vertices, 3):
-            got = gromov_product_ext(
-                M, vertex_point(book, a), vertex_point(book, b), vertex_point(book, c)
+            got = gromov_product(
+                M.distance, vertex_point(book, a), vertex_point(book, b), vertex_point(book, c)
             )
-            assert got == pytest.approx(gromov_product_vertices(vm, a, b, c), abs=1e-12)
+            assert got == pytest.approx(gromov_product(vm.distance, a, b, c), abs=1e-12)
+
+
+def geodesic_defect(M, samples):
+    """Largest additivity defect of the extension along word-metric geodesics.
+
+    Considers sampled vertex triples (u, w, v) with w on a shortest edge
+    path from u to v and returns max |d(u,v) - d(u,w) - d(w,v)|.  Triples
+    where w is not on a geodesic are skipped.
+    """
+    word = word_metric(M.K)
+    vm = M.vertex
+    worst = 0.0
+    for u, w, v in samples:
+        if word.distance(u, w) + word.distance(w, v) != word.distance(u, v):
+            continue
+        defect = abs(vm.distance(u, v) - vm.distance(u, w) - vm.distance(w, v))
+        worst = max(worst, defect)
+    return worst
 
 
 class TestGeodesicDefect:
@@ -726,6 +740,6 @@ class TestAutomorphismInvariance:
             assert M.distance(pts[0], pts[1]) == pytest.approx(
                 M.distance(gpts[0], gpts[1]), abs=1e-12
             )
-            assert double_difference_ext(M, *pts) == pytest.approx(
-                double_difference_ext(M, *gpts), abs=1e-12
+            assert double_difference(M.distance, *pts) == pytest.approx(
+                double_difference(M.distance, *gpts), abs=1e-12
             )

@@ -36,7 +36,6 @@ from metricext.generators import (
     random_quadruples,
     random_vertex,
     rips_complex,
-    sample_geodesic_triples,
     simplex_complex,
     tree_complex,
 )
@@ -48,6 +47,7 @@ from conftest import (
     reference_random_complex,
     reference_random_edges,
     reference_rips_complex,
+    sample_geodesic_triples,
 )
 
 
@@ -279,10 +279,10 @@ def numpy_random_face(rng, sigma):
     return tuple(sigma[i] for i in sorted(rng.choice(len(sigma), size=size, replace=False)))
 
 
-def numpy_random_point(K, rng, face=None, min_weight=0.05):
+def numpy_random_point(K, rng, face=None):
     if face is None:
         face = numpy_random_face(rng, K.maximal_simplices[rng.integers(len(K.maximal_simplices))])
-    raw = min_weight + rng.random(len(face))
+    raw = 0.05 + rng.random(len(face))
     # built through the module's name, which the verdict test records, as random_point's points are
     return generators.make_point(K, {v: float(w) for v, w in zip(face, raw)})
 
@@ -350,20 +350,22 @@ class TestDrawParity:
                 assert random_point(K, ours) == numpy_random_point(K, theirs)
                 sigma = K.maximal_simplices[-1]
                 assert _random_face(ours, sigma) == numpy_random_face(theirs, sigma)
-                assert random_point(K, ours, min_weight=0.5) == numpy_random_point(K, theirs, min_weight=0.5)
+                assert random_point(K, ours, face=sigma) == numpy_random_point(K, theirs, face=sigma)
 
-    def test_disjoint_fallback_is_the_list_based_draw(self, complex_fleet):
+    def test_disjoint_fallback_is_the_list_based_draw(self, complex_fleet, monkeypatch):
+        monkeypatch.setattr(generators, "DISJOINT_TRIES", 0)
         for name, K in complex_fleet.items():
             for seed in range(30):
-                got = random_disjoint_pair(K, np.random.default_rng(seed), max_tries=0)
+                got = random_disjoint_pair(K, np.random.default_rng(seed))
                 assert got == list_disjoint_fallback(K, np.random.default_rng(seed)), (name, seed)
                 assert got[0] != got[1]
 
-    def test_disjoint_fallback_on_one_vertex_raises_as_before(self):
+    def test_disjoint_fallback_on_one_vertex_raises_as_before(self, monkeypatch):
+        monkeypatch.setattr(generators, "DISJOINT_TRIES", 0)
         K = simplex_complex(0)
-        for draw in (random_disjoint_pair, lambda K, rng, max_tries: list_disjoint_fallback(K, rng)):
+        for draw in (random_disjoint_pair, list_disjoint_fallback):
             with pytest.raises(ValueError):
-                draw(K, np.random.default_rng(0), max_tries=0)
+                draw(K, np.random.default_rng(0))
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_check_verdicts_equal_the_numpy_drawn_samplers(self, seed, monkeypatch):

@@ -16,7 +16,7 @@ from metricext import (
     build_grid,
     exhaustive_metric_scan,
     grid_oracle_path_distance,
-    gromov_product_vertices,
+    gromov_product,
     l1_path_distance,
     make_point,
     tree_gromov_oracle,
@@ -232,4 +232,4 @@ class TestTreeOracle:
         vs = list(K.vertices)
         for _ in range(1000):
             a, b, c = (vs[i] for i in rng.integers(len(vs), size=3))
-            assert tree_gromov_oracle(K, a, b, c) == gromov_product_vertices(table, a, b, c)
+            assert tree_gromov_oracle(K, a, b, c) == gromov_product(table.distance, a, b, c)

@@ -49,7 +49,7 @@ from metricext.generators import (
 )
 from metricext.oracle import grid_oracle_path_distance
 
-from conftest import pool_queries, simplex_on_a_path
+from conftest import pool_queries, simplex_on_a_path, tree_reflection
 
 
 class TestPathLength:
@@ -382,7 +382,6 @@ class TestOptionsAndBudget:
 
 class TestAutomorphismInvariance:
     def test_tree_reflection_invariance(self):
-        from metricext.generators import tree_reflection
 
         K = tree_complex(2, 3)
         g = tree_reflection(K, 2)

@@ -21,4 +21,4 @@ def test_quickstart_gives_its_commented_values():
             shown.append(value)
         else:
             exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
-    assert shown == [1.0, 0.5, (1.0, "bilinear"), (1.0, "bilinear", None)]
+    assert shown == [1.0, 0.5, (1.0, "bilinear"), (1.0, "bilinear", None), -1.0, -0.5, 0.0]

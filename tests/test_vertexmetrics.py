@@ -3,6 +3,7 @@
 import gc
 import itertools
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,14 +18,14 @@ from metricext import (
     SuppliedConstantTooSmall,
     build_complex,
     deepest_ray,
-    double_difference_vertices,
-    gromov_product_vertices,
+    double_difference,
+    gromov_product,
     hyperbolicity_delta,
-    linear_bound_constant,
     lower_bounds,
     make_point,
     make_ray,
     metric_violations,
+    minimal_linear_bound,
     qi_constants_check,
     sphere,
     transformed_word_metric,
@@ -39,14 +40,13 @@ from metricext.generators import (
     nested_quadruples,
     path_complex,
     random_complex,
-    sample_geodesic_triples,
     simplex_complex,
     tree_complex,
 )
 from metricext.oracle import _oracle_bfs, tree_gromov_oracle, tree_vertex_path
-from metricext.vertexmetrics import geodesic, minimal_linear_bound
+from metricext.vertexmetrics import geodesic
 
-from conftest import all_faces, list_built_graph
+from conftest import all_faces, list_built_graph, sample_geodesic_triples
 
 
 class TestWordMetric:
@@ -264,11 +264,16 @@ class TestValidateVertexMetric:
 class TestLinearBound:
     def test_word_gives_one(self, book):
         t = word_metric(book)
-        assert linear_bound_constant(t.matrix.astype(float), t) == pytest.approx(1.0)
+        assert minimal_linear_bound(t.matrix.astype(float), t) == pytest.approx(1.0)
 
     def test_doubled(self, book):
         t = word_metric(book)
-        assert linear_bound_constant(2.0 * t.matrix, t) == pytest.approx(2.0)
+        assert minimal_linear_bound(2.0 * t.matrix, t) == pytest.approx(2.0)
+
+    def test_one_vertex_has_no_bound(self):
+        K = build_complex(["a"], [["a"]])
+        with pytest.raises(ValueError, match="need at least two vertices"):
+            minimal_linear_bound(np.zeros((1, 1)), word_metric(K))
 
     def test_supplied_too_small(self, book):
         t = word_metric(book)
@@ -375,11 +380,11 @@ class TestQIConstants:
 class TestGromovProductsAndDD:
     def test_base_at_endpoint(self, path3):
         t = word_metric(path3)
-        assert gromov_product_vertices(t, "u", "v", "u") == 0.0
+        assert gromov_product(t.distance, "u", "v", "u") == 0.0
 
     def test_between(self, path3):
         t = word_metric(path3)
-        assert gromov_product_vertices(t, "u", "w", "v") == 0.0
+        assert gromov_product(t.distance, "u", "w", "v") == 0.0
 
     def test_tree_matches_oracle(self):
         K = tree_complex(2, 4)
@@ -388,20 +393,20 @@ class TestGromovProductsAndDD:
         vs = list(K.vertices)
         for _ in range(1000):
             a, b, c = (vs[i] for i in rng.integers(len(vs), size=3))
-            assert gromov_product_vertices(t, a, b, c) == tree_gromov_oracle(K, a, b, c)
+            assert gromov_product(t.distance, a, b, c) == tree_gromov_oracle(K, a, b, c)
 
     def test_dd_path_example(self):
         K = path_complex(4)
         t = word_metric(K)
         a, b, c, d = K.vertices
         # d(a,d)-d(b,d)-d(a,c)+d(b,c) = 3-2-2+1 = 0, halved: still 0
-        assert double_difference_vertices(t, a, b, d, c) == 0.0
+        assert double_difference(t.distance, a, b, d, c) == 0.0
 
     def test_dd_identities(self, book):
         t = word_metric(book)
         rng = np.random.default_rng(2)
         vs = list(book.vertices)
-        dd = lambda *a: double_difference_vertices(t, *a)
+        dd = partial(double_difference, t.distance)
         for _ in range(300):
             a, a2, a3, b, b2, w = (vs[i] for i in rng.integers(len(vs), size=6))
             assert dd(a, a2, b, b2) == dd(b, b2, a, a2)
@@ -416,8 +421,8 @@ class TestGromovProductsAndDD:
         vs = list(book.vertices)
         for _ in range(300):
             a, b, x, y = (vs[i] for i in rng.integers(len(vs), size=4))
-            lhs = double_difference_vertices(t, a, b, x, y)
-            rhs = gromov_product_vertices(t, b, x, a) - gromov_product_vertices(t, b, y, a)
+            lhs = double_difference(t.distance, a, b, x, y)
+            rhs = gromov_product(t.distance, b, x, a) - gromov_product(t.distance, b, y, a)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
