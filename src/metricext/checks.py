@@ -614,7 +614,7 @@ def _check_divergence_tree(ctx: CheckContext, r: CheckResult) -> None:
     ray(t) to the path between them; the straight coincidence negates it.
     """
     n = len(ctx.K.vertices)
-    edges = sum(map(len, ctx.K.adjacency.values())) // 2
+    edges = len(ctx.K.adjacency_csr.indices) // 2
     if edges != n - 1:
         r.notes.append("skipped: 1-skeleton is not a tree")
         return

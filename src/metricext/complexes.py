@@ -10,29 +10,39 @@ A barycentric point stores its sorted (vertex, weight) items and, once, when
 it is made, its support; the per-simplex l1 distance is one merge of two
 points' items.
 
-Construction is one bulk pass over the simplices that survive.  No other
-listed simplex can hold one of the largest listed size, so those are maximal
-untested; a smaller one is maximal when no other listed simplex holds all of
-its vertices, read off a vertex -> listed-simplex index that is built only
-when such a simplex exists.  The generators list only maximal simplices.
+Inside, a complex is integer ids: vertex i is the i-th label in sorted
+order and simplex s the s-th maximal simplex, so id order is label order.
+Its tables are int32 CSR arrays (`IdRows`): the vertex ids of each maximal
+simplex, the maximal simplices holding each vertex (incidence) and the
+neighbours of each vertex (adjacency).  `complex_from_ids` is the one
+constructor.  It sorts and deduplicates the listed id rows, drops a row
+that a larger row holds, adds each vertex no row holds as a 0-simplex, and
+sorts rows by size, then lexicographically; incidence is a stable argsort of
+the vertex ids and adjacency the distinct pair codes of each simplex, all by
+numpy.  `build_complex` maps labels to ids once, after validating them, and
+the generators hand their ids to it directly.
 
-Each complex owns its derived tables (adjacency, vertex -> maximal-simplex
-incidence, and, created on first use, the word table, the grid oracle's
-graphs by resolution and, one maximal simplex at a time as the path search
-asks, the maximal simplices meeting it); they are freed with it and take no
-part in its equality or hash.
+Everything else is derived on first use and kept on the complex, freed with
+it and not part of its equality or hash: the label -> id `index`, the
+`adjacency` and `incidence` label dicts (for the readers that want labels;
+`spans`, `neighbours`, `maximal_indices_containing`, the word table and the
+geodesics read the id rows), the word table, the grid oracle's graphs by
+resolution and, one maximal simplex at a time as the path search asks, the
+maximal simplices meeting it.
 
-The word table holds no V^2 array.  It answers word distances on demand:
-a row is one single-source search, kept in a small LRU; a single distance
-is read from a kept row of either end, or found by a bidirectional search
-over the adjacency and remembered in a bounded memo.  Its dense `matrix` is
-built only for the consumers that need every pair (validating an explicit
-metric, the four-point scan).
+The word table holds no V^2 array and no graph of its own: it reads the
+complex's adjacency CSR.  It answers word distances on demand: a row is one
+single-source search, kept in a small LRU; a single distance is read from a
+kept row of either end, or found by a bidirectional search over the
+adjacency and remembered in a bounded memo.  Its dense `matrix` is built
+only for the consumers that need every pair (validating an explicit metric,
+the four-point scan).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -80,6 +90,30 @@ def make_simplex(vertices: Iterable[str]) -> Simplex:
     return vs
 
 
+class IdRows:
+    """Rows of ids in CSR form: row i is indices[indptr[i]:indptr[i + 1]], ascending.
+
+    Both arrays are int32.  `lists` is the same two arrays as Python lists,
+    made on first use for the readers that walk one row at a time: slicing a
+    list costs a fraction of slicing an array.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        self.indptr = indptr
+        self.indices = indices
+
+    @classmethod
+    def of(cls, counts: np.ndarray, values: np.ndarray) -> IdRows:
+        """Rows of counts[i] values each, taken in order from values."""
+        indptr = np.zeros(len(counts) + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        return cls(indptr, values.astype(np.int32))
+
+    @cached_property
+    def lists(self) -> tuple[list[int], list[int]]:
+        return self.indptr.tolist(), self.indices.tolist()
+
+
 class WordMetricTable:
     """Word distances on the 1-skeleton, computed on demand.
 
@@ -90,23 +124,18 @@ class WordMetricTable:
     remembered.  `matrix`, the dense all-pairs table, is built only when a
     consumer that needs every pair asks for it.  The caches only ever hold
     exact distances, so which one answers never changes a value.
+
+    The graph is the complex's own: its label -> id `index` and adjacency CSR.
     """
 
-    def __init__(self, order: tuple[str, ...], adjacency: Mapping[str, tuple[str, ...]]):
+    def __init__(self, order: tuple[str, ...], index: dict[str, int], adjacency: IdRows):
         self.order = order
-        n = len(order)
-        self.index = index = dict(zip(order, range(n)))
+        self.index = index
         self.adjacency = adjacency
+        n = len(order)
         self.rows_kept = max(1, ROW_ENTRIES_KEPT // n)
-        # row i holds the indices of order[i]'s neighbours, ascending as adjacency lists them
-        neighbours = list(map(adjacency.__getitem__, order))
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.fromiter(map(len, neighbours), dtype=np.int32, count=n), out=indptr[1:])
-        entries = int(indptr[-1])
-        indices = np.fromiter(
-            map(index.__getitem__, chain.from_iterable(neighbours)), dtype=np.int32, count=entries
-        )
-        self._graph = csr_matrix((np.ones(entries), indices, indptr), shape=(n, n))
+        data = np.ones(len(adjacency.indices))
+        self._graph = csr_matrix((data, adjacency.indices, adjacency.indptr), shape=(n, n))
         first = self._search_row(0)
         if np.isinf(first).any():
             raise DisconnectedComplex("1-skeleton is not connected")
@@ -162,16 +191,17 @@ class WordMetricTable:
         """
         if u == v:
             return 0
-        adjacency = self.adjacency
-        seen = ({u: 0}, {v: 0})
-        frontier = [[u], [v]]
+        ptr, ids = self.adjacency.lists
+        a, b = self.index[u], self.index[v]
+        seen = ({a: 0}, {b: 0})
+        frontier = [[a], [b]]
         while frontier[0] and frontier[1]:
             side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
             mine, other = seen[side], seen[1 - side]
             grown = []
             for a in frontier[side]:
                 step = mine[a] + 1
-                for b in adjacency[a]:
+                for b in ids[ptr[a]:ptr[a + 1]]:
                     if b in other:
                         return step + other[b]
                     if b not in mine:
@@ -188,13 +218,38 @@ class WordMetricTable:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Finite abstract simplicial complex: its faces are the subsets of its maximal simplices."""
+    """Finite abstract simplicial complex: its faces are the subsets of its maximal simplices.
+
+    Vertex ids are positions in `vertices`, simplex ids positions in
+    `maximal_simplices`; `complex_from_ids` builds the three id tables.
+    """
 
     vertices: tuple[str, ...]
     maximal_simplices: tuple[Simplex, ...]
-    adjacency: Mapping[str, tuple[str, ...]] = field(compare=False, hash=False)
-    # vertex -> indices into maximal_simplices of the maximal simplices holding it
-    incidence: Mapping[str, tuple[int, ...]] = field(compare=False, hash=False)
+    # maximal simplex -> its vertex ids
+    simplex_csr: IdRows = field(compare=False, hash=False, repr=False)
+    # vertex -> ids of the maximal simplices holding it
+    incidence_csr: IdRows = field(compare=False, hash=False, repr=False)
+    # vertex -> ids of its neighbours in the 1-skeleton
+    adjacency_csr: IdRows = field(compare=False, hash=False, repr=False)
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Label -> vertex id, built on first use."""
+        return dict(zip(self.vertices, range(len(self.vertices))))
+
+    @cached_property
+    def adjacency(self) -> dict[str, tuple[str, ...]]:
+        """Label -> its neighbours' labels, ascending; built from the CSR on first use."""
+        ptr, ids = self.adjacency_csr.lists
+        vs = self.vertices
+        return {v: tuple([vs[j] for j in ids[ptr[i]:ptr[i + 1]]]) for i, v in enumerate(vs)}
+
+    @cached_property
+    def incidence(self) -> dict[str, tuple[int, ...]]:
+        """Label -> ids of the maximal simplices holding it, ascending; built from the CSR on first use."""
+        ptr, ids = self.incidence_csr.lists
+        return {v: tuple(ids[ptr[i]:ptr[i + 1]]) for i, v in enumerate(self.vertices)}
 
     @cached_property
     def word_table(self) -> WordMetricTable:
@@ -202,7 +257,7 @@ class SimplicialComplex:
 
         Raises DisconnectedComplex on every access if the 1-skeleton is not connected.
         """
-        return WordMetricTable(self.vertices, self.adjacency)
+        return WordMetricTable(self.vertices, self.index, self.adjacency_csr)
 
     @cached_property
     def grids(self) -> dict[int, GridGraph]:
@@ -221,14 +276,16 @@ class SimplicialComplex:
         """
         row = self._neighbour_rows.get(s)
         if row is None:
-            incidence = self.incidence
-            row = tuple(sorted({t for w in self.maximal_simplices[s] for t in incidence[w]} - {s}))
-            self._neighbour_rows[s] = row
+            sptr, sids = self.simplex_csr.lists
+            ptr, held = self.incidence_csr.lists
+            met = {t for w in sids[sptr[s]:sptr[s + 1]] for t in held[ptr[w]:ptr[w + 1]]}
+            met.discard(s)
+            row = self._neighbour_rows[s] = tuple(sorted(met))
         return row
 
     @cached_property
     def dimension(self) -> int:
-        return max(len(s) for s in self.maximal_simplices) - 1
+        return len(self.maximal_simplices[-1]) - 1  # sorted by size
 
     def edges(self) -> list[Simplex]:
         return [(a, b) for a, ns in self.adjacency.items() for b in ns if a < b]
@@ -236,18 +293,29 @@ class SimplicialComplex:
     def spans(self, s: Sequence[str]) -> bool:
         """Whether the distinct labels s are a face: some maximal simplex holds them all.
 
-        One label is a vertex lookup and two an adjacency lookup; more are
-        tested against each maximal simplex holding s[0], unless they are
-        more than any simplex has.  () is no face.
+        One label is a vertex lookup and two a search of the first one's
+        neighbour ids; more are tested against each maximal simplex holding
+        s[0], unless they are more than any simplex has.  () is no face.
         """
+        index = self.index
         if len(s) == 1:
-            return s[0] in self.incidence
+            return s[0] in index
         if len(s) == 2:
-            return s[1] in self.adjacency.get(s[0], ())
-        if not s or len(s) > self.dimension + 1:
+            try:
+                a, b = index[s[0]], index[s[1]]
+            except KeyError:
+                return False
+            ptr, ids = self.adjacency_csr.lists
+            hi = ptr[a + 1]
+            at = bisect_left(ids, b, ptr[a], hi)
+            return at < hi and ids[at] == b
+        a = index.get(s[0]) if s else None
+        if a is None or len(s) > self.dimension + 1:
             return False
-        for i in self.incidence.get(s[0], ()):
-            sigma = self.maximal_simplices[i]
+        ptr, held = self.incidence_csr.lists
+        M = self.maximal_simplices
+        for i in held[ptr[a]:ptr[a + 1]]:
+            sigma = M[i]
             for v in s:
                 if v not in sigma:
                     break
@@ -260,7 +328,15 @@ class SimplicialComplex:
         want = set(vertices)
         if not want:
             return list(range(len(self.maximal_simplices)))
-        return sorted(set.intersection(*(set(self.incidence.get(v, ())) for v in want)))
+        index = self.index
+        ptr, held = self.incidence_csr.lists
+        rows = []
+        for v in want:
+            i = index.get(v)
+            if i is None:
+                return []
+            rows.append(held[ptr[i]:ptr[i + 1]])
+        return rows[0] if len(rows) == 1 else sorted(set(rows[0]).intersection(*rows[1:]))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -269,10 +345,136 @@ class SimplicialComplex:
         )
 
 
+def _new_in_run(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries (rows, if a is 2-D) of the sorted a that differ from the one before."""
+    new = np.ones(len(a), dtype=bool)
+    if a.ndim == 1:
+        np.not_equal(a[1:], a[:-1], out=new[1:])
+    else:
+        np.any(a[1:] != a[:-1], axis=1, out=new[1:])
+    return new
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of codes, ascending (np.unique hashes first, many times slower)."""
+    codes = np.sort(codes, kind="stable")
+    return codes[_new_in_run(codes)]
+
+
+def _canonical_rows(sizes: np.ndarray, ids: np.ndarray, n: int) -> dict[int, np.ndarray]:
+    """The distinct listed rows, each sorted and duplicate-free, by size, each size's rows lexicographic."""
+    if not len(sizes):
+        return {}
+    k = int(sizes[0])
+    rows = np.sort(ids.reshape(-1, k), axis=1, kind="stable") if (sizes == k).all() else None
+    if rows is not None and not (rows[:, 1:] == rows[:, :-1]).any():
+        groups = {k: rows}
+    else:
+        # sizes differ, or a row lists a vertex twice: sort every row at once by (row, id) codes
+        key = _distinct(np.repeat(np.arange(len(sizes)), sizes) * n + ids)
+        owner = key // n
+        ids = key - owner * n
+        sizes = np.bincount(owner, minlength=len(sizes))
+        starts = np.cumsum(sizes) - sizes
+        groups = {
+            k: ids[starts[sizes == k][:, None] + np.arange(k)]
+            for k in np.flatnonzero(np.bincount(sizes)).tolist()
+        }
+    for k, rows in groups.items():
+        rows = rows[np.lexsort(rows.T[::-1])]
+        groups[k] = rows[_new_in_run(rows)]
+    return groups
+
+
+def _drop_held_rows(groups: dict[int, np.ndarray], n: int) -> None:
+    """Drop each row that a larger row holds, in place.
+
+    A row r of size k is held by a larger row t iff t holds r's vertex p
+    with the fewest holders and every other vertex of r: the (r, t) pairs
+    are the holders of p, and each membership is a search of the sorted
+    codes t * n + v of all rows.
+    """
+    sizes = sorted(groups)
+    flat = np.concatenate([groups[k].ravel() for k in sizes])
+    size_of = np.concatenate([np.full(len(groups[k]), k) for k in sizes])
+    owner = np.repeat(np.arange(len(size_of)), size_of)
+    codes = owner * n + flat  # ascending: rows in order, ids ascending within each
+    degree = np.bincount(flat, minlength=n)
+    holder = owner[np.argsort(flat, kind="stable")]
+    first = np.cumsum(degree) - degree  # vertex p's holders are holder[first[p]:first[p] + degree[p]]
+    for k in sizes[:-1]:
+        rows = groups[k]
+        pivot = rows[np.arange(len(rows)), np.argmin(degree[rows], axis=1)]
+        count = degree[pivot]
+        r = np.repeat(np.arange(len(rows)), count)
+        t = holder[np.arange(len(r)) + np.repeat(first[pivot] - (np.cumsum(count) - count), count)]
+        larger = size_of[t] > k
+        r, t = r[larger], t[larger]
+        want = t[:, None] * n + rows[r]
+        at = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
+        held = np.zeros(len(rows), dtype=bool)
+        held[r[(codes[at] == want).all(axis=1)]] = True
+        groups[k] = rows[~held]
+
+
+def complex_from_ids(labels: tuple[str, ...], sizes: np.ndarray, ids: np.ndarray) -> SimplicialComplex:
+    """The complex on the sorted, distinct `labels` whose listed simplices are rows of vertex ids.
+
+    ids holds the rows one after another, row r taking the next sizes[r]
+    entries, each a position in labels.  A row may list its vertices in any
+    order and more than once; every size is at least 1.  Rows that a larger
+    listed row holds are faces and are dropped, so ``maximal_simplices`` is
+    a true antichain; each vertex no row holds is carried as a 0-simplex.
+    """
+    n = len(labels)
+    groups = _canonical_rows(np.asarray(sizes, dtype=np.int64), np.asarray(ids, dtype=np.int64), n)
+    if len(groups) > 1:
+        _drop_held_rows(groups, n)
+    covered = np.zeros(n, dtype=bool)
+    for rows in groups.values():
+        covered[rows] = True
+    if not covered.all():
+        lone = np.flatnonzero(~covered)
+        if 1 in groups:
+            lone = np.sort(np.concatenate([groups[1].ravel(), lone]), kind="stable")
+        groups[1] = lone[:, None]
+    by_size = [groups[k] for k in sorted(groups) if len(groups[k])]
+
+    maximal: list[Simplex] = []
+    for rows in by_size:
+        maximal += zip(*[map(labels.__getitem__, column) for column in rows.T.tolist()])
+    size = np.repeat([rows.shape[1] for rows in by_size], [len(rows) for rows in by_size])
+    simplex_ids = np.concatenate([rows.ravel() for rows in by_size])
+    owner = np.repeat(np.arange(len(maximal)), size)
+    by_vertex = np.argsort(simplex_ids, kind="stable")
+    # v's neighbours are the other vertices of the maximal simplices holding it: distinct pair codes
+    pairs = _distinct(np.concatenate([
+        (rows[:, :, None] * n + rows[:, None, :])[:, ~np.eye(rows.shape[1], dtype=bool)].ravel()
+        for rows in by_size
+    ]))
+    source = pairs // n
+    return SimplicialComplex(
+        vertices=labels,
+        maximal_simplices=tuple(maximal),
+        simplex_csr=IdRows.of(size, simplex_ids),
+        incidence_csr=IdRows.of(np.bincount(simplex_ids, minlength=n), owner[by_vertex]),
+        adjacency_csr=IdRows.of(np.bincount(source, minlength=n), pairs - source * n),
+    )
+
+
+def _raise_first_offender(listed: list[tuple], index: Mapping[str, int]) -> None:
+    """Raise the error of the first bad listed simplex: empty, or holding an unknown label."""
+    for raw in listed:
+        s = make_simplex(raw)
+        unknown = next((v for v in s if v not in index), None)
+        if unknown is not None:
+            raise UnknownVertexInSimplex(f"simplex {s} uses unknown vertex {unknown!r}")
+
+
 def build_complex(
     vertices: Iterable[str], maximal_simplices: Iterable[Iterable[str]]
 ) -> SimplicialComplex:
-    """Validate input, keep the maximal simplices and build adjacency and incidence.
+    """Validate input, map labels to ids once and build the complex from them.
 
     Raises DuplicateVertex, UnknownVertexInSimplex or EmptySimplex on bad
     input, for the first offender in input order.  Listed simplices that
@@ -287,52 +489,19 @@ def build_complex(
         raise DuplicateVertex(f"vertex {dup!r} listed twice")
     if not vlist:
         raise EmptySimplex("a complex needs at least one vertex")
-
-    listed: list[Simplex] = []
-    for raw in maximal_simplices:
-        s = make_simplex(raw)
-        if not vset.issuperset(s):
-            unknown = next(v for v in s if v not in vset)
-            raise UnknownVertexInSimplex(f"simplex {s} uses unknown vertex {unknown!r}")
-        listed.append(s)
-    distinct = list(dict.fromkeys(listed))
-
-    # No other distinct listed simplex can hold one of the largest listed
-    # size, so those are maximal untested.  A smaller one is maximal iff the
-    # intersection of its vertices' holder sets is itself alone.
-    top = max(map(len, distinct), default=0)
-    maximal = distinct
-    if any(len(s) < top for s in distinct):
-        holders: dict[str, set[int]] = {v: set() for v in vset}
-        for i, s in enumerate(distinct):
-            for v in s:
-                holders[v].add(i)
-        maximal = [
-            s for s in distinct
-            if len(s) == top or len(set.intersection(*(holders[v] for v in s))) == 1
-        ]
-    # Every vertex must appear in at least one simplex; a lone vertex is
-    # carried as a 0-simplex, maximal since no listed simplex holds it.
-    lone = vset.difference(*maximal)
-    maximal = sorted(maximal + [(v,) for v in lone])
-    maximal.sort(key=len)  # stable: by size, then by label within a size
-
-    incidence: dict[str, list[int]] = {v: [] for v in sorted(vset)}
-    for i, s in enumerate(maximal):
-        for v in s:
-            incidence[v].append(i)
-    # v's neighbours are the other vertices of the maximal simplices holding it
-    adjacency: dict[str, tuple[str, ...]] = {}
-    for v, held in incidence.items():
-        near = set(chain.from_iterable(map(maximal.__getitem__, held)))
-        near.discard(v)
-        adjacency[v] = tuple(sorted(near))
-    return SimplicialComplex(
-        vertices=tuple(incidence),
-        maximal_simplices=tuple(maximal),
-        adjacency=adjacency,
-        incidence={v: tuple(held) for v, held in incidence.items()},
-    )
+    labels = tuple(sorted(vset))
+    index = dict(zip(labels, range(len(labels))))
+    listed = list(map(tuple, maximal_simplices))
+    sizes = np.fromiter(map(len, listed), dtype=np.int64, count=len(listed))
+    try:
+        ids = np.fromiter(
+            map(index.__getitem__, chain.from_iterable(listed)), dtype=np.int64, count=int(sizes.sum())
+        )
+    except KeyError:
+        ids = None
+    if ids is None or not sizes.all():
+        _raise_first_offender(listed, index)
+    return complex_from_ids(labels, sizes, ids)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ multinomial is numpy's own call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ from .complexes import (
     BarycentricPoint,
     Simplex,
     SimplicialComplex,
-    build_complex,
+    complex_from_ids,
     make_point,
     vertex_point,
 )
@@ -37,34 +38,37 @@ from .vertexmetrics import word_metric
 DEFAULT_MAX_DIM = 3  # the largest simplex dimension a rips or random complex keeps
 
 
-def _labels(prefix: str, count: int) -> list[str]:
+def _labels(prefix: str, count: int) -> tuple[str, ...]:
     width = max(2, len(str(count - 1)))
-    return [f"{prefix}{i:0{width}d}" for i in range(count)]
+    return tuple([prefix + str(i).zfill(width) for i in range(count)])
+
+
+def _rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sizes, ids) of equal-size id rows, as `complex_from_ids` takes them; a lone vertex needs no row."""
+    return np.full(len(rows), rows.shape[1]), rows.ravel()
 
 
 def simplex_complex(n: int) -> SimplicialComplex:
     """The full n-simplex: one maximal simplex on n+1 vertices."""
     if n < 0:
         raise InvalidParameters("simplex dimension must be >= 0")
-    vs = _labels("s", n + 1)
-    return build_complex(vs, [vs])
+    return complex_from_ids(_labels("s", n + 1), *_rows(np.arange(n + 1)[None, :]))
 
 
 def path_complex(n: int) -> SimplicialComplex:
     """Path with n vertices and n-1 edges."""
     if n < 1:
         raise InvalidParameters("path needs at least one vertex")
-    vs = _labels("p", n)
-    return build_complex(vs, [[a, b] for a, b in zip(vs, vs[1:])] or [vs])
+    i = np.arange(n)
+    return complex_from_ids(_labels("p", n), *_rows(np.stack([i[:-1], i[1:]], axis=1)))
 
 
 def cycle_complex(n: int) -> SimplicialComplex:
     """Cycle with n vertices and n edges."""
     if n < 3:
         raise InvalidParameters("cycle needs at least three vertices")
-    vs = _labels("c", n)
-    edges = [[vs[i], vs[(i + 1) % n]] for i in range(n)]
-    return build_complex(vs, edges)
+    i = np.arange(n)
+    return complex_from_ids(_labels("c", n), *_rows(np.stack([i, (i + 1) % n], axis=1)))
 
 
 def tree_complex(branching: int, depth: int) -> SimplicialComplex:
@@ -72,37 +76,46 @@ def tree_complex(branching: int, depth: int) -> SimplicialComplex:
     if branching < 1 or depth < 0:
         raise InvalidParameters("need branching >= 1 and depth >= 0")
     count = sum(branching**k for k in range(depth + 1))
-    vs = _labels("t", count)
-    edges = [(vs[(c - 1) // branching], vs[c]) for c in range(1, count)]
-    return build_complex(vs, edges or [vs])
+    child = np.arange(1, count)
+    return complex_from_ids(_labels("t", count), *_rows(np.stack([(child - 1) // branching, child], axis=1)))
 
 
-def _cliques(vs: Sequence[str], edges: Iterable[Sequence[int]], max_size: int) -> list[list[str]]:
-    """The flag complex's maximal simplices of at most max_size vertices; edges are pairs i < j.
+def _flag_complex(
+    labels: tuple[str, ...], edges: Iterable[Sequence[int]], max_size: int
+) -> SimplicialComplex:
+    """The complex of `_cliques` on labels, its cliques handed over as ids."""
+    cliques = _cliques(len(labels), edges, max_size)
+    sizes = np.fromiter(map(len, cliques), dtype=np.int64, count=len(cliques))
+    ids = np.fromiter(chain.from_iterable(cliques), dtype=np.int64, count=int(sizes.sum()))
+    return complex_from_ids(labels, sizes, ids)
 
-    Every clique is grown once, through the common higher-numbered
-    neighbours of its members (Bron & Kerbosch, 1973), and listed when it
-    has max_size vertices or no vertex is adjacent to all of its members:
-    the cliques of at most max_size vertices that no larger such clique
-    holds.  Edges index into vs.
+
+def _cliques(n: int, edges: Iterable[Sequence[int]], max_size: int) -> list[tuple[int, ...]]:
+    """The flag complex's maximal simplices of at most max_size vertices, as ascending ids.
+
+    The graph is on vertices 0 .. n-1 and its edges are pairs i < j.  Every
+    clique is grown once, through the common higher-numbered neighbours of
+    its members (Bron & Kerbosch, 1973), and listed when it has max_size
+    vertices or no vertex is adjacent to all of its members: the cliques of
+    at most max_size vertices that no larger such clique holds.
     """
-    up: list[set[int]] = [set() for _ in vs]
-    near: list[set[int]] = [set() for _ in vs]
+    up: list[set[int]] = [set() for _ in range(n)]
+    near: list[set[int]] = [set() for _ in range(n)]
     for i, j in edges:
         up[i].add(j)
         near[i].add(j)
         near[j].add(i)
-    out: list[list[str]] = []
+    out: list[tuple[int, ...]] = []
 
     def grow(clique: tuple[int, ...], common: set[int], shared: set[int]) -> None:
         # shared: the vertices adjacent to every member; common: those numbered above them all
         if len(clique) == max_size or not shared:
-            out.append([vs[i] for i in clique])
+            out.append(clique)
         else:
             for j in sorted(common):
                 grow(clique + (j,), common & up[j], shared & near[j])
 
-    for i in range(len(vs)):
+    for i in range(n):
         grow((i,), up[i], near[i])
     return out
 
@@ -118,11 +131,11 @@ def rips_complex(
     if not radius >= 1 or max_dim < 1:  # a NaN radius fails the first test
         raise InvalidParameters("need radius >= 1 and max_dim >= 1")
     word_metric(base)  # a disconnected base is rejected, as by every word-metric reader
-    index = {v: i for i, v in enumerate(base.vertices)}
+    index = base.index
     near = [
         (i, index[w]) for i, v in enumerate(base.vertices) for w in _ball(base, v, radius) if index[w] > i
     ]
-    return build_complex(base.vertices, _cliques(base.vertices, near, max_dim + 1))
+    return _flag_complex(base.vertices, near, max_dim + 1)
 
 
 def _ball(K: SimplicialComplex, v: str, radius: float) -> set[str]:
@@ -169,8 +182,7 @@ def random_complex(
         parent[find(i)] = find(j)
     reps = sorted({find(i) for i in range(n)})
     edges += zip(reps, reps[1:])
-    vs = _labels("g", n)
-    return build_complex(vs, _cliques(vs, edges, max_dim + 1))
+    return _flag_complex(_labels("g", n), edges, max_dim + 1)
 
 
 @dataclass(frozen=True)
@@ -378,14 +390,15 @@ def grid_point(
 def _random_geodesic(K: SimplicialComplex, rng: np.random.Generator, u: str, v: str) -> list[str]:
     """Shortest edge path from u to v, each step drawn among the neighbours one step closer."""
     table = word_metric(K)
-    index = table.index
     to_v = table.row(v)
-    path = [u]
-    while path[-1] != v:
-        step = to_v[index[path[-1]]] - 1
-        nxts = [w for w in K.adjacency[path[-1]] if to_v[index[w]] == step]
-        path.append(_pick(rng, nxts))
-    return path
+    ptr, ids = K.adjacency_csr.lists
+    a, b = table.index[u], table.index[v]
+    path = [a]
+    while a != b:
+        step = to_v.item(a) - 1
+        a = _pick(rng, [w for w in ids[ptr[a]:ptr[a + 1]] if to_v.item(w) == step])
+        path.append(a)
+    return [K.vertices[i] for i in path]
 
 
 MIN_GAP = 6  # nested_quadruples' least separation of c and a along the geodesic

@@ -61,12 +61,15 @@ def word_metric(K: SimplicialComplex) -> WordMetricTable:
 def geodesic(K: SimplicialComplex, u: str, v: str) -> list[str]:
     """Shortest edge path from u to v: the least neighbour one step closer to v, each step."""
     table = word_metric(K)
-    index = table.index
     to_v = table.row(v)
+    ptr, ids = K.adjacency_csr.lists
+    a = table.index[u]
     path = [u]
-    while path[-1] != v:
-        step = to_v.item(index[path[-1]]) - 1
-        path.append(min(w for w in K.adjacency[path[-1]] if to_v.item(index[w]) == step))
+    for step in range(to_v.item(a) - 1, -1, -1):
+        for a in ids[ptr[a]:ptr[a + 1]]:  # ascending, so the first found is the least
+            if to_v.item(a) == step:
+                break
+        path.append(K.vertices[a])
     return path
 
 
@@ -254,7 +257,8 @@ def validate_vertex_metric(
         perm = [order.index(v) for v in word.order]
         m = m[np.ix_(perm, perm)]
         order = word.order
-    minimal = minimal_linear_bound(m, word)
+    # one vertex has no pair to bound: 1.0, as the word metric's closed form gives
+    minimal = minimal_linear_bound(m, word) if len(order) > 1 else 1.0
     if C is not None and C < minimal - VALUE_TOL:
         raise SuppliedConstantTooSmall(f"supplied C={C} below minimal C={minimal}")
     if A is not None or B is not None:
@@ -272,7 +276,7 @@ def validate_vertex_metric(
         minimal_C=minimal,
         A=A,
         B=B,
-        index={v: i for i, v in enumerate(order)},
+        index=word.index,  # order is the word table's now
     )
 
 

@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
 from metricext import build_complex, make_automorphism, make_point, tripwire_log
-from metricext.complexes import Simplex, SimplicialComplex, make_simplex
+from metricext.complexes import Simplex, make_simplex
 from metricext.errors import DuplicateVertex, EmptySimplex, UnknownVertexInSimplex
 from metricext.generators import (
     _ball,
@@ -51,7 +52,9 @@ def assert_spans_is_membership(K, up_to=4):
 # --------------------------------------------------------------------------
 # The list-built construction: build_complex, the clique enumerator, the
 # generators that call it and the word table's graph as they were before
-# construction became one bulk pass.  The bulk build must equal them.
+# construction became one bulk pass.  The bulk build must equal them.  The
+# reference build returns the four attributes they are compared on in a plain
+# namespace, since a complex is now built from id arrays, not label dicts.
 
 
 def reference_build_complex(vertices, maximal_simplices):
@@ -101,7 +104,7 @@ def reference_build_complex(vertices, maximal_simplices):
             near[v].update(s)
             incidence[v].append(i)
     order = tuple(sorted(vset))
-    return SimplicialComplex(
+    return SimpleNamespace(
         vertices=order,
         maximal_simplices=maximal,
         adjacency={v: tuple(sorted(near[v] - {v})) for v in order},

@@ -111,6 +111,15 @@ class TestValidate:
         assert metric_from_spec(K, spec).C == 1.0
         assert metric_from_spec(K, {**spec, "C": 2}).C == 2.0
 
+    def test_explicit_metric_on_one_vertex(self, tmp_path, capsys):
+        # no vertex pair to bound: C is 1, as for the word metric, and check passes too
+        one, m1 = tmp_path / "one.json", tmp_path / "m1.json"
+        one.write_text(json.dumps({"vertices": ["a"], "maximal_simplices": [["a"]]}))
+        m1.write_text(json.dumps({"type": "explicit", "order": ["a"], "matrix": [[0]]}))
+        assert main(["validate", "-c", str(one), "-m", str(m1)]) == 0
+        assert "C=1 (minimal 1)" in capsys.readouterr().out
+        assert main(["check", "-c", str(one), "-m", str(m1), "--suite", "all"]) == 0
+
     def test_usage_error_is_64(self):
         with pytest.raises(SystemExit) as info:
             main(["validate"])  # missing -c

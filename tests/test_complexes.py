@@ -27,8 +27,9 @@ from metricext import (
     simplex_l1,
     vertex_point,
 )
+from metricext import ExtendedMetric, l1_path_distance, pathmetric, word_metric, word_vertex_metric
 from metricext.complexes import WEIGHT_FLOOR
-from metricext.generators import random_point
+from metricext.generators import cycle_complex, random_point, rips_complex, tree_complex
 
 from conftest import (
     all_faces,
@@ -41,6 +42,22 @@ from conftest import (
 def spanned(K):
     """Every vertex subset K.spans, as sorted tuples."""
     return {t for k in range(len(K.vertices) + 1) for t in combinations(K.vertices, k) if K.spans(t)}
+
+
+def assert_id_tables_are_the_dicts(K):
+    """The int32 CSR tables hold, by id, what the label views hold by label, in the same order."""
+    vs = K.vertices
+    assert K.index == {v: i for i, v in enumerate(vs)}
+    for rows, want in [
+        (K.simplex_csr, [[K.index[v] for v in s] for s in K.maximal_simplices]),
+        (K.incidence_csr, [list(K.incidence[v]) for v in vs]),
+        (K.adjacency_csr, [[K.index[w] for w in K.adjacency[v]] for v in vs]),
+    ]:
+        assert rows.indptr.dtype == rows.indices.dtype == np.int32
+        ptr, ids = rows.indptr.tolist(), rows.indices.tolist()
+        assert [ids[a:b] for a, b in zip(ptr, ptr[1:])] == want
+        assert rows.lists == (ptr, ids)
+    assert list(K.adjacency) == list(K.incidence) == list(vs)
 
 
 class TestBuildComplex:
@@ -110,6 +127,7 @@ class TestBuildComplex:
             v: tuple(w for w in K.vertices if w != v and tuple(sorted((v, w))) in faces)
             for v in K.vertices
         }
+        assert_id_tables_are_the_dicts(K)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -167,6 +185,41 @@ class TestBuildComplex:
         held = [book.maximal_simplices[i] for i in book.incidence["b"]]
         assert held == [("a", "b", "c"), ("b", "c", "d")]
 
+
+class TestIdTables:
+    # the hypothesis lists are checked in TestBuildComplex::test_indexed_maximality_matches_the_pairwise_scan
+    def test_tables_are_the_dicts_on_the_fleet(self, complex_fleet):
+        for K in complex_fleet.values():
+            assert_id_tables_are_the_dicts(K)
+
+    @pytest.mark.parametrize("make, near, far", [
+        (
+            lambda: tree_complex(2, 11),
+            ({"t0003": 0.25, "t0007": 0.75}, {"t0003": 0.5, "t0008": 0.5}),
+            ({"t0003": 0.5, "t0007": 0.5}, {"t0005": 0.25, "t0011": 0.75}),
+        ),
+        (
+            lambda: rips_complex(cycle_complex(30), 2),
+            ({"c00": 0.25, "c01": 0.375, "c02": 0.375}, {"c01": 0.375, "c02": 0.375, "c03": 0.25}),
+            None,
+        ),
+    ], ids=["tree", "rips"])
+    def test_labels_stay_off_the_query_path(self, make, near, far, monkeypatch):
+        searched = []
+        best_first = pathmetric._best_first
+        monkeypatch.setattr(pathmetric, "_best_first", lambda *args: searched.append(args) or best_first(*args))
+        K = make()
+        metric = word_vertex_metric(K)
+        x, y = (make_point(K, w) for w in near)
+        l1_path_distance(K, x, y)
+        ExtendedMetric(K, metric).distance(x, y)
+        if far is not None:
+            # a tree's bounds decide its queries, so the search is given an incumbent above the value
+            x, y = (make_point(K, w) for w in far)
+            value = l1_path_distance(K, x, y)[0]
+            assert pathmetric._best_first(K, x, y, word_metric(K), value + 0.5) is not None
+        assert searched
+        assert "adjacency" not in vars(K) and "incidence" not in vars(K)
 
 def _dict_make_point(K, weights):
     """make_point as it once normalised, through three dicts: the bit-for-bit reference."""

@@ -52,6 +52,12 @@ from conftest import (
 
 
 class TestGenerators:
+    def test_labels_equal_the_format_spec(self):
+        # every width from 2 to 7, each at the count that first needs it, up to 10**6 labels
+        for count in [1, 2, 11, 100, 101, 1001, 10**4 + 1, 10**5 + 1, 10**6 + 1]:
+            width = max(2, len(str(count - 1)))
+            assert generators._labels("t", count) == tuple([f"t{i:0{width}d}" for i in range(count)])
+
     def test_binary_tree_2_3(self):
         K = tree_complex(2, 3)
         assert len(K.vertices) == 15
@@ -122,7 +128,7 @@ class TestGenerators:
             ]
             # only the maximal ones are listed: the flag complex's maximal simplices
             want = [c for c in cliques if not any(set(c) < set(d) for d in cliques)]
-            got = _cliques(vs, edges, max_size)
+            got = [[vs[i] for i in c] for c in _cliques(n, edges, max_size)]
             assert sorted(got, key=lambda c: (len(c), c)) == want
 
     def test_flag_complexes_equal_the_full_clique_build(self):

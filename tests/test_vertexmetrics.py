@@ -89,6 +89,14 @@ class TestWordMetric:
                 assert a.dtype == b.dtype and np.array_equal(a, b), part
             assert got.shape == want.shape
 
+    def test_table_reads_the_complex_graph_and_index(self, complex_fleet):
+        for K in [*complex_fleet.values(), tree_complex(2, 9)]:
+            t = word_metric(K)
+            assert t.index is K.index and t.adjacency is K.adjacency_csr
+            # views of the complex's arrays, not copies
+            assert np.shares_memory(t._graph.indices, K.adjacency_csr.indices)
+            assert np.shares_memory(t._graph.indptr, K.adjacency_csr.indptr)
+
     def test_table_lives_and_dies_with_the_complex(self):
         K = tree_complex(2, 3)
         table = word_metric(K)
@@ -274,6 +282,14 @@ class TestLinearBound:
         K = build_complex(["a"], [["a"]])
         with pytest.raises(ValueError, match="need at least two vertices"):
             minimal_linear_bound(np.zeros((1, 1)), word_metric(K))
+
+    def test_one_vertex_explicit_metric_takes_c_one(self):
+        K = build_complex(["a"], [["a"]])
+        vm = validate_vertex_metric(K, np.zeros((1, 1)))
+        assert (vm.C, vm.minimal_C) == (1.0, 1.0) == (word_vertex_metric(K).C, word_vertex_metric(K).minimal_C)
+        assert validate_vertex_metric(K, np.zeros((1, 1)), C=2.5).C == 2.5
+        with pytest.raises(SuppliedConstantTooSmall):
+            validate_vertex_metric(K, np.zeros((1, 1)), C=0.5)
 
     def test_supplied_too_small(self, book):
         t = word_metric(book)
