@@ -10,15 +10,11 @@ where path is the l1 path metric and C bounds d against the word metric
 (d(u,v) <= C * word(u,v)).  The minimum agrees with d on vertices, equals D
 whenever the supports are disjoint, and is a genuine metric.
 
-A query settles on the bilinear branch as soon as 3C times a lower bound on
-the path reaches D.  The coordinate bound (simplex_l1) is tested first, on
-its own: it makes almost every floor decision, and it is the exact path
-value when the supports share a simplex.  Only a query past it, with no
-common simplex, computes its admissible bounds (query_bounds) for the
-full floor; past that, the path search takes (D, 3C) as a ceiling and
-applies the same test to the bound of every state it would expand, so the
-floor acts at every search state, not only at the root.  A search that
-proves 3C * path >= D answers the bilinear branch without an exact path.
+Past two vertices and disjoint supports, a query is one path query under
+the ceiling (D, 3C) (`pathmetric._path`, whose docstring describes the
+floors): it settles on the bilinear branch as soon as 3C times a lower
+bound on the path reaches D, the coordinate bound first and the search's
+states last, and otherwise answers 3C * path with its witness.
 
 Double differences and Gromov products with respect to the extension, or
 to the bilinear form, are vertexmetrics' `double_difference` and
@@ -31,21 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import (
-    VALUE_TOL,
-    BarycentricPoint,
-    SimplicialComplex,
-    common_simplex,
-    simplex_l1,
-)
+from .complexes import VALUE_TOL, BarycentricPoint, SimplicialComplex
 from .errors import MissingQIConstants
 from .pathmetric import (  # noqa: F401 - bench/workloads.py reads extension.l1_path_distance
-    PathResult,
     PathWitness,
-    _solve_by_search,
-    _trivial_witness,
+    _path,
     l1_path_distance,
-    query_bounds,
 )
 from .vertexmetrics import VertexMetric, word_metric
 
@@ -79,8 +66,7 @@ class ExtendedMetric:
 
     K: SimplicialComplex
     vertex: VertexMetric
-    _cache: dict = field(default_factory=dict, repr=False)
-    _witnesses: dict = field(default_factory=dict, repr=False)  # the path behind each l1path answer
+    _cache: dict = field(default_factory=dict, repr=False)  # key -> ((value, branch), witness)
 
     def __post_init__(self):
         # The linear bound underlying the whole construction.
@@ -108,12 +94,12 @@ class ExtendedMetric:
         self, x: BarycentricPoint, y: BarycentricPoint
     ) -> tuple[float, Branch]:
         """min of the bilinear and rescaled-path branches; ties report bilinear."""
-        key = self._key(x, y)
+        kx, ky = x.key(), y.key()
+        key = (kx, ky) if kx <= ky else (ky, kx)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._compute(x, y, key)
-            self._cache[key] = hit
-        return hit
+            hit = self._cache[key] = self._compute(x, y)
+        return hit[0]
 
     def distance_with_witness(
         self, x: BarycentricPoint, y: BarycentricPoint
@@ -123,62 +109,35 @@ class ExtendedMetric:
         The witness is the one the query was solved with (None on the
         bilinear branch); asking for it solves nothing again.
         """
-        value, branch = self.distance_with_branch(x, y)
-        witness = self._witnesses.get(self._key(x, y))
-        if witness is not None and witness.points[0].key() != x.key():
+        value, branch = self.distance_with_branch(x, y)  # caches the answer with its witness
+        kx, ky = x.key(), y.key()
+        witness = self._cache[(kx, ky) if kx <= ky else (ky, kx)][1]
+        if witness is not None and witness.points[0].key() != kx:
             witness = witness.reversed()
         return value, branch, witness
 
-    @staticmethod
-    def _key(x: BarycentricPoint, y: BarycentricPoint) -> tuple:
-        kx, ky = x.key(), y.key()
-        return (kx, ky) if kx <= ky else (ky, kx)
+    def _compute(
+        self, x: BarycentricPoint, y: BarycentricPoint
+    ) -> tuple[tuple[float, Branch], PathWitness | None]:
+        """min(bilinear, 3C * path) with its witness; ties report bilinear.
 
-    def _compute(self, x: BarycentricPoint, y: BarycentricPoint, key: tuple) -> tuple[float, Branch]:
-        """min(bilinear, 3C * path), deciding the floor with its cheapest sufficient test.
-
-        Past the disjoint-support return, the coordinate bound simplex_l1(x, y)
-        is tested alone before common_simplex and query_bounds.  The
-        decisions are the ones of testing max(query_bounds) after
-        common_simplex: the coordinate is entry 0 of query_bounds, the same
-        float, and float multiplication is monotone, so scale * coordinate
-        >= bilinear implies scale * max(bounds) >= bilinear; a common
-        simplex's path value is that same float, so its test is this one.
-        Values, branches, witnesses and tripwire counts are unchanged.
-
-        Every path that reaches the l1path answer has scale * path < bilinear,
-        so that answer needs no final comparison: a common simplex has failed
-        the coordinate test; a chain's total lies below the cutoff that the
-        ceiling sets (`_reaching_total`); and the route is returned only when
-        scale * `_route_length` < bilinear, which is its witness length bit
-        for bit.
+        Two vertices take the vertex metric, and disjoint supports the
+        bilinear form, which 3C * path never undercuts there.  Every other
+        pair is one path query under the ceiling (bilinear, 3C): None is a
+        proof that 3C * path >= bilinear, and any other answer lies below
+        it (`pathmetric._path`).
         """
-        if x.key() == y.key():
-            if x.is_vertex:
-                return (0.0, "bilinear")
-            self._witnesses[key] = PathWitness(points=(x,), carriers=(), length=0.0)
-            return (0.0, "l1path")
         if x.is_vertex and y.is_vertex:
-            return (self.vertex.distance(x.support[0], y.support[0]), "bilinear")
+            u, v = x.support[0], y.support[0]
+            # a validated diagonal is zero only to VALUE_TOL; ext(u, u) is exactly 0
+            return (0.0 if u == v else self.vertex.distance(u, v), "bilinear"), None
         bilinear = bilinear_extension(self.vertex, x, y)
         if not set(x.support) & set(y.support):
-            # disjoint supports: the bilinear branch always wins
-            return (bilinear, "bilinear")
-        coordinate = simplex_l1(x, y)
-        if self.scale * coordinate >= bilinear:
-            return (bilinear, "bilinear")
-        carrier = common_simplex(self.K, x, y)
-        if carrier is not None:
-            path = PathResult(coordinate, _trivial_witness(self.K, x, y, carrier))
-        else:
-            bounds = query_bounds(self.K, x, y)
-            if self.scale * max(v for _, v in bounds) >= bilinear:
-                return (bilinear, "bilinear")
-            path = _solve_by_search(self.K, x, y, bounds, ceiling=(bilinear, self.scale))
-            if path is None:  # the search proved scale * path >= bilinear
-                return (bilinear, "bilinear")
-        self._witnesses[key] = path.witness
-        return (self.scale * path.value, "l1path")
+            return (bilinear, "bilinear"), None
+        path = _path(self.K, x, y, ceiling=(bilinear, self.scale))
+        if path is None:
+            return (bilinear, "bilinear"), None
+        return (self.scale * path.value, "l1path"), path.witness
 
 
 @dataclass(frozen=True)

@@ -68,8 +68,6 @@ def save_complex(K: SimplicialComplex, path: str | Path) -> None:
 
 def metric_from_spec(K: SimplicialComplex, spec: Any) -> VertexMetric:
     """Build a vertex metric from "word", a dict, or a JSON file path."""
-    if isinstance(spec, VertexMetric):
-        return spec
     if isinstance(spec, (str, Path)):
         if str(spec) == "word":
             return word_vertex_metric(K)

@@ -33,7 +33,7 @@ from .complexes import (
     vertex_point,
 )
 from .errors import InvalidParameters
-from .vertexmetrics import word_metric
+from .vertexmetrics import sphere, word_metric
 
 DEFAULT_MAX_DIM = 3  # the largest simplex dimension a rips or random complex keeps
 
@@ -426,8 +426,7 @@ def nested_quadruples(
         far = from_u.max()
         if far < MIN_GAP + 2:
             continue
-        candidates = [v for v, d in zip(table.order, from_u) if d == far]
-        b = _pick(rng, candidates)
+        b = _pick(rng, sphere(K, u, far))
         path = _random_geodesic(K, rng, u, b)
         length = len(path) - 1
         lo = 1 + _integer(rng, max(1, length - MIN_GAP - 2))

@@ -44,17 +44,13 @@ A query computes its admissible lower bounds in one pass (`query_bounds`,
 both directions of `lower_bounds` with the symmetric entries computed
 once).  The search reads that one list, and every solved distance is
 checked against it; a result below any bound is recorded and raised as an
-internal inconsistency, never returned.  The extension tests the
-coordinate bound, the list's first entry, on its own first, and computes
-`query_bounds` only for a query past it.
+internal inconsistency, never returned.
 
-The extension needs only min(bilinear, 3C * path), so it hands the search
-a ceiling (bilinear, 3C).  The search then prunes every state whose bound
-already puts 3C * path at or above bilinear, so the extension's floor acts
-at every search state, not only at the root, and answers None when it has
-proved 3C * path >= bilinear; below the ceiling its answer and witness are
-the ones found without it.  `l1_path_distance` and `chain_solver_distance`
-pass no ceiling.
+Every path answer comes from one function (`_path`), which orders the
+tiers and, for a caller that needs only min(bilinear, factor * path), the
+floors of a ceiling (bilinear, factor); its docstring describes them.
+`l1_path_distance` passes no ceiling, the extension passes (D, 3C), and
+`chain_solver_distance` skips the closed forms.
 """
 
 from __future__ import annotations
@@ -504,39 +500,72 @@ def _route_length(x: BarycentricPoint, y: BarycentricPoint, u: str, v: str, word
     return total + 0.5 * sum([abs(c - 1.0) if t == v else abs(c) for t, c in y.items])
 
 
-def _trivial_witness(
-    K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint, carrier: Simplex
-) -> PathWitness:
-    return PathWitness(points=(x, y), carriers=(carrier,), length=simplex_l1(x, y))
-
-
 def l1_path_distance(
     K: SimplicialComplex,
     x: BarycentricPoint,
     y: BarycentricPoint,
 ) -> PathResult:
-    """Exact path distance with an attaining witness.
+    """Exact path distance with an attaining witness (`_path` without a ceiling)."""
+    return _path(K, x, y)
 
-    Tier 1 and 2 shortcuts (common simplex, vertex pair) return closed
-    forms; the general case runs the best-first chain search.  The result
-    is checked against every lower bound the query computed.
+
+def _path(
+    K: SimplicialComplex,
+    x: BarycentricPoint,
+    y: BarycentricPoint,
+    ceiling: tuple[float, float] | None = None,
+) -> PathResult | None:
+    """The path from x to y, or None once a ceiling proves factor * path >= bilinear.
+
+    The tiers run in order: equal points; a common simplex, whose l1
+    distance is the path, with a one-segment witness; two vertices, the
+    word metric with an edge-path witness; else the search.  A closed form
+    is checked against `lower_bounds`, the search against `query_bounds`.
+
+    A ceiling (bilinear, factor) is the stake of a caller that needs only
+    min(bilinear, factor * path), such as the extension's (D, 3C).  Its
+    floors come in the order of their cost:
+
+      1. the coordinate bound simplex_l1(x, y), alone and first, which
+         decides most queries;
+      2. a common simplex, whose path is that same float;
+      3. the largest of `query_bounds`, computed only past both;
+      4. every state of the search (`_solve_by_search`).
+
+    Step 1 decides as step 3 would: the coordinate is the first entry of
+    `query_bounds`, and float multiplication is monotone.  Below the
+    ceiling the answer is the one found without it, and a common simplex
+    or search answer has factor * value < bilinear, so the caller compares
+    nothing more: a common simplex has failed step 1, a chain's total lies
+    below the cutoff the ceiling sets (`_reaching_total`), and the route is
+    returned only when factor * `_route_length`, its witness length bit for
+    bit, is below bilinear.  Two vertices get their exact path whatever the
+    ceiling.
     """
+    if ceiling is not None:
+        bilinear, factor = ceiling
+        if factor * simplex_l1(x, y) >= bilinear:
+            return None
     table = word_metric(K)  # raises DisconnectedComplex early
     if x.key() == y.key():
         return PathResult(0.0, PathWitness(points=(x,), carriers=(), length=0.0))
 
     carrier = common_simplex(K, x, y)
     if carrier is not None:
-        result = PathResult(simplex_l1(x, y), _trivial_witness(K, x, y, carrier))
+        value = simplex_l1(x, y)
+        result = PathResult(value, PathWitness(points=(x, y), carriers=(carrier,), length=value))
     elif x.is_vertex and y.is_vertex:
         # the witness's geodesic keeps v's row, which the value and the bounds then read
         u, v = x.support[0], y.support[0]
         witness = _route_witness(K, x, y, u, v)
         result = PathResult(float(table.distance(u, v)), witness)
     else:
-        return _solve_by_search(K, x, y, query_bounds(K, x, y))
+        bounds = query_bounds(K, x, y)
+        if ceiling is not None and factor * max(b for _, b in bounds) >= bilinear:
+            return None
+        return _solve_by_search(K, x, y, bounds, ceiling)
 
-    _assert_above_bounds(result.value, lower_bounds(K, x, y), "l1_path_distance")
+    _assert_above_bounds(result.value, lower_bounds(K, x, y), "closed form")
     return result
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .complexes import VALUE_TOL, BarycentricPoint, SimplicialComplex, vertex_point
 from .errors import InvalidConfiguration, MissingQIConstants
 from .extension import ExtendedMetric, bilinear_extension
-from .vertexmetrics import double_difference, geodesic, word_metric
+from .vertexmetrics import _require_finite, double_difference, geodesic, word_metric
 
 DEFAULT_CONVERGENCE_TOL = 1e-3
 DEFAULT_DEPTH_MAX = 12
@@ -32,10 +32,6 @@ class RaySpec:
     """Finite stand-in for a boundary point: a geodesic vertex ray."""
 
     vertices: tuple[str, ...]
-
-    @property
-    def base(self) -> str:
-        return self.vertices[0]
 
     @property
     def depth(self) -> int:
@@ -154,8 +150,11 @@ def dd_convergence_probe(
 
     Verdict is "converging" when the final successive difference drops
     below tol, otherwise "inconclusive"; finite tables can never refute
-    continuity, so no negative verdict exists.
+    continuity, so no negative verdict exists.  A NaN or infinite tol
+    raises InvalidParameters: comparing with it would decide the verdict
+    whatever the table.
     """
+    _require_finite(tol=tol)
     table = _dd_table(M, slots, depths, start=0)
     if len(table) == 1:
         verdict = "converging" if not _ray_slots(slots) else "inconclusive"
@@ -215,7 +214,12 @@ def decay_probe(
     For each quadruple (u, a, b, c) with m = max(<u,a|b,c>, <u,b|a,c>) at
     least the threshold (6(A+B) unless overridden), records |<u,c|a,b>| and
     fits the smallest grid lambda with every recorded value <= lambda**m.
+    A NaN or infinite threshold or grid entry raises InvalidParameters:
+    comparing with it would decide the verdict whatever the values.
     """
+    _require_finite(threshold=threshold)
+    for lam in lambda_grid:
+        _require_finite(lambda_grid=lam)
     if not M.vertex.has_qi_constants:
         raise MissingQIConstants("decay probe needs quasi-isometry constants")
     T = threshold if threshold is not None else 6.0 * (M.vertex.A + M.vertex.B)

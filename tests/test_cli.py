@@ -371,6 +371,28 @@ class TestProbeCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] in ("decay-consistent", "inconclusive")
 
+    @pytest.mark.parametrize("args, name", [
+        (["decay", "--lambda-grid", "nan"], "lambda_grid"),
+        (["decay", "--lambda-grid", "0.5,inf"], "lambda_grid"),
+        (["decay", "--threshold", "nan"], "threshold"),
+        (["decay", "--threshold=-inf"], "threshold"),
+        (["convergence", "--tol", "nan"], "tol"),
+        (["convergence", "--tol", "inf"], "tol"),
+    ])
+    def test_non_finite_parameter_is_validation_error(self, tree_file, capsys, args, name):
+        # accepted, a NaN grid would read "violated" and a NaN threshold would keep every quadruple
+        slots = json.dumps([
+            {"ray": ["t00", "t02", "t06", "t14"]},
+            {"point": {"t01": 1}},
+            {"point": {"t03": 1}},
+            {"point": {"t04": 1}},
+        ])
+        mode, *extra = args
+        if mode == "convergence":
+            extra += ["--slots", slots]
+        assert main(["probe", mode, "-c", tree_file, "--samples", "10", *extra]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} must be a finite number")
+
     @pytest.mark.parametrize("mode, samples", [("decay", "0"), ("decay", "-3"), ("windows", "0")])
     def test_samples_below_one_is_usage_error(self, tree_file, capsys, mode, samples):
         # no sample means no evidence: an empty table is not a verdict

@@ -14,6 +14,7 @@ from metricext import (
     ExtendedMetric,
     MissingQIConstants,
     PathResult,
+    PathWitness,
     apply_automorphism,
     bilinear_extension,
     common_simplex,
@@ -31,7 +32,6 @@ from metricext import (
     word_metric,
     word_vertex_metric,
 )
-from metricext import extension as extension_module
 from metricext import pathmetric as pathmetric_module
 from metricext.generators import (
     cycle_complex,
@@ -83,6 +83,10 @@ class TestExtendedDistance:
         assert M.distance_with_branch(x, x) == (0.0, "l1path")
         u = vertex_point(path3, "u")
         assert M.distance_with_branch(u, u) == (0.0, "bilinear")
+        # a diagonal that validation accepts within VALUE_TOL still gives exactly 0
+        word = word_metric(path3).matrix.astype(float)
+        near = ExtendedMetric(path3, validate_vertex_metric(path3, word + 1e-13 * np.eye(3)))
+        assert near.distance_with_witness(u, u) == (0.0, "bilinear", None)
 
     def test_extends_vertex_metric(self, book):
         vm = transformed_word_metric(book, scale=1.5, saturation=0.5)
@@ -136,7 +140,6 @@ class TestExtendedDistance:
         queries, spheres, singles = [], [], []
         counted_query = lambda K, a, b: queries.append((a, b)) or query_bounds(K, a, b)
         counted_sphere = lambda table, a, b: spheres.append((a, b)) or sphere_bound(table, a, b)
-        monkeypatch.setattr(extension_module, "query_bounds", counted_query)
         monkeypatch.setattr(pathmetric_module, "query_bounds", counted_query)
         monkeypatch.setattr(pathmetric_module, "_sphere_bound", counted_sphere)
         monkeypatch.setattr(pathmetric_module, "lower_bounds", lambda *args: singles.append(args))
@@ -440,7 +443,8 @@ def _bounds_first(M, x, y):
     bilinear = bilinear_extension(M.vertex, x, y)
     carrier = common_simplex(M.K, x, y)
     if carrier is not None:
-        path = PathResult(simplex_l1(x, y), pathmetric_module._trivial_witness(M.K, x, y, carrier))
+        value = simplex_l1(x, y)
+        path = PathResult(value, PathWitness(points=(x, y), carriers=(carrier,), length=value))
     else:
         bounds = pathmetric_module.query_bounds(M.K, x, y)
         if M.scale * max(v for _, v in bounds) >= bilinear:
@@ -463,8 +467,7 @@ def _count_lookups(mp):
     """Record each call of common_simplex, query_bounds and _sphere_bound, by name."""
     calls = []
     for module, name in [
-        (extension_module, "common_simplex"),
-        (extension_module, "query_bounds"),
+        (pathmetric_module, "common_simplex"),
         (pathmetric_module, "query_bounds"),
         (pathmetric_module, "_sphere_bound"),
     ]:
@@ -533,7 +536,7 @@ class TestCoordinateFloor:
                     decided, lookups = _floor_and_lookups(K, vm, x, y, calls)
                     assert lookups == [] if decided else lookups[0] == "common_simplex"
                     floored += decided
-                    searched += "_sphere_bound" in lookups
+                    searched += "query_bounds" in lookups
         assert floored > 0 and searched > 0
 
     def test_pool_pairs_match_the_bounds_first_order(self):

@@ -6,6 +6,7 @@ import pytest
 from metricext import (
     ExtendedMetric,
     InvalidConfiguration,
+    InvalidParameters,
     MissingQIConstants,
     dd_convergence_probe,
     dd_divergence_probe,
@@ -84,6 +85,14 @@ class TestConvergenceProbe:
         with pytest.raises(InvalidConfiguration):
             dd_convergence_probe(tree_metric, [vertex_point(tree, tree.vertices[0])] * 3)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tol_rejected(self, tree, tree_metric, tol):
+        # final_step < nan is always False: every table would read inconclusive
+        ray = deepest_ray(tree, tree.vertices[0])
+        fixed = [vertex_point(tree, v) for v in tree.vertices[1:4]]
+        with pytest.raises(InvalidParameters, match="tol must be a finite number"):
+            dd_convergence_probe(tree_metric, [ray, *fixed], tol=tol)
+
 
 class TestDivergenceProbe:
     def test_crossed_goes_up(self, tree, tree_metric):
@@ -150,6 +159,22 @@ class TestDecayProbe:
         points = [tuple(vertex_point(K, v) for v in q) for q in quads]
         report = decay_probe(M, points)
         assert report.verdict in ("decay-consistent", "violated", "inconclusive")
+
+    @pytest.mark.parametrize("params, name", [
+        ({"threshold": float("nan")}, "threshold"),
+        ({"threshold": float("inf")}, "threshold"),
+        ({"lambda_grid": (0.5, float("nan"))}, "lambda_grid"),
+        ({"lambda_grid": (float("inf"),)}, "lambda_grid"),
+    ])
+    def test_non_finite_parameters_rejected(self, params, name):
+        # a NaN grid entry fits nothing, so the verdict would read "violated" with
+        # worst_value=0; m < nan is always False, so a NaN threshold would keep every quadruple
+        K = tree_complex(2, 6)
+        M = ExtendedMetric(K, word_vertex_metric(K))
+        quads = nested_quadruples(K, np.random.default_rng(12), count=30)
+        points = [tuple(vertex_point(K, v) for v in q) for q in quads]
+        with pytest.raises(InvalidParameters, match=f"{name} must be a finite number"):
+            decay_probe(M, points, **params)
 
     def test_requires_qi_constants(self, tree):
         vm = word_vertex_metric(tree)
