@@ -155,7 +155,7 @@ def _witness_text(witness: PathWitness) -> str:
 def _cmd_validate(args) -> int:
     K = load_complex(args.complex)
     lines = [
-        f"complex: {len(K.vertices)} vertices, {len(K.maximal_simplices)} maximal "
+        f"complex: {len(K.vertices)} vertices, {len(K.simplex_csr)} maximal "
         f"simplices, dimension {K.dimension}"
     ]
     if args.metric is not None:
@@ -181,7 +181,7 @@ def _cmd_gen(args) -> int:
     if args.out:
         save_complex(K, args.out)
         print(f"wrote {args.out}: {len(K.vertices)} vertices, "
-              f"{len(K.maximal_simplices)} maximal simplices")
+              f"{len(K.simplex_csr)} maximal simplices")
     else:
         print(json.dumps(complex_to_dict(K), indent=2))
     return EXIT_OK

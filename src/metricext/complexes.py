@@ -1,10 +1,10 @@
 """Finite abstract simplicial complexes and barycentric points.
 
-A complex is stored as the canonical list of its maximal simplices; a vertex
-set is a face when some maximal simplex holds it all (`spans`).  Simplices
-are sorted tuples of string vertex labels; all iteration uses lexicographic
-label order so outputs are reproducible bit-for-bit.  Complexes and points
-are immutable after construction.
+A complex is given by the canonical list of its maximal simplices; a vertex
+set is a face when some maximal simplex holds it all (`spans`).  At the API,
+simplices are sorted tuples of string vertex labels; all iteration uses
+lexicographic label order so outputs are reproducible bit-for-bit.
+Complexes and points are immutable after construction.
 
 A barycentric point stores its sorted (vertex, weight) items and, once, when
 it is made, its support; the per-simplex l1 distance is one merge of two
@@ -22,13 +22,15 @@ the vertex ids and adjacency the distinct pair codes of each simplex, all by
 numpy.  `build_complex` maps labels to ids once, after validating them, and
 the generators hand their ids to it directly.
 
-Everything else is derived on first use and kept on the complex, freed with
-it and not part of its equality or hash: the label -> id `index`, the
-`adjacency` and `incidence` label dicts (for the readers that want labels;
-`spans`, `neighbours`, `maximal_indices_containing`, the word table and the
-geodesics read the id rows), the word table, the grid oracle's graphs by
-resolution and, one maximal simplex at a time as the path search asks, the
-maximal simplices meeting it.
+Equality and hash read the labels and the simplex rows.  Everything else
+is derived on first use and kept on the complex, freed with it: the label
+-> id `index`, the word table, the grid oracle's graphs by resolution, the
+maximal simplices meeting each one the path search asks about, and the
+label views.  `spans`, `neighbours`, the path search, the word table and
+the geodesics read ids; `maximal_simplices` (label tuples) is read by the
+samplers, the checks, `oracle.build_grid`, `make_automorphism` and
+`fileio.complex_to_dict`, and the `adjacency` and `incidence` dicts by
+`checks.refine`, the oracle's search, `generators._ball` and `edges`.
 
 The word table holds no V^2 array and no graph of its own: it reads the
 complex's adjacency CSR.  It answers word distances on demand: a row is one
@@ -112,6 +114,16 @@ class IdRows:
     @cached_property
     def lists(self) -> tuple[list[int], list[int]]:
         return self.indptr.tolist(), self.indices.tolist()
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, IdRows) and np.array_equal(self.indptr, other.indptr)
+        return same and np.array_equal(self.indices, other.indices)
+
+    def __hash__(self) -> int:
+        return hash((self.indptr.tobytes(), self.indices.tobytes()))
 
 
 class WordMetricTable:
@@ -220,14 +232,13 @@ class WordMetricTable:
 class SimplicialComplex:
     """Finite abstract simplicial complex: its faces are the subsets of its maximal simplices.
 
-    Vertex ids are positions in `vertices`, simplex ids positions in
-    `maximal_simplices`; `complex_from_ids` builds the three id tables.
+    Vertex ids are positions in `vertices`, simplex ids rows of `simplex_csr`;
+    `complex_from_ids` builds the three id tables, rows in canonical order.
     """
 
     vertices: tuple[str, ...]
-    maximal_simplices: tuple[Simplex, ...]
     # maximal simplex -> its vertex ids
-    simplex_csr: IdRows = field(compare=False, hash=False, repr=False)
+    simplex_csr: IdRows = field(repr=False)
     # vertex -> ids of the maximal simplices holding it
     incidence_csr: IdRows = field(compare=False, hash=False, repr=False)
     # vertex -> ids of its neighbours in the 1-skeleton
@@ -237,6 +248,17 @@ class SimplicialComplex:
     def index(self) -> dict[str, int]:
         """Label -> vertex id, built on first use."""
         return dict(zip(self.vertices, range(len(self.vertices))))
+
+    @cached_property
+    def maximal_simplices(self) -> tuple[Simplex, ...]:
+        """The maximal simplices as label tuples, by simplex id; built from the CSR on first read."""
+        ptr, ids = self.simplex_csr.indptr, self.simplex_csr.indices
+        labels = np.array(self.vertices, dtype=object)
+        starts = np.flatnonzero(_new_in_run(np.diff(ptr))).tolist()  # rows are sorted by size
+        maximal: list[Simplex] = []
+        for start, end in zip(starts, starts[1:] + [len(ptr) - 1]):  # one size at a time: its label columns
+            maximal += zip(*labels[ids[ptr[start]:ptr[end]].reshape(end - start, -1).T].tolist())
+        return tuple(maximal)
 
     @cached_property
     def adjacency(self) -> dict[str, tuple[str, ...]]:
@@ -285,7 +307,7 @@ class SimplicialComplex:
 
     @cached_property
     def dimension(self) -> int:
-        return len(self.maximal_simplices[-1]) - 1  # sorted by size
+        return int(self.simplex_csr.indptr[-1] - self.simplex_csr.indptr[-2]) - 1  # rows are sorted by size
 
     def edges(self) -> list[Simplex]:
         return [(a, b) for a, ns in self.adjacency.items() for b in ns if a < b]
@@ -294,8 +316,8 @@ class SimplicialComplex:
         """Whether the distinct labels s are a face: some maximal simplex holds them all.
 
         One label is a vertex lookup and two a search of the first one's
-        neighbour ids; more are tested against each maximal simplex holding
-        s[0], unless they are more than any simplex has.  () is no face.
+        neighbour ids; the ids of more are tested against each maximal
+        simplex holding s[0], unless they are more than any has.  () is no face.
         """
         index = self.index
         if len(s) == 1:
@@ -309,14 +331,17 @@ class SimplicialComplex:
             hi = ptr[a + 1]
             at = bisect_left(ids, b, ptr[a], hi)
             return at < hi and ids[at] == b
-        a = index.get(s[0]) if s else None
-        if a is None or len(s) > self.dimension + 1:
+        if not s or len(s) > self.dimension + 1:
+            return False
+        want = list(map(index.get, s))
+        if None in want:
             return False
         ptr, held = self.incidence_csr.lists
-        M = self.maximal_simplices
+        sptr, sids = self.simplex_csr.lists
+        a = want[0]
         for i in held[ptr[a]:ptr[a + 1]]:
-            sigma = M[i]
-            for v in s:
+            sigma = sids[sptr[i]:sptr[i + 1]]
+            for v in want:
                 if v not in sigma:
                     break
             else:
@@ -324,10 +349,10 @@ class SimplicialComplex:
         return False
 
     def maximal_indices_containing(self, vertices: Iterable[str]) -> list[int]:
-        """Indices into maximal_simplices of those containing the given vertex set, ascending."""
+        """Ids of the maximal simplices containing the given vertex set, ascending."""
         want = set(vertices)
         if not want:
-            return list(range(len(self.maximal_simplices)))
+            return list(range(len(self.simplex_csr)))
         index = self.index
         ptr, held = self.incidence_csr.lists
         rows = []
@@ -341,7 +366,7 @@ class SimplicialComplex:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SimplicialComplex({len(self.vertices)} vertices, "
-            f"{len(self.maximal_simplices)} maximal simplices, dim {self.dimension})"
+            f"{len(self.simplex_csr)} maximal simplices, dim {self.dimension})"
         )
 
 
@@ -440,12 +465,9 @@ def complex_from_ids(labels: tuple[str, ...], sizes: np.ndarray, ids: np.ndarray
         groups[1] = lone[:, None]
     by_size = [groups[k] for k in sorted(groups) if len(groups[k])]
 
-    maximal: list[Simplex] = []
-    for rows in by_size:
-        maximal += zip(*[map(labels.__getitem__, column) for column in rows.T.tolist()])
     size = np.repeat([rows.shape[1] for rows in by_size], [len(rows) for rows in by_size])
     simplex_ids = np.concatenate([rows.ravel() for rows in by_size])
-    owner = np.repeat(np.arange(len(maximal)), size)
+    owner = np.repeat(np.arange(len(size)), size)
     by_vertex = np.argsort(simplex_ids, kind="stable")
     # v's neighbours are the other vertices of the maximal simplices holding it: distinct pair codes
     pairs = _distinct(np.concatenate([
@@ -455,7 +477,6 @@ def complex_from_ids(labels: tuple[str, ...], sizes: np.ndarray, ids: np.ndarray
     source = pairs // n
     return SimplicialComplex(
         vertices=labels,
-        maximal_simplices=tuple(maximal),
         simplex_csr=IdRows.of(size, simplex_ids),
         incidence_csr=IdRows.of(np.bincount(simplex_ids, minlength=n), owner[by_vertex]),
         adjacency_csr=IdRows.of(np.bincount(source, minlength=n), pairs - source * n),

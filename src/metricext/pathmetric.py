@@ -278,10 +278,17 @@ def _transport_floor(
     """A lower bound on `_transport`'s total.
 
     Every unit of supply pays at least its row's cheapest arc, and every
-    unit of demand its column's, so neither sum exceeds the optimum.
+    unit of demand its column's, so neither sum exceeds the optimum.  With
+    three atoms or more a side (the states `_transport` solves), u_i the row
+    minima and v_j = min_i (cost[i][j] - u_i) are feasible duals, so the row
+    sum plus sum(demand_j * v_j) is a floor too; likewise the column sum.
     """
-    by_rows = sum(map(mul, supply, map(min, cost)))
-    by_columns = sum(map(mul, demand, map(min, zip(*cost))))
+    row_min, column_min = list(map(min, cost)), list(map(min, zip(*cost)))
+    by_rows = sum(map(mul, supply, row_min))
+    by_columns = sum(map(mul, demand, column_min))
+    if len(supply) > 2 and len(demand) > 2:
+        by_rows += sum([d * min(map(sub, column, row_min)) for d, column in zip(demand, zip(*cost))])
+        by_columns += sum([a * min(map(sub, row, column_min)) for a, row in zip(supply, cost)])
     return max(by_rows, by_columns)
 
 
@@ -717,7 +724,7 @@ def _best_first(
       route's length (`_route_length`): when factor * length falls below
       bilinear, no such chain exists and the route is the exact answer.
     """
-    M = K.maximal_simplices
+    sptr, sids = K.simplex_csr.lists
     ys = y.support
     ends = set(K.maximal_indices_containing(ys))
     supply, demand, scale = _masses(x, y)
@@ -725,10 +732,9 @@ def _best_first(
     cutoff = -(-p * scale // q)
     if ceiling is not None:
         cutoff = _reaching_total(*ceiling, scale, cutoff)
-    index = table.index
     rows_y = [table.row(v) for v in ys]  # one search per vertex of supp(y) answers every word(w, v)
-    met: dict[str, tuple[int, list[int]]] = {}  # w -> (its bit, word(w, v) per v), on first touch
-    seen: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}  # s -> (bits of M[s], per v (d_v, Y_v))
+    met: dict[int, tuple[int, list[int]]] = {}  # vertex id w -> (its bit, word(w, v) per v), on first touch
+    seen: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}  # s -> (its bits, per v (d_v, Y_v))
     transports: dict[tuple, int] = {}  # cost -> its total, or a floor at or above the cutoff
     labels: list[tuple[int, tuple, int | None]] = []  # (s, state, parent); state: per u, (m, Z)
     alive: list[bool] = []
@@ -738,11 +744,10 @@ def _best_first(
     def meet(s: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         """Record s the first time the search meets it: its bits, and (d_v, Y_v) per v in supp(y)."""
         ones, words = [], []
-        for w in M[s]:
+        for w in sids[sptr[s]:sptr[s + 1]]:
             known = met.get(w)
             if known is None:
-                i = index[w]
-                known = met[w] = (1 << len(met), [row.item(i) for row in rows_y])
+                known = met[w] = (1 << len(met), [row.item(w) for row in rows_y])
             ones.append(known[0])
             words.append(known[1])
         near = []
@@ -782,7 +787,7 @@ def _best_first(
 
     for s in K.maximal_indices_containing(x.support):
         near = meet(s)[1]
-        push(s, near, tuple([(0, met[u][0]) for u in x.support]), None)
+        push(s, near, tuple([(0, met[K.index[u]][0]) for u in x.support]), None)
 
     while heap:
         b, li = heapq.heappop(heap)
@@ -792,8 +797,8 @@ def _best_first(
         if s in ends:
             chain = []
             while li is not None:
-                chain.append(M[labels[li][0]])
-                li = labels[li][2]
+                s, _, li = labels[li]
+                chain.append(tuple([K.vertices[w] for w in sids[sptr[s]:sptr[s + 1]]]))
             return tuple(reversed(chain)), b, scale
         ms = seen[s][0]
         for t in K.neighbours(s):

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .complexes import VALUE_TOL, BarycentricPoint, SimplicialComplex, vertex_point
-from .errors import InvalidConfiguration, MissingQIConstants
+from .errors import InvalidConfiguration, InvalidParameters, MissingQIConstants
 from .extension import ExtendedMetric, bilinear_extension
 from .vertexmetrics import _require_finite, double_difference, geodesic, word_metric
 
@@ -150,11 +150,13 @@ def dd_convergence_probe(
 
     Verdict is "converging" when the final successive difference drops
     below tol, otherwise "inconclusive"; finite tables can never refute
-    continuity, so no negative verdict exists.  A NaN or infinite tol
-    raises InvalidParameters: comparing with it would decide the verdict
-    whatever the table.
+    continuity, so no negative verdict exists.  A tol that is not a
+    positive finite number raises InvalidParameters: comparing with it
+    would decide the verdict whatever the table.
     """
     _require_finite(tol=tol)
+    if tol <= 0:
+        raise InvalidParameters(f"tol must be positive, got {tol!r}")
     table = _dd_table(M, slots, depths, start=0)
     if len(table) == 1:
         verdict = "converging" if not _ray_slots(slots) else "inconclusive"
@@ -214,12 +216,14 @@ def decay_probe(
     For each quadruple (u, a, b, c) with m = max(<u,a|b,c>, <u,b|a,c>) at
     least the threshold (6(A+B) unless overridden), records |<u,c|a,b>| and
     fits the smallest grid lambda with every recorded value <= lambda**m.
-    A NaN or infinite threshold or grid entry raises InvalidParameters:
-    comparing with it would decide the verdict whatever the values.
+    A NaN or infinite threshold, or a grid entry outside (0, 1), raises
+    InvalidParameters: either would decide the verdict whatever the values.
     """
     _require_finite(threshold=threshold)
     for lam in lambda_grid:
         _require_finite(lambda_grid=lam)
+        if not 0 < lam < 1:
+            raise InvalidParameters(f"lambda_grid entries must lie in (0, 1), got {lam!r}")
     if not M.vertex.has_qi_constants:
         raise MissingQIConstants("decay probe needs quasi-isometry constants")
     T = threshold if threshold is not None else 6.0 * (M.vertex.A + M.vertex.B)

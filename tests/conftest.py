@@ -180,6 +180,14 @@ def assert_same_complex(K, want):
     assert list(K.incidence.items()) == list(want.incidence.items())
 
 
+def assert_identity_is_the_labels(K, L):
+    """K == L exactly when their vertices and maximal simplices are, and equal complexes hash alike."""
+    same = (K.vertices, K.maximal_simplices) == (L.vertices, L.maximal_simplices)
+    assert (K == L) is same and (K != L) is (not same)
+    if same:
+        assert hash(K) == hash(L)
+
+
 def simplex_on_a_path(n, length):
     """One simplex on s00 .. s{n-1}, its last vertex glued to a path p01 .. p{length}."""
     simplex = [f"s{i:02d}" for i in range(n)]

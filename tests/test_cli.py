@@ -393,6 +393,28 @@ class TestProbeCommands:
         assert main(["probe", mode, "-c", tree_file, "--samples", "10", *extra]) == 1
         assert capsys.readouterr().err.startswith(f"error: {name} must be a finite number")
 
+    @pytest.mark.parametrize("args, message", [
+        (["decay", "--lambda-grid=-0.5"], "lambda_grid entries must lie in (0, 1), got -0.5"),
+        (["decay", "--lambda-grid=0.5,2"], "lambda_grid entries must lie in (0, 1), got 2.0"),
+        (["decay", "--lambda-grid=1"], "lambda_grid entries must lie in (0, 1), got 1.0"),
+        (["convergence", "--tol=-1"], "tol must be positive, got -1.0"),
+        (["convergence", "--tol=0"], "tol must be positive, got 0.0"),
+    ])
+    def test_parameter_out_of_range_is_validation_error(self, tree_file, capsys, args, message):
+        # accepted, --lambda-grid=-0.5 read "violated", 2 read "decay-consistent",
+        # and --tol=-1 read "inconclusive" on every table
+        slots = json.dumps([
+            {"ray": ["t00", "t02", "t06", "t14"]},
+            {"point": {"t01": 1}},
+            {"point": {"t03": 1}},
+            {"point": {"t04": 1}},
+        ])
+        mode, *extra = args
+        if mode == "convergence":
+            extra += ["--slots", slots]
+        assert main(["probe", mode, "-c", tree_file, "--samples", "10", *extra]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("mode, samples", [("decay", "0"), ("decay", "-3"), ("windows", "0")])
     def test_samples_below_one_is_usage_error(self, tree_file, capsys, mode, samples):
         # no sample means no evidence: an empty table is not a verdict

@@ -33,6 +33,7 @@ from metricext.generators import cycle_complex, random_point, rips_complex, tree
 
 from conftest import (
     all_faces,
+    assert_identity_is_the_labels,
     assert_same_complex,
     assert_spans_is_membership,
     reference_build_complex,
@@ -108,6 +109,15 @@ class TestBuildComplex:
                 listed.append(list(reversed(s)))
                 listed.append(s[: data.draw(st.integers(1, len(s)), label="face")])
         K = build_complex(data.draw(st.permutations(vs), label="order"), listed)
+        # the same list shuffled, each simplex reversed, is the same complex; another list
+        # on the same vertices is equal exactly when its maximal simplices are
+        shuffled = [list(reversed(s)) for s in data.draw(st.permutations(listed), label="shuffled")]
+        again = data.draw(st.permutations(vs), label="again order")
+        assert_identity_is_the_labels(build_complex(again, shuffled), K)
+        other = data.draw(
+            st.lists(st.lists(st.sampled_from(vs), min_size=1, max_size=5), max_size=12), label="other"
+        )
+        assert_identity_is_the_labels(build_complex(vs, other), K)
 
         canon = [tuple(sorted(set(s))) for s in listed]
         canon += [(v,) for v in vs if not any(v in s for s in canon)]
@@ -162,6 +172,9 @@ class TestBuildComplex:
             assert got == want
         else:
             assert_same_complex(got, want)
+            # the same input in another order builds an equal complex, with an equal hash
+            again = build_complex(vertices[::-1], data.draw(st.permutations(listed), label="reshuffled"))
+            assert_identity_is_the_labels(again, got)
 
     def test_adjacency_is_simple_graph(self, book):
         for v, ns in book.adjacency.items():
@@ -192,6 +205,23 @@ class TestIdTables:
         for K in complex_fleet.values():
             assert_id_tables_are_the_dicts(K)
 
+    def test_identity_is_the_label_comparison_on_the_fleet(self, complex_fleet):
+        # equality and hash read the id rows; they agree with comparing labels and label
+        # tuples, between fleet members, against rebuilds from shuffled input, and against
+        # the same vertices with the last maximal simplex dropped or another one added
+        rng = np.random.default_rng(3)
+        built = list(complex_fleet.values())
+        for K in complex_fleet.values():
+            vs, listed = list(K.vertices), [list(s) for s in K.maximal_simplices]
+            rng.shuffle(vs)
+            rng.shuffle(listed)
+            built.append(build_complex(vs, [s[::-1] for s in listed]))
+            built.append(build_complex(K.vertices, K.maximal_simplices[:-1]))
+            built.append(build_complex(K.vertices, [*K.maximal_simplices, K.vertices[:2]]))
+        for K, L in combinations(built, 2):
+            assert_identity_is_the_labels(K, L)
+        assert sum(K == L for K, L in combinations(built, 2)) >= len(complex_fleet)
+
     @pytest.mark.parametrize("make, near, far", [
         (
             lambda: tree_complex(2, 11),
@@ -205,6 +235,8 @@ class TestIdTables:
         ),
     ], ids=["tree", "rips"])
     def test_labels_stay_off_the_query_path(self, make, near, far, monkeypatch):
+        # neither the label dicts nor the maximal simplices' label tuples are built by
+        # near and far queries, chain answers or spans on three labels
         searched = []
         best_first = pathmetric._best_first
         monkeypatch.setattr(pathmetric, "_best_first", lambda *args: searched.append(args) or best_first(*args))
@@ -219,7 +251,11 @@ class TestIdTables:
             value = l1_path_distance(K, x, y)[0]
             assert pathmetric._best_first(K, x, y, word_metric(K), value + 0.5) is not None
         assert searched
+        triangle = K.vertices[:3]
+        assert K.spans(triangle) == (K.dimension == 2)
+        assert not K.spans((*triangle, "no such vertex"))
         assert "adjacency" not in vars(K) and "incidence" not in vars(K)
+        assert "maximal_simplices" not in vars(K)
 
 def _dict_make_point(K, weights):
     """make_point as it once normalised, through three dicts: the bit-for-bit reference."""

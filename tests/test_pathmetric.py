@@ -813,6 +813,31 @@ class TestIntegerSearchCore:
         assert floor <= pathmetric._transport(supply, demand, cost)[0]
 
     @given(
+        xw=st.lists(weight, min_size=3, max_size=6),
+        yw=st.lists(weight, min_size=3, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_two_phase_floor_lies_between_the_one_phase_floor_and_the_total(self, xw, yw, data):
+        # three atoms or more a side: the dual floors' second phase never
+        # lowers the row or column floor and never passes the optimum
+        cost = data.draw(
+            st.lists(
+                st.lists(st.integers(0, 12), min_size=len(yw), max_size=len(yw)),
+                min_size=len(xw),
+                max_size=len(xw),
+            )
+        )
+        supply, demand, _ = pathmetric._masses(_weights_point(xw), _weights_point(yw))
+        one_phase = max(
+            sum(a * min(row) for a, row in zip(supply, cost)),
+            sum(b * min(column) for b, column in zip(demand, zip(*cost))),
+        )
+        floor = pathmetric._transport_floor(supply, demand, cost)
+        assert type(floor) is int
+        assert one_phase <= floor <= pathmetric._transport(supply, demand, cost)[0]
+
+    @given(
         xw=st.lists(weight, min_size=1, max_size=4),
         yw=st.lists(weight, min_size=1, max_size=4),
         data=st.data(),
@@ -906,15 +931,25 @@ class TestIntegerSearchCore:
         assert with_floor < without
 
     def test_pool_transports_are_integer(self, monkeypatch):
-        # every supply, demand and cost the search and chain_lp price is an
-        # int, closed forms included, and the answers are the pool's where it has one
-        real_total, real_solve = pathmetric._transport_total, pathmetric._transport
+        # every supply, demand and cost the search floors and prices, and
+        # chain_lp solves, is an int, floors and closed forms included, and the
+        # answers are the pool's where it has one
+        real_floor, real_total = pathmetric._transport_floor, pathmetric._transport_total
+        real_solve = pathmetric._transport
+        floored = {"path": 0, "ext": 0}  # search states floored
         priced = {"path": 0, "ext": 0}  # search states priced, and chains chain_lp solves
         solved = {"path": 0, "ext": 0}  # successive-shortest-path solves
         kind, in_total = [None], [False]
 
         def check(supply, demand, cost):
             assert all(type(v) is int for v in (*supply, *demand, *itertools.chain(*cost)))
+
+        def floor(supply, demand, cost):
+            floored[kind[0]] += 1
+            check(supply, demand, cost)
+            value = real_floor(supply, demand, cost)
+            assert type(value) is int
+            return value
 
         def total(supply, demand, cost):
             priced[kind[0]] += 1
@@ -933,6 +968,7 @@ class TestIntegerSearchCore:
             check(supply, demand, cost)
             return real_solve(supply, demand, cost)
 
+        monkeypatch.setattr(pathmetric, "_transport_floor", floor)
         monkeypatch.setattr(pathmetric, "_transport_total", total)
         monkeypatch.setattr(pathmetric, "_transport", solve)
         extended = {}
@@ -944,14 +980,15 @@ class TestIntegerSearchCore:
                 value = extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K))).distance(x, y)
             if q["expected"] is not None:
                 assert value == pytest.approx(q["expected"], abs=1e-9), q["id"]
-        # exact counts: the path queries price what they always did; the
-        # extension's ceiling leaves its queries 41 priced states, where the
-        # full path search behind each of them priced 171.  Only states with
-        # three atoms or more on both sides, and chain_lp's chains, reach the
-        # solver: all 41 ext states have three atoms a side, while 90 of the
-        # path queries' 153 have fewer on one side
-        assert priced == {"path": 153, "ext": 41}
-        assert solved == {"path": 63, "ext": 41}
+        # exact counts.  Only states with three atoms or more on both sides,
+        # and chain_lp's chains, reach the solver, and on those states the
+        # floor's second phase prunes before pricing: all 41 extension states,
+        # of three atoms a side, are floored and pruned, and 13 of the path
+        # queries' 63 solves are; 90 of the path queries' 140 priced states
+        # have fewer atoms on one side
+        assert floored == {"path": 246, "ext": 41}
+        assert priced == {"path": 140, "ext": 0}
+        assert solved == {"path": 50, "ext": 0}
 
     @given(
         total=st.integers(0, 2**40),

@@ -93,6 +93,14 @@ class TestConvergenceProbe:
         with pytest.raises(InvalidParameters, match="tol must be a finite number"):
             dd_convergence_probe(tree_metric, [ray, *fixed], tol=tol)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, -1e-300])
+    def test_tol_not_positive_rejected(self, tree, tree_metric, tol):
+        # final_step < tol never holds for tol <= 0: every table would read inconclusive
+        ray = deepest_ray(tree, tree.vertices[0])
+        fixed = [vertex_point(tree, v) for v in tree.vertices[1:4]]
+        with pytest.raises(InvalidParameters, match="tol must be positive"):
+            dd_convergence_probe(tree_metric, [ray, *fixed], tol=tol)
+
 
 class TestDivergenceProbe:
     def test_crossed_goes_up(self, tree, tree_metric):
@@ -175,6 +183,17 @@ class TestDecayProbe:
         points = [tuple(vertex_point(K, v) for v in q) for q in quads]
         with pytest.raises(InvalidParameters, match=f"{name} must be a finite number"):
             decay_probe(M, points, **params)
+
+    @pytest.mark.parametrize("grid", [(-0.5,), (0.0,), (0.5, 1.0), (2.0,)])
+    def test_grid_outside_the_unit_interval_rejected(self, grid):
+        # (-0.5)**7 < 0 would undercut a zero value and read "violated"; lambda = 2
+        # would fit growth and read "decay-consistent"
+        K = tree_complex(2, 6)
+        M = ExtendedMetric(K, word_vertex_metric(K))
+        quads = nested_quadruples(K, np.random.default_rng(12), count=30)
+        points = [tuple(vertex_point(K, v) for v in q) for q in quads]
+        with pytest.raises(InvalidParameters, match="lambda_grid"):
+            decay_probe(M, points, lambda_grid=grid)
 
     def test_requires_qi_constants(self, tree):
         vm = word_vertex_metric(tree)
