@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from .complexes import VALUE_TOL, BarycentricPoint, SimplicialComplex
 from .errors import MissingQIConstants
 from .pathmetric import (  # noqa: F401 - bench/workloads.py reads extension.l1_path_distance
+    PathResult,
     PathWitness,
     _path,
     l1_path_distance,
@@ -66,7 +67,7 @@ class ExtendedMetric:
 
     K: SimplicialComplex
     vertex: VertexMetric
-    _cache: dict = field(default_factory=dict, repr=False)  # key -> ((value, branch), witness)
+    _cache: dict = field(default_factory=dict, repr=False)  # key -> ((value, branch), PathResult | None)
 
     def __post_init__(self):
         # The linear bound underlying the whole construction.
@@ -107,19 +108,23 @@ class ExtendedMetric:
         """Value and branch, plus the path from x to y behind an l1path answer.
 
         The witness is the one the query was solved with (None on the
-        bilinear branch); asking for it solves nothing again.
+        bilinear branch); asking for it solves nothing again.  A route's
+        witness is built on this first read and kept with the cached answer.
         """
-        value, branch = self.distance_with_branch(x, y)  # caches the answer with its witness
+        value, branch = self.distance_with_branch(x, y)  # caches the answer with its path
         kx, ky = x.key(), y.key()
-        witness = self._cache[(kx, ky) if kx <= ky else (ky, kx)][1]
-        if witness is not None and witness.points[0].key() != kx:
+        path = self._cache[(kx, ky) if kx <= ky else (ky, kx)][1]
+        if path is None:
+            return value, branch, None
+        witness = path.witness
+        if witness.points[0].key() != kx:
             witness = witness.reversed()
         return value, branch, witness
 
     def _compute(
         self, x: BarycentricPoint, y: BarycentricPoint
-    ) -> tuple[tuple[float, Branch], PathWitness | None]:
-        """min(bilinear, 3C * path) with its witness; ties report bilinear.
+    ) -> tuple[tuple[float, Branch], PathResult | None]:
+        """min(bilinear, 3C * path) with the path behind it; ties report bilinear.
 
         Two vertices take the vertex metric, and disjoint supports the
         bilinear form, which 3C * path never undercuts there.  Every other
@@ -137,7 +142,7 @@ class ExtendedMetric:
         path = _path(self.K, x, y, ceiling=(bilinear, self.scale))
         if path is None:
             return (bilinear, "bilinear"), None
-        return (self.scale * path.value, "l1path"), path.witness
+        return (self.scale * path.value, "l1path"), path
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,15 @@ fewest unit transfers of weight 1/n between two grid points and so
 upper-approximates the path distance, an exhaustive metric-axiom scanner,
 and a combinatorial Gromov-product oracle for trees.  Nothing in this
 module calls the solver code it is meant to check; the small primitives
-(BFS, l1 lengths) are reimplemented locally on purpose.
+(BFS, l1 lengths) are reimplemented locally on purpose.  The grid oracle
+counts its transfers with one breadth-first search from the source node,
+so it returns a value and never a path: the path solver's witnesses,
+a route's built when it is read, are checked against the value alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -17,10 +21,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order
 
 from .complexes import VALUE_TOL, BarycentricPoint, SimplicialComplex
-from .errors import NotATree, PointNotOnGrid, ResolutionTooCoarse
+from .errors import InvalidParameters, NotATree, PointNotOnGrid, ResolutionTooCoarse
 
 GridNode = tuple[tuple[str, int], ...]  # sorted (vertex, numerator), numerators sum to n
 
@@ -119,10 +123,19 @@ def grid_oracle_path_distance(
     tighten it.  Each point is snapped to its nearest grid node
     (`snap_to_grid_node`); one farther than h/2 in l1 from every node, or
     snapping to no node of the grid, raises PointNotOnGrid.
+
+    Every transfer is one hop, so a breadth-first search from x's node
+    finds the fewest: walking its predecessors back from y's node follows a
+    shortest path of the search tree, and the walk's length is the count.
+    The value alone is returned, and a solver answer's witness (a route's
+    built when it is read) is compared with it.  A zero, non-finite or
+    non-1/n h raises InvalidParameters, an n below 2 ResolutionTooCoarse.
     """
+    if not (math.isfinite(h) and h != 0 and math.isfinite(1.0 / h)):
+        raise InvalidParameters(f"resolution {h!r} must be a finite, nonzero 1/n")
     n = round(1.0 / h)
     if abs(1.0 / h - n) > 1e-9:
-        raise ValueError(f"resolution {h} is not of the form 1/n")
+        raise InvalidParameters(f"resolution {h!r} is not of the form 1/n")
     grid = build_grid(K, n)
     endpoints = []
     for p in (x, y):
@@ -135,10 +148,14 @@ def grid_oracle_path_distance(
     src, dst = endpoints
     if src == dst:
         return 0.0
-    hops = dijkstra(grid.graph, directed=True, unweighted=True, indices=src)[dst]
-    if np.isinf(hops):
-        raise ResolutionTooCoarse("grid graph is disconnected at this resolution")
-    return float(hops) / n
+    before = breadth_first_order(grid.graph, src, directed=True, return_predecessors=True)[1]
+    hops, node = 0, dst
+    while node != src:
+        node = before.item(node)
+        if node < 0:  # no predecessor: dst is not reached from src
+            raise ResolutionTooCoarse("grid graph is disconnected at this resolution")
+        hops += 1
+    return hops / n
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ its length is the sum of per-simplex l1 distances.  The distance is the
 minimum length over all paths.  The solver works in three tiers:
 
   1. points in a common simplex: the l1 distance itself is optimal;
-  2. two vertices: the word metric with an edge-path witness;
+  2. two vertices: the word metric, whose edge-path witness is built when
+     it is read;
   3. general case: an exact best-first (A*) search over chains of maximal
      simplices.
 
@@ -30,7 +31,8 @@ is a switch count plus a word distance, so each transport is an integer
 transport, solved exactly; an answer is divided by its scale once.  That
 makes values and witnesses reproducible bit-for-bit and invariant under
 vertex relabelings.  The vertex route that seeds the search is carried as
-its cost, and its witness is built only when it is the answer.  Before a
+its cost; when it is the answer, the result carries that cost, and its
+witness is built when the caller first reads it (`PathResult`).  Before a
 state is priced, a floor that no transport total undercuts (each unit of
 supply, and of demand, pays at least its cheapest arc) is compared with
 the pruning cutoff; a state it already prunes is dropped unpriced, exactly
@@ -58,7 +60,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from operator import itemgetter, mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .complexes import (
     VALUE_TOL,
@@ -149,9 +151,55 @@ class PathWitness:
             raise InvalidCarrier(f"stored length {self.length} != recomputed {total}")
 
 
-class PathResult(NamedTuple):
-    value: float
-    witness: PathWitness
+class PathResult:
+    """A path distance and a witness that attains it, used as the pair (value, witness).
+
+    A vertex route's witness (`_route_witness`) is built when `.witness` is
+    first read, and then kept: `route` holds its (K, x, y, u, v) until then.
+    Reading `.value`, or `[0]`, builds nothing.  The built witness's length
+    must equal the value bit for bit (`_route_length`), or the read raises
+    InternalConsistencyError.  Unpacking, indexing, equality, hashing and
+    repr are the pair's.
+    """
+
+    __slots__ = ("value", "_witness", "_route")
+
+    def __init__(self, value: float, witness: PathWitness | None = None, route: tuple | None = None):
+        self.value = value
+        self._witness = witness
+        self._route = route
+
+    @property
+    def witness(self) -> PathWitness:
+        if self._witness is None:
+            witness = _route_witness(*self._route)
+            if witness.length != self.value:
+                raise InternalConsistencyError(
+                    f"route value {self.value!r} != its witness length {witness.length!r}"
+                )
+            self._witness, self._route = witness, None
+        return self._witness
+
+    def __iter__(self):
+        yield self.value
+        yield self.witness
+
+    def __getitem__(self, i: int):
+        return getattr(self, ("value", "witness")[i])
+
+    def __len__(self) -> int:
+        return 2
+
+    def __eq__(self, other):
+        if not isinstance(other, (PathResult, tuple)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"PathResult(value={self.value!r}, witness={self.witness!r})"
 
 
 def path_length(
@@ -526,8 +574,9 @@ def _path(
 
     The tiers run in order: equal points; a common simplex, whose l1
     distance is the path, with a one-segment witness; two vertices, the
-    word metric with an edge-path witness; else the search.  A closed form
-    is checked against `lower_bounds`, the search against `query_bounds`.
+    word metric, whose edge-path witness is built when it is read; else the
+    search.  A closed form is checked against `lower_bounds`, the search
+    against `query_bounds`.
 
     A ceiling (bilinear, factor) is the stake of a caller that needs only
     min(bilinear, factor * path), such as the extension's (D, 3C).  Its
@@ -562,10 +611,10 @@ def _path(
         value = simplex_l1(x, y)
         result = PathResult(value, PathWitness(points=(x, y), carriers=(carrier,), length=value))
     elif x.is_vertex and y.is_vertex:
-        # the witness's geodesic keeps v's row, which the value and the bounds then read
+        # v's row gives the value and the bounds; the route witness, built when it is
+        # read, walks its geodesic down the same row
         u, v = x.support[0], y.support[0]
-        witness = _route_witness(K, x, y, u, v)
-        result = PathResult(float(table.distance(u, v)), witness)
+        result = PathResult(float(table.row(v).item(table.index[u])), route=(K, x, y, u, v))
     else:
         bounds = query_bounds(K, x, y)
         if ceiling is not None and factor * max(b for _, b in bounds) >= bilinear:
@@ -604,12 +653,13 @@ def _solve_by_search(
 ) -> PathResult | None:
     """The vertex route, unless the best-first search finds a shorter chain.
 
-    The route is carried as its cost; its witness is built only when it is
-    the answer.  A ceiling (bilinear, factor) is the stake of a caller that
-    only needs min(bilinear, factor * path): the search then prunes every
-    chain with factor * value >= bilinear as well, and when it finds nothing
-    and factor * the route's exact length (`_route_length`) reaches bilinear
-    too, the answer is None, a proof that factor * path >= bilinear.
+    The route is carried as its cost, and a route answer's value is its
+    exact length (`_route_length`); its witness is built when the caller
+    first reads it (`PathResult`).  A ceiling (bilinear, factor) is the
+    stake of a caller that only needs min(bilinear, factor * path): the
+    search then prunes every chain with factor * value >= bilinear as well,
+    and when it finds nothing and factor * the route's exact length reaches
+    bilinear too, the answer is None, a proof that factor * path >= bilinear.
     Otherwise the result is the exact path, the same as without a ceiling
     (see `_best_first`).  For the extension's own ceiling (D, 3C) the route
     test always passes, since each support spans a simplex and so
@@ -637,13 +687,13 @@ def _solve_by_search(
                 )
             _assert_above_bounds(value, bounds, "path search")
             return PathResult(value, PathWitness(points=points, carriers=carriers, length=length))
+    value = _route_length(x, y, u, v, int(table.distance(u, v)))
     if ceiling is not None:
         bilinear, factor = ceiling
-        if factor * _route_length(x, y, u, v, int(table.distance(u, v))) >= bilinear:
+        if factor * value >= bilinear:
             return None
-    witness = _route_witness(K, x, y, u, v)
-    _assert_above_bounds(witness.length, bounds, "path search")
-    return PathResult(witness.length, witness)
+    _assert_above_bounds(value, bounds, "path search")
+    return PathResult(value, route=(K, x, y, u, v))
 
 
 def _reaching_total(bilinear: float, factor: float, scale: int, cutoff: int) -> int:

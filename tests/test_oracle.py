@@ -1,7 +1,9 @@
 """Grid oracle, exhaustive scanner, tree Gromov oracle."""
 
 import gc
+import math
 import weakref
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from metricext import (
+    InvalidParameters,
     NotATree,
     PointNotOnGrid,
+    ResolutionTooCoarse,
     bilinear_extension,
     build_complex,
     build_grid,
@@ -173,6 +177,37 @@ class TestGridOracle:
             grid = grid_oracle_path_distance(book, x, y, 1 / 16)
             assert exact <= grid + 1e-9
             assert grid - exact <= book.dimension * (1 / 16) * (1 + exact)
+
+    @pytest.mark.parametrize("h", [0, 0.0, math.nan, math.inf, -math.inf, 0.3])
+    def test_invalid_resolution_is_a_parameter_error(self, path3, h):
+        # 0 divided by zero, NaN failed round(), 0.3 raised a bare ValueError
+        x, y = vertex_point(path3, "u"), vertex_point(path3, "w")
+        with pytest.raises(InvalidParameters):
+            grid_oracle_path_distance(path3, x, y, h)
+
+    def test_negative_resolution_is_too_coarse(self, path3):
+        x, y = vertex_point(path3, "u"), vertex_point(path3, "w")
+        with pytest.raises(ResolutionTooCoarse):
+            grid_oracle_path_distance(path3, x, y, -0.5)
+
+    def test_unreached_node_is_too_coarse(self):
+        K = build_complex(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+        with pytest.raises(ResolutionTooCoarse, match="disconnected"):
+            grid_oracle_path_distance(K, vertex_point(K, "a"), vertex_point(K, "d"), 1 / 4)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: rips_complex(cycle_complex(6), 2), lambda: tree_complex(2, 3)], ids=["rips6", "tree3"]
+    )
+    def test_breadth_first_equals_dijkstra_on_every_node_pair(self, make):
+        # the reference is the search the oracle ran before: unweighted Dijkstra over the grid
+        K, n = make(), 4
+        grid = build_grid(K, n)
+        want = dijkstra(grid.graph, directed=True, unweighted=True) / n
+        points = [make_point(K, {v: c / n for v, c in node}) for node in grid.nodes]
+        pairs = list(combinations(range(len(points)), 2))
+        assert len(pairs) == {66: 2145, 57: 1596}[len(points)]
+        for i, j in pairs:
+            assert grid_oracle_path_distance(K, points[i], points[j], 1 / n) == want[i, j], (i, j)
 
 
 class TestExhaustiveScan:

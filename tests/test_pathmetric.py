@@ -21,6 +21,7 @@ from metricext import (
     ExtendedMetric,
     EmptyIntersection,
     EndpointNotInCarrier,
+    InternalConsistencyError,
     InvalidCarrier,
     build_complex,
     chain_lp,
@@ -303,13 +304,95 @@ class TestRouteLength:
         _assert_route_lengths(path3, x, x)
 
 
+def _assert_lazy_route_is_the_route(K, x, y) -> bool:
+    """Whether x, y is a route answer; if so its witness, built on read, is the route's bit for bit."""
+    got = l1_path_distance(K, x, y)
+    if got._route is None:  # a closed form or a chain, built with its answer
+        return False
+    _, u, v = pathmetric._vertex_route(x, y, word_metric(K))
+    want = pathmetric._route_witness(K, x, y, u, v)
+    witness = got.witness
+    assert [p.key() for p in witness.points] == [p.key() for p in want.points], (x, y)
+    assert witness.carriers == want.carriers, (x, y)
+    assert witness.length == want.length == got.value, (x, y)
+    return True
+
+
+def _counting_route_witness(monkeypatch) -> list:
+    """Patch `_route_witness` to record each call; the returned list fills as witnesses are built."""
+    built = []
+    route_witness = pathmetric._route_witness
+
+    def record(*args):
+        built.append(args)
+        return route_witness(*args)
+
+    monkeypatch.setattr(pathmetric, "_route_witness", record)
+    return built
+
+
+class TestLazyRouteWitness:
+    """A route answer carries its value and builds its witness on the first `.witness` read."""
+
+    def test_pool_pairs(self):
+        routes = [_assert_lazy_route_is_the_route(K, x, y) for _, K, x, y in pool_queries()]
+        assert routes.count(True) == 78
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_vertex_random_and_grid_points(self, complex_fleet, data):
+        K = complex_fleet[data.draw(st.sampled_from(sorted(complex_fleet)))]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(["random", "grid", "vertex"]))
+        draw = {"random": random_point, "vertex": random_vertex, "grid": lambda K, rng: grid_point(K, rng, 128)}
+        x, y = draw[kind](K, rng), draw[kind](K, rng)
+        _assert_lazy_route_is_the_route(K, x, y)
+
+    def test_value_builds_nothing_and_witness_builds_once(self, monkeypatch):
+        built = _counting_route_witness(monkeypatch)
+        K = tree_complex(2, 4)
+        vertices = (vertex_point(K, "t07"), vertex_point(K, "t12"))
+        edges = (make_point(K, {"t03": 0.5, "t07": 0.5}), make_point(K, {"t05": 0.25, "t12": 0.75}))
+        for x, y in (vertices, edges):
+            got = l1_path_distance(K, x, y)
+            assert got._route is not None
+            assert got.value == got[0] == got[-2] and built == []
+            witness = got.witness
+            assert len(built) == 1 and witness.length == got.value
+            assert got.witness is witness and got[1] is witness and tuple(got) == (got.value, witness)
+            assert got == pathmetric.PathResult(got.value, witness) and len(built) == 1
+            built.clear()
+
+    def test_the_extension_builds_a_route_when_its_witness_is_read(self, monkeypatch):
+        # the extension never answers with a route (D <= C * route), so its cache is given one
+        built = _counting_route_witness(monkeypatch)
+        K = tree_complex(2, 4)
+        M = ExtendedMetric(K, word_vertex_metric(K))
+        x, y = vertex_point(K, "t07"), make_point(K, {"t05": 0.25, "t12": 0.75})
+        path = l1_path_distance(K, x, y)
+        M._cache[tuple(sorted((x.key(), y.key())))] = ((3.0, "l1path"), path)
+        assert M.distance(x, y) == 3.0 and built == []
+        there, back = M.distance_with_witness(x, y)[2], M.distance_with_witness(y, x)[2]
+        assert len(built) == 1 and back == there.reversed() and there.points[0].key() == x.key()
+
+    def test_a_witness_off_the_value_raises(self):
+        K = tree_complex(2, 3)
+        x, y = vertex_point(K, "t00"), vertex_point(K, "t14")
+        assert l1_path_distance(K, x, y).value == 3.0
+        got = pathmetric.PathResult(3.0 + 2**-50, route=(K, x, y, "t00", "t14"))
+        assert got.value == 3.0 + 2**-50
+        with pytest.raises(InternalConsistencyError, match="witness length 3.0"):
+            got.witness
+
+
 def _assert_vertex_pairs_take_the_route(K):
     table = word_metric(K)
     for u, v in itertools.combinations(K.vertices, 2):
         x, y = vertex_point(K, u), vertex_point(K, v)
         assert max(b for _, b in pathmetric.query_bounds(K, x, y)) == table.distance(u, v)
         got = chain_solver_distance(K, x, y)
-        assert got.value == pytest.approx(table.distance(u, v), abs=1e-9)
+        assert got._route is not None  # the route, its witness not yet built
+        assert got == (table.distance(u, v), pathmetric._route_witness(K, x, y, u, v))
 
 
 class TestChainSolverAgainstClosedForms:
