@@ -121,29 +121,32 @@ def find_nontrivial_automorphism(K: SimplicialComplex) -> Automorphism | None:
     If no w works, every automorphism fixes v, so v stays pinned.
     """
     vs = K.vertices
+    simplices = list(map(K.simplex_csr.row, range(len(K.simplex_csr))))
+    held = list(map(K.incidence_csr.row, range(len(vs))))
 
-    def refine(colour: dict[str, int]) -> dict[str, int]:
-        # a colour is named by the rank of its sorted signature, so names never depend on labels
+    def refine(colour: list[int]) -> list[int]:
+        # colour[v] is vertex v's; it is named by the rank of its sorted signature, never by a label
         while True:
-            seen = [tuple(sorted([colour[v] for v in s])) for s in K.maximal_simplices]
-            signature = {v: (c, tuple(sorted([seen[s] for s in K.incidence[v]]))) for v, c in colour.items()}
-            names = {s: r for r, s in enumerate(sorted(set(signature.values())))}
-            refined = {v: names[s] for v, s in signature.items()}
-            if len(names) == len(set(colour.values())):
+            seen = [tuple(sorted([colour[v] for v in s])) for s in simplices]
+            signature = [(c, tuple(sorted([seen[s] for s in held[v]]))) for v, c in enumerate(colour)]
+            names = {s: r for r, s in enumerate(sorted(set(signature)))}
+            refined = [names[s] for s in signature]
+            if len(names) == len(set(colour)):
                 return refined
             colour = refined
 
-    def pin(colour: dict[str, int], v: str) -> dict[str, int]:
-        return refine({**colour, v: max(colour.values()) + 1})  # fresh, so two pins never share a colour
+    def pin(colour: list[int], v: int) -> list[int]:
+        # a fresh colour, so two pins never share one
+        return refine(colour[:v] + [max(colour) + 1] + colour[v + 1:])
 
-    def cells(colour: dict[str, int]) -> tuple[dict[int, list[str]], int | None]:
-        """Colour -> its vertices in label order, and the first colour that several share."""
-        out: dict[int, list[str]] = {}
-        for v in vs:
-            out.setdefault(colour[v], []).append(v)
+    def cells(colour: list[int]) -> tuple[dict[int, list[int]], int | None]:
+        """Colour -> its vertex ids, ascending, and the first colour that several share."""
+        out: dict[int, list[int]] = {}
+        for v, c in enumerate(colour):
+            out.setdefault(c, []).append(v)
         return out, min((c for c, members in out.items() if len(members) > 1), default=None)
 
-    colour = refine(dict.fromkeys(vs, 0))
+    colour = refine([0] * len(vs))
     top, split = cells(colour)
     while split is not None:
         fixed = pin(colour, top[split][0])
@@ -152,11 +155,11 @@ def find_nontrivial_automorphism(K: SimplicialComplex) -> Automorphism | None:
         while stack:
             a, b, w = stack.pop()
             b = pin(b, w)
-            if sorted(a.values()) != sorted(b.values()):
+            if sorted(a) != sorted(b):
                 continue
             (ca, inner), (cb, _) = cells(a), cells(b)
             try:
-                return make_automorphism(K, {u: t for c in ca for u, t in zip(ca[c], cb[c])})
+                return make_automorphism(K, {vs[u]: vs[t] for c in ca for u, t in zip(ca[c], cb[c])})
             except NotAnAutomorphism:
                 if inner is not None:
                     a = pin(a, ca[inner][0])
@@ -662,20 +665,22 @@ def _check_decay(ctx: CheckContext, r: CheckResult) -> None:
 def grid_sandwich(
     K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint, n: int, refine: bool = True
 ) -> tuple[dict[str, float], bool]:
-    """The exact path value against the grid oracle at 1/n, and at 1/(2n) when refining.
+    """The exact path value of two 1/n grid points against the grid oracle at 1/n, and 1/(2n) when refining.
 
     Returns the row (exact, grid, gap, tol, and grid_fine when refining) and
     whether exact <= grid <= exact + tol, tol = max(1, dim K) / n * (1 + exact),
-    and the finer grid is no longer than the coarse one.
+    the finer grid is no longer than the coarse one, and, the oracle being
+    exact on the points' own grids, each grid value is the exact one to
+    within VALUE_TOL.
     """
     exact = l1_path_distance(K, x, y).value
     grid = grid_oracle_path_distance(K, x, y, 1.0 / n)
     tol = max(1, K.dimension) * (1.0 / n) * (1.0 + exact)
     row = {"exact": exact, "grid": grid, "gap": grid - exact, "tol": tol}
-    ok = exact <= grid + VALUE_TOL and grid - exact <= tol
+    ok = exact <= grid + VALUE_TOL and grid - exact <= tol and abs(grid - exact) <= VALUE_TOL
     if refine:
         row["grid_fine"] = fine = grid_oracle_path_distance(K, x, y, 1.0 / (2 * n))
-        ok = ok and fine <= grid + VALUE_TOL
+        ok = ok and fine <= grid + VALUE_TOL and abs(fine - exact) <= VALUE_TOL
     return row, ok
 
 
@@ -695,11 +700,12 @@ def _check_oracle_sandwich(ctx: CheckContext, r: CheckResult) -> None:
 
 @_check("oracle", "naive-bilinear-identity-violation")
 def _check_naive_violation(ctx: CheckContext, r: CheckResult) -> None:
-    edges = ctx.K.edges()
-    if not edges:
+    ids = ctx.K.adjacency_csr.indices
+    if not len(ids):
         r.notes.append("skipped: complex has no edge")
         return
-    u, v = edges[0]
+    # the least edge: the least vertex with a neighbour (adjacency is symmetric), and the head of its row
+    u, v = ctx.K.vertices[ids.min()], ctx.K.vertices[ids[0]]
     pts = [
         vertex_point(ctx.K, u),
         vertex_point(ctx.K, v),

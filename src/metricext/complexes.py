@@ -25,12 +25,12 @@ the generators hand their ids to it directly.
 Equality and hash read the labels and the simplex rows.  Everything else
 is derived on first use and kept on the complex, freed with it: the label
 -> id `index`, the word table, the grid oracle's graphs by resolution, the
-maximal simplices meeting each one the path search asks about, and the
-label views.  `spans`, `neighbours`, the path search, the word table and
-the geodesics read ids; `maximal_simplices` (label tuples) is read by the
-samplers, the checks, `oracle.build_grid`, `make_automorphism` and
-`fileio.complex_to_dict`, and the `adjacency` and `incidence` dicts by
-`checks.refine`, the oracle's search, `generators._ball` and `edges`.
+maximal simplices meeting each one the path search asks about, the id rows
+read so far (`IdRows.row`), and two label views of whole tables:
+`maximal_simplices` (label tuples), read by the samplers, the checks,
+`oracle.build_grid`, `make_automorphism` and `fileio.complex_to_dict`, and
+the `adjacency` dict, read by the oracle's own search.  Every other reader
+reads id rows.
 
 The word table holds no V^2 array and no graph of its own: it reads the
 complex's adjacency CSR.  It answers word distances on demand: a row is one
@@ -95,14 +95,15 @@ def make_simplex(vertices: Iterable[str]) -> Simplex:
 class IdRows:
     """Rows of ids in CSR form: row i is indices[indptr[i]:indptr[i + 1]], ascending.
 
-    Both arrays are int32.  `lists` is the same two arrays as Python lists,
-    made on first use for the readers that walk one row at a time: slicing a
-    list costs a fraction of slicing an array.
+    Both arrays are int32.  `row(i)` is row i as a tuple of ints, cut from
+    the arrays on its first read and kept: a query pays only for the rows it
+    touches, and a repeated read is a dict lookup, not an array slice.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         self.indptr = indptr
         self.indices = indices
+        self._rows: dict[int, tuple[int, ...]] = {}
 
     @classmethod
     def of(cls, counts: np.ndarray, values: np.ndarray) -> IdRows:
@@ -111,9 +112,12 @@ class IdRows:
         np.cumsum(counts, out=indptr[1:])
         return cls(indptr, values.astype(np.int32))
 
-    @cached_property
-    def lists(self) -> tuple[list[int], list[int]]:
-        return self.indptr.tolist(), self.indices.tolist()
+    def row(self, i: int) -> tuple[int, ...]:
+        row = self._rows.get(i)
+        if row is None:
+            ptr = self.indptr
+            row = self._rows[i] = tuple(self.indices[ptr.item(i):ptr.item(i + 1)].tolist())
+        return row
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -203,7 +207,7 @@ class WordMetricTable:
         """
         if u == v:
             return 0
-        ptr, ids = self.adjacency.lists
+        row = self.adjacency.row
         a, b = self.index[u], self.index[v]
         seen = ({a: 0}, {b: 0})
         frontier = [[a], [b]]
@@ -213,7 +217,7 @@ class WordMetricTable:
             grown = []
             for a in frontier[side]:
                 step = mine[a] + 1
-                for b in ids[ptr[a]:ptr[a + 1]]:
+                for b in row(a):
                     if b in other:
                         return step + other[b]
                     if b not in mine:
@@ -263,15 +267,9 @@ class SimplicialComplex:
     @cached_property
     def adjacency(self) -> dict[str, tuple[str, ...]]:
         """Label -> its neighbours' labels, ascending; built from the CSR on first use."""
-        ptr, ids = self.adjacency_csr.lists
-        vs = self.vertices
-        return {v: tuple([vs[j] for j in ids[ptr[i]:ptr[i + 1]]]) for i, v in enumerate(vs)}
-
-    @cached_property
-    def incidence(self) -> dict[str, tuple[int, ...]]:
-        """Label -> ids of the maximal simplices holding it, ascending; built from the CSR on first use."""
-        ptr, ids = self.incidence_csr.lists
-        return {v: tuple(ids[ptr[i]:ptr[i + 1]]) for i, v in enumerate(self.vertices)}
+        ptr, vs = self.adjacency_csr.indptr.tolist(), self.vertices
+        labels = [vs[j] for j in self.adjacency_csr.indices.tolist()]
+        return {v: tuple(labels[ptr[i]:ptr[i + 1]]) for i, v in enumerate(vs)}
 
     @cached_property
     def word_table(self) -> WordMetricTable:
@@ -298,9 +296,8 @@ class SimplicialComplex:
         """
         row = self._neighbour_rows.get(s)
         if row is None:
-            sptr, sids = self.simplex_csr.lists
-            ptr, held = self.incidence_csr.lists
-            met = {t for w in sids[sptr[s]:sptr[s + 1]] for t in held[ptr[w]:ptr[w + 1]]}
+            held = self.incidence_csr.row
+            met = {t for w in self.simplex_csr.row(s) for t in held(w)}
             met.discard(s)
             row = self._neighbour_rows[s] = tuple(sorted(met))
         return row
@@ -308,9 +305,6 @@ class SimplicialComplex:
     @cached_property
     def dimension(self) -> int:
         return int(self.simplex_csr.indptr[-1] - self.simplex_csr.indptr[-2]) - 1  # rows are sorted by size
-
-    def edges(self) -> list[Simplex]:
-        return [(a, b) for a, ns in self.adjacency.items() for b in ns if a < b]
 
     def spans(self, s: Sequence[str]) -> bool:
         """Whether the distinct labels s are a face: some maximal simplex holds them all.
@@ -327,20 +321,17 @@ class SimplicialComplex:
                 a, b = index[s[0]], index[s[1]]
             except KeyError:
                 return False
-            ptr, ids = self.adjacency_csr.lists
-            hi = ptr[a + 1]
-            at = bisect_left(ids, b, ptr[a], hi)
-            return at < hi and ids[at] == b
+            row = self.adjacency_csr.row(a)
+            at = bisect_left(row, b)
+            return at < len(row) and row[at] == b
         if not s or len(s) > self.dimension + 1:
             return False
         want = list(map(index.get, s))
         if None in want:
             return False
-        ptr, held = self.incidence_csr.lists
-        sptr, sids = self.simplex_csr.lists
-        a = want[0]
-        for i in held[ptr[a]:ptr[a + 1]]:
-            sigma = sids[sptr[i]:sptr[i + 1]]
+        simplex = self.simplex_csr.row
+        for i in self.incidence_csr.row(want[0]):
+            sigma = simplex(i)
             for v in want:
                 if v not in sigma:
                     break
@@ -354,14 +345,14 @@ class SimplicialComplex:
         if not want:
             return list(range(len(self.simplex_csr)))
         index = self.index
-        ptr, held = self.incidence_csr.lists
+        held = self.incidence_csr.row
         rows = []
         for v in want:
             i = index.get(v)
             if i is None:
                 return []
-            rows.append(held[ptr[i]:ptr[i + 1]])
-        return rows[0] if len(rows) == 1 else sorted(set(rows[0]).intersection(*rows[1:]))
+            rows.append(held(i))
+        return list(rows[0]) if len(rows) == 1 else sorted(set(rows[0]).intersection(*rows[1:]))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import VALUE_TOL, BarycentricPoint, SimplicialComplex
-from .errors import MissingQIConstants
+from .errors import InvalidParameters, MissingQIConstants
 from .pathmetric import (  # noqa: F401 - bench/workloads.py reads extension.l1_path_distance
     PathResult,
     PathWitness,
@@ -70,6 +70,9 @@ class ExtendedMetric:
     _cache: dict = field(default_factory=dict, repr=False)  # key -> ((value, branch), PathResult | None)
 
     def __post_init__(self):
+        # C bounds the metric against its own complex's word metric only
+        if self.vertex.K is not self.K and self.vertex.K != self.K:
+            raise InvalidParameters("the vertex metric was made for another complex")
         # The linear bound underlying the whole construction.
         if self.vertex.C < self.vertex.minimal_C - VALUE_TOL:
             raise ValueError(

@@ -131,20 +131,18 @@ def rips_complex(
     if not radius >= 1 or max_dim < 1:  # a NaN radius fails the first test
         raise InvalidParameters("need radius >= 1 and max_dim >= 1")
     word_metric(base)  # a disconnected base is rejected, as by every word-metric reader
-    index = base.index
-    near = [
-        (i, index[w]) for i, v in enumerate(base.vertices) for w in _ball(base, v, radius) if index[w] > i
-    ]
+    near = [(i, j) for i in range(len(base.vertices)) for j in _ball(base, i, radius) if j > i]
     return _flag_complex(base.vertices, near, max_dim + 1)
 
 
-def _ball(K: SimplicialComplex, v: str, radius: float) -> set[str]:
-    """Vertices at word distance at most radius from v, by a breadth-first search cut at that depth."""
+def _ball(K: SimplicialComplex, v: int, radius: float) -> set[int]:
+    """Ids at word distance at most radius from vertex id v, by a breadth-first search cut at that depth."""
+    row = K.adjacency_csr.row
     ball, frontier, depth = {v}, [v], 1
     while frontier and depth <= radius:
         grown = []
         for a in frontier:
-            for b in K.adjacency[a]:
+            for b in row(a):
                 if b not in ball:
                     ball.add(b)
                     grown.append(b)
@@ -391,12 +389,12 @@ def _random_geodesic(K: SimplicialComplex, rng: np.random.Generator, u: str, v: 
     """Shortest edge path from u to v, each step drawn among the neighbours one step closer."""
     table = word_metric(K)
     to_v = table.row(v)
-    ptr, ids = K.adjacency_csr.lists
+    row = K.adjacency_csr.row
     a, b = table.index[u], table.index[v]
     path = [a]
     while a != b:
         step = to_v.item(a) - 1
-        a = _pick(rng, [w for w in ids[ptr[a]:ptr[a + 1]] if to_v.item(w) == step])
+        a = _pick(rng, [w for w in row(a) if to_v.item(w) == step])
         path.append(a)
     return [K.vertices[i] for i in path]
 

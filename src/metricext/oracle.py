@@ -1,8 +1,9 @@
 """Independent brute-force oracles.
 
 Ground truth for the solvers lives here: a grid oracle that counts the
-fewest unit transfers of weight 1/n between two grid points and so
-upper-approximates the path distance, an exhaustive metric-axiom scanner,
+fewest unit transfers of weight 1/n between two grid points, which is
+exactly their path distance (`grid_oracle_path_distance`), an exhaustive
+metric-axiom scanner,
 and a combinatorial Gromov-product oracle for trees.  Nothing in this
 module calls the solver code it is meant to check; the small primitives
 (BFS, l1 lengths) are reimplemented locally on purpose.  The grid oracle
@@ -118,9 +119,16 @@ def grid_oracle_path_distance(
     """Shortest grid-path length from x to y at resolution h = 1/n: the
     fewest unit transfers between their grid nodes, over n.
 
-    Breakpoints are restricted to grid nodes, so the value is always an
-    upper approximation of the true path distance, and refining h can only
-    tighten it.  Each point is snapped to its nearest grid node
+    For x and y on the 1/n grid the value is exactly the path distance.
+    Grid paths are paths, so it is never below it.  On an optimal chain,
+    the chain's transport has integer supplies and demands in units of
+    1/n, so an optimal flow in whole units exists (transportation polytopes
+    are integral: Dantzig 1951; Hoffman & Kruskal 1956).  The path that
+    moves each unit onto one vertex of each face then breaks only at grid
+    nodes, consecutive breakpoints share a simplex, and there grid hops
+    equal l1 length (`GridGraph`), so the value is never above it either.
+    Points on the 1/n grid are on the 1/(2n) grid too, so refining h gives
+    the same value.  Each point is snapped to its nearest grid node
     (`snap_to_grid_node`); one farther than h/2 in l1 from every node, or
     snapping to no node of the grid, raises PointNotOnGrid.
 

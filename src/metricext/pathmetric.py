@@ -774,7 +774,7 @@ def _best_first(
       route's length (`_route_length`): when factor * length falls below
       bilinear, no such chain exists and the route is the exact answer.
     """
-    sptr, sids = K.simplex_csr.lists
+    simplex = K.simplex_csr.row
     ys = y.support
     ends = set(K.maximal_indices_containing(ys))
     supply, demand, scale = _masses(x, y)
@@ -794,7 +794,7 @@ def _best_first(
     def meet(s: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         """Record s the first time the search meets it: its bits, and (d_v, Y_v) per v in supp(y)."""
         ones, words = [], []
-        for w in sids[sptr[s]:sptr[s + 1]]:
+        for w in simplex(s):
             known = met.get(w)
             if known is None:
                 known = met[w] = (1 << len(met), [row.item(w) for row in rows_y])
@@ -848,7 +848,7 @@ def _best_first(
             chain = []
             while li is not None:
                 s, _, li = labels[li]
-                chain.append(tuple([K.vertices[w] for w in sids[sptr[s]:sptr[s + 1]]]))
+                chain.append(tuple([K.vertices[w] for w in simplex(s)]))
             return tuple(reversed(chain)), b, scale
         ms = seen[s][0]
         for t in K.neighbours(s):

@@ -218,8 +218,11 @@ def decay_probe(
     fits the smallest grid lambda with every recorded value <= lambda**m.
     A NaN or infinite threshold, or a grid entry outside (0, 1), raises
     InvalidParameters: either would decide the verdict whatever the values.
+    So does an empty grid, which has no lambda to fit.
     """
     _require_finite(threshold=threshold)
+    if len(lambda_grid) == 0:
+        raise InvalidParameters("lambda_grid needs at least one entry")
     for lam in lambda_grid:
         _require_finite(lambda_grid=lam)
         if not 0 < lam < 1:

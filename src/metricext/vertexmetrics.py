@@ -62,11 +62,11 @@ def geodesic(K: SimplicialComplex, u: str, v: str) -> list[str]:
     """Shortest edge path from u to v: the least neighbour one step closer to v, each step."""
     table = word_metric(K)
     to_v = table.row(v)
-    ptr, ids = K.adjacency_csr.lists
+    row = K.adjacency_csr.row
     a = table.index[u]
     path = [u]
     for step in range(to_v.item(a) - 1, -1, -1):
-        for a in ids[ptr[a]:ptr[a + 1]]:  # ascending, so the first found is the least
+        for a in row(a):  # ascending, so the first found is the least
             if to_v.item(a) == step:
                 break
         path.append(K.vertices[a])
@@ -167,8 +167,10 @@ class VertexMetric:
     quasi-isometry constants against the word metric and unlock the
     bounded-difference checks downstream.
 
-    `index` maps each vertex to its position in `order`.  An explicit metric
-    is its dense `matrix` over `order`.  A word-derived metric
+    `K` is the complex the metric was made for: C bounds it against K's word
+    metric only.  `order` is K's vertices and `index` maps each vertex to
+    its position there.  An explicit metric is its dense `matrix` over
+    `order`.  A word-derived metric
     (`word_vertex_metric`, `transformed_word_metric`) holds no matrix: each
     distance is  scale*t + saturation*(1 - 2**(-t))  of one word-table
     lookup t, and `matrix` is built on first use, for the consumers that
@@ -177,18 +179,18 @@ class VertexMetric:
 
     def __init__(
         self,
-        order: tuple[str, ...],
+        K: SimplicialComplex,
         matrix: np.ndarray | None,
         C: float,
         minimal_C: float,
-        index: dict[str, int],
         A: float | None = None,
         B: float | None = None,
     ):
-        self.order = order
+        self.K = K
+        self.order = K.vertices
+        self.index = K.index
         self.C = C
         self.minimal_C = minimal_C
-        self.index = index
         self.A = A
         self.B = B
         # (word table, scale, saturation) of a word-derived metric, set by _word_derived
@@ -270,13 +272,12 @@ def validate_vertex_metric(
                 [MetricViolation("QIBoundViolation", w[1:], 0.0) for w in result.witnesses]
             )
     return VertexMetric(
-        order=order,
+        K=K,  # m is over the word table's order, K's vertices, now
         matrix=m,
         C=minimal if C is None else float(C),
         minimal_C=minimal,
         A=A,
         B=B,
-        index=word.index,  # order is the word table's now
     )
 
 
@@ -288,13 +289,12 @@ def _word_derived(K: SimplicialComplex, scale: float, saturation: float) -> Vert
     """
     word = word_metric(K)
     metric = VertexMetric(
-        order=word.order,
+        K=K,
         matrix=None,
         C=scale + saturation / 2.0,
         minimal_C=scale * 1.0 + saturation * (1.0 - 2.0**-1.0),
         A=max(scale, 1.0 / scale),
         B=float(saturation),
-        index=word.index,
     )
     metric._transform = (word, scale, saturation)
 

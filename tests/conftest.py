@@ -15,7 +15,6 @@ from metricext import build_complex, make_automorphism, make_point, tripwire_log
 from metricext.complexes import Simplex, make_simplex
 from metricext.errors import DuplicateVertex, EmptySimplex, UnknownVertexInSimplex
 from metricext.generators import (
-    _ball,
     _labels,
     _pick,
     _random_geodesic,
@@ -27,6 +26,16 @@ from metricext.generators import (
     tree_complex,
 )
 from metricext.vertexmetrics import word_metric
+
+
+def edges(K):
+    """The edges of K as label pairs (a, b), a < b, in label order, from the adjacency label view."""
+    return [(a, b) for a, ns in K.adjacency.items() for b in ns if a < b]
+
+
+def incidence(K):
+    """Label -> ids of the maximal simplices holding it, ascending: the incidence CSR's rows by label."""
+    return {v: K.incidence_csr.row(i) for i, v in enumerate(K.vertices)}
 
 
 def all_faces(K):
@@ -156,11 +165,7 @@ def reference_random_complex(n, density, seed, max_dim=3):
 
 
 def reference_rips_complex(base, radius, max_dim=3):
-    word_metric(base)
-    index = {v: i for i, v in enumerate(base.vertices)}
-    near = [
-        (i, index[w]) for i, v in enumerate(base.vertices) for w in _ball(base, v, radius) if index[w] > i
-    ]
+    near = np.argwhere(np.triu(word_metric(base).matrix <= radius, 1)).tolist()
     return reference_build_complex(base.vertices, reference_cliques(base.vertices, near, max_dim + 1))
 
 
@@ -177,7 +182,7 @@ def assert_same_complex(K, want):
     assert K.vertices == want.vertices
     assert K.maximal_simplices == want.maximal_simplices
     assert list(K.adjacency.items()) == list(want.adjacency.items())
-    assert list(K.incidence.items()) == list(want.incidence.items())
+    assert list(incidence(K).items()) == list(want.incidence.items())
 
 
 def assert_identity_is_the_labels(K, L):

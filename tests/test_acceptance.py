@@ -49,6 +49,7 @@ from metricext.generators import (
 from conftest import (
     book_complex,
     cycle_rotation,
+    edges,
     fleet,
     path_reversal,
     simplex_transposition,
@@ -78,10 +79,10 @@ def _report(n, label):
 def test_criterion_01_naive_failure_reproduction(complexes):
     checked = 0
     for name, K in complexes.items():
-        edges = K.edges()
-        if not edges:
+        pairs = edges(K)
+        if not pairs:
             continue
-        u, v = edges[0]
+        u, v = pairs[0]
         vm = word_vertex_metric(K)
         mid = make_point(K, {u: 0.5, v: 0.5})
         points = [vertex_point(K, u), vertex_point(K, v), mid]
@@ -189,9 +190,12 @@ def test_criterion_06_oracle_agreement():
             assert coarse - exact <= K.dimension * (1 / 16) * (1 + exact), name
             assert fine <= coarse + TOL, name
             assert exact <= fine + TOL, name
+            # the points lie on both grids, where the oracle is exact
+            assert abs(coarse - exact) <= TOL, name
+            assert abs(fine - exact) <= TOL, name
             total += 1
     assert total >= 50
-    _report(6, f"grid oracle sandwich and refinement on {total} pairs")
+    _report(6, f"grid oracle equality, sandwich and refinement on {total} pairs")
 
 
 def test_criterion_07_sandwich(complexes):

@@ -8,6 +8,7 @@ import pytest
 from metricext import build_complex, make_automorphism, validate_vertex_metric, word_vertex_metric
 from metricext import checks
 from metricext.checks import find_nontrivial_automorphism, run_checks
+from metricext.errors import NotAnAutomorphism
 from metricext.generators import (
     cycle_complex,
     path_complex,
@@ -86,6 +87,62 @@ def backtracking_has_automorphism(K):
         return False
 
     return extend([])
+
+
+def reference_find_nontrivial_automorphism(K):
+    """The automorphism search as it was on labels: colours keyed by label, signatures from the label views."""
+    vs = K.vertices
+    held = {v: tuple(i for i, s in enumerate(K.maximal_simplices) if v in s) for v in vs}
+
+    def refine(colour):
+        while True:
+            seen = [tuple(sorted([colour[v] for v in s])) for s in K.maximal_simplices]
+            signature = {v: (c, tuple(sorted([seen[s] for s in held[v]]))) for v, c in colour.items()}
+            names = {s: r for r, s in enumerate(sorted(set(signature.values())))}
+            refined = {v: names[s] for v, s in signature.items()}
+            if len(names) == len(set(colour.values())):
+                return refined
+            colour = refined
+
+    def pin(colour, v):
+        return refine({**colour, v: max(colour.values()) + 1})
+
+    def cells(colour):
+        out = {}
+        for v in vs:
+            out.setdefault(colour[v], []).append(v)
+        return out, min((c for c, members in out.items() if len(members) > 1), default=None)
+
+    colour = refine(dict.fromkeys(vs, 0))
+    top, split = cells(colour)
+    while split is not None:
+        fixed = pin(colour, top[split][0])
+        stack = [(fixed, colour, w) for w in reversed(top[split][1:])]
+        while stack:
+            a, b, w = stack.pop()
+            b = pin(b, w)
+            if sorted(a.values()) != sorted(b.values()):
+                continue
+            (ca, inner), (cb, _) = cells(a), cells(b)
+            try:
+                return make_automorphism(K, {u: t for c in ca for u, t in zip(ca[c], cb[c])})
+            except NotAnAutomorphism:
+                if inner is not None:
+                    a = pin(a, ca[inner][0])
+                    stack.extend((a, b, w) for w in reversed(cb[inner]))
+        colour = fixed
+        top, split = cells(colour)
+    return None
+
+
+def test_the_id_search_finds_the_label_search_automorphism():
+    # ids are label ranks, so keying colours by id changes no cell, pin or answer
+    found = 0
+    for K in small_complexes(400) + list(fleet().values()):
+        g = find_nontrivial_automorphism(K)
+        assert g == reference_find_nontrivial_automorphism(K), K.maximal_simplices
+        found += g is not None
+    assert found >= 50
 
 
 def test_agrees_with_brute_force_on_small_complexes():

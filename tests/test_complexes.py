@@ -36,6 +36,7 @@ from conftest import (
     assert_identity_is_the_labels,
     assert_same_complex,
     assert_spans_is_membership,
+    incidence,
     reference_build_complex,
 )
 
@@ -46,19 +47,25 @@ def spanned(K):
 
 
 def assert_id_tables_are_the_dicts(K):
-    """The int32 CSR tables hold, by id, what the label views hold by label, in the same order."""
+    """The int32 CSR tables hold, by id, what the label views hold by label, in the same order.
+
+    Incidence is checked against a scan of the maximal simplices, and each
+    row as `row` reads it, kept after its first read, against the arrays.
+    """
     vs = K.vertices
     assert K.index == {v: i for i, v in enumerate(vs)}
     for rows, want in [
         (K.simplex_csr, [[K.index[v] for v in s] for s in K.maximal_simplices]),
-        (K.incidence_csr, [list(K.incidence[v]) for v in vs]),
+        (K.incidence_csr, [[i for i, s in enumerate(K.maximal_simplices) if v in s] for v in vs]),
         (K.adjacency_csr, [[K.index[w] for w in K.adjacency[v]] for v in vs]),
     ]:
         assert rows.indptr.dtype == rows.indices.dtype == np.int32
         ptr, ids = rows.indptr.tolist(), rows.indices.tolist()
         assert [ids[a:b] for a, b in zip(ptr, ptr[1:])] == want
-        assert rows.lists == (ptr, ids)
-    assert list(K.adjacency) == list(K.incidence) == list(vs)
+        assert [rows.row(i) for i in range(len(rows))] == [tuple(r) for r in want]
+        assert all(type(w) is int for i in range(len(rows)) for w in rows.row(i))
+        assert all(rows.row(i) is rows.row(i) for i in range(len(rows)))
+    assert list(K.adjacency) == list(vs)
 
 
 class TestBuildComplex:
@@ -130,7 +137,7 @@ class TestBuildComplex:
         faces = {f for s in want for k in range(1, len(s) + 1) for f in combinations(s, k)}
         assert spanned(K) == faces
         assert_spans_is_membership(K)
-        assert K.incidence == {
+        assert incidence(K) == {
             v: tuple(i for i, s in enumerate(want) if v in s) for v in K.vertices
         }
         assert K.adjacency == {
@@ -195,7 +202,7 @@ class TestBuildComplex:
     def test_incidence_is_not_part_of_identity(self, book):
         same = build_complex(list(book.vertices), book.maximal_simplices)
         assert same == book and hash(same) == hash(book)
-        held = [book.maximal_simplices[i] for i in book.incidence["b"]]
+        held = [book.maximal_simplices[i] for i in incidence(book)["b"]]
         assert held == [("a", "b", "c"), ("b", "c", "d")]
 
 

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from metricext import (
     ExtendedMetric,
+    InvalidParameters,
     MissingQIConstants,
     PathResult,
     PathWitness,
     apply_automorphism,
     bilinear_extension,
+    build_complex,
     common_simplex,
     double_difference,
     gromov_product,
@@ -33,6 +35,7 @@ from metricext import (
     word_vertex_metric,
 )
 from metricext import pathmetric as pathmetric_module
+from metricext.checks import run_checks
 from metricext.generators import (
     cycle_complex,
     random_disjoint_pair,
@@ -95,6 +98,25 @@ class TestExtendedDistance:
             value, branch = M.distance_with_branch(vertex_point(book, u), vertex_point(book, v))
             assert value == vm.distance(u, v)
             assert branch == "bilinear"
+
+    def test_a_metric_made_for_another_complex_is_rejected(self):
+        # on the 4-cycle, the path's word metric puts a and d 3 apart against a word
+        # distance of 1, so d <= C * word fails at C = 1
+        path = build_complex("abcd", ["ab", "bc", "cd"])
+        cycle = build_complex("abcd", ["ab", "bc", "cd", "da"])
+        other = build_complex("wxyz", ["wx", "xy", "yz"])
+        word = word_metric(path).matrix.astype(float)
+        for vm in (word_vertex_metric(path), validate_vertex_metric(path, word)):
+            for K in (cycle, other):
+                with pytest.raises(InvalidParameters, match="another complex"):
+                    ExtendedMetric(K, vm)
+            with pytest.raises(InvalidParameters, match="another complex"):
+                run_checks(cycle, vm, suite="complex")
+            # an equal complex built separately is the same complex
+            same = build_complex("dcba", ["dc", "ba", "cb"])
+            assert same is not path and same == path
+            M = ExtendedMetric(same, vm)
+            assert M.distance(vertex_point(same, "a"), vertex_point(same, "d")) == 3.0
 
     def test_worked_example_on_path(self, path3):
         M = ExtendedMetric(path3, word_vertex_metric(path3))
@@ -626,10 +648,7 @@ class TestSandwich:
 
     def test_requires_constants(self, book):
         vm = word_vertex_metric(book)
-        without_qi = type(vm)(
-            order=vm.order, matrix=vm.matrix, C=vm.C, minimal_C=vm.minimal_C,
-            A=None, B=None, index=vm.index,
-        )
+        without_qi = type(vm)(K=vm.K, matrix=vm.matrix, C=vm.C, minimal_C=vm.minimal_C, A=None, B=None)
         M = ExtendedMetric(book, without_qi)
         with pytest.raises(MissingQIConstants):
             sandwich_check(M, vertex_point(book, "a"), vertex_point(book, "b"))

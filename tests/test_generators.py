@@ -43,6 +43,7 @@ from metricext.generators import (
 from conftest import (
     all_faces,
     assert_same_complex,
+    edges,
     fleet,
     reference_random_complex,
     reference_random_edges,
@@ -61,7 +62,7 @@ class TestGenerators:
     def test_binary_tree_2_3(self):
         K = tree_complex(2, 3)
         assert len(K.vertices) == 15
-        assert len(K.edges()) == 14
+        assert len(edges(K)) == 14
         assert hyperbolicity_delta(word_vertex_metric(K)) == 0.0
 
     def test_simplex_3_is_tetrahedron(self):
@@ -165,14 +166,14 @@ class TestGenerators:
             n = 5 + seed
             K = random_complex(n, density, seed)
             vs = K.vertices
-            assert K.edges() == sorted((vs[i], vs[j]) for i, j in reference_random_edges(n, density, seed))
+            assert edges(K) == sorted((vs[i], vs[j]) for i, j in reference_random_edges(n, density, seed))
 
     def test_random_edges_drawn_in_blocks_are_the_scalar_draws(self):
         # 79,800 pairs: the uniforms are drawn in two blocks, one stream
         n, density, seed = 400, 0.01, 3
         K = random_complex(n, density, seed)
         vs = K.vertices
-        assert K.edges() == sorted((vs[i], vs[j]) for i, j in reference_random_edges(n, density, seed))
+        assert edges(K) == sorted((vs[i], vs[j]) for i, j in reference_random_edges(n, density, seed))
 
     def test_random_complex_memory_does_not_grow_with_the_pairs(self):
         # 4.5 million pairs: all their uniforms at once took 77 MiB

@@ -4,6 +4,7 @@ import heapq
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from heapq import heappop as _heappop, heappush as _heappush
 from operator import add, le
@@ -50,7 +51,7 @@ from metricext.generators import (
 )
 from metricext.oracle import grid_oracle_path_distance
 
-from conftest import pool_queries, simplex_on_a_path, tree_reflection
+from conftest import incidence, pool_queries, simplex_on_a_path, tree_reflection
 
 
 class TestPathLength:
@@ -375,6 +376,26 @@ class TestLazyRouteWitness:
         there, back = M.distance_with_witness(x, y)[2], M.distance_with_witness(y, x)[2]
         assert len(built) == 1 and back == there.reversed() and there.points[0].key() == x.key()
 
+    def test_a_near_query_keeps_only_the_rows_it_reads(self):
+        # its bounds stop at 0.75 against a route of 1.25, so the chain search runs; whole-table
+        # list mirrors of the three id tables once kept 15.5 MiB here, the two word rows are 0.5
+        K = tree_complex(2, 15)
+        word_metric(K)
+        x = make_point(K, {"t10000": 0.25, "t20001": 0.75})
+        y = make_point(K, {"t10000": 0.5, "t20002": 0.5})
+        assert max(b for _, b in pathmetric.query_bounds(K, x, y)) == 0.75
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = l1_path_distance(K, x, y)
+            witness = got.witness
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert got.value == witness.length == 1.25
+        assert [p.key() for p in witness.points] == [x.key(), (("t10000", 1.0),), y.key()]
+        assert kept < 2 * 2**20
+
     def test_a_witness_off_the_value_raises(self):
         K = tree_complex(2, 3)
         x, y = vertex_point(K, "t00"), vertex_point(K, "t14")
@@ -640,11 +661,12 @@ def _overlaps(K):
     vertices the two share.
     """
     M = K.maximal_simplices
+    held = incidence(K)
     out = []
     for s, sigma in enumerate(M):
         at = {w: p for p, w in enumerate(sigma)}
         row = []
-        for t in sorted({t for w in sigma for t in K.incidence[w]} - {s}):
+        for t in sorted({t for w in sigma for t in held[w]} - {s}):
             positions = tuple(at.get(w, -1) for w in M[t])
             row.append((t, positions, tuple(p for p in positions if p >= 0)))
         out.append(tuple(row))

@@ -184,10 +184,10 @@ class TestDecayProbe:
         with pytest.raises(InvalidParameters, match=f"{name} must be a finite number"):
             decay_probe(M, points, **params)
 
-    @pytest.mark.parametrize("grid", [(-0.5,), (0.0,), (0.5, 1.0), (2.0,)])
+    @pytest.mark.parametrize("grid", [(-0.5,), (0.0,), (0.5, 1.0), (2.0,), ()])
     def test_grid_outside_the_unit_interval_rejected(self, grid):
         # (-0.5)**7 < 0 would undercut a zero value and read "violated"; lambda = 2
-        # would fit growth and read "decay-consistent"
+        # would fit growth and read "decay-consistent"; () has no lambda to fit
         K = tree_complex(2, 6)
         M = ExtendedMetric(K, word_vertex_metric(K))
         quads = nested_quadruples(K, np.random.default_rng(12), count=30)
@@ -197,10 +197,7 @@ class TestDecayProbe:
 
     def test_requires_qi_constants(self, tree):
         vm = word_vertex_metric(tree)
-        stripped = type(vm)(
-            order=vm.order, matrix=vm.matrix, C=vm.C, minimal_C=vm.minimal_C,
-            A=None, B=None, index=vm.index,
-        )
+        stripped = type(vm)(K=vm.K, matrix=vm.matrix, C=vm.C, minimal_C=vm.minimal_C, A=None, B=None)
         M = ExtendedMetric(tree, stripped)
         with pytest.raises(MissingQIConstants):
             decay_probe(M, [])
