@@ -1,20 +1,23 @@
 """Finite abstract simplicial complexes and barycentric points.
 
 A complex is given by the canonical list of its maximal simplices; a vertex
-set is a face when some maximal simplex holds it all (`spans`).  At the API,
+set is a face when some maximal simplex holds it all (`holds`).  At the API,
 simplices are sorted tuples of string vertex labels; all iteration uses
 lexicographic label order so outputs are reproducible bit-for-bit.
 Complexes and points are immutable after construction.
 
 A barycentric point stores its sorted (vertex, weight) items and, once, when
-it is made, its support; the per-simplex l1 distance is one merge of two
-points' items.
+it is made, its support twice: as labels, and as the vertex ids of the
+complex it was made for, so a query on it maps no label to an id again.  A
+point is used only with that complex.  The per-simplex l1 distance is one
+merge of two points' items.
 
 Inside, a complex is integer ids: vertex i is the i-th label in sorted
 order and simplex s the s-th maximal simplex, so id order is label order.
 Its tables are int32 CSR arrays (`IdRows`): the vertex ids of each maximal
 simplex, the maximal simplices holding each vertex (incidence) and the
-neighbours of each vertex (adjacency).  `complex_from_ids` is the one
+neighbours of each vertex (adjacency).  `holds(ids)` is the one face test;
+`spans(labels)` maps labels to ids and asks it.  `complex_from_ids` is the one
 constructor.  It sorts and deduplicates the listed id rows, drops a row
 that a larger row holds, adds each vertex no row holds as a 0-simplex, and
 sorts rows by size, then lexicographically; incidence is a stable argsort of
@@ -28,9 +31,10 @@ is derived on first use and kept on the complex, freed with it: the label
 maximal simplices meeting each one the path search asks about, the id rows
 read so far (`IdRows.row`), and two label views of whole tables:
 `maximal_simplices` (label tuples), read by the samplers, the checks,
-`oracle.build_grid`, `make_automorphism` and `fileio.complex_to_dict`, and
-the `adjacency` dict, read by the oracle's own search.  Every other reader
-reads id rows.
+`oracle.build_grid` and `fileio.complex_to_dict`, and the `adjacency` dict,
+read by the oracle's own search.  Every other reader reads id rows: one at a
+time through `row`, or, to walk a whole table, all at once as lists that no
+cache keeps (`IdRows.all_rows`).
 
 The word table holds no V^2 array and no graph of its own: it reads the
 complex's adjacency CSR.  It answers word distances on demand: a row is one
@@ -118,6 +122,11 @@ class IdRows:
             ptr = self.indptr
             row = self._rows[i] = tuple(self.indices[ptr.item(i):ptr.item(i + 1)].tolist())
         return row
+
+    def all_rows(self) -> list[list[int]]:
+        """Every row as a list, read from the arrays in one pass and kept by no cache."""
+        ptr, ids = self.indptr.tolist(), self.indices.tolist()
+        return [ids[a:b] for a, b in zip(ptr, ptr[1:])]
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -306,52 +315,42 @@ class SimplicialComplex:
     def dimension(self) -> int:
         return int(self.simplex_csr.indptr[-1] - self.simplex_csr.indptr[-2]) - 1  # rows are sorted by size
 
-    def spans(self, s: Sequence[str]) -> bool:
-        """Whether the distinct labels s are a face: some maximal simplex holds them all.
+    def holds(self, ids: Sequence[int]) -> bool:
+        """Whether the distinct vertex ids are a face: some maximal simplex holds them all.
 
-        One label is a vertex lookup and two a search of the first one's
-        neighbour ids; the ids of more are tested against each maximal
-        simplex holding s[0], unless they are more than any has.  () is no face.
+        One id is a vertex, and two a search of the first one's neighbour
+        ids; more are tested against each maximal simplex holding ids[0],
+        unless they are more than any has.  () is no face.
         """
-        index = self.index
-        if len(s) == 1:
-            return s[0] in index
-        if len(s) == 2:
-            try:
-                a, b = index[s[0]], index[s[1]]
-            except KeyError:
-                return False
+        if len(ids) == 1:
+            return True
+        if len(ids) == 2:
+            a, b = ids
             row = self.adjacency_csr.row(a)
             at = bisect_left(row, b)
             return at < len(row) and row[at] == b
-        if not s or len(s) > self.dimension + 1:
-            return False
-        want = list(map(index.get, s))
-        if None in want:
+        if not ids or len(ids) > self.dimension + 1:
             return False
         simplex = self.simplex_csr.row
-        for i in self.incidence_csr.row(want[0]):
+        for i in self.incidence_csr.row(ids[0]):
             sigma = simplex(i)
-            for v in want:
+            for v in ids:
                 if v not in sigma:
                     break
             else:
                 return True
         return False
 
-    def maximal_indices_containing(self, vertices: Iterable[str]) -> list[int]:
-        """Ids of the maximal simplices containing the given vertex set, ascending."""
-        want = set(vertices)
-        if not want:
+    def spans(self, s: Sequence[str]) -> bool:
+        """Whether the distinct labels s are a face: `holds` of their ids; an unknown label is none."""
+        ids = tuple(map(self.index.get, s))
+        return None not in ids and self.holds(ids)
+
+    def maximal_indices_containing(self, ids: Sequence[int]) -> list[int]:
+        """Ids of the maximal simplices holding every given vertex id, ascending; all of them for ()."""
+        rows = list(map(self.incidence_csr.row, ids))
+        if not rows:
             return list(range(len(self.simplex_csr)))
-        index = self.index
-        held = self.incidence_csr.row
-        rows = []
-        for v in want:
-            i = index.get(v)
-            if i is None:
-                return []
-            rows.append(held(i))
         return list(rows[0]) if len(rows) == 1 else sorted(set(rows[0]).intersection(*rows[1:]))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -522,12 +521,17 @@ class BarycentricPoint:
 
     Weights are positive, sum to 1 (renormalized on construction) and the
     support spans a simplex of the owning complex.  Instances are hashable
-    and compare by their exact stored weights; the support is stored once,
-    when the point is made.  `weights` is a fresh dict on every read, so a
-    caller may change it.
+    and compare by their exact stored weights.  The support is stored once,
+    when the point is made, as labels (`support`) and as the vertex ids of
+    the complex the point was made for (`ids`, ascending, since ids are label
+    ranks); the point is used only with that complex.  A point built by hand
+    has ids None, so an id reader handed one raises.  `weights` is a fresh
+    dict on every read, so a caller may change it.
     """
 
     items: tuple[tuple[str, float], ...]  # sorted by label, weights > 0
+    # the ids of the support in the point's complex; like support, not part of equality, hash or repr
+    ids: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
     # the labels of items, stored once; derived, so not part of equality, hash or repr
     support: Simplex = field(init=False, compare=False, repr=False)
 
@@ -587,17 +591,19 @@ def make_point(K: SimplicialComplex, weights: Mapping[str, float]) -> Barycentri
             raise WeightsNotNormalizable("all weight below representable floor")
         normalized = [(v, w / total) for v, w in again]
 
-    point = BarycentricPoint(items=tuple(normalized))
-    if not K.spans(point.support):
+    # the support's ids, resolved here once; an unknown label is no face
+    point = BarycentricPoint(tuple(normalized), tuple(map(K.index.get, [v for v, _ in normalized])))
+    if None in point.ids or not K.holds(point.ids):
         raise SupportNotASimplex(f"support {point.support} does not span a simplex")
     return point
 
 
 def vertex_point(K: SimplicialComplex, v: str) -> BarycentricPoint:
     """The point of weight 1 at v: make_point(K, {v: 1.0}), built without renormalizing."""
-    if not K.spans((v,)):
+    i = K.index.get(v)  # a vertex's id is its face test
+    if i is None:
         raise SupportNotASimplex(f"support {(v,)} does not span a simplex")
-    return BarycentricPoint(items=((v, 1.0),))
+    return BarycentricPoint(((v, 1.0),), (i,))
 
 
 def common_simplex(
@@ -608,8 +614,8 @@ def common_simplex(
     A simplex holds both supports iff it holds their union, so one exists
     iff the union is a face, and then the union is the smallest choice.
     """
-    union = tuple(sorted(set(x.support) | set(y.support)))
-    return union if K.spans(union) else None
+    union = sorted(set(x.ids).union(y.ids))
+    return tuple([K.vertices[i] for i in union]) if K.holds(union) else None
 
 
 def simplex_l1(x: BarycentricPoint, y: BarycentricPoint) -> float:
@@ -658,24 +664,37 @@ class Automorphism:
 
 
 def make_automorphism(K: SimplicialComplex, mapping: Mapping[str, str]) -> Automorphism:
-    """Validate that the vertex bijection maps simplices to simplices."""
-    if sorted(mapping) != list(K.vertices) or sorted(mapping.values()) != list(K.vertices):
+    """Validate that the vertex bijection maps simplices to simplices.
+
+    Checking maximal simplices suffices: a face's image lies in its maximal
+    simplex's image.  The simplex table is read once, as lists; an image
+    that is itself a maximal simplex is a face, so only other images run the
+    face test, and a valid map reads no row into K's row caches.
+    """
+    vs = K.vertices
+    if sorted(mapping) != list(vs) or sorted(mapping.values()) != list(vs):
         raise NotAnAutomorphism("mapping is not a bijection of the vertex set")
-    # Checking maximal simplices suffices: a face's image lies in its maximal simplex's image.
-    for s in K.maximal_simplices:
-        image = tuple(sorted(mapping[v] for v in s))
-        if not K.spans(image):
-            raise NotAnAutomorphism(f"image {image} of simplex {s} is not a simplex")
+    index = K.index
+    image_of = [index[mapping[v]] for v in vs]
+    rows = K.simplex_csr.all_rows()
+    maximal = set(map(tuple, rows))
+    for row in rows:
+        image = tuple(sorted([image_of[i] for i in row]))
+        if image not in maximal and not K.holds(image):
+            raise NotAnAutomorphism(
+                f"image {tuple([vs[i] for i in image])} of simplex {tuple([vs[i] for i in row])} is not a simplex"
+            )
     return Automorphism(mapping=tuple(sorted(mapping.items())))
 
 
 def apply_automorphism(
     K: SimplicialComplex, g: Automorphism, x: BarycentricPoint
 ) -> BarycentricPoint:
-    """Relabel the weights of a point by the automorphism."""
+    """Relabel the weights of a point by the automorphism, resolving the image's ids once."""
     m = g.as_dict()
     relabeled = {m[v]: w for v, w in x.items}
     support = tuple(sorted(relabeled))
-    if not K.spans(support):
+    ids = tuple(map(K.index.get, support))
+    if None in ids or not K.holds(ids):
         raise NotAnAutomorphism(f"image support {support} is not a simplex")
-    return BarycentricPoint(items=tuple((v, relabeled[v]) for v in support))
+    return BarycentricPoint(tuple((v, relabeled[v]) for v in support), ids)

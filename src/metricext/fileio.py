@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any
 
@@ -33,7 +34,13 @@ def complex_to_dict(K: SimplicialComplex) -> dict:
 
 
 def _is_labels(value: Any) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, list) and all(map(isinstance, value, repeat(str)))
+
+
+def _is_label_lists(value: Any) -> bool:
+    """Whether value is a list of lists of strings: one pass over the lists, then one over every label."""
+    lists = isinstance(value, list) and all(map(isinstance, value, repeat(list)))
+    return lists and all(map(isinstance, chain.from_iterable(value), repeat(str)))
 
 
 def _is_number(value: Any) -> bool:
@@ -53,7 +60,7 @@ def complex_from_dict(data: Any) -> SimplicialComplex:
         raise InvalidParameters(f"complex file missing key {exc}") from exc
     if not _is_labels(vertices):
         raise InvalidParameters("vertices must be a JSON array of strings")
-    if not isinstance(simplices, list) or not all(map(_is_labels, simplices)):
+    if not _is_label_lists(simplices):
         raise InvalidParameters("maximal_simplices must be a JSON array of arrays of strings")
     return build_complex(vertices, simplices)
 

@@ -131,18 +131,18 @@ def rips_complex(
     if not radius >= 1 or max_dim < 1:  # a NaN radius fails the first test
         raise InvalidParameters("need radius >= 1 and max_dim >= 1")
     word_metric(base)  # a disconnected base is rejected, as by every word-metric reader
-    near = [(i, j) for i in range(len(base.vertices)) for j in _ball(base, i, radius) if j > i]
+    adjacency = base.adjacency_csr.all_rows()
+    near = [(i, j) for i in range(len(base.vertices)) for j in _ball(adjacency, i, radius) if j > i]
     return _flag_complex(base.vertices, near, max_dim + 1)
 
 
-def _ball(K: SimplicialComplex, v: int, radius: float) -> set[int]:
+def _ball(adjacency: list[list[int]], v: int, radius: float) -> set[int]:
     """Ids at word distance at most radius from vertex id v, by a breadth-first search cut at that depth."""
-    row = K.adjacency_csr.row
     ball, frontier, depth = {v}, [v], 1
     while frontier and depth <= radius:
         grown = []
         for a in frontier:
-            for b in row(a):
+            for b in adjacency[a]:
                 if b not in ball:
                     ball.add(b)
                     grown.append(b)

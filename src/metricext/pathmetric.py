@@ -614,7 +614,7 @@ def _path(
         # v's row gives the value and the bounds; the route witness, built when it is
         # read, walks its geodesic down the same row
         u, v = x.support[0], y.support[0]
-        result = PathResult(float(table.row(v).item(table.index[u])), route=(K, x, y, u, v))
+        result = PathResult(float(table.row(v).item(x.ids[0])), route=(K, x, y, u, v))
     else:
         bounds = query_bounds(K, x, y)
         if ceiling is not None and factor * max(b for _, b in bounds) >= bilinear:
@@ -775,14 +775,13 @@ def _best_first(
       bilinear, no such chain exists and the route is the exact answer.
     """
     simplex = K.simplex_csr.row
-    ys = y.support
-    ends = set(K.maximal_indices_containing(ys))
+    ends = set(K.maximal_indices_containing(y.ids))
     supply, demand, scale = _masses(x, y)
     p, q = (incumbent - TIE_TOL).as_integer_ratio()
     cutoff = -(-p * scale // q)
     if ceiling is not None:
         cutoff = _reaching_total(*ceiling, scale, cutoff)
-    rows_y = [table.row(v) for v in ys]  # one search per vertex of supp(y) answers every word(w, v)
+    rows_y = [table.row(v) for v in y.support]  # one search per vertex of supp(y) answers every word(w, v)
     met: dict[int, tuple[int, list[int]]] = {}  # vertex id w -> (its bit, word(w, v) per v), on first touch
     seen: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}  # s -> (its bits, per v (d_v, Y_v))
     transports: dict[tuple, int] = {}  # cost -> its total, or a floor at or above the cutoff
@@ -835,9 +834,9 @@ def _best_first(
         alive.append(True)
         heapq.heappush(heap, (b, len(labels) - 1))
 
-    for s in K.maximal_indices_containing(x.support):
+    for s in K.maximal_indices_containing(x.ids):
         near = meet(s)[1]
-        push(s, near, tuple([(0, met[K.index[u]][0]) for u in x.support]), None)
+        push(s, near, tuple([(0, met[u][0]) for u in x.ids]), None)
 
     while heap:
         b, li = heapq.heappop(heap)

@@ -5,7 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
-from metricext import build_complex, make_automorphism, validate_vertex_metric, word_vertex_metric
+from metricext import (
+    VertexMetric,
+    build_complex,
+    make_automorphism,
+    transformed_word_metric,
+    validate_vertex_metric,
+    word_metric,
+    word_vertex_metric,
+)
 from metricext import checks
 from metricext.checks import find_nontrivial_automorphism, run_checks
 from metricext.errors import NotAnAutomorphism
@@ -347,3 +355,58 @@ def test_each_check_returns_a_result_named_by_its_registration():
     assert len({r.name for r in results}) == len(results)
     ran = run_checks(K, word_vertex_metric(K))
     assert [(r.suite, r.name) for r in ran] == sorted((r.suite, r.name) for r in results)
+
+
+def _pairwise_minimal_bound(ctx):
+    """The minimal-bound check as it compared every vertex pair in Python: the reference."""
+    r = checks.CheckResult("minimal-linear-bound-attained", "vertex")
+    if len(ctx.K.vertices) < 2:
+        r.notes.append("single vertex; no pair to attain C")
+        return r
+    table = word_metric(ctx.K)
+    c = ctx.metric.minimal_C
+    gap = np.inf
+    vs = ctx.K.vertices
+    for i, u in enumerate(vs):
+        from_u = table.row(u)
+        for v in vs[i + 1 :]:
+            slack = c * float(from_u[table.index[v]]) - ctx.metric.distance(u, v)
+            if slack < -checks.VALUE_TOL:
+                r.failed += 1
+            else:
+                r.passed += 1
+            gap = min(gap, slack)
+    if gap > checks.VALUE_TOL:
+        r.failed += 1
+        r.notes.append(f"minimal C not attained (slack {gap})")
+    return r
+
+
+def _bound_metrics(K):
+    """Word-derived and explicit metrics on K, some with minimal_C moved off its value so that
+    pairs fail, or C goes unattained."""
+    words = word_metric(K).matrix.astype(float)
+    yield word_vertex_metric(K)
+    yield transformed_word_metric(K, 1.5, 0.5)
+    yield transformed_word_metric(K, 0.75, 2.0)
+    yield validate_vertex_metric(K, 2.0 * words)
+    yield validate_vertex_metric(K, words + 0.375 * (words > 0))
+    for minimal in (0.625, 2.5):
+        moved = transformed_word_metric(K, 1.25, 0.75)
+        moved.minimal_C, moved.C = minimal, max(minimal, moved.C)
+        yield moved
+        yield VertexMetric(K, 1.5 * words, C=3.0, minimal_C=minimal)
+
+
+def test_minimal_bound_rows_match_the_pair_loop():
+    # the same pass and fail counts, least slack and notes, to the float, as the pair loop
+    complexes = list(fleet().values()) + [tree_complex(2, 5), build_complex(["a"], [["a"]])]
+    results = []
+    for K in complexes:
+        for metric in _bound_metrics(K):
+            ctx = checks.CheckContext(K, metric)
+            got, want = checks._check_minimal_bound(ctx), _pairwise_minimal_bound(ctx)
+            assert (got.passed, got.failed, got.notes) == (want.passed, want.failed, want.notes)
+            results.append(got)
+    assert any(r.failed > 1 for r in results) and any(r.notes and r.failed == 1 for r in results)
+    assert sum(r.ok and r.passed > 0 for r in results) > 40

@@ -10,8 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metricext import cli
+from metricext import cli, fileio
 from metricext.cli import main
 from metricext.errors import InvalidParameters, WeightsNotNormalizable
 from metricext.fileio import (
@@ -43,6 +45,30 @@ def path3_file(tmp_path):
     return str(path)
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.sampled_from(["a", "b", ""]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["a", "b"]), inner, max_size=2),
+    max_leaves=12,
+)
+
+
+def _per_simplex_verdict(simplices):
+    """The loader's test of maximal_simplices as it ran one generator per simplex: the reference."""
+    def is_labels(value):
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+    return isinstance(simplices, list) and all(map(is_labels, simplices))
+
+
+@given(value=JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_one_pass_label_checks_keep_the_verdicts(value):
+    # every JSON-decoded shape: the flattened one-pass checks say what the per-simplex ones said
+    for data in (value, [value], [["a"], value], json.loads(json.dumps([value, ["b"]]))):
+        assert fileio._is_label_lists(data) == _per_simplex_verdict(data), data
+        assert fileio._is_labels(data) == (isinstance(data, list) and all(isinstance(v, str) for v in data))
+
+
 class TestValidate:
     def test_valid_files(self, tree_file, capsys):
         assert main(["validate", "-c", tree_file, "-m", "word"]) == 0
@@ -61,6 +87,13 @@ class TestValidate:
         ({"vertices": ["a", "b"], "maximal_simplices": "ab"}, "must be a JSON array of arrays of strings"),
         ({"vertices": ["a", "b"], "maximal_simplices": ["ab"]}, "must be a JSON array of arrays of strings"),
         ({"vertices": ["1", "2"], "maximal_simplices": [[1, 2]]}, "must be a JSON array of arrays of strings"),
+        # each offender late in the file: a non-list simplex, a non-string label, a nested list
+        ({"vertices": ["a", "b"], "maximal_simplices": [["a"], ["b"], {"b": 1}]}, "must be a JSON array of arrays of strings"),
+        ({"vertices": ["a", "b"], "maximal_simplices": [["a"], ["a", "b", None]]}, "must be a JSON array of arrays of strings"),
+        ({"vertices": ["a", "b"], "maximal_simplices": [["a", "b"], [["a"]]]}, "must be a JSON array of arrays of strings"),
+        ({"vertices": ["a", "b"], "maximal_simplices": [["a"], [True]]}, "must be a JSON array of arrays of strings"),
+        ({"vertices": ["a", "b", 2.5], "maximal_simplices": [["a"]]}, "vertices must be a JSON array of strings"),
+        ({"vertices": None, "maximal_simplices": [["a"]]}, "vertices must be a JSON array of strings"),
     ])
     def test_malformed_complex_is_validation_error(self, tmp_path, capsys, data, message):
         with pytest.raises(InvalidParameters, match=message):

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -28,8 +29,18 @@ from metricext import (
     vertex_point,
 )
 from metricext import ExtendedMetric, l1_path_distance, pathmetric, word_metric, word_vertex_metric
-from metricext.complexes import WEIGHT_FLOOR
-from metricext.generators import cycle_complex, random_point, rips_complex, tree_complex
+from metricext.pathmetric import Chain, chain_lp
+from metricext.checks import find_nontrivial_automorphism
+from metricext.complexes import WEIGHT_FLOOR, Automorphism
+from metricext.fileio import point_from_json
+from metricext.generators import (
+    cycle_complex,
+    grid_point,
+    path_complex,
+    random_point,
+    rips_complex,
+    tree_complex,
+)
 
 from conftest import (
     all_faces,
@@ -192,12 +203,26 @@ class TestBuildComplex:
         for K in complex_fleet.values():
             for s in sorted(all_faces(K))[:60]:
                 want = [i for i, m in enumerate(K.maximal_simplices) if set(s) <= set(m)]
-                assert K.maximal_indices_containing(s) == want
+                assert K.maximal_indices_containing(tuple([K.index[v] for v in s])) == want
             assert K.maximal_indices_containing([]) == list(range(len(K.maximal_simplices)))
 
     def test_spans_is_face_membership(self, complex_fleet):
         for K in complex_fleet.values():
             assert_spans_is_membership(K)
+
+    def test_holds_is_spans_on_the_fleet(self, complex_fleet):
+        # the one face test: spans is holds of the labels' ids, on every vertex subset of at
+        # most four vertices, faces and non-faces, with the ids ascending and descending
+        for K in complex_fleet.values():
+            faces = all_faces(K)
+            asked = [0, 0]
+            for k in range(5):
+                for t in combinations(K.vertices, k):
+                    ids = tuple([K.index[v] for v in t])
+                    assert K.holds(ids) == K.spans(t) == (t in faces), t
+                    assert K.holds(ids[::-1]) == K.spans(t[::-1]) == (t in faces), t
+                    asked[t in faces] += 1
+            assert asked[0] and asked[1]
 
     def test_incidence_is_not_part_of_identity(self, book):
         same = build_complex(list(book.vertices), book.maximal_simplices)
@@ -243,26 +268,62 @@ class TestIdTables:
     ], ids=["tree", "rips"])
     def test_labels_stay_off_the_query_path(self, make, near, far, monkeypatch):
         # neither the label dicts nor the maximal simplices' label tuples are built by
-        # near and far queries, chain answers or spans on three labels
+        # near and far queries, chain answers or spans on three labels; and once the
+        # points are made, the queries look up no label outside the word table, which
+        # keeps the index it was made with, but to build a chain answer's witness
         searched = []
         best_first = pathmetric._best_first
         monkeypatch.setattr(pathmetric, "_best_first", lambda *args: searched.append(args) or best_first(*args))
         K = make()
         metric = word_vertex_metric(K)
+        M = ExtendedMetric(K, metric)
         x, y = (make_point(K, w) for w in near)
-        l1_path_distance(K, x, y)
-        ExtendedMetric(K, metric).distance(x, y)
+        fx, fy = (make_point(K, w) for w in far) if far is not None else (None, None)
+        index = _LookupLog(K.index)
+        monkeypatch.setitem(vars(K), "index", index)
+        near_answer = l1_path_distance(K, x, y)
+        M.distance(x, y)
         if far is not None:
             # a tree's bounds decide its queries, so the search is given an incumbent above the value
-            x, y = (make_point(K, w) for w in far)
-            value = l1_path_distance(K, x, y)[0]
-            assert pathmetric._best_first(K, x, y, word_metric(K), value + 0.5) is not None
+            value = l1_path_distance(K, fx, fy)[0]
+            assert pathmetric._best_first(K, fx, fy, word_metric(K), value + 0.5) is not None
         assert searched
+        witness = {"chain_lp", "path_length"}  # the breakpoints' make_point, the carriers' spans
+        assert all(witness & set(stack) for stack in index.stacks), index.stacks
+        # a chain answer builds its witness with its value; the tree's answers look up nothing
+        assert bool(index.stacks) == (near_answer._route is None and far is None)
         triangle = K.vertices[:3]
         assert K.spans(triangle) == (K.dimension == 2)
         assert not K.spans((*triangle, "no such vertex"))
         assert "adjacency" not in vars(K) and "incidence" not in vars(K)
         assert "maximal_simplices" not in vars(K)
+
+class _LookupLog(dict):
+    """A label -> id dict that records the names of the functions on the stack at each lookup."""
+
+    def __init__(self, index):
+        super().__init__(index)
+        self.stacks = []
+
+    def _record(self):
+        frame, names = sys._getframe(2), []
+        while frame is not None:
+            names.append(frame.f_code.co_name)
+            frame = frame.f_back
+        self.stacks.append(names)
+
+    def __getitem__(self, key):
+        self._record()
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self._record()
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self._record()
+        return super().__contains__(key)
+
 
 def _dict_make_point(K, weights):
     """make_point as it once normalised, through three dicts: the bit-for-bit reference."""
@@ -412,6 +473,48 @@ class TestPointLayer:
         weights["b"] = 1.0  # a fresh dict: changing it changes no point
         assert p.weights == {"a": 0.25, "c": 0.75}
 
+    def test_points_carry_their_ids_from_every_constructor(self, complex_fleet, strip):
+        # ids are resolved where a point is made: make_point (so the samplers and the file
+        # reader), vertex_point, apply_automorphism and chain_lp's breakpoints
+        rng = np.random.default_rng(4)
+        x, y = make_point(strip, {"a": 0.5, "b": 0.5}), make_point(strip, {"d": 0.25, "e": 0.75})
+        chain = Chain(simplices=(("a", "b", "c"), ("b", "c", "d"), ("c", "d", "e")))
+        made = [(strip, p) for p in chain_lp(strip, chain, x, y)[1]]
+        assert len(made) == 2
+        for K in complex_fleet.values():
+            points = [vertex_point(K, v) for v in K.vertices]
+            points += [random_point(K, rng) for _ in range(20)]
+            points += [grid_point(K, rng, 8) for _ in range(10)]
+            points += [point_from_json(K, {v: 1.0 for v in s}) for s in K.maximal_simplices]
+            g = find_nontrivial_automorphism(K)
+            if g is not None:
+                points += [apply_automorphism(K, g, p) for p in points[:40]]
+            for _ in range(10):
+                x, y = random_point(K, rng), random_point(K, rng)
+                points += [p for p in l1_path_distance(K, x, y).witness.points]
+            made += [(K, p) for p in points]
+        for K, p in made:
+            assert p.ids == tuple(K.index[v] for v in p.support), p
+            assert type(p.ids) is tuple and all(type(i) is int for i in p.ids)
+        assert sum(len(p.items) > 1 for _, p in made) > 200
+
+    def test_a_point_built_by_hand_has_no_ids_to_read(self, path3):
+        # built without a complex, a point has ids None: every id reader raises on it
+        loose = BarycentricPoint(items=(("u", 0.5), ("v", 0.5)))
+        made = make_point(path3, {"v": 0.5, "w": 0.5})
+        assert loose.ids is None and loose == make_point(path3, {"u": 1.0, "v": 1.0})
+        vertex = BarycentricPoint(items=(("u", 1.0),))
+        for read in [
+            lambda: path3.holds(loose.ids),
+            lambda: path3.maximal_indices_containing(loose.ids),
+            lambda: common_simplex(path3, loose, made),
+            lambda: l1_path_distance(path3, made, loose),
+            lambda: l1_path_distance(path3, vertex, vertex_point(path3, "w")),
+            lambda: pathmetric._best_first(path3, loose, made, word_metric(path3), 2.0),
+        ]:
+            with pytest.raises(TypeError):
+                read()
+
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_simplex_l1_is_the_dict_formula_bit_for_bit(self, complex_fleet, data):
@@ -515,9 +618,79 @@ class TestAutomorphism:
         with pytest.raises(NotAnAutomorphism):
             make_automorphism(path3, {"u": "u", "v": "v", "w": "v"})
 
+    def test_the_id_walk_decides_as_the_label_walk(self, complex_fleet):
+        # random bijections of each fleet complex: the same Automorphism, or the same error
+        # naming the same first simplex, as the walk over the label tuples with spans
+        rng = np.random.default_rng(6)
+        outcomes = []
+        for K in complex_fleet.values():
+            vs = list(K.vertices)
+            maps = [dict(zip(vs, vs))]
+            maps += [dict(zip(vs, rng.permutation(vs).tolist())) for _ in range(30)]
+            g = find_nontrivial_automorphism(K)
+            if g is not None:
+                maps.append(g.as_dict())
+            for mapping in maps:
+                got, want = (_decided(f, K, mapping) for f in (make_automorphism, _label_make_automorphism))
+                assert got == want
+                outcomes.append(isinstance(got, Automorphism))
+        assert 10 < sum(outcomes) < len(outcomes) - 100
+
     def test_preserves_l1(self, path3):
         g = make_automorphism(path3, {"u": "w", "v": "v", "w": "u"})
         x = make_point(path3, {"u": 0.2, "v": 0.8})
         y = make_point(path3, {"u": 0.9, "v": 0.1})
         gx, gy = apply_automorphism(path3, g, x), apply_automorphism(path3, g, y)
         assert simplex_l1(gx, gy) == simplex_l1(x, y)
+
+
+def _label_make_automorphism(K, mapping):
+    """make_automorphism as it walked the label tuples, through spans: the reference."""
+    if sorted(mapping) != list(K.vertices) or sorted(mapping.values()) != list(K.vertices):
+        raise NotAnAutomorphism("mapping is not a bijection of the vertex set")
+    for s in K.maximal_simplices:
+        image = tuple(sorted(mapping[v] for v in s))
+        if not K.spans(image):
+            raise NotAnAutomorphism(f"image {image} of simplex {s} is not a simplex")
+    return Automorphism(mapping=tuple(sorted(mapping.items())))
+
+
+def _decided(make, K, mapping):
+    try:
+        return make(K, mapping)
+    except NotAnAutomorphism as exc:
+        return str(exc)
+
+
+class TestWholeTableWalkers:
+    def _cached(self, K):
+        return [len(t._rows) for t in (K.simplex_csr, K.incidence_csr, K.adjacency_csr)]
+
+    @pytest.mark.parametrize("make", [
+        lambda: tree_complex(2, 6),
+        lambda: rips_complex(path_complex(30), 3),
+    ], ids=["tree", "rips-path"])
+    def test_the_automorphism_search_leaves_the_row_caches_empty(self, make):
+        # the search, and make_automorphism on the map it finds, read the tables once as lists
+        # (a map that fails runs the face test on its images that are not maximal, which
+        # reads rows as every face test does; these searches succeed with their first map)
+        K = make()
+        g = find_nontrivial_automorphism(K)
+        assert g is not None
+        assert make_automorphism(K, g.as_dict()) == g
+        assert self._cached(K) == [0, 0, 0]
+        assert "maximal_simplices" not in vars(K)
+
+    def test_a_valid_map_reads_no_row(self):
+        K = rips_complex(cycle_complex(12), 2)
+        vs = K.vertices
+        for shift in range(12):
+            make_automorphism(K, {v: vs[(i + shift) % 12] for i, v in enumerate(vs)})
+        assert self._cached(K) == [0, 0, 0]
+        with pytest.raises(NotAnAutomorphism):
+            make_automorphism(K, {v: vs[(5 * i) % 12] for i, v in enumerate(vs)})
+
+    def test_rips_leaves_its_base_row_caches_empty(self):
+        base = path_complex(200)
+        K = rips_complex(base, 3)
+        assert self._cached(base) == [0, 0, 0] and len(K.vertices) == 200

@@ -724,7 +724,7 @@ def _tuple_best_first(
     M = K.maximal_simplices
     overlaps = _overlaps(K)
     ys = y.support
-    ends = set(K.maximal_indices_containing(ys))
+    ends = set(K.maximal_indices_containing(y.ids))
     supply, demand, scale = pathmetric._masses(x, y)
     p, q = (incumbent - pathmetric.TIE_TOL).as_integer_ratio()
     cutoff = -(-p * scale // q)
@@ -771,7 +771,7 @@ def _tuple_best_first(
         alive.append(True)
         heapq.heappush(heap, (b, len(labels) - 1))
 
-    for s in K.maximal_indices_containing(x.support):
+    for s in K.maximal_indices_containing(x.ids):
         push(s, tuple(tuple(int(w != u) for w in M[s]) for u in x.support), None)
 
     while heap:
