@@ -283,22 +283,13 @@ def _check_minimal_bound(ctx: CheckContext, r: CheckResult) -> None:
     if len(ctx.K.vertices) < 2:
         r.notes.append("single vertex; no pair to attain C")
         return
-    # every pair u < v, one row of u at a time: d(u, .) is the metric's matrix row, or for a
-    # word-derived metric its closed form of the word row, the floats `distance` computes
+    # every pair u < v, one row of u at a time: the metric's row holds the floats `distance` gives
     table = word_metric(ctx.K)
     c = ctx.metric.minimal_C
-    transform = ctx.metric._transform
     gap = np.inf
     vs = ctx.K.vertices
     for i, u in enumerate(vs[:-1]):
-        word = table.row(u)[i + 1 :]
-        t = word.astype(float)
-        if transform is None:
-            d = ctx.metric.matrix[i, i + 1 :]
-        else:
-            _, scale, saturation = transform
-            d = scale * t + saturation * (1.0 - np.ldexp(1.0, -word))  # 2.0**-t, exact
-        slack = c * t - d
+        slack = c * table.row(u)[i + 1 :] - ctx.metric.row(u)[i + 1 :]
         failed = int(np.count_nonzero(slack < -VALUE_TOL))
         r.failed += failed
         r.passed += len(slack) - failed
@@ -345,7 +336,7 @@ def _check_hyperbolicity(ctx: CheckContext, r: CheckResult) -> None:
     if len(ctx.K.vertices) > 60:
         r.notes.append("skipped: quartic scan limited to 60 vertices")
         return
-    delta = hyperbolicity_delta(ctx.metric)
+    delta = hyperbolicity_delta(ctx.metric.matrix)
     r.passed += 1
     r.notes.append(f"delta = {delta:.6g}")
 

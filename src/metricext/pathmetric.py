@@ -238,8 +238,10 @@ def _masses(x: BarycentricPoint, y: BarycentricPoint) -> tuple[list[int], list[i
     Float weights are dyadic, so over the largest denominator den of their
     exact ratios (a power of two, hence the lcm) x_u = a_u / den and
     y_v = b_v / den with integers a, b.  Supply a_u * sum(b) and demand
-    b_v * sum(a) both total sum(a) * sum(b); they are x and y, y rescaled to
-    x's exact total, times the scale den * sum(b).
+    b_v * sum(a) both total sum(a) * sum(b), the scale: they are x and y,
+    each normalised to total exactly 1, times that scale.  Weights whose
+    floats do not sum to exactly 1 are so treated alike at either end, and
+    the answer does not depend on which end is x.
     """
     xs = [w.as_integer_ratio() for _, w in x.items]
     ys = [w.as_integer_ratio() for _, w in y.items]
@@ -247,7 +249,7 @@ def _masses(x: BarycentricPoint, y: BarycentricPoint) -> tuple[list[int], list[i
     a = [n * (den // d) for n, d in xs]
     b = [n * (den // d) for n, d in ys]
     sa, sb = sum(a), sum(b)
-    return [n * sb for n in a], [n * sa for n in b], den * sb
+    return [n * sb for n in a], [n * sa for n in b], sa * sb
 
 
 def _transport(
@@ -585,11 +587,14 @@ def _path(
       1. the coordinate bound simplex_l1(x, y), alone and first, which
          decides most queries;
       2. a common simplex, whose path is that same float;
-      3. the largest of `query_bounds`, computed only past both;
-      4. every state of the search (`_solve_by_search`).
+      3. every state of the search (`_solve_by_search`).
 
-    Step 1 decides as step 3 would: the coordinate is the first entry of
-    `query_bounds`, and float multiplication is monotone.  Below the
+    No other entry of `query_bounds` would decide before the search.  The
+    extension, the one caller with a ceiling, sends only overlapping
+    supports: the disjoint-support bound is 0 and no radius lies strictly
+    between the two points' largest radii, so each sphere bound is half the
+    l1 distance of the points' pushforwards by word distance from its
+    centre, at most the coordinate bound but for rounding.  Below the
     ceiling the answer is the one found without it, and a common simplex
     or search answer has factor * value < bilinear, so the caller compares
     nothing more: a common simplex has failed step 1, a chain's total lies
@@ -616,10 +621,7 @@ def _path(
         u, v = x.support[0], y.support[0]
         result = PathResult(float(table.row(v).item(x.ids[0])), route=(K, x, y, u, v))
     else:
-        bounds = query_bounds(K, x, y)
-        if ceiling is not None and factor * max(b for _, b in bounds) >= bilinear:
-            return None
-        return _solve_by_search(K, x, y, bounds, ceiling)
+        return _solve_by_search(K, x, y, query_bounds(K, x, y), ceiling)
 
     _assert_above_bounds(result.value, lower_bounds(K, x, y), "closed form")
     return result

@@ -5,11 +5,12 @@ kept on the complex, is the package's one source of word distances.  It
 serves them on demand: rows by single-source search, single pairs from a
 kept row or by bidirectional search, and a dense `matrix` only when asked.
 The word-derived vertex metrics (the word metric itself and its concave
-transforms) are evaluated per pair from that table, with closed-form
-constants, so they hold nothing V^2 either.  User-supplied vertex metrics
-are dense; they are validated exhaustively against the metric axioms and
-against the linear bound d(u,v) <= C * word(u,v) that the extension
-construction requires.  The four-point hyperbolicity scan lives here too.
+transforms, `word_transform`) are evaluated per pair or per row from that
+table, with closed-form constants, so they hold nothing V^2 either.
+User-supplied vertex metrics are dense; they are validated exhaustively
+against the metric axioms and against the linear bound
+d(u,v) <= C * word(u,v) that the extension construction requires.  The
+four-point hyperbolicity scan of a distance matrix lives here too.
 
 `double_difference` and `gromov_product` are the package's one definition
 of each, for any distance function d: a word table's or vertex metric's
@@ -160,6 +161,16 @@ def qi_constants_check(
     )
 
 
+def word_transform(t, scale: float, saturation: float):
+    """scale*t + saturation*(1 - 2**-t) of a word distance t: a float or a numpy array.
+
+    The one statement of the transform.  It is concave and increasing with
+    value 0 at 0, so the result is again a metric and t = 1 gives its least
+    linear bound; 2.0**-t is exact for integer t.
+    """
+    return scale * t + saturation * (1.0 - 2.0**-t)
+
+
 class VertexMetric:
     """Validated metric on the vertex set, with its linear-bound constant.
 
@@ -168,45 +179,64 @@ class VertexMetric:
     bounded-difference checks downstream.
 
     `K` is the complex the metric was made for: C bounds it against K's word
-    metric only.  `order` is K's vertices and `index` maps each vertex to
-    its position there.  An explicit metric is its dense `matrix` over
-    `order`.  A word-derived metric
-    (`word_vertex_metric`, `transformed_word_metric`) holds no matrix: each
-    distance is  scale*t + saturation*(1 - 2**(-t))  of one word-table
-    lookup t, and `matrix` is built on first use, for the consumers that
-    need every pair.
+    metric only, and every array is over `K.vertices`.  The metric has one of
+    two forms, given to the constructor:
+
+    - an explicit dense `matrix`, with the constants its validation found;
+    - `transform=(scale, saturation)`: `word_transform` of K's word table.
+      It holds no matrix: `distance` transforms one word-table lookup, `row`
+      one word row, and `matrix`, for the consumers that need every pair,
+      is built on first use.  Its constants are closed forms: C and
+      minimal_C are the transform at t = 1, A = max(scale, 1/scale) and
+      B = saturation.  The untransformed word metric's `distance` is the
+      word table's own.
     """
 
     def __init__(
         self,
         K: SimplicialComplex,
-        matrix: np.ndarray | None,
-        C: float,
-        minimal_C: float,
+        matrix: np.ndarray | None = None,
+        C: float | None = None,
+        minimal_C: float | None = None,
         A: float | None = None,
         B: float | None = None,
+        *,
+        transform: tuple[float, float] | None = None,
     ):
+        if (matrix is None) == (transform is None):
+            raise ValueError("a vertex metric is a matrix or a transform, exactly one")
         self.K = K
-        self.order = K.vertices
-        self.index = K.index
+        self.transform = transform
+        if transform is None:
+            self.matrix = matrix
+        else:
+            word = word_metric(K)  # rejects a disconnected K now, not at the first query
+            scale, saturation = transform
+            C = minimal_C = word_transform(1.0, scale, saturation)
+            A, B = max(scale, 1.0 / scale), float(saturation)
+            if transform == (1.0, 0.0):
+                self.distance = word.distance  # the extension's hot call, with no layer between
         self.C = C
         self.minimal_C = minimal_C
         self.A = A
         self.B = B
-        # (word table, scale, saturation) of a word-derived metric, set by _word_derived
-        self._transform: tuple[WordMetricTable, float, float] | None = None
-        if matrix is not None:
-            self.matrix = matrix
 
     def distance(self, u: str, v: str) -> float:
-        return float(self.matrix[self.index[u], self.index[v]])
+        if self.transform is None:
+            index = self.K.index
+            return float(self.matrix[index[u], index[v]])
+        return word_transform(self.K.word_table.distance(u, v), *self.transform)
+
+    def row(self, u: str) -> np.ndarray:
+        """The distances from u to every vertex, as floats, over `K.vertices`."""
+        if self.transform is None:
+            return self.matrix[self.K.index[u]]
+        return word_transform(self.K.word_table.row(u), *self.transform)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense matrix over `order`; a word-derived metric builds it here."""
-        word, scale, saturation = self._transform
-        t = word.matrix.astype(float)
-        return scale * t + saturation * (1.0 - np.power(2.0, -t))
+        """The dense matrix; the transform form builds it here, on first use."""
+        return word_transform(self.K.word_table.matrix, *self.transform)
 
     @property
     def has_qi_constants(self) -> bool:
@@ -214,7 +244,7 @@ class VertexMetric:
 
     def __repr__(self) -> str:
         return (
-            f"VertexMetric({len(self.order)} vertices, C={self.C}, minimal_C={self.minimal_C}, "
+            f"VertexMetric({len(self.K.vertices)} vertices, C={self.C}, minimal_C={self.minimal_C}, "
             f"A={self.A}, B={self.B})"
         )
 
@@ -255,10 +285,10 @@ def validate_vertex_metric(
 
     word = word_metric(K)
     # Re-index the metric to the canonical vertex order of the complex.
-    if order != word.order:
-        perm = [order.index(v) for v in word.order]
+    if order != K.vertices:
+        at = {v: i for i, v in enumerate(order)}
+        perm = [at[v] for v in K.vertices]
         m = m[np.ix_(perm, perm)]
-        order = word.order
     # one vertex has no pair to bound: 1.0, as the word metric's closed form gives
     minimal = minimal_linear_bound(m, word) if len(order) > 1 else 1.0
     if C is not None and C < minimal - VALUE_TOL:
@@ -281,51 +311,24 @@ def validate_vertex_metric(
     )
 
 
-def _word_derived(K: SimplicialComplex, scale: float, saturation: float) -> VertexMetric:
-    """scale*t + saturation*(1 - 2**(-t)) of the word distance t, as a vertex metric.
-
-    The transform is concave and increasing with value 0 at 0, so t = 1
-    gives the minimal linear bound and every constant is a closed form.
-    """
-    word = word_metric(K)
-    metric = VertexMetric(
-        K=K,
-        matrix=None,
-        C=scale + saturation / 2.0,
-        minimal_C=scale * 1.0 + saturation * (1.0 - 2.0**-1.0),
-        A=max(scale, 1.0 / scale),
-        B=float(saturation),
-    )
-    metric._transform = (word, scale, saturation)
-
-    def distance(u: str, v: str) -> float:
-        t = word.distance(u, v)
-        return scale * t + saturation * (1.0 - 2.0**-t)
-
-    # Per pair from the word table; the untransformed word metric is the table's own distance.
-    metric.distance = word.distance if (scale, saturation) == (1.0, 0.0) else distance
-    return metric
-
-
 def word_vertex_metric(K: SimplicialComplex) -> VertexMetric:
     """The word metric packaged as a vertex metric (C=1, QI constants (1,0))."""
-    return _word_derived(K, 1.0, 0.0)
+    return VertexMetric(K, transform=(1.0, 0.0))
 
 
 def transformed_word_metric(
     K: SimplicialComplex, scale: float = 1.0, saturation: float = 0.0
 ) -> VertexMetric:
-    """Concave transform  scale*t + saturation*(1 - 2**(-t))  of the word metric.
+    """The concave transform `word_transform` of the word metric, as a vertex metric.
 
-    Concave increasing with value 0 at 0, so the result is again a metric;
-    it is (max(scale, 1/scale), saturation)-quasi-isometric to the word
-    metric, with minimal linear bound scale + saturation/2.  A NaN, infinite
-    or bool scale or saturation raises InvalidParameters.
+    The result is (max(scale, 1/scale), saturation)-quasi-isometric to the
+    word metric, with minimal linear bound scale + saturation/2.  A NaN,
+    infinite or bool scale or saturation raises InvalidParameters.
     """
     _require_finite(scale=scale, saturation=saturation)
     if scale <= 0 or saturation < 0:
         raise ValueError("need scale > 0 and saturation >= 0")
-    return _word_derived(K, scale, saturation)
+    return VertexMetric(K, transform=(scale, saturation))
 
 
 def gromov_product(d: Callable, a, b, c) -> float:
@@ -341,13 +344,14 @@ def double_difference(d: Callable, x, x2, y, y2) -> float:
     return 0.5 * ((d(x, y) - d(x2, y)) + (d(x2, y2) - d(x, y2)))
 
 
-def hyperbolicity_delta(table) -> float:
-    """Least delta in the four-point condition over all vertex quadruples.
+def hyperbolicity_delta(matrix: np.ndarray) -> float:
+    """Least delta in the four-point condition over all quadruples of a distance matrix.
 
-    <x|y>_w >= min(<x|z>_w, <z|y>_w) - delta for every (w, x, y, z).
-    Exhaustive O(n^4) scan, vectorized per base point; meant for n <= ~60.
+    <x|y>_w >= min(<x|z>_w, <z|y>_w) - delta for every (w, x, y, z).  The
+    matrix may be a vertex metric's or any finite point set's.  Exhaustive
+    O(n^4) scan, vectorized per base point; meant for n <= ~60.
     """
-    m = np.asarray(table.matrix, dtype=float)
+    m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
     if n <= 1:
         return 0.0

@@ -301,7 +301,7 @@ def test_criterion_11_automorphism_invariance():
         assert any(g.as_dict()[v] != v for v in K.vertices), name
         vm = word_vertex_metric(K)
         mapping = g.as_dict()
-        perm = [vm.index[mapping[v]] for v in vm.order]
+        perm = [K.index[mapping[v]] for v in K.vertices]
         assert np.array_equal(vm.matrix[np.ix_(perm, perm)], vm.matrix), name
         M = ExtendedMetric(K, vm)
         rng = np.random.default_rng(1111)

@@ -232,6 +232,31 @@ def test_proves_only_the_identity():
     assert find_nontrivial_automorphism(build_complex(["a"], [["a"]])) is None
 
 
+# the Frucht graph in LCF notation: a 12-cycle, and i joined to i + FRUCHT_LCF[i]
+FRUCHT_LCF = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+
+
+def test_a_vertex_no_image_fits_stays_pinned(monkeypatch):
+    # the Frucht graph is cubic, so colour refinement leaves one cell, and the identity is its
+    # only automorphism: no image of the first pinned vertex works, so it stays pinned and the
+    # search goes on until it proves None
+    labels = [f"f{i:02d}" for i in range(12)]
+    edges = {frozenset((labels[i], labels[(i + 1) % 12])) for i in range(12)}
+    edges |= {frozenset((labels[i], labels[(i + s) % 12])) for i, s in enumerate(FRUCHT_LCF)}
+    K = build_complex(labels, [sorted(e) for e in edges])
+    assert len(K.maximal_simplices) == 18 and {len(K.adjacency[v]) for v in labels} == {3}
+    tries = []
+
+    def counted(K, mapping):
+        tries.append(mapping)
+        assert len(tries) <= 100, "the search tries the same maps again"
+        return make_automorphism(K, mapping)
+
+    monkeypatch.setattr(checks, "make_automorphism", counted)
+    assert find_nontrivial_automorphism(K) is None
+    assert tries
+
+
 def test_one_search_per_run(monkeypatch):
     searches = []
 

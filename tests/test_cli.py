@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricext import cli, fileio
+from metricext import cli, fileio, pathmetric, tripwire_log
 from metricext.cli import main
-from metricext.errors import InvalidParameters, WeightsNotNormalizable
+from metricext.errors import InternalConsistencyError, InvalidParameters, WeightsNotNormalizable
 from metricext.fileio import (
     complex_from_dict,
     load_complex,
@@ -242,6 +242,17 @@ class TestDist:
         data = json.loads(capsys.readouterr().out)
         assert (data["value"], data["branch"]) == (0.375, "l1path")
         assert len(data["witness"]["points"]) == 3
+
+    @pytest.mark.parametrize("kind, x, y, value", [
+        ("vertex", '{"t07":1}', '{"t14":1}', 6.0),
+        ("bilinear", '{"t03":0.5,"t07":0.5}', '{"t03":0.25,"t08":0.75}', 1.25),
+        # positive on the diagonal off the vertices, where the extension reads 0
+        ("bilinear", '{"t03":0.5,"t07":0.5}', '{"t03":0.5,"t07":0.5}', 0.5),
+    ])
+    def test_vertex_and_bilinear_kinds_keep_their_pinned_values(self, tree_file, capsys, kind, x, y, value):
+        capsys.readouterr()
+        assert main(["dist", "-c", tree_file, "--kind", kind, "-x", x, "-y", y, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"kind": kind, "value": value}
 
     def test_vertex_kind_rejects_interior(self, path3_file):
         code = main([
@@ -588,6 +599,22 @@ class TestCheck:
             notes.append(next(r["notes"] for r in rows if r["name"] == "lower-bound-tripwire"))
         assert notes[0] == notes[1]
         assert not notes[0][0].startswith("0 bound checks")
+
+    def test_a_solver_below_its_bound_exits_3(self, tree_file, capsys, monkeypatch):
+        # the violation raises out of the run; the log is restored afterwards, for the session guard
+        monkeypatch.setattr(tripwire_log(), "violations", [])
+        monkeypatch.setattr(pathmetric, "query_bounds", lambda K, x, y: [("planted", 1e9)])
+        assert main(["check", "-c", tree_file, "--suite", "path", "--triples", "6", "--pairs", "8"]) == 3
+        assert "internal inconsistency: " in capsys.readouterr().err
+        assert tripwire_log().violations
+
+    def test_a_clean_run_after_a_caught_violation_exits_0(self, tree_file, monkeypatch):
+        # the exit code is this run's: a violation an earlier call left in the log does not count
+        monkeypatch.setattr(tripwire_log(), "violations", [])
+        with pytest.raises(InternalConsistencyError):
+            pathmetric._assert_above_bounds(0.0, [("planted", 1.0)], "planted")
+        assert tripwire_log().violations
+        assert main(["check", "-c", tree_file, "--suite", "path", "--triples", "6", "--pairs", "8"]) == 0
 
 
 class TestSeed:

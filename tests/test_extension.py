@@ -118,6 +118,14 @@ class TestExtendedDistance:
             M = ExtendedMetric(same, vm)
             assert M.distance(vertex_point(same, "a"), vertex_point(same, "d")) == 3.0
 
+    def test_c_below_the_minimal_bound_is_rejected(self, path3):
+        words = word_metric(path3).matrix.astype(float)
+        vm = validate_vertex_metric(path3, 2.0 * words)
+        assert vm.minimal_C == 2.0
+        vm.C = 1.5
+        with pytest.raises(ValueError, match="C=1.5 below minimal linear bound 2.0"):
+            ExtendedMetric(path3, vm)
+
     def test_worked_example_on_path(self, path3):
         M = ExtendedMetric(path3, word_vertex_metric(path3))
         x = make_point(path3, {"u": 0.5, "v": 0.5})

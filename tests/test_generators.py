@@ -63,7 +63,7 @@ class TestGenerators:
         K = tree_complex(2, 3)
         assert len(K.vertices) == 15
         assert len(edges(K)) == 14
-        assert hyperbolicity_delta(word_vertex_metric(K)) == 0.0
+        assert hyperbolicity_delta(word_vertex_metric(K).matrix) == 0.0
 
     def test_simplex_3_is_tetrahedron(self):
         K = simplex_complex(3)

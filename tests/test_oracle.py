@@ -233,6 +233,21 @@ class TestExhaustiveScan:
         x = make_point(triangle, {"a": 1.0})
         assert exhaustive_metric_scan(lambda a, b: 0.0, [x]) == []
 
+    def test_asymmetry_and_a_zero_between_distinct_points_are_witnessed(self, path3):
+        u, v, w = (vertex_point(path3, a) for a in path3.vertices)
+        x = make_point(path3, {"u": 0.5, "v": 0.5})
+        table = {("u", "v"): 1.0, ("v", "u"): 1.5}
+
+        def dist(a, b):
+            if a.key() == b.key():
+                return 0.0
+            return table.get((a.support[0], b.support[0]), 1.0)
+
+        got = [(s.kind, s.witness, s.margin) for s in exhaustive_metric_scan(dist, [u, v, w])]
+        assert got == [("Symmetry", (0, 1), 0.5)]
+        got = [(s.kind, s.witness, s.margin) for s in exhaustive_metric_scan(lambda a, b: 0.0, [u, x])]
+        assert got == [("PositiveDistance", (0, 1), 0.0)]
+
     def test_triangle_violation_detected(self, path3):
         pts = [vertex_point(path3, v) for v in path3.vertices]
         bogus = {("u", "w"): 5.0, ("w", "u"): 5.0}

@@ -43,6 +43,7 @@ from metricext.generators import (
     cycle_complex,
     grid_point,
     path_complex,
+    random_complex,
     random_point,
     random_same_simplex_pair,
     random_vertex,
@@ -250,6 +251,30 @@ class TestL1PathDistance:
             value = l1_path_distance(book, x, y).value
             for name, bound in lower_bounds(book, x, y):
                 assert value >= bound - 1e-9, name
+
+
+    def test_chain_answers_are_symmetric_bit_for_bit(self):
+        # points whose float weights do not sum to exactly 1 are normalised alike at either end
+        # (`_masses`), so no chain answer depends on which end is x; route answers are not
+        # covered here
+        rng = np.random.default_rng(9)
+        fleet = [
+            tree_complex(2, 3),
+            rips_complex(cycle_complex(8), 2),
+            rips_complex(path_complex(8), 3),
+            random_complex(12, 0.3, seed=1),
+        ]
+        chains = unnormalised = 0
+        for K in fleet:
+            for _ in range(300):
+                x, y = random_point(K, rng), random_point(K, rng)
+                forward = l1_path_distance(K, x, y)
+                if forward._route is not None or len(forward.witness.carriers) < 2:
+                    continue
+                chains += 1
+                unnormalised += any(sum(Fraction(w) for _, w in p.items) != 1 for p in (x, y))
+                assert forward.value == l1_path_distance(K, y, x).value, (x, y)
+        assert chains == 268 and unnormalised > 0
 
 
 def _assert_route_lengths(K, x, y):
@@ -838,8 +863,9 @@ class TestIntegerSearchCore:
         total, flow = pathmetric._transport(supply, demand, cost)
         assert [sum(row) for row in flow] == supply
         assert [sum(col) for col in zip(*flow)] == demand
-        old_supply = [Fraction(w) for w in xw]
-        old_demand = [Fraction(w) * sum(old_supply) / sum(map(Fraction, yw)) for w in yw]
+        # both ends normalised to total exactly 1
+        old_supply = [Fraction(w) / sum(map(Fraction, xw)) for w in xw]
+        old_demand = [Fraction(w) / sum(map(Fraction, yw)) for w in yw]
         old_total, old_flow = _bellman_ford_transport(old_supply, old_demand, cost)
         assert Fraction(total, scale) == old_total
         assert [[Fraction(f, scale) for f in row] for row in flow] == old_flow

@@ -157,6 +157,18 @@ class TestDecayProbe:
         assert report.verdict == "inconclusive"
         assert report.table == ()
 
+    def test_violated_names_its_worst_row(self):
+        # on the 8-cycle the last quadruple's crossing double difference is 1 at m = 1, above
+        # every grid lambda ** 1; the other two rows are 0
+        K = cycle_complex(8)
+        M = ExtendedMetric(K, word_vertex_metric(K))
+        quads = [("c00", "c02", "c03", "c01"), ("c00", "c03", "c04", "c01"), ("c00", "c01", "c02", "c05")]
+        points = [tuple(vertex_point(K, v) for v in q) for q in quads]
+        report = decay_probe(M, points, threshold=0.5)
+        assert report.verdict == "violated"
+        assert report.table == ((1.0, 0.0), (1.0, 1.0), (2.0, 0.0))
+        assert report.fitted == {"threshold": 0.5, "worst_m": 1.0, "worst_value": 1.0}
+
     def test_adversarial_complex_is_reported_not_asserted(self):
         # a large cycle is as far from hyperbolic as desk scale allows; the
         # probe may report violation, and that is an outcome, not a failure

@@ -16,6 +16,7 @@ from metricext import (
     InvalidParameters,
     MetricAxiomError,
     SuppliedConstantTooSmall,
+    VertexMetric,
     build_complex,
     deepest_ray,
     double_difference,
@@ -268,6 +269,35 @@ class TestValidateVertexMetric:
         kinds = {v.kind for v in metric_violations(("u", "v", "w"), m)}
         assert "NotSymmetric" in kinds and "NegativeDistance" in kinds
 
+    def test_zero_off_the_diagonal(self, path3):
+        m = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 0]], dtype=float)
+        with pytest.raises(MetricAxiomError) as info:
+            validate_vertex_metric(path3, m, ("u", "v", "w"))
+        assert [(v.kind, v.vertices) for v in info.value.violations] == [("ZeroOffDiagonal", ("u", "v"))]
+
+    def test_a_listed_order_is_reindexed_to_the_complex(self, path3):
+        # d(u, v) = 1, d(v, w) = 2, d(u, w) = 3, listed in the order (w, u, v)
+        m = np.array([[0, 3, 2], [3, 0, 1], [2, 1, 0]], dtype=float)
+        vm = validate_vertex_metric(path3, m, ("w", "u", "v"))
+        assert path3.vertices == ("u", "v", "w")
+        assert vm.matrix.tolist() == [[0, 1, 3], [1, 0, 2], [3, 2, 0]]
+        assert (vm.distance("w", "u"), vm.row("v").tolist()) == (3.0, [1.0, 0.0, 2.0])
+
+    def test_a_b_without_the_other_is_rejected(self, path3):
+        m = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
+        for constants in ({"A": 1.0}, {"B": 0.0}):
+            with pytest.raises(ValueError, match="supply both A and B or neither"):
+                validate_vertex_metric(path3, m, **constants)
+
+    def test_qi_constants_that_fail_are_witnessed(self, path3):
+        # 2 * word exceeds 1 * word + 0.5 on every pair, so each is an upper witness
+        m = 2.0 * np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        with pytest.raises(MetricAxiomError) as info:
+            validate_vertex_metric(path3, m, A=1.0, B=0.5)
+        assert [(v.kind, v.vertices) for v in info.value.violations] == [
+            ("QIBoundViolation", ("u", "v")), ("QIBoundViolation", ("u", "w")), ("QIBoundViolation", ("v", "w")),
+        ]
+
 
 class TestLinearBound:
     def test_word_gives_one(self, book):
@@ -349,7 +379,7 @@ class TestWordDerivedMetrics:
                 assert (vm.C, vm.minimal_C, vm.A, vm.B) == constants
                 assert vm.minimal_C == minimal
                 for u, v in itertools.product(K.vertices, repeat=2):
-                    assert vm.distance(u, v) == m[vm.index[u], vm.index[v]]
+                    assert vm.distance(u, v) == m[K.index[u], K.index[v]]
                 assert np.array_equal(vm.matrix, m)
 
     @pytest.mark.parametrize("name", ["scale", "saturation"])
@@ -370,9 +400,30 @@ class TestWordDerivedMetrics:
             vm = word_vertex_metric(K)
             t = word_metric(K)
             assert (vm.C, vm.minimal_C, vm.A, vm.B) == (1.0, 1.0, 1.0, 0.0)
+            assert vm.distance == t.distance  # the table's own, with no layer between
             for u, v in itertools.product(K.vertices, repeat=2):
                 assert vm.distance(u, v) == t.distance(u, v)
             assert np.array_equal(vm.matrix, t.matrix.astype(float))
+
+    def test_rows_are_the_matrix_rows_of_either_form(self, complex_fleet):
+        for K in complex_fleet.values():
+            words = word_metric(K).matrix.astype(float)
+            for vm in (
+                word_vertex_metric(K),
+                transformed_word_metric(K, 0.7, 2.3),
+                validate_vertex_metric(K, 1.5 * words),
+            ):
+                for u in K.vertices:
+                    row = vm.row(u)
+                    assert row.dtype == np.float64
+                    assert np.array_equal(row, vm.matrix[K.index[u]])
+                    assert row.tolist() == [vm.distance(u, v) for v in K.vertices]
+
+    def test_a_metric_is_a_matrix_or_a_transform(self, path3):
+        m = word_metric(path3).matrix.astype(float)
+        for form in ({}, {"matrix": m, "transform": (1.0, 0.0)}):
+            with pytest.raises(ValueError, match="a matrix or a transform, exactly one"):
+                VertexMetric(path3, C=1.0, minimal_C=1.0, **form)
 
 
 class TestQIConstants:
@@ -391,6 +442,12 @@ class TestQIConstants:
         t = word_metric(book)
         res = qi_constants_check(3.0 * t.matrix, t, 2.0, 0.0)
         assert not res.passed and res.witnesses
+
+    def test_failure_below_with_witness(self, path3):
+        # a quarter of the word metric is below word / 2 - 0.25 on the far pair only
+        t = word_metric(path3)
+        res = qi_constants_check(0.25 * t.matrix, t, 2.0, 0.25)
+        assert (res.passed, res.witnesses, res.linear_bound) == (False, (("lower", "u", "w"),), None)
 
 
 class TestGromovProductsAndDD:
@@ -458,18 +515,18 @@ def brute_force_delta(matrix):
 
 class TestHyperbolicityDelta:
     def test_tree_is_zero(self):
-        assert hyperbolicity_delta(word_vertex_metric(tree_complex(2, 3))) == 0.0
+        assert hyperbolicity_delta(word_vertex_metric(tree_complex(2, 3)).matrix) == 0.0
 
     def test_complete_graph_at_most_one(self):
         vm = word_vertex_metric(simplex_complex(4))
-        delta = hyperbolicity_delta(vm)
+        delta = hyperbolicity_delta(vm.matrix)
         assert 0.0 <= delta <= 1.0
         assert delta == brute_force_delta(vm.matrix.tolist())
 
     def test_matches_bruteforce_on_cycle(self):
         vm = word_vertex_metric(cycle_complex(7))
-        assert hyperbolicity_delta(vm) == brute_force_delta(vm.matrix.tolist())
+        assert hyperbolicity_delta(vm.matrix) == brute_force_delta(vm.matrix.tolist())
 
     def test_single_vertex(self):
         K = build_complex(["a"], [["a"]])
-        assert hyperbolicity_delta(word_vertex_metric(K)) == 0.0
+        assert hyperbolicity_delta(word_vertex_metric(K).matrix) == 0.0
