@@ -30,7 +30,7 @@ is derived on first use and kept on the complex, freed with it: the label
 -> id `index`, the word table, the grid oracle's graphs by resolution, the
 maximal simplices meeting each one the path search asks about, the id rows
 read so far (`IdRows.row`), and two label views of whole tables:
-`maximal_simplices` (label tuples), read by the samplers, the checks,
+`maximal_simplices` (label tuples), read by the checks, `grid_point`,
 `oracle.build_grid` and `fileio.complex_to_dict`, and the `adjacency` dict,
 read by the oracle's own search.  Every other reader reads id rows: one at a
 time through `row`, or, to walk a whole table, all at once as lists that no
@@ -38,11 +38,12 @@ cache keeps (`IdRows.all_rows`).
 
 The word table holds no V^2 array and no graph of its own: it reads the
 complex's adjacency CSR.  It answers word distances on demand: a row is one
-single-source search, kept in a small LRU; a single distance is read from a
-kept row of either end, or found by a bidirectional search over the
-adjacency and remembered in a bounded memo.  Its dense `matrix` is built
-only for the consumers that need every pair (validating an explicit metric,
-the four-point scan).
+breadth-first search (scipy's, in C) whose tree of predecessors pointer
+doubling turns into exact int32 depths, kept in a small LRU; a single
+distance is read from a kept row of either end, or found by a bidirectional
+search over the adjacency and remembered in a bounded memo.  Its dense
+`matrix`, the same rows stacked, is built only for the consumers that need
+every pair (validating an explicit metric, the four-point scan).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import (
     DisconnectedComplex,
@@ -143,14 +144,17 @@ class WordMetricTable:
     """Word distances on the 1-skeleton, computed on demand.
 
     Nothing V^2 is held: a row (one vertex's distances to all others) is one
-    single-source search, and the last `rows_kept` rows are kept.  A single
-    distance is read from a kept row of either end; otherwise a bidirectional
-    breadth-first search finds it and the last `PAIRS_KEPT` such answers are
-    remembered.  `matrix`, the dense all-pairs table, is built only when a
-    consumer that needs every pair asks for it.  The caches only ever hold
-    exact distances, so which one answers never changes a value.
+    breadth-first search plus pointer doubling over its tree (`_search_row`),
+    and the last `rows_kept` rows are kept.  A single distance is read from a
+    kept row of either end; otherwise a bidirectional breadth-first search
+    finds it and the last `PAIRS_KEPT` such answers are remembered.
+    `matrix`, the dense all-pairs table, is every row stacked, built only
+    when a consumer that needs every pair asks for it.  The caches only ever
+    hold exact distances, so which one answers never changes a value.
 
     The graph is the complex's own: its label -> id `index` and adjacency CSR.
+    The first row, searched and kept at construction, is the connectivity
+    test: a search that misses a vertex raises DisconnectedComplex.
     """
 
     def __init__(self, order: tuple[str, ...], index: dict[str, int], adjacency: IdRows):
@@ -161,19 +165,39 @@ class WordMetricTable:
         self.rows_kept = max(1, ROW_ENTRIES_KEPT // n)
         data = np.ones(len(adjacency.indices))
         self._graph = csr_matrix((data, adjacency.indices, adjacency.indptr), shape=(n, n))
-        first = self._search_row(0)
-        if np.isinf(first).any():
-            raise DisconnectedComplex("1-skeleton is not connected")
+        first = self._search_row(0)  # raises DisconnectedComplex if the search misses a vertex
         self._rows: OrderedDict[str, np.ndarray] = OrderedDict()
         self._keep_row(order[0], first)
         self._pairs: dict[tuple[str, str], float] = {}
 
     def _search_row(self, i: int) -> np.ndarray:
-        # the graph is symmetric, so a directed search gives the same row without a transpose
-        return shortest_path(self._graph, method="D", unweighted=True, directed=True, indices=i)
+        """Word distances from vertex i (int32): one breadth-first search, then pointer doubling.
 
-    def _keep_row(self, u: str, dist: np.ndarray) -> np.ndarray:
-        row = dist.astype(np.int32)
+        The search's predecessor array is a tree whose depths are the
+        distances.  Each vertex starts one step below its parent; a pass adds
+        the step count of the ancestor it points to and then points to that
+        ancestor's ancestor (list ranking, Wyllie 1979), so after k passes
+        every vertex within 2^k steps of i knows its depth.  The last vertex in
+        search order is the deepest, so it is the last to reach i.
+        """
+        # the graph is symmetric, so a directed search gives the same tree without a transpose
+        order, up = breadth_first_order(self._graph, i, directed=True, return_predecessors=True)
+        if len(order) < len(up):
+            raise DisconnectedComplex("1-skeleton is not connected")
+        up[i] = i
+        row = np.ones(len(up), dtype=np.int32)
+        row[i] = 0
+        last = order.item(-1)
+        step, ancestor = np.empty_like(row), np.empty_like(up)
+        while up.item(last) != i:
+            # every entry of up is a vertex now, so "clip" clips nothing; it spares take a checked copy
+            row.take(up, out=step, mode="clip")
+            row += step
+            up.take(up, out=ancestor, mode="clip")
+            up, ancestor = ancestor, up
+        return row
+
+    def _keep_row(self, u: str, row: np.ndarray) -> np.ndarray:
         row.flags.writeable = False
         self._rows[u] = row
         if len(self._rows) > self.rows_kept:
@@ -237,8 +261,8 @@ class WordMetricTable:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense all-pairs table (int64), built on first use."""
-        return shortest_path(self._graph, method="D", unweighted=True, directed=False).astype(np.int64)
+        """The dense all-pairs table (int64), built on first use: every row, stacked."""
+        return np.stack([self._search_row(i) for i in range(len(self.order))]).astype(np.int64)
 
 
 @dataclass(frozen=True)

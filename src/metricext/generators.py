@@ -263,7 +263,7 @@ def _below(rng: np.random.Generator, c, n: int) -> int:
     return int(rng.integers(n))
 
 
-def _face(rng: np.random.Generator, c, sigma: Simplex) -> Simplex:
+def _face(rng: np.random.Generator, c, sigma: Sequence) -> tuple:
     """A random face of sigma, drawn on interface c under its lock: its size, then which vertices.
 
     The indices are sorted(rng.choice(k, size=1 + int(rng.integers(k)),
@@ -316,16 +316,33 @@ def random_point(
 ) -> BarycentricPoint:
     """Random point with support equal to a random (or given) face.
 
-    Each weight is MIN_WEIGHT plus a uniform draw, before normalizing.
+    Each weight is MIN_WEIGHT plus a uniform draw, before normalizing.  A
+    random face is drawn from a maximal simplex's id row; a given face is
+    checked by `make_point`.
     """
     bits = rng.bit_generator
     with bits.lock:  # one hold for all of the point's draws
         c = bits.ctypes
         if face is None:
-            simplices = K.maximal_simplices
-            face = _face(rng, c, simplices[_below(rng, c, len(simplices))])
+            simplices = K.simplex_csr
+            ids = _face(rng, c, simplices.row(_below(rng, c, len(simplices))))
+            return _point_on(K, ids, _uniforms(c, len(ids)))
         weights = _uniforms(c, len(face))
     return make_point(K, {v: MIN_WEIGHT + w for v, w in zip(face, weights)})
+
+
+def _point_on(K: SimplicialComplex, ids: Sequence[int], draws: list[float]) -> BarycentricPoint:
+    """The point on the face with ascending vertex ids `ids`, weighing MIN_WEIGHT + draw each.
+
+    It is the point `make_point` makes from those labels and weights, built
+    without its checks: ids ascend in label order, so the weights are summed
+    in the order it sums them; the ids are a face of K; and no weight, at
+    least MIN_WEIGHT / (1 + MIN_WEIGHT) / len(ids), falls under WEIGHT_FLOOR.
+    """
+    weights = [MIN_WEIGHT + w for w in draws]
+    total = sum(weights)
+    vs = K.vertices
+    return BarycentricPoint(tuple([(vs[i], w / total) for i, w in zip(ids, weights)]), tuple(ids))
 
 
 def random_vertex(K: SimplicialComplex, rng: np.random.Generator) -> BarycentricPoint:
@@ -348,10 +365,16 @@ def random_quadruples(
 def random_same_simplex_pair(
     K: SimplicialComplex, rng: np.random.Generator
 ) -> tuple[BarycentricPoint, BarycentricPoint]:
-    sigma = _pick(rng, K.maximal_simplices)
-    first = random_point(K, rng, face=sigma)
-    second = random_point(K, rng, face=_random_face(rng, sigma))
-    return first, second
+    """Two random points of one random maximal simplex: one on all of it, one on a random face."""
+    simplices = K.simplex_csr
+    bits = rng.bit_generator
+    with bits.lock:  # one hold for all of the pair's draws
+        c = bits.ctypes
+        sigma = simplices.row(_below(rng, c, len(simplices)))
+        first = _uniforms(c, len(sigma))
+        face = _face(rng, c, sigma)
+        second = _uniforms(c, len(face))
+    return _point_on(K, sigma, first), _point_on(K, face, second)
 
 
 def random_disjoint_pair(

@@ -2,8 +2,9 @@
 
 The word metric gives every edge of the 1-skeleton length 1; its table,
 kept on the complex, is the package's one source of word distances.  It
-serves them on demand: rows by single-source search, single pairs from a
-kept row or by bidirectional search, and a dense `matrix` only when asked.
+serves them on demand: a row by one breadth-first search plus pointer
+doubling over its tree, single pairs from a kept row or by bidirectional
+search, and a dense `matrix`, the rows stacked, only when asked.
 The word-derived vertex metrics (the word metric itself and its concave
 transforms, `word_transform`) are evaluated per pair or per row from that
 table, with closed-form constants, so they hold nothing V^2 either.

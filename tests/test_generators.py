@@ -22,8 +22,12 @@ from metricext import checks, generators
 from metricext.checks import run_checks
 from metricext.fileio import complex_from_dict, complex_to_dict
 from metricext.generators import (
+    MIN_WEIGHT,
+    _below,
     _cliques,
+    _face,
     _integer,
+    _pick,
     _random_face,
     _uniforms,
     cycle_complex,
@@ -34,6 +38,7 @@ from metricext.generators import (
     random_disjoint_pair,
     random_point,
     random_quadruples,
+    random_same_simplex_pair,
     random_vertex,
     rips_complex,
     simplex_complex,
@@ -291,7 +296,27 @@ def numpy_random_point(K, rng, face=None):
         face = numpy_random_face(rng, K.maximal_simplices[rng.integers(len(K.maximal_simplices))])
     raw = 0.05 + rng.random(len(face))
     # built through the module's name, which the verdict test records, as random_point's points are
+    # (through make_point or _point_on)
     return generators.make_point(K, {v: float(w) for v, w in zip(face, raw)})
+
+
+def label_random_point(K, rng, face=None):
+    """random_point as it drew a face from K.maximal_simplices' labels and built it with make_point."""
+    bits = rng.bit_generator
+    with bits.lock:
+        c = bits.ctypes
+        if face is None:
+            simplices = K.maximal_simplices
+            face = _face(rng, c, simplices[_below(rng, c, len(simplices))])
+        weights = _uniforms(c, len(face))
+    return make_point(K, {v: MIN_WEIGHT + w for v, w in zip(face, weights)})
+
+
+def label_same_simplex_pair(K, rng):
+    sigma = _pick(rng, K.maximal_simplices)
+    first = label_random_point(K, rng, face=sigma)
+    second = label_random_point(K, rng, face=_random_face(rng, sigma))
+    return first, second
 
 
 def list_disjoint_fallback(K, rng):
@@ -359,6 +384,27 @@ class TestDrawParity:
                 assert _random_face(ours, sigma) == numpy_random_face(theirs, sigma)
                 assert random_point(K, ours, face=sigma) == numpy_random_point(K, theirs, face=sigma)
 
+    def test_points_from_id_rows_are_the_label_built_points(self):
+        # the label-built samplers are the reference; ids are compared too, as equality skips them
+        complexes = {**fleet(), "simplex30": simplex_complex(30), "tree_2_6": tree_complex(2, 6)}
+        for name, K in complexes.items():
+            for seed in range(40):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(3):
+                    got, want = [random_point(K, ours)], [label_random_point(K, theirs)]
+                    got += random_same_simplex_pair(K, ours)
+                    want += label_same_simplex_pair(K, theirs)
+                    assert [(p.items, p.ids) for p in got] == [(p.items, p.ids) for p in want], (name, seed)
+                assert ours.random() == theirs.random()
+
+    def test_sampling_builds_no_label_view(self):
+        for name, K in fleet().items():
+            rng = np.random.default_rng(3)
+            for _ in range(20):
+                random_point(K, rng)
+                random_same_simplex_pair(K, rng)
+            assert "maximal_simplices" not in vars(K), name
+
     def test_disjoint_fallback_is_the_list_based_draw(self, complex_fleet, monkeypatch):
         monkeypatch.setattr(generators, "DISJOINT_TRIES", 0)
         for name, K in complex_fleet.items():
@@ -389,6 +435,7 @@ class TestDrawParity:
 
             with monkeypatch.context() as patch:
                 patch.setattr(generators, "make_point", recorded(make_point))
+                patch.setattr(generators, "_point_on", recorded(generators._point_on))
                 patch.setattr(generators, "vertex_point", recorded(vertex_point))
                 results = {
                     name: run_checks(K, word_vertex_metric(K), suite="all", seed=seed)

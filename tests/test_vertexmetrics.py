@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from metricext import (
     ExtendedMetric,
@@ -36,18 +37,20 @@ from metricext import (
     word_vertex_metric,
 )
 from metricext import complexes, vertexmetrics
+from metricext.complexes import WordMetricTable
 from metricext.generators import (
     cycle_complex,
     nested_quadruples,
     path_complex,
     random_complex,
+    rips_complex,
     simplex_complex,
     tree_complex,
 )
 from metricext.oracle import _oracle_bfs, tree_gromov_oracle, tree_vertex_path
 from metricext.vertexmetrics import geodesic
 
-from conftest import all_faces, list_built_graph, sample_geodesic_triples
+from conftest import all_faces, fleet, list_built_graph, sample_geodesic_triples
 
 
 class TestWordMetric:
@@ -190,6 +193,48 @@ class TestWordMetric:
         for u, v in itertools.combinations(book.vertices, 2):
             is_edge = tuple(sorted((u, v))) in faces
             assert (t.distance(u, v) == 1) == is_edge
+
+
+def dijkstra_row(table, i):
+    """A row as scipy's unweighted Dijkstra gives it: the kernel the breadth-first rows replaced."""
+    return shortest_path(table._graph, method="D", unweighted=True, directed=True, indices=i)
+
+
+class TestRowKernel:
+    def test_rows_equal_the_oracle_bfs_and_dijkstra(self):
+        deep = [tree_complex(2, 9), path_complex(2000), cycle_complex(501), rips_complex(path_complex(40), 3)]
+        for K in [*fleet().values(), *deep]:
+            t = word_metric(K)
+            n = len(K.vertices)
+            # every source on the fleet; on the deep ones both ends, the middle and a spread between
+            sources = range(n) if n <= 40 else sorted({0, n // 2, n - 1, *range(0, n, n // 40)})
+            for i in sources:
+                row = t._search_row(i)
+                assert row.dtype == np.int32
+                assert np.array_equal(row, dijkstra_row(t, i)), (K, i)
+                assert dict(zip(t.order, row.tolist())) == _oracle_bfs(K, K.vertices[i]), (K, i)
+
+    def test_matrix_is_the_stacked_rows(self):
+        for K in [*fleet().values(), tree_complex(2, 5), cycle_complex(31)]:
+            t = word_metric(K)
+            rows = [t.row(u) for u in t.order]
+            for row in rows:
+                assert row.dtype == np.int32 and not row.flags.writeable
+            assert t.matrix.dtype == np.int64
+            assert np.array_equal(t.matrix, np.stack(rows))
+
+    def test_two_components_are_rejected_at_construction(self):
+        # an isolated vertex last, first or between, and two components that each have an edge
+        for vertices, simplices in [
+            ("abc", ["ab", "c"]),
+            ("abc", ["a", "bc"]),
+            ("abc", ["ac", "b"]),
+            ("abcd", ["ab", "cd"]),
+            ("abcde", ["abc", "de"]),
+        ]:
+            K = build_complex(vertices, simplices)
+            with pytest.raises(DisconnectedComplex):
+                WordMetricTable(K.vertices, K.index, K.adjacency_csr)
 
 
 class TestGeodesic:
