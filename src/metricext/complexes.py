@@ -30,7 +30,7 @@ is derived on first use and kept on the complex, freed with it: the label
 -> id `index`, the word table, the grid oracle's graphs by resolution, the
 maximal simplices meeting each one the path search asks about, the id rows
 read so far (`IdRows.row`), and two label views of whole tables:
-`maximal_simplices` (label tuples), read by the checks, `grid_point`,
+`maximal_simplices` (label tuples), read by the checks,
 `oracle.build_grid` and `fileio.complex_to_dict`, and the `adjacency` dict,
 read by the oracle's own search.  Every other reader reads id rows: one at a
 time through `row`, or, to walk a whole table, all at once as lists that no

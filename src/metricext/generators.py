@@ -14,6 +14,11 @@ points as numpy's calls would, without their per-call cost on arrays of one
 to three entries.  Draws where numpy's algorithm differs go to numpy: a face
 of more than 10,000 vertices and a range above 2**32.  `grid_point`'s
 multinomial is numpy's own call.
+
+Every random face is a face of a maximal simplex's id row of
+`K.simplex_csr`, drawn under one hold of the bit generator's lock, and
+every sampled point is built from ascending vertex ids and weights by
+`_point_on`; no sampler reads a label view of a whole table.
 """
 
 from __future__ import annotations
@@ -24,16 +29,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .complexes import (
-    BarycentricPoint,
-    Simplex,
-    SimplicialComplex,
-    complex_from_ids,
-    make_point,
-    vertex_point,
-)
-from .errors import InvalidParameters
-from .vertexmetrics import sphere, word_metric
+from .complexes import BarycentricPoint, SimplicialComplex, complex_from_ids, vertex_point
+from .errors import InvalidParameters, SupportNotASimplex, WeightsNotNormalizable
+from .vertexmetrics import word_metric
 
 DEFAULT_MAX_DIM = 3  # the largest simplex dimension a rips or random complex keeps
 
@@ -304,11 +302,10 @@ def _pick(rng: np.random.Generator, items: Sequence):
     return items[_integer(rng, len(items))]
 
 
-def _random_face(rng: np.random.Generator, sigma: Simplex) -> Simplex:
-    """A random face of sigma: first its size, then which vertices, kept in sigma's order."""
-    bits = rng.bit_generator
-    with bits.lock:
-        return _face(rng, bits.ctypes, sigma)
+def _simplex_face(rng: np.random.Generator, c, K: SimplicialComplex) -> tuple[int, ...]:
+    """The ascending vertex ids of a random face of a random maximal simplex, drawn on interface c under its lock."""
+    simplices = K.simplex_csr
+    return _face(rng, c, simplices.row(_below(rng, c, len(simplices))))
 
 
 def random_point(
@@ -317,29 +314,36 @@ def random_point(
     """Random point with support equal to a random (or given) face.
 
     Each weight is MIN_WEIGHT plus a uniform draw, before normalizing.  A
-    random face is drawn from a maximal simplex's id row; a given face is
-    checked by `make_point`.
+    given face raises as `make_point` would on its labels: an unknown label
+    or a non-face raises SupportNotASimplex, an empty face
+    WeightsNotNormalizable, and a repeated label keeps its later weight.
     """
     bits = rng.bit_generator
     with bits.lock:  # one hold for all of the point's draws
         c = bits.ctypes
         if face is None:
-            simplices = K.simplex_csr
-            ids = _face(rng, c, simplices.row(_below(rng, c, len(simplices))))
-            return _point_on(K, ids, _uniforms(c, len(ids)))
-        weights = _uniforms(c, len(face))
-    return make_point(K, {v: MIN_WEIGHT + w for v, w in zip(face, weights)})
+            ids = _simplex_face(rng, c, K)
+            return _point_on(K, ids, [MIN_WEIGHT + w for w in _uniforms(c, len(ids))])
+        drawn = dict(zip(map(K.index.get, face), _uniforms(c, len(face))))  # id -> its later draw
+    if not drawn:
+        raise WeightsNotNormalizable("weights sum to 0, cannot normalize")
+    ids = () if None in drawn else sorted(drawn)  # an unknown label makes no face, nor does ()
+    if not K.holds(ids):
+        raise SupportNotASimplex(f"support {tuple(sorted(set(face)))} does not span a simplex")
+    return _point_on(K, ids, [MIN_WEIGHT + drawn[i] for i in ids])
 
 
-def _point_on(K: SimplicialComplex, ids: Sequence[int], draws: list[float]) -> BarycentricPoint:
-    """The point on the face with ascending vertex ids `ids`, weighing MIN_WEIGHT + draw each.
+def _point_on(K: SimplicialComplex, ids: Sequence[int], weights: list[float]) -> BarycentricPoint:
+    """The point on the face with ascending vertex ids `ids` and these weights, normalized.
 
     It is the point `make_point` makes from those labels and weights, built
     without its checks: ids ascend in label order, so the weights are summed
-    in the order it sums them; the ids are a face of K; and no weight, at
-    least MIN_WEIGHT / (1 + MIN_WEIGHT) / len(ids), falls under WEIGHT_FLOOR.
+    in the order it sums them; the ids are a face of K; and no weight falls
+    under WEIGHT_FLOOR, so none is dropped.  A weight MIN_WEIGHT + draw is
+    at least MIN_WEIGHT / (1 + MIN_WEIGHT) / len(ids) once normalized, and a
+    grid weight (1 + e) / n, summing to 1 with the others, at least 1 / n:
+    above the floor for every resolution n below 10**11.
     """
-    weights = [MIN_WEIGHT + w for w in draws]
     total = sum(weights)
     vs = K.vertices
     return BarycentricPoint(tuple([(vs[i], w / total) for i, w in zip(ids, weights)]), tuple(ids))
@@ -355,7 +359,7 @@ def random_quadruples(
     """Quadruples of four random vertices or of four random points, a fair draw picking which."""
     out = []
     for _ in range(count):
-        vertices = rng.integers(2)
+        vertices = _integer(rng, 2)
         out.append(tuple(
             random_vertex(K, rng) if vertices else random_point(K, rng) for _ in range(4)
         ))
@@ -371,9 +375,9 @@ def random_same_simplex_pair(
     with bits.lock:  # one hold for all of the pair's draws
         c = bits.ctypes
         sigma = simplices.row(_below(rng, c, len(simplices)))
-        first = _uniforms(c, len(sigma))
+        first = [MIN_WEIGHT + w for w in _uniforms(c, len(sigma))]
         face = _face(rng, c, sigma)
-        second = _uniforms(c, len(face))
+        second = [MIN_WEIGHT + w for w in _uniforms(c, len(face))]
     return _point_on(K, sigma, first), _point_on(K, face, second)
 
 
@@ -381,31 +385,29 @@ def random_disjoint_pair(
     K: SimplicialComplex, rng: np.random.Generator
 ) -> tuple[BarycentricPoint, BarycentricPoint]:
     """Two points with disjoint supports; after DISJOINT_TRIES failed draws, a vertex pair."""
+    verts = K.vertices
+    if len(verts) < 2:
+        raise InvalidParameters("a disjoint pair needs at least two vertices")
     for _ in range(DISJOINT_TRIES):
         a = random_point(K, rng)
         b = random_point(K, rng)
         if not set(a.support) & set(b.support):
             return a, b
-    verts = K.vertices
     i = _integer(rng, len(verts))
     j = _integer(rng, len(verts) - 1)  # an index among the other vertices
     return vertex_point(K, verts[i]), vertex_point(K, verts[j + (j >= i)])
 
 
-def grid_point(
-    K: SimplicialComplex,
-    rng: np.random.Generator,
-    n: int,
-    face: Sequence[str] | None = None,
-) -> BarycentricPoint:
-    """Random point with all weights integer multiples of 1/n."""
-    if face is None:
-        face = _random_face(rng, _pick(rng, K.maximal_simplices))
-    k = len(face)
+def grid_point(K: SimplicialComplex, rng: np.random.Generator, n: int) -> BarycentricPoint:
+    """Random point with all weights integer multiples of 1/n, on a face drawn as `random_point` draws one."""
+    bits = rng.bit_generator
+    with bits.lock:
+        ids = _simplex_face(rng, bits.ctypes, K)
+    k = len(ids)
     if n < k:
         raise InvalidParameters(f"resolution 1/{n} too coarse for a face of size {k}")
     extra = rng.multinomial(n - k, [1.0 / k] * k)
-    return make_point(K, {v: (1 + int(e)) / n for v, e in zip(face, extra)})
+    return _point_on(K, ids, [(1 + e) / n for e in extra.tolist()])
 
 
 def _random_geodesic(K: SimplicialComplex, rng: np.random.Generator, u: str, v: str) -> list[str]:
@@ -437,7 +439,7 @@ def nested_quadruples(
     sampling almost never produces such configurations.
     """
     table = word_metric(K)
-    verts = list(K.vertices)
+    verts = K.vertices
     out = []
     tries = 0
     while len(out) < count and tries < count * 50:
@@ -447,7 +449,7 @@ def nested_quadruples(
         far = from_u.max()
         if far < MIN_GAP + 2:
             continue
-        b = _pick(rng, sphere(K, u, far))
+        b = verts[_pick(rng, np.flatnonzero(from_u == far))]  # the vertices at distance far, by id
         path = _random_geodesic(K, rng, u, b)
         length = len(path) - 1
         lo = 1 + _integer(rng, max(1, length - MIN_GAP - 2))

@@ -1,0 +1,85 @@
+"""A census: every connected flag complex on 2-5 vertices, every pair of its 1/4 grid."""
+
+from fractions import Fraction
+from itertools import combinations, permutations
+
+import pytest
+from scipy.sparse.csgraph import shortest_path
+
+from metricext import (
+    ExtendedMetric,
+    bilinear_extension,
+    build_complex,
+    build_grid,
+    l1_path_distance,
+    make_point,
+    word_vertex_metric,
+)
+from metricext.generators import _cliques
+
+GRID = 4  # the census's resolution: every weight a multiple of 1/4
+
+
+def connected_graphs(n: int) -> list[list[tuple[int, int]]]:
+    """The connected graphs on vertices 0 .. n-1, one per isomorphism class, as edge lists.
+
+    A graph is an edge mask over the pairs i < j; each class is listed by
+    its least mask, found by brute force over the vertex permutations.
+    """
+    pairs = list(combinations(range(n), 2))
+    bit = {p: k for k, p in enumerate(pairs)}
+    # each permutation as the image bit of every pair's bit
+    images = [[bit[tuple(sorted((p[i], p[j])))] for i, j in pairs] for p in permutations(range(n))]
+    out = []
+    for mask in range(1 << len(pairs)):
+        edges = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+        least = all(sum(1 << image[k] for k in range(len(pairs)) if mask >> k & 1) >= mask for image in images)
+        if least and _connected(n, edges):
+            out.append(edges)
+    return out
+
+
+def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
+    reached = {0}
+    for _ in range(n):
+        reached |= {j for i, j in edges if i in reached} | {i for i, j in edges if j in reached}
+    return len(reached) == n
+
+
+def census_complexes():
+    """(name, complex) of every connected flag complex on 2-5 vertices, up to isomorphism."""
+    for n in range(2, 6):
+        labels = [f"v{i}" for i in range(n)]
+        for k, edges in enumerate(connected_graphs(n)):
+            cliques = [[labels[i] for i in c] for c in _cliques(n, edges, n)]
+            yield f"n{n}-{k}", build_complex(labels, cliques)
+
+
+def test_connected_graph_counts():
+    # OEIS A001349: connected graphs on 2, 3, 4 and 5 unlabelled vertices
+    assert [len(connected_graphs(n)) for n in range(2, 6)] == [1, 2, 6, 21]
+
+
+def test_every_grid_pair_of_every_small_complex():
+    """The path metric is the grid's hop count / 4 and symmetric bit for bit, and D answers disjoint pairs."""
+    pairs, worst = 0, Fraction(0)
+    for name, K in census_complexes():
+        grid = build_grid(K, GRID)
+        hops = shortest_path(grid.graph, unweighted=True)
+        points = [make_point(K, {v: c / GRID for v, c in node}) for node in grid.nodes]
+        vm = word_vertex_metric(K)
+        M = ExtendedMetric(K, vm)
+        for i, j in combinations(range(len(points)), 2):
+            x, y = points[i], points[j]
+            path = l1_path_distance(K, x, y).value
+            assert abs(path - hops[i, j] / GRID) <= 1e-9, (name, x, y)
+            assert l1_path_distance(K, y, x).value == path, (name, x, y)
+            D = bilinear_extension(vm, x, y)
+            assert bilinear_extension(vm, y, x) == D, (name, x, y)
+            if not set(x.ids) & set(y.ids):
+                assert M.distance_with_branch(x, y) == (D, "bilinear"), (name, x, y)
+                worst = max(worst, Fraction(D) / (Fraction(vm.C) * Fraction(path)))
+            pairs += 1
+    assert pairs == 12_973
+    # the theorem's factor 3 is never needed on disjoint supports here: the largest ratio is 5/4
+    assert worst < 3

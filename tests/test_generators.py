@@ -2,8 +2,9 @@
 
 import hashlib
 import json
+import re
 import tracemalloc
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -12,10 +13,15 @@ from numpy.random import MT19937, SFC64, Generator, Philox
 from metricext import (
     GeneratorSpec,
     InvalidParameters,
+    SupportNotASimplex,
+    WeightsNotNormalizable,
+    build_complex,
     generate,
     hyperbolicity_delta,
     make_point,
+    sphere,
     vertex_point,
+    word_metric,
     word_vertex_metric,
 )
 from metricext import checks, generators
@@ -28,7 +34,6 @@ from metricext.generators import (
     _face,
     _integer,
     _pick,
-    _random_face,
     _uniforms,
     cycle_complex,
     grid_point,
@@ -286,18 +291,34 @@ class TestSamplers:
 # The samplers draw numpy's stream through the bit generator; these are the
 # numpy calls they replace, kept as the reference.
 
+def face_of(rng, sigma):
+    """A random face of sigma, drawn as the samplers draw one."""
+    with rng.bit_generator.lock:
+        return _face(rng, rng.bit_generator.ctypes, sigma)
+
+
 def numpy_random_face(rng, sigma):
     size = int(rng.integers(1, len(sigma) + 1))
     return tuple(sigma[i] for i in sorted(rng.choice(len(sigma), size=size, replace=False)))
+
+
+numpy_make_point = make_point  # the numpy references' point builder, which the verdict test records
 
 
 def numpy_random_point(K, rng, face=None):
     if face is None:
         face = numpy_random_face(rng, K.maximal_simplices[rng.integers(len(K.maximal_simplices))])
     raw = 0.05 + rng.random(len(face))
-    # built through the module's name, which the verdict test records, as random_point's points are
-    # (through make_point or _point_on)
-    return generators.make_point(K, {v: float(w) for v, w in zip(face, raw)})
+    return numpy_make_point(K, {v: float(w) for v, w in zip(face, raw)})
+
+
+def numpy_grid_point(K, rng, n):
+    face = numpy_random_face(rng, K.maximal_simplices[rng.integers(len(K.maximal_simplices))])
+    k = len(face)
+    if n < k:
+        raise InvalidParameters(f"resolution 1/{n} too coarse for a face of size {k}")
+    extra = rng.multinomial(n - k, [1.0 / k] * k)
+    return numpy_make_point(K, {v: (1 + int(e)) / n for v, e in zip(face, extra)})
 
 
 def label_random_point(K, rng, face=None):
@@ -315,8 +336,55 @@ def label_random_point(K, rng, face=None):
 def label_same_simplex_pair(K, rng):
     sigma = _pick(rng, K.maximal_simplices)
     first = label_random_point(K, rng, face=sigma)
-    second = label_random_point(K, rng, face=_random_face(rng, sigma))
+    second = label_random_point(K, rng, face=face_of(rng, sigma))
     return first, second
+
+
+def label_grid_point(K, rng, n):
+    """grid_point as it drew a face from K.maximal_simplices' labels and built it with make_point."""
+    face = face_of(rng, _pick(rng, K.maximal_simplices))
+    k = len(face)
+    if n < k:
+        raise InvalidParameters(f"resolution 1/{n} too coarse for a face of size {k}")
+    extra = rng.multinomial(n - k, [1.0 / k] * k)
+    return make_point(K, {v: (1 + int(e)) / n for v, e in zip(face, extra)})
+
+
+def label_random_quadruples(K, rng, count):
+    """random_quadruples as it drew its coin with numpy's integers(2)."""
+    out = []
+    for _ in range(count):
+        vertices = rng.integers(2)
+        out.append(tuple(
+            random_vertex(K, rng) if vertices else label_random_point(K, rng) for _ in range(4)
+        ))
+    return out
+
+
+def label_nested_quadruples(K, rng, count):
+    """nested_quadruples as it picked its far vertex from sphere's label tuple."""
+    table = word_metric(K)
+    gap = generators.MIN_GAP
+    verts = list(K.vertices)
+    out = []
+    tries = 0
+    while len(out) < count and tries < count * 50:
+        tries += 1
+        u = _pick(rng, verts)
+        far = table.row(u).max()
+        if far < gap + 2:
+            continue
+        b = _pick(rng, sphere(K, u, far))
+        path = generators._random_geodesic(K, rng, u, b)
+        length = len(path) - 1
+        lo = 1 + _integer(rng, max(1, length - gap - 2))
+        hi = lo + gap + _integer(rng, max(1, length - lo - gap))
+        hi = min(hi, length - 1)
+        if hi - lo < gap:
+            continue
+        c, a = path[lo], path[hi]
+        out.append((u, a, b, c))
+    return out
 
 
 def list_disjoint_fallback(K, rng):
@@ -363,7 +431,7 @@ class TestDrawParity:
             for _ in range(12 if k <= 64 else 2):
                 size = int(theirs.integers(1, k + 1))
                 want = sorted(int(i) for i in theirs.choice(k, size=size, replace=False))
-                assert list(_random_face(ours, tuple(range(k)))) == want, k
+                assert list(face_of(ours, tuple(range(k)))) == want, k
                 assert ours.random() == theirs.random()
                 assert int(ours.integers(7)) == int(theirs.integers(7))
 
@@ -381,29 +449,70 @@ class TestDrawParity:
             for _ in range(20):
                 assert random_point(K, ours) == numpy_random_point(K, theirs)
                 sigma = K.maximal_simplices[-1]
-                assert _random_face(ours, sigma) == numpy_random_face(theirs, sigma)
+                assert face_of(ours, sigma) == numpy_random_face(theirs, sigma)
                 assert random_point(K, ours, face=sigma) == numpy_random_point(K, theirs, face=sigma)
 
-    def test_points_from_id_rows_are_the_label_built_points(self):
+    def test_points_from_id_rows_are_the_label_built_points(self, monkeypatch):
         # the label-built samplers are the reference; ids are compared too, as equality skips them
         complexes = {**fleet(), "simplex30": simplex_complex(30), "tree_2_6": tree_complex(2, 6)}
         for name, K in complexes.items():
+            n = 4 * (K.dimension + 1)  # a grid fine enough for every face
             for seed in range(40):
+                monkeypatch.setattr(generators, "MIN_GAP", 2 + seed % 5)  # nested quadruples on most complexes
                 ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
                 for _ in range(3):
                     got, want = [random_point(K, ours)], [label_random_point(K, theirs)]
                     got += random_same_simplex_pair(K, ours)
                     want += label_same_simplex_pair(K, theirs)
+                    face = want[0].support[::-1]  # a given face, in descending label order
+                    got.append(random_point(K, ours, face=face))
+                    want.append(label_random_point(K, theirs, face=face))
+                    got.append(grid_point(K, ours, n))
+                    want.append(label_grid_point(K, theirs, n))
+                    got += chain.from_iterable(random_quadruples(K, ours, 2))
+                    want += chain.from_iterable(label_random_quadruples(K, theirs, 2))
                     assert [(p.items, p.ids) for p in got] == [(p.items, p.ids) for p in want], (name, seed)
+                    assert nested_quadruples(K, ours, 2) == label_nested_quadruples(K, theirs, 2), (name, seed)
                 assert ours.random() == theirs.random()
 
-    def test_sampling_builds_no_label_view(self):
+    @pytest.mark.parametrize(
+        "face, error",
+        [
+            ((), WeightsNotNormalizable),
+            (("g00", "nope"), SupportNotASimplex),
+            (("nope", "g00", "g01"), SupportNotASimplex),
+            (("g00", "g13"), SupportNotASimplex),
+            (("g00", "g01", "g00"), None),
+            (("g10", "g05", "g00"), None),
+        ],
+        ids=["empty", "unknown-last", "unknown-first", "non-face", "repeated", "unsorted"],
+    )
+    def test_a_given_face_raises_and_draws_as_make_point(self, face, error):
+        # random_complex(14, 0.25, seed=3): g00-g01 is an edge, g00-g05-g10 a triangle, g00-g13 no face
+        K = random_complex(14, 0.25, seed=3)
+        assert K.spans(("g00", "g01")) and K.spans(("g00", "g05", "g10")) and not K.spans(("g00", "g13"))
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        if error is None:
+            got, want = random_point(K, ours, face=face), label_random_point(K, theirs, face=face)
+            assert (got.items, got.ids) == (want.items, want.ids)
+        else:
+            with pytest.raises(error) as want:
+                label_random_point(K, theirs, face=face)
+            with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
+                random_point(K, ours, face=face)
+        assert ours.random() == theirs.random()
+
+    def test_sampling_builds_no_label_view(self, monkeypatch):
+        monkeypatch.setattr(generators, "MIN_GAP", 2)
         for name, K in fleet().items():
             rng = np.random.default_rng(3)
             for _ in range(20):
                 random_point(K, rng)
                 random_same_simplex_pair(K, rng)
-            assert "maximal_simplices" not in vars(K), name
+                grid_point(K, rng, 16)
+            random_quadruples(K, rng, 5)
+            nested_quadruples(K, rng, 5)
+            assert "maximal_simplices" not in vars(K) and "adjacency" not in vars(K), name
 
     def test_disjoint_fallback_is_the_list_based_draw(self, complex_fleet, monkeypatch):
         monkeypatch.setattr(generators, "DISJOINT_TRIES", 0)
@@ -413,12 +522,13 @@ class TestDrawParity:
                 assert got == list_disjoint_fallback(K, np.random.default_rng(seed)), (name, seed)
                 assert got[0] != got[1]
 
-    def test_disjoint_fallback_on_one_vertex_raises_as_before(self, monkeypatch):
-        monkeypatch.setattr(generators, "DISJOINT_TRIES", 0)
-        K = simplex_complex(0)
-        for draw in (random_disjoint_pair, list_disjoint_fallback):
-            with pytest.raises(ValueError):
-                draw(K, np.random.default_rng(0))
+    @pytest.mark.parametrize("K", [simplex_complex(0), build_complex(["a"], [["a"]])], ids=["s00", "a"])
+    def test_a_disjoint_pair_on_one_vertex_is_rejected_before_any_draw(self, K):
+        # it made 400 random_point draws and then raised numpy's ValueError ("high <= 0")
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidParameters, match="needs at least two vertices"):
+            random_disjoint_pair(K, rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_check_verdicts_equal_the_numpy_drawn_samplers(self, seed, monkeypatch):
@@ -434,7 +544,7 @@ class TestDrawParity:
                 return build_and_record
 
             with monkeypatch.context() as patch:
-                patch.setattr(generators, "make_point", recorded(make_point))
+                patch.setitem(globals(), "numpy_make_point", recorded(make_point))
                 patch.setattr(generators, "_point_on", recorded(generators._point_on))
                 patch.setattr(generators, "vertex_point", recorded(vertex_point))
                 results = {
@@ -444,9 +554,9 @@ class TestDrawParity:
             return results, points
 
         drawn, drawn_points = run_all()
-        monkeypatch.setattr(generators, "_random_face", numpy_random_face)
         monkeypatch.setattr(generators, "random_point", numpy_random_point)
         monkeypatch.setattr(checks, "random_point", numpy_random_point)
+        monkeypatch.setattr(checks, "grid_point", numpy_grid_point)
         results, points = run_all()
         assert results == drawn
         assert len(points) > 10_000 and points == drawn_points

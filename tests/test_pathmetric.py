@@ -319,7 +319,9 @@ class TestRouteLength:
         simplex = K.maximal_simplices[-1]
         assert len(simplex) == 64
         x = make_point(K, {v: w for v, w in zip(simplex[:atoms], rng.random(atoms) + 0.05)})
-        for y in (vertex_point(K, "p10"), vertex_point(K, "s63"), grid_point(K, rng, 128, face=simplex[-8:])):
+        extra = rng.multinomial(120, [1 / 8] * 8)  # a point of the 1/128 grid on the last 8 vertices
+        on_grid = make_point(K, {v: (1 + int(e)) / 128 for v, e in zip(simplex[-8:], extra)})
+        for y in (vertex_point(K, "p10"), vertex_point(K, "s63"), on_grid):
             _assert_route_lengths(K, x, y)
             _assert_route_lengths(K, y, x)
 
