@@ -19,7 +19,7 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property, partial, wraps
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,9 @@ from .extension import (
     sandwich_check,
 )
 from .generators import (
+    MIN_WEIGHT,
+    _integer,
+    _point_on,
     grid_point,
     nested_quadruples,
     random_disjoint_pair,
@@ -210,13 +213,21 @@ def _check_face_closure(ctx: CheckContext, r: CheckResult) -> None:
                     r.notes.append(f"missing face {sub}")
 
 
+def _random_point_on(K: SimplicialComplex, rng: np.random.Generator, ids: Sequence[int]) -> BarycentricPoint:
+    """`random_point(K, rng, face=...)` on the face with ascending vertex ids `ids`, drawn alike.
+
+    The face is known to be one, so its labels are neither looked up nor face-tested.
+    """
+    return _point_on(K, ids, (MIN_WEIGHT + rng.random(len(ids))).tolist())
+
+
 @_check("complex", "simplex-l1-metric-axioms")
 def _check_simplex_l1_axioms(ctx: CheckContext, r: CheckResult) -> None:
     rng = ctx.rng("simplex-l1")
+    simplices = ctx.K.simplex_csr
     for _ in range(ctx.triples):
-        sigma = ctx.K.maximal_simplices[rng.integers(len(ctx.K.maximal_simplices))]
-        pts = [random_point(ctx.K, rng, face=sigma) for _ in range(3)]
-        x, y, z = pts
+        sigma = simplices.row(_integer(rng, len(simplices)))
+        x, y, z = (_random_point_on(ctx.K, rng, sigma) for _ in range(3))
         ok = (
             abs(simplex_l1(x, y) - simplex_l1(y, x)) <= VALUE_TOL
             and simplex_l1(x, x) <= VALUE_TOL
@@ -231,13 +242,14 @@ def _check_simplex_l1_axioms(ctx: CheckContext, r: CheckResult) -> None:
 def _check_simplex_l1_restriction(ctx: CheckContext, r: CheckResult) -> None:
     # the l1 value must only depend on coordinates, not the ambient simplex
     rng = ctx.rng("l1-restriction")
+    simplices = ctx.K.simplex_csr
     for _ in range(ctx.pairs):
-        sigma = ctx.K.maximal_simplices[rng.integers(len(ctx.K.maximal_simplices))]
+        sigma = simplices.row(_integer(rng, len(simplices)))
         face = sigma[: max(1, len(sigma) - 1)]
-        x = random_point(ctx.K, rng, face=face)
-        y = random_point(ctx.K, rng, face=face)
+        x = _random_point_on(ctx.K, rng, face)
+        y = _random_point_on(ctx.K, rng, face)
         ambient = simplex_l1(x, y)
-        direct = 0.5 * sum(abs(x.get(v) - y.get(v)) for v in face)
+        direct = 0.5 * sum(abs(x.get(v) - y.get(v)) for v in x.support)
         ok = abs(ambient - direct) <= VALUE_TOL
         r.passed += ok
         r.failed += not ok

@@ -13,8 +13,9 @@ whenever the supports are disjoint, and is a genuine metric.
 Past two vertices and disjoint supports, a query is one path query under
 the ceiling (D, 3C) (`pathmetric._path`, whose docstring describes the
 floors): it settles on the bilinear branch as soon as 3C times a lower
-bound on the path reaches D, the coordinate bound first and the search's
-states last, and otherwise answers 3C * path with its witness.
+bound on the path reaches D, the coordinate bound first, then the word
+transport and the search's states last, and otherwise answers 3C * path
+with its witness.
 
 Double differences and Gromov products with respect to the extension, or
 to the bilinear form, are vertexmetrics' `double_difference` and

@@ -42,11 +42,15 @@ itself, or a fractional knapsack), which gives the solver's total, so
 pushes, pops and chains do not change; only larger states and
 `chain_lp`, which needs the flows, run the solver.
 
-A query computes its admissible lower bounds in one pass (`query_bounds`,
-both directions of `lower_bounds` with the symmetric entries computed
-once).  The search reads that one list, and every solved distance is
-checked against it; a result below any bound is recorded and raised as an
-internal inconsistency, never returned.
+A search-tier query is priced once, by its word transport T_W: the least
+cost of moving x's masses onto y's when a unit moved from u to v pays
+word(u, v) (Kantorovich 1942), an integer over the query's scale
+(`_word_transport`).  T_W / scale is an admissible bound, the strongest
+the query lists (`query_bounds`); it is also every root state's price,
+so the search is skipped exactly when T_W reaches its cutoff, and each
+solved distance is checked against the listed bounds; a result below any
+of them is recorded and raised as an internal inconsistency, never
+returned.
 
 Every path answer comes from one function (`_path`), which orders the
 tiers and, for a caller that needs only min(bilinear, factor * path), the
@@ -59,8 +63,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import itemgetter, mul, sub
-from typing import Iterable, Sequence
+from operator import mul, sub
+from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import (
     VALUE_TOL,
@@ -430,6 +434,23 @@ def chain_lp(
 # --------------------------------------------------------------------------
 # admissible lower bounds
 
+class _WordTransport(NamedTuple):
+    """A query's word transport: its integer total T_W over scale, the masses it moves and their costs."""
+
+    total: int
+    supply: list[int]
+    demand: list[int]
+    scale: int
+    words: tuple[tuple[int, ...], ...]  # word(u, v): a row per u in supp(x), a column per v in supp(y)
+
+
+def _word_transport(table, x: BarycentricPoint, y: BarycentricPoint) -> _WordTransport:
+    """The exact word transport T_W between x's and y's masses (`_masses`), over the word block."""
+    supply, demand, scale = _masses(x, y)
+    words = tuple([tuple([int(table.distance(u, v)) for v in y.support]) for u in x.support])
+    return _WordTransport(_transport_total(supply, demand, words), supply, demand, scale, words)
+
+
 def lower_bounds(
     K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint
 ) -> list[tuple[str, float]]:
@@ -439,38 +460,27 @@ def lower_bounds(
       (`simplex_l1`); any path moves each coordinate at least that much.
     disjoint_support: 1 when the supports are disjoint (each endpoint's mass
       must fully drain and refill).
-    sphere: sphere-crossing count around the heaviest support vertex of x.
-      For a radius k larger than every support radius of x but smaller than
-      the largest support radius of y, some path point must carry its full
-      weight on the sphere of radius k, so that sphere's weight function
-      varies by at least |w_k(x) - 1| + |1 - w_k(y)| along the path.
+    transport: T_W / scale, the word transport (`_word_transport`).  On one
+      simplex simplex_l1 is the word transport, since distinct vertices lie
+      at word distance 1; the transport obeys the triangle inequality, so
+      along any path it is at most the path's length.
+
+    The transport is the largest of the three: the coordinate bound is the
+    transport at cost 1 between distinct vertices, which word distances
+    never undercut, and on disjoint supports every unit moves at cost 1 or
+    more.  All three are symmetric in x and y.
     """
-    return [
-        ("coordinate", simplex_l1(x, y)),
-        ("disjoint_support", _disjoint_support(x, y)),
-        ("sphere", _sphere_bound(word_metric(K), x, y)),
-    ]
+    return query_bounds(x, y, _word_transport(word_metric(K), x, y))
 
 
 def query_bounds(
-    K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint
+    x: BarycentricPoint, y: BarycentricPoint, priced: _WordTransport
 ) -> list[tuple[str, float]]:
-    """A query's bounds: lower_bounds(K, x, y) + lower_bounds(K, y, x), entry for entry.
-
-    The coordinate and disjoint-support bounds are symmetric (|a - b| and
-    |b - a| are the same float), so each is computed once; the sphere bound
-    is computed once around each end's heaviest vertex.
-    """
-    table = word_metric(K)
-    coordinate = ("coordinate", simplex_l1(x, y))
-    disjoint = ("disjoint_support", _disjoint_support(x, y))
+    """The bounds of `lower_bounds`, for a query whose word transport is already priced."""
     return [
-        coordinate,
-        disjoint,
-        ("sphere", _sphere_bound(table, x, y)),
-        coordinate,
-        disjoint,
-        ("sphere", _sphere_bound(table, y, x)),
+        ("coordinate", simplex_l1(x, y)),
+        ("disjoint_support", _disjoint_support(x, y)),
+        ("transport", priced.total / priced.scale),
     ]
 
 
@@ -478,46 +488,23 @@ def _disjoint_support(x: BarycentricPoint, y: BarycentricPoint) -> float:
     return 1.0 if set(x.support).isdisjoint(y.support) else 0.0
 
 
-def _sphere_bound(table, x: BarycentricPoint, y: BarycentricPoint) -> float:
-    """The sphere bound of `lower_bounds`, centred at the least of x's heaviest vertices.
-
-    supp(x) spans a simplex, so every other vertex of it lies at radius 1.
-    """
-    center = max(x.items, key=itemgetter(1))[0]  # the first maximum: items ascend by label
-    wx: dict[int, float] = {}
-    wy: dict[int, float] = {}
-    for v, w in x.items:
-        k = int(v != center)
-        wx[k] = wx.get(k, 0.0) + w
-    for v, w in y.items:
-        k = int(table.distance(center, v))
-        wy[k] = wy.get(k, 0.0) + w
-    top_x = max(wx)
-    top_y = max(wy)
-    total = 0.0
-    for k in range(0, max(top_x, top_y) + 1):
-        a = wx.get(k, 0.0)
-        b = wy.get(k, 0.0)
-        if top_x < k < top_y:
-            total += abs(a - 1.0) + abs(1.0 - b)
-        else:
-            total += abs(a - b)
-    return 0.5 * total
-
-
 # --------------------------------------------------------------------------
 # the main solver
 
-def _vertex_route(x: BarycentricPoint, y: BarycentricPoint, table) -> tuple[float, str, str]:
-    """The cheapest route that huddles x to some u, walks edges to v and spreads to y: (cost, u, v).
+def _vertex_route(
+    x: BarycentricPoint, y: BarycentricPoint, words: Sequence[Sequence[int]]
+) -> tuple[float, str, str, int]:
+    """The cheapest route that huddles x to some u, walks edges to v and spreads to y.
 
-    The cost is (1 - x_u) + word(u, v) + (1 - y_v), an upper bound on the
-    path distance; ties go to the least (u, v).
+    Returns (cost, u, v, word(u, v)), the cost (1 - x_u) + word(u, v) +
+    (1 - y_v), an upper bound on the path distance, with word(u, v) read
+    from the query's word block `words` (`_WordTransport`); ties go to the
+    least (u, v).
     """
     return min(
-        ((1.0 - wu) + table.distance(u, v) + (1.0 - wv), u, v)
-        for u, wu in x.items
-        for v, wv in y.items
+        ((1.0 - wu) + word + (1.0 - wv), u, v, word)
+        for (u, wu), row in zip(x.items, words)
+        for (v, wv), word in zip(y.items, row)
     )
 
 
@@ -578,7 +565,7 @@ def _path(
     distance is the path, with a one-segment witness; two vertices, the
     word metric, whose edge-path witness is built when it is read; else the
     search.  A closed form is checked against `lower_bounds`, the search
-    against `query_bounds`.
+    against `query_bounds` of the word transport it is priced by once.
 
     A ceiling (bilinear, factor) is the stake of a caller that needs only
     min(bilinear, factor * path), such as the extension's (D, 3C).  Its
@@ -587,21 +574,23 @@ def _path(
       1. the coordinate bound simplex_l1(x, y), alone and first, which
          decides most queries;
       2. a common simplex, whose path is that same float;
-      3. every state of the search (`_solve_by_search`).
+      3. the word transport T_W / scale (`_word_transport`), the query's
+         strongest bound;
+      4. every state of the search (`_solve_by_search`).
 
-    No other entry of `query_bounds` would decide before the search.  The
-    extension, the one caller with a ceiling, sends only overlapping
-    supports: the disjoint-support bound is 0 and no radius lies strictly
-    between the two points' largest radii, so each sphere bound is half the
-    l1 distance of the points' pushforwards by word distance from its
-    centre, at most the coordinate bound but for rounding.  Below the
-    ceiling the answer is the one found without it, and a common simplex
-    or search answer has factor * value < bilinear, so the caller compares
-    nothing more: a common simplex has failed step 1, a chain's total lies
-    below the cutoff the ceiling sets (`_reaching_total`), and the route is
-    returned only when factor * `_route_length`, its witness length bit for
-    bit, is below bilinear.  Two vertices get their exact path whatever the
-    ceiling.
+    The extension, the one caller with a ceiling, sends only overlapping
+    supports, whose disjoint-support bound is 0, so step 3 tests the one
+    listed bound that step 1 has not.  When it decides, no path can win
+    the caller's min: every chain's total, and every root's price, is at
+    least T_W, so the search would push nothing, and the route's exact
+    length is at least T_W / scale too.  Below
+    the ceiling the answer is the one found without it, and a common
+    simplex or search answer has factor * value < bilinear, so the caller
+    compares nothing more: a common simplex has failed step 1, a chain's
+    total lies below the cutoff the ceiling sets (`_reaching_total`), and
+    the route is returned only when factor * `_route_length`, its witness
+    length bit for bit, is below bilinear.  Two vertices get their exact
+    path whatever the ceiling.
     """
     if ceiling is not None:
         bilinear, factor = ceiling
@@ -621,7 +610,10 @@ def _path(
         u, v = x.support[0], y.support[0]
         result = PathResult(float(table.row(v).item(x.ids[0])), route=(K, x, y, u, v))
     else:
-        return _solve_by_search(K, x, y, query_bounds(K, x, y), ceiling)
+        priced = _word_transport(table, x, y)
+        if ceiling is not None and factor * (priced.total / priced.scale) >= bilinear:
+            return None
+        return _solve_by_search(K, x, y, priced, ceiling)
 
     _assert_above_bounds(result.value, lower_bounds(K, x, y), "closed form")
     return result
@@ -636,21 +628,21 @@ def chain_solver_distance(
 
     Common-simplex pairs go through the chain search, so it can be validated
     against the closed form.  Vertex pairs go through the same entry but
-    never reach the search: for two vertices the sphere bound equals the
-    word distance, the route's own cost, so `_solve_by_search` returns the
-    route without calling `_best_first`.
+    never reach the search: for two vertices the word transport is the word
+    distance, the route's own cost, so `_solve_by_search` returns the route
+    without calling `_best_first`.
     """
-    word_metric(K)
+    table = word_metric(K)
     if x.key() == y.key():
         return PathResult(0.0, PathWitness(points=(x,), carriers=(), length=0.0))
-    return _solve_by_search(K, x, y, query_bounds(K, x, y))
+    return _solve_by_search(K, x, y, _word_transport(table, x, y))
 
 
 def _solve_by_search(
     K: SimplicialComplex,
     x: BarycentricPoint,
     y: BarycentricPoint,
-    bounds: list[tuple[str, float]],
+    priced: _WordTransport,
     ceiling: tuple[float, float] | None = None,
 ) -> PathResult | None:
     """The vertex route, unless the best-first search finds a shorter chain.
@@ -668,14 +660,17 @@ def _solve_by_search(
     D <= C * route, but it keeps the proof free of what the caller's
     numbers mean.
 
-    `bounds` are the query's lower bounds, x to y then y to x
-    (`query_bounds`); every result but None is checked against each of
-    them once.
+    `priced` is the query's word transport (`_word_transport`).  Its total
+    T_W is the price of every root of the search, so when T_W reaches the
+    search's cutoff (`_cutoff`) the search would push nothing, and it is
+    not run.  Every result but None is checked once against each of the
+    query's bounds (`query_bounds`).
     """
     table = word_metric(K)
-    incumbent, u, v = _vertex_route(x, y, table)
-    if incumbent > max(b for _, b in bounds) + TIE_TOL:
-        found = _best_first(K, x, y, table, incumbent, ceiling)
+    incumbent, u, v, word = _vertex_route(x, y, priced.words)
+    cutoff = _cutoff(incumbent, priced.scale, ceiling)
+    if priced.total < cutoff:
+        found = _best_first(K, x, y, table, priced, cutoff)
         if found is not None:
             carriers, bound, scale = found
             value, breakpoints = chain_lp(K, Chain(simplices=carriers), x, y)
@@ -687,15 +682,29 @@ def _solve_by_search(
                     f"search value {bound / scale}, chain optimum {value} and witness length "
                     f"{length} disagree"
                 )
-            _assert_above_bounds(value, bounds, "path search")
+            _assert_above_bounds(value, query_bounds(x, y, priced), "path search")
             return PathResult(value, PathWitness(points=points, carriers=carriers, length=length))
-    value = _route_length(x, y, u, v, int(table.distance(u, v)))
+    value = _route_length(x, y, u, v, word)
     if ceiling is not None:
         bilinear, factor = ceiling
         if factor * value >= bilinear:
             return None
-    _assert_above_bounds(value, bounds, "path search")
+    _assert_above_bounds(value, query_bounds(x, y, priced), "path search")
     return PathResult(value, route=(K, x, y, u, v))
+
+
+def _cutoff(incumbent: float, scale: int, ceiling: tuple[float, float] | None = None) -> int:
+    """The search's cutoff: the least total R with R / scale >= incumbent - TIE_TOL, or E below it.
+
+    R = ceil((incumbent - TIE_TOL) * scale), compared as rationals, so a
+    total is below R exactly when its value is shorter than the incumbent
+    by more than TIE_TOL.  A ceiling (bilinear, factor) lowers it to E, the
+    least total whose value, times factor, reaches bilinear, when E < R
+    (`_reaching_total`).
+    """
+    p, q = (incumbent - TIE_TOL).as_integer_ratio()
+    cutoff = -(-p * scale // q)
+    return cutoff if ceiling is None else _reaching_total(*ceiling, scale, cutoff)
 
 
 def _reaching_total(bilinear: float, factor: float, scale: int, cutoff: int) -> int:
@@ -721,10 +730,10 @@ def _best_first(
     x: BarycentricPoint,
     y: BarycentricPoint,
     table,
-    incumbent: float,
-    ceiling: tuple[float, float] | None = None,
+    priced: _WordTransport,
+    cutoff: int,
 ) -> tuple[tuple[Simplex, ...], int, int] | None:
-    """Best chain shorter than the incumbent by more than TIE_TOL: (chain, total, scale), or None.
+    """Best chain whose total lies below the cutoff (`_cutoff`): (chain, total, scale), or None.
 
     A state is a maximal simplex sigma reached by a chain from supp(x) plus,
     for each u in supp(x), the fewest switches val_u(w) that bring the mass
@@ -743,20 +752,32 @@ def _best_first(
     times the scale once sigma holds supp(y).  With d_v the least word
     distance from sigma to v and Y_v the vertices of sigma at d_v, that cost
     is m + d_v when Z meets Y_v and m + d_v + 1 otherwise.  So the first
-    state popped whose sigma holds supp(y) is optimal.  A state is pruned
-    when its total reaches ceil((incumbent - TIE_TOL) * scale), which is
-    exactly when its value is no shorter than incumbent - TIE_TOL; when
-    `_transport_floor` already reaches that cutoff, the state is pruned
-    without solving its transport, and that cost is remembered as pruned.
-    A state is dropped when another state at the same sigma is nowhere
-    worse: for every u, (m, Z) is nowhere above (m', Z') iff m < m', or
-    m == m' and Z holds Z'.  A chain that returns to a simplex is always
-    dropped this way, so the search is finite.
+    state popped whose sigma holds supp(y) is optimal, whichever of the
+    states of equal total is popped first (A* is optimal up to its
+    tie-breaking; Hart, Nilsson & Raphael 1968): the heap prefers the state
+    nearer supp(y), of least sum_v d_v, then the earlier label.
 
-    A ceiling (bilinear, factor) lowers the cutoff R to E = the least total
-    T with factor * (T / scale) >= bilinear, when E < R (`_reaching_total`).
-    The answer is then the same as without it, or None where a chain of
-    total in [E, R) was pruned, as follows.
+    A root is a sigma holding supp(x), where val_u is 0 at u and 1
+    elsewhere.  u is adjacent to every vertex of sigma, so
+    min_w val_u(w) + word(w, v) = word(u, v): every root's costs are the
+    query's word block, and its total is the word transport T_W (`priced`,
+    `_word_transport`), which is seeded, never computed here.  Hence no
+    chain's total is below T_W, and with T_W at or above the cutoff the
+    search pushes nothing; the caller then does not run it.
+
+    A state is pruned when its total reaches the cutoff; when
+    `_transport_floor` already reaches it, the state is pruned without
+    solving its transport, and that cost is remembered as pruned.  A state
+    is dropped when another state at the same sigma is nowhere worse: for
+    every u, (m, Z) is nowhere above (m', Z') iff m < m', or m == m' and Z
+    holds Z'.  A chain that returns to a simplex is always dropped this
+    way, so the search is finite.
+
+    The cutoff is R, the least total whose value is no shorter than
+    incumbent - TIE_TOL, or, under a ceiling (bilinear, factor), the least
+    total E with factor * (T / scale) >= bilinear when E < R (`_cutoff`).
+    The answer is then the same as under R, or None where a chain of total
+    in [E, R) was pruned, as follows.
 
     - Rounding is monotone, so a state whose bound reaches E cannot
       complete to a chain whose value, times factor, falls below bilinear:
@@ -778,22 +799,19 @@ def _best_first(
     """
     simplex = K.simplex_csr.row
     ends = set(K.maximal_indices_containing(y.ids))
-    supply, demand, scale = _masses(x, y)
-    p, q = (incumbent - TIE_TOL).as_integer_ratio()
-    cutoff = -(-p * scale // q)
-    if ceiling is not None:
-        cutoff = _reaching_total(*ceiling, scale, cutoff)
+    supply, demand, scale = priced.supply, priced.demand, priced.scale
     rows_y = [table.row(v) for v in y.support]  # one search per vertex of supp(y) answers every word(w, v)
     met: dict[int, tuple[int, list[int]]] = {}  # vertex id w -> (its bit, word(w, v) per v), on first touch
-    seen: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}  # s -> (its bits, per v (d_v, Y_v))
-    transports: dict[tuple, int] = {}  # cost -> its total, or a floor at or above the cutoff
+    seen: dict[int, tuple[int, tuple, int]] = {}  # s -> (its bits, per v (d_v, Y_v), sum_v d_v)
+    # cost -> its total, or a floor at or above the cutoff; every root's cost is the word block
+    transports: dict[tuple, int] = {priced.words: priced.total}
     labels: list[tuple[int, tuple, int | None]] = []  # (s, state, parent); state: per u, (m, Z)
     alive: list[bool] = []
     front: dict[int, list[int]] = {}  # s -> its undominated live labels
-    heap: list[tuple[int, int]] = []
+    heap: list[tuple[int, int, int]] = []  # (total, sum_v d_v, label)
 
-    def meet(s: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """Record s the first time the search meets it: its bits, and (d_v, Y_v) per v in supp(y)."""
+    def meet(s: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
+        """Record s the first time the search meets it: its bits, (d_v, Y_v) per v in supp(y), sum_v d_v."""
         ones, words = [], []
         for w in simplex(s):
             known = met.get(w)
@@ -809,10 +827,11 @@ def _best_first(
                 if word == d:
                     at |= b
             near.append((d, at))
-        found = seen[s] = (sum(ones), tuple(near))  # distinct bits: their sum is their union
+        # distinct bits: their sum is their union
+        found = seen[s] = (sum(ones), tuple(near), sum([d for d, _ in near]))
         return found
 
-    def push(s: int, near: tuple, state: tuple, parent: int | None) -> None:
+    def push(s: int, near: tuple, far: int, state: tuple, parent: int | None) -> None:
         kept = front.get(s)
         if kept is None:
             kept = front[s] = []
@@ -834,14 +853,13 @@ def _best_first(
         kept.append(len(labels))
         labels.append((s, state, parent))
         alive.append(True)
-        heapq.heappush(heap, (b, len(labels) - 1))
+        heapq.heappush(heap, (b, far, len(labels) - 1))
 
     for s in K.maximal_indices_containing(x.ids):
-        near = meet(s)[1]
-        push(s, near, tuple([(0, met[u][0]) for u in x.ids]), None)
+        push(s, *meet(s)[1:], tuple([(0, met[u][0]) for u in x.ids]), None)
 
     while heap:
-        b, li = heapq.heappop(heap)
+        b, _, li = heapq.heappop(heap)
         if not alive[li]:
             continue
         s, state, _ = labels[li]
@@ -853,9 +871,9 @@ def _best_first(
             return tuple(reversed(chain)), b, scale
         ms = seen[s][0]
         for t in K.neighbours(s):
-            mt, near = seen.get(t) or meet(t)
+            mt, near, far = seen.get(t) or meet(t)
             # mass stays on a shared vertex at m, or all of it switches once
-            push(t, near, tuple([(m, zt) if (zt := z & mt) else (m + 1, ms & mt) for m, z in state]), li)
+            push(t, near, far, tuple([(m, zt) if (zt := z & mt) else (m + 1, ms & mt) for m, z in state]), li)
     return None
 
 

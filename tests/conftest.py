@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from metricext import build_complex, make_automorphism, make_point, tripwire_log
+from metricext import build_complex, make_automorphism, make_point, pathmetric, simplex_l1, tripwire_log
 from metricext.complexes import Simplex, make_simplex
 from metricext.errors import DuplicateVertex, EmptySimplex, UnknownVertexInSimplex
 from metricext.generators import (
@@ -313,6 +313,61 @@ def pool_queries(workloads=("path-fleet", "hard-rips")):
             x = make_point(K, {v: c / scale for v, c in q["x"].items()})
             y = make_point(K, {v: c / scale for v, c in q["y"].items()})
             yield q, K, x, y
+
+
+def search(K, x, y, table, incumbent, ceiling=None):
+    """`pathmetric._best_first` for an incumbent and a ceiling, priced and cut off as `_solve_by_search` does."""
+    priced = pathmetric._word_transport(table, x, y)
+    cutoff = pathmetric._cutoff(incumbent, priced.scale, ceiling)
+    return pathmetric._best_first(K, x, y, table, priced, cutoff)
+
+
+def vertex_route(K, x, y):
+    """`pathmetric._vertex_route` of x and y over their word block: (cost, u, v, word(u, v))."""
+    return pathmetric._vertex_route(x, y, pathmetric._word_transport(word_metric(K), x, y).words)
+
+
+# the lower bounds the word transport replaced, kept verbatim as references for it
+
+def sphere_bound(table, x, y) -> float:
+    """The sphere-crossing bound around the least of x's heaviest vertices.
+
+    For a radius k larger than every support radius of x but smaller than
+    the largest support radius of y, some path point must carry its full
+    weight on the sphere of radius k.  supp(x) spans a simplex, so every
+    other vertex of it lies at radius 1.
+    """
+    center = max(x.items, key=lambda item: item[1])[0]  # the first maximum: items ascend by label
+    wx: dict[int, float] = {}
+    wy: dict[int, float] = {}
+    for v, w in x.items:
+        k = int(v != center)
+        wx[k] = wx.get(k, 0.0) + w
+    for v, w in y.items:
+        k = int(table.distance(center, v))
+        wy[k] = wy.get(k, 0.0) + w
+    top_x = max(wx)
+    top_y = max(wy)
+    total = 0.0
+    for k in range(0, max(top_x, top_y) + 1):
+        a = wx.get(k, 0.0)
+        b = wy.get(k, 0.0)
+        if top_x < k < top_y:
+            total += abs(a - 1.0) + abs(1.0 - b)
+        else:
+            total += abs(a - b)
+    return 0.5 * total
+
+
+def two_direction_bounds(K, x, y) -> list[tuple[str, float]]:
+    """The coordinate, disjoint-support and sphere bounds, x to y then y to x."""
+    table = word_metric(K)
+    coordinate = ("coordinate", simplex_l1(x, y))
+    disjoint = ("disjoint_support", 1.0 if set(x.support).isdisjoint(y.support) else 0.0)
+    return [
+        coordinate, disjoint, ("sphere", sphere_bound(table, x, y)),
+        coordinate, disjoint, ("sphere", sphere_bound(table, y, x)),
+    ]
 
 
 @pytest.fixture(scope="session")

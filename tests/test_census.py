@@ -12,10 +12,13 @@ from metricext import (
     build_complex,
     build_grid,
     l1_path_distance,
+    lower_bounds,
     make_point,
     word_vertex_metric,
 )
 from metricext.generators import _cliques
+
+from conftest import two_direction_bounds
 
 GRID = 4  # the census's resolution: every weight a multiple of 1/4
 
@@ -60,13 +63,18 @@ def test_connected_graph_counts():
     assert [len(connected_graphs(n)) for n in range(2, 6)] == [1, 2, 6, 21]
 
 
-def test_every_grid_pair_of_every_small_complex():
-    """The path metric is the grid's hop count / 4 and symmetric bit for bit, and D answers disjoint pairs."""
-    pairs, worst = 0, Fraction(0)
+def census_grids():
+    """(name, complex, its 1/4 grid's points, their hop counts) of every census complex."""
     for name, K in census_complexes():
         grid = build_grid(K, GRID)
         hops = shortest_path(grid.graph, unweighted=True)
-        points = [make_point(K, {v: c / GRID for v, c in node}) for node in grid.nodes]
+        yield name, K, [make_point(K, {v: c / GRID for v, c in node}) for node in grid.nodes], hops
+
+
+def test_every_grid_pair_of_every_small_complex():
+    """The path metric is the grid's hop count / 4 and symmetric bit for bit, and D answers disjoint pairs."""
+    pairs, worst = 0, Fraction(0)
+    for name, K, points, hops in census_grids():
         vm = word_vertex_metric(K)
         M = ExtendedMetric(K, vm)
         for i, j in combinations(range(len(points)), 2):
@@ -83,3 +91,20 @@ def test_every_grid_pair_of_every_small_complex():
     assert pairs == 12_973
     # the theorem's factor 3 is never needed on disjoint supports here: the largest ratio is 5/4
     assert worst < 3
+
+
+def test_the_word_transport_lies_between_the_bounds_it_replaced_and_the_grid():
+    """On every grid pair the transport bound is at most the path, and at least every bound it replaced."""
+    pairs = stronger = 0
+    for name, K, points, hops in census_grids():
+        for i, j in combinations(range(len(points)), 2):
+            x, y = points[i], points[j]
+            bounds = lower_bounds(K, x, y)
+            transport = bounds[-1][1]
+            assert transport <= hops[i, j] / GRID, (name, x, y)
+            assert transport >= max(b for _, b in bounds)
+            replaced = max(b for _, b in two_direction_bounds(K, x, y))
+            assert transport >= replaced - 1e-12, (name, x, y)  # but for the sphere bound's float sums
+            stronger += transport > replaced + 1e-12
+            pairs += 1
+    assert pairs == 12_973 and stronger > 0

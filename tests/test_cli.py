@@ -603,7 +603,7 @@ class TestCheck:
     def test_a_solver_below_its_bound_exits_3(self, tree_file, capsys, monkeypatch):
         # the violation raises out of the run; the log is restored afterwards, for the session guard
         monkeypatch.setattr(tripwire_log(), "violations", [])
-        monkeypatch.setattr(pathmetric, "query_bounds", lambda K, x, y: [("planted", 1e9)])
+        monkeypatch.setattr(pathmetric, "query_bounds", lambda x, y, priced: [("planted", 1e9)])
         assert main(["check", "-c", tree_file, "--suite", "path", "--triples", "6", "--pairs", "8"]) == 3
         assert "internal inconsistency: " in capsys.readouterr().err
         assert tripwire_log().violations

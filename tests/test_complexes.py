@@ -49,6 +49,7 @@ from conftest import (
     assert_spans_is_membership,
     incidence,
     reference_build_complex,
+    search,
 )
 
 
@@ -286,7 +287,7 @@ class TestIdTables:
         if far is not None:
             # a tree's bounds decide its queries, so the search is given an incumbent above the value
             value = l1_path_distance(K, fx, fy)[0]
-            assert pathmetric._best_first(K, fx, fy, word_metric(K), value + 0.5) is not None
+            assert search(K, fx, fy, word_metric(K), value + 0.5) is not None
         assert searched
         witness = {"chain_lp", "path_length"}  # the breakpoints' make_point, the carriers' spans
         assert all(witness & set(stack) for stack in index.stacks), index.stacks
@@ -510,7 +511,7 @@ class TestPointLayer:
             lambda: common_simplex(path3, loose, made),
             lambda: l1_path_distance(path3, made, loose),
             lambda: l1_path_distance(path3, vertex, vertex_point(path3, "w")),
-            lambda: pathmetric._best_first(path3, loose, made, word_metric(path3), 2.0),
+            lambda: search(path3, loose, made, word_metric(path3), 2.0),
         ]:
             with pytest.raises(TypeError):
                 read()

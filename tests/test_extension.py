@@ -44,7 +44,14 @@ from metricext.generators import (
     tree_complex,
 )
 
-from conftest import pool_queries, sample_geodesic_triples, simplex_on_a_path, tree_reflection
+from conftest import (
+    pool_queries,
+    sample_geodesic_triples,
+    search,
+    simplex_on_a_path,
+    tree_reflection,
+    vertex_route,
+)
 
 
 class TestBilinearExtension:
@@ -161,25 +168,26 @@ class TestExtendedDistance:
         u = vertex_point(triangle, "a")
         assert tri.distance_with_witness(u, b) == (*tri.distance_with_branch(u, b), None)
 
-    def test_each_direction_bounded_once(self, monkeypatch):
+    def test_a_search_query_is_priced_once(self, monkeypatch):
         K = rips_complex(cycle_complex(8), 2)
         M = ExtendedMetric(K, word_vertex_metric(K))
         x = make_point(K, {"c00": 0.0625, "c01": 0.46875, "c02": 0.46875})
         y = make_point(K, {"c01": 0.46875, "c02": 0.46875, "c03": 0.0625})
-        query_bounds, sphere_bound = pathmetric_module.query_bounds, pathmetric_module._sphere_bound
-        queries, spheres, singles = [], [], []
-        counted_query = lambda K, a, b: queries.append((a, b)) or query_bounds(K, a, b)
-        counted_sphere = lambda table, a, b: spheres.append((a, b)) or sphere_bound(table, a, b)
+        word_transport, query_bounds = pathmetric_module._word_transport, pathmetric_module.query_bounds
+        priced, queries, singles = [], [], []
+        counted_transport = lambda table, a, b: priced.append((a, b)) or word_transport(table, a, b)
+        counted_query = lambda a, b, p: queries.append((a, b)) or query_bounds(a, b, p)
+        monkeypatch.setattr(pathmetric_module, "_word_transport", counted_transport)
         monkeypatch.setattr(pathmetric_module, "query_bounds", counted_query)
-        monkeypatch.setattr(pathmetric_module, "_sphere_bound", counted_sphere)
         monkeypatch.setattr(pathmetric_module, "lower_bounds", lambda *args: singles.append(args))
         checks = tripwire_log().checks
         assert M.distance_with_branch(x, y)[1] == "l1path"  # the search tier ran
-        # one bounds pass: one sphere bound per direction, no single-direction bounds on top
+        # one word transport prices the query, and its one list of bounds checks the chain found
+        assert priced == [(x, y)]
         assert queries == [(x, y)]
-        assert spheres == [(x, y), (y, x)]
         assert singles == []
-        assert tripwire_log().checks - checks == 2 * len(lower_bounds(K, x, y))
+        monkeypatch.undo()
+        assert tripwire_log().checks - checks == len(lower_bounds(K, x, y)) == 3
 
     def test_disjoint_supports_use_bilinear(self, book, rng):
         vm = word_vertex_metric(book)
@@ -234,13 +242,13 @@ def _reference(M, x, y):
     return (scaled, "l1path", path.witness)
 
 
-def _witness_decision(K, x, y, bounds, ceiling):
+def _witness_decision(K, x, y, priced, ceiling):
     """`pathmetric._solve_by_search` deciding a route from its witness alone, as it once did."""
-    table = word_metric(K)
-    incumbent, u, v = pathmetric_module._vertex_route(x, y, table)
+    incumbent, u, v, _ = pathmetric_module._vertex_route(x, y, priced.words)
+    bounds = pathmetric_module.query_bounds(x, y, priced)
     if incumbent > max(b for _, b in bounds) + pathmetric_module.TIE_TOL:
-        if pathmetric_module._best_first(K, x, y, table, incumbent, ceiling) is not None:
-            return pathmetric_module._solve_by_search(K, x, y, bounds, ceiling)
+        if search(K, x, y, word_metric(K), incumbent, ceiling) is not None:
+            return pathmetric_module._solve_by_search(K, x, y, priced, ceiling)
     witness = pathmetric_module._route_witness(K, x, y, u, v)
     bilinear, factor = ceiling
     if factor * witness.length >= bilinear:
@@ -249,14 +257,18 @@ def _witness_decision(K, x, y, bounds, ceiling):
 
 
 def _route_decisions(M, x, y):
-    """The search's answer under the extension's ceiling, and the witness-based one; None if not asked."""
+    """The search's answer under the extension's ceiling, and the witness-based one; None if not asked.
+
+    Every query past the coordinate floor is asked, those that the word
+    transport decides before the search included.
+    """
     bilinear = bilinear_extension(M.vertex, x, y)
-    bounds = pathmetric_module.query_bounds(M.K, x, y)
-    if x.key() == y.key() or M.scale * max(v for _, v in bounds) >= bilinear:
+    if x.key() == y.key() or M.scale * simplex_l1(x, y) >= bilinear:
         return None
+    priced = pathmetric_module._word_transport(word_metric(M.K), x, y)
     ceiling = (bilinear, M.scale)
-    got = pathmetric_module._solve_by_search(M.K, x, y, bounds, ceiling)
-    return got, _witness_decision(M.K, x, y, bounds, ceiling)
+    got = pathmetric_module._solve_by_search(M.K, x, y, priced, ceiling)
+    return got, _witness_decision(M.K, x, y, priced, ceiling)
 
 
 class TestSearchCeiling:
@@ -346,8 +358,8 @@ class TestSearchCeiling:
         assert answers[below][:2] == (0.5644531249999999, "l1path")
         assert answers[below][2].length == 0.125
         # the ceiling decides the tie, leaving no path result to check against
-        # the query's six bounds; just below it the path is solved and checked
-        assert checked == {tie: 0, below: 6}
+        # the query's three bounds; just below it the path is solved and checked
+        assert checked == {tie: 0, below: 3}
 
     def test_rounding_near_the_ceiling_matches_the_reference(self):
         # 3C * path(x, y) crosses bilinear(x, y) = 0.48046875 near C = 1.025; on
@@ -378,14 +390,14 @@ class TestSearchCeiling:
             table = word_metric(K)
             for _ in range(100):
                 x, y = random_point(K, rng), random_point(K, rng)
-                incumbent, u, v = pathmetric_module._vertex_route(x, y, table)
+                incumbent, u, v, _ = vertex_route(K, x, y)
                 length = pathmetric_module._route_witness(K, x, y, u, v).length
                 if x.key() == y.key() or incumbent == length:
                     continue
-                bounds = pathmetric_module.query_bounds(K, x, y)
+                priced = pathmetric_module._word_transport(table, x, y)
                 ceiling = (max(incumbent, length), 1.0)
-                got = pathmetric_module._solve_by_search(K, x, y, bounds, ceiling)
-                assert got == _witness_decision(K, x, y, bounds, ceiling)
+                got = pathmetric_module._solve_by_search(K, x, y, priced, ceiling)
+                assert got == _witness_decision(K, x, y, priced, ceiling)
                 routes += got is not None and got.value == length < incumbent
         assert routes > 0
 
@@ -403,11 +415,11 @@ class TestSearchCeiling:
         K = simplex_on_a_path(64, 10)
         x = make_point(K, {f"s{i:02d}": 1.0 for i in range(atoms)})
         y = vertex_point(K, "p10")
-        bounds = pathmetric_module.query_bounds(K, x, y)
+        priced = pathmetric_module._word_transport(word_metric(K), x, y)
         ceiling = (bilinear_extension(word_vertex_metric(K), x, y), 3.0)
-        got = pathmetric_module._solve_by_search(K, x, y, bounds, ceiling)
+        got = pathmetric_module._solve_by_search(K, x, y, priced, ceiling)
         assert calls.count("_solve_by_search") == 0
-        assert got is None and got == _witness_decision(K, x, y, bounds, ceiling)
+        assert got is None and got == _witness_decision(K, x, y, priced, ceiling)
 
 
 def _l1path_below_bilinear(M, x, y):
@@ -476,10 +488,10 @@ def _bounds_first(M, x, y):
         value = simplex_l1(x, y)
         path = PathResult(value, PathWitness(points=(x, y), carriers=(carrier,), length=value))
     else:
-        bounds = pathmetric_module.query_bounds(M.K, x, y)
-        if M.scale * max(v for _, v in bounds) >= bilinear:
+        priced = pathmetric_module._word_transport(word_metric(M.K), x, y)
+        if M.scale * max(v for _, v in pathmetric_module.query_bounds(x, y, priced)) >= bilinear:
             return (bilinear, "bilinear", None)
-        path = pathmetric_module._solve_by_search(M.K, x, y, bounds, ceiling=(bilinear, M.scale))
+        path = pathmetric_module._solve_by_search(M.K, x, y, priced, ceiling=(bilinear, M.scale))
         if path is None:
             return (bilinear, "bilinear", None)
     scaled = M.scale * path.value
@@ -494,12 +506,12 @@ def _reaches_the_floor(x, y):
 
 
 def _count_lookups(mp):
-    """Record each call of common_simplex, query_bounds and _sphere_bound, by name."""
+    """Record each call of common_simplex, _word_transport and query_bounds, by name."""
     calls = []
     for module, name in [
         (pathmetric_module, "common_simplex"),
+        (pathmetric_module, "_word_transport"),
         (pathmetric_module, "query_bounds"),
-        (pathmetric_module, "_sphere_bound"),
     ]:
         f = getattr(module, name)
         mp.setattr(module, name, lambda *args, f=f, name=name: calls.append(name) or f(*args))
@@ -566,7 +578,7 @@ class TestCoordinateFloor:
                     decided, lookups = _floor_and_lookups(K, vm, x, y, calls)
                     assert lookups == [] if decided else lookups[0] == "common_simplex"
                     floored += decided
-                    searched += "query_bounds" in lookups
+                    searched += "_word_transport" in lookups
         assert floored > 0 and searched > 0
 
     def test_pool_pairs_match_the_bounds_first_order(self):
@@ -624,7 +636,7 @@ class TestSimplexOnAPath:
         branches = []
         for xc, yc, want in self.QUERIES:
             x, y = _dyadic(K, xc), _dyadic(K, yc)
-            floor = max(v for _, v in pathmetric_module.query_bounds(K, x, y))
+            floor = max(v for _, v in lower_bounds(K, x, y))
             path = l1_path_distance(K, x, y)
             path.witness.validate(K)
             assert path.value == pytest.approx(want, abs=1e-12)

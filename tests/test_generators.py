@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+import zlib
 from itertools import chain, combinations
 
 import numpy as np
@@ -529,6 +530,28 @@ class TestDrawParity:
         with pytest.raises(InvalidParameters, match="needs at least two vertices"):
             random_disjoint_pair(K, rng)
         assert rng.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_the_simplex_l1_checks_draw_the_numpy_drawn_points(self, seed, monkeypatch):
+        # the two simplex-l1 checks draw a maximal simplex's id row and build their points on it,
+        # or on its first len - 1 ids: the points they drew from its labels with numpy's integers
+        for name, K in fleet().items():
+            built = []
+            point_on = checks._point_on
+            monkeypatch.setattr(checks, "_point_on", lambda *args: built.append(point_on(*args)) or built[-1])
+            run_checks(K, word_vertex_metric(K), suite="complex", seed=seed)
+            monkeypatch.undo()
+            want = []
+            rng = np.random.default_rng([seed, zlib.crc32(b"simplex-l1")])
+            for _ in range(checks.DEFAULT_TRIPLES):
+                sigma = K.maximal_simplices[rng.integers(len(K.maximal_simplices))]
+                want += [numpy_random_point(K, rng, face=sigma) for _ in range(3)]
+            rng = np.random.default_rng([seed, zlib.crc32(b"l1-restriction")])
+            for _ in range(checks.DEFAULT_PAIRS):
+                sigma = K.maximal_simplices[rng.integers(len(K.maximal_simplices))]
+                face = sigma[: max(1, len(sigma) - 1)]
+                want += [numpy_random_point(K, rng, face=face) for _ in range(2)]
+            assert [(p.items, p.ids) for p in built] == [(p.items, p.ids) for p in want], name
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_check_verdicts_equal_the_numpy_drawn_samplers(self, seed, monkeypatch):

@@ -30,6 +30,8 @@ from metricext import (
     l1_path_distance,
     lower_bounds,
     apply_automorphism,
+    bilinear_extension,
+    common_simplex,
     make_point,
     path_length,
     simplex_l1,
@@ -52,7 +54,15 @@ from metricext.generators import (
 )
 from metricext.oracle import grid_oracle_path_distance
 
-from conftest import incidence, pool_queries, simplex_on_a_path, tree_reflection
+from conftest import (
+    incidence,
+    pool_queries,
+    search,
+    simplex_on_a_path,
+    tree_reflection,
+    two_direction_bounds,
+    vertex_route,
+)
 
 
 class TestPathLength:
@@ -208,41 +218,14 @@ class TestL1PathDistance:
             witness.validate(strip)
             assert abs(witness.length - value) <= 1e-9
 
-    def test_query_bounds_are_both_directions_entry_for_entry(self, complex_fleet, rng):
+    def test_query_bounds_are_the_lower_bounds_in_either_direction(self, complex_fleet, rng):
         for K in complex_fleet.values():
             for _ in range(30):
                 x, y = random_point(K, rng), random_point(K, rng)
-                got = pathmetric.query_bounds(K, x, y)
-                assert got == lower_bounds(K, x, y) + lower_bounds(K, y, x)
-                assert [type(b) for _, b in got] == [float] * 6
-
-    def test_sphere_bound_is_the_table_lookup_bit_for_bit(self, complex_fleet, rng):
-        # supp(x) spans a simplex, so reading its radii from the word table
-        # gives what the bound now puts there: 0 at the centre, 1 elsewhere
-        def by_table(table, x, y):
-            center = max(x.items, key=lambda item: item[1])[0]
-            wx, wy = {}, {}
-            for v, w in x.items:
-                k = int(table.distance(center, v))
-                wx[k] = wx.get(k, 0.0) + w
-            for v, w in y.items:
-                k = int(table.distance(center, v))
-                wy[k] = wy.get(k, 0.0) + w
-            top_x, top_y = max(wx), max(wy)
-            total = 0.0
-            for k in range(0, max(top_x, top_y) + 1):
-                a, b = wx.get(k, 0.0), wy.get(k, 0.0)
-                total += abs(a - 1.0) + abs(1.0 - b) if top_x < k < top_y else abs(a - b)
-            return 0.5 * total
-
-        pairs = [(K, x, y) for _, K, x, y in pool_queries(("path-fleet", "hard-rips"))]
-        for K in complex_fleet.values():
-            pairs += [(K, random_point(K, rng), random_point(K, rng)) for _ in range(40)]
-            pairs += [(K, vertex_point(K, K.vertices[0]), random_point(K, rng))]
-        for K, x, y in pairs:
-            table = word_metric(K)
-            for a, b in ((x, y), (y, x)):
-                assert pathmetric._sphere_bound(table, a, b) == by_table(table, a, b)
+                got = pathmetric.query_bounds(x, y, pathmetric._word_transport(word_metric(K), x, y))
+                assert got == lower_bounds(K, x, y) == lower_bounds(K, y, x)
+                assert [name for name, _ in got] == ["coordinate", "disjoint_support", "transport"]
+                assert [type(b) for _, b in got] == [float] * 3
 
     def test_respects_all_lower_bounds(self, book, rng):
         for _ in range(40):
@@ -275,6 +258,85 @@ class TestL1PathDistance:
                 unnormalised += any(sum(Fraction(w) for _, w in p.items) != 1 for p in (x, y))
                 assert forward.value == l1_path_distance(K, y, x).value, (x, y)
         assert chains == 268 and unnormalised > 0
+
+
+def _bound_pairs(complex_fleet, rng):
+    """(K, x, y): every pool query, and seeded random pairs on the fleet, a vertex and a point among them."""
+    pairs = [(K, x, y) for _, K, x, y in pool_queries(("path-fleet", "hard-rips", "big-tree"))]
+    for K in complex_fleet.values():
+        pairs += [(K, random_point(K, rng), random_point(K, rng)) for _ in range(40)]
+        pairs += [(K, vertex_point(K, K.vertices[0]), random_point(K, rng))]
+    return pairs
+
+
+class TestWordTransportBound:
+    """The word transport bounds the path, prices every root, and skips only searches that push nothing."""
+
+    def test_at_least_every_bound_it_replaced(self, complex_fleet, rng):
+        # the coordinate and disjoint-support bounds and the sphere bound around either end, but
+        # for the rounding of the sphere bound's float sums
+        stronger = 0
+        for K, x, y in _bound_pairs(complex_fleet, rng):
+            name, transport = lower_bounds(K, x, y)[-1]
+            assert name == "transport"
+            replaced = max(b for _, b in two_direction_bounds(K, x, y))
+            assert transport >= replaced - 1e-12, (x, y)
+            stronger += transport > replaced + 1e-12
+        assert stronger > 0
+
+    def test_every_root_prices_at_the_transport(self, complex_fleet, rng):
+        # at a root sigma, val_u is 0 at u and 1 elsewhere, and
+        # min_w val_u(w) + word(w, v) over sigma is word(u, v), whatever sigma holds supp(x)
+        roots = 0
+        for K, x, y in _bound_pairs(complex_fleet, rng):
+            table = word_metric(K)
+            priced = pathmetric._word_transport(table, x, y)
+            assert pathmetric._transport(priced.supply, priced.demand, priced.words)[0] == priced.total
+            for s in K.maximal_indices_containing(x.ids):
+                sigma = K.maximal_simplices[s]
+                cost = tuple(
+                    tuple(min(int(w != u) + int(table.distance(w, v)) for w in sigma) for v in y.support)
+                    for u in x.support
+                )
+                assert cost == priced.words, (x, y, sigma)
+                roots += 1
+        assert roots > 0
+
+    def test_a_skipped_search_pushes_nothing(self, complex_fleet, rng, monkeypatch):
+        # every query past the closed forms whose transport reaches the search's cutoff: the
+        # pool's path queries, its extension queries past the coordinate floor (under their
+        # ceiling) and seeded path queries on the fleet.  The tuple search, which prices its
+        # roots itself, returns None on each, having pushed nothing.  Where the incumbent
+        # lay above every bound the transport replaced, the search used to run
+        queries = []
+        for q, K, x, y in pool_queries():
+            if q["kind"] == "path":
+                queries.append((q["kind"], K, x, y, None))
+            elif set(x.ids) & set(y.ids):
+                vm = word_vertex_metric(K)
+                ceiling = (bilinear_extension(vm, x, y), 3.0 * vm.C)
+                if ceiling[1] * simplex_l1(x, y) < ceiling[0]:
+                    queries.append((q["kind"], K, x, y, ceiling))
+        for K in complex_fleet.values():
+            queries += [("fleet", K, random_point(K, rng), random_point(K, rng), None) for _ in range(40)]
+        skipped, ran = {"path": 0, "ext": 0, "fleet": 0}, {"path": 0, "ext": 0, "fleet": 0}
+        for kind, K, x, y, ceiling in queries:
+            if x.key() == y.key() or (x.is_vertex and y.is_vertex) or common_simplex(K, x, y):
+                continue
+            table = word_metric(K)
+            priced = pathmetric._word_transport(table, x, y)
+            incumbent = vertex_route(K, x, y)[0]
+            cutoff = pathmetric._cutoff(incumbent, priced.scale, ceiling)
+            if priced.total >= cutoff:
+                log = _HeapLog()
+                monkeypatch.setitem(globals(), "heapq", log)
+                assert _tuple_best_first(K, x, y, table, priced, cutoff) is None
+                monkeypatch.undo()
+                assert log.pushed == [] and log.popped == []
+                skipped[kind] += 1
+                ran[kind] += incumbent > max(b for _, b in two_direction_bounds(K, x, y)) + pathmetric.TIE_TOL
+        assert skipped == {"path": 51, "ext": 51, "fleet": 205}
+        assert ran == {"path": 15, "ext": 51, "fleet": 74}
 
 
 def _assert_route_lengths(K, x, y):
@@ -337,7 +399,7 @@ def _assert_lazy_route_is_the_route(K, x, y) -> bool:
     got = l1_path_distance(K, x, y)
     if got._route is None:  # a closed form or a chain, built with its answer
         return False
-    _, u, v = pathmetric._vertex_route(x, y, word_metric(K))
+    _, u, v, _ = vertex_route(K, x, y)
     want = pathmetric._route_witness(K, x, y, u, v)
     witness = got.witness
     assert [p.key() for p in witness.points] == [p.key() for p in want.points], (x, y)
@@ -404,13 +466,14 @@ class TestLazyRouteWitness:
         assert len(built) == 1 and back == there.reversed() and there.points[0].key() == x.key()
 
     def test_a_near_query_keeps_only_the_rows_it_reads(self):
-        # its bounds stop at 0.75 against a route of 1.25, so the chain search runs; whole-table
-        # list mirrors of the three id tables once kept 15.5 MiB here, the two word rows are 0.5
+        # its word transport meets the route of 1.25, so the chain search is not run; whole-table
+        # list mirrors of the three id tables once kept 15.5 MiB here, and the route witness's
+        # geodesic reads one word row, 0.125 MiB
         K = tree_complex(2, 15)
         word_metric(K)
         x = make_point(K, {"t10000": 0.25, "t20001": 0.75})
         y = make_point(K, {"t10000": 0.5, "t20002": 0.5})
-        assert max(b for _, b in pathmetric.query_bounds(K, x, y)) == 0.75
+        assert max(b for _, b in lower_bounds(K, x, y)) == 1.25
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -437,7 +500,7 @@ def _assert_vertex_pairs_take_the_route(K):
     table = word_metric(K)
     for u, v in itertools.combinations(K.vertices, 2):
         x, y = vertex_point(K, u), vertex_point(K, v)
-        assert max(b for _, b in pathmetric.query_bounds(K, x, y)) == table.distance(u, v)
+        assert max(b for _, b in lower_bounds(K, x, y)) == table.distance(u, v)
         got = chain_solver_distance(K, x, y)
         assert got._route is not None  # the route, its witness not yet built
         assert got == (table.distance(u, v), pathmetric._route_witness(K, x, y, u, v))
@@ -677,9 +740,10 @@ def _weights_point(weights):
     return BarycentricPoint(items=tuple((f"v{i}", w) for i, w in enumerate(weights)))
 
 
-# the search `_best_first` replaced, kept verbatim but for its names and the
-# overlaps table, now built here: each state stores per atom of supp(x) an
-# int tuple aligned with the simplex, and moves through shared positions
+# the search `_best_first` replaced, kept verbatim but for its names, its
+# arguments, its heap key and the overlaps table, now built here: each state
+# stores per atom of supp(x) an int tuple aligned with the simplex, and moves
+# through shared positions
 def _overlaps(K):
     """Per maximal simplex s, one (t, positions, shared) per other maximal simplex t meeting it.
 
@@ -705,10 +769,10 @@ def _tuple_best_first(
     x: BarycentricPoint,
     y: BarycentricPoint,
     table,
-    incumbent: float,
-    ceiling: tuple[float, float] | None = None,
+    priced,
+    cutoff: int,
 ) -> tuple[tuple[Simplex, ...], int, int] | None:
-    """Best chain shorter than the incumbent by more than TIE_TOL: (chain, total, scale), or None.
+    """Best chain whose total lies below the cutoff: (chain, total, scale), or None.
 
     A state is a maximal simplex sigma reached by a chain from supp(x) plus,
     for each u in supp(x), the fewest switches val_u(w) that bring the mass
@@ -717,18 +781,20 @@ def _tuple_best_first(
     whose cost from u to v is min_w val_u(w) + word(w, v): a bound no
     extension of the chain can beat, equal to the chain optimum times the
     scale once sigma holds supp(y).  So the first such state popped is
-    optimal.  A state is pruned when its total reaches
-    ceil((incumbent - TIE_TOL) * scale), which is exactly when its value is
-    no shorter than incumbent - TIE_TOL; when `_transport_floor` already
-    reaches that cutoff, the state is pruned without solving its transport.
-    A state is dropped when another state at the same sigma is nowhere
-    worse; a chain that returns to a simplex is always dropped this way, so
-    the search is finite.
+    optimal; among equal totals the state nearer supp(y), of least
+    sum_v min_w word(w, v), goes first.  Only the masses are read from
+    `priced`: every state, the roots included, is priced here.  A state is
+    pruned when its total reaches the cutoff (`_cutoff`: R, the least total
+    no shorter than incumbent - TIE_TOL, or a ceiling's E below it); when
+    `_transport_floor` already reaches that cutoff, the state is pruned
+    without solving its transport.  A state is dropped when another state at
+    the same sigma is nowhere worse; a chain that returns to a simplex is
+    always dropped this way, so the search is finite.
 
-    A ceiling (bilinear, factor) lowers the cutoff R to E = the least total
-    T with factor * (T / scale) >= bilinear, when E < R (`_reaching_total`).
-    The answer is then the same as without it, or None where a chain of
-    total in [E, R) was pruned, as follows.
+    Under a ceiling (bilinear, factor) the cutoff is E = the least total T
+    with factor * (T / scale) >= bilinear, when E < R (`_reaching_total`).
+    The answer is then the same as under R, or None where a chain of total
+    in [E, R) was pruned, as follows.
 
     - Rounding is monotone, so a state whose bound reaches E cannot
       complete to a chain whose value, times factor, falls below bilinear:
@@ -752,11 +818,7 @@ def _tuple_best_first(
     overlaps = _overlaps(K)
     ys = y.support
     ends = set(K.maximal_indices_containing(y.ids))
-    supply, demand, scale = pathmetric._masses(x, y)
-    p, q = (incumbent - pathmetric.TIE_TOL).as_integer_ratio()
-    cutoff = -(-p * scale // q)
-    if ceiling is not None:
-        cutoff = pathmetric._reaching_total(*ceiling, scale, cutoff)
+    supply, demand, scale = priced.supply, priced.demand, priced.scale
     index = table.index
     rows_y = [table.row(v) for v in ys]  # one search per vertex of supp(y) answers every word(w, v)
     to_y: dict[str, tuple[int, ...]] = {}  # w -> word(w, v) for v in supp(y)
@@ -765,7 +827,7 @@ def _tuple_best_first(
     labels: list[tuple[int, tuple, int | None]] = []  # (s, vals, parent)
     alive: list[bool] = []
     front: dict[int, list[int]] = {}  # s -> its undominated live labels
-    heap: list[tuple[int, int]] = []
+    heap: list[tuple[int, int, int]] = []
 
     def bound(s: int, vals: tuple) -> int:
         cols = columns.get(s)
@@ -796,13 +858,13 @@ def _tuple_best_first(
         kept.append(len(labels))
         labels.append((s, vals, parent))
         alive.append(True)
-        heapq.heappush(heap, (b, len(labels) - 1))
+        heapq.heappush(heap, (b, sum(map(min, columns[s])), len(labels) - 1))
 
     for s in K.maximal_indices_containing(x.ids):
         push(s, tuple(tuple(int(w != u) for w in M[s]) for u in x.support), None)
 
     while heap:
-        b, li = heapq.heappop(heap)
+        b, _, li = heapq.heappop(heap)
         if not alive[li]:
             continue
         s, vals, _ = labels[li]
@@ -1055,9 +1117,7 @@ class TestIntegerSearchCore:
             solved[0] = 0
             found = []
             for K, x, y in queries:
-                table = word_metric(K)
-                incumbent = pathmetric._vertex_route(x, y, table)[0]
-                found.append(pathmetric._best_first(K, x, y, table, incumbent))
+                found.append(search(K, x, y, word_metric(K), vertex_route(K, x, y)[0]))
             runs.append((found, list(pushed), solved[0]))
         (found, labels, with_floor), (found_off, labels_off, without) = runs
         assert found == found_off and labels == labels_off
@@ -1113,15 +1173,16 @@ class TestIntegerSearchCore:
                 value = extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K))).distance(x, y)
             if q["expected"] is not None:
                 assert value == pytest.approx(q["expected"], abs=1e-9), q["id"]
-        # exact counts.  Only states with three atoms or more on both sides,
-        # and chain_lp's chains, reach the solver, and on those states the
-        # floor's second phase prunes before pricing: all 41 extension states,
-        # of three atoms a side, are floored and pruned, and 13 of the path
-        # queries' 63 solves are; 90 of the path queries' 140 priced states
-        # have fewer atoms on one side
-        assert floored == {"path": 246, "ext": 41}
-        assert priced == {"path": 140, "ext": 0}
-        assert solved == {"path": 50, "ext": 0}
+        # exact counts.  Each query past the closed forms prices its word
+        # transport once: 110 path and 41 extension queries, whose transports
+        # reach the solver when both sides have three atoms or more (7 and
+        # all 41).  That transport decides every extension query, which so
+        # never searches.  The path queries' searches floor 162 states and
+        # price 86, 16 of them by the solver; chain_lp's 27 chains make the
+        # other solves
+        assert floored == {"path": 162, "ext": 0}
+        assert priced == {"path": 110 + 86, "ext": 41}
+        assert solved == {"path": 7 + 16 + 27, "ext": 41}
 
     @given(
         total=st.integers(0, 2**40),
@@ -1154,11 +1215,11 @@ class TestIntegerSearchCore:
             if x.key() == y.key():
                 continue
             exact = chain_solver_distance(K, x, y)
-            bounds = pathmetric.query_bounds(K, x, y)
+            priced = pathmetric._word_transport(word_metric(K), x, y)
             for factor in (1.0, 1.7, math.pi, 3.3000000000000003):
                 tie = factor * exact.value
                 for bilinear in (tie, math.nextafter(tie, math.inf)):
-                    got = pathmetric._solve_by_search(K, x, y, bounds, (bilinear, factor))
+                    got = pathmetric._solve_by_search(K, x, y, priced, (bilinear, factor))
                     if got is None:
                         assert tie >= bilinear, q["id"]
                         answers["none"] += 1
@@ -1173,7 +1234,7 @@ class TestIntegerSearchCore:
         K = rips_path40
         x, y = make_point(K, xw), make_point(K, yw)
         table = word_metric(K)
-        chain, total, scale = pathmetric._best_first(K, x, y, table, want + 1.0)
+        chain, total, scale = search(K, x, y, table, want + 1.0)
         optimum = Fraction(total, scale)
 
         def below(incumbent):
@@ -1185,8 +1246,8 @@ class TestIntegerSearchCore:
         while below(math.nextafter(hi, -math.inf)):
             hi = math.nextafter(hi, -math.inf)
         lo = math.nextafter(hi, -math.inf)
-        assert pathmetric._best_first(K, x, y, table, hi) == (chain, total, scale)
-        assert pathmetric._best_first(K, x, y, table, lo) is None
+        assert search(K, x, y, table, hi) == (chain, total, scale)
+        assert search(K, x, y, table, lo) is None
 
     def test_neighbours_list_the_simplices_that_meet_s(self, complex_fleet):
         for K in complex_fleet.values():
@@ -1202,15 +1263,16 @@ class TestIntegerSearchCore:
         K = tree_complex(2, 9)
         x = make_point(K, {"t0003": 0.5, "t0007": 0.5})
         y = make_point(K, {"t0005": 0.25, "t0011": 0.75})
-        found = pathmetric._best_first(K, x, y, word_metric(K), 5.75)
+        found = search(K, x, y, word_metric(K), 5.75)
         assert found[1:] == (84, 16) and len(found[0]) == 6
         assert 0 < len(K._neighbour_rows) < len(K.maximal_simplices)
 
     def test_state_search_matches_the_tuple_search(self, monkeypatch, complex_fleet, rips_path40):
         # the same chain, total and scale, and the same items pushed and
-        # popped, as the search over int tuples: on every search the pool's
-        # path and extension queries make (the extension's with its ceiling),
-        # the hard rips pairs and seeded random pairs on the fleet
+        # popped, as the search over int tuples, which prices its roots
+        # itself: on every search the pool's path and extension queries make,
+        # the hard rips pairs, and seeded random pairs on the fleet, each of
+        # those also under a ceiling halfway from its word transport to its route
         calls = []
         best_first = pathmetric._best_first
 
@@ -1226,16 +1288,25 @@ class TestIntegerSearchCore:
             else:
                 extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K))).distance(x, y)
         monkeypatch.undo()
-        with_ceiling = sum(args[5] is not None for args in calls)
-        table = word_metric(rips_path40)
-        for xw, yw, want in HARD_RIPS_PAIRS:
-            calls.append((rips_path40, make_point(rips_path40, xw), make_point(rips_path40, yw), table, want + 1.0))
-        rng = np.random.default_rng(16)
-        for K in complex_fleet.values():
+
+        def call(K, x, y, incumbent, ceiling=None):
             table = word_metric(K)
+            priced = pathmetric._word_transport(table, x, y)
+            return K, x, y, table, priced, pathmetric._cutoff(incumbent, priced.scale, ceiling)
+
+        for xw, yw, want in HARD_RIPS_PAIRS:
+            x, y = make_point(rips_path40, xw), make_point(rips_path40, yw)
+            calls.append(call(rips_path40, x, y, want + 1.0))
+        rng = np.random.default_rng(16)
+        with_ceiling = 0
+        for K in complex_fleet.values():
             for _ in range(20):
                 x, y = random_point(K, rng), random_point(K, rng)
-                calls.append((K, x, y, table, pathmetric._vertex_route(x, y, table)[0]))
+                incumbent = vertex_route(K, x, y)[0]
+                calls.append(call(K, x, y, incumbent))
+                priced = calls[-1][4]
+                calls.append(call(K, x, y, incumbent, (0.5 * (priced.total / priced.scale + incumbent), 1.0)))
+                with_ceiling += calls[-1][5] < calls[-2][5]
         found = 0
         for args in calls:
             logs = _HeapLog(), _HeapLog()
@@ -1261,14 +1332,16 @@ class TestIntegerSearchCore:
 
         monkeypatch.setattr(pathmetric, "_transport_floor", record)
         repeats = {}
-        for search in (pathmetric._best_first, _tuple_best_first):
-            repeats[search] = 0
+        for best_first in (pathmetric._best_first, _tuple_best_first):
+            repeats[best_first] = 0
             for q, K, x, y in pool_queries():
                 if q["kind"] == "path":
                     table = word_metric(K)
+                    priced = pathmetric._word_transport(table, x, y)
+                    cutoff = pathmetric._cutoff(vertex_route(K, x, y)[0], priced.scale)
                     floored.clear()
-                    search(K, x, y, table, pathmetric._vertex_route(x, y, table)[0])
-                    repeats[search] += len(floored) - len(set(floored))
+                    best_first(K, x, y, table, priced, cutoff)
+                    repeats[best_first] += len(floored) - len(set(floored))
         assert repeats[pathmetric._best_first] == 0 < repeats[_tuple_best_first]
 
     def test_vertex_pairs_search_one_row_each_and_no_pairs(self, monkeypatch):
