@@ -28,8 +28,9 @@ the generators hand their ids to it directly.
 Equality and hash read the labels and the simplex rows.  Everything else
 is derived on first use and kept on the complex, freed with it: the label
 -> id `index`, the word table, the grid oracle's graphs by resolution, the
-maximal simplices meeting each one the path search asks about, the id rows
-read so far (`IdRows.row`), and two label views of whole tables:
+maximal simplices meeting each one the path search asks about and the
+faces they share with it, the id rows read so far (`IdRows.row`), and two
+label views of whole tables:
 `maximal_simplices` (label tuples), read by the checks,
 `oracle.build_grid` and `fileio.complex_to_dict`, and the `adjacency` dict,
 read by the oracle's own search.  Every other reader reads id rows: one at a
@@ -54,7 +55,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -318,22 +319,29 @@ class SimplicialComplex:
         return {}
 
     @cached_property
-    def _neighbour_rows(self) -> dict[int, tuple[int, ...]]:
-        """The rows `neighbours` has built, by maximal simplex."""
+    def _neighbour_rows(self) -> dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+        """The rows `neighbours` has built, by maximal simplex: the t, and their faces aligned."""
         return {}
 
-    def neighbours(self, s: int) -> tuple[int, ...]:
-        """Indices of the other maximal simplices meeting maximal simplex s, ascending.
+    def neighbours(self, s: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(t, the vertex ids of s & t, ascending) per other maximal simplex t meeting s, t ascending.
 
-        A row is built the first time it is asked for and kept on the complex.
+        A row is built the first time it is asked for and kept on the
+        complex, as two aligned tuples (the t, and their faces, equal faces
+        one tuple), which hold a reference per t rather than a pair; each
+        call walks it afresh.
         """
         row = self._neighbour_rows.get(s)
         if row is None:
             held = self.incidence_csr.row
-            met = {t for w in self.simplex_csr.row(s) for t in held(w)}
-            met.discard(s)
-            row = self._neighbour_rows[s] = tuple(sorted(met))
-        return row
+            shared: dict[int, list[int]] = {}
+            for w in self.simplex_csr.row(s):  # ascending, so each face is too
+                for t in held(w):
+                    shared.setdefault(t, []).append(w)
+            del shared[s]
+            ts, faces = tuple(sorted(shared)), {}
+            row = self._neighbour_rows[s] = ts, tuple([faces.setdefault(f := tuple(shared[t]), f) for t in ts])
+        return zip(*row)
 
     @cached_property
     def dimension(self) -> int:

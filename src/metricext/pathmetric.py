@@ -22,8 +22,11 @@ simplex holds supp(y), and states dominated at the same simplex are
 dropped, which keeps the search finite.  On one simplex an atom's counts
 take two values, m and m + 1, so a state keeps per atom only m and the bit
 set Z of vertices at m: its arc costs, dominance tests and moves are a few
-integer operations each, whatever the simplex's size, and the search asks
-the complex only which simplices meet the one it expands (`neighbours`).
+integer operations each, whatever the simplex's size.  The search asks the
+complex only which simplices meet the one it expands, and in which face
+(`neighbours`): a move's new state and its price depend on that face
+alone, so a face is priced once per expansion, and a simplex behind a
+face that the cutoff prunes is never met.
 
 The search core runs in Python ints.  The dyadic float weights scale to
 integer supplies and demands that balance exactly (`_masses`), every cost
@@ -63,8 +66,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .complexes import (
     VALUE_TOL,
@@ -434,21 +438,26 @@ def chain_lp(
 # --------------------------------------------------------------------------
 # admissible lower bounds
 
-class _WordTransport(NamedTuple):
-    """A query's word transport: its integer total T_W over scale, the masses it moves and their costs."""
+@dataclass
+class _WordTransport:
+    """A query's word transport: the masses it moves, their costs, and its integer total T_W over scale."""
 
-    total: int
     supply: list[int]
     demand: list[int]
     scale: int
     words: tuple[tuple[int, ...], ...]  # word(u, v): a row per u in supp(x), a column per v in supp(y)
 
+    @cached_property
+    def total(self) -> int:
+        """T_W, solved when first read."""
+        return _transport_total(self.supply, self.demand, self.words)
+
 
 def _word_transport(table, x: BarycentricPoint, y: BarycentricPoint) -> _WordTransport:
-    """The exact word transport T_W between x's and y's masses (`_masses`), over the word block."""
+    """The word transport T_W between x's and y's masses (`_masses`), over the word block."""
     supply, demand, scale = _masses(x, y)
     words = tuple([tuple([int(table.distance(u, v)) for v in y.support]) for u in x.support])
-    return _WordTransport(_transport_total(supply, demand, words), supply, demand, scale, words)
+    return _WordTransport(supply, demand, scale, words)
 
 
 def lower_bounds(
@@ -574,17 +583,20 @@ def _path(
       1. the coordinate bound simplex_l1(x, y), alone and first, which
          decides most queries;
       2. a common simplex, whose path is that same float;
-      3. the word transport T_W / scale (`_word_transport`), the query's
+      3. the floor of the word block (`_transport_floor`) over scale,
+         which T_W never undercuts, so it decides before T_W is solved;
+      4. the word transport T_W / scale (`_word_transport`), the query's
          strongest bound;
-      4. every state of the search (`_solve_by_search`).
+      5. every state of the search (`_solve_by_search`).
 
     The extension, the one caller with a ceiling, sends only overlapping
-    supports, whose disjoint-support bound is 0, so step 3 tests the one
-    listed bound that step 1 has not.  When it decides, no path can win
-    the caller's min: every chain's total, and every root's price, is at
-    least T_W, so the search would push nothing, and the route's exact
-    length is at least T_W / scale too.  Below
-    the ceiling the answer is the one found without it, and a common
+    supports, whose disjoint-support bound is 0, so step 4 tests the one
+    listed bound that step 1 has not.  When step 3 or 4 decides, no path
+    can win the caller's min: every chain's total, and every root's price,
+    is at least T_W, so the search would push nothing, and the route's
+    exact length is at least T_W / scale too; rounding is monotone, so a
+    floor F <= T_W that reaches bilinear makes T_W reach it.  Below the
+    ceiling the answer is the one found without it, and a common
     simplex or search answer has factor * value < bilinear, so the caller
     compares nothing more: a common simplex has failed step 1, a chain's
     total lies below the cutoff the ceiling sets (`_reaching_total`), and
@@ -611,8 +623,10 @@ def _path(
         result = PathResult(float(table.row(v).item(x.ids[0])), route=(K, x, y, u, v))
     else:
         priced = _word_transport(table, x, y)
-        if ceiling is not None and factor * (priced.total / priced.scale) >= bilinear:
-            return None
+        if ceiling is not None:
+            floor = _transport_floor(priced.supply, priced.demand, priced.words)
+            if factor * (floor / priced.scale) >= bilinear or factor * (priced.total / priced.scale) >= bilinear:
+                return None
         return _solve_by_search(K, x, y, priced, ceiling)
 
     _assert_above_bounds(result.value, lower_bounds(K, x, y), "closed form")
@@ -765,6 +779,20 @@ def _best_first(
     chain's total is below T_W, and with T_W at or above the cutoff the
     search pushes nothing; the caller then does not run it.
 
+    A move's state and total depend only on its face f = sigma & t.  The
+    moved (m', Z') is (m, Z & f) or (m + 1, f), so Z' lies in f, and every
+    vertex of t outside f has count m' + 1.  Such a vertex is adjacent to
+    each vertex of Z', so its word distance to any v is at least theirs
+    minus 1, and it never lowers min_w val_u(w) + word(w, v): the costs are
+    m' + d_v, plus 1 when Z' misses Y_v, with d_v and Y_v taken over f.
+    So an expansion walks the pairs (t, f) of `K.neighbours`, t ascending:
+    it builds each face's move once, from vertices already met, tests
+    dominance at t, prices the face the first time one of its neighbours
+    survives that test, and skips every t behind a face whose total
+    reaches the cutoff.  Only a t that is pushed is met, for its bits and
+    its sum_v d_v.  The pushes and pops are those of pricing every t from
+    its own vertices.
+
     A state is pruned when its total reaches the cutoff; when
     `_transport_floor` already reaches it, the state is pruned without
     solving its transport, and that cost is remembered as pruned.  A state
@@ -802,7 +830,7 @@ def _best_first(
     supply, demand, scale = priced.supply, priced.demand, priced.scale
     rows_y = [table.row(v) for v in y.support]  # one search per vertex of supp(y) answers every word(w, v)
     met: dict[int, tuple[int, list[int]]] = {}  # vertex id w -> (its bit, word(w, v) per v), on first touch
-    seen: dict[int, tuple[int, tuple, int]] = {}  # s -> (its bits, per v (d_v, Y_v), sum_v d_v)
+    far: dict[int, int] = {}  # s -> sum_v d_v, for the simplices met
     # cost -> its total, or a floor at or above the cutoff; every root's cost is the word block
     transports: dict[tuple, int] = {priced.words: priced.total}
     labels: list[tuple[int, tuple, int | None]] = []  # (s, state, parent); state: per u, (m, Z)
@@ -810,34 +838,24 @@ def _best_first(
     front: dict[int, list[int]] = {}  # s -> its undominated live labels
     heap: list[tuple[int, int, int]] = []  # (total, sum_v d_v, label)
 
-    def meet(s: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
-        """Record s the first time the search meets it: its bits, (d_v, Y_v) per v in supp(y), sum_v d_v."""
-        ones, words = [], []
+    def meet(s: int) -> int:
+        """Record s the first time the search meets it: bits for its new vertices, and its sum_v d_v."""
+        words = []
         for w in simplex(s):
             known = met.get(w)
             if known is None:
                 known = met[w] = (1 << len(met), [row.item(w) for row in rows_y])
-            ones.append(known[0])
             words.append(known[1])
-        near = []
-        for column in zip(*words):
-            d = min(column)
-            at = 0
-            for b, word in zip(ones, column):
-                if word == d:
-                    at |= b
-            near.append((d, at))
-        # distinct bits: their sum is their union
-        found = seen[s] = (sum(ones), tuple(near), sum([d for d, _ in near]))
+        found = far[s] = sum(map(min, zip(*words)))
         return found
 
-    def push(s: int, near: tuple, far: int, state: tuple, parent: int | None) -> None:
-        kept = front.get(s)
-        if kept is None:
-            kept = front[s] = []
-        for k in kept:
-            if _dominates(labels[k][1], state):
-                return
+    def price(state: tuple, face: tuple[int, ...]) -> int:
+        """The total of state at any simplex through face, or a floor at or above the cutoff."""
+        known = [met[w] for w in face]
+        near = []  # per v, (d_v, Y_v) over the face
+        for column in zip(*[words for _, words in known]):
+            d = min(column)
+            near.append((d, sum([b for (b, _), word in zip(known, column) if word == d])))
         cost = tuple([tuple([m + d if z & at else m + d + 1 for d, at in near]) for m, z in state])
         b = transports.get(cost)
         if b is None:
@@ -845,18 +863,22 @@ def _best_first(
             if b < cutoff:
                 b = _transport_total(supply, demand, cost)
             transports[cost] = b  # a floor at or above the cutoff prunes as the total it bounds would
-        if b >= cutoff:
-            return
+        return b
+
+    def push(s: int, state: tuple, b: int, parent: int | None) -> None:
+        kept = front.setdefault(s, [])
         for k in [k for k in kept if _dominates(state, labels[k][1])]:
             alive[k] = False
             kept.remove(k)
         kept.append(len(labels))
         labels.append((s, state, parent))
         alive.append(True)
-        heapq.heappush(heap, (b, far, len(labels) - 1))
+        heapq.heappush(heap, (b, far[s] if s in far else meet(s), len(labels) - 1))
 
-    for s in K.maximal_indices_containing(x.ids):
-        push(s, *meet(s)[1:], tuple([(0, met[u][0]) for u in x.ids]), None)
+    if priced.total < cutoff:  # the total of every root
+        for s in K.maximal_indices_containing(x.ids):
+            meet(s)
+            push(s, tuple([(0, met[u][0]) for u in x.ids]), priced.total, None)
 
     while heap:
         b, _, li = heapq.heappop(heap)
@@ -869,11 +891,23 @@ def _best_first(
                 s, _, li = labels[li]
                 chain.append(tuple([K.vertices[w] for w in simplex(s)]))
             return tuple(reversed(chain)), b, scale
-        ms = seen[s][0]
-        for t in K.neighbours(s):
-            mt, near, far = seen.get(t) or meet(t)
-            # mass stays on a shared vertex at m, or all of it switches once
-            push(t, near, far, tuple([(m, zt) if (zt := z & mt) else (m + 1, ms & mt) for m, z in state]), li)
+        moves: dict[tuple[int, ...], tuple] = {}  # face -> the state a move through it reaches
+        totals: dict[tuple[int, ...], int] = {}  # face -> that state's total, once priced
+        for t, face in K.neighbours(s):
+            moved = moves.get(face)
+            if moved is None:
+                mf = sum([met[w][0] for w in face])  # distinct bits: their sum is their union
+                # mass stays on a shared vertex at m, or all of it switches once
+                moved = moves[face] = tuple([(m, zt) if (zt := z & mf) else (m + 1, mf) for m, z in state])
+            for k in front.get(t, ()):
+                if _dominates(labels[k][1], moved):
+                    break
+            else:
+                b = totals.get(face)
+                if b is None:
+                    b = totals[face] = price(moved, face)
+                if b < cutoff:
+                    push(t, moved, b, li)
     return None
 
 

@@ -551,6 +551,13 @@ def rips_path40():
     return rips_complex(path_complex(40), 3)
 
 
+@pytest.fixture(scope="module")
+def truncated_rips():
+    # cliques of up to 6 vertices cut at the default max_dim 3: 255 maximal
+    # simplices, each meeting 85 others on average through 14 distinct faces
+    return rips_complex(path_complex(30), 5)
+
+
 class TestOptionsAndBudget:
     """Hard pairs finish in bounded time; answers repeat exactly."""
 
@@ -1173,16 +1180,17 @@ class TestIntegerSearchCore:
                 value = extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K))).distance(x, y)
             if q["expected"] is not None:
                 assert value == pytest.approx(q["expected"], abs=1e-9), q["id"]
-        # exact counts.  Each query past the closed forms prices its word
-        # transport once: 110 path and 41 extension queries, whose transports
-        # reach the solver when both sides have three atoms or more (7 and
-        # all 41).  That transport decides every extension query, which so
-        # never searches.  The path queries' searches floor 162 states and
-        # price 86, 16 of them by the solver; chain_lp's 27 chains make the
-        # other solves
-        assert floored == {"path": 162, "ext": 0}
-        assert priced == {"path": 110 + 86, "ext": 41}
-        assert solved == {"path": 7 + 16 + 27, "ext": 41}
+        # exact counts.  Each path query past the closed forms prices its
+        # word transport once: 110 queries, whose transports reach the
+        # solver when both sides have three atoms or more (7).  The 41
+        # extension queries past the coordinate floor floor their word
+        # block under the ceiling, and that floor decides every one, so
+        # none solves its transport or searches.  The path queries'
+        # searches floor 162 states and price 86, 16 of them by the solver;
+        # chain_lp's 27 chains make the other solves
+        assert floored == {"path": 162, "ext": 41}
+        assert priced == {"path": 110 + 86, "ext": 0}
+        assert solved == {"path": 7 + 16 + 27, "ext": 0}
 
     @given(
         total=st.integers(0, 2**40),
@@ -1250,13 +1258,21 @@ class TestIntegerSearchCore:
         assert search(K, x, y, table, lo) is None
 
     def test_neighbours_list_the_simplices_that_meet_s(self, complex_fleet):
+        # each row pairs every other simplex t that meets s, t ascending, with
+        # the ascending vertex ids of s & t; equal faces are one tuple, and
+        # the row is kept
         for K in complex_fleet.values():
             M = K.maximal_simplices
             for s in range(len(M)):
-                row = K.neighbours(s)
-                assert list(row) == sorted(set(row))
-                assert set(row) == {t for t in range(len(M)) if t != s and set(M[t]) & set(M[s])}
-                assert K.neighbours(s) is row
+                row = list(K.neighbours(s))
+                ts = [t for t, _ in row]
+                assert ts == sorted(set(ts))
+                assert set(ts) == {t for t in range(len(M)) if t != s and set(M[t]) & set(M[s])}
+                for t, face in row:
+                    assert face == tuple(sorted(K.index[w] for w in set(M[s]) & set(M[t])))
+                assert len({id(f) for _, f in row}) == len({f for _, f in row})
+                kept = K._neighbour_rows[s]
+                assert list(K.neighbours(s)) == row and K._neighbour_rows[s] is kept
         # one search builds the rows of the simplices it expands, not the
         # whole table (the bounds decide a tree's queries, so the search is
         # given an incumbent above the optimum, 5.25 = 84 / 16)
@@ -1267,12 +1283,14 @@ class TestIntegerSearchCore:
         assert found[1:] == (84, 16) and len(found[0]) == 6
         assert 0 < len(K._neighbour_rows) < len(K.maximal_simplices)
 
-    def test_state_search_matches_the_tuple_search(self, monkeypatch, complex_fleet, rips_path40):
+    def test_state_search_matches_the_tuple_search(self, monkeypatch, complex_fleet, rips_path40, truncated_rips):
         # the same chain, total and scale, and the same items pushed and
-        # popped, as the search over int tuples, which prices its roots
-        # itself: on every search the pool's path and extension queries make,
-        # the hard rips pairs, and seeded random pairs on the fleet, each of
-        # those also under a ceiling halfway from its word transport to its route
+        # popped, as the search over int tuples, which prices its roots and
+        # every neighbour from that neighbour's own vertices: on every search
+        # the pool's path and extension queries make, the hard rips pairs, and
+        # seeded random pairs on the fleet and on a truncated Rips complex,
+        # each of those also under a ceiling halfway from its word transport
+        # to its route
         calls = []
         best_first = pathmetric._best_first
 
@@ -1299,7 +1317,7 @@ class TestIntegerSearchCore:
             calls.append(call(rips_path40, x, y, want + 1.0))
         rng = np.random.default_rng(16)
         with_ceiling = 0
-        for K in complex_fleet.values():
+        for K in [*complex_fleet.values(), truncated_rips]:
             for _ in range(20):
                 x, y = random_point(K, rng), random_point(K, rng)
                 incumbent = vertex_route(K, x, y)[0]
@@ -1318,6 +1336,86 @@ class TestIntegerSearchCore:
             assert logs[0].pushed == logs[1].pushed and logs[0].popped == logs[1].popped
             found += got is not None
         assert with_ceiling and found > len(HARD_RIPS_PAIRS)
+
+    def test_a_moves_costs_are_read_over_its_face(self, complex_fleet, truncated_rips):
+        # after a move from sigma to t, min over t of val_u(w) + word(w, v),
+        # read from all of t's vertices, is m + d_v, plus 1 when Z misses
+        # Y_v, with m and Z the least count on t and where it is attained
+        # (inside sigma & t), and d_v and Y_v taken over sigma & t alone; on
+        # states reached by seeded random moves from the roots
+        rng = np.random.default_rng(32)
+        checked = 0
+        for K in [*complex_fleet.values(), truncated_rips]:
+            table, simplex = word_metric(K), K.simplex_csr.row
+            for _ in range(6):
+                x, y = random_point(K, rng), random_point(K, rng)
+                rows_y = [table.row(v) for v in y.support]
+                roots = K.maximal_indices_containing(x.ids)
+                s = roots[int(rng.integers(len(roots)))]
+                vals = [{w: int(w != u) for w in simplex(s)} for u in x.ids]  # per u, its counts on s
+                for _ in range(8):
+                    row = list(K.neighbours(s))
+                    if not row:
+                        break
+                    moves = []
+                    for t, face in row:
+                        assert set(face) == set(simplex(s)) & set(simplex(t))
+                        moved = []
+                        for val in vals:
+                            # shared vertices keep their counts, the others get the least shared count + 1
+                            switch = min(val[w] for w in face) + 1
+                            moved.append({w: val.get(w, switch) for w in simplex(t)})
+                        for val in moved:
+                            m = min(val.values())
+                            z = {w for w in face if val[w] == m}
+                            assert z and m == min(val[w] for w in face)
+                            for row_v in rows_y:
+                                d = min(row_v.item(w) for w in face)
+                                near = {w for w in face if row_v.item(w) == d}
+                                own = min(val[w] + row_v.item(w) for w in simplex(t))
+                                assert own == m + d + (not z & near)
+                                checked += 1
+                        moves.append((t, moved))
+                    s, vals = moves[int(rng.integers(len(moves)))]
+        assert checked > 30_000
+
+    def test_a_search_meets_only_the_simplices_it_pushes(self, monkeypatch, truncated_rips):
+        # a neighbour dominated at t, or behind a face whose total reaches the
+        # cutoff, is never met: a simplex's vertex row is first read just
+        # before it is pushed, so the simplices met are the roots and the
+        # simplices pushed.  Pricing every neighbour from its own vertices
+        # would meet every neighbour of every simplex expanded
+        K = truncated_rips
+        events, expanded = [], []
+        row, neighbours = K.simplex_csr.row, SimplicialComplex.neighbours
+
+        class Log(_HeapLog):
+            def heappush(self, heap, item):
+                events.append(("push", item))
+                super().heappush(heap, item)
+
+        monkeypatch.setattr(K.simplex_csr, "row", lambda s: events.append(("row", s)) or row(s))
+        monkeypatch.setattr(SimplicialComplex, "neighbours", lambda self, s: expanded.append(s) or neighbours(self, s))
+        monkeypatch.setattr(pathmetric, "heapq", Log())
+        rng = np.random.default_rng(15)
+        counts = []
+        for _ in range(4):
+            x, y = random_point(K, rng), random_point(K, rng)
+            events.clear()
+            expanded.clear()
+            assert search(K, x, y, word_metric(K), vertex_route(K, x, y)[0]) is not None
+            met = []
+            for i, (kind, s) in enumerate(events):
+                if kind == "row" and s not in met:
+                    met.append(s)
+                    assert events[i + 1][0] == "push"
+            roots = K.maximal_indices_containing(x.ids)
+            assert met[:len(roots)] == roots
+            reached = set(roots).union(*[[t for t, _ in neighbours(K, s)] for s in expanded])
+            pushes = sum(kind == "push" for kind, _ in events)
+            counts.append((len(roots), len(met), pushes, len(expanded), len(reached)))
+        # (roots, simplices met, pushes, expansions, simplices met by pricing each neighbour itself)
+        assert counts == [(5, 200, 268, 8, 253), (1, 114, 160, 6, 184), (4, 172, 289, 7, 210), (1, 115, 532, 35, 139)]
 
     def test_a_pruned_cost_is_floored_once(self, monkeypatch):
         # a cost whose floor pruned a state is remembered with that floor, so
