@@ -14,8 +14,9 @@ Past two vertices and disjoint supports, a query is one path query under
 the ceiling (D, 3C) (`pathmetric._path`, whose docstring describes the
 floors): it settles on the bilinear branch as soon as 3C times a lower
 bound on the path reaches D, the coordinate bound first, then the word
-transport and the search's states last, and otherwise answers 3C * path
-with its witness.
+transport and the search's states last, and otherwise answers 3C * path;
+a route's or a chain's witness is built when `distance_with_witness`
+first reads it.
 
 Double differences and Gromov products with respect to the extension, or
 to the bilinear form, are vertexmetrics' `double_difference` and
@@ -113,7 +114,8 @@ class ExtendedMetric:
 
         The witness is the one the query was solved with (None on the
         bilinear branch); asking for it solves nothing again.  A route's
-        witness is built on this first read and kept with the cached answer.
+        or a chain's witness is built on this first read and kept with the
+        cached answer; a common simplex's comes with its value.
         """
         value, branch = self.distance_with_branch(x, y)  # caches the answer with its path
         kx, ky = x.key(), y.key()

@@ -15,14 +15,14 @@ least mass that must move between them, so each unit of mass sent from u in
 supp(x) to v in supp(y) pays the fewest vertex switches it needs through
 the chain's interface faces.  Those moves are uncapacitated, so the chain's
 optimum is a transportation problem whose costs a DP over the faces gives
-(`chain_lp`).  The search carries that DP from simplex to simplex: a state
-is the last simplex plus the switch counts reaching each of its vertices,
-its priority a transport that never overestimates and is exact once the
-simplex holds supp(y), and states dominated at the same simplex are
-dropped, which keeps the search finite.  On one simplex an atom's counts
-take two values, m and m + 1, so a state keeps per atom only m and the bit
-set Z of vertices at m: its arc costs, dominance tests and moves are a few
-integer operations each, whatever the simplex's size.  The search asks the
+(`_switch_counts`, `chain_lp`).  The search carries that DP from simplex
+to simplex: a state is the last simplex plus the switch counts reaching
+each of its vertices, its priority a transport that never overestimates
+and is exact once the simplex holds supp(y), and states dominated at the
+same simplex are dropped, which keeps the search finite.  On one simplex
+an atom's counts take two values, m and m + 1, so a state keeps per atom
+only m and the bit set Z of vertices at m: its arc costs, dominance tests
+and moves are a few integer operations each, whatever the simplex's size.  The search asks the
 complex only which simplices meet the one it expands, and in which face
 (`neighbours`): a move's new state and its price depend on that face
 alone, so a face is priced once per expansion, and a simplex behind a
@@ -34,16 +34,19 @@ is a switch count plus a word distance, so each transport is an integer
 transport, solved exactly; an answer is divided by its scale once.  That
 makes values and witnesses reproducible bit-for-bit and invariant under
 vertex relabelings.  The vertex route that seeds the search is carried as
-its cost; when it is the answer, the result carries that cost, and its
-witness is built when the caller first reads it (`PathResult`).  Before a
+its cost, and the chain the search finds as its total: a chain answer is
+checked when it is answered, its exact optimum (the transport over its
+DP's costs, `_switch_counts`) against the search's total, but `chain_lp`
+places its breakpoints only when the caller first reads the witness, as
+a route answer's witness is built then too (`PathResult`).  Before a
 state is priced, a floor that no transport total undercuts (each unit of
 supply, and of demand, pays at least its cheapest arc) is compared with
 the pruning cutoff; a state it already prunes is dropped unpriced, exactly
 as its total would have dropped it.  A state whose supp(x) or supp(y) has
 one or two atoms is priced in closed form (`_transport_total`: the floor
 itself, or a fractional knapsack), which gives the solver's total, so
-pushes, pops and chains do not change; only larger states and
-`chain_lp`, which needs the flows, run the solver.
+pushes, pops and chains do not change; only larger states, chain
+optima as large, and `chain_lp`, which needs the flows, run the solver.
 
 A search-tier query is priced once, by its word transport T_W: the least
 cost of moving x's masses onto y's when a unit moved from u to v pays
@@ -53,7 +56,9 @@ the query lists (`query_bounds`); it is also every root state's price,
 so the search is skipped exactly when T_W reaches its cutoff, and each
 solved distance is checked against the listed bounds; a result below any
 of them is recorded and raised as an internal inconsistency, never
-returned.
+returned.  A closed form is checked against the same list, its T_W known
+without a solve: word(u, v) for two vertices, and on a common simplex
+the transport at cost 1 between distinct vertices (`_simplex_transport`).
 
 Every path answer comes from one function (`_path`), which orders the
 tiers and, for a caller that needs only min(bilinear, factor * path), the
@@ -162,30 +167,43 @@ class PathWitness:
 class PathResult:
     """A path distance and a witness that attains it, used as the pair (value, witness).
 
-    A vertex route's witness (`_route_witness`) is built when `.witness` is
-    first read, and then kept: `route` holds its (K, x, y, u, v) until then.
-    Reading `.value`, or `[0]`, builds nothing.  The built witness's length
-    must equal the value bit for bit (`_route_length`), or the read raises
+    A closed form comes with its witness.  A vertex route's witness
+    (`_route_witness`) and a chain's (`_chain_witness`) are built when
+    `.witness` is first read, and then kept: `route` holds the route's
+    (K, x, y, u, v), `chain` the chain's (K, x, y, carriers) until then.
+    Reading `.value`, or `[0]`, builds nothing.  A route's witness length
+    must equal the value bit for bit (`_route_length`); a chain's witness
+    must pass `_chain_witness`'s checks; else the read raises
     InternalConsistencyError.  Unpacking, indexing, equality, hashing and
     repr are the pair's.
     """
 
-    __slots__ = ("value", "_witness", "_route")
+    __slots__ = ("value", "_witness", "_route", "_chain")
 
-    def __init__(self, value: float, witness: PathWitness | None = None, route: tuple | None = None):
+    def __init__(
+        self,
+        value: float,
+        witness: PathWitness | None = None,
+        route: tuple | None = None,
+        chain: tuple | None = None,
+    ):
         self.value = value
         self._witness = witness
         self._route = route
+        self._chain = chain
 
     @property
     def witness(self) -> PathWitness:
         if self._witness is None:
-            witness = _route_witness(*self._route)
-            if witness.length != self.value:
-                raise InternalConsistencyError(
-                    f"route value {self.value!r} != its witness length {witness.length!r}"
-                )
-            self._witness, self._route = witness, None
+            if self._route is not None:
+                witness = _route_witness(*self._route)
+                if witness.length != self.value:
+                    raise InternalConsistencyError(
+                        f"route value {self.value!r} != its witness length {witness.length!r}"
+                    )
+            else:
+                witness = _chain_witness(*self._chain, self.value)
+            self._witness, self._route, self._chain = witness, None, None
         return self._witness
 
     def __iter__(self):
@@ -386,21 +404,15 @@ def _knapsack(amount: int, caps: Sequence[int], first: Sequence[int], second: Se
     return total
 
 
-def chain_lp(
-    K: SimplicialComplex,
-    chain: Chain,
-    x: BarycentricPoint,
-    y: BarycentricPoint,
-) -> tuple[float, list[BarycentricPoint]]:
-    """Exact optimum over paths with the given carrier sequence.
+def _switch_counts(
+    chain: Chain, x: BarycentricPoint, y: BarycentricPoint
+) -> tuple[list[Simplex], list[list[dict[str, int]]], list[list[int]]]:
+    """The switch-count DP along a chain: its faces, each atom's counts, and the chain's costs.
 
-    Interior breakpoints are constrained to the interface faces of the
-    chain.  Each unit of mass moved from u in supp(x) to v in supp(y) pays
-    the fewest vertex switches along the faces, which a DP gives; nothing
-    caps those moves, so the optimum is a transport between x and y, solved
-    in integers and divided by its scale once.  The breakpoints follow each
-    used (u, v) pair's optimal positions.  Returns the value and one optimal
-    breakpoint assignment.
+    Per u in supp(x), the fewest vertex switches that bring the mass of u to
+    each vertex of {u}, of each interface face and of supp(y): mass stays on
+    a vertex the next layer holds, or switches once from the cheapest.  Row
+    u of the cost matrix is its counts at supp(y), a column per v.
     """
     sigma = chain.simplices
     if not set(x.support) <= set(sigma[0]):
@@ -412,12 +424,30 @@ def chain_lp(
     for u in x.support:
         dp = [{u: 0}]
         for layer in (*faces, y.support):
-            # mass stays on a vertex the layer holds, or switches once from the cheapest
             switch = min(dp[-1].values()) + 1
             dp.append({w: dp[-1].get(w, switch) for w in layer})
         routes.append(dp)
+    return faces, routes, [[dp[-1][v] for v in y.support] for dp in routes]
+
+
+def chain_lp(
+    K: SimplicialComplex,
+    chain: Chain,
+    x: BarycentricPoint,
+    y: BarycentricPoint,
+) -> tuple[float, list[BarycentricPoint]]:
+    """Exact optimum over paths with the given carrier sequence.
+
+    Interior breakpoints are constrained to the interface faces of the
+    chain.  Each unit of mass moved from u in supp(x) to v in supp(y) pays
+    the fewest vertex switches along the faces, which a DP gives
+    (`_switch_counts`); nothing caps those moves, so the optimum is a
+    transport between x and y, solved in integers and divided by its scale
+    once.  The breakpoints follow each used (u, v) pair's optimal positions.
+    Returns the value and one optimal breakpoint assignment.
+    """
+    faces, routes, cost = _switch_counts(chain, x, y)
     supply, demand, scale = _masses(x, y)
-    cost = [[dp[-1][v] for v in y.support] for dp in routes]
     total, flow = _transport(supply, demand, cost)
 
     mass: list[dict[str, int]] = [{} for _ in faces]
@@ -479,18 +509,30 @@ def lower_bounds(
     never undercut, and on disjoint supports every unit moves at cost 1 or
     more.  All three are symmetric in x and y.
     """
-    return query_bounds(x, y, _word_transport(word_metric(K), x, y))
+    priced = _word_transport(word_metric(K), x, y)
+    return query_bounds(x, y, priced.total / priced.scale)
 
 
-def query_bounds(
-    x: BarycentricPoint, y: BarycentricPoint, priced: _WordTransport
-) -> list[tuple[str, float]]:
-    """The bounds of `lower_bounds`, for a query whose word transport is already priced."""
+def query_bounds(x: BarycentricPoint, y: BarycentricPoint, transport: float) -> list[tuple[str, float]]:
+    """The bounds of `lower_bounds`, for a query whose word transport T_W / scale is already known."""
     return [
         ("coordinate", simplex_l1(x, y)),
         ("disjoint_support", _disjoint_support(x, y)),
-        ("transport", priced.total / priced.scale),
+        ("transport", transport),
     ]
+
+
+def _simplex_transport(x: BarycentricPoint, y: BarycentricPoint) -> float:
+    """T_W / scale for x and y in a common simplex, where no word distance is read and nothing solved.
+
+    Distinct vertices of a simplex are adjacent, so the word block is
+    1 - delta: every unit of mass moves at cost 1 but what stays on a
+    shared atom u, min(supply_u, demand_u) of it (`_masses`).  So T_W is
+    scale minus those amounts, the integer `_word_transport` solves.
+    """
+    supply, demand, scale = _masses(x, y)
+    stays = dict(zip(x.support, supply))
+    return (scale - sum([min(stays[v], d) for v, d in zip(y.support, demand) if v in stays])) / scale
 
 
 def _disjoint_support(x: BarycentricPoint, y: BarycentricPoint) -> float:
@@ -537,6 +579,25 @@ def _route_witness(
     return PathWitness(points=tuple(points), carriers=tuple(carriers), length=length)
 
 
+def _chain_witness(
+    K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint, carriers: tuple[Simplex, ...], value: float
+) -> PathWitness:
+    """A chain answer's witness: `chain_lp`'s breakpoints along the chain the search found.
+
+    The chain's optimum must be the answer's value bit for bit (the same
+    integer transport over the same scale) and the witness's length within
+    VALUE_TOL of it, or InternalConsistencyError is raised.
+    """
+    optimum, breakpoints = chain_lp(K, Chain(simplices=carriers), x, y)
+    points = (x, *breakpoints, y)
+    length = path_length(K, points, carriers)
+    if optimum != value or abs(length - value) > VALUE_TOL:
+        raise InternalConsistencyError(
+            f"search value {value}, chain optimum {optimum} and witness length {length} disagree"
+        )
+    return PathWitness(points=points, carriers=carriers, length=length)
+
+
 def _route_length(x: BarycentricPoint, y: BarycentricPoint, u: str, v: str, word: int) -> float:
     """`_route_witness(K, x, y, u, v).length` bit for bit, where word = word(u, v).
 
@@ -573,8 +634,9 @@ def _path(
     The tiers run in order: equal points; a common simplex, whose l1
     distance is the path, with a one-segment witness; two vertices, the
     word metric, whose edge-path witness is built when it is read; else the
-    search.  A closed form is checked against `lower_bounds`, the search
-    against `query_bounds` of the word transport it is priced by once.
+    search.  Every answer is checked against `query_bounds`, the bounds of
+    `lower_bounds`: a closed form's with its word transport in closed form,
+    the search's with the word transport it is priced by once.
 
     A ceiling (bilinear, factor) is the stake of a caller that needs only
     min(bilinear, factor * path), such as the extension's (D, 3C).  Its
@@ -616,11 +678,13 @@ def _path(
     if carrier is not None:
         value = simplex_l1(x, y)
         result = PathResult(value, PathWitness(points=(x, y), carriers=(carrier,), length=value))
+        transport = _simplex_transport(x, y)
     elif x.is_vertex and y.is_vertex:
         # v's row gives the value and the bounds; the route witness, built when it is
         # read, walks its geodesic down the same row
         u, v = x.support[0], y.support[0]
         result = PathResult(float(table.row(v).item(x.ids[0])), route=(K, x, y, u, v))
+        transport = result.value  # T_W of two vertices: word(u, v) over scale 1
     else:
         priced = _word_transport(table, x, y)
         if ceiling is not None:
@@ -629,7 +693,7 @@ def _path(
                 return None
         return _solve_by_search(K, x, y, priced, ceiling)
 
-    _assert_above_bounds(result.value, lower_bounds(K, x, y), "closed form")
+    _assert_above_bounds(result.value, query_bounds(x, y, transport), "closed form")
     return result
 
 
@@ -662,17 +726,23 @@ def _solve_by_search(
     """The vertex route, unless the best-first search finds a shorter chain.
 
     The route is carried as its cost, and a route answer's value is its
-    exact length (`_route_length`); its witness is built when the caller
-    first reads it (`PathResult`).  A ceiling (bilinear, factor) is the
-    stake of a caller that only needs min(bilinear, factor * path): the
-    search then prunes every chain with factor * value >= bilinear as well,
-    and when it finds nothing and factor * the route's exact length reaches
-    bilinear too, the answer is None, a proof that factor * path >= bilinear.
-    Otherwise the result is the exact path, the same as without a ceiling
-    (see `_best_first`).  For the extension's own ceiling (D, 3C) the route
-    test always passes, since each support spans a simplex and so
-    D <= C * route, but it keeps the proof free of what the caller's
-    numbers mean.
+    exact length (`_route_length`).  A chain answer's value is the search's
+    total over its scale, once the chain's exact optimum, the transport over
+    its switch-count DP's costs (`_switch_counts`, `_transport_total`), is
+    found equal to that total; a disagreement raises
+    InternalConsistencyError.  Either answer's witness is built when the
+    caller first reads it (`PathResult`): a chain's by `chain_lp` and
+    `path_length`, checked again (`_chain_witness`).
+
+    A ceiling (bilinear, factor) is the stake of a caller that only needs
+    min(bilinear, factor * path): the search then prunes every chain with
+    factor * value >= bilinear as well, and when it finds nothing and
+    factor * the route's exact length reaches bilinear too, the answer is
+    None, a proof that factor * path >= bilinear.  Otherwise the result is
+    the exact path, the same as without a ceiling (see `_best_first`).  For
+    the extension's own ceiling (D, 3C) the route test always passes, since
+    each support spans a simplex and so D <= C * route, but it keeps the
+    proof free of what the caller's numbers mean.
 
     `priced` is the query's word transport (`_word_transport`).  Its total
     T_W is the price of every root of the search, so when T_W reaches the
@@ -687,23 +757,22 @@ def _solve_by_search(
         found = _best_first(K, x, y, table, priced, cutoff)
         if found is not None:
             carriers, bound, scale = found
-            value, breakpoints = chain_lp(K, Chain(simplices=carriers), x, y)
-            points = (x, *breakpoints, y)
-            length = path_length(K, points, carriers)
-            # the same integer transport over the same scale: equal bit for bit
-            if value != bound / scale or abs(length - value) > VALUE_TOL:
+            cost = _switch_counts(Chain(simplices=carriers), x, y)[2]
+            # the chain's exact optimum, the transport over its DP's costs, is the search's total
+            optimum = _transport_total(priced.supply, priced.demand, cost)
+            if optimum != bound:
                 raise InternalConsistencyError(
-                    f"search value {bound / scale}, chain optimum {value} and witness length "
-                    f"{length} disagree"
+                    f"search total {bound} and chain optimum {optimum} over scale {scale} disagree"
                 )
-            _assert_above_bounds(value, query_bounds(x, y, priced), "path search")
-            return PathResult(value, PathWitness(points=points, carriers=carriers, length=length))
+            value = bound / scale
+            _assert_above_bounds(value, query_bounds(x, y, priced.total / priced.scale), "path search")
+            return PathResult(value, chain=(K, x, y, carriers))
     value = _route_length(x, y, u, v, word)
     if ceiling is not None:
         bilinear, factor = ceiling
         if factor * value >= bilinear:
             return None
-    _assert_above_bounds(value, query_bounds(x, y, priced), "path search")
+    _assert_above_bounds(value, query_bounds(x, y, priced.total / priced.scale), "path search")
     return PathResult(value, route=(K, x, y, u, v))
 
 
@@ -724,10 +793,10 @@ def _cutoff(incumbent: float, scale: int, ceiling: tuple[float, float] | None = 
 def _reaching_total(bilinear: float, factor: float, scale: int, cutoff: int) -> int:
     """The least total T below cutoff with factor * (T / scale) >= bilinear, else cutoff.
 
-    The test is the caller's own, in floats, on the value `chain_lp` would
-    return (int / int, correctly rounded).  Division by a positive int and
-    multiplication by a positive float are monotone under rounding, so the
-    test is monotone in T and a binary search finds the least T.
+    The test is the caller's own, in floats, on the value a chain answer
+    takes, T / scale (int / int, correctly rounded).  Division by a positive
+    int and multiplication by a positive float are monotone under rounding,
+    so the test is monotone in T and a binary search finds the least T.
     """
     lo, hi = 0, cutoff
     while lo < hi:

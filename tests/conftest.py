@@ -327,6 +327,29 @@ def vertex_route(K, x, y):
     return pathmetric._vertex_route(x, y, pathmetric._word_transport(word_metric(K), x, y).words)
 
 
+def assert_closed_form_bounds_are_the_lower_bounds(monkeypatch, pairs) -> int:
+    """Each common-simplex or two-vertex pair of (K, x, y) pairs is checked once, against `lower_bounds`.
+
+    Its path is answered without pricing a word transport.  Returns the
+    number of such pairs.
+    """
+    checked, priced = [], []
+    check, word_transport = pathmetric._assert_above_bounds, pathmetric._word_transport
+    monkeypatch.setattr(pathmetric, "_assert_above_bounds", lambda *args: checked.append(args) or check(*args))
+    monkeypatch.setattr(pathmetric, "_word_transport", lambda *args: priced.append(args) or word_transport(*args))
+    closed = 0
+    for K, x, y in pairs:
+        if x.key() == y.key() or not (pathmetric.common_simplex(K, x, y) or (x.is_vertex and y.is_vertex)):
+            continue
+        checked.clear()
+        priced.clear()
+        value = pathmetric.l1_path_distance(K, x, y).value
+        assert priced == [], (x, y)
+        assert checked == [(value, pathmetric.lower_bounds(K, x, y), "closed form")], (x, y)
+        closed += 1
+    return closed
+
+
 # the lower bounds the word transport replaced, kept verbatim as references for it
 
 def sphere_bound(table, x, y) -> float:

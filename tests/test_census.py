@@ -18,7 +18,7 @@ from metricext import (
 )
 from metricext.generators import _cliques
 
-from conftest import two_direction_bounds
+from conftest import assert_closed_form_bounds_are_the_lower_bounds, two_direction_bounds
 
 GRID = 4  # the census's resolution: every weight a multiple of 1/4
 
@@ -108,3 +108,9 @@ def test_the_word_transport_lies_between_the_bounds_it_replaced_and_the_grid():
             stronger += transport > replaced + 1e-12
             pairs += 1
     assert pairs == 12_973 and stronger > 0
+
+
+def test_closed_form_bounds_are_the_lower_bounds(monkeypatch):
+    """Every common-simplex and two-vertex grid pair is checked against `lower_bounds`, entry for entry."""
+    pairs = [(K, x, y) for _, K, points, _ in census_grids() for x, y in combinations(points, 2)]
+    assert assert_closed_form_bounds_are_the_lower_bounds(monkeypatch, pairs) == 8_642

@@ -168,6 +168,24 @@ class TestExtendedDistance:
         u = vertex_point(triangle, "a")
         assert tri.distance_with_witness(u, b) == (*tri.distance_with_branch(u, b), None)
 
+    def test_a_chain_answer_builds_its_witness_when_it_is_read(self, book, monkeypatch):
+        # a near pair of TestL1PathBelowBilinear's seeded ones, whose l1path answer is a
+        # chain of two triangles: the distance builds no witness, and the first witness
+        # read builds it once, for either end
+        built = []
+        chain_lp = pathmetric_module.chain_lp
+        monkeypatch.setattr(pathmetric_module, "chain_lp", lambda *args: built.append(args) or chain_lp(*args))
+        M = ExtendedMetric(book, word_vertex_metric(book))
+        x = make_point(book, {"b": 20, "c": 17, "d": 5})
+        y = make_point(book, {"a": 1, "b": 26, "c": 23})
+        value = M.distance(x, y)
+        assert M.distance_with_branch(y, x) == (value, "l1path") and built == []
+        there, back = M.distance_with_witness(x, y)[2], M.distance_with_witness(y, x)[2]
+        assert len(built) == 1 and len(there.carriers) == 2
+        assert there.points[0].key() == x.key() and back == there.reversed()
+        path = l1_path_distance(book, x, y)
+        assert value == 3.0 * path.value and there == path.witness
+
     def test_a_search_query_is_priced_once(self, monkeypatch):
         K = rips_complex(cycle_complex(8), 2)
         M = ExtendedMetric(K, word_vertex_metric(K))
@@ -245,7 +263,7 @@ def _reference(M, x, y):
 def _witness_decision(K, x, y, priced, ceiling):
     """`pathmetric._solve_by_search` deciding a route from its witness alone, as it once did."""
     incumbent, u, v, _ = pathmetric_module._vertex_route(x, y, priced.words)
-    bounds = pathmetric_module.query_bounds(x, y, priced)
+    bounds = pathmetric_module.query_bounds(x, y, priced.total / priced.scale)
     if incumbent > max(b for _, b in bounds) + pathmetric_module.TIE_TOL:
         if search(K, x, y, word_metric(K), incumbent, ceiling) is not None:
             return pathmetric_module._solve_by_search(K, x, y, priced, ceiling)
@@ -489,7 +507,7 @@ def _bounds_first(M, x, y):
         path = PathResult(value, PathWitness(points=(x, y), carriers=(carrier,), length=value))
     else:
         priced = pathmetric_module._word_transport(word_metric(M.K), x, y)
-        if M.scale * max(v for _, v in pathmetric_module.query_bounds(x, y, priced)) >= bilinear:
+        if M.scale * max(v for _, v in pathmetric_module.query_bounds(x, y, priced.total / priced.scale)) >= bilinear:
             return (bilinear, "bilinear", None)
         path = pathmetric_module._solve_by_search(M.K, x, y, priced, ceiling=(bilinear, M.scale))
         if path is None:

@@ -55,6 +55,7 @@ from metricext.generators import (
 from metricext.oracle import grid_oracle_path_distance
 
 from conftest import (
+    assert_closed_form_bounds_are_the_lower_bounds,
     incidence,
     pool_queries,
     search,
@@ -222,10 +223,20 @@ class TestL1PathDistance:
         for K in complex_fleet.values():
             for _ in range(30):
                 x, y = random_point(K, rng), random_point(K, rng)
-                got = pathmetric.query_bounds(x, y, pathmetric._word_transport(word_metric(K), x, y))
+                priced = pathmetric._word_transport(word_metric(K), x, y)
+                got = pathmetric.query_bounds(x, y, priced.total / priced.scale)
                 assert got == lower_bounds(K, x, y) == lower_bounds(K, y, x)
                 assert [name for name, _ in got] == ["coordinate", "disjoint_support", "transport"]
                 assert [type(b) for _, b in got] == [float] * 3
+
+    def test_closed_form_bounds_are_the_lower_bounds(self, monkeypatch, complex_fleet, rng):
+        # the pool's common-simplex and two-vertex pairs, and seeded ones on the fleet; the
+        # census's are in test_census.py
+        pairs = [(K, x, y) for _, K, x, y in pool_queries(("path-fleet", "hard-rips", "big-tree"))]
+        for K in complex_fleet.values():
+            pairs += [(K, *random_same_simplex_pair(K, rng)) for _ in range(20)]
+            pairs += [(K, random_vertex(K, rng), random_vertex(K, rng)) for _ in range(20)]
+        assert assert_closed_form_bounds_are_the_lower_bounds(monkeypatch, pairs) == 436
 
     def test_respects_all_lower_bounds(self, book, rng):
         for _ in range(40):
@@ -493,6 +504,95 @@ class TestLazyRouteWitness:
         got = pathmetric.PathResult(3.0 + 2**-50, route=(K, x, y, "t00", "t14"))
         assert got.value == 3.0 + 2**-50
         with pytest.raises(InternalConsistencyError, match="witness length 3.0"):
+            got.witness
+
+
+def _assert_lazy_chain_is_the_chain(K, x, y) -> bool:
+    """Whether x, y is a chain answer; if so its witness, built on read, is the eager one point for point.
+
+    The reference runs `chain_lp` and `path_length` on the chain the search
+    finds, as chain answers did when they were answered.
+    """
+    got = l1_path_distance(K, x, y)
+    if got._chain is None:  # a closed form or a route
+        return False
+    carriers, _, _ = search(K, x, y, word_metric(K), vertex_route(K, x, y)[0])
+    value, breakpoints = chain_lp(K, Chain(simplices=carriers), x, y)
+    points = (x, *breakpoints, y)
+    witness = got.witness
+    assert [p.key() for p in witness.points] == [p.key() for p in points], (x, y)
+    assert witness.carriers == carriers, (x, y)
+    assert witness.length == path_length(K, points, carriers) and got.value == value, (x, y)
+    return True
+
+
+def _counting(monkeypatch, *names) -> dict:
+    """Patch each named pathmetric function to count its calls; the returned dict fills as they run."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def record(*args, f=getattr(pathmetric, name), name=name):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(pathmetric, name, record)
+    return calls
+
+
+# a pair whose path is a chain of five triangles: value 1.75, six points
+CHAIN_PAIR = ({"c00": 0.25, "c01": 0.25, "c02": 0.5}, {"c04": 0.5, "c05": 0.25, "c06": 0.25})
+
+
+class TestLazyChainWitness:
+    """A chain answer checks its optimum when answered and builds its witness on the first `.witness` read."""
+
+    def test_pool_pairs(self):
+        # path and extension pairs alike, as path queries
+        chains = [_assert_lazy_chain_is_the_chain(K, x, y) for _, K, x, y in pool_queries()]
+        assert chains.count(True) == 227
+
+    def test_seeded_fleet_and_truncated_rips(self, complex_fleet, truncated_rips):
+        rng = np.random.default_rng(33)
+        chains = 0
+        for K in (*complex_fleet.values(), truncated_rips):
+            for _ in range(40):
+                chains += _assert_lazy_chain_is_the_chain(K, random_point(K, rng), random_point(K, rng))
+        assert chains == 66
+
+    def test_value_builds_nothing_and_witness_builds_once(self, monkeypatch):
+        calls = _counting(monkeypatch, "chain_lp", "path_length")
+        K = rips_complex(cycle_complex(8), 2)
+        x, y = (make_point(K, w) for w in CHAIN_PAIR)
+        got = l1_path_distance(K, x, y)
+        assert got._route is None and got._chain is not None
+        assert got.value == got[0] == got[-2] == 1.75 and calls == {"chain_lp": 0, "path_length": 0}
+        witness = got.witness
+        assert calls == {"chain_lp": 1, "path_length": 1}
+        assert (len(witness.points), len(witness.carriers), witness.length) == (6, 5, 1.75)
+        assert got.witness is witness and got[1] is witness and tuple(got) == (got.value, witness)
+        assert got == pathmetric.PathResult(got.value, witness)
+        assert calls == {"chain_lp": 1, "path_length": 1}
+
+    def test_an_optimum_off_the_search_total_raises_when_answered(self, monkeypatch):
+        switch_counts = pathmetric._switch_counts
+
+        def one_more_switch(*args):
+            faces, routes, cost = switch_counts(*args)
+            return faces, routes, [[c + 1 for c in row] for row in cost]
+
+        monkeypatch.setattr(pathmetric, "_switch_counts", one_more_switch)
+        K = rips_complex(cycle_complex(8), 2)
+        x, y = (make_point(K, w) for w in CHAIN_PAIR)
+        with pytest.raises(InternalConsistencyError, match="chain optimum"):
+            l1_path_distance(K, x, y)
+
+    def test_a_witness_off_the_value_raises_when_read(self, monkeypatch):
+        length = pathmetric.path_length
+        monkeypatch.setattr(pathmetric, "path_length", lambda *args: length(*args) + 1e-6)
+        K = rips_complex(cycle_complex(8), 2)
+        x, y = (make_point(K, w) for w in CHAIN_PAIR)
+        got = l1_path_distance(K, x, y)
+        assert got.value == 1.75
+        with pytest.raises(InternalConsistencyError, match="witness length 1.750001"):
             got.witness
 
 
@@ -1131,14 +1231,15 @@ class TestIntegerSearchCore:
         assert with_floor < without
 
     def test_pool_transports_are_integer(self, monkeypatch):
-        # every supply, demand and cost the search floors and prices, and
-        # chain_lp solves, is an int, floors and closed forms included, and the
-        # answers are the pool's where it has one
+        # every supply, demand and cost the search floors and prices, each
+        # chain's optimum checks, and chain_lp solves when a witness is read, is
+        # an int, floors and closed forms included, and the answers are the
+        # pool's where it has one
         real_floor, real_total = pathmetric._transport_floor, pathmetric._transport_total
         real_solve = pathmetric._transport
-        floored = {"path": 0, "ext": 0}  # search states floored
-        priced = {"path": 0, "ext": 0}  # search states priced, and chains chain_lp solves
-        solved = {"path": 0, "ext": 0}  # successive-shortest-path solves
+        floored = {"path": 0, "ext": 0, "witness": 0}  # search states floored
+        priced = {"path": 0, "ext": 0, "witness": 0}  # transports priced, and chains chain_lp solves
+        solved = {"path": 0, "ext": 0, "witness": 0}  # successive-shortest-path solves
         kind, in_total = [None], [False]
 
         def check(supply, demand, cost):
@@ -1175,22 +1276,27 @@ class TestIntegerSearchCore:
         for q, K, x, y in pool_queries():
             kind[0] = q["kind"]
             if q["kind"] == "path":
-                value = l1_path_distance(K, x, y).value
+                result = l1_path_distance(K, x, y)
+                value = result.value
+                kind[0] = "witness"
+                result.witness
             else:
                 value = extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K))).distance(x, y)
             if q["expected"] is not None:
                 assert value == pytest.approx(q["expected"], abs=1e-9), q["id"]
-        # exact counts.  Each path query past the closed forms prices its
-        # word transport once: 110 queries, whose transports reach the
-        # solver when both sides have three atoms or more (7).  The 41
-        # extension queries past the coordinate floor floor their word
-        # block under the ceiling, and that floor decides every one, so
-        # none solves its transport or searches.  The path queries'
-        # searches floor 162 states and price 86, 16 of them by the solver;
-        # chain_lp's 27 chains make the other solves
-        assert floored == {"path": 162, "ext": 41}
-        assert priced == {"path": 110 + 86, "ext": 0}
-        assert solved == {"path": 7 + 16 + 27, "ext": 0}
+        # exact counts.  Each of the 87 path queries past the closed forms
+        # prices its word transport once, by the solver when both sides have
+        # three atoms or more (7); the 23 closed forms take their transport
+        # bound in closed form.  The 41 extension queries past the coordinate
+        # floor floor their word block under the ceiling, and that floor
+        # decides every one, so none solves its transport or searches.  The
+        # path queries' searches floor 162 states and price 59, 16 of them by
+        # the solver, and each of the 27 chains found prices its DP's costs
+        # once to check its optimum, 7 by the solver.  Reading the witnesses
+        # runs chain_lp on those 27 chains, one solve each
+        assert floored == {"path": 162, "ext": 41, "witness": 0}
+        assert priced == {"path": 87 + 59 + 27, "ext": 0, "witness": 27}
+        assert solved == {"path": 7 + 16 + 7, "ext": 0, "witness": 27}
 
     @given(
         total=st.integers(0, 2**40),
