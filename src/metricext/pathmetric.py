@@ -38,15 +38,18 @@ its cost, and the chain the search finds as its total: a chain answer is
 checked when it is answered, its exact optimum (the transport over its
 DP's costs, `_switch_counts`) against the search's total, but `chain_lp`
 places its breakpoints only when the caller first reads the witness, as
-a route answer's witness is built then too (`PathResult`).  Before a
-state is priced, a floor that no transport total undercuts (each unit of
-supply, and of demand, pays at least its cheapest arc) is compared with
-the pruning cutoff; a state it already prunes is dropped unpriced, exactly
-as its total would have dropped it.  A state whose supp(x) or supp(y) has
-one or two atoms is priced in closed form (`_transport_total`: the floor
-itself, or a fractional knapsack), which gives the solver's total, so
-pushes, pops and chains do not change; only larger states, chain
-optima as large, and `chain_lp`, which needs the flows, run the solver.
+a route answer's witness is built then too (`PathResult`).
+
+Every transport here costs m_u + d_v + e_uv from u to v with e_uv in
+{0, 1}: a search state by construction, the word block by its columns,
+a chain's DP costs by its rows, each proved where it is split.  Whatever
+the plan, the m and d parts cost a fixed separable sum, and each unit on
+an arc with e = 1 one more, so the total is that sum plus the scale
+minus F, the largest flow along the arcs with e = 0 (`_zero_flow`; Ford
+& Fulkerson 1956).  The sum alone is a floor no total undercuts: a
+search state it already prunes is dropped without a flow, exactly as its
+total would have dropped it, and a state's F is kept per zero pattern.
+`chain_lp` completes the flow into a plan, which places the breakpoints.
 
 A search-tier query is priced once, by its word transport T_W: the least
 cost of moving x's masses onto y's when a unit moved from u to v pays
@@ -70,9 +73,10 @@ floors of a ceiling (bilinear, factor); its docstring describes them.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul, sub
+from operator import mul
 from typing import Iterable, Sequence
 
 from .complexes import (
@@ -278,130 +282,85 @@ def _masses(x: BarycentricPoint, y: BarycentricPoint) -> tuple[list[int], list[i
     return [n * sb for n in a], [n * sa for n in b], sa * sb
 
 
-def _transport(
-    supply: Sequence[int], demand: Sequence[int], cost: Sequence[Sequence[int]]
+def _zero_flow(
+    supply: Sequence[int], demand: Sequence[int], zero: Sequence[Sequence[int]]
 ) -> tuple[int, list[list[int]]]:
-    """Exact min-cost transport in integers by successive shortest paths; (cost, flows).
+    """The largest flow from the supplies to the demands along the zero arcs: (F, flows).
 
-    Rows are sources, columns sinks, every row-column arc is uncapacitated;
-    supplies are positive and total the demands.  Each round finds the
-    distances from the rows with supply left over the residual graph by
-    Bellman-Ford rounds (Bellman 1958; Ford 1956): rows relax every column
-    at +cost, then columns relax the rows that send them flow at -cost, each
-    in index order, and a node takes a predecessor only on a strict
-    improvement.  It then sends as much as the recorded path to the first
-    unfilled column allows.  Costs reduced by a round's distances are
-    nonnegative on every residual arc and zero along the path, so the arcs
-    an augmentation opens are zero too: the residual graph never holds a
-    negative cycle, the rounds end, and the flow is optimal once every
-    column is filled.
-
-    A pass relaxes only the nodes whose distance fell since they were last
-    relaxed.  A node relaxed at distance d left each neighbour at most
-    d + cost, and distances only fall, so until its own distance falls it
-    cannot strictly improve a neighbour.  Every distance and predecessor,
-    and so every flow, is the one rounds over all nodes give.
+    Every transport here costs m_u + d_v + e_uv from row u to column v, with
+    e_uv in {0, 1}, and zero[u] lists the columns v with e_uv = 0.  Whatever
+    the plan, the m and d parts cost sum(supply * m) + sum(demand * d), and
+    each unit on an arc with e = 1 one more, so the least total is that sum
+    plus the scale (the total supply) minus F (Ford & Fulkerson 1956;
+    equivalently the Hall deficiency, Gale 1957).  Arcs are uncapacitated:
+    only the supplies and demands bound the flow.  A greedy pass sends what
+    each zero arc can, in order.  Then, while the residual graph (a zero
+    arc forward, an arc that carries flow backward) has a path from a row
+    with supply left to a column with demand left, a breadth-first search
+    finds a shortest one and sends along it as much as it allows.  When
+    none is left the flow is maximum, and shortest paths end the rounds
+    after O(VE) augmentations whatever the masses (Edmonds & Karp 1972).
     """
-    m, n = len(supply), len(demand)
-    rows, cols = range(m), range(n)
     left, need = list(supply), list(demand)
-    flow = [[0] * n for _ in rows]
-    while any(need):
-        dr: list = [0 if s else None for s in left]
-        dc: list = [None] * n
-        via_r: list = [None] * m  # the column each row was last improved from
-        via_c: list = [None] * n  # the row each column was last improved from
-        fell_r = [bool(s) for s in left]  # fell since last relaxed
-        while any(fell_r):
-            fell_c = [False] * n
-            for i in rows:
-                if fell_r[i]:
-                    fell_r[i] = False
-                    base = dr[i]
-                    for c, d in enumerate(cost[i]):
-                        if dc[c] is None or base + d < dc[c]:
-                            dc[c], via_c[c], fell_c[c] = base + d, i, True
-            for c in cols:
-                if fell_c[c]:
-                    base = dc[c]
-                    for i in rows:
-                        if flow[i][c] and (dr[i] is None or base - cost[i][c] < dr[i]):
-                            dr[i], via_r[i], fell_r[i] = base - cost[i][c], c, True
-        j = next(c for c in cols if need[c])
-        forward, backward = [], []  # arcs (row, column) along the path
-        c = j
-        while True:
-            i = via_c[c]
-            forward.append((i, c))
-            c = via_r[i]
-            if c is None:
-                break
-            backward.append((i, c))
-        amount = min([left[i], need[j]] + [flow[a][b] for a, b in backward])
-        for a, b in forward:
-            flow[a][b] += amount
-        for a, b in backward:
-            flow[a][b] -= amount
-        left[i] -= amount
-        need[j] -= amount
-    total = sum(f * c for line, fl in zip(cost, flow) for f, c in zip(fl, line))
-    return total, flow
+    flow = [[0] * len(demand) for _ in supply]
+    _send(flow, left, need, [(i, j) for i, columns in enumerate(zero) for j in columns])
+    while any(left):
+        via_r = {i: None for i, a in enumerate(left) if a}  # row -> the column it was reached by
+        via_c = {}  # column -> the row it was reached from, in the order reached
+        level = list(via_r)
+        while level:
+            grown = []
+            for i in level:
+                for j in zero[i]:
+                    if j not in via_c:
+                        via_c[j] = i
+                        for r, line in enumerate(flow):
+                            if line[j] and r not in via_r:
+                                via_r[r] = j
+                                grown.append(r)
+            level = grown
+        end = next((j for j in via_c if need[j]), None)
+        if end is None:
+            break
+        path, j = [], end  # arcs (row, column, +1 forward or -1 backward), back from the end
+        while j is not None:
+            i = via_c[j]
+            path.append((i, j, 1))
+            j = via_r[i]
+            if j is not None:
+                path.append((i, j, -1))
+        sent = min([left[i], need[end]] + [flow[a][b] for a, b, sign in path if sign < 0])
+        for a, b, sign in path:
+            flow[a][b] += sign * sent
+        left[i] -= sent
+        need[end] -= sent
+    return sum(supply) - sum(left), flow
 
 
-def _transport_floor(
-    supply: Sequence[int], demand: Sequence[int], cost: Sequence[Sequence[int]]
-) -> int:
-    """A lower bound on `_transport`'s total.
+def _send(flow: list[list[int]], left: list[int], need: list[int], arcs: Iterable[tuple[int, int]]) -> None:
+    """Sends along each arc (i, j), in order, as much as row i has left and column j needs."""
+    for i, j in arcs:
+        sent = min(left[i], need[j])
+        flow[i][j] += sent
+        left[i] -= sent
+        need[j] -= sent
 
-    Every unit of supply pays at least its row's cheapest arc, and every
-    unit of demand its column's, so neither sum exceeds the optimum.  With
-    three atoms or more a side (the states `_transport` solves), u_i the row
-    minima and v_j = min_i (cost[i][j] - u_i) are feasible duals, so the row
-    sum plus sum(demand_j * v_j) is a floor too; likewise the column sum.
+
+def _row_split(cost: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Each row's least cost m_u and the columns at it, for costs m_u + e_uv with e_uv in {0, 1}.
+
+    A row with a cost above m_u + 1 does not decompose so, and
+    InternalConsistencyError is raised.
     """
-    row_min, column_min = list(map(min, cost)), list(map(min, zip(*cost)))
-    by_rows = sum(map(mul, supply, row_min))
-    by_columns = sum(map(mul, demand, column_min))
-    if len(supply) > 2 and len(demand) > 2:
-        by_rows += sum([d * min(map(sub, column, row_min)) for d, column in zip(demand, zip(*cost))])
-        by_columns += sum([a * min(map(sub, row, column_min)) for a, row in zip(supply, cost)])
-    return max(by_rows, by_columns)
-
-
-def _transport_total(
-    supply: Sequence[int], demand: Sequence[int], cost: Sequence[Sequence[int]]
-) -> int:
-    """`_transport(supply, demand, cost)[0]`, in closed form when a side has one or two atoms.
-
-    With one row every arc carries its column's whole demand (with one
-    column, its row's whole supply): the total is `_transport_floor`'s.
-    With two rows, start from every column served by the second row: moving
-    a unit of column j to the first row changes the total by
-    cost[0][j] - cost[1][j], and the first row must take exactly supply[0]
-    units, at most demand[j] of them from column j.  That is a fractional
-    knapsack, so moving the supply to columns in ascending order of that
-    difference is optimal, and its total an integer.  Two columns are the
-    same with rows and columns exchanged.  Larger states solve the transport.
-    """
-    if len(supply) == 1:
-        return sum(map(mul, demand, cost[0]))
-    if len(demand) == 1:
-        return sum(map(mul, supply, next(zip(*cost))))
-    if len(supply) == 2:
-        return _knapsack(supply[0], demand, *cost)
-    if len(demand) == 2:
-        return _knapsack(demand[0], supply, *zip(*cost))
-    return _transport(supply, demand, cost)[0]
-
-
-def _knapsack(amount: int, caps: Sequence[int], first: Sequence[int], second: Sequence[int]) -> int:
-    """Least sum of first[j] * a_j + second[j] * (caps[j] - a_j) over 0 <= a_j <= caps[j] totalling amount."""
-    total = sum(map(mul, caps, second))
-    for change, cap in sorted(zip(map(sub, first, second), caps)):
-        moved = min(cap, amount)
-        total += moved * change
-        amount -= moved
-    return total
+    mins, zero = [], []
+    for row in cost:
+        m = min(row)
+        at = tuple([j for j, c in enumerate(row) if c == m])
+        if len(at) < len(row) and max(row) > m + 1:
+            raise InternalConsistencyError(f"costs {row} take more than two successive values")
+        mins.append(m)
+        zero.append(at)
+    return mins, zero
 
 
 def _switch_counts(
@@ -430,6 +389,29 @@ def _switch_counts(
     return faces, routes, [[dp[-1][v] for v in y.support] for dp in routes]
 
 
+def _chain_transport(
+    supply: Sequence[int], demand: Sequence[int], cost: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]]]:
+    """The least total of a chain's transport over its DP's costs (`_switch_counts`), and a plan attaining it.
+
+    Each layer's counts take two values, its least c and c + 1: the first
+    layer {u} holds 0, and the next keeps its shared vertices' counts and
+    gives every other vertex the least of them plus 1.  So row u of the
+    costs, its counts at supp(y), is m_u + e_uv with e_uv in {0, 1}
+    (`_row_split`), and the total is sum(supply * m) + scale - F
+    (`_zero_flow`).  A largest zero-arc flow, completed by any fill of the
+    supply left into the demand left, attains it: a filled unit pays
+    exactly m_u + 1, since a zero arc between a row and a column that both
+    have mass left would be an augmenting path.
+    """
+    mins, zero = _row_split(cost)
+    carried, flow = _zero_flow(supply, demand, zero)
+    left = [a - sum(row) for a, row in zip(supply, flow)]
+    need = [b - sum(column) for b, column in zip(demand, zip(*flow))]
+    _send(flow, left, need, itertools.product(range(len(supply)), range(len(demand))))
+    return sum(map(mul, supply, mins)) + sum(supply) - carried, flow
+
+
 def chain_lp(
     K: SimplicialComplex,
     chain: Chain,
@@ -442,13 +424,14 @@ def chain_lp(
     chain.  Each unit of mass moved from u in supp(x) to v in supp(y) pays
     the fewest vertex switches along the faces, which a DP gives
     (`_switch_counts`); nothing caps those moves, so the optimum is a
-    transport between x and y, solved in integers and divided by its scale
-    once.  The breakpoints follow each used (u, v) pair's optimal positions.
-    Returns the value and one optimal breakpoint assignment.
+    transport between x and y, solved in integers (`_chain_transport`) and
+    divided by its scale once.  The breakpoints follow each used (u, v)
+    pair's optimal positions.  Returns the value and one optimal breakpoint
+    assignment.
     """
     faces, routes, cost = _switch_counts(chain, x, y)
     supply, demand, scale = _masses(x, y)
-    total, flow = _transport(supply, demand, cost)
+    total, flow = _chain_transport(supply, demand, cost)
 
     mass: list[dict[str, int]] = [{} for _ in faces]
     for row, dp in zip(flow, routes):
@@ -470,24 +453,42 @@ def chain_lp(
 
 @dataclass
 class _WordTransport:
-    """A query's word transport: the masses it moves, their costs, and its integer total T_W over scale."""
+    """A query's word transport: the masses it moves, their costs, and its integer total T_W over scale.
+
+    supp(x) spans a simplex, so its vertices are pairwise adjacent and their
+    word distances to any v differ by at most 1: the block is d_v + e_uv
+    with e_uv in {0, 1}, d_v its column minimum (`_row_split` of its
+    columns).
+    """
 
     supply: list[int]
     demand: list[int]
     scale: int
     words: tuple[tuple[int, ...], ...]  # word(u, v): a row per u in supp(x), a column per v in supp(y)
+    near: list[int]  # per v, d_v = min_u word(u, v)
+    zero: list[tuple[int, ...]]  # per v, the positions of the u at d_v
+
+    @cached_property
+    def floor(self) -> int:
+        """sum(demand * d) plus the supply of each u at no column minimum: at most T_W, and found without a flow.
+
+        Every unit from such a u pays d_v + 1, so no flow along the zero
+        arcs carries it: scale - F is at least that supply.
+        """
+        met = set().union(*self.zero)
+        return sum(map(mul, self.demand, self.near)) + sum([a for u, a in enumerate(self.supply) if u not in met])
 
     @cached_property
     def total(self) -> int:
-        """T_W, solved when first read."""
-        return _transport_total(self.supply, self.demand, self.words)
+        """T_W = sum(demand * d) + scale - F, F the largest flow along the block's zero arcs (`_zero_flow`)."""
+        return sum(map(mul, self.demand, self.near)) + self.scale - _zero_flow(self.demand, self.supply, self.zero)[0]
 
 
 def _word_transport(table, x: BarycentricPoint, y: BarycentricPoint) -> _WordTransport:
     """The word transport T_W between x's and y's masses (`_masses`), over the word block."""
     supply, demand, scale = _masses(x, y)
     words = tuple([tuple([int(table.distance(u, v)) for v in y.support]) for u in x.support])
-    return _WordTransport(supply, demand, scale, words)
+    return _WordTransport(supply, demand, scale, words, *_row_split(list(zip(*words))))
 
 
 def lower_bounds(
@@ -645,8 +646,9 @@ def _path(
       1. the coordinate bound simplex_l1(x, y), alone and first, which
          decides most queries;
       2. a common simplex, whose path is that same float;
-      3. the floor of the word block (`_transport_floor`) over scale,
-         which T_W never undercuts, so it decides before T_W is solved;
+      3. the word block's floor over scale (`_WordTransport.floor`: its
+         separable sum plus the supply that no zero arc carries), which
+         T_W never undercuts, so it decides before the flow of T_W is found;
       4. the word transport T_W / scale (`_word_transport`), the query's
          strongest bound;
       5. every state of the search (`_solve_by_search`).
@@ -657,7 +659,7 @@ def _path(
     can win the caller's min: every chain's total, and every root's price,
     is at least T_W, so the search would push nothing, and the route's
     exact length is at least T_W / scale too; rounding is monotone, so a
-    floor F <= T_W that reaches bilinear makes T_W reach it.  Below the
+    floor L <= T_W that reaches bilinear makes T_W reach it.  Below the
     ceiling the answer is the one found without it, and a common
     simplex or search answer has factor * value < bilinear, so the caller
     compares nothing more: a common simplex has failed step 1, a chain's
@@ -688,8 +690,7 @@ def _path(
     else:
         priced = _word_transport(table, x, y)
         if ceiling is not None:
-            floor = _transport_floor(priced.supply, priced.demand, priced.words)
-            if factor * (floor / priced.scale) >= bilinear or factor * (priced.total / priced.scale) >= bilinear:
+            if factor * (priced.floor / priced.scale) >= bilinear or factor * (priced.total / priced.scale) >= bilinear:
                 return None
         return _solve_by_search(K, x, y, priced, ceiling)
 
@@ -728,7 +729,7 @@ def _solve_by_search(
     The route is carried as its cost, and a route answer's value is its
     exact length (`_route_length`).  A chain answer's value is the search's
     total over its scale, once the chain's exact optimum, the transport over
-    its switch-count DP's costs (`_switch_counts`, `_transport_total`), is
+    its switch-count DP's costs (`_switch_counts`, `_chain_transport`), is
     found equal to that total; a disagreement raises
     InternalConsistencyError.  Either answer's witness is built when the
     caller first reads it (`PathResult`): a chain's by `chain_lp` and
@@ -759,7 +760,7 @@ def _solve_by_search(
             carriers, bound, scale = found
             cost = _switch_counts(Chain(simplices=carriers), x, y)[2]
             # the chain's exact optimum, the transport over its DP's costs, is the search's total
-            optimum = _transport_total(priced.supply, priced.demand, cost)
+            optimum = _chain_transport(priced.supply, priced.demand, cost)[0]
             if optimum != bound:
                 raise InternalConsistencyError(
                     f"search total {bound} and chain optimum {optimum} over scale {scale} disagree"
@@ -829,8 +830,8 @@ def _best_first(
     vertices as the search first meets them), and a move to t gives
     (m, Z & t) when that is not empty, else (m + 1, sigma & t).
 
-    States are popped in the order of an integer transport (`_masses`,
-    `_transport_total`) whose cost from u to v is min_w val_u(w) + word(w, v):
+    States are popped in the order of an integer transport (`_masses`)
+    whose cost from u to v is min_w val_u(w) + word(w, v):
     a bound no extension of the chain can beat, equal to the chain optimum
     times the scale once sigma holds supp(y).  With d_v the least word
     distance from sigma to v and Y_v the vertices of sigma at d_v, that cost
@@ -862,13 +863,16 @@ def _best_first(
     its sum_v d_v.  The pushes and pops are those of pricing every t from
     its own vertices.
 
-    A state is pruned when its total reaches the cutoff; when
-    `_transport_floor` already reaches it, the state is pruned without
-    solving its transport, and that cost is remembered as pruned.  A state
-    is dropped when another state at the same sigma is nowhere worse: for
-    every u, (m, Z) is nowhere above (m', Z') iff m < m', or m == m' and Z
-    holds Z'.  A chain that returns to a simplex is always dropped this
-    way, so the search is finite.
+    A state's costs are m_u + d_v + e_uv, with e_uv = 0 exactly where Z_u
+    meets Y_v, so its total is the separable sum(supply * m) +
+    sum(demand * d) plus scale minus F, F the largest flow along those zero
+    arcs (`_zero_flow`), kept per zero pattern: the masses are the query's.
+    A state is pruned when its total reaches the cutoff; when the separable
+    sum, at most the total, already reaches it, the state is pruned without
+    its zero arcs or their flow.  A state is dropped when another state at
+    the same sigma is nowhere worse: for every u, (m, Z) is nowhere above
+    (m', Z') iff m < m', or m == m' and Z holds Z'.  A chain that returns
+    to a simplex is always dropped this way, so the search is finite.
 
     The cutoff is R, the least total whose value is no shorter than
     incumbent - TIE_TOL, or, under a ceiling (bilinear, factor), the least
@@ -900,8 +904,7 @@ def _best_first(
     rows_y = [table.row(v) for v in y.support]  # one search per vertex of supp(y) answers every word(w, v)
     met: dict[int, tuple[int, list[int]]] = {}  # vertex id w -> (its bit, word(w, v) per v), on first touch
     far: dict[int, int] = {}  # s -> sum_v d_v, for the simplices met
-    # cost -> its total, or a floor at or above the cutoff; every root's cost is the word block
-    transports: dict[tuple, int] = {priced.words: priced.total}
+    flows: dict[tuple, int] = {}  # zero arcs -> F, the largest flow along them (`_zero_flow`)
     labels: list[tuple[int, tuple, int | None]] = []  # (s, state, parent); state: per u, (m, Z)
     alive: list[bool] = []
     front: dict[int, list[int]] = {}  # s -> its undominated live labels
@@ -921,18 +924,19 @@ def _best_first(
     def price(state: tuple, face: tuple[int, ...]) -> int:
         """The total of state at any simplex through face, or a floor at or above the cutoff."""
         known = [met[w] for w in face]
-        near = []  # per v, (d_v, Y_v) over the face
-        for column in zip(*[words for _, words in known]):
+        base = sum([a * m for a, (m, _) in zip(supply, state)])
+        ys = []  # per v, Y_v over the face
+        for b, column in zip(demand, zip(*[words for _, words in known])):
             d = min(column)
-            near.append((d, sum([b for (b, _), word in zip(known, column) if word == d])))
-        cost = tuple([tuple([m + d if z & at else m + d + 1 for d, at in near]) for m, z in state])
-        b = transports.get(cost)
-        if b is None:
-            b = _transport_floor(supply, demand, cost)
-            if b < cutoff:
-                b = _transport_total(supply, demand, cost)
-            transports[cost] = b  # a floor at or above the cutoff prunes as the total it bounds would
-        return b
+            ys.append(sum([bit for (bit, _), word in zip(known, column) if word == d]))
+            base += b * d
+        if base >= cutoff:
+            return base  # a floor: it prunes the state, as the total it bounds would
+        zero = tuple([tuple([j for j, at in enumerate(ys) if z & at]) for _, z in state])
+        carried = flows.get(zero)
+        if carried is None:
+            carried = flows[zero] = _zero_flow(supply, demand, zero)[0]
+        return base + scale - carried
 
     def push(s: int, state: tuple, b: int, parent: int | None) -> None:
         kept = front.setdefault(s, [])

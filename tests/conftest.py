@@ -350,6 +350,26 @@ def assert_closed_form_bounds_are_the_lower_bounds(monkeypatch, pairs) -> int:
     return closed
 
 
+def assert_costs_decompose(pairs) -> tuple[int, int]:
+    """Every pair's word block is d_v + e_uv, and every chain answer's DP costs are m_u + e_uv, e in {0, 1}.
+
+    d_v is the block's column minimum and m_u the chain costs' row minimum;
+    a chain answer is one whose result carries its chain.  Returns the
+    numbers of word blocks and of chains checked.
+    """
+    blocks = chains = 0
+    for K, x, y in pairs:
+        words = pathmetric._word_transport(word_metric(K), x, y).words
+        assert all(w - min(column) in (0, 1) for column in zip(*words) for w in column), (x, y)
+        blocks += 1
+        found = pathmetric.l1_path_distance(K, x, y)._chain
+        if found is not None:
+            cost = pathmetric._switch_counts(pathmetric.Chain(simplices=found[3]), x, y)[2]
+            assert all(c - min(row) in (0, 1) for row in cost for c in row), (x, y)
+            chains += 1
+    return blocks, chains
+
+
 # the lower bounds the word transport replaced, kept verbatim as references for it
 
 def sphere_bound(table, x, y) -> float:

@@ -18,7 +18,7 @@ from metricext import (
 )
 from metricext.generators import _cliques
 
-from conftest import assert_closed_form_bounds_are_the_lower_bounds, two_direction_bounds
+from conftest import assert_closed_form_bounds_are_the_lower_bounds, assert_costs_decompose, two_direction_bounds
 
 GRID = 4  # the census's resolution: every weight a multiple of 1/4
 
@@ -114,3 +114,9 @@ def test_closed_form_bounds_are_the_lower_bounds(monkeypatch):
     """Every common-simplex and two-vertex grid pair is checked against `lower_bounds`, entry for entry."""
     pairs = [(K, x, y) for _, K, points, _ in census_grids() for x, y in combinations(points, 2)]
     assert assert_closed_form_bounds_are_the_lower_bounds(monkeypatch, pairs) == 8_642
+
+
+def test_every_word_block_and_chain_cost_decomposes():
+    """Every grid pair's word block splits by its column minima, and every chain answer's DP costs by their row minima."""
+    pairs = [(K, x, y) for _, K, points, _ in census_grids() for x, y in combinations(points, 2)]
+    assert assert_costs_decompose(pairs) == (12_973, 1_909)

@@ -7,7 +7,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from heapq import heappop as _heappop, heappush as _heappush
-from operator import add, le
+from operator import add, le, mul
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -56,6 +56,7 @@ from metricext.oracle import grid_oracle_path_distance
 
 from conftest import (
     assert_closed_form_bounds_are_the_lower_bounds,
+    assert_costs_decompose,
     incidence,
     pool_queries,
     search,
@@ -302,7 +303,7 @@ class TestWordTransportBound:
         for K, x, y in _bound_pairs(complex_fleet, rng):
             table = word_metric(K)
             priced = pathmetric._word_transport(table, x, y)
-            assert pathmetric._transport(priced.supply, priced.demand, priced.words)[0] == priced.total
+            assert _dijkstra_transport(priced.supply, priced.demand, priced.words)[0] == priced.total
             for s in K.maximal_indices_containing(x.ids):
                 sigma = K.maximal_simplices[s]
                 cost = tuple(
@@ -744,7 +745,7 @@ def _bellman_ford_transport(supply, demand, cost):
     return total, flow
 
 
-# the solver `_transport` replaced, kept verbatim: Dijkstra on reduced costs
+# an earlier solver of the transport, kept verbatim as a reference: Dijkstra on reduced costs
 # plus a breadth-first search for the canonical augmenting path
 def _dijkstra_transport(
     supply: Sequence[int], demand: Sequence[int], cost: Sequence[Sequence[int]]
@@ -884,19 +885,19 @@ def _tuple_best_first(
     A state is a maximal simplex sigma reached by a chain from supp(x) plus,
     for each u in supp(x), the fewest switches val_u(w) that bring the mass
     of u to each w in sigma, as a tuple aligned with sigma.  States are
-    popped in the order of an integer transport (`_masses`, `_transport_total`)
-    whose cost from u to v is min_w val_u(w) + word(w, v): a bound no
-    extension of the chain can beat, equal to the chain optimum times the
-    scale once sigma holds supp(y).  So the first such state popped is
-    optimal; among equal totals the state nearer supp(y), of least
-    sum_v min_w word(w, v), goes first.  Only the masses are read from
-    `priced`: every state, the roots included, is priced here.  A state is
+    popped in the order of an integer transport (`_masses`) whose cost from
+    u to v is min_w val_u(w) + word(w, v): a bound no extension of the chain
+    can beat, equal to the chain optimum times the scale once sigma holds
+    supp(y).  So the first such state popped is optimal; among equal totals
+    the state nearer supp(y), of least sum_v min_w word(w, v), goes first.
+    Only the masses are read from `priced`: every state, the roots
+    included, is priced here, each distinct cost matrix once, by the
+    Dijkstra solver (`_dijkstra_transport`) and with no floor.  A state is
     pruned when its total reaches the cutoff (`_cutoff`: R, the least total
-    no shorter than incumbent - TIE_TOL, or a ceiling's E below it); when
-    `_transport_floor` already reaches that cutoff, the state is pruned
-    without solving its transport.  A state is dropped when another state at
-    the same sigma is nowhere worse; a chain that returns to a simplex is
-    always dropped this way, so the search is finite.
+    no shorter than incumbent - TIE_TOL, or a ceiling's E below it).  A
+    state is dropped when another state at the same sigma is nowhere worse;
+    a chain that returns to a simplex is always dropped this way, so the
+    search is finite.
 
     Under a ceiling (bilinear, factor) the cutoff is E = the least total T
     with factor * (T / scale) >= bilinear, when E < R (`_reaching_total`).
@@ -946,10 +947,7 @@ def _tuple_best_first(
         cost = tuple([tuple([min(map(add, row, col)) for col in cols]) for row in vals])
         total = transports.get(cost)
         if total is None:
-            floor = pathmetric._transport_floor(supply, demand, cost)
-            if floor >= cutoff:
-                return floor  # pruned, as the total it bounds would be
-            total = transports[cost] = pathmetric._transport_total(supply, demand, cost)
+            total = transports[cost] = _dijkstra_transport(supply, demand, cost)[0]
         return total
 
     def push(s: int, vals: tuple, parent: int | None) -> None:
@@ -1011,6 +1009,37 @@ class _HeapLog:
         return self.popped[-1]
 
 
+def _shape(data, rows, columns):
+    """Draws m (a row's part), d (a column's) and e (0 or 1 per arc) for costs m_u + d_v + e_uv."""
+    m = data.draw(st.lists(st.integers(0, 4), min_size=rows, max_size=rows))
+    d = data.draw(st.lists(st.integers(0, 4), min_size=columns, max_size=columns))
+    e = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=columns, max_size=columns), min_size=rows, max_size=rows))
+    return m, d, e
+
+
+def _zeros(e):
+    """Per row, the columns of its arcs with e = 0."""
+    return [tuple(j for j, bit in enumerate(row) if not bit) for row in e]
+
+
+def _flow_total(supply, demand, m, d, e):
+    """The least total over costs m_u + d_v + e_uv, as the solver prices it: the separable sum plus scale - F."""
+    carried = pathmetric._zero_flow(supply, demand, _zeros(e))[0]
+    return sum(map(mul, supply, m)) + sum(map(mul, demand, d)) + sum(supply) - carried
+
+
+def _planted(x, y, words):
+    """A word table that reads words[i][j] between the i-th vertex of supp(x) and the j-th of supp(y)."""
+    return SimpleNamespace(distance=lambda u, v: words[x.support.index(u)][y.support.index(v)])
+
+
+def _assert_plan(supply, demand, cost, total, plan):
+    """plan sends every supply, fills every demand and costs exactly total."""
+    assert [sum(row) for row in plan] == list(supply)
+    assert [sum(column) for column in zip(*plan)] == list(demand)
+    assert sum(f * c for line, fl in zip(cost, plan) for f, c in zip(fl, line)) == total
+
+
 class TestIntegerSearchCore:
     weight = st.builds(lambda num, k: num / 2**k, st.integers(1, 1024), st.integers(0, 10))
 
@@ -1021,25 +1050,22 @@ class TestIntegerSearchCore:
     )
     @settings(max_examples=400, deadline=None)
     def test_transport_matches_the_rational_bellman_ford(self, xw, yw, data):
-        cost = data.draw(
-            st.lists(
-                st.lists(st.integers(0, 8), min_size=len(yw), max_size=len(yw)),
-                min_size=len(xw),
-                max_size=len(xw),
-            )
-        )
+        # costs m_u + d_v + e_uv, the shape of every transport the solver prices: the total
+        # by the zero-arc flow, and chain_lp's plan where d = 0, against the transport over
+        # Fractions
+        m, d, e = _shape(data, len(xw), len(yw))
         supply, demand, scale = pathmetric._masses(_weights_point(xw), _weights_point(yw))
         assert all(type(v) is int for v in (*supply, *demand, scale))
         assert sum(supply) == sum(demand)
-        total, flow = pathmetric._transport(supply, demand, cost)
-        assert [sum(row) for row in flow] == supply
-        assert [sum(col) for col in zip(*flow)] == demand
         # both ends normalised to total exactly 1
         old_supply = [Fraction(w) / sum(map(Fraction, xw)) for w in xw]
         old_demand = [Fraction(w) / sum(map(Fraction, yw)) for w in yw]
-        old_total, old_flow = _bellman_ford_transport(old_supply, old_demand, cost)
-        assert Fraction(total, scale) == old_total
-        assert [[Fraction(f, scale) for f in row] for row in flow] == old_flow
+        cost = [[mu + dv + bit for dv, bit in zip(d, row)] for mu, row in zip(m, e)]
+        assert Fraction(_flow_total(supply, demand, m, d, e), scale) == _bellman_ford_transport(old_supply, old_demand, cost)[0]
+        rows = [[mu + bit for bit in row] for mu, row in zip(m, e)]
+        total, plan = pathmetric._chain_transport(supply, demand, rows)
+        _assert_plan(supply, demand, rows, total, plan)
+        assert Fraction(total, scale) == _bellman_ford_transport(old_supply, old_demand, rows)[0]
 
     @given(
         xw=st.lists(weight, min_size=1, max_size=6),
@@ -1048,15 +1074,14 @@ class TestIntegerSearchCore:
     )
     @settings(max_examples=400, deadline=None)
     def test_transport_matches_the_dijkstra_solver(self, xw, yw, data):
-        cost = data.draw(
-            st.lists(
-                st.lists(st.integers(0, 8), min_size=len(yw), max_size=len(yw)),
-                min_size=len(xw),
-                max_size=len(xw),
-            )
-        )
+        m, d, e = _shape(data, len(xw), len(yw))
         supply, demand, _ = pathmetric._masses(_weights_point(xw), _weights_point(yw))
-        assert pathmetric._transport(supply, demand, cost) == _dijkstra_transport(supply, demand, cost)
+        cost = [[mu + dv + bit for dv, bit in zip(d, row)] for mu, row in zip(m, e)]
+        assert _flow_total(supply, demand, m, d, e) == _dijkstra_transport(supply, demand, cost)[0]
+        rows = [[mu + bit for bit in row] for mu, row in zip(m, e)]
+        total, plan = pathmetric._chain_transport(supply, demand, rows)
+        _assert_plan(supply, demand, rows, total, plan)
+        assert total == _dijkstra_transport(supply, demand, rows)[0]
 
     @pytest.mark.parametrize("k", [8, 12, 16, 24])
     def test_transport_matches_the_dijkstra_solver_on_large_squares(self, k):
@@ -1065,35 +1090,36 @@ class TestIntegerSearchCore:
             xw, yw = ([int(n) / 2 ** int(e) for n, e in zip(rng.integers(1, 1025, k), rng.integers(0, 11, k))]
                       for _ in range(2))
             supply, demand, _ = pathmetric._masses(_weights_point(xw), _weights_point(yw))
-            cost = rng.integers(0, 9, (k, k)).tolist()
-            assert pathmetric._transport(supply, demand, cost) == _dijkstra_transport(supply, demand, cost)
+            m, d, e = rng.integers(0, 5, k).tolist(), rng.integers(0, 5, k).tolist(), rng.integers(0, 2, (k, k)).tolist()
+            cost = [[mu + dv + bit for dv, bit in zip(d, row)] for mu, row in zip(m, e)]
+            assert _flow_total(supply, demand, m, d, e) == _dijkstra_transport(supply, demand, cost)[0]
+            rows = [[mu + bit for bit in row] for mu, row in zip(m, e)]
+            total, plan = pathmetric._chain_transport(supply, demand, rows)
+            _assert_plan(supply, demand, rows, total, plan)
+            assert total == _dijkstra_transport(supply, demand, rows)[0]
 
     def test_pool_chains_and_witnesses_match_the_dijkstra_solver(self, monkeypatch):
-        # every pool answer, witness and chain_lp breakpoint is the one the
-        # Dijkstra solver gives, bit for bit
+        # every pool chain's transport, checked when the chain is answered and solved
+        # again by chain_lp when its witness is read, has a plan that sends every supply,
+        # fills every demand and costs exactly the Dijkstra optimum
         solved = []
-        real_chain_lp = pathmetric.chain_lp
+        real = pathmetric._chain_transport
 
-        def record(*args):
-            solved.append(real_chain_lp(*args))
-            return solved[-1]
+        def record(supply, demand, cost):
+            solved.append((supply, demand, cost, real(supply, demand, cost)))
+            return solved[-1][3]
 
-        monkeypatch.setattr(pathmetric, "chain_lp", record)
-        queries = list(pool_queries())
-        runs = []
-        for transport in (pathmetric._transport, _dijkstra_transport):
-            monkeypatch.setattr(pathmetric, "_transport", transport)
-            solved.clear()
-            extended, answers = {}, []
-            for q, K, x, y in queries:
-                if q["kind"] == "path":
-                    answers.append(l1_path_distance(K, x, y))
-                else:
-                    M = extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K)))
-                    answers.append(M.distance_with_witness(x, y))
-            runs.append((repr(answers), repr(solved)))
-        assert runs[0] == runs[1]
-        assert solved
+        monkeypatch.setattr(pathmetric, "_chain_transport", record)
+        extended = {}
+        for q, K, x, y in pool_queries():
+            if q["kind"] == "path":
+                l1_path_distance(K, x, y).witness
+            else:
+                extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K))).distance_with_witness(x, y)
+        for supply, demand, cost, (total, plan) in solved:
+            _assert_plan(supply, demand, cost, total, plan)
+            assert total == _dijkstra_transport(supply, demand, cost)[0]
+        assert len(solved) == 2 * 27
 
     @given(
         xw=st.lists(weight, min_size=1, max_size=5),
@@ -1102,42 +1128,46 @@ class TestIntegerSearchCore:
     )
     @settings(max_examples=400, deadline=None)
     def test_transport_floor_never_exceeds_the_total(self, xw, yw, data):
-        cost = data.draw(
-            st.lists(
-                st.lists(st.integers(0, 12), min_size=len(yw), max_size=len(yw)),
-                min_size=len(xw),
-                max_size=len(xw),
-            )
-        )
-        supply, demand, _ = pathmetric._masses(_weights_point(xw), _weights_point(yw))
-        floor = pathmetric._transport_floor(supply, demand, cost)
-        assert type(floor) is int
-        assert floor <= pathmetric._transport(supply, demand, cost)[0]
+        # the floors ahead of a flow: a search state's separable sum, and a word block's,
+        # over its column minima, plus the supply of each u at none of them
+        m, d, e = _shape(data, len(xw), len(yw))
+        x, y = _weights_point(xw), _weights_point(yw)
+        supply, demand, _ = pathmetric._masses(x, y)
+        cost = [[mu + dv + bit for dv, bit in zip(d, row)] for mu, row in zip(m, e)]
+        separable = sum(map(mul, supply, m)) + sum(map(mul, demand, d))
+        assert type(separable) is int
+        assert separable <= _dijkstra_transport(supply, demand, cost)[0]
+        words = tuple(tuple(dv + bit for dv, bit in zip(d, row)) for row in e)
+        priced = pathmetric._word_transport(_planted(x, y, words), x, y)
+        unmet = sum(a for a, row in zip(supply, words) if all(w > dv for w, dv in zip(row, priced.near)))
+        assert priced.floor == sum(map(mul, demand, priced.near)) + unmet
+        assert type(priced.floor) is int and priced.floor <= _dijkstra_transport(supply, demand, words)[0]
 
     @given(
-        xw=st.lists(weight, min_size=3, max_size=6),
-        yw=st.lists(weight, min_size=3, max_size=6),
+        xw=st.lists(weight, min_size=1, max_size=6),
+        yw=st.lists(weight, min_size=1, max_size=6),
         data=st.data(),
     )
     @settings(max_examples=400, deadline=None)
-    def test_two_phase_floor_lies_between_the_one_phase_floor_and_the_total(self, xw, yw, data):
-        # three atoms or more a side: the dual floors' second phase never
-        # lowers the row or column floor and never passes the optimum
-        cost = data.draw(
-            st.lists(
-                st.lists(st.integers(0, 12), min_size=len(yw), max_size=len(yw)),
-                min_size=len(xw),
-                max_size=len(xw),
-            )
+    def test_zero_flow_leaves_the_hall_deficiency(self, xw, yw, data):
+        # scale - F is the deficiency max over row sets S of supply(S) - demand(N(S)), N(S)
+        # the columns S's zero arcs meet (Gale 1957), found here over every S.  The flow
+        # runs along zero arcs only, and within the masses
+        e = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=len(yw), max_size=len(yw)),
+                               min_size=len(xw), max_size=len(xw)))
+        supply, demand, scale = pathmetric._masses(_weights_point(xw), _weights_point(yw))
+        zero = _zeros(e)
+        carried, flow = pathmetric._zero_flow(supply, demand, zero)
+        deficiency = max(
+            sum(supply[i] for i in rows) - sum(demand[j] for j in set().union(*(zero[i] for i in rows)))
+            for k in range(len(xw) + 1)
+            for rows in itertools.combinations(range(len(xw)), k)
         )
-        supply, demand, _ = pathmetric._masses(_weights_point(xw), _weights_point(yw))
-        one_phase = max(
-            sum(a * min(row) for a, row in zip(supply, cost)),
-            sum(b * min(column) for b, column in zip(demand, zip(*cost))),
-        )
-        floor = pathmetric._transport_floor(supply, demand, cost)
-        assert type(floor) is int
-        assert one_phase <= floor <= pathmetric._transport(supply, demand, cost)[0]
+        assert scale - carried == deficiency
+        assert all(f == 0 for z, row in zip(zero, flow) for j, f in enumerate(row) if j not in z)
+        assert all(sum(row) <= a for a, row in zip(supply, flow))
+        assert all(sum(column) <= b for b, column in zip(demand, zip(*flow)))
+        assert sum(map(sum, flow)) == carried
 
     @given(
         xw=st.lists(weight, min_size=1, max_size=4),
@@ -1146,24 +1176,39 @@ class TestIntegerSearchCore:
     )
     @settings(max_examples=600, deadline=None)
     def test_transport_total_is_the_solved_total(self, xw, yw, data):
-        # every shape from 1x1 to 4x4; costs from 0..3 tie often, in the
-        # costs and in their row (column) differences, and are often zero
-        cost = data.draw(
-            st.lists(
-                st.lists(st.integers(0, 3), min_size=len(yw), max_size=len(yw)),
-                min_size=len(xw),
-                max_size=len(xw),
-            )
-        )
-        supply, demand, _ = pathmetric._masses(_weights_point(xw), _weights_point(yw))
-        total = pathmetric._transport_total(supply, demand, cost)
-        assert type(total) is int
-        assert total == pathmetric._transport(supply, demand, cost)[0]
+        # T_W over word blocks d_v + e_uv, every shape from 1x1 to 4x4; d from 0..2 and e
+        # from 0..1 tie often.  The block's floor lies below it
+        d = data.draw(st.lists(st.integers(0, 2), min_size=len(yw), max_size=len(yw)))
+        e = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=len(yw), max_size=len(yw)),
+                               min_size=len(xw), max_size=len(xw)))
+        words = tuple(tuple(dv + bit for dv, bit in zip(d, row)) for row in e)
+        x, y = _weights_point(xw), _weights_point(yw)
+        priced = pathmetric._word_transport(_planted(x, y, words), x, y)
+        assert priced.words == words
+        assert type(priced.total) is int and type(priced.floor) is int
+        assert priced.floor <= priced.total == _dijkstra_transport(priced.supply, priced.demand, words)[0]
 
-    def test_closed_form_totals_keep_every_label_and_chain(self, monkeypatch):
-        # pricing each state by the solver instead of the closed forms, the
-        # pool's path and extension queries push and pop the same labels,
-        # find the same chains and give the same answers and witnesses
+    def test_a_cost_that_does_not_decompose_raises(self):
+        # a word block whose column spans 0 and 2, which no two vertices of a simplex give,
+        # and a chain's row of costs that does the same, raise instead of pricing a total
+        x, y = _weights_point([0.5, 0.5]), _weights_point([1.0])
+        planted = SimpleNamespace(distance=lambda u, v: {"v0": 0, "v1": 2}[u])
+        with pytest.raises(InternalConsistencyError, match=r"costs .0, 2. take more than two successive values"):
+            pathmetric._word_transport(planted, x, y)
+        with pytest.raises(InternalConsistencyError, match="more than two successive values"):
+            pathmetric._chain_transport([2], [1, 1], [[1, 3]])
+
+    def test_every_word_block_and_chain_cost_decomposes(self, complex_fleet, rng):
+        # the pool's queries and seeded pairs on the fleet; the census's are in test_census.py
+        pairs = [(K, x, y) for _, K, x, y in pool_queries()]
+        for K in complex_fleet.values():
+            pairs += [(K, random_point(K, rng), random_point(K, rng)) for _ in range(40)]
+        assert assert_costs_decompose(pairs) == (750, 272)
+
+    def test_flow_totals_keep_every_label_and_chain(self, monkeypatch):
+        # with every zero-arc flow taken from the Dijkstra solver's plan over the costs
+        # e_uv instead, the pool's path and extension queries push and pop the same
+        # labels, find the same chains and give the same values
         pushed, popped, found = [], [], []
         best_first = pathmetric._best_first
 
@@ -1179,99 +1224,99 @@ class TestIntegerSearchCore:
             found.append(best_first(*args))
             return found[-1]
 
+        def dijkstra_flow(supply, demand, zero):
+            e = [[int(j not in z) for j in range(len(demand))] for z in zero]
+            total, plan = _dijkstra_transport(supply, demand, e)
+            return sum(supply) - total, [[f if j in z else 0 for j, f in enumerate(row)] for z, row in zip(zero, plan)]
+
         monkeypatch.setattr(pathmetric, "heapq", SimpleNamespace(heappush=record_push, heappop=record_pop))
         monkeypatch.setattr(pathmetric, "_best_first", record_found)
         queries = list(pool_queries())
         runs = []
-        for total in (pathmetric._transport_total, lambda *args: pathmetric._transport(*args)[0]):
-            monkeypatch.setattr(pathmetric, "_transport_total", total)
+        for flow in (pathmetric._zero_flow, dijkstra_flow):
+            monkeypatch.setattr(pathmetric, "_zero_flow", flow)
             for log in (pushed, popped, found):
                 log.clear()
-            extended, answers = {}, []
+            extended, values = {}, []
             for q, K, x, y in queries:
                 if q["kind"] == "path":
-                    answers.append(l1_path_distance(K, x, y))
+                    values.append(l1_path_distance(K, x, y).value)
                 else:
-                    M = extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K)))
-                    answers.append(M.distance_with_witness(x, y))
-            runs.append((answers, list(pushed), list(popped), list(found)))
+                    values.append(extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K))).distance(x, y))
+            runs.append((values, list(pushed), list(popped), list(found)))
         assert runs[0] == runs[1]
         assert runs[0][1] and runs[0][2] and any(f is not None for f in runs[0][3])
 
     def test_floor_pruning_keeps_every_pushed_label(self, monkeypatch):
-        # the states the floor skips would all have been pruned: with the
-        # floor switched off, the search pushes the same labels (so pops the
-        # same ones) and returns the same chain, while pricing more states
-        pushed, solved = [], [0]
-        transport = pathmetric._transport_total
+        # the states the floor prunes without a flow would all have been pruned by their
+        # totals: on the pool's path queries the tuple search, which prices every state
+        # exactly and has no floor, pushes the same labels and returns the same chains,
+        # while the search finds far fewer flows than the transports the tuple search
+        # solves.  Each query's word transport is one of the flows
+        flows, solves = [0], [0]
+        zero_flow, dijkstra = pathmetric._zero_flow, _dijkstra_transport
 
-        def record(heap, item):
-            pushed.append(item)
-            heapq.heappush(heap, item)
+        def count_flow(*args):
+            flows[0] += 1
+            return zero_flow(*args)
 
-        def count(*args):
-            solved[0] += 1
-            return transport(*args)
+        def count_solve(*args):
+            solves[0] += 1
+            return dijkstra(*args)
 
-        counted_heap = SimpleNamespace(heappush=record, heappop=heapq.heappop)
-        monkeypatch.setattr(pathmetric, "heapq", counted_heap)
-        monkeypatch.setattr(pathmetric, "_transport_total", count)
+        monkeypatch.setattr(pathmetric, "_zero_flow", count_flow)
+        monkeypatch.setitem(globals(), "_dijkstra_transport", count_solve)
         queries = [(K, x, y) for q, K, x, y in pool_queries() if q["kind"] == "path"]
-        runs = []
-        for floor in (pathmetric._transport_floor, lambda *args: 0):
-            monkeypatch.setattr(pathmetric, "_transport_floor", floor)
-            pushed.clear()
-            solved[0] = 0
-            found = []
-            for K, x, y in queries:
-                found.append(search(K, x, y, word_metric(K), vertex_route(K, x, y)[0]))
-            runs.append((found, list(pushed), solved[0]))
-        (found, labels, with_floor), (found_off, labels_off, without) = runs
-        assert found == found_off and labels == labels_off
-        assert with_floor < without
+        for K, x, y in queries:
+            table = word_metric(K)
+            priced = pathmetric._word_transport(table, x, y)
+            cutoff = pathmetric._cutoff(vertex_route(K, x, y)[0], priced.scale)
+            logs = _HeapLog(), _HeapLog()
+            monkeypatch.setattr(pathmetric, "heapq", logs[0])
+            monkeypatch.setitem(globals(), "heapq", logs[1])
+            found = pathmetric._best_first(K, x, y, table, priced, cutoff)
+            assert found == _tuple_best_first(K, x, y, table, priced, cutoff)
+            assert logs[0].pushed == logs[1].pushed
+        assert (flows[0], solves[0]) == (184, 272)
 
     def test_pool_transports_are_integer(self, monkeypatch):
-        # every supply, demand and cost the search floors and prices, each
-        # chain's optimum checks, and chain_lp solves when a witness is read, is
-        # an int, floors and closed forms included, and the answers are the
-        # pool's where it has one
-        real_floor, real_total = pathmetric._transport_floor, pathmetric._transport_total
-        real_solve = pathmetric._transport
-        floored = {"path": 0, "ext": 0, "witness": 0}  # search states floored
-        priced = {"path": 0, "ext": 0, "witness": 0}  # transports priced, and chains chain_lp solves
-        solved = {"path": 0, "ext": 0, "witness": 0}  # successive-shortest-path solves
-        kind, in_total = [None], [False]
+        # every supply, demand and zero arc a flow is found for, every word block and
+        # chain cost split, and everything they return, word blocks' floors included, is
+        # an int, and the answers are the pool's where it has one
+        real_floor = pathmetric._WordTransport.floor.func
+        real_flow, real_split = pathmetric._zero_flow, pathmetric._row_split
+        floored = {"path": 0, "ext": 0, "witness": 0}  # word blocks floored under a ceiling
+        flows = {"path": 0, "ext": 0, "witness": 0}  # zero-arc flows found
+        split = {"path": 0, "ext": 0, "witness": 0}  # cost matrices split: word blocks and chain costs
+        kind = [None]
 
-        def check(supply, demand, cost):
-            assert all(type(v) is int for v in (*supply, *demand, *itertools.chain(*cost)))
+        def ints(*values):
+            assert all(type(v) is int for v in values)
 
-        def floor(supply, demand, cost):
+        def floor(priced):
             floored[kind[0]] += 1
-            check(supply, demand, cost)
-            value = real_floor(supply, demand, cost)
-            assert type(value) is int
+            value = real_floor(priced)
+            ints(value)
             return value
 
-        def total(supply, demand, cost):
-            priced[kind[0]] += 1
-            check(supply, demand, cost)
-            in_total[0] = True
-            try:
-                value = real_total(supply, demand, cost)
-            finally:
-                in_total[0] = False
-            assert type(value) is int
-            return value
+        def flow(supply, demand, zero):
+            flows[kind[0]] += 1
+            ints(*supply, *demand, *itertools.chain(*zero))
+            carried, plan = real_flow(supply, demand, zero)
+            ints(carried, *itertools.chain(*plan))
+            return carried, plan
 
-        def solve(supply, demand, cost):
-            solved[kind[0]] += 1
-            priced[kind[0]] += not in_total[0]
-            check(supply, demand, cost)
-            return real_solve(supply, demand, cost)
+        def row_split(cost):
+            split[kind[0]] += 1
+            cost = [list(row) for row in cost]
+            ints(*itertools.chain(*cost))
+            mins, zero = real_split(cost)
+            ints(*mins, *itertools.chain(*zero))
+            return mins, zero
 
-        monkeypatch.setattr(pathmetric, "_transport_floor", floor)
-        monkeypatch.setattr(pathmetric, "_transport_total", total)
-        monkeypatch.setattr(pathmetric, "_transport", solve)
+        monkeypatch.setattr(pathmetric._WordTransport, "floor", property(floor))
+        monkeypatch.setattr(pathmetric, "_zero_flow", flow)
+        monkeypatch.setattr(pathmetric, "_row_split", row_split)
         extended = {}
         for q, K, x, y in pool_queries():
             kind[0] = q["kind"]
@@ -1284,19 +1329,17 @@ class TestIntegerSearchCore:
                 value = extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K))).distance(x, y)
             if q["expected"] is not None:
                 assert value == pytest.approx(q["expected"], abs=1e-9), q["id"]
-        # exact counts.  Each of the 87 path queries past the closed forms
-        # prices its word transport once, by the solver when both sides have
-        # three atoms or more (7); the 23 closed forms take their transport
-        # bound in closed form.  The 41 extension queries past the coordinate
-        # floor floor their word block under the ceiling, and that floor
-        # decides every one, so none solves its transport or searches.  The
-        # path queries' searches floor 162 states and price 59, 16 of them by
-        # the solver, and each of the 27 chains found prices its DP's costs
-        # once to check its optimum, 7 by the solver.  Reading the witnesses
-        # runs chain_lp on those 27 chains, one solve each
-        assert floored == {"path": 162, "ext": 41, "witness": 0}
-        assert priced == {"path": 87 + 59 + 27, "ext": 0, "witness": 27}
-        assert solved == {"path": 7 + 16 + 7, "ext": 0, "witness": 27}
+        # exact counts.  Each of the 87 path queries past the closed forms splits its word
+        # block by its columns and prices its word transport by one flow; the 23 closed
+        # forms take their transport bound in closed form.  The 41 extension queries past
+        # the coordinate floor floor their word block under the ceiling, and that floor
+        # decides every one, so none finds a flow or searches.  The path queries' searches
+        # find 74 flows, one per zero pattern among the states their separable sum leaves
+        # below the cutoff.  Each of the 27 chains found splits its DP's costs and finds one
+        # flow to check its optimum, and chain_lp does the same again when its witness is read
+        assert floored == {"path": 0, "ext": 41, "witness": 0}
+        assert flows == {"path": 87 + 74 + 27, "ext": 0, "witness": 27}
+        assert split == {"path": 87 + 27, "ext": 41, "witness": 27}
 
     @given(
         total=st.integers(0, 2**40),
@@ -1523,30 +1566,36 @@ class TestIntegerSearchCore:
         # (roots, simplices met, pushes, expansions, simplices met by pricing each neighbour itself)
         assert counts == [(5, 200, 268, 8, 253), (1, 114, 160, 6, 184), (4, 172, 289, 7, 210), (1, 115, 532, 35, 139)]
 
-    def test_a_pruned_cost_is_floored_once(self, monkeypatch):
-        # a cost whose floor pruned a state is remembered with that floor, so
-        # a later state with the same costs is pruned without flooring it
-        # again; the tuple search floors such a cost each time it meets it
-        floored = []
-        floor = pathmetric._transport_floor
+    def test_a_zero_pattern_is_solved_once(self, monkeypatch):
+        # a state's flow is kept per zero pattern, over the query's masses, so a search
+        # finds no pattern's flow twice; it finds fewer flows than the tuple search, which
+        # keeps its totals per cost matrix, solves transports
+        patterns, solved = [], [0]
+        zero_flow, dijkstra = pathmetric._zero_flow, _dijkstra_transport
 
-        def record(supply, demand, cost):
-            floored.append(cost)
-            return floor(supply, demand, cost)
+        def record(supply, demand, zero):
+            patterns.append(zero)
+            return zero_flow(supply, demand, zero)
 
-        monkeypatch.setattr(pathmetric, "_transport_floor", record)
-        repeats = {}
-        for best_first in (pathmetric._best_first, _tuple_best_first):
-            repeats[best_first] = 0
-            for q, K, x, y in pool_queries():
-                if q["kind"] == "path":
-                    table = word_metric(K)
-                    priced = pathmetric._word_transport(table, x, y)
-                    cutoff = pathmetric._cutoff(vertex_route(K, x, y)[0], priced.scale)
-                    floored.clear()
-                    best_first(K, x, y, table, priced, cutoff)
-                    repeats[best_first] += len(floored) - len(set(floored))
-        assert repeats[pathmetric._best_first] == 0 < repeats[_tuple_best_first]
+        def count(*args):
+            solved[0] += 1
+            return dijkstra(*args)
+
+        monkeypatch.setattr(pathmetric, "_zero_flow", record)
+        monkeypatch.setitem(globals(), "_dijkstra_transport", count)
+        repeats = flows = 0
+        for q, K, x, y in pool_queries():
+            if q["kind"] == "path":
+                table = word_metric(K)
+                priced = pathmetric._word_transport(table, x, y)
+                cutoff = pathmetric._cutoff(vertex_route(K, x, y)[0], priced.scale)
+                priced.total
+                patterns.clear()
+                pathmetric._best_first(K, x, y, table, priced, cutoff)
+                repeats += len(patterns) - len(set(patterns))
+                flows += len(patterns)
+                _tuple_best_first(K, x, y, table, priced, cutoff)
+        assert repeats == 0 and 0 < flows < solved[0]
 
     def test_vertex_pairs_search_one_row_each_and_no_pairs(self, monkeypatch):
         # the vertex tier builds the geodesic's row before reading word(u, v)
