@@ -365,7 +365,7 @@ def _check_path_axioms(ctx: CheckContext, r: CheckResult) -> None:
         dxz = l1_path_distance(ctx.K, x, z).value
         dyz = l1_path_distance(ctx.K, y, z).value
         ok = (
-            abs(dxy - dyx) <= VALUE_TOL
+            dxy == dyx
             and l1_path_distance(ctx.K, x, x).value == 0.0
             and dxz <= dxy + dyz + VALUE_TOL
         )

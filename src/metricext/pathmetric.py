@@ -32,9 +32,10 @@ The search core runs in Python ints.  The dyadic float weights scale to
 integer supplies and demands that balance exactly (`_masses`), every cost
 is a switch count plus a word distance, so each transport is an integer
 transport, solved exactly; an answer is divided by its scale once.  That
-makes values and witnesses reproducible bit-for-bit and invariant under
-vertex relabelings.  The vertex route that seeds the search is carried as
-its cost, and the chain the search finds as its total: a chain answer is
+makes values and witnesses reproducible bit-for-bit, invariant under
+vertex relabelings and symmetric in x and y.  The vertex route that seeds
+the search is priced in the same units, an integer R (`_vertex_route`),
+and the chain the search finds is carried as its total: a chain answer is
 checked when it is answered, its exact optimum (the transport over its
 DP's costs, `_switch_counts`) against the search's total, but `chain_lp`
 places its breakpoints only when the caller first reads the witness, as
@@ -96,9 +97,6 @@ from .errors import (
     InvalidCarrier,
 )
 from .vertexmetrics import geodesic, word_metric
-
-TIE_TOL = 1e-12
-
 
 # --------------------------------------------------------------------------
 # tripwire registry: lower-bound checks performed by the solver
@@ -175,8 +173,8 @@ class PathResult:
     (`_route_witness`) and a chain's (`_chain_witness`) are built when
     `.witness` is first read, and then kept: `route` holds the route's
     (K, x, y, u, v), `chain` the chain's (K, x, y, carriers) until then.
-    Reading `.value`, or `[0]`, builds nothing.  A route's witness length
-    must equal the value bit for bit (`_route_length`); a chain's witness
+    Reading `.value`, or `[0]`, builds nothing.  A route's witness length,
+    a float sum, must lie within VALUE_TOL of the value; a chain's witness
     must pass `_chain_witness`'s checks; else the read raises
     InternalConsistencyError.  Unpacking, indexing, equality, hashing and
     repr are the pair's.
@@ -201,7 +199,7 @@ class PathResult:
         if self._witness is None:
             if self._route is not None:
                 witness = _route_witness(*self._route)
-                if witness.length != self.value:
+                if abs(witness.length - self.value) > VALUE_TOL:
                     raise InternalConsistencyError(
                         f"route value {self.value!r} != its witness length {witness.length!r}"
                     )
@@ -543,20 +541,21 @@ def _disjoint_support(x: BarycentricPoint, y: BarycentricPoint) -> float:
 # --------------------------------------------------------------------------
 # the main solver
 
-def _vertex_route(
-    x: BarycentricPoint, y: BarycentricPoint, words: Sequence[Sequence[int]]
-) -> tuple[float, str, str, int]:
+def _vertex_route(x: BarycentricPoint, y: BarycentricPoint, priced: _WordTransport) -> tuple[int, str, str]:
     """The cheapest route that huddles x to some u, walks edges to v and spreads to y.
 
-    Returns (cost, u, v, word(u, v)), the cost (1 - x_u) + word(u, v) +
-    (1 - y_v), an upper bound on the path distance, with word(u, v) read
-    from the query's word block `words` (`_WordTransport`); ties go to the
+    Returns (R, u, v), R the route's length (1 - x_u) + word(u, v) +
+    (1 - y_v) with x and y normalised exactly, in the integer units of the
+    query's transports (`_masses`): (1 - x_u) * scale is scale - supply_u,
+    and (1 - y_v) * scale is scale - demand_v.  R is symmetric in x and y,
+    an upper bound on the path distance times the scale, with word(u, v)
+    read from the query's word block (`_WordTransport`); ties go to the
     least (u, v).
     """
     return min(
-        ((1.0 - wu) + word + (1.0 - wv), u, v, word)
-        for (u, wu), row in zip(x.items, words)
-        for (v, wv), word in zip(y.items, row)
+        ((word + 2) * priced.scale - a - b, u, v)
+        for u, a, row in zip(x.support, priced.supply, priced.words)
+        for v, b, word in zip(y.support, priced.demand, row)
     )
 
 
@@ -599,22 +598,6 @@ def _chain_witness(
     return PathWitness(points=points, carriers=carriers, length=length)
 
 
-def _route_length(x: BarycentricPoint, y: BarycentricPoint, u: str, v: str, word: int) -> float:
-    """`_route_witness(K, x, y, u, v).length` bit for bit, where word = word(u, v).
-
-    `path_length` adds from 0.0, left to right, the huddle simplex_l1(x, e_u),
-    word edges of exactly 1.0 each, and the spread simplex_l1(e_v, y).  With
-    u in supp(x), simplex_l1 sums |x_u - 1| at u and |x_w| elsewhere, in
-    label order, as here (and so for y and v: |a - b| is |b - a|).  A segment
-    the witness skips, x being e_u or y e_v, is 0.0 here, which adds no bit.
-    The same floats are added in the same order, and nothing is built.
-    """
-    total = 0.5 * sum([abs(c - 1.0) if t == u else abs(c) for t, c in x.items])  # 0.0 + huddle
-    for _ in range(word):
-        total += 1.0
-    return total + 0.5 * sum([abs(c - 1.0) if t == v else abs(c) for t, c in y.items])
-
-
 def l1_path_distance(
     K: SimplicialComplex,
     x: BarycentricPoint,
@@ -649,24 +632,22 @@ def _path(
       3. the word block's floor over scale (`_WordTransport.floor`: its
          separable sum plus the supply that no zero arc carries), which
          T_W never undercuts, so it decides before the flow of T_W is found;
-      4. the word transport T_W / scale (`_word_transport`), the query's
-         strongest bound;
-      5. every state of the search (`_solve_by_search`).
+      4. the word transport T_W and every state of the search
+         (`_solve_by_search`).
 
-    The extension, the one caller with a ceiling, sends only overlapping
-    supports, whose disjoint-support bound is 0, so step 4 tests the one
-    listed bound that step 1 has not.  When step 3 or 4 decides, no path
-    can win the caller's min: every chain's total, and every root's price,
-    is at least T_W, so the search would push nothing, and the route's
-    exact length is at least T_W / scale too; rounding is monotone, so a
-    floor L <= T_W that reaches bilinear makes T_W reach it.  Below the
-    ceiling the answer is the one found without it, and a common
-    simplex or search answer has factor * value < bilinear, so the caller
-    compares nothing more: a common simplex has failed step 1, a chain's
-    total lies below the cutoff the ceiling sets (`_reaching_total`), and
-    the route is returned only when factor * `_route_length`, its witness
-    length bit for bit, is below bilinear.  Two vertices get their exact
-    path whatever the ceiling.
+    When step 3 decides, no path can win the caller's min: every chain's
+    total, every root's price and the route's R are at least T_W, and
+    rounding is monotone, so a floor L <= T_W that reaches bilinear makes
+    each of them reach it.  T_W itself needs no test of its own: where
+    factor * T_W / scale reaches bilinear, T_W reaches the search's cutoff,
+    so the search does not run and the route, R >= T_W, reaches bilinear
+    too.  Below the ceiling the answer is the one found without it, and a
+    common simplex or search answer has factor * value < bilinear, so the
+    caller compares nothing more: a common simplex has failed step 1, a
+    chain's total lies below the cutoff the ceiling sets
+    (`_reaching_total`), and the route is returned only when factor *
+    R / scale is below bilinear.  Two vertices get their exact path
+    whatever the ceiling.
     """
     if ceiling is not None:
         bilinear, factor = ceiling
@@ -690,7 +671,7 @@ def _path(
     else:
         priced = _word_transport(table, x, y)
         if ceiling is not None:
-            if factor * (priced.floor / priced.scale) >= bilinear or factor * (priced.total / priced.scale) >= bilinear:
+            if factor * (priced.floor / priced.scale) >= bilinear:
                 return None
         return _solve_by_search(K, x, y, priced, ceiling)
 
@@ -726,34 +707,37 @@ def _solve_by_search(
 ) -> PathResult | None:
     """The vertex route, unless the best-first search finds a shorter chain.
 
-    The route is carried as its cost, and a route answer's value is its
-    exact length (`_route_length`).  A chain answer's value is the search's
-    total over its scale, once the chain's exact optimum, the transport over
-    its switch-count DP's costs (`_switch_counts`, `_chain_transport`), is
-    found equal to that total; a disagreement raises
-    InternalConsistencyError.  Either answer's witness is built when the
-    caller first reads it (`PathResult`): a chain's by `chain_lp` and
+    The route is priced as the integer R (`_vertex_route`), and a route
+    answer's value is R / scale, rounded once.  A chain answer's value is
+    the search's total over its scale, once the chain's exact optimum, the
+    transport over its switch-count DP's costs (`_switch_counts`,
+    `_chain_transport`), is found equal to that total; a disagreement
+    raises InternalConsistencyError.  Either answer's witness is built when
+    the caller first reads it (`PathResult`): a chain's by `chain_lp` and
     `path_length`, checked again (`_chain_witness`).
 
-    A ceiling (bilinear, factor) is the stake of a caller that only needs
-    min(bilinear, factor * path): the search then prunes every chain with
-    factor * value >= bilinear as well, and when it finds nothing and
-    factor * the route's exact length reaches bilinear too, the answer is
-    None, a proof that factor * path >= bilinear.  Otherwise the result is
-    the exact path, the same as without a ceiling (see `_best_first`).  For
-    the extension's own ceiling (D, 3C) the route test always passes, since
-    each support spans a simplex and so D <= C * route, but it keeps the
-    proof free of what the caller's numbers mean.
+    Without a ceiling the search's cutoff is R: a chain wins only with a
+    total below R, and a tie goes to the route.  A ceiling (bilinear,
+    factor) is the stake of a caller that only needs min(bilinear,
+    factor * path): the cutoff is then min(E, R), E the least total with
+    factor * (E / scale) >= bilinear (`_reaching_total`), so the search
+    prunes every chain with factor * value >= bilinear as well, and when
+    it finds nothing and factor * R / scale reaches bilinear too, the
+    answer is None, a proof that factor * path >= bilinear.  Otherwise the
+    result is the exact path, the same as without a ceiling (see
+    `_best_first`).  For the extension's own ceiling (D, 3C) the route test
+    always passes, since each support spans a simplex and so D <= C *
+    route, but it keeps the proof free of what the caller's numbers mean.
 
     `priced` is the query's word transport (`_word_transport`).  Its total
     T_W is the price of every root of the search, so when T_W reaches the
-    search's cutoff (`_cutoff`) the search would push nothing, and it is
-    not run.  Every result but None is checked once against each of the
-    query's bounds (`query_bounds`).
+    search's cutoff the search would push nothing, and it is not run.
+    Every result but None is checked once against each of the query's
+    bounds (`query_bounds`).
     """
     table = word_metric(K)
-    incumbent, u, v, word = _vertex_route(x, y, priced.words)
-    cutoff = _cutoff(incumbent, priced.scale, ceiling)
+    route, u, v = _vertex_route(x, y, priced)
+    cutoff = route if ceiling is None else _reaching_total(*ceiling, priced.scale, route)
     if priced.total < cutoff:
         found = _best_first(K, x, y, table, priced, cutoff)
         if found is not None:
@@ -768,27 +752,13 @@ def _solve_by_search(
             value = bound / scale
             _assert_above_bounds(value, query_bounds(x, y, priced.total / priced.scale), "path search")
             return PathResult(value, chain=(K, x, y, carriers))
-    value = _route_length(x, y, u, v, word)
+    value = route / priced.scale
     if ceiling is not None:
         bilinear, factor = ceiling
         if factor * value >= bilinear:
             return None
     _assert_above_bounds(value, query_bounds(x, y, priced.total / priced.scale), "path search")
     return PathResult(value, route=(K, x, y, u, v))
-
-
-def _cutoff(incumbent: float, scale: int, ceiling: tuple[float, float] | None = None) -> int:
-    """The search's cutoff: the least total R with R / scale >= incumbent - TIE_TOL, or E below it.
-
-    R = ceil((incumbent - TIE_TOL) * scale), compared as rationals, so a
-    total is below R exactly when its value is shorter than the incumbent
-    by more than TIE_TOL.  A ceiling (bilinear, factor) lowers it to E, the
-    least total whose value, times factor, reaches bilinear, when E < R
-    (`_reaching_total`).
-    """
-    p, q = (incumbent - TIE_TOL).as_integer_ratio()
-    cutoff = -(-p * scale // q)
-    return cutoff if ceiling is None else _reaching_total(*ceiling, scale, cutoff)
 
 
 def _reaching_total(bilinear: float, factor: float, scale: int, cutoff: int) -> int:
@@ -817,7 +787,7 @@ def _best_first(
     priced: _WordTransport,
     cutoff: int,
 ) -> tuple[tuple[Simplex, ...], int, int] | None:
-    """Best chain whose total lies below the cutoff (`_cutoff`): (chain, total, scale), or None.
+    """Best chain whose total lies below the cutoff: (chain, total, scale), or None.
 
     A state is a maximal simplex sigma reached by a chain from supp(x) plus,
     for each u in supp(x), the fewest switches val_u(w) that bring the mass
@@ -874,29 +844,17 @@ def _best_first(
     (m', Z') iff m < m', or m == m' and Z holds Z'.  A chain that returns
     to a simplex is always dropped this way, so the search is finite.
 
-    The cutoff is R, the least total whose value is no shorter than
-    incumbent - TIE_TOL, or, under a ceiling (bilinear, factor), the least
-    total E with factor * (T / scale) >= bilinear when E < R (`_cutoff`).
-    The answer is then the same as under R, or None where a chain of total
-    in [E, R) was pruned, as follows.
-
-    - Rounding is monotone, so a state whose bound reaches E cannot
-      complete to a chain whose value, times factor, falls below bilinear:
-      such a chain could not win the caller's min.
-    - A dominated state has a bound no lower than its dominator's, so a
-      state whose bound reaches E, kept or pruned, never drops or replaces
-      a state below E.  The states below
-      E are pushed and popped in the same order as without the ceiling;
-      every state popped before the goal has a bound below E, so a goal
-      found is the same chain, with the same total, breakpoints and witness.
-    - If nothing is found, a chain of total T in [E, R) may have been
-      pruned.  T < R puts T / scale below incumbent - TIE_TOL exactly.
-      Rounding T / scale, and the gap between the incumbent and the route's
-      exact length (the same sum, added up another way), are both far
-      below TIE_TOL, so the rounded T / scale is below that length and
-      factor * length reaches bilinear too.  The caller therefore tests the
-      route's length (`_route_length`): when factor * length falls below
-      bilinear, no such chain exists and the route is the exact answer.
+    The cutoff is the route's R (`_vertex_route`), or, under a ceiling
+    (bilinear, factor), min(E, R), E the least total with
+    factor * (E / scale) >= bilinear (`_reaching_total`).  Rounding is
+    monotone, so a state whose bound reaches E cannot complete to a chain
+    whose value, times factor, falls below bilinear.  A dominated state has
+    a bound no lower than its dominator's, so a state whose bound reaches
+    E, kept or pruned, never drops or replaces a state below E: the states
+    below E are pushed and popped in the same order as without the
+    ceiling, and a goal found is the same chain, with the same total,
+    breakpoints and witness.  If nothing is found and E < R, then R > E,
+    so factor * R / scale reaches bilinear too and the caller answers None.
     """
     simplex = K.simplex_csr.row
     ends = set(K.maximal_indices_containing(y.ids))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
@@ -315,16 +317,29 @@ def pool_queries(workloads=("path-fleet", "hard-rips")):
             yield q, K, x, y
 
 
-def search(K, x, y, table, incumbent, ceiling=None):
-    """`pathmetric._best_first` for an incumbent and a ceiling, priced and cut off as `_solve_by_search` does."""
+def cutoff(x, y, priced, incumbent=None, ceiling=None) -> int:
+    """The search's cutoff, set as `_solve_by_search` sets it, for the query's word transport `priced`.
+
+    It is the route's R (`_vertex_route`), or, given an incumbent value, the
+    least total T with T / scale >= incumbent, compared as rationals; a
+    ceiling (bilinear, factor) lowers it to E (`_reaching_total`).
+    """
+    if incumbent is None:
+        total = pathmetric._vertex_route(x, y, priced)[0]
+    else:
+        total = math.ceil(Fraction(incumbent) * priced.scale)
+    return total if ceiling is None else pathmetric._reaching_total(*ceiling, priced.scale, total)
+
+
+def search(K, x, y, table, incumbent=None, ceiling=None):
+    """`pathmetric._best_first`, priced as `_solve_by_search` prices it and cut off at `cutoff`."""
     priced = pathmetric._word_transport(table, x, y)
-    cutoff = pathmetric._cutoff(incumbent, priced.scale, ceiling)
-    return pathmetric._best_first(K, x, y, table, priced, cutoff)
+    return pathmetric._best_first(K, x, y, table, priced, cutoff(x, y, priced, incumbent, ceiling))
 
 
 def vertex_route(K, x, y):
-    """`pathmetric._vertex_route` of x and y over their word block: (cost, u, v, word(u, v))."""
-    return pathmetric._vertex_route(x, y, pathmetric._word_transport(word_metric(K), x, y).words)
+    """`pathmetric._vertex_route` of x and y over their word transport: (R, u, v), R over its scale."""
+    return pathmetric._vertex_route(x, y, pathmetric._word_transport(word_metric(K), x, y))
 
 
 def assert_closed_form_bounds_are_the_lower_bounds(monkeypatch, pairs) -> int:

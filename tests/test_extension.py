@@ -47,7 +47,6 @@ from metricext.generators import (
 from conftest import (
     pool_queries,
     sample_geodesic_triples,
-    search,
     simplex_on_a_path,
     tree_reflection,
     vertex_route,
@@ -260,42 +259,39 @@ def _reference(M, x, y):
     return (scaled, "l1path", path.witness)
 
 
-def _witness_decision(K, x, y, priced, ceiling):
-    """`pathmetric._solve_by_search` deciding a route from its witness alone, as it once did."""
-    incumbent, u, v, _ = pathmetric_module._vertex_route(x, y, priced.words)
-    bounds = pathmetric_module.query_bounds(x, y, priced.total / priced.scale)
-    if incumbent > max(b for _, b in bounds) + pathmetric_module.TIE_TOL:
-        if search(K, x, y, word_metric(K), incumbent, ceiling) is not None:
-            return pathmetric_module._solve_by_search(K, x, y, priced, ceiling)
-    witness = pathmetric_module._route_witness(K, x, y, u, v)
+def _capped(K, x, y, priced, ceiling):
+    """`pathmetric._solve_by_search` under a ceiling, checked against the uncapped search.
+
+    Under (bilinear, factor) the answer must be None exactly where factor *
+    path reaches bilinear, and otherwise the path, value and witness, that
+    the search gives without a ceiling.
+    """
+    got = pathmetric_module._solve_by_search(K, x, y, priced, ceiling)
+    path = pathmetric_module._solve_by_search(K, x, y, priced)
     bilinear, factor = ceiling
-    if factor * witness.length >= bilinear:
-        return None
-    return pathmetric_module.PathResult(witness.length, witness)
+    assert got == (None if factor * path.value >= bilinear else path), (x, y, ceiling)
+    return got
 
 
 def _route_decisions(M, x, y):
-    """The search's answer under the extension's ceiling, and the witness-based one; None if not asked.
+    """The search's answer under the extension's ceiling, checked by `_capped`; False if not asked.
 
     Every query past the coordinate floor is asked, those that the word
     transport decides before the search included.
     """
     bilinear = bilinear_extension(M.vertex, x, y)
     if x.key() == y.key() or M.scale * simplex_l1(x, y) >= bilinear:
-        return None
+        return False
     priced = pathmetric_module._word_transport(word_metric(M.K), x, y)
-    ceiling = (bilinear, M.scale)
-    got = pathmetric_module._solve_by_search(M.K, x, y, priced, ceiling)
-    return got, _witness_decision(M.K, x, y, priced, ceiling)
+    return _capped(M.K, x, y, priced, (bilinear, M.scale))
 
 
 class TestSearchCeiling:
     """The search stops once 3C * path reaches bilinear; every answer stays the full min's."""
 
-    def test_the_route_length_decides_as_the_witness_would_on_the_pool(self, monkeypatch):
-        # every answer, None or path, is the one the witness-based test gives;
-        # the search never builds the route's witness for a None: the route's
-        # exact length decides it
+    def test_the_route_decides_as_the_uncapped_search_on_the_pool(self, monkeypatch):
+        # every answer, None or path, is the one the search gives without a
+        # ceiling; the search never builds the route's witness: R decides
         built = []
         route_witness = pathmetric_module._route_witness
 
@@ -307,17 +303,15 @@ class TestSearchCeiling:
         answers = []
         for q, K, x, y in pool_queries(("path-fleet",)):
             if q["kind"] == "ext":
-                decisions = _route_decisions(ExtendedMetric(K, word_vertex_metric(K)), x, y)
-                if decisions is not None:
-                    got, want = decisions
-                    assert got == want, q["id"]
+                got = _route_decisions(ExtendedMetric(K, word_vertex_metric(K)), x, y)
+                if got is not False:
                     answers.append(got is None)
         assert answers.count(True) == 51 and answers.count(False) == 0
-        assert built.count("_witness_decision") == 51 and "_solve_by_search" not in built
+        assert "_solve_by_search" not in built
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_the_route_length_decides_as_the_witness_would_on_near_pairs(self, complex_fleet, data):
+    def test_the_route_decides_as_the_uncapped_search_on_near_pairs(self, complex_fleet, data):
         name = data.draw(st.sampled_from(sorted(complex_fleet)))
         K = complex_fleet[name]
         M = K.maximal_simplices
@@ -328,9 +322,7 @@ class TestSearchCeiling:
         vm = transformed_word_metric(
             K, data.draw(st.sampled_from([1.0, 1.5])), data.draw(st.sampled_from([0.0, 0.5]))
         )
-        decisions = _route_decisions(ExtendedMetric(K, vm), x, y)
-        if decisions is not None:
-            assert decisions[0] == decisions[1]
+        _route_decisions(ExtendedMetric(K, vm), x, y)
 
     def test_pool_pairs_match_the_reference(self):
         for q, K, x, y in pool_queries(("path-fleet",)):
@@ -399,29 +391,32 @@ class TestSearchCeiling:
             C = math.nextafter(C, math.inf)
         assert branches == {"bilinear", "l1path"}
 
-    def test_the_route_length_not_the_incumbent_decides(self, complex_fleet):
-        # the incumbent adds up the same route in another order; where the two
-        # round apart, a bilinear between them is decided as the witness decides it
+    def test_a_ceiling_at_the_route_and_one_ulp_either_side(self, complex_fleet):
+        # bilinear at R / scale, the route's value, and one float to either side: at it and
+        # below it the answer is None, above it the route itself
         rng = np.random.default_rng(0)
         routes = 0
         for K in complex_fleet.values():
             table = word_metric(K)
             for _ in range(100):
                 x, y = random_point(K, rng), random_point(K, rng)
-                incumbent, u, v, _ = vertex_route(K, x, y)
-                length = pathmetric_module._route_witness(K, x, y, u, v).length
-                if x.key() == y.key() or incumbent == length:
+                if x.key() == y.key():
                     continue
                 priced = pathmetric_module._word_transport(table, x, y)
-                ceiling = (max(incumbent, length), 1.0)
-                got = pathmetric_module._solve_by_search(K, x, y, priced, ceiling)
-                assert got == _witness_decision(K, x, y, priced, ceiling)
-                routes += got is not None and got.value == length < incumbent
-        assert routes > 0
+                if pathmetric_module._solve_by_search(K, x, y, priced)._route is None:
+                    continue  # a chain answer
+                value = vertex_route(K, x, y)[0] / priced.scale
+                answers = [
+                    _capped(K, x, y, priced, (bilinear, 1.0))
+                    for bilinear in (math.nextafter(value, 0.0), value, math.nextafter(value, math.inf))
+                ]
+                assert answers[:2] == [None, None] and answers[2].value == value, (x, y)
+                routes += 1
+        assert routes == 849
 
     @pytest.mark.parametrize("atoms", [60, 61, 64])
-    def test_the_route_length_decides_large_supports(self, monkeypatch, atoms):
-        # the route's exact length decides whatever the supports' size: no witness is built
+    def test_the_route_decides_large_supports(self, monkeypatch, atoms):
+        # the route's R decides whatever the supports' size: no witness is built
         calls = []
         route_witness = pathmetric_module._route_witness
 
@@ -435,9 +430,8 @@ class TestSearchCeiling:
         y = vertex_point(K, "p10")
         priced = pathmetric_module._word_transport(word_metric(K), x, y)
         ceiling = (bilinear_extension(word_vertex_metric(K), x, y), 3.0)
-        got = pathmetric_module._solve_by_search(K, x, y, priced, ceiling)
-        assert calls.count("_solve_by_search") == 0
-        assert got is None and got == _witness_decision(K, x, y, priced, ceiling)
+        got = _capped(K, x, y, priced, ceiling)
+        assert calls.count("_solve_by_search") == 0 and got is None
 
 
 def _l1path_below_bilinear(M, x, y):

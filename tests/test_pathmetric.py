@@ -40,7 +40,7 @@ from metricext import (
     word_vertex_metric,
 )
 from metricext import pathmetric
-from metricext.complexes import Simplex, SimplicialComplex, WordMetricTable
+from metricext.complexes import VALUE_TOL, Simplex, SimplicialComplex, WordMetricTable
 from metricext.generators import (
     cycle_complex,
     grid_point,
@@ -57,6 +57,7 @@ from metricext.oracle import grid_oracle_path_distance
 from conftest import (
     assert_closed_form_bounds_are_the_lower_bounds,
     assert_costs_decompose,
+    cutoff,
     incidence,
     pool_queries,
     search,
@@ -200,7 +201,7 @@ class TestL1PathDistance:
                     d[i, j] = l1_path_distance(book, x, y).value
                     d[j, i] = l1_path_distance(book, y, x).value
         for i, j in itertools.combinations(range(len(pts)), 2):
-            assert d[i, j] == pytest.approx(d[j, i], abs=1e-9)
+            assert d[i, j] == d[j, i]
         for i, j, k in itertools.combinations(range(len(pts)), 3):
             assert d[i, k] <= d[i, j] + d[j, k] + 1e-9
 
@@ -248,10 +249,10 @@ class TestL1PathDistance:
                 assert value >= bound - 1e-9, name
 
 
-    def test_chain_answers_are_symmetric_bit_for_bit(self):
+    def test_every_tier_is_symmetric_bit_for_bit(self):
         # points whose float weights do not sum to exactly 1 are normalised alike at either end
-        # (`_masses`), so no chain answer depends on which end is x; route answers are not
-        # covered here
+        # (`_masses`), so no answer depends on which end is x: a route's R and a chain's total
+        # are the same integers over the same scale, and a closed form is symmetric as it stands
         rng = np.random.default_rng(9)
         fleet = [
             tree_complex(2, 3),
@@ -259,17 +260,17 @@ class TestL1PathDistance:
             rips_complex(path_complex(8), 3),
             random_complex(12, 0.3, seed=1),
         ]
-        chains = unnormalised = 0
+        tiers = {"route": 0, "chain": 0, "closed form": 0}
+        asymmetric = unnormalised = 0
         for K in fleet:
             for _ in range(300):
                 x, y = random_point(K, rng), random_point(K, rng)
                 forward = l1_path_distance(K, x, y)
-                if forward._route is not None or len(forward.witness.carriers) < 2:
-                    continue
-                chains += 1
+                tiers["route" if forward._route else "chain" if forward._chain else "closed form"] += 1
                 unnormalised += any(sum(Fraction(w) for _, w in p.items) != 1 for p in (x, y))
-                assert forward.value == l1_path_distance(K, y, x).value, (x, y)
-        assert chains == 268 and unnormalised > 0
+                asymmetric += forward.value != l1_path_distance(K, y, x).value
+        assert tiers == {"route": 542, "chain": 268, "closed form": 390}
+        assert asymmetric == 0 and unnormalised > 0
 
 
 def _bound_pairs(complex_fleet, rng):
@@ -318,8 +319,9 @@ class TestWordTransportBound:
         # every query past the closed forms whose transport reaches the search's cutoff: the
         # pool's path queries, its extension queries past the coordinate floor (under their
         # ceiling) and seeded path queries on the fleet.  The tuple search, which prices its
-        # roots itself, returns None on each, having pushed nothing.  Where the incumbent
-        # lay above every bound the transport replaced, the search used to run
+        # roots itself, returns None on each, having pushed nothing.  Where the route lay
+        # above every bound the transport replaced, by more than the 1e-12 those bounds
+        # were compared with, the search used to run
         queries = []
         for q, K, x, y in pool_queries():
             if q["kind"] == "path":
@@ -337,31 +339,45 @@ class TestWordTransportBound:
                 continue
             table = word_metric(K)
             priced = pathmetric._word_transport(table, x, y)
-            incumbent = vertex_route(K, x, y)[0]
-            cutoff = pathmetric._cutoff(incumbent, priced.scale, ceiling)
-            if priced.total >= cutoff:
+            cut = cutoff(x, y, priced, ceiling=ceiling)
+            if priced.total >= cut:
                 log = _HeapLog()
                 monkeypatch.setitem(globals(), "heapq", log)
-                assert _tuple_best_first(K, x, y, table, priced, cutoff) is None
+                assert _tuple_best_first(K, x, y, table, priced, cut) is None
                 monkeypatch.undo()
                 assert log.pushed == [] and log.popped == []
                 skipped[kind] += 1
-                ran[kind] += incumbent > max(b for _, b in two_direction_bounds(K, x, y)) + pathmetric.TIE_TOL
+                route = vertex_route(K, x, y)[0] / priced.scale
+                ran[kind] += route > max(b for _, b in two_direction_bounds(K, x, y)) + 1e-12
         assert skipped == {"path": 51, "ext": 51, "fleet": 205}
         assert ran == {"path": 15, "ext": 51, "fleet": 74}
 
 
 def _assert_route_lengths(K, x, y):
-    """`_route_length` is the route witness's length (==) for every (u, v) in supp(x) x supp(y)."""
+    """The route's value is its exact length rounded once, and each route's witness lies within VALUE_TOL of its own.
+
+    The exact length of the route through (u, v) is (1 - x_u) + word(u, v) +
+    (1 - y_v), with x and y normalised exactly from their float weights;
+    the route is the least, ties going to the least (u, v).
+    """
     table = word_metric(K)
-    for u in x.support:
-        for v in y.support:
-            want = pathmetric._route_witness(K, x, y, u, v).length
-            assert pathmetric._route_length(x, y, u, v, int(table.distance(u, v))) == want, (x, y, u, v)
+    sx, sy = sum(Fraction(w) for _, w in x.items), sum(Fraction(w) for _, w in y.items)
+    lengths = {}
+    for u, xu in x.items:
+        for v, yv in y.items:
+            exact = (1 - Fraction(xu) / sx) + int(table.distance(u, v)) + (1 - Fraction(yv) / sy)
+            witness = pathmetric._route_witness(K, x, y, u, v)
+            assert abs(witness.length - float(exact)) <= VALUE_TOL, (x, y, u, v)
+            lengths[u, v] = exact
+    route, u, v = vertex_route(K, x, y)
+    exact = min(lengths.values())
+    assert (u, v) == min(pair for pair, length in lengths.items() if length == exact), (x, y)
+    scale = pathmetric._word_transport(table, x, y).scale
+    assert Fraction(route, scale) == exact and route / scale == float(exact), (x, y)
 
 
 class TestRouteLength:
-    """The route's length adds the witness's segment lengths, bit for bit, without the witness."""
+    """The route is priced exactly, in the units of `_masses`, and its witness is its length to VALUE_TOL."""
 
     def test_pool_pairs(self):
         for _, K, x, y in pool_queries():
@@ -402,21 +418,23 @@ class TestRouteLength:
     def test_a_vertex_route_with_no_segment(self, path3):
         # x is e_u, y is e_v and u == v: no segment, and the length is 0.0
         x = vertex_point(path3, "v")
-        assert pathmetric._route_length(x, x, "v", "v", 0) == 0.0
+        assert vertex_route(path3, x, x) == (0, "v", "v")
+        assert pathmetric._route_witness(path3, x, x, "v", "v").length == 0.0
         _assert_route_lengths(path3, x, x)
 
 
 def _assert_lazy_route_is_the_route(K, x, y) -> bool:
-    """Whether x, y is a route answer; if so its witness, built on read, is the route's bit for bit."""
+    """Whether x, y is a route answer; if so its value is R / scale and its witness, built on read, the route's."""
     got = l1_path_distance(K, x, y)
     if got._route is None:  # a closed form or a chain, built with its answer
         return False
-    _, u, v, _ = vertex_route(K, x, y)
+    route, u, v = vertex_route(K, x, y)
+    assert got.value == route / pathmetric._word_transport(word_metric(K), x, y).scale, (x, y)
     want = pathmetric._route_witness(K, x, y, u, v)
     witness = got.witness
     assert [p.key() for p in witness.points] == [p.key() for p in want.points], (x, y)
     assert witness.carriers == want.carriers, (x, y)
-    assert witness.length == want.length == got.value, (x, y)
+    assert witness.length == want.length and abs(witness.length - got.value) <= VALUE_TOL, (x, y)
     return True
 
 
@@ -460,7 +478,7 @@ class TestLazyRouteWitness:
             assert got._route is not None
             assert got.value == got[0] == got[-2] and built == []
             witness = got.witness
-            assert len(built) == 1 and witness.length == got.value
+            assert len(built) == 1 and abs(witness.length - got.value) <= VALUE_TOL
             assert got.witness is witness and got[1] is witness and tuple(got) == (got.value, witness)
             assert got == pathmetric.PathResult(got.value, witness) and len(built) == 1
             built.clear()
@@ -502,8 +520,8 @@ class TestLazyRouteWitness:
         K = tree_complex(2, 3)
         x, y = vertex_point(K, "t00"), vertex_point(K, "t14")
         assert l1_path_distance(K, x, y).value == 3.0
-        got = pathmetric.PathResult(3.0 + 2**-50, route=(K, x, y, "t00", "t14"))
-        assert got.value == 3.0 + 2**-50
+        got = pathmetric.PathResult(3.0 + 1e-6, route=(K, x, y, "t00", "t14"))
+        assert got.value == 3.0 + 1e-6
         with pytest.raises(InternalConsistencyError, match="witness length 3.0"):
             got.witness
 
@@ -517,7 +535,7 @@ def _assert_lazy_chain_is_the_chain(K, x, y) -> bool:
     got = l1_path_distance(K, x, y)
     if got._chain is None:  # a closed form or a route
         return False
-    carriers, _, _ = search(K, x, y, word_metric(K), vertex_route(K, x, y)[0])
+    carriers, _, _ = search(K, x, y, word_metric(K))
     value, breakpoints = chain_lp(K, Chain(simplices=carriers), x, y)
     points = (x, *breakpoints, y)
     witness = got.witness
@@ -893,34 +911,12 @@ def _tuple_best_first(
     Only the masses are read from `priced`: every state, the roots
     included, is priced here, each distinct cost matrix once, by the
     Dijkstra solver (`_dijkstra_transport`) and with no floor.  A state is
-    pruned when its total reaches the cutoff (`_cutoff`: R, the least total
-    no shorter than incumbent - TIE_TOL, or a ceiling's E below it).  A
-    state is dropped when another state at the same sigma is nowhere worse;
-    a chain that returns to a simplex is always dropped this way, so the
-    search is finite.
-
-    Under a ceiling (bilinear, factor) the cutoff is E = the least total T
-    with factor * (T / scale) >= bilinear, when E < R (`_reaching_total`).
-    The answer is then the same as under R, or None where a chain of total
-    in [E, R) was pruned, as follows.
-
-    - Rounding is monotone, so a state whose bound reaches E cannot
-      complete to a chain whose value, times factor, falls below bilinear:
-      such a chain could not win the caller's min.
-    - A dominated state has a bound no lower than its dominator's, so a
-      state whose bound reaches E, kept or pruned, never drops or replaces
-      a state below E.  The states below
-      E are pushed and popped in the same order as without the ceiling;
-      every state popped before the goal has a bound below E, so a goal
-      found is the same chain, with the same total, breakpoints and witness.
-    - If nothing is found, a chain of total T in [E, R) may have been
-      pruned.  T < R puts T / scale below incumbent - TIE_TOL exactly.
-      Rounding T / scale, and the gap between the incumbent and the route's
-      witness length (the same sum, added up another way), are both far
-      below TIE_TOL, so the rounded T / scale is below that length and
-      factor * length reaches bilinear too.  The caller therefore tests the
-      route: when factor * length falls below bilinear, no such chain
-      exists and the route is the exact answer.
+    pruned when its total reaches the cutoff (the route's R, or a ceiling's
+    E below it; `_solve_by_search`).  A state is dropped when another state
+    at the same sigma is nowhere worse; a chain that returns to a simplex is
+    always dropped this way, so the search is finite.  Under a ceiling the
+    answer is the same as under R, or None where a chain of total in
+    [E, R) was pruned (see `pathmetric._best_first`).
     """
     M = K.maximal_simplices
     overlaps = _overlaps(K)
@@ -1270,12 +1266,12 @@ class TestIntegerSearchCore:
         for K, x, y in queries:
             table = word_metric(K)
             priced = pathmetric._word_transport(table, x, y)
-            cutoff = pathmetric._cutoff(vertex_route(K, x, y)[0], priced.scale)
+            cut = cutoff(x, y, priced)
             logs = _HeapLog(), _HeapLog()
             monkeypatch.setattr(pathmetric, "heapq", logs[0])
             monkeypatch.setitem(globals(), "heapq", logs[1])
-            found = pathmetric._best_first(K, x, y, table, priced, cutoff)
-            assert found == _tuple_best_first(K, x, y, table, priced, cutoff)
+            found = pathmetric._best_first(K, x, y, table, priced, cut)
+            assert found == _tuple_best_first(K, x, y, table, priced, cut)
             assert logs[0].pushed == logs[1].pushed
         assert (flows[0], solves[0]) == (184, 272)
 
@@ -1386,25 +1382,16 @@ class TestIntegerSearchCore:
         assert answers["path"] and answers["none"]
 
     @pytest.mark.parametrize("xw, yw, want", HARD_RIPS_PAIRS)
-    def test_search_prunes_exactly_at_the_incumbent_less_tie_tol(self, rips_path40, xw, yw, want):
-        # the optimum is found iff it lies below incumbent - TIE_TOL, compared as rationals
+    def test_search_prunes_exactly_at_the_cutoff(self, rips_path40, xw, yw, want):
+        # the optimum is found iff its total lies below the cutoff: at total + 1, not at total
         K = rips_path40
         x, y = make_point(K, xw), make_point(K, yw)
         table = word_metric(K)
+        priced = pathmetric._word_transport(table, x, y)
         chain, total, scale = search(K, x, y, table, want + 1.0)
-        optimum = Fraction(total, scale)
-
-        def below(incumbent):
-            return optimum < Fraction(incumbent - pathmetric.TIE_TOL)
-
-        hi = float(optimum) + pathmetric.TIE_TOL
-        while not below(hi):
-            hi = math.nextafter(hi, math.inf)
-        while below(math.nextafter(hi, -math.inf)):
-            hi = math.nextafter(hi, -math.inf)
-        lo = math.nextafter(hi, -math.inf)
-        assert search(K, x, y, table, hi) == (chain, total, scale)
-        assert search(K, x, y, table, lo) is None
+        assert Fraction(total, scale) == Fraction(want)
+        assert pathmetric._best_first(K, x, y, table, priced, total + 1) == (chain, total, scale)
+        assert pathmetric._best_first(K, x, y, table, priced, total) is None
 
     def test_neighbours_list_the_simplices_that_meet_s(self, complex_fleet):
         # each row pairs every other simplex t that meets s, t ascending, with
@@ -1456,10 +1443,10 @@ class TestIntegerSearchCore:
                 extended.setdefault(id(K), ExtendedMetric(K, word_vertex_metric(K))).distance(x, y)
         monkeypatch.undo()
 
-        def call(K, x, y, incumbent, ceiling=None):
+        def call(K, x, y, incumbent=None, ceiling=None):
             table = word_metric(K)
             priced = pathmetric._word_transport(table, x, y)
-            return K, x, y, table, priced, pathmetric._cutoff(incumbent, priced.scale, ceiling)
+            return K, x, y, table, priced, cutoff(x, y, priced, incumbent, ceiling)
 
         for xw, yw, want in HARD_RIPS_PAIRS:
             x, y = make_point(rips_path40, xw), make_point(rips_path40, yw)
@@ -1469,10 +1456,9 @@ class TestIntegerSearchCore:
         for K in [*complex_fleet.values(), truncated_rips]:
             for _ in range(20):
                 x, y = random_point(K, rng), random_point(K, rng)
-                incumbent = vertex_route(K, x, y)[0]
-                calls.append(call(K, x, y, incumbent))
-                priced = calls[-1][4]
-                calls.append(call(K, x, y, incumbent, (0.5 * (priced.total / priced.scale + incumbent), 1.0)))
+                calls.append(call(K, x, y))
+                priced, route = calls[-1][4:]
+                calls.append(call(K, x, y, ceiling=(0.5 * (priced.total + route) / priced.scale, 1.0)))
                 with_ceiling += calls[-1][5] < calls[-2][5]
         found = 0
         for args in calls:
@@ -1552,7 +1538,7 @@ class TestIntegerSearchCore:
             x, y = random_point(K, rng), random_point(K, rng)
             events.clear()
             expanded.clear()
-            assert search(K, x, y, word_metric(K), vertex_route(K, x, y)[0]) is not None
+            assert search(K, x, y, word_metric(K)) is not None
             met = []
             for i, (kind, s) in enumerate(events):
                 if kind == "row" and s not in met:
@@ -1588,13 +1574,13 @@ class TestIntegerSearchCore:
             if q["kind"] == "path":
                 table = word_metric(K)
                 priced = pathmetric._word_transport(table, x, y)
-                cutoff = pathmetric._cutoff(vertex_route(K, x, y)[0], priced.scale)
+                cut = cutoff(x, y, priced)
                 priced.total
                 patterns.clear()
-                pathmetric._best_first(K, x, y, table, priced, cutoff)
+                pathmetric._best_first(K, x, y, table, priced, cut)
                 repeats += len(patterns) - len(set(patterns))
                 flows += len(patterns)
-                _tuple_best_first(K, x, y, table, priced, cutoff)
+                _tuple_best_first(K, x, y, table, priced, cut)
         assert repeats == 0 and 0 < flows < solved[0]
 
     def test_vertex_pairs_search_one_row_each_and_no_pairs(self, monkeypatch):
