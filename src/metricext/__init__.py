@@ -93,7 +93,6 @@ from .vertexmetrics import (
     metric_violations,
     minimal_linear_bound,
     qi_constants_check,
-    sphere,
     transformed_word_metric,
     validate_vertex_metric,
     word_metric,

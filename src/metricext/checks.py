@@ -279,10 +279,10 @@ def _check_vertex_agreement_solver(ctx: CheckContext, r: CheckResult) -> None:
     table = word_metric(ctx.K)
     vs = ctx.K.vertices
     for i, u in enumerate(vs):
-        from_u = table.row(u)
-        for v in vs[i + 1 :]:
+        from_u = table.row(i)
+        for j, v in enumerate(vs[i + 1 :], i + 1):
             got = chain_solver_distance(ctx.K, vertex_point(ctx.K, u), vertex_point(ctx.K, v)).value
-            want = float(from_u[table.index[v]])
+            want = float(from_u[j])
             ok = abs(got - want) <= VALUE_TOL
             r.passed += ok
             r.failed += not ok
@@ -299,9 +299,8 @@ def _check_minimal_bound(ctx: CheckContext, r: CheckResult) -> None:
     table = word_metric(ctx.K)
     c = ctx.metric.minimal_C
     gap = np.inf
-    vs = ctx.K.vertices
-    for i, u in enumerate(vs[:-1]):
-        slack = c * table.row(u)[i + 1 :] - ctx.metric.row(u)[i + 1 :]
+    for i in range(len(ctx.K.vertices) - 1):
+        slack = c * table.row(i)[i + 1 :] - ctx.metric.row(i)[i + 1 :]
         failed = int(np.count_nonzero(slack < -VALUE_TOL))
         r.failed += failed
         r.passed += len(slack) - failed
@@ -314,10 +313,10 @@ def _check_minimal_bound(ctx: CheckContext, r: CheckResult) -> None:
 @_check("vertex", "vertex-dd-identities")
 def _check_vertex_dd_identities(ctx: CheckContext, r: CheckResult) -> None:
     rng = ctx.rng("vertex-dd")
-    vs = list(ctx.K.vertices)
+    n = len(ctx.K.vertices)
     dd = partial(double_difference, ctx.metric.distance)
     for _ in range(ctx.triples):
-        a, a2, a3, b, b2, w = (vs[rng.integers(len(vs))] for _ in range(6))
+        a, a2, a3, b, b2, w = (int(rng.integers(n)) for _ in range(6))
         checks = [
             abs(dd(a, a2, b, b2) - dd(b, b2, a, a2)) <= VALUE_TOL,
             abs(dd(a, a2, b, b2) + dd(a2, a, b, b2)) <= VALUE_TOL,
@@ -332,10 +331,10 @@ def _check_vertex_dd_identities(ctx: CheckContext, r: CheckResult) -> None:
 @_check("vertex", "vertex-gp-dd-relation")
 def _check_vertex_gp_relation(ctx: CheckContext, r: CheckResult) -> None:
     rng = ctx.rng("vertex-gp")
-    vs = list(ctx.K.vertices)
+    n = len(ctx.K.vertices)
     d = ctx.metric.distance
     for _ in range(ctx.triples):
-        a, b, x, y = (vs[rng.integers(len(vs))] for _ in range(4))
+        a, b, x, y = (int(rng.integers(n)) for _ in range(4))
         lhs = double_difference(d, a, b, x, y)
         rhs = gromov_product(d, b, x, a) - gromov_product(d, b, y, a)
         ok = abs(lhs - rhs) <= VALUE_TOL
@@ -402,13 +401,13 @@ def _check_path_vertex_agreement(ctx: CheckContext, r: CheckResult) -> None:
     vs = ctx.K.vertices
     n = len(vs)
     count = n * (n - 1) // 2
-    pairs = itertools.combinations(vs, 2)
+    pairs = itertools.combinations(range(n), 2)
     if count > 400:
         rng = ctx.rng("vertex-pairs")
         idx = rng.choice(count, size=400, replace=False)
-        pairs = [tuple(vs[i] for i in _pair_at(n, int(k))) for k in idx]
+        pairs = [_pair_at(n, int(k)) for k in idx]
     for u, v in pairs:
-        d = l1_path_distance(ctx.K, vertex_point(ctx.K, u), vertex_point(ctx.K, v)).value
+        d = l1_path_distance(ctx.K, vertex_point(ctx.K, vs[u]), vertex_point(ctx.K, vs[v])).value
         ok = d == table.distance(u, v)
         r.passed += ok
         r.failed += not ok
@@ -468,8 +467,9 @@ def _check_ext_axioms(ctx: CheckContext, r: CheckResult) -> None:
 
 @_check("extension", "ext-vertex-restriction")
 def _check_ext_vertex_restriction(ctx: CheckContext, r: CheckResult) -> None:
-    for u, v in itertools.islice(itertools.combinations(ctx.K.vertices, 2), 400):
-        d = ctx.M.distance(vertex_point(ctx.K, u), vertex_point(ctx.K, v))
+    vs = ctx.K.vertices
+    for u, v in itertools.islice(itertools.combinations(range(len(vs)), 2), 400):
+        d = ctx.M.distance(vertex_point(ctx.K, vs[u]), vertex_point(ctx.K, vs[v]))
         ok = d == ctx.metric.distance(u, v)
         r.passed += ok
         r.failed += not ok
@@ -570,14 +570,15 @@ def _check_automorphism_ext(ctx: CheckContext, r: CheckResult) -> None:
         r.notes.append("only the identity exists; nothing to compare")
         return
     d = ctx.metric.distance
-    image = g.as_dict()
+    index = ctx.K.index
+    image = [index[v] for _, v in g.mapping]  # vertex id -> its image's id; mapping is by source label
     rng = ctx.rng("auto-ext")
     samples = max(1, ctx.pairs // 4)
     for _ in range(samples):
         x = random_point(ctx.K, rng)
         y = random_point(ctx.K, rng)
         # the extension reads d only on supp(x) x supp(y), so invariance is needed only there
-        if any(abs(d(u, v) - d(image[u], image[v])) > 1e-12 for u in x.support for v in y.support):
+        if any(abs(d(u, v) - d(image[u], image[v])) > 1e-12 for u in x.ids for v in y.ids):
             continue
         gx = apply_automorphism(ctx.K, g, x)
         gy = apply_automorphism(ctx.K, g, y)

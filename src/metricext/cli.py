@@ -203,7 +203,7 @@ def _cmd_dist(args) -> int:
     if args.kind == "vertex":
         if not (x.is_vertex and y.is_vertex):
             raise MetricExtError("--kind vertex needs two vertex points")
-        value = vm.distance(x.support[0], y.support[0])
+        value = vm.distance(x.ids[0], y.ids[0])
         _emit({"kind": "vertex", "value": value}, args.json, f"vertex distance = {value:.12g}")
         return EXIT_OK
     if args.kind == "bilinear":
@@ -238,7 +238,7 @@ def _cmd_dd_gp(args) -> int:
     if args.kind == "vertex":
         if not all(p.is_vertex for p in pts):
             raise MetricExtError(f"--kind vertex needs {word} vertex points")
-        d, pts = vm.distance, [p.support[0] for p in pts]
+        d, pts = vm.distance, [p.ids[0] for p in pts]
     elif args.kind == "bilinear":
         d = partial(bilinear_extension, vm)
     else:

@@ -27,7 +27,8 @@ the generators hand their ids to it directly.
 
 Equality and hash read the labels and the simplex rows.  Everything else
 is derived on first use and kept on the complex, freed with it: the label
--> id `index`, the word table, the grid oracle's graphs by resolution, the
+-> id `index`, read only where labels come in (`make_point`, `vertex_point`,
+`spans` and the other label readers), the word table, the grid oracle's graphs by resolution, the
 maximal simplices meeting each one the path search asks about and the
 faces they share with it, the id rows read so far (`IdRows.row`), and two
 label views of whole tables:
@@ -38,7 +39,8 @@ time through `row`, or, to walk a whole table, all at once as lists that no
 cache keeps (`IdRows.all_rows`).
 
 The word table holds no V^2 array and no graph of its own: it reads the
-complex's adjacency CSR.  It answers word distances on demand: a row is one
+complex's adjacency CSR, and it is keyed by vertex id, so a query on points
+maps no label.  It answers word distances on demand: a row is one
 breadth-first search (scipy's, in C) whose tree of predecessors pointer
 doubling turns into exact int32 depths, kept in a small LRU; a single
 distance is read from a kept row of either end, or found by a bidirectional
@@ -142,34 +144,34 @@ class IdRows:
 
 
 class WordMetricTable:
-    """Word distances on the 1-skeleton, computed on demand.
+    """Word distances between vertex ids on the 1-skeleton, computed on demand.
 
-    Nothing V^2 is held: a row (one vertex's distances to all others) is one
-    breadth-first search plus pointer doubling over its tree (`_search_row`),
-    and the last `rows_kept` rows are kept.  A single distance is read from a
-    kept row of either end; otherwise a bidirectional breadth-first search
-    finds it and the last `PAIRS_KEPT` such answers are remembered.
-    `matrix`, the dense all-pairs table, is every row stacked, built only
-    when a consumer that needs every pair asks for it.  The caches only ever
-    hold exact distances, so which one answers never changes a value.
+    Nothing V^2 is held: a row (one vertex's distances to all others, by id)
+    is one breadth-first search plus pointer doubling over its tree
+    (`_search_row`), and the last `rows_kept` rows are kept.  A single
+    distance is read from a kept row of either end; otherwise a
+    bidirectional breadth-first search finds it and the last `PAIRS_KEPT`
+    such answers are remembered.  `matrix`, the dense all-pairs table, is
+    every row stacked, built only when a consumer that needs every pair asks
+    for it.  The caches only ever hold exact distances, so which one answers
+    never changes a value.
 
-    The graph is the complex's own: its label -> id `index` and adjacency CSR.
-    The first row, searched and kept at construction, is the connectivity
-    test: a search that misses a vertex raises DisconnectedComplex.
+    The graph is the complex's own adjacency CSR, and every key is a vertex
+    id: a label reader maps its labels to ids at its own edge.  The first
+    row, searched and kept at construction, is the connectivity test: a
+    search that misses a vertex raises DisconnectedComplex.
     """
 
-    def __init__(self, order: tuple[str, ...], index: dict[str, int], adjacency: IdRows):
-        self.order = order
-        self.index = index
+    def __init__(self, adjacency: IdRows):
         self.adjacency = adjacency
-        n = len(order)
+        n = len(adjacency)
         self.rows_kept = max(1, ROW_ENTRIES_KEPT // n)
         data = np.ones(len(adjacency.indices))
         self._graph = csr_matrix((data, adjacency.indices, adjacency.indptr), shape=(n, n))
         first = self._search_row(0)  # raises DisconnectedComplex if the search misses a vertex
-        self._rows: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._keep_row(order[0], first)
-        self._pairs: dict[tuple[str, str], float] = {}
+        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._keep_row(0, first)
+        self._pairs: dict[tuple[int, int], float] = {}
 
     def _search_row(self, i: int) -> np.ndarray:
         """Word distances from vertex i (int32): one breadth-first search, then pointer doubling.
@@ -198,40 +200,40 @@ class WordMetricTable:
             up, ancestor = ancestor, up
         return row
 
-    def _keep_row(self, u: str, row: np.ndarray) -> np.ndarray:
+    def _keep_row(self, i: int, row: np.ndarray) -> np.ndarray:
         row.flags.writeable = False
-        self._rows[u] = row
+        self._rows[i] = row
         if len(self._rows) > self.rows_kept:
             self._rows.popitem(last=False)
         return row
 
-    def row(self, u: str) -> np.ndarray:
-        """Read-only distances from u to every vertex, in `order`."""
-        row = self._rows.get(u)
+    def row(self, i: int) -> np.ndarray:
+        """Read-only distances from vertex i to every vertex, by id."""
+        row = self._rows.get(i)
         if row is not None:
-            self._rows.move_to_end(u)
+            self._rows.move_to_end(i)
             return row
-        return self._keep_row(u, self._search_row(self.index[u]))
+        return self._keep_row(i, self._search_row(i))
 
-    def distance(self, u: str, v: str) -> float:
-        """Word distance from u to v: read from a kept row, remembered, or searched."""
-        if u == v:
+    def distance(self, i: int, j: int) -> float:
+        """Word distance between vertices i and j: read from a kept row, remembered, or searched."""
+        if i == j:
             return 0.0
-        row = self._rows.get(u)
+        row = self._rows.get(i)
         if row is not None:
-            return float(row.item(self.index[v]))
-        row = self._rows.get(v)
+            return float(row.item(j))
+        row = self._rows.get(j)
         if row is not None:
-            return float(row.item(self.index[u]))
-        key = (u, v) if u <= v else (v, u)
+            return float(row.item(i))
+        key = (i, j) if i <= j else (j, i)
         d = self._pairs.get(key)
         if d is None:
-            d = self._pairs[key] = float(self._search_pair(u, v))
+            d = self._pairs[key] = float(self._search_pair(i, j))
             if len(self._pairs) > PAIRS_KEPT:
                 del self._pairs[next(iter(self._pairs))]
         return d
 
-    def _search_pair(self, u: str, v: str) -> int:
+    def _search_pair(self, i: int, j: int) -> int:
         """Breadth-first search from both ends, a whole level of the smaller frontier at a time.
 
         Before a level of one side is grown, the two searched balls are
@@ -239,12 +241,11 @@ class WordMetricTable:
         vertex the growing side finds in the other ball therefore closes a
         shortest path.
         """
-        if u == v:
+        if i == j:
             return 0
         row = self.adjacency.row
-        a, b = self.index[u], self.index[v]
-        seen = ({a: 0}, {b: 0})
-        frontier = [[a], [b]]
+        seen = ({i: 0}, {j: 0})
+        frontier = [[i], [j]]
         while frontier[0] and frontier[1]:
             side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
             mine, other = seen[side], seen[1 - side]
@@ -258,12 +259,12 @@ class WordMetricTable:
                         mine[b] = step
                         grown.append(b)
             frontier[side] = grown
-        raise DisconnectedComplex(f"no edge path from {u!r} to {v!r}")
+        raise DisconnectedComplex(f"no edge path from vertex {i} to vertex {j}")
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense all-pairs table (int64), built on first use: every row, stacked."""
-        return np.stack([self._search_row(i) for i in range(len(self.order))]).astype(np.int64)
+        return np.stack([self._search_row(i) for i in range(len(self.adjacency))]).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -311,7 +312,7 @@ class SimplicialComplex:
 
         Raises DisconnectedComplex on every access if the 1-skeleton is not connected.
         """
-        return WordMetricTable(self.vertices, self.index, self.adjacency_csr)
+        return WordMetricTable(self.adjacency_csr)
 
     @cached_property
     def grids(self) -> dict[int, GridGraph]:

@@ -53,8 +53,8 @@ def bilinear_extension(
     if y.key() < x.key():
         x, y = y, x
     total = 0.0
-    for u, xu in x.items:
-        for v, yv in y.items:
+    for u, (_, xu) in zip(x.ids, x.items):
+        for v, (_, yv) in zip(y.ids, y.items):
             total += xu * yv * metric.distance(u, v)
     return total
 
@@ -139,7 +139,7 @@ class ExtendedMetric:
         it (`pathmetric._path`).
         """
         if x.is_vertex and y.is_vertex:
-            u, v = x.support[0], y.support[0]
+            u, v = x.ids[0], y.ids[0]
             # a validated diagonal is zero only to VALUE_TOL; ext(u, u) is exactly 0
             return (0.0 if u == v else self.vertex.distance(u, v), "bilinear"), None
         bilinear = bilinear_extension(self.vertex, x, y)

@@ -410,12 +410,10 @@ def grid_point(K: SimplicialComplex, rng: np.random.Generator, n: int) -> Baryce
     return _point_on(K, ids, [(1 + e) / n for e in extra.tolist()])
 
 
-def _random_geodesic(K: SimplicialComplex, rng: np.random.Generator, u: str, v: str) -> list[str]:
-    """Shortest edge path from u to v, each step drawn among the neighbours one step closer."""
-    table = word_metric(K)
-    to_v = table.row(v)
+def _random_geodesic(K: SimplicialComplex, rng: np.random.Generator, a: int, b: int) -> list[str]:
+    """Labels of a shortest edge path from vertex a to vertex b, each step drawn among the nearer neighbours."""
+    to_v = word_metric(K).row(b)
     row = K.adjacency_csr.row
-    a, b = table.index[u], table.index[v]
     path = [a]
     while a != b:
         step = to_v.item(a) - 1
@@ -444,12 +442,12 @@ def nested_quadruples(
     tries = 0
     while len(out) < count and tries < count * 50:
         tries += 1
-        u = _pick(rng, verts)
+        u = _integer(rng, len(verts))
         from_u = table.row(u)
         far = from_u.max()
         if far < MIN_GAP + 2:
             continue
-        b = verts[_pick(rng, np.flatnonzero(from_u == far))]  # the vertices at distance far, by id
+        b = _pick(rng, np.flatnonzero(from_u == far))  # the vertices at distance far, by id
         path = _random_geodesic(K, rng, u, b)
         length = len(path) - 1
         lo = 1 + _integer(rng, max(1, length - MIN_GAP - 2))
@@ -458,5 +456,5 @@ def nested_quadruples(
         if hi - lo < MIN_GAP:
             continue
         c, a = path[lo], path[hi]
-        out.append((u, a, b, c))
+        out.append((verts[u], a, verts[b], c))
     return out

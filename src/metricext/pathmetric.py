@@ -485,7 +485,7 @@ class _WordTransport:
 def _word_transport(table, x: BarycentricPoint, y: BarycentricPoint) -> _WordTransport:
     """The word transport T_W between x's and y's masses (`_masses`), over the word block."""
     supply, demand, scale = _masses(x, y)
-    words = tuple([tuple([int(table.distance(u, v)) for v in y.support]) for u in x.support])
+    words = tuple([tuple([int(table.distance(u, v)) for v in y.ids]) for u in x.ids])
     return _WordTransport(supply, demand, scale, words, *_row_split(list(zip(*words))))
 
 
@@ -666,7 +666,7 @@ def _path(
         # v's row gives the value and the bounds; the route witness, built when it is
         # read, walks its geodesic down the same row
         u, v = x.support[0], y.support[0]
-        result = PathResult(float(table.row(v).item(x.ids[0])), route=(K, x, y, u, v))
+        result = PathResult(float(table.row(y.ids[0]).item(x.ids[0])), route=(K, x, y, u, v))
         transport = result.value  # T_W of two vertices: word(u, v) over scale 1
     else:
         priced = _word_transport(table, x, y)
@@ -859,7 +859,7 @@ def _best_first(
     simplex = K.simplex_csr.row
     ends = set(K.maximal_indices_containing(y.ids))
     supply, demand, scale = priced.supply, priced.demand, priced.scale
-    rows_y = [table.row(v) for v in y.support]  # one search per vertex of supp(y) answers every word(w, v)
+    rows_y = [table.row(v) for v in y.ids]  # one search per vertex of supp(y) answers every word(w, v)
     met: dict[int, tuple[int, list[int]]] = {}  # vertex id w -> (its bit, word(w, v) per v), on first touch
     far: dict[int, int] = {}  # s -> sum_v d_v, for the simplices met
     flows: dict[tuple, int] = {}  # zero arcs -> F, the largest flow along them (`_zero_flow`)

@@ -51,12 +51,12 @@ def make_ray(K: SimplicialComplex, vertices: Sequence[str]) -> RaySpec:
     vs = tuple(vertices)
     if not vs:
         raise InvalidConfiguration("a ray needs at least its base vertex")
-    table = word_metric(K)
-    if vs[0] not in table.index:
+    table, index = word_metric(K), K.index
+    if vs[0] not in index:
         raise InvalidConfiguration(f"ray base {vs[0]!r} is not a vertex of the complex")
-    from_base = table.row(vs[0])
+    from_base = table.row(index[vs[0]])
     for k, v in enumerate(vs):
-        if v not in table.index or from_base[table.index[v]] != k:
+        if v not in index or from_base[index[v]] != k:
             raise InvalidConfiguration(f"ray vertex {v!r} at index {k} is not at distance {k}")
     for a, b in zip(vs, vs[1:]):
         if not K.spans((a, b)):
@@ -66,8 +66,7 @@ def make_ray(K: SimplicialComplex, vertices: Sequence[str]) -> RaySpec:
 
 def deepest_ray(K: SimplicialComplex, base: str) -> RaySpec:
     """Geodesic from base to a farthest vertex (lexicographic tie-break)."""
-    table = word_metric(K)
-    target = table.order[int(np.argmax(table.row(base)))]
+    target = K.vertices[int(np.argmax(word_metric(K).row(K.index[base])))]
     return make_ray(K, geodesic(K, base, target))
 
 
@@ -304,8 +303,8 @@ def equivalence_windows_check(
         if margin > window + VALUE_TOL:
             passed = False
         if all(p.is_vertex for p in quad):
-            labels = [p.support[0] for p in quad]
-            vertex_rows.append((double_difference(word.distance, *labels), dd_e))
+            ids = [p.ids[0] for p in quad]
+            vertex_rows.append((double_difference(word.distance, *ids), dd_e))
     alpha = beta = None
     if vertex_rows:
         best = None

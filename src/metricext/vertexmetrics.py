@@ -1,10 +1,12 @@
 """Vertex-level metrics: word metric, validation, constants, diagnostics.
 
 The word metric gives every edge of the 1-skeleton length 1; its table,
-kept on the complex, is the package's one source of word distances.  It
-serves them on demand: a row by one breadth-first search plus pointer
-doubling over its tree, single pairs from a kept row or by bidirectional
-search, and a dense `matrix`, the rows stacked, only when asked.
+kept on the complex, is the package's one source of word distances.  Like
+every vertex metric here it is keyed by vertex id, the position of a label
+in `K.vertices`.  It serves them on demand: a row by one breadth-first
+search plus pointer doubling over its tree, single pairs from a kept row or
+by bidirectional search, and a dense `matrix`, the rows stacked, only when
+asked.
 The word-derived vertex metrics (the word metric itself and its concave
 transforms, `word_transform`) are evaluated per pair or per row from that
 table, with closed-form constants, so they hold nothing V^2 either.
@@ -15,7 +17,7 @@ four-point hyperbolicity scan of a distance matrix lives here too.
 
 `double_difference` and `gromov_product` are the package's one definition
 of each, for any distance function d: a word table's or vertex metric's
-`distance` on vertex labels, an ExtendedMetric's `distance`, or
+`distance` on vertex ids, an ExtendedMetric's `distance`, or
 `functools.partial(bilinear_extension, metric)` for the bilinear form on
 points.  The double difference of (x, x', y, y') is
 
@@ -61,11 +63,11 @@ def word_metric(K: SimplicialComplex) -> WordMetricTable:
 
 
 def geodesic(K: SimplicialComplex, u: str, v: str) -> list[str]:
-    """Shortest edge path from u to v: the least neighbour one step closer to v, each step."""
+    """Shortest edge path from label u to label v: the least neighbour one step closer to v, each step."""
     table = word_metric(K)
-    to_v = table.row(v)
+    a, b = K.index[u], K.index[v]
+    to_v = table.row(b)
     row = K.adjacency_csr.row
-    a = table.index[u]
     path = [u]
     for step in range(to_v.item(a) - 1, -1, -1):
         for a in row(a):  # ascending, so the first found is the least
@@ -73,14 +75,6 @@ def geodesic(K: SimplicialComplex, u: str, v: str) -> list[str]:
                 break
         path.append(K.vertices[a])
     return path
-
-
-def sphere(K: SimplicialComplex, u: str, k: int) -> tuple[str, ...]:
-    """Vertices at word-metric distance exactly k from u."""
-    if k < 0:
-        raise ValueError("radius must be nonnegative")
-    table = word_metric(K)
-    return tuple(v for v, d in zip(table.order, table.row(u)) if d == k)
 
 
 def metric_violations(order: tuple[str, ...], matrix: np.ndarray) -> list[MetricViolation]:
@@ -116,15 +110,15 @@ def metric_violations(order: tuple[str, ...], matrix: np.ndarray) -> list[Metric
     return out
 
 
-def minimal_linear_bound(matrix: np.ndarray, word: WordMetricTable) -> float:
-    """Least C with d(u,v) <= C * word(u,v) over all vertex pairs.
+def minimal_linear_bound(matrix: np.ndarray, K: SimplicialComplex) -> float:
+    """Least C with d(u,v) <= C * word(u,v) over all vertex pairs of K, matrix over `K.vertices`.
 
     `validate_vertex_metric` checks a supplied C against it.
     """
-    if len(word.order) < 2:
+    if len(K.vertices) < 2:
         raise ValueError("need at least two vertices")
     m = np.asarray(matrix, dtype=float)
-    w = word.matrix.astype(float)
+    w = word_metric(K).matrix.astype(float)
     off = ~np.eye(len(w), dtype=bool)
     return float(np.max(m[off] / w[off]))
 
@@ -137,14 +131,14 @@ class QICheckResult:
 
 
 def qi_constants_check(
-    matrix: np.ndarray, word: WordMetricTable, A: float, B: float
+    matrix: np.ndarray, K: SimplicialComplex, A: float, B: float
 ) -> QICheckResult:
-    """Verify (1/A)*word - B <= d <= A*word + B on every pair."""
+    """Verify (1/A)*word - B <= d <= A*word + B on every pair of K, matrix over `K.vertices`."""
     if A < 1 or B < 0:
         raise ValueError("need A >= 1 and B >= 0")
     m = np.asarray(matrix, dtype=float)
-    w = word.matrix.astype(float)
-    order = word.order
+    w = word_metric(K).matrix.astype(float)
+    order = K.vertices
     witnesses: list[tuple[str, str, str]] = []
     upper_bad = np.argwhere(m > A * w + B + VALUE_TOL)
     lower_bad = np.argwhere(m < w / A - B - VALUE_TOL)
@@ -180,10 +174,12 @@ class VertexMetric:
     bounded-difference checks downstream.
 
     `K` is the complex the metric was made for: C bounds it against K's word
-    metric only, and every array is over `K.vertices`.  The metric has one of
-    two forms, given to the constructor:
+    metric only, and every array is over `K.vertices`.  Like the word table,
+    `distance(i, j)` and `row(i)` take vertex ids.  The metric has one of two
+    forms, given to the constructor:
 
-    - an explicit dense `matrix`, with the constants its validation found;
+    - an explicit dense `matrix`, read-only, with the constants its
+      validation found;
     - `transform=(scale, saturation)`: `word_transform` of K's word table.
       It holds no matrix: `distance` transforms one word-table lookup, `row`
       one word row, and `matrix`, for the consumers that need every pair,
@@ -222,17 +218,16 @@ class VertexMetric:
         self.A = A
         self.B = B
 
-    def distance(self, u: str, v: str) -> float:
+    def distance(self, i: int, j: int) -> float:
         if self.transform is None:
-            index = self.K.index
-            return float(self.matrix[index[u], index[v]])
-        return word_transform(self.K.word_table.distance(u, v), *self.transform)
+            return float(self.matrix[i, j])
+        return word_transform(self.K.word_table.distance(i, j), *self.transform)
 
-    def row(self, u: str) -> np.ndarray:
-        """The distances from u to every vertex, as floats, over `K.vertices`."""
+    def row(self, i: int) -> np.ndarray:
+        """The distances from vertex i to every vertex, as floats, by id."""
         if self.transform is None:
-            return self.matrix[self.K.index[u]]
-        return word_transform(self.K.word_table.row(u), *self.transform)
+            return self.matrix[i]
+        return word_transform(self.K.word_table.row(i), *self.transform)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -270,11 +265,13 @@ def validate_vertex_metric(
 
     A NaN or infinite matrix entry, and a constant that is NaN, infinite or a
     bool, raise InvalidParameters: every axiom and bound test is false on NaN.
+    The metric keeps a read-only copy of the matrix, so a later write to the
+    caller's array changes no distance.
     """
     order = tuple(order) if order is not None else K.vertices
     if sorted(order) != list(K.vertices):
         raise ValueError("metric order does not match the complex vertex set")
-    m = np.asarray(matrix, dtype=float)
+    m = np.array(matrix, dtype=float)
     if m.shape != (len(order), len(order)):
         raise ValueError(f"matrix shape {m.shape} does not match vertex count {len(order)}")
     if not np.isfinite(m).all():
@@ -284,26 +281,26 @@ def validate_vertex_metric(
     if violations:
         raise MetricAxiomError(violations)
 
-    word = word_metric(K)
     # Re-index the metric to the canonical vertex order of the complex.
     if order != K.vertices:
         at = {v: i for i, v in enumerate(order)}
         perm = [at[v] for v in K.vertices]
         m = m[np.ix_(perm, perm)]
     # one vertex has no pair to bound: 1.0, as the word metric's closed form gives
-    minimal = minimal_linear_bound(m, word) if len(order) > 1 else 1.0
+    minimal = minimal_linear_bound(m, K) if len(order) > 1 else 1.0
     if C is not None and C < minimal - VALUE_TOL:
         raise SuppliedConstantTooSmall(f"supplied C={C} below minimal C={minimal}")
     if A is not None or B is not None:
         if A is None or B is None:
             raise ValueError("supply both A and B or neither")
-        result = qi_constants_check(m, word, A, B)
+        result = qi_constants_check(m, K, A, B)
         if not result.passed:
             raise MetricAxiomError(
                 [MetricViolation("QIBoundViolation", w[1:], 0.0) for w in result.witnesses]
             )
+    m.flags.writeable = False
     return VertexMetric(
-        K=K,  # m is over the word table's order, K's vertices, now
+        K=K,  # m is over K's vertices, by id, now
         matrix=m,
         C=minimal if C is None else float(C),
         minimal_C=minimal,

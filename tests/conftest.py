@@ -240,13 +240,13 @@ def fleet():
 
 
 def sample_geodesic_triples(K, rng, count):
-    """(u, w, v) with w on a shortest edge path from u to v."""
+    """(u, w, v), as labels, with w on a shortest edge path from u to v."""
     verts = list(K.vertices)
     out = []
     for _ in range(count):
         u = _pick(rng, verts)
         v = _pick(rng, verts)
-        path = _random_geodesic(K, rng, u, v)
+        path = _random_geodesic(K, rng, K.index[u], K.index[v])
         w = _pick(rng, path)
         out.append((u, w, v))
     return out
@@ -395,13 +395,14 @@ def sphere_bound(table, x, y) -> float:
     weight on the sphere of radius k.  supp(x) spans a simplex, so every
     other vertex of it lies at radius 1.
     """
-    center = max(x.items, key=lambda item: item[1])[0]  # the first maximum: items ascend by label
+    # the first maximum: items ascend by label, and ids with them
+    center = max(zip(x.ids, x.items), key=lambda item: item[1][1])[0]
     wx: dict[int, float] = {}
     wy: dict[int, float] = {}
-    for v, w in x.items:
+    for v, (_, w) in zip(x.ids, x.items):
         k = int(v != center)
         wx[k] = wx.get(k, 0.0) + w
-    for v, w in y.items:
+    for v, (_, w) in zip(y.ids, y.items):
         k = int(table.distance(center, v))
         wy[k] = wy.get(k, 0.0) + w
     top_x = max(wx)

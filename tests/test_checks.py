@@ -392,10 +392,10 @@ def _pairwise_minimal_bound(ctx):
     c = ctx.metric.minimal_C
     gap = np.inf
     vs = ctx.K.vertices
-    for i, u in enumerate(vs):
-        from_u = table.row(u)
-        for v in vs[i + 1 :]:
-            slack = c * float(from_u[table.index[v]]) - ctx.metric.distance(u, v)
+    for i in range(len(vs)):
+        from_u = table.row(i)
+        for j in range(i + 1, len(vs)):
+            slack = c * float(from_u[j]) - ctx.metric.distance(i, j)
             if slack < -checks.VALUE_TOL:
                 r.failed += 1
             else:

@@ -85,6 +85,27 @@ class TestBilinearExtension:
             )
 
 
+@pytest.mark.parametrize("build", [lambda: tree_complex(2, 10), lambda: rips_complex(cycle_complex(12), 2)],
+                         ids=["tree", "rips"])
+def test_queries_on_id_built_points_build_no_label_index(build):
+    # every reader on the query path takes vertex ids, which the points carry, so no query
+    # maps a label back to an id and the label -> id dict is never built; an explicit
+    # metric, whose validation scans every triple, only on the small complex
+    K = build()
+    rng = np.random.default_rng(36)
+    metrics = [word_vertex_metric(K), transformed_word_metric(K, 1.5, 0.5)]
+    if len(K.vertices) <= 60:
+        metrics.append(validate_vertex_metric(K, 1.5 * word_metric(K).matrix))
+    for vm in metrics:
+        M = ExtendedMetric(K, vm)
+        for _ in range(40):
+            x, y = random_point(K, rng), random_point(K, rng)
+            l1_path_distance(K, x, y)
+            M.distance(x, y)
+            bilinear_extension(vm, x, y)
+    assert "index" not in K.__dict__
+
+
 class TestExtendedDistance:
     def test_same_point_zero(self, path3):
         M = ExtendedMetric(path3, word_vertex_metric(path3))
@@ -100,9 +121,9 @@ class TestExtendedDistance:
     def test_extends_vertex_metric(self, book):
         vm = transformed_word_metric(book, scale=1.5, saturation=0.5)
         M = ExtendedMetric(book, vm)
-        for u, v in itertools.combinations(book.vertices, 2):
+        for (i, u), (j, v) in itertools.combinations(enumerate(book.vertices), 2):
             value, branch = M.distance_with_branch(vertex_point(book, u), vertex_point(book, v))
-            assert value == vm.distance(u, v)
+            assert value == vm.distance(i, j)
             assert branch == "bilinear"
 
     def test_a_metric_made_for_another_complex_is_rejected(self):
@@ -730,24 +751,23 @@ class TestDoubleDifferenceExt:
     def test_vertex_triples_match_vertex_layer(self, book):
         vm = transformed_word_metric(book, 1.5, 0.0)
         M = ExtendedMetric(book, vm)
-        for a, b, c in itertools.permutations(book.vertices, 3):
-            got = gromov_product(
-                M.distance, vertex_point(book, a), vertex_point(book, b), vertex_point(book, c)
-            )
+        for a, b, c in itertools.permutations(range(len(book.vertices)), 3):
+            got = gromov_product(M.distance, *(vertex_point(book, book.vertices[i]) for i in (a, b, c)))
             assert got == pytest.approx(gromov_product(vm.distance, a, b, c), abs=1e-12)
 
 
 def geodesic_defect(M, samples):
     """Largest additivity defect of the extension along word-metric geodesics.
 
-    Considers sampled vertex triples (u, w, v) with w on a shortest edge
-    path from u to v and returns max |d(u,v) - d(u,w) - d(w,v)|.  Triples
-    where w is not on a geodesic are skipped.
+    Considers sampled vertex triples (u, w, v) of labels with w on a
+    shortest edge path from u to v and returns max |d(u,v) - d(u,w) - d(w,v)|.
+    Triples where w is not on a geodesic are skipped.
     """
     word = word_metric(M.K)
     vm = M.vertex
+    index = M.K.index
     worst = 0.0
-    for u, w, v in samples:
+    for u, w, v in ([index[s] for s in labels] for labels in samples):
         if word.distance(u, w) + word.distance(w, v) != word.distance(u, v):
             continue
         defect = abs(vm.distance(u, v) - vm.distance(u, w) - vm.distance(w, v))

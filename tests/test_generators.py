@@ -20,7 +20,6 @@ from metricext import (
     generate,
     hyperbolicity_delta,
     make_point,
-    sphere,
     vertex_point,
     word_metric,
     word_vertex_metric,
@@ -285,7 +284,7 @@ class TestSamplers:
 
         t = word_metric(K)
         for u, a, b, c in quads:
-            assert t.distance(c, a) >= 5
+            assert t.distance(K.index[c], K.index[a]) >= 5
 
 
 # --------------------------------------------------------------------------
@@ -363,7 +362,7 @@ def label_random_quadruples(K, rng, count):
 
 
 def label_nested_quadruples(K, rng, count):
-    """nested_quadruples as it picked its far vertex from sphere's label tuple."""
+    """nested_quadruples as it picked its far vertex from a tuple of labels."""
     table = word_metric(K)
     gap = generators.MIN_GAP
     verts = list(K.vertices)
@@ -372,11 +371,12 @@ def label_nested_quadruples(K, rng, count):
     while len(out) < count and tries < count * 50:
         tries += 1
         u = _pick(rng, verts)
-        far = table.row(u).max()
+        i = K.index[u]
+        far = table.row(i).max()
         if far < gap + 2:
             continue
-        b = _pick(rng, sphere(K, u, far))
-        path = generators._random_geodesic(K, rng, u, b)
+        b = _pick(rng, tuple(v for v, d in zip(K.vertices, table.row(i)) if d == far))
+        path = generators._random_geodesic(K, rng, i, K.index[b])
         length = len(path) - 1
         lo = 1 + _integer(rng, max(1, length - gap - 2))
         hi = lo + gap + _integer(rng, max(1, length - lo - gap))

@@ -306,10 +306,10 @@ class TestWordTransportBound:
             priced = pathmetric._word_transport(table, x, y)
             assert _dijkstra_transport(priced.supply, priced.demand, priced.words)[0] == priced.total
             for s in K.maximal_indices_containing(x.ids):
-                sigma = K.maximal_simplices[s]
+                sigma = K.simplex_csr.row(s)
                 cost = tuple(
-                    tuple(min(int(w != u) + int(table.distance(w, v)) for w in sigma) for v in y.support)
-                    for u in x.support
+                    tuple(min(int(w != u) + int(table.distance(w, v)) for w in sigma) for v in y.ids)
+                    for u in x.ids
                 )
                 assert cost == priced.words, (x, y, sigma)
                 roots += 1
@@ -363,9 +363,9 @@ def _assert_route_lengths(K, x, y):
     table = word_metric(K)
     sx, sy = sum(Fraction(w) for _, w in x.items), sum(Fraction(w) for _, w in y.items)
     lengths = {}
-    for u, xu in x.items:
-        for v, yv in y.items:
-            exact = (1 - Fraction(xu) / sx) + int(table.distance(u, v)) + (1 - Fraction(yv) / sy)
+    for i, (u, xu) in zip(x.ids, x.items):
+        for j, (v, yv) in zip(y.ids, y.items):
+            exact = (1 - Fraction(xu) / sx) + int(table.distance(i, j)) + (1 - Fraction(yv) / sy)
             witness = pathmetric._route_witness(K, x, y, u, v)
             assert abs(witness.length - float(exact)) <= VALUE_TOL, (x, y, u, v)
             lengths[u, v] = exact
@@ -617,12 +617,12 @@ class TestLazyChainWitness:
 
 def _assert_vertex_pairs_take_the_route(K):
     table = word_metric(K)
-    for u, v in itertools.combinations(K.vertices, 2):
+    for (i, u), (j, v) in itertools.combinations(enumerate(K.vertices), 2):
         x, y = vertex_point(K, u), vertex_point(K, v)
-        assert max(b for _, b in lower_bounds(K, x, y)) == table.distance(u, v)
+        assert max(b for _, b in lower_bounds(K, x, y)) == table.distance(i, j)
         got = chain_solver_distance(K, x, y)
         assert got._route is not None  # the route, its witness not yet built
-        assert got == (table.distance(u, v), pathmetric._route_witness(K, x, y, u, v))
+        assert got == (table.distance(i, j), pathmetric._route_witness(K, x, y, u, v))
 
 
 class TestChainSolverAgainstClosedForms:
@@ -863,7 +863,9 @@ def _dijkstra_transport(
 
 
 def _weights_point(weights):
-    return BarycentricPoint(items=tuple((f"v{i}", w) for i, w in enumerate(weights)))
+    """A point built by hand on the vertices v0, v1, ..., with ids 0, 1, ..."""
+    items = tuple((f"v{i}", w) for i, w in enumerate(weights))
+    return BarycentricPoint(items=items, ids=tuple(range(len(weights))))
 
 
 # the search `_best_first` replaced, kept verbatim but for its names, its
@@ -920,11 +922,10 @@ def _tuple_best_first(
     """
     M = K.maximal_simplices
     overlaps = _overlaps(K)
-    ys = y.support
     ends = set(K.maximal_indices_containing(y.ids))
     supply, demand, scale = priced.supply, priced.demand, priced.scale
-    index = table.index
-    rows_y = [table.row(v) for v in ys]  # one search per vertex of supp(y) answers every word(w, v)
+    index = K.index
+    rows_y = [table.row(v) for v in y.ids]  # one search per vertex of supp(y) answers every word(w, v)
     to_y: dict[str, tuple[int, ...]] = {}  # w -> word(w, v) for v in supp(y)
     columns: dict[int, tuple[tuple[int, ...], ...]] = {}  # s -> per v, word(w, v) along M[s]
     transports: dict[tuple, int] = {}
@@ -1025,8 +1026,8 @@ def _flow_total(supply, demand, m, d, e):
 
 
 def _planted(x, y, words):
-    """A word table that reads words[i][j] between the i-th vertex of supp(x) and the j-th of supp(y)."""
-    return SimpleNamespace(distance=lambda u, v: words[x.support.index(u)][y.support.index(v)])
+    """A word table that reads words[i][j] between the i-th vertex of supp(x) and the j-th of supp(y), by id."""
+    return SimpleNamespace(distance=lambda u, v: words[x.ids.index(u)][y.ids.index(v)])
 
 
 def _assert_plan(supply, demand, cost, total, plan):
@@ -1188,7 +1189,7 @@ class TestIntegerSearchCore:
         # a word block whose column spans 0 and 2, which no two vertices of a simplex give,
         # and a chain's row of costs that does the same, raise instead of pricing a total
         x, y = _weights_point([0.5, 0.5]), _weights_point([1.0])
-        planted = SimpleNamespace(distance=lambda u, v: {"v0": 0, "v1": 2}[u])
+        planted = SimpleNamespace(distance=lambda u, v: (0, 2)[u])
         with pytest.raises(InternalConsistencyError, match=r"costs .0, 2. take more than two successive values"):
             pathmetric._word_transport(planted, x, y)
         with pytest.raises(InternalConsistencyError, match="more than two successive values"):
@@ -1484,7 +1485,7 @@ class TestIntegerSearchCore:
             table, simplex = word_metric(K), K.simplex_csr.row
             for _ in range(6):
                 x, y = random_point(K, rng), random_point(K, rng)
-                rows_y = [table.row(v) for v in y.support]
+                rows_y = [table.row(v) for v in y.ids]
                 roots = K.maximal_indices_containing(x.ids)
                 s = roots[int(rng.integers(len(roots)))]
                 vals = [{w: int(w != u) for w in simplex(s)} for u in x.ids]  # per u, its counts on s
@@ -1594,19 +1595,20 @@ class TestIntegerSearchCore:
             counts["rows"] += 1
             return search_row(self, i)
 
-        def count_pair(self, u, v):
+        def count_pair(self, i, j):
             counts["pairs"] += 1
-            return search_pair(self, u, v)
+            return search_pair(self, i, j)
 
         monkeypatch.setattr(WordMetricTable, "_search_row", count_row)
         monkeypatch.setattr(WordMetricTable, "_search_pair", count_pair)
         rng = np.random.default_rng(9)
         pairs = []
         while len(pairs) < 50:
-            u, v = (K.vertices[i] for i in rng.choice(len(K.vertices), size=2, replace=False))
-            if v not in K.adjacency[u]:
-                pairs.append((u, v))
-        for u, v in pairs:
-            value, witness = l1_path_distance(K, vertex_point(K, u), vertex_point(K, v))
-            assert value == table.distance(u, v) == witness.length
+            i, j = rng.choice(len(K.vertices), size=2, replace=False).tolist()
+            if j not in K.adjacency_csr.row(i):
+                pairs.append((i, j))
+        for i, j in pairs:
+            x, y = (vertex_point(K, K.vertices[k]) for k in (i, j))
+            value, witness = l1_path_distance(K, x, y)
+            assert value == table.distance(i, j) == witness.length
         assert counts["rows"] <= 50 and counts["pairs"] == 0
