@@ -6,11 +6,13 @@ simplices are sorted tuples of string vertex labels; all iteration uses
 lexicographic label order so outputs are reproducible bit-for-bit.
 Complexes and points are immutable after construction.
 
-A barycentric point stores its sorted (vertex, weight) items and, once, when
-it is made, its support twice: as labels, and as the vertex ids of the
-complex it was made for, so a query on it maps no label to an id again.  A
-point is used only with that complex.  The per-simplex l1 distance is one
-merge of two points' items.
+A barycentric point stores its support once, as (vertex id, weight) pairs
+of the complex it was made for, ids ascending, so a query on it maps no
+label to an id again; a point is used only with that complex.  Its label
+views (`support`, `items`, `weights`, `get`, repr) read the complex's
+`vertices`, for the readers that hand labels out or take label carriers:
+files, the CLI, witnesses and the grid oracle.  The per-simplex l1
+distance is one merge of two points' pairs.
 
 Inside, a complex is integer ids: vertex i is the i-th label in sorted
 order and simplex s the s-th maximal simplex, so id order is label order.
@@ -550,43 +552,51 @@ def build_complex(
 
 @dataclass(frozen=True)
 class BarycentricPoint:
-    """Point of a complex as a sparse vertex -> weight map.
+    """Point of a complex as sparse (vertex id, weight) pairs.
 
     Weights are positive, sum to 1 (renormalized on construction) and the
-    support spans a simplex of the owning complex.  Instances are hashable
-    and compare by their exact stored weights.  The support is stored once,
-    when the point is made, as labels (`support`) and as the vertex ids of
-    the complex the point was made for (`ids`, ascending, since ids are label
-    ranks); the point is used only with that complex.  A point built by hand
-    has ids None, so an id reader handed one raises.  `weights` is a fresh
-    dict on every read, so a caller may change it.
+    support spans a simplex of the owning complex.  The point stores its
+    support once, as the (vertex id, weight) `pairs` of that complex, ids
+    ascending, and derives `ids` from them when it is made; it keeps a
+    reference to the complex's `vertices`, which plays no part in equality,
+    hash or repr.  Instances are hashable and compare by their pairs, so a
+    point is used only with its own complex.  The label views `support`,
+    `items` (sorted (label, weight) pairs), `weights`, `get` and repr read
+    labels through `vertices`: ids ascend in label order, so they list the
+    labels in that order.  `support` and `items` are built on first read
+    and kept; `weights` is a fresh dict on every read, so a caller may
+    change it.
     """
 
-    items: tuple[tuple[str, float], ...]  # sorted by label, weights > 0
-    # the ids of the support in the point's complex; like support, not part of equality, hash or repr
-    ids: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-    # the labels of items, stored once; derived, so not part of equality, hash or repr
-    support: Simplex = field(init=False, compare=False, repr=False)
+    pairs: tuple[tuple[int, float], ...]  # ids ascending, weights > 0
+    vertices: tuple[str, ...] = field(compare=False, repr=False)
+    # the ids of pairs, derived once; not part of equality, hash or repr
+    ids: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "support", tuple([v for v, _ in self.items]))
+        object.__setattr__(self, "ids", tuple([i for i, _ in self.pairs]))
+
+    @cached_property
+    def support(self) -> Simplex:
+        return tuple([self.vertices[i] for i in self.ids])
+
+    @cached_property
+    def items(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self.support, [w for _, w in self.pairs]))
 
     @property
     def weights(self) -> dict[str, float]:
         return dict(self.items)
 
     def get(self, v: str) -> float:
-        for u, w in self.items:
-            if u == v:
-                return w
-        return 0.0
+        return self.weights.get(v, 0.0)
 
     @property
     def is_vertex(self) -> bool:
-        return len(self.items) == 1
+        return len(self.pairs) == 1
 
-    def key(self) -> tuple[tuple[str, float], ...]:
-        return self.items
+    def key(self) -> tuple[tuple[int, float], ...]:
+        return self.pairs
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}:{w:.6g}" for v, w in self.items)
@@ -624,11 +634,11 @@ def make_point(K: SimplicialComplex, weights: Mapping[str, float]) -> Barycentri
             raise WeightsNotNormalizable("all weight below representable floor")
         normalized = [(v, w / total) for v, w in again]
 
-    # the support's ids, resolved here once; an unknown label is no face
-    point = BarycentricPoint(tuple(normalized), tuple(map(K.index.get, [v for v, _ in normalized])))
-    if None in point.ids or not K.holds(point.ids):
-        raise SupportNotASimplex(f"support {point.support} does not span a simplex")
-    return point
+    # the support's ids, resolved here once, ascend with the labels; an unknown label is no face
+    ids = tuple(map(K.index.get, [v for v, _ in normalized]))
+    if None in ids or not K.holds(ids):
+        raise SupportNotASimplex(f"support {tuple([v for v, _ in normalized])} does not span a simplex")
+    return BarycentricPoint(tuple(zip(ids, [w for _, w in normalized])), K.vertices)
 
 
 def vertex_point(K: SimplicialComplex, v: str) -> BarycentricPoint:
@@ -636,7 +646,7 @@ def vertex_point(K: SimplicialComplex, v: str) -> BarycentricPoint:
     i = K.index.get(v)  # a vertex's id is its face test
     if i is None:
         raise SupportNotASimplex(f"support {(v,)} does not span a simplex")
-    return BarycentricPoint(((v, 1.0),), (i,))
+    return BarycentricPoint(((i, 1.0),), K.vertices)
 
 
 def common_simplex(
@@ -658,11 +668,11 @@ def simplex_l1(x: BarycentricPoint, y: BarycentricPoint) -> float:
     are at distance exactly 1.  The value only depends on the coordinates,
     never on which common simplex is used.
 
-    One merge of the two label-sorted item lists gives |x_v - y_v| for
-    every label of either support, in label order; two vertices of weight
-    1.0 need no merge.
+    One merge of the two id-sorted pair lists gives |x_v - y_v| for every
+    vertex of either support, in id order, which is label order; two
+    vertices of weight 1.0 need no merge.
     """
-    a, b = x.items, y.items
+    a, b = x.pairs, y.pairs
     if len(a) == len(b) == 1 and a[0][1] == b[0][1] == 1.0:
         return 0.0 if a[0][0] == b[0][0] else 1.0
     na, nb = len(a), len(b)
@@ -723,11 +733,10 @@ def make_automorphism(K: SimplicialComplex, mapping: Mapping[str, str]) -> Autom
 def apply_automorphism(
     K: SimplicialComplex, g: Automorphism, x: BarycentricPoint
 ) -> BarycentricPoint:
-    """Relabel the weights of a point by the automorphism, resolving the image's ids once."""
-    m = g.as_dict()
-    relabeled = {m[v]: w for v, w in x.items}
-    support = tuple(sorted(relabeled))
-    ids = tuple(map(K.index.get, support))
-    if None in ids or not K.holds(ids):
-        raise NotAnAutomorphism(f"image support {support} is not a simplex")
-    return BarycentricPoint(tuple((v, relabeled[v]) for v in support), ids)
+    """Move the weights of a point to the automorphism's images, resolving the image's ids once."""
+    m, vs = g.as_dict(), K.vertices
+    images = [m[vs[i]] for i in x.ids]
+    ids = list(map(K.index.get, images))
+    if None in ids or not K.holds(sorted(ids)):
+        raise NotAnAutomorphism(f"image support {tuple(sorted(images))} is not a simplex")
+    return BarycentricPoint(tuple(sorted(zip(ids, [w for _, w in x.pairs]))), vs)

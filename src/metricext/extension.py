@@ -53,8 +53,8 @@ def bilinear_extension(
     if y.key() < x.key():
         x, y = y, x
     total = 0.0
-    for u, (_, xu) in zip(x.ids, x.items):
-        for v, (_, yv) in zip(y.ids, y.items):
+    for u, xu in x.pairs:
+        for v, yv in y.pairs:
             total += xu * yv * metric.distance(u, v)
     return total
 
@@ -143,7 +143,7 @@ class ExtendedMetric:
             # a validated diagonal is zero only to VALUE_TOL; ext(u, u) is exactly 0
             return (0.0 if u == v else self.vertex.distance(u, v), "bilinear"), None
         bilinear = bilinear_extension(self.vertex, x, y)
-        if not set(x.support) & set(y.support):
+        if set(x.ids).isdisjoint(y.ids):
             return (bilinear, "bilinear"), None
         path = _path(self.K, x, y, ceiling=(bilinear, self.scale))
         if path is None:

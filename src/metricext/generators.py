@@ -345,8 +345,7 @@ def _point_on(K: SimplicialComplex, ids: Sequence[int], weights: list[float]) ->
     above the floor for every resolution n below 10**11.
     """
     total = sum(weights)
-    vs = K.vertices
-    return BarycentricPoint(tuple([(vs[i], w / total) for i, w in zip(ids, weights)]), tuple(ids))
+    return BarycentricPoint(tuple([(i, w / total) for i, w in zip(ids, weights)]), K.vertices)
 
 
 def random_vertex(K: SimplicialComplex, rng: np.random.Generator) -> BarycentricPoint:
@@ -391,7 +390,7 @@ def random_disjoint_pair(
     for _ in range(DISJOINT_TRIES):
         a = random_point(K, rng)
         b = random_point(K, rng)
-        if not set(a.support) & set(b.support):
+        if set(a.ids).isdisjoint(b.ids):
             return a, b
     i = _integer(rng, len(verts))
     j = _integer(rng, len(verts) - 1)  # an index among the other vertices

@@ -172,7 +172,9 @@ class PathResult:
     A closed form comes with its witness.  A vertex route's witness
     (`_route_witness`) and a chain's (`_chain_witness`) are built when
     `.witness` is first read, and then kept: `route` holds the route's
-    (K, x, y, u, v), `chain` the chain's (K, x, y, carriers) until then.
+    (K, x, y, u, v), u and v vertex ids, and `chain` the chain's (K, x, y,
+    rows), its simplices' vertex id rows, until then; labels are read only
+    when the witness is built.
     Reading `.value`, or `[0]`, builds nothing.  A route's witness length,
     a float sum, must lie within VALUE_TOL of the value; a chain's witness
     must pass `_chain_witness`'s checks; else the read raises
@@ -271,8 +273,8 @@ def _masses(x: BarycentricPoint, y: BarycentricPoint) -> tuple[list[int], list[i
     floats do not sum to exactly 1 are so treated alike at either end, and
     the answer does not depend on which end is x.
     """
-    xs = [w.as_integer_ratio() for _, w in x.items]
-    ys = [w.as_integer_ratio() for _, w in y.items]
+    xs = [w.as_integer_ratio() for _, w in x.pairs]
+    ys = [w.as_integer_ratio() for _, w in y.pairs]
     den = max(d for _, d in xs + ys)
     a = [n * (den // d) for n, d in xs]
     b = [n * (den // d) for n, d in ys]
@@ -361,30 +363,31 @@ def _row_split(cost: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[int
     return mins, zero
 
 
-def _switch_counts(
-    chain: Chain, x: BarycentricPoint, y: BarycentricPoint
-) -> tuple[list[Simplex], list[list[dict[str, int]]], list[list[int]]]:
+def _switch_counts(chain: Chain, xs: Sequence, ys: Sequence) -> tuple[list[tuple], list[list[dict]], list[list[int]]]:
     """The switch-count DP along a chain: its faces, each atom's counts, and the chain's costs.
 
-    Per u in supp(x), the fewest vertex switches that bring the mass of u to
-    each vertex of {u}, of each interface face and of supp(y): mass stays on
-    a vertex the next layer holds, or switches once from the cheapest.  Row
-    u of the cost matrix is its counts at supp(y), a column per v.
+    xs and ys are supp(x) and supp(y), named as the chain names vertices:
+    labels, or, for a chain of id rows, vertex ids; only set membership is
+    read.  Per u in supp(x), the fewest vertex switches that bring the mass
+    of u to each vertex of {u}, of each interface face and of supp(y): mass
+    stays on a vertex the next layer holds, or switches once from the
+    cheapest.  Row u of the cost matrix is its counts at supp(y), a column
+    per v.
     """
     sigma = chain.simplices
-    if not set(x.support) <= set(sigma[0]):
-        raise EndpointNotInCarrier(f"supp {x.support} not inside first simplex {sigma[0]}")
-    if not set(y.support) <= set(sigma[-1]):
-        raise EndpointNotInCarrier(f"supp {y.support} not inside last simplex {sigma[-1]}")
+    if not set(xs) <= set(sigma[0]):
+        raise EndpointNotInCarrier(f"supp {tuple(xs)} not inside first simplex {sigma[0]}")
+    if not set(ys) <= set(sigma[-1]):
+        raise EndpointNotInCarrier(f"supp {tuple(ys)} not inside last simplex {sigma[-1]}")
     faces = chain.faces()  # raises EmptyIntersection on invalid chains
     routes = []  # per u in supp(x): switch counts at {u}, each face, supp(y)
-    for u in x.support:
+    for u in xs:
         dp = [{u: 0}]
-        for layer in (*faces, y.support):
+        for layer in (*faces, ys):
             switch = min(dp[-1].values()) + 1
             dp.append({w: dp[-1].get(w, switch) for w in layer})
         routes.append(dp)
-    return faces, routes, [[dp[-1][v] for v in y.support] for dp in routes]
+    return faces, routes, [[dp[-1][v] for v in ys] for dp in routes]
 
 
 def _chain_transport(
@@ -427,7 +430,7 @@ def chain_lp(
     pair's optimal positions.  Returns the value and one optimal breakpoint
     assignment.
     """
-    faces, routes, cost = _switch_counts(chain, x, y)
+    faces, routes, cost = _switch_counts(chain, x.support, y.support)
     supply, demand, scale = _masses(x, y)
     total, flow = _chain_transport(supply, demand, cost)
 
@@ -530,49 +533,50 @@ def _simplex_transport(x: BarycentricPoint, y: BarycentricPoint) -> float:
     scale minus those amounts, the integer `_word_transport` solves.
     """
     supply, demand, scale = _masses(x, y)
-    stays = dict(zip(x.support, supply))
-    return (scale - sum([min(stays[v], d) for v, d in zip(y.support, demand) if v in stays])) / scale
+    stays = dict(zip(x.ids, supply))
+    return (scale - sum([min(stays[v], d) for v, d in zip(y.ids, demand) if v in stays])) / scale
 
 
 def _disjoint_support(x: BarycentricPoint, y: BarycentricPoint) -> float:
-    return 1.0 if set(x.support).isdisjoint(y.support) else 0.0
+    return 1.0 if set(x.ids).isdisjoint(y.ids) else 0.0
 
 
 # --------------------------------------------------------------------------
 # the main solver
 
-def _vertex_route(x: BarycentricPoint, y: BarycentricPoint, priced: _WordTransport) -> tuple[int, str, str]:
+def _vertex_route(x: BarycentricPoint, y: BarycentricPoint, priced: _WordTransport) -> tuple[int, int, int]:
     """The cheapest route that huddles x to some u, walks edges to v and spreads to y.
 
-    Returns (R, u, v), R the route's length (1 - x_u) + word(u, v) +
-    (1 - y_v) with x and y normalised exactly, in the integer units of the
-    query's transports (`_masses`): (1 - x_u) * scale is scale - supply_u,
-    and (1 - y_v) * scale is scale - demand_v.  R is symmetric in x and y,
-    an upper bound on the path distance times the scale, with word(u, v)
-    read from the query's word block (`_WordTransport`); ties go to the
-    least (u, v).
+    Returns (R, u, v), u and v vertex ids and R the route's length
+    (1 - x_u) + word(u, v) + (1 - y_v) with x and y normalised exactly, in
+    the integer units of the query's transports (`_masses`): (1 - x_u) *
+    scale is scale - supply_u, and (1 - y_v) * scale is scale - demand_v.
+    R is symmetric in x and y, an upper bound on the path distance times
+    the scale, with word(u, v) read from the query's word block
+    (`_WordTransport`); ties go to the least (u, v), ids ascending with
+    labels.
     """
     return min(
         ((word + 2) * priced.scale - a - b, u, v)
-        for u, a, row in zip(x.support, priced.supply, priced.words)
-        for v, b, word in zip(y.support, priced.demand, row)
+        for u, a, row in zip(x.ids, priced.supply, priced.words)
+        for v, b, word in zip(y.ids, priced.demand, row)
     )
 
 
 def _route_witness(
-    K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint, u: str, v: str
+    K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint, u: int, v: int
 ) -> PathWitness:
-    """The vertex route's witness: huddle to u, walk a geodesic to v, spread to y."""
+    """The vertex route's witness: huddle to vertex id u, walk a geodesic to vertex id v, spread to y."""
     points: list[BarycentricPoint] = [x]
     carriers: list[Simplex] = []
-    if not (x.is_vertex and x.support[0] == u):
-        points.append(vertex_point(K, u))
+    walk = geodesic(K, K.vertices[u], K.vertices[v])
+    if not (x.is_vertex and x.ids[0] == u):
+        points.append(vertex_point(K, walk[0]))
         carriers.append(x.support)
-    for w in geodesic(K, u, v)[1:]:
-        prev = points[-1].support[0]
+    for prev, w in zip(walk, walk[1:]):
         points.append(vertex_point(K, w))
         carriers.append(tuple(sorted((prev, w))))
-    if not (y.is_vertex and y.support[0] == v):
+    if not (y.is_vertex and y.ids[0] == v):
         points.append(y)
         carriers.append(y.support)
     length = path_length(K, points, carriers)
@@ -580,14 +584,17 @@ def _route_witness(
 
 
 def _chain_witness(
-    K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint, carriers: tuple[Simplex, ...], value: float
+    K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint, rows: tuple[tuple[int, ...], ...], value: float
 ) -> PathWitness:
     """A chain answer's witness: `chain_lp`'s breakpoints along the chain the search found.
 
-    The chain's optimum must be the answer's value bit for bit (the same
-    integer transport over the same scale) and the witness's length within
-    VALUE_TOL of it, or InternalConsistencyError is raised.
+    The chain comes as its simplices' vertex id rows, which become the
+    label carriers here.  The chain's optimum must be the
+    answer's value bit for bit (the same integer transport over the same
+    scale) and the witness's length within VALUE_TOL of it, or
+    InternalConsistencyError is raised.
     """
+    carriers = tuple([tuple([K.vertices[w] for w in row]) for row in rows])
     optimum, breakpoints = chain_lp(K, Chain(simplices=carriers), x, y)
     points = (x, *breakpoints, y)
     length = path_length(K, points, carriers)
@@ -665,8 +672,8 @@ def _path(
     elif x.is_vertex and y.is_vertex:
         # v's row gives the value and the bounds; the route witness, built when it is
         # read, walks its geodesic down the same row
-        u, v = x.support[0], y.support[0]
-        result = PathResult(float(table.row(y.ids[0]).item(x.ids[0])), route=(K, x, y, u, v))
+        u, v = x.ids[0], y.ids[0]
+        result = PathResult(float(table.row(v).item(u)), route=(K, x, y, u, v))
         transport = result.value  # T_W of two vertices: word(u, v) over scale 1
     else:
         priced = _word_transport(table, x, y)
@@ -741,8 +748,8 @@ def _solve_by_search(
     if priced.total < cutoff:
         found = _best_first(K, x, y, table, priced, cutoff)
         if found is not None:
-            carriers, bound, scale = found
-            cost = _switch_counts(Chain(simplices=carriers), x, y)[2]
+            rows, bound, scale = found
+            cost = _switch_counts(Chain(simplices=rows), x.ids, y.ids)[2]
             # the chain's exact optimum, the transport over its DP's costs, is the search's total
             optimum = _chain_transport(priced.supply, priced.demand, cost)[0]
             if optimum != bound:
@@ -751,7 +758,7 @@ def _solve_by_search(
                 )
             value = bound / scale
             _assert_above_bounds(value, query_bounds(x, y, priced.total / priced.scale), "path search")
-            return PathResult(value, chain=(K, x, y, carriers))
+            return PathResult(value, chain=(K, x, y, rows))
     value = route / priced.scale
     if ceiling is not None:
         bilinear, factor = ceiling
@@ -786,8 +793,10 @@ def _best_first(
     table,
     priced: _WordTransport,
     cutoff: int,
-) -> tuple[tuple[Simplex, ...], int, int] | None:
+) -> tuple[tuple[tuple[int, ...], ...], int, int] | None:
     """Best chain whose total lies below the cutoff: (chain, total, scale), or None.
+
+    The chain is its simplices' vertex id rows.
 
     A state is a maximal simplex sigma reached by a chain from supp(x) plus,
     for each u in supp(x), the fewest switches val_u(w) that bring the mass
@@ -920,7 +929,7 @@ def _best_first(
             chain = []
             while li is not None:
                 s, _, li = labels[li]
-                chain.append(tuple([K.vertices[w] for w in simplex(s)]))
+                chain.append(simplex(s))
             return tuple(reversed(chain)), b, scale
         moves: dict[tuple[int, ...], tuple] = {}  # face -> the state a move through it reaches
         totals: dict[tuple[int, ...], int] = {}  # face -> that state's total, once priced

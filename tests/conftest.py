@@ -338,7 +338,7 @@ def search(K, x, y, table, incumbent=None, ceiling=None):
 
 
 def vertex_route(K, x, y):
-    """`pathmetric._vertex_route` of x and y over their word transport: (R, u, v), R over its scale."""
+    """`pathmetric._vertex_route` of x and y over their word transport: (R, u, v), R over its scale, u and v ids."""
     return pathmetric._vertex_route(x, y, pathmetric._word_transport(word_metric(K), x, y))
 
 
@@ -379,7 +379,7 @@ def assert_costs_decompose(pairs) -> tuple[int, int]:
         blocks += 1
         found = pathmetric.l1_path_distance(K, x, y)._chain
         if found is not None:
-            cost = pathmetric._switch_counts(pathmetric.Chain(simplices=found[3]), x, y)[2]
+            cost = pathmetric._switch_counts(pathmetric.Chain(simplices=found[3]), x.ids, y.ids)[2]
             assert all(c - min(row) in (0, 1) for row in cost for c in row), (x, y)
             chains += 1
     return blocks, chains
@@ -395,14 +395,14 @@ def sphere_bound(table, x, y) -> float:
     weight on the sphere of radius k.  supp(x) spans a simplex, so every
     other vertex of it lies at radius 1.
     """
-    # the first maximum: items ascend by label, and ids with them
-    center = max(zip(x.ids, x.items), key=lambda item: item[1][1])[0]
+    # the first maximum: pairs ascend by id, and labels with them
+    center = max(x.pairs, key=lambda pair: pair[1])[0]
     wx: dict[int, float] = {}
     wy: dict[int, float] = {}
-    for v, (_, w) in zip(x.ids, x.items):
+    for v, w in x.pairs:
         k = int(v != center)
         wx[k] = wx.get(k, 0.0) + w
-    for v, (_, w) in zip(y.ids, y.items):
+    for v, w in y.pairs:
         k = int(table.distance(center, v))
         wy[k] = wy.get(k, 0.0) + w
     top_x = max(wx)

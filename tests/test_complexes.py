@@ -356,7 +356,7 @@ def _dict_make_point(K, weights):
     support = tuple(sorted(normalized))
     if support not in all_faces(K):
         raise SupportNotASimplex(f"support {support} does not span a simplex")
-    return BarycentricPoint(items=tuple((v, normalized[v]) for v in support))
+    return BarycentricPoint(tuple((K.vertices.index(v), normalized[v]) for v in support), K.vertices)
 
 
 def _made(make, K, weights):
@@ -466,15 +466,22 @@ class TestPointLayer:
             vertex_point(path3, "zz")
 
     def test_support_is_stored_and_not_part_of_identity(self, triangle):
-        items = (("a", 0.25), ("c", 0.75))
-        p, q = BarycentricPoint(items=items), BarycentricPoint(items=tuple(list(items)))
-        assert p.items is not q.items
-        assert p == q and hash(p) == hash(q)
-        assert p.support == ("a", "c") and type(p.support) is tuple
-        assert "support" not in repr(p)
+        # a point stores its (vertex id, weight) pairs; ids and the label views are derived, and
+        # equality, hash and repr read the pairs, never the complex's vertices they point into
+        pairs = ((0, 0.25), (2, 0.75))
+        p, q = BarycentricPoint(pairs, triangle.vertices), BarycentricPoint(tuple(list(pairs)), triangle.vertices)
+        assert p.pairs is not q.pairs
+        assert p == q and hash(p) == hash(q) and p.key() == pairs
+        assert p.ids == (0, 2) and type(p.ids) is tuple
+        assert "support" not in vars(p) and "items" not in vars(p)
+        assert p.support == ("a", "c") and type(p.support) is tuple and p.support is p.support
+        assert p.items == (("a", 0.25), ("c", 0.75)) and p.items is p.items
+        assert p.get("c") == 0.75 and p.get("b") == 0.0
+        assert repr(p) == "Point(a:0.25, c:0.75)" and "support" not in repr(p)
         assert p == make_point(triangle, {"a": 1.0, "c": 3.0})
+        assert p == BarycentricPoint(pairs, ("x", "y", "z"))  # a point is used only with its own complex
         back = pickle.loads(pickle.dumps(p))
-        assert back == p and back.support == p.support
+        assert back == p and back.support == p.support and back.ids == p.ids
         weights = p.weights
         weights["b"] = 1.0  # a fresh dict: changing it changes no point
         assert p.weights == {"a": 0.25, "c": 0.75}
@@ -502,24 +509,14 @@ class TestPointLayer:
         for K, p in made:
             assert p.ids == tuple(K.index[v] for v in p.support), p
             assert type(p.ids) is tuple and all(type(i) is int for i in p.ids)
+            # every label view is the one make_point gives from the point's own labels and weights,
+            # which it renormalises, so a weight may move by a rounding
+            again = make_point(K, p.weights)
+            assert p.ids == again.ids and (p.support, repr(p)) == (again.support, repr(again)), p
+            assert [v for v, _ in p.items] == list(p.weights) == list(again.weights) == list(p.support), p
+            for (v, w), (_, a) in zip(p.items, again.items):
+                assert p.get(v) == p.weights[v] == w and math.isclose(w, a, rel_tol=1e-15), p
         assert sum(len(p.items) > 1 for _, p in made) > 200
-
-    def test_a_point_built_by_hand_has_no_ids_to_read(self, path3):
-        # built without a complex, a point has ids None: every id reader raises on it
-        loose = BarycentricPoint(items=(("u", 0.5), ("v", 0.5)))
-        made = make_point(path3, {"v": 0.5, "w": 0.5})
-        assert loose.ids is None and loose == make_point(path3, {"u": 1.0, "v": 1.0})
-        vertex = BarycentricPoint(items=(("u", 1.0),))
-        for read in [
-            lambda: path3.holds(loose.ids),
-            lambda: path3.maximal_indices_containing(loose.ids),
-            lambda: common_simplex(path3, loose, made),
-            lambda: l1_path_distance(path3, made, loose),
-            lambda: l1_path_distance(path3, vertex, vertex_point(path3, "w")),
-            lambda: search(path3, loose, made, word_metric(path3), 2.0),
-        ]:
-            with pytest.raises(TypeError):
-                read()
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)

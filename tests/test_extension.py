@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -88,21 +89,29 @@ class TestBilinearExtension:
 @pytest.mark.parametrize("build", [lambda: tree_complex(2, 10), lambda: rips_complex(cycle_complex(12), 2)],
                          ids=["tree", "rips"])
 def test_queries_on_id_built_points_build_no_label_index(build):
-    # every reader on the query path takes vertex ids, which the points carry, so no query
-    # maps a label back to an id and the label -> id dict is never built; an explicit
-    # metric, whose validation scans every triple, only on the small complex
+    # every reader on the query path takes vertex ids and (id, weight) pairs, which the points
+    # carry, so no query maps a label back to an id and the label -> id dict is never built,
+    # nor is any point's label view, chain answers included; an explicit metric, whose
+    # validation scans every triple, only on the small complex
     K = build()
     rng = np.random.default_rng(36)
     metrics = [word_vertex_metric(K), transformed_word_metric(K, 1.5, 0.5)]
     if len(K.vertices) <= 60:
         metrics.append(validate_vertex_metric(K, 1.5 * word_metric(K).matrix))
+    points, tiers = [], Counter()
     for vm in metrics:
         M = ExtendedMetric(K, vm)
         for _ in range(40):
             x, y = random_point(K, rng), random_point(K, rng)
-            l1_path_distance(K, x, y)
+            got = l1_path_distance(K, x, y)
+            tiers["chain" if got._chain else "route" if got._route else "closed form"] += 1
             M.distance(x, y)
             bilinear_extension(vm, x, y)
+            simplex_l1(x, y)
+            points += [x, y]
+    # no chain answers a tree pair here; the Rips complex's pairs include chain answers
+    assert tiers["route"] and (tiers["chain"] > 0) == (K.dimension > 1), tiers
+    assert not [p for p in points if "support" in vars(p) or "items" in vars(p)]
     assert "index" not in K.__dict__
 
 

@@ -40,7 +40,7 @@ from metricext import (
     word_vertex_metric,
 )
 from metricext import pathmetric
-from metricext.complexes import VALUE_TOL, Simplex, SimplicialComplex, WordMetricTable
+from metricext.complexes import VALUE_TOL, SimplicialComplex, WordMetricTable
 from metricext.generators import (
     cycle_complex,
     grid_point,
@@ -361,11 +361,11 @@ def _assert_route_lengths(K, x, y):
     the route is the least, ties going to the least (u, v).
     """
     table = word_metric(K)
-    sx, sy = sum(Fraction(w) for _, w in x.items), sum(Fraction(w) for _, w in y.items)
+    sx, sy = sum(Fraction(w) for _, w in x.pairs), sum(Fraction(w) for _, w in y.pairs)
     lengths = {}
-    for i, (u, xu) in zip(x.ids, x.items):
-        for j, (v, yv) in zip(y.ids, y.items):
-            exact = (1 - Fraction(xu) / sx) + int(table.distance(i, j)) + (1 - Fraction(yv) / sy)
+    for u, xu in x.pairs:
+        for v, yv in y.pairs:
+            exact = (1 - Fraction(xu) / sx) + int(table.distance(u, v)) + (1 - Fraction(yv) / sy)
             witness = pathmetric._route_witness(K, x, y, u, v)
             assert abs(witness.length - float(exact)) <= VALUE_TOL, (x, y, u, v)
             lengths[u, v] = exact
@@ -418,8 +418,8 @@ class TestRouteLength:
     def test_a_vertex_route_with_no_segment(self, path3):
         # x is e_u, y is e_v and u == v: no segment, and the length is 0.0
         x = vertex_point(path3, "v")
-        assert vertex_route(path3, x, x) == (0, "v", "v")
-        assert pathmetric._route_witness(path3, x, x, "v", "v").length == 0.0
+        assert vertex_route(path3, x, x) == (0, 1, 1)  # v's vertex id, both ends
+        assert pathmetric._route_witness(path3, x, x, 1, 1).length == 0.0
         _assert_route_lengths(path3, x, x)
 
 
@@ -513,14 +513,14 @@ class TestLazyRouteWitness:
         finally:
             tracemalloc.stop()
         assert got.value == witness.length == 1.25
-        assert [p.key() for p in witness.points] == [x.key(), (("t10000", 1.0),), y.key()]
+        assert [p.key() for p in witness.points] == [x.key(), vertex_point(K, "t10000").key(), y.key()]
         assert kept < 2 * 2**20
 
     def test_a_witness_off_the_value_raises(self):
         K = tree_complex(2, 3)
         x, y = vertex_point(K, "t00"), vertex_point(K, "t14")
         assert l1_path_distance(K, x, y).value == 3.0
-        got = pathmetric.PathResult(3.0 + 1e-6, route=(K, x, y, "t00", "t14"))
+        got = pathmetric.PathResult(3.0 + 1e-6, route=(K, x, y, *x.ids, *y.ids))
         assert got.value == 3.0 + 1e-6
         with pytest.raises(InternalConsistencyError, match="witness length 3.0"):
             got.witness
@@ -535,7 +535,8 @@ def _assert_lazy_chain_is_the_chain(K, x, y) -> bool:
     got = l1_path_distance(K, x, y)
     if got._chain is None:  # a closed form or a route
         return False
-    carriers, _, _ = search(K, x, y, word_metric(K))
+    rows, _, _ = search(K, x, y, word_metric(K))
+    carriers = tuple(tuple(K.vertices[w] for w in row) for row in rows)
     value, breakpoints = chain_lp(K, Chain(simplices=carriers), x, y)
     points = (x, *breakpoints, y)
     witness = got.witness
@@ -604,6 +605,23 @@ class TestLazyChainWitness:
         with pytest.raises(InternalConsistencyError, match="chain optimum"):
             l1_path_distance(K, x, y)
 
+    def test_answers_hold_ids_and_make_labels_when_the_witness_is_read(self):
+        # a chain answer keeps its simplices as vertex id rows and a route its two ends as vertex
+        # ids; reading the witness maps them to the label carriers and points it has always had
+        K = rips_complex(cycle_complex(8), 2)
+        x, y = (make_point(K, w) for w in CHAIN_PAIR)
+        chain = l1_path_distance(K, x, y)
+        rows = chain._chain[3]
+        assert len(rows) == 5 and all(type(w) is int for row in rows for w in row)
+        assert chain.witness.carriers == tuple(tuple(K.vertices[w] for w in row) for row in rows)
+        T = tree_complex(2, 3)
+        x, y = make_point(T, {"t00": 0.25, "t01": 0.75}), vertex_point(T, "t14")
+        route = l1_path_distance(T, x, y)
+        assert route._route[3:] == (0, 14)
+        walk = ["t00", "t02", "t06", "t14"]
+        assert [p.support for p in route.witness.points] == [("t00", "t01"), *[(v,) for v in walk]]
+        assert route.witness.carriers == (("t00", "t01"), *zip(walk, walk[1:]))
+
     def test_a_witness_off_the_value_raises_when_read(self, monkeypatch):
         length = pathmetric.path_length
         monkeypatch.setattr(pathmetric, "path_length", lambda *args: length(*args) + 1e-6)
@@ -622,7 +640,7 @@ def _assert_vertex_pairs_take_the_route(K):
         assert max(b for _, b in lower_bounds(K, x, y)) == table.distance(i, j)
         got = chain_solver_distance(K, x, y)
         assert got._route is not None  # the route, its witness not yet built
-        assert got == (table.distance(i, j), pathmetric._route_witness(K, x, y, u, v))
+        assert got == (table.distance(i, j), pathmetric._route_witness(K, x, y, i, j))
 
 
 class TestChainSolverAgainstClosedForms:
@@ -864,14 +882,13 @@ def _dijkstra_transport(
 
 def _weights_point(weights):
     """A point built by hand on the vertices v0, v1, ..., with ids 0, 1, ..."""
-    items = tuple((f"v{i}", w) for i, w in enumerate(weights))
-    return BarycentricPoint(items=items, ids=tuple(range(len(weights))))
+    return BarycentricPoint(tuple(enumerate(weights)), tuple(f"v{i}" for i in range(len(weights))))
 
 
 # the search `_best_first` replaced, kept verbatim but for its names, its
-# arguments, its heap key and the overlaps table, now built here: each state
-# stores per atom of supp(x) an int tuple aligned with the simplex, and moves
-# through shared positions
+# arguments, its heap key, the overlaps table, now built here, and its chain,
+# now returned as id rows: each state stores per atom of supp(x) an int tuple
+# aligned with the simplex, and moves through shared positions
 def _overlaps(K):
     """Per maximal simplex s, one (t, positions, shared) per other maximal simplex t meeting it.
 
@@ -899,8 +916,8 @@ def _tuple_best_first(
     table,
     priced,
     cutoff: int,
-) -> tuple[tuple[Simplex, ...], int, int] | None:
-    """Best chain whose total lies below the cutoff: (chain, total, scale), or None.
+) -> tuple[tuple[tuple[int, ...], ...], int, int] | None:
+    """Best chain whose total lies below the cutoff: (chain of id rows, total, scale), or None.
 
     A state is a maximal simplex sigma reached by a chain from supp(x) plus,
     for each u in supp(x), the fewest switches val_u(w) that bring the mass
@@ -973,7 +990,7 @@ def _tuple_best_first(
         if s in ends:
             chain = []
             while li is not None:
-                chain.append(M[labels[li][0]])
+                chain.append(K.simplex_csr.row(labels[li][0]))
                 li = labels[li][2]
             return tuple(reversed(chain)), b, scale
         for t, positions, shared in overlaps[s]:
