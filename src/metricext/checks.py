@@ -28,8 +28,9 @@ from .complexes import (
     Automorphism,
     BarycentricPoint,
     SimplicialComplex,
+    _automorphism_on_ids,
+    _point_on,
     apply_automorphism,
-    make_automorphism,
     make_point,
     simplex_l1,
     vertex_point,
@@ -43,7 +44,6 @@ from .extension import (
 from .generators import (
     MIN_WEIGHT,
     _integer,
-    _point_on,
     grid_point,
     nested_quadruples,
     random_disjoint_pair,
@@ -120,10 +120,10 @@ def find_nontrivial_automorphism(K: SimplicialComplex) -> Automorphism | None:
     no budget and no size cap.  Colours are refined on which maximal simplices hold each vertex,
     so a pin splits vertices even where the 1-skeleton is complete.  The first vertex v of the
     first non-singleton cell is pinned against each other w of it, and pairs are pinned depth
-    first until mapping each cell onto its namesake in label order passes `make_automorphism`.
+    first until mapping each cell onto its namesake in id order passes `_automorphism_on_ids`.
     If no w works, every automorphism fixes v, so v stays pinned.
     """
-    vs = K.vertices
+    n = len(K.vertices)
     simplices, held = K.simplex_csr.all_rows(), K.incidence_csr.all_rows()
 
     def refine(colour: list[int]) -> list[int]:
@@ -148,7 +148,7 @@ def find_nontrivial_automorphism(K: SimplicialComplex) -> Automorphism | None:
             out.setdefault(c, []).append(v)
         return out, min((c for c, members in out.items() if len(members) > 1), default=None)
 
-    colour = refine([0] * len(vs))
+    colour = refine([0] * n)
     top, split = cells(colour)
     while split is not None:
         fixed = pin(colour, top[split][0])
@@ -160,8 +160,9 @@ def find_nontrivial_automorphism(K: SimplicialComplex) -> Automorphism | None:
             if sorted(a) != sorted(b):
                 continue
             (ca, inner), (cb, _) = cells(a), cells(b)
+            image = sorted(pair for c in ca for pair in zip(ca[c], cb[c]))  # (u, its image) per vertex id u
             try:
-                return make_automorphism(K, {vs[u]: vs[t] for c in ca for u, t in zip(ca[c], cb[c])})
+                return _automorphism_on_ids(K, [t for _, t in image])
             except NotAnAutomorphism:
                 if inner is not None:
                     a = pin(a, ca[inner][0])
@@ -200,17 +201,18 @@ def _check(suite: str, name: str):
 
 @_check("complex", "faces-closed-under-subsets")
 def _check_face_closure(ctx: CheckContext, r: CheckResult) -> None:
-    for s in ctx.K.maximal_simplices:
-        if len(s) > 6:
-            r.notes.append(f"simplex {s} too large for exhaustive subset check")
+    vs = ctx.K.vertices
+    for row in ctx.K.simplex_csr.all_rows():
+        if len(row) > 6:
+            r.notes.append(f"simplex {tuple([vs[i] for i in row])} too large for exhaustive subset check")
             continue
-        for k in range(1, len(s) + 1):
-            for sub in itertools.combinations(s, k):
-                if ctx.K.spans(sub):
+        for k in range(1, len(row) + 1):
+            for sub in itertools.combinations(row, k):
+                if ctx.K.holds(sub):
                     r.passed += 1
                 else:
                     r.failed += 1
-                    r.notes.append(f"missing face {sub}")
+                    r.notes.append(f"missing face {tuple([vs[i] for i in sub])}")
 
 
 def _random_point_on(K: SimplicialComplex, rng: np.random.Generator, ids: Sequence[int]) -> BarycentricPoint:
@@ -281,7 +283,7 @@ def _check_vertex_agreement_solver(ctx: CheckContext, r: CheckResult) -> None:
     for i, u in enumerate(vs):
         from_u = table.row(i)
         for j, v in enumerate(vs[i + 1 :], i + 1):
-            got = chain_solver_distance(ctx.K, vertex_point(ctx.K, u), vertex_point(ctx.K, v)).value
+            got = chain_solver_distance(ctx.K, _point_on(ctx.K, (i,), [1.0]), _point_on(ctx.K, (j,), [1.0])).value
             want = float(from_u[j])
             ok = abs(got - want) <= VALUE_TOL
             r.passed += ok
@@ -398,8 +400,7 @@ def _pair_at(n: int, k: int) -> tuple[int, int]:
 @_check("path", "path-vertex-agreement")
 def _check_path_vertex_agreement(ctx: CheckContext, r: CheckResult) -> None:
     table = word_metric(ctx.K)
-    vs = ctx.K.vertices
-    n = len(vs)
+    n = len(ctx.K.vertices)
     count = n * (n - 1) // 2
     pairs = itertools.combinations(range(n), 2)
     if count > 400:
@@ -407,7 +408,7 @@ def _check_path_vertex_agreement(ctx: CheckContext, r: CheckResult) -> None:
         idx = rng.choice(count, size=400, replace=False)
         pairs = [_pair_at(n, int(k)) for k in idx]
     for u, v in pairs:
-        d = l1_path_distance(ctx.K, vertex_point(ctx.K, vs[u]), vertex_point(ctx.K, vs[v])).value
+        d = l1_path_distance(ctx.K, _point_on(ctx.K, (u,), [1.0]), _point_on(ctx.K, (v,), [1.0])).value
         ok = d == table.distance(u, v)
         r.passed += ok
         r.failed += not ok
@@ -467,9 +468,8 @@ def _check_ext_axioms(ctx: CheckContext, r: CheckResult) -> None:
 
 @_check("extension", "ext-vertex-restriction")
 def _check_ext_vertex_restriction(ctx: CheckContext, r: CheckResult) -> None:
-    vs = ctx.K.vertices
-    for u, v in itertools.islice(itertools.combinations(range(len(vs)), 2), 400):
-        d = ctx.M.distance(vertex_point(ctx.K, vs[u]), vertex_point(ctx.K, vs[v]))
+    for u, v in itertools.islice(itertools.combinations(range(len(ctx.K.vertices)), 2), 400):
+        d = ctx.M.distance(_point_on(ctx.K, (u,), [1.0]), _point_on(ctx.K, (v,), [1.0]))
         ok = d == ctx.metric.distance(u, v)
         r.passed += ok
         r.failed += not ok
@@ -569,9 +569,7 @@ def _check_automorphism_ext(ctx: CheckContext, r: CheckResult) -> None:
     if g is None:
         r.notes.append("only the identity exists; nothing to compare")
         return
-    d = ctx.metric.distance
-    index = ctx.K.index
-    image = [index[v] for _, v in g.mapping]  # vertex id -> its image's id; mapping is by source label
+    d, image = ctx.metric.distance, g.image_of
     rng = ctx.rng("auto-ext")
     samples = max(1, ctx.pairs // 4)
     for _ in range(samples):

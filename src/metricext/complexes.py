@@ -10,9 +10,10 @@ A barycentric point stores its support once, as (vertex id, weight) pairs
 of the complex it was made for, ids ascending, so a query on it maps no
 label to an id again; a point is used only with that complex.  Its label
 views (`support`, `items`, `weights`, `get`, repr) read the complex's
-`vertices`, for the readers that hand labels out or take label carriers:
-files, the CLI, witnesses and the grid oracle.  The per-simplex l1
-distance is one merge of two points' pairs.
+`vertices`, for the readers that hand labels out: files, the CLI and the
+grid oracle.  Points built from ids go through `_point_on`; `make_point`
+normalizes label weights (`_normalised`) and only then maps the labels to
+ids.  The per-simplex l1 distance is one merge of two points' pairs.
 
 Inside, a complex is integer ids: vertex i is the i-th label in sorted
 order and simplex s the s-th maximal simplex, so id order is label order.
@@ -29,14 +30,17 @@ the generators hand their ids to it directly.
 
 Equality and hash read the labels and the simplex rows.  Everything else
 is derived on first use and kept on the complex, freed with it: the label
--> id `index`, read only where labels come in (`make_point`, `vertex_point`,
-`spans` and the other label readers), the word table, the grid oracle's graphs by resolution, the
+-> id `index`, read only where a caller hands labels in (`make_point`,
+`vertex_point`, `spans`, `make_automorphism`, `probes.make_ray` and
+`deepest_ray`, `generators.random_point`'s given face, the file readers
+and the CLI), the
+word table, the grid oracle's graphs by resolution, the
 maximal simplices meeting each one the path search asks about and the
 faces they share with it, the id rows read so far (`IdRows.row`), and two
 label views of whole tables:
-`maximal_simplices` (label tuples), read by the checks,
-`oracle.build_grid` and `fileio.complex_to_dict`, and the `adjacency` dict,
-read by the oracle's own search.  Every other reader reads id rows: one at a
+`maximal_simplices` (label tuples), read by `oracle.build_grid` and
+`fileio.complex_to_dict`, and the `adjacency` dict, read by the oracle's
+own search.  Every other reader reads id rows: one at a
 time through `row`, or, to walk a whole table, all at once as lists that no
 cache keeps (`IdRows.all_rows`).
 
@@ -603,18 +607,18 @@ class BarycentricPoint:
         return f"Point({inner})"
 
 
-def make_point(K: SimplicialComplex, weights: Mapping[str, float]) -> BarycentricPoint:
-    """Normalized barycentric point whose support must span a simplex of K.
+def _normalised(weights: Mapping) -> list[tuple]:
+    """The (key, weight) pairs of weights in key order, those under WEIGHT_FLOOR dropped, scaled to sum to 1.
 
-    Raises NegativeWeight on a negative weight, and WeightsNotNormalizable on
-    a NaN or infinite weight or when no weight survives normalization.
+    Every sum adds the weights in key order.  Raises NegativeWeight on a
+    negative weight, and WeightsNotNormalizable on a NaN or infinite weight
+    or when no weight survives normalization.
     """
     for v, w in weights.items():
         if w < 0:
             raise NegativeWeight(f"weight of {v!r} is negative ({w})")
         if not math.isfinite(w):
             raise WeightsNotNormalizable(f"weight of {v!r} is not a finite number ({w})")
-    # (label, weight) in label order: every sum below adds in that order
     kept = sorted((v, float(w)) for v, w in weights.items() if w >= WEIGHT_FLOOR)
     total = sum(w for _, w in kept)
     if math.isinf(total):
@@ -633,7 +637,18 @@ def make_point(K: SimplicialComplex, weights: Mapping[str, float]) -> Barycentri
         if total <= 0:
             raise WeightsNotNormalizable("all weight below representable floor")
         normalized = [(v, w / total) for v, w in again]
+    return normalized
 
+
+def make_point(K: SimplicialComplex, weights: Mapping[str, float]) -> BarycentricPoint:
+    """Normalized barycentric point whose support must span a simplex of K.
+
+    The weights are normalized by label first, raising as `_normalised`
+    does, and the kept labels are then looked up: an unknown label or a
+    support that is no face raises SupportNotASimplex, and a label whose
+    weight is dropped raises nothing.
+    """
+    normalized = _normalised(weights)
     # the support's ids, resolved here once, ascend with the labels; an unknown label is no face
     ids = tuple(map(K.index.get, [v for v, _ in normalized]))
     if None in ids or not K.holds(ids):
@@ -641,24 +656,36 @@ def make_point(K: SimplicialComplex, weights: Mapping[str, float]) -> Barycentri
     return BarycentricPoint(tuple(zip(ids, [w for _, w in normalized])), K.vertices)
 
 
+def _point_on(K: SimplicialComplex, ids: Sequence[int], weights: list[float]) -> BarycentricPoint:
+    """The point on the face with ascending vertex ids `ids` and these weights, normalized.
+
+    It is the point `make_point` makes from those ids' labels and weights,
+    built without its checks: ids ascend in label order, so the weights are
+    summed in the order it sums them; the ids are a face of K; and no weight
+    falls under WEIGHT_FLOOR once normalized, so none is dropped.
+    """
+    total = sum(weights)
+    return BarycentricPoint(tuple([(i, w / total) for i, w in zip(ids, weights)]), K.vertices)
+
+
 def vertex_point(K: SimplicialComplex, v: str) -> BarycentricPoint:
-    """The point of weight 1 at v: make_point(K, {v: 1.0}), built without renormalizing."""
+    """The point of weight 1 at label v: make_point(K, {v: 1.0}), its id's `_point_on`."""
     i = K.index.get(v)  # a vertex's id is its face test
     if i is None:
         raise SupportNotASimplex(f"support {(v,)} does not span a simplex")
-    return BarycentricPoint(((i, 1.0),), K.vertices)
+    return _point_on(K, (i,), [1.0])
 
 
 def common_simplex(
     K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint
-) -> Simplex | None:
-    """Smallest simplex containing both supports, or None.
+) -> tuple[int, ...] | None:
+    """The ascending vertex ids of the smallest face holding both supports, or None.
 
     A simplex holds both supports iff it holds their union, so one exists
     iff the union is a face, and then the union is the smallest choice.
     """
-    union = sorted(set(x.ids).union(y.ids))
-    return tuple([K.vertices[i] for i in union]) if K.holds(union) else None
+    union = tuple(sorted(set(x.ids).union(y.ids)))
+    return union if K.holds(union) else None
 
 
 def simplex_l1(x: BarycentricPoint, y: BarycentricPoint) -> float:
@@ -698,16 +725,36 @@ def simplex_l1(x: BarycentricPoint, y: BarycentricPoint) -> float:
 
 @dataclass(frozen=True)
 class Automorphism:
-    """Simplicial automorphism given by a vertex bijection."""
+    """Simplicial automorphism given by a vertex bijection.
+
+    `mapping` is its (source, image) label pairs; `image_of[i]` is the id
+    of vertex id i's image, for the id readers, and plays no part in
+    equality, hash or repr.
+    """
 
     mapping: tuple[tuple[str, str], ...]  # sorted by source label
+    image_of: tuple[int, ...] = field(compare=False, repr=False)
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.mapping)
 
 
 def make_automorphism(K: SimplicialComplex, mapping: Mapping[str, str]) -> Automorphism:
-    """Validate that the vertex bijection maps simplices to simplices.
+    """Validate that the label bijection maps simplices to simplices.
+
+    The labels are mapped to ids once, and the id image is checked by
+    `_automorphism_on_ids`; either step raises NotAnAutomorphism.
+    """
+    vs = K.vertices
+    if sorted(mapping) != list(vs) or sorted(mapping.values()) != list(vs):
+        raise NotAnAutomorphism("mapping is not a bijection of the vertex set")
+    return _automorphism_on_ids(K, [K.index[mapping[v]] for v in vs])
+
+
+def _automorphism_on_ids(K: SimplicialComplex, image_of: Sequence[int]) -> Automorphism:
+    """The automorphism sending vertex id i to image_of[i], a permutation of the ids.
+
+    Raises NotAnAutomorphism unless it maps simplices to simplices.
 
     Checking maximal simplices suffices: a face's image lies in its maximal
     simplex's image.  The simplex table is read once, as lists; an image
@@ -715,10 +762,6 @@ def make_automorphism(K: SimplicialComplex, mapping: Mapping[str, str]) -> Autom
     face test, and a valid map reads no row into K's row caches.
     """
     vs = K.vertices
-    if sorted(mapping) != list(vs) or sorted(mapping.values()) != list(vs):
-        raise NotAnAutomorphism("mapping is not a bijection of the vertex set")
-    index = K.index
-    image_of = [index[mapping[v]] for v in vs]
     rows = K.simplex_csr.all_rows()
     maximal = set(map(tuple, rows))
     for row in rows:
@@ -727,16 +770,14 @@ def make_automorphism(K: SimplicialComplex, mapping: Mapping[str, str]) -> Autom
             raise NotAnAutomorphism(
                 f"image {tuple([vs[i] for i in image])} of simplex {tuple([vs[i] for i in row])} is not a simplex"
             )
-    return Automorphism(mapping=tuple(sorted(mapping.items())))
+    return Automorphism(mapping=tuple(zip(vs, [vs[j] for j in image_of])), image_of=tuple(image_of))
 
 
 def apply_automorphism(
     K: SimplicialComplex, g: Automorphism, x: BarycentricPoint
 ) -> BarycentricPoint:
-    """Move the weights of a point to the automorphism's images, resolving the image's ids once."""
-    m, vs = g.as_dict(), K.vertices
-    images = [m[vs[i]] for i in x.ids]
-    ids = list(map(K.index.get, images))
-    if None in ids or not K.holds(sorted(ids)):
-        raise NotAnAutomorphism(f"image support {tuple(sorted(images))} is not a simplex")
-    return BarycentricPoint(tuple(sorted(zip(ids, [w for _, w in x.pairs]))), vs)
+    """Move the weights of a point to the automorphism's images, by vertex id (`image_of`)."""
+    pairs = tuple(sorted([(g.image_of[i], w) for i, w in x.pairs]))
+    if not K.holds([i for i, _ in pairs]):
+        raise NotAnAutomorphism(f"image support {tuple([K.vertices[i] for i, _ in pairs])} is not a simplex")
+    return BarycentricPoint(pairs, K.vertices)

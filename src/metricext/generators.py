@@ -17,8 +17,13 @@ multinomial is numpy's own call.
 
 Every random face is a face of a maximal simplex's id row of
 `K.simplex_csr`, drawn under one hold of the bit generator's lock, and
-every sampled point is built from ascending vertex ids and weights by
-`_point_on`; no sampler reads a label view of a whole table.
+every sampled point, the vertex points included, is built from ascending
+vertex ids and weights by `complexes._point_on`; no sampler reads a label
+view of a whole table, and only `random_point`'s given face looks a label
+up.  `_point_on` drops no weight: a weight MIN_WEIGHT + draw is at least
+MIN_WEIGHT / (1 + MIN_WEIGHT) / len(ids) once normalized, and a grid
+weight (1 + e) / n, summing to 1 with the others, at least 1 / n: above
+WEIGHT_FLOOR for every resolution n below 10**11.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .complexes import BarycentricPoint, SimplicialComplex, complex_from_ids, vertex_point
+from .complexes import BarycentricPoint, SimplicialComplex, _point_on, complex_from_ids
 from .errors import InvalidParameters, SupportNotASimplex, WeightsNotNormalizable
 from .vertexmetrics import word_metric
 
@@ -333,23 +338,8 @@ def random_point(
     return _point_on(K, ids, [MIN_WEIGHT + drawn[i] for i in ids])
 
 
-def _point_on(K: SimplicialComplex, ids: Sequence[int], weights: list[float]) -> BarycentricPoint:
-    """The point on the face with ascending vertex ids `ids` and these weights, normalized.
-
-    It is the point `make_point` makes from those labels and weights, built
-    without its checks: ids ascend in label order, so the weights are summed
-    in the order it sums them; the ids are a face of K; and no weight falls
-    under WEIGHT_FLOOR, so none is dropped.  A weight MIN_WEIGHT + draw is
-    at least MIN_WEIGHT / (1 + MIN_WEIGHT) / len(ids) once normalized, and a
-    grid weight (1 + e) / n, summing to 1 with the others, at least 1 / n:
-    above the floor for every resolution n below 10**11.
-    """
-    total = sum(weights)
-    return BarycentricPoint(tuple([(i, w / total) for i, w in zip(ids, weights)]), K.vertices)
-
-
 def random_vertex(K: SimplicialComplex, rng: np.random.Generator) -> BarycentricPoint:
-    return vertex_point(K, _pick(rng, K.vertices))
+    return _point_on(K, (_integer(rng, len(K.vertices)),), [1.0])
 
 
 def random_quadruples(
@@ -394,7 +384,7 @@ def random_disjoint_pair(
             return a, b
     i = _integer(rng, len(verts))
     j = _integer(rng, len(verts) - 1)  # an index among the other vertices
-    return vertex_point(K, verts[i]), vertex_point(K, verts[j + (j >= i)])
+    return _point_on(K, (i,), [1.0]), _point_on(K, (j + (j >= i),), [1.0])
 
 
 def grid_point(K: SimplicialComplex, rng: np.random.Generator, n: int) -> BarycentricPoint:

@@ -85,10 +85,10 @@ from .complexes import (
     BarycentricPoint,
     SimplicialComplex,
     Simplex,
+    _normalised,
+    _point_on,
     common_simplex,
-    make_point,
     simplex_l1,
-    vertex_point,
 )
 from .errors import (
     EmptyIntersection,
@@ -128,9 +128,9 @@ def _assert_above_bounds(value: float, bounds: Iterable[tuple[str, float]], cont
 
 @dataclass(frozen=True)
 class Chain:
-    """Sequence of maximal simplices with nonempty consecutive overlaps."""
+    """Sequence of maximal simplices, each its ascending vertex ids, with nonempty consecutive overlaps."""
 
-    simplices: tuple[Simplex, ...]
+    simplices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if not self.simplices:
@@ -139,7 +139,7 @@ class Chain:
             if not set(a) & set(b):
                 raise EmptyIntersection(f"consecutive simplices {a} and {b} are disjoint")
 
-    def faces(self) -> list[Simplex]:
+    def faces(self) -> list[tuple[int, ...]]:
         return [
             tuple(sorted(set(a) & set(b)))
             for a, b in zip(self.simplices, self.simplices[1:])
@@ -148,20 +148,29 @@ class Chain:
 
 @dataclass(frozen=True)
 class PathWitness:
-    """Certificate for an upper bound on the path distance."""
+    """Certificate for an upper bound on the path distance.
+
+    Consecutive points are joined by carriers, faces of the points'
+    complex, stored as `rows`, their ascending vertex ids.  `carriers`, the
+    same faces as label tuples, is built from the points' `vertices` on its
+    first read and kept, as a point's `support` is.
+    """
 
     points: tuple[BarycentricPoint, ...]
-    carriers: tuple[Simplex, ...]
+    rows: tuple[tuple[int, ...], ...]
     length: float
+
+    @cached_property
+    def carriers(self) -> tuple[Simplex, ...]:
+        return tuple([tuple([self.points[0].vertices[i] for i in row]) for row in self.rows])
 
     def reversed(self) -> PathWitness:
         """The same path walked from its last point to its first."""
-        return PathWitness(points=self.points[::-1], carriers=self.carriers[::-1], length=self.length)
+        return PathWitness(points=self.points[::-1], rows=self.rows[::-1], length=self.length)
 
     def validate(self, K: SimplicialComplex) -> None:
-        if len(self.points) != len(self.carriers) + 1:
-            raise InvalidCarrier("need one carrier per consecutive point pair")
-        total = path_length(K, self.points, self.carriers)
+        """Raises InvalidCarrier unless `path_length` accepts the path and finds its stored length."""
+        total = path_length(K, self.points, self.rows)
         if abs(total - self.length) > VALUE_TOL:
             raise InvalidCarrier(f"stored length {self.length} != recomputed {total}")
 
@@ -173,8 +182,9 @@ class PathResult:
     (`_route_witness`) and a chain's (`_chain_witness`) are built when
     `.witness` is first read, and then kept: `route` holds the route's
     (K, x, y, u, v), u and v vertex ids, and `chain` the chain's (K, x, y,
-    rows), its simplices' vertex id rows, until then; labels are read only
-    when the witness is built.
+    rows), its simplices' vertex id rows, until then.  Either witness is
+    built from ids; its labels are made only when its `carriers` or its
+    points' label views are read.
     Reading `.value`, or `[0]`, builds nothing.  A route's witness length,
     a float sum, must lie within VALUE_TOL of the value; a chain's witness
     must pass `_chain_witness`'s checks; else the read raises
@@ -235,25 +245,29 @@ class PathResult:
 def path_length(
     K: SimplicialComplex,
     points: Sequence[BarycentricPoint],
-    carriers: Sequence[Simplex],
+    rows: Sequence[Sequence[int]],
 ) -> float:
-    """Sum of per-simplex l1 lengths; carriers must hold both endpoints.
+    """Sum of per-simplex l1 lengths; each carrier row of vertex ids must be a face holding both endpoints.
 
     The value never depends on which admissible carriers are supplied, since
-    the simplex l1 metric restricts to faces.
+    the simplex l1 metric restricts to faces.  Errors name the carriers'
+    labels, read from `K.vertices`.
     """
-    if len(points) != len(carriers) + 1:
+    if len(points) != len(rows) + 1:
         raise InvalidCarrier("need exactly one carrier per consecutive point pair")
+    vs = K.vertices
     total = 0.0
-    for i, carrier in enumerate(carriers):
-        carrier = tuple(sorted(carrier))
-        held = set(carrier)
-        if len(held) != len(carrier) or not K.spans(carrier):
-            raise InvalidCarrier(f"carrier {carrier} is not a simplex of the complex")
+    for i, row in enumerate(rows):
+        row = tuple(sorted(row))
+        held = set(row)
+        # ascending, so row[0] and row[-1] bound every id
+        if not (row and 0 <= row[0] and row[-1] < len(vs)) or len(held) != len(row) or not K.holds(row):
+            named = tuple([vs[w] if 0 <= w < len(vs) else w for w in row])
+            raise InvalidCarrier(f"carrier {named} is not a simplex of the complex")
         a, b = points[i], points[i + 1]
-        if not (held.issuperset(a.support) and held.issuperset(b.support)):
+        if not (held.issuperset(a.ids) and held.issuperset(b.ids)):
             raise InvalidCarrier(
-                f"segment {i}: supports {a.support}, {b.support} not inside {carrier}"
+                f"segment {i}: supports {a.support}, {b.support} not inside {tuple([vs[w] for w in row])}"
             )
         total += simplex_l1(a, b)
     return total
@@ -366,13 +380,12 @@ def _row_split(cost: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[int
 def _switch_counts(chain: Chain, xs: Sequence, ys: Sequence) -> tuple[list[tuple], list[list[dict]], list[list[int]]]:
     """The switch-count DP along a chain: its faces, each atom's counts, and the chain's costs.
 
-    xs and ys are supp(x) and supp(y), named as the chain names vertices:
-    labels, or, for a chain of id rows, vertex ids; only set membership is
-    read.  Per u in supp(x), the fewest vertex switches that bring the mass
-    of u to each vertex of {u}, of each interface face and of supp(y): mass
-    stays on a vertex the next layer holds, or switches once from the
-    cheapest.  Row u of the cost matrix is its counts at supp(y), a column
-    per v.
+    xs and ys are the vertex ids of supp(x) and supp(y), ascending, as the
+    chain's rows are.  Per u in supp(x), the fewest vertex switches that
+    bring the mass of u to each vertex of {u}, of each interface face and
+    of supp(y): mass stays on a vertex the next layer holds, or switches
+    once from the cheapest.  Row u of the cost matrix is its counts at
+    supp(y), a column per v.
     """
     sigma = chain.simplices
     if not set(xs) <= set(sigma[0]):
@@ -427,16 +440,18 @@ def chain_lp(
     (`_switch_counts`); nothing caps those moves, so the optimum is a
     transport between x and y, solved in integers (`_chain_transport`) and
     divided by its scale once.  The breakpoints follow each used (u, v)
-    pair's optimal positions.  Returns the value and one optimal breakpoint
+    pair's optimal positions; each is built from its (vertex id, mass /
+    scale) pairs, normalized as `make_point` normalizes weights
+    (`_normalised`).  Returns the value and one optimal breakpoint
     assignment.
     """
-    faces, routes, cost = _switch_counts(chain, x.support, y.support)
+    faces, routes, cost = _switch_counts(chain, x.ids, y.ids)
     supply, demand, scale = _masses(x, y)
     total, flow = _chain_transport(supply, demand, cost)
 
-    mass: list[dict[str, int]] = [{} for _ in faces]
+    mass: list[dict[int, int]] = [{} for _ in faces]
     for row, dp in zip(flow, routes):
-        for amount, v in zip(row, y.support):
+        for amount, v in zip(row, y.ids):
             if not amount:
                 continue
             w = v
@@ -445,8 +460,8 @@ def chain_lp(
                     w = min(dp[i], key=lambda p: (dp[i][p], p))
                 mass[i - 1][w] = mass[i - 1].get(w, 0) + amount
     # int / int is correctly rounded: the exact quotient, rounded once
-    breakpoints = [make_point(K, {v: m / scale for v, m in d.items()}) for d in mass]
-    return total / scale, breakpoints
+    weights = [{v: m / scale for v, m in d.items()} for d in mass]
+    return total / scale, [BarycentricPoint(tuple(_normalised(w)), K.vertices) for w in weights]
 
 
 # --------------------------------------------------------------------------
@@ -566,21 +581,20 @@ def _vertex_route(x: BarycentricPoint, y: BarycentricPoint, priced: _WordTranspo
 def _route_witness(
     K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint, u: int, v: int
 ) -> PathWitness:
-    """The vertex route's witness: huddle to vertex id u, walk a geodesic to vertex id v, spread to y."""
-    points: list[BarycentricPoint] = [x]
-    carriers: list[Simplex] = []
-    walk = geodesic(K, K.vertices[u], K.vertices[v])
+    """The vertex route's witness: huddle to vertex id u, walk the geodesic's ids to vertex id v, spread to y."""
+    points, rows = [x], []  # rows: each segment's carrier, as ascending vertex ids
+    walk = geodesic(K, u, v)
     if not (x.is_vertex and x.ids[0] == u):
-        points.append(vertex_point(K, walk[0]))
-        carriers.append(x.support)
+        points.append(_point_on(K, (u,), [1.0]))
+        rows.append(x.ids)
     for prev, w in zip(walk, walk[1:]):
-        points.append(vertex_point(K, w))
-        carriers.append(tuple(sorted((prev, w))))
+        points.append(_point_on(K, (w,), [1.0]))
+        rows.append((prev, w) if prev < w else (w, prev))
     if not (y.is_vertex and y.ids[0] == v):
         points.append(y)
-        carriers.append(y.support)
-    length = path_length(K, points, carriers)
-    return PathWitness(points=tuple(points), carriers=tuple(carriers), length=length)
+        rows.append(y.ids)
+    length = path_length(K, points, rows)
+    return PathWitness(points=tuple(points), rows=tuple(rows), length=length)
 
 
 def _chain_witness(
@@ -588,21 +602,20 @@ def _chain_witness(
 ) -> PathWitness:
     """A chain answer's witness: `chain_lp`'s breakpoints along the chain the search found.
 
-    The chain comes as its simplices' vertex id rows, which become the
-    label carriers here.  The chain's optimum must be the
+    The chain comes as its simplices' vertex id rows, which are the
+    witness's carrier rows as they are.  The chain's optimum must be the
     answer's value bit for bit (the same integer transport over the same
     scale) and the witness's length within VALUE_TOL of it, or
     InternalConsistencyError is raised.
     """
-    carriers = tuple([tuple([K.vertices[w] for w in row]) for row in rows])
-    optimum, breakpoints = chain_lp(K, Chain(simplices=carriers), x, y)
+    optimum, breakpoints = chain_lp(K, Chain(simplices=rows), x, y)
     points = (x, *breakpoints, y)
-    length = path_length(K, points, carriers)
+    length = path_length(K, points, rows)
     if optimum != value or abs(length - value) > VALUE_TOL:
         raise InternalConsistencyError(
             f"search value {value}, chain optimum {optimum} and witness length {length} disagree"
         )
-    return PathWitness(points=points, carriers=carriers, length=length)
+    return PathWitness(points=points, rows=rows, length=length)
 
 
 def l1_path_distance(
@@ -662,12 +675,12 @@ def _path(
             return None
     table = word_metric(K)  # raises DisconnectedComplex early
     if x.key() == y.key():
-        return PathResult(0.0, PathWitness(points=(x,), carriers=(), length=0.0))
+        return PathResult(0.0, PathWitness(points=(x,), rows=(), length=0.0))
 
     carrier = common_simplex(K, x, y)
     if carrier is not None:
         value = simplex_l1(x, y)
-        result = PathResult(value, PathWitness(points=(x, y), carriers=(carrier,), length=value))
+        result = PathResult(value, PathWitness(points=(x, y), rows=(carrier,), length=value))
         transport = _simplex_transport(x, y)
     elif x.is_vertex and y.is_vertex:
         # v's row gives the value and the bounds; the route witness, built when it is
@@ -701,7 +714,7 @@ def chain_solver_distance(
     """
     table = word_metric(K)
     if x.key() == y.key():
-        return PathResult(0.0, PathWitness(points=(x,), carriers=(), length=0.0))
+        return PathResult(0.0, PathWitness(points=(x,), rows=(), length=0.0))
     return _solve_by_search(K, x, y, _word_transport(table, x, y))
 
 

@@ -66,8 +66,8 @@ def make_ray(K: SimplicialComplex, vertices: Sequence[str]) -> RaySpec:
 
 def deepest_ray(K: SimplicialComplex, base: str) -> RaySpec:
     """Geodesic from base to a farthest vertex (lexicographic tie-break)."""
-    target = K.vertices[int(np.argmax(word_metric(K).row(K.index[base])))]
-    return make_ray(K, geodesic(K, base, target))
+    i = K.index[base]  # the ray's ids become labels here, for make_ray
+    return make_ray(K, [K.vertices[w] for w in geodesic(K, i, int(np.argmax(word_metric(K).row(i))))])
 
 
 @dataclass(frozen=True)

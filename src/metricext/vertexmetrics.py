@@ -62,18 +62,16 @@ def word_metric(K: SimplicialComplex) -> WordMetricTable:
     return K.word_table
 
 
-def geodesic(K: SimplicialComplex, u: str, v: str) -> list[str]:
-    """Shortest edge path from label u to label v: the least neighbour one step closer to v, each step."""
-    table = word_metric(K)
-    a, b = K.index[u], K.index[v]
-    to_v = table.row(b)
+def geodesic(K: SimplicialComplex, i: int, j: int) -> list[int]:
+    """Shortest edge path from vertex id i to vertex id j, as ids: each step, the least neighbour one nearer j."""
+    to_j = word_metric(K).row(j)
     row = K.adjacency_csr.row
-    path = [u]
-    for step in range(to_v.item(a) - 1, -1, -1):
-        for a in row(a):  # ascending, so the first found is the least
-            if to_v.item(a) == step:
+    path = [i]
+    for step in range(to_j.item(i) - 1, -1, -1):
+        for i in row(i):  # ascending, so the first found is the least
+            if to_j.item(i) == step:
                 break
-        path.append(K.vertices[a])
+        path.append(i)
     return path
 
 

@@ -342,6 +342,52 @@ def vertex_route(K, x, y):
     return pathmetric._vertex_route(x, y, pathmetric._word_transport(word_metric(K), x, y))
 
 
+def id_rows(K, simplices):
+    """Label simplices as the ascending vertex id rows that chains and witnesses hold."""
+    return tuple(tuple(sorted(K.index[v] for v in s)) for s in simplices)
+
+
+def label_chain_witness(K, x, y, rows):
+    """A chain's witness built from labels, as it was before witnesses held ids: the reference.
+
+    The chain's rows become label simplices, the switch-count DP runs on
+    the supports' labels, each breakpoint is the `make_point` of its
+    (label, mass / scale) weights, and each carrier is tested with
+    `K.spans`.  Returns (value, points, carriers, length).
+    """
+    carriers = tuple(tuple(K.vertices[w] for w in row) for row in rows)
+    xs, ys = x.support, y.support
+    assert set(xs) <= set(carriers[0]) and set(ys) <= set(carriers[-1])
+    faces = [tuple(sorted(set(a) & set(b))) for a, b in zip(carriers, carriers[1:])]
+    assert all(faces)
+    routes = []
+    for u in xs:
+        dp = [{u: 0}]
+        for layer in (*faces, ys):
+            switch = min(dp[-1].values()) + 1
+            dp.append({w: dp[-1].get(w, switch) for w in layer})
+        routes.append(dp)
+    supply, demand, scale = pathmetric._masses(x, y)
+    total, flow = pathmetric._chain_transport(supply, demand, [[dp[-1][v] for v in ys] for dp in routes])
+    mass = [{} for _ in faces]
+    for row, dp in zip(flow, routes):
+        for amount, v in zip(row, ys):
+            if not amount:
+                continue
+            w = v
+            for i in range(len(faces), 0, -1):
+                if w not in dp[i]:
+                    w = min(dp[i], key=lambda p: (dp[i][p], p))
+                mass[i - 1][w] = mass[i - 1].get(w, 0) + amount
+    points = (x, *[make_point(K, {v: m / scale for v, m in d.items()}) for d in mass], y)
+    length = 0.0
+    for a, b, carrier in zip(points, points[1:], carriers):
+        assert len(set(carrier)) == len(carrier) and K.spans(carrier)
+        assert set(carrier) >= set(a.support) | set(b.support)
+        length += simplex_l1(a, b)
+    return total / scale, points, carriers, length
+
+
 def assert_closed_form_bounds_are_the_lower_bounds(monkeypatch, pairs) -> int:
     """Each common-simplex or two-vertex pair of (K, x, y) pairs is checked once, against `lower_bounds`.
 

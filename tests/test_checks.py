@@ -216,12 +216,13 @@ def test_pins_split_a_complete_one_skeleton(triangles, monkeypatch):
     K = build_complex(TWELVE, edges + [[TWELVE[i] for i in t] for t in triangles])
     tries = []
 
-    def counted(K, mapping):
-        tries.append(mapping)
+    def counted(K, image):
+        tries.append(image)
         assert len(tries) <= 50, "the search is walking through colour-preserving permutations"
-        return make_automorphism(K, mapping)
+        return on_ids(K, image)
 
-    monkeypatch.setattr(checks, "make_automorphism", counted)
+    on_ids = checks._automorphism_on_ids
+    monkeypatch.setattr(checks, "_automorphism_on_ids", counted)
     g = find_nontrivial_automorphism(K)
     assert (g is not None) == backtracking_has_automorphism(K) == (triangles is ROTATED_TRIANGLES)
     assert g is None or moves_something(g)
@@ -247,12 +248,13 @@ def test_a_vertex_no_image_fits_stays_pinned(monkeypatch):
     assert len(K.maximal_simplices) == 18 and {len(K.adjacency[v]) for v in labels} == {3}
     tries = []
 
-    def counted(K, mapping):
-        tries.append(mapping)
+    def counted(K, image):
+        tries.append(image)
         assert len(tries) <= 100, "the search tries the same maps again"
-        return make_automorphism(K, mapping)
+        return on_ids(K, image)
 
-    monkeypatch.setattr(checks, "make_automorphism", counted)
+    on_ids = checks._automorphism_on_ids
+    monkeypatch.setattr(checks, "_automorphism_on_ids", counted)
     assert find_nontrivial_automorphism(K) is None
     assert tries
 
@@ -305,8 +307,8 @@ def test_pair_at_is_the_listed_pair():
 
 
 def _listed_vertex_pairs(ctx):
-    """The pairs the vertex-pair checks drew when they listed every pair: (path, ext)."""
-    pairs = list(itertools.combinations(ctx.K.vertices, 2))
+    """The vertex id pairs the vertex-pair checks drew when they listed every pair: (path, ext)."""
+    pairs = list(itertools.combinations(range(len(ctx.K.vertices)), 2))
     ext = pairs[:400]
     if len(pairs) > 400:
         idx = ctx.rng("vertex-pairs").choice(len(pairs), size=400, replace=False)
@@ -319,8 +321,8 @@ def test_vertex_pair_checks_use_the_listed_pairs(name, monkeypatch):
     K = tree_complex(2, 6) if name == "tree2_6" else fleet()[name]
     ctx = checks.CheckContext(K, word_vertex_metric(K))
     asked = []
-    vertex_point = checks.vertex_point
-    monkeypatch.setattr(checks, "vertex_point", lambda K, v: asked.append(v) or vertex_point(K, v))
+    point_on = checks._point_on
+    monkeypatch.setattr(checks, "_point_on", lambda K, ids, w: asked.extend(ids) or point_on(K, ids, w))
 
     def pairs_of(check):
         asked.clear()

@@ -47,6 +47,7 @@ from conftest import (
     assert_identity_is_the_labels,
     assert_same_complex,
     assert_spans_is_membership,
+    id_rows,
     incidence,
     reference_build_complex,
     search,
@@ -270,8 +271,7 @@ class TestIdTables:
     def test_labels_stay_off_the_query_path(self, make, near, far, monkeypatch):
         # neither the label dicts nor the maximal simplices' label tuples are built by
         # near and far queries, chain answers or spans on three labels; and once the
-        # points are made, the queries look up no label outside the word table, which
-        # keeps the index it was made with, but to build a chain answer's witness
+        # points are made, the queries and their witnesses look up no label
         searched = []
         best_first = pathmetric._best_first
         monkeypatch.setattr(pathmetric, "_best_first", lambda *args: searched.append(args) or best_first(*args))
@@ -289,15 +289,13 @@ class TestIdTables:
             value = l1_path_distance(K, fx, fy)[0]
             assert search(K, fx, fy, word_metric(K), value + 0.5) is not None
         assert searched
-        # a chain answer builds its witness when it is read, and only then looks labels up
+        # the Rips pair's answer is a chain, which builds its witness from ids when it is read,
+        # and every witness looks no label up
         assert not index.stacks
         chain = near_answer._route is None
-        if chain:
-            near_answer.witness
-        witness = {"chain_lp", "path_length"}  # the breakpoints' make_point, the carriers' spans
-        assert all(witness & set(stack) for stack in index.stacks), index.stacks
-        # the tree's answers look up nothing
-        assert bool(index.stacks) == (chain and far is None)
+        assert chain == (far is None)
+        near_answer.witness.validate(K)
+        assert not index.stacks
         triangle = K.vertices[:3]
         assert K.spans(triangle) == (K.dimension == 2)
         assert not K.spans((*triangle, "no such vertex"))
@@ -491,7 +489,7 @@ class TestPointLayer:
         # reader), vertex_point, apply_automorphism and chain_lp's breakpoints
         rng = np.random.default_rng(4)
         x, y = make_point(strip, {"a": 0.5, "b": 0.5}), make_point(strip, {"d": 0.25, "e": 0.75})
-        chain = Chain(simplices=(("a", "b", "c"), ("b", "c", "d"), ("c", "d", "e")))
+        chain = Chain(simplices=id_rows(strip, [("a", "b", "c"), ("b", "c", "d"), ("c", "d", "e")]))
         made = [(strip, p) for p in chain_lp(strip, chain, x, y)[1]]
         assert len(made) == 2
         for K in complex_fleet.values():
@@ -538,10 +536,11 @@ class TestPointLayer:
 
 
 class TestCommonSimplex:
+    # the common face comes as its ascending vertex ids
     def test_inside_triangle(self, triangle):
         x = make_point(triangle, {"a": 0.2, "b": 0.3, "c": 0.5})
         y = make_point(triangle, {"a": 0.5, "b": 0.25, "c": 0.25})
-        assert common_simplex(triangle, x, y) == ("a", "b", "c")
+        assert common_simplex(triangle, x, y) == (0, 1, 2)
 
     def test_none_across_cut_vertex(self, path3):
         x = make_point(path3, {"u": 0.5, "v": 0.5})
@@ -550,12 +549,12 @@ class TestCommonSimplex:
 
     def test_same_vertex(self, path3):
         u = vertex_point(path3, "u")
-        assert common_simplex(path3, u, u) == ("u",)
+        assert common_simplex(path3, u, u) == (0,)
 
     def test_smallest_choice(self, triangle):
         x = make_point(triangle, {"a": 0.5, "b": 0.5})
         y = vertex_point(triangle, "a")
-        assert common_simplex(triangle, x, y) == ("a", "b")
+        assert common_simplex(triangle, x, y) == (0, 1)
 
 
 class TestSimplexL1:
@@ -639,6 +638,38 @@ class TestAutomorphism:
                 outcomes.append(isinstance(got, Automorphism))
         assert 10 < sum(outcomes) < len(outcomes) - 100
 
+    def test_apply_maps_ids_through_the_image_and_builds_no_label_dict(self, monkeypatch):
+        # each seeded point's image is the reference: its weights moved to their labels' images,
+        # whose ids are looked up by label; up to renormalising, it is the make_point of those
+        # weights; and no point reads the whole source -> image dict
+        K = tree_complex(2, 11)
+        g = find_nontrivial_automorphism(K)
+        assert g.image_of == tuple(K.index[w] for _, w in g.mapping)
+        mapping = g.as_dict()
+        rng = np.random.default_rng(38)
+        points = [random_point(K, rng) for _ in range(200)]
+        want = []
+        for x in points:
+            moved = {mapping[v]: w for v, w in x.items}
+            exact = BarycentricPoint(tuple(sorted((K.index[v], w) for v, w in moved.items())), K.vertices)
+            want.append((exact, moved))
+        calls = []
+        as_dict = Automorphism.as_dict
+        monkeypatch.setattr(Automorphism, "as_dict", lambda self: calls.append(self) or as_dict(self))
+        for x, (exact, moved) in zip(points, want):
+            got = apply_automorphism(K, g, x)
+            assert got == exact, x
+            again = make_point(K, moved)
+            assert got.ids == again.ids, x
+            assert all(math.isclose(a, b, rel_tol=1e-15) for (_, a), (_, b) in zip(got.pairs, again.pairs)), x
+        assert calls == [] and sum(len(x.ids) > 1 for x in points) > 80
+
+    def test_the_id_image_plays_no_part_in_identity(self, triangle):
+        g = make_automorphism(triangle, {"a": "b", "b": "c", "c": "a"})
+        assert g.image_of == (1, 2, 0)
+        assert g == Automorphism(mapping=g.mapping, image_of=()) and hash(g) == hash(Automorphism(g.mapping, ()))
+        assert "image_of" not in repr(g)
+
     def test_preserves_l1(self, path3):
         g = make_automorphism(path3, {"u": "w", "v": "v", "w": "u"})
         x = make_point(path3, {"u": 0.2, "v": 0.8})
@@ -655,7 +686,8 @@ def _label_make_automorphism(K, mapping):
         image = tuple(sorted(mapping[v] for v in s))
         if not K.spans(image):
             raise NotAnAutomorphism(f"image {image} of simplex {s} is not a simplex")
-    return Automorphism(mapping=tuple(sorted(mapping.items())))
+    image_of = tuple(K.index[mapping[v]] for v in K.vertices)
+    return Automorphism(mapping=tuple(sorted(mapping.items())), image_of=image_of)
 
 
 def _decided(make, K, mapping):

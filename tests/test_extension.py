@@ -41,6 +41,7 @@ from metricext.generators import (
     cycle_complex,
     random_disjoint_pair,
     random_point,
+    random_same_simplex_pair,
     rips_complex,
     tree_complex,
 )
@@ -91,14 +92,15 @@ class TestBilinearExtension:
 def test_queries_on_id_built_points_build_no_label_index(build):
     # every reader on the query path takes vertex ids and (id, weight) pairs, which the points
     # carry, so no query maps a label back to an id and the label -> id dict is never built,
-    # nor is any point's label view, chain answers included; an explicit metric, whose
-    # validation scans every triple, only on the small complex
+    # nor is any point's label view, chain answers included; their witnesses are built from
+    # ids too, and reading, validating and reversing them maps no label either; an explicit
+    # metric, whose validation scans every triple, only on the small complex
     K = build()
     rng = np.random.default_rng(36)
     metrics = [word_vertex_metric(K), transformed_word_metric(K, 1.5, 0.5)]
     if len(K.vertices) <= 60:
         metrics.append(validate_vertex_metric(K, 1.5 * word_metric(K).matrix))
-    points, tiers = [], Counter()
+    points, tiers, witnessed = [], Counter(), 0
     for vm in metrics:
         M = ExtendedMetric(K, vm)
         for _ in range(40):
@@ -108,10 +110,35 @@ def test_queries_on_id_built_points_build_no_label_index(build):
             M.distance(x, y)
             bilinear_extension(vm, x, y)
             simplex_l1(x, y)
+            witness = got.witness
+            witness.validate(K)
+            witness.reversed().validate(K)
+            M.distance_with_witness(x, y)
+            points += [x, y, *witness.points]
+        for _ in range(10):
+            # pairs of one simplex, which the extension answers by the path and its witness
+            x, y = random_same_simplex_pair(K, rng)
+            witness = M.distance_with_witness(x, y)[2]
+            if witness is not None:
+                witness.validate(K)
+                witnessed += 1
             points += [x, y]
     # no chain answers a tree pair here; the Rips complex's pairs include chain answers
     assert tiers["route"] and (tiers["chain"] > 0) == (K.dimension > 1), tiers
+    assert witnessed > 0
     assert not [p for p in points if "support" in vars(p) or "items" in vars(p)]
+    assert "index" not in K.__dict__
+
+
+@pytest.mark.parametrize("build", [lambda: tree_complex(2, 6), lambda: rips_complex(cycle_complex(12), 2)],
+                         ids=["tree", "rips"])
+def test_the_id_suites_build_no_label_index(build):
+    # the complex, vertex, path and extension suites draw, build and validate from ids alone;
+    # the oracle suite reads the label adjacency on purpose, and the probes take label rays
+    K = build()
+    vm = word_vertex_metric(K)
+    for suite in ("complex", "vertex", "path", "extension"):
+        assert all(r.ok for r in run_checks(K, vm, suite=suite)), suite
     assert "index" not in K.__dict__
 
 
@@ -528,7 +555,7 @@ def _bounds_first(M, x, y):
     carrier = common_simplex(M.K, x, y)
     if carrier is not None:
         value = simplex_l1(x, y)
-        path = PathResult(value, PathWitness(points=(x, y), carriers=(carrier,), length=value))
+        path = PathResult(value, PathWitness(points=(x, y), rows=(carrier,), length=value))
     else:
         priced = pathmetric_module._word_transport(word_metric(M.K), x, y)
         if M.scale * max(v for _, v in pathmetric_module.query_bounds(x, y, priced.total / priced.scale)) >= bilinear:

@@ -568,8 +568,8 @@ class TestDrawParity:
 
             with monkeypatch.context() as patch:
                 patch.setitem(globals(), "numpy_make_point", recorded(make_point))
+                # the vertex points too: random_vertex and the disjoint pair's fallback build them from ids
                 patch.setattr(generators, "_point_on", recorded(generators._point_on))
-                patch.setattr(generators, "vertex_point", recorded(vertex_point))
                 results = {
                     name: run_checks(K, word_vertex_metric(K), suite="all", seed=seed)
                     for name, K in fleet().items()

@@ -58,7 +58,9 @@ from conftest import (
     assert_closed_form_bounds_are_the_lower_bounds,
     assert_costs_decompose,
     cutoff,
+    id_rows,
     incidence,
+    label_chain_witness,
     pool_queries,
     search,
     simplex_on_a_path,
@@ -69,34 +71,37 @@ from conftest import (
 
 
 class TestPathLength:
+    # carriers are rows of vertex ids; errors name their labels
     def test_trivial_path(self, triangle):
         x = make_point(triangle, {"a": 0.5, "b": 0.5})
         y = vertex_point(triangle, "c")
-        got = path_length(triangle, [x, y], [("a", "b", "c")])
+        got = path_length(triangle, [x, y], id_rows(triangle, [("a", "b", "c")]))
         assert got == simplex_l1(x, y)
 
     def test_two_segments_through_vertex(self, path3):
         x = make_point(path3, {"u": 0.5, "v": 0.5})
         v = vertex_point(path3, "v")
         y = make_point(path3, {"v": 0.5, "w": 0.5})
-        got = path_length(path3, [x, v, y], [("u", "v"), ("v", "w")])
+        got = path_length(path3, [x, v, y], id_rows(path3, [("u", "v"), ("v", "w")]))
         assert got == 1.0
 
     def test_constant_path(self, path3):
         x = make_point(path3, {"u": 0.5, "v": 0.5})
-        assert path_length(path3, [x, x, x], [("u", "v"), ("u", "v")]) == 0.0
+        assert path_length(path3, [x, x, x], id_rows(path3, [("u", "v"), ("u", "v")])) == 0.0
 
     def test_invalid_carrier(self, path3):
         x = make_point(path3, {"u": 0.5, "v": 0.5})
         y = make_point(path3, {"v": 0.5, "w": 0.5})
-        with pytest.raises(InvalidCarrier):
-            path_length(path3, [x, y], [("u", "v")])
-        with pytest.raises(InvalidCarrier):
-            path_length(path3, [x, y], [("u", "v", "w")])
+        with pytest.raises(InvalidCarrier, match=r"supports \('u', 'v'\), \('v', 'w'\) not inside \('u', 'v'\)"):
+            path_length(path3, [x, y], id_rows(path3, [("u", "v")]))
+        with pytest.raises(InvalidCarrier, match=r"carrier \('u', 'v', 'w'\) is not a simplex"):
+            path_length(path3, [x, y], id_rows(path3, [("u", "v", "w")]))
+        with pytest.raises(InvalidCarrier, match="one carrier per"):
+            path_length(path3, [x, y], [])
 
-    @pytest.mark.parametrize("carrier", [(), ("a", "a"), ("a", "a", "b"), ("b", "a", "b"), ("a", "z")])
+    @pytest.mark.parametrize("carrier", [(), (0, 0), (0, 0, 1), (1, 0, 1), (0, 3), (-1, 0), (3,)])
     def test_carrier_that_is_no_simplex(self, triangle, carrier):
-        # empty, a repeated vertex or an unknown label, though it holds both supports
+        # empty, a repeated vertex or an id that names no vertex, though it holds both supports
         x, y = make_point(triangle, {"a": 1.0}), make_point(triangle, {"a": 0.5, "b": 0.5})
         ends = [x, x] if len(set(carrier)) < 2 else [x, y]
         with pytest.raises(InvalidCarrier, match="is not a simplex"):
@@ -107,33 +112,33 @@ class TestChainLP:
     def test_single_simplex(self, triangle):
         x = make_point(triangle, {"a": 0.5, "b": 0.5})
         y = make_point(triangle, {"a": 0.1, "c": 0.9})
-        value, bps = chain_lp(triangle, Chain(simplices=(("a", "b", "c"),)), x, y)
+        value, bps = chain_lp(triangle, Chain(simplices=id_rows(triangle, [("a", "b", "c")])), x, y)
         assert value == pytest.approx(simplex_l1(x, y), abs=1e-12)
         assert bps == []
 
     def test_forced_breakpoint(self, path3):
         x = make_point(path3, {"u": 0.5, "v": 0.5})
         y = make_point(path3, {"v": 0.5, "w": 0.5})
-        value, bps = chain_lp(path3, Chain(simplices=(("u", "v"), ("v", "w"))), x, y)
+        value, bps = chain_lp(path3, Chain(simplices=id_rows(path3, [("u", "v"), ("v", "w")])), x, y)
         assert value == 1.0
         assert len(bps) == 1 and bps[0] == vertex_point(path3, "v")
 
     def test_disjoint_chain_invalid(self):
         K = build_complex(list("uvwz"), [["u", "v"], ["w", "z"], ["v", "w"]])
         with pytest.raises(EmptyIntersection):
-            Chain(simplices=(("u", "v"), ("w", "z")))
+            Chain(simplices=id_rows(K, [("u", "v"), ("w", "z")]))
 
     def test_endpoint_not_in_carrier(self, path3):
         x = make_point(path3, {"u": 0.5, "v": 0.5})
         y = make_point(path3, {"v": 0.5, "w": 0.5})
         with pytest.raises(EndpointNotInCarrier):
-            chain_lp(path3, Chain(simplices=(("v", "w"),)), x, y)
+            chain_lp(path3, Chain(simplices=id_rows(path3, [("v", "w")])), x, y)
 
     def test_thick_strip_slide(self, strip):
         # sliding through shared faces beats huddling to vertices
         x = make_point(strip, {"a": 0.5, "b": 0.5})
         y = make_point(strip, {"d": 0.5, "e": 0.5})
-        chain = Chain(simplices=(("a", "b", "c"), ("b", "c", "d"), ("c", "d", "e")))
+        chain = Chain(simplices=id_rows(strip, [("a", "b", "c"), ("b", "c", "d"), ("c", "d", "e")]))
         value, bps = chain_lp(strip, chain, x, y)
         assert value == pytest.approx(1.5, abs=1e-12)
 
@@ -151,8 +156,8 @@ class TestChainLP:
                     chain.append(nxt[rng.integers(len(nxt))])
                 x = random_point(K, rng, face=chain[0])
                 y = random_point(K, rng, face=chain[-1])
-                value, bps = chain_lp(K, Chain(simplices=tuple(chain)), x, y)
-                assert value == pytest.approx(path_length(K, [x, *bps, y], chain), abs=1e-9), name
+                value, bps = chain_lp(K, Chain(simplices=id_rows(K, chain)), x, y)
+                assert value == pytest.approx(path_length(K, [x, *bps, y], id_rows(K, chain)), abs=1e-9), name
                 assert value >= l1_path_distance(K, x, y).value - 1e-9, name
                 if len(chain) == 1:
                     assert value == pytest.approx(simplex_l1(x, y), abs=1e-12), name
@@ -527,22 +532,21 @@ class TestLazyRouteWitness:
 
 
 def _assert_lazy_chain_is_the_chain(K, x, y) -> bool:
-    """Whether x, y is a chain answer; if so its witness, built on read, is the eager one point for point.
+    """Whether x, y is a chain answer; if so its witness, built from ids on read, is the label-built one.
 
-    The reference runs `chain_lp` and `path_length` on the chain the search
-    finds, as chain answers did when they were answered.
+    The reference (`label_chain_witness`) builds the witness of the chain
+    the search finds from labels, as chain answers did before witnesses
+    held ids: their point pairs, carriers and lengths are equal bit for bit.
     """
     got = l1_path_distance(K, x, y)
     if got._chain is None:  # a closed form or a route
         return False
     rows, _, _ = search(K, x, y, word_metric(K))
-    carriers = tuple(tuple(K.vertices[w] for w in row) for row in rows)
-    value, breakpoints = chain_lp(K, Chain(simplices=carriers), x, y)
-    points = (x, *breakpoints, y)
+    value, points, carriers, length = label_chain_witness(K, x, y, rows)
     witness = got.witness
     assert [p.key() for p in witness.points] == [p.key() for p in points], (x, y)
-    assert witness.carriers == carriers, (x, y)
-    assert witness.length == path_length(K, points, carriers) and got.value == value, (x, y)
+    assert witness.rows == rows and witness.carriers == carriers, (x, y)
+    assert witness.length == length and got.value == value, (x, y)
     return True
 
 
@@ -577,6 +581,15 @@ class TestLazyChainWitness:
             for _ in range(40):
                 chains += _assert_lazy_chain_is_the_chain(K, random_point(K, rng), random_point(K, rng))
         assert chains == 66
+
+    def test_six_atoms_a_side(self):
+        # two 11-simplices sharing a 5-face, six atoms a side: each flow is 6 x 6
+        a, b = [f"a{i:02d}" for i in range(12)], [f"b{i:02d}" for i in range(6)]
+        K = build_complex(a + b, [a, a[6:] + b])
+        x = make_point(K, dict(zip(a, [0.25, 0.125, 0.125, 0.25, 0.125, 0.125])))
+        y = make_point(K, dict(zip(b, [0.125, 0.125, 0.25, 0.25, 0.125, 0.125])))
+        assert _assert_lazy_chain_is_the_chain(K, x, y)
+        assert l1_path_distance(K, x, y).value == 2.0
 
     def test_value_builds_nothing_and_witness_builds_once(self, monkeypatch):
         calls = _counting(monkeypatch, "chain_lp", "path_length")

@@ -243,16 +243,16 @@ class TestGeodesic:
     def test_is_a_shortest_edge_path(self, complex_fleet):
         for K in complex_fleet.values():
             t = word_metric(K)
-            for (i, u), (j, v) in itertools.product(enumerate(K.vertices), repeat=2):
-                path = geodesic(K, u, v)
-                assert path[0] == u and path[-1] == v
+            for i, j in itertools.product(range(len(K.vertices)), repeat=2):
+                path = geodesic(K, i, j)  # vertex ids, end to end
+                assert path[0] == i and path[-1] == j and all(type(w) is int for w in path)
                 assert len(path) - 1 == t.distance(i, j)
-                assert all(b in K.adjacency[a] for a, b in zip(path, path[1:]))
+                assert all(b in K.adjacency_csr.row(a) for a, b in zip(path, path[1:]))
 
     def test_trees_match_the_oracle(self):
         for K in (tree_complex(2, 4), tree_complex(3, 2), path_complex(12)):
-            for u, v in itertools.product(K.vertices, repeat=2):
-                assert geodesic(K, u, v) == tree_vertex_path(K, u, v)
+            for (i, u), (j, v) in itertools.product(enumerate(K.vertices), repeat=2):
+                assert [K.vertices[w] for w in geodesic(K, i, j)] == tree_vertex_path(K, u, v)
 
 
 class TestValidateVertexMetric:
