@@ -31,7 +31,6 @@ from .complexes import (
     _automorphism_on_ids,
     _point_on,
     apply_automorphism,
-    make_point,
     simplex_l1,
     vertex_point,
 )
@@ -713,12 +712,8 @@ def _check_naive_violation(ctx: CheckContext, r: CheckResult) -> None:
         r.notes.append("skipped: complex has no edge")
         return
     # the least edge: the least vertex with a neighbour (adjacency is symmetric), and the head of its row
-    u, v = ctx.K.vertices[ids.min()], ctx.K.vertices[ids[0]]
-    pts = [
-        vertex_point(ctx.K, u),
-        vertex_point(ctx.K, v),
-        make_point(ctx.K, {u: 0.5, v: 0.5}),
-    ]
+    u, v = int(ids.min()), int(ids[0])
+    pts = [_point_on(ctx.K, (u,), [1.0]), _point_on(ctx.K, (v,), [1.0]), _point_on(ctx.K, (u, v), [0.5, 0.5])]
     viols = exhaustive_metric_scan(
         lambda a, b: bilinear_extension(ctx.metric, a, b), pts
     )

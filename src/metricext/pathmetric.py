@@ -37,9 +37,12 @@ vertex relabelings and symmetric in x and y.  The vertex route that seeds
 the search is priced in the same units, an integer R (`_vertex_route`),
 and the chain the search finds is carried as its total: a chain answer is
 checked when it is answered, its exact optimum (the transport over its
-DP's costs, `_switch_counts`) against the search's total, but `chain_lp`
-places its breakpoints only when the caller first reads the witness, as
-a route answer's witness is built then too (`PathResult`).
+DP's costs, `_switch_counts`) against the search's total.  Every witness
+past the closed forms is a chain's, built when the caller first reads it
+(`PathResult`): `chain_lp` places its breakpoints along the chain the
+search found or, for a route answer, along the route's own carriers
+(`_route_rows`), and that chain's exact optimum must be the answer's
+integer total (`_chain_witness`).
 
 Every transport here costs m_u + d_v + e_uv from u to v with e_uv in
 {0, 1}: a search state by construction, the word block by its columns,
@@ -86,7 +89,6 @@ from .complexes import (
     SimplicialComplex,
     Simplex,
     _normalised,
-    _point_on,
     common_simplex,
     simplex_l1,
 )
@@ -128,7 +130,11 @@ def _assert_above_bounds(value: float, bounds: Iterable[tuple[str, float]], cont
 
 @dataclass(frozen=True)
 class Chain:
-    """Sequence of maximal simplices, each its ascending vertex ids, with nonempty consecutive overlaps."""
+    """Sequence of faces, each its ascending vertex ids, with nonempty consecutive overlaps.
+
+    The search's chains are maximal simplices; a route's carriers
+    (`_route_rows`) are its supports and the edges of its walk.
+    """
 
     simplices: tuple[tuple[int, ...], ...]
 
@@ -178,18 +184,17 @@ class PathWitness:
 class PathResult:
     """A path distance and a witness that attains it, used as the pair (value, witness).
 
-    A closed form comes with its witness.  A vertex route's witness
-    (`_route_witness`) and a chain's (`_chain_witness`) are built when
-    `.witness` is first read, and then kept: `route` holds the route's
-    (K, x, y, u, v), u and v vertex ids, and `chain` the chain's (K, x, y,
-    rows), its simplices' vertex id rows, until then.  Either witness is
-    built from ids; its labels are made only when its `carriers` or its
-    points' label views are read.
-    Reading `.value`, or `[0]`, builds nothing.  A route's witness length,
-    a float sum, must lie within VALUE_TOL of the value; a chain's witness
-    must pass `_chain_witness`'s checks; else the read raises
-    InternalConsistencyError.  Unpacking, indexing, equality, hashing and
-    repr are the pair's.
+    A closed form comes with its witness.  A vertex route's witness and a
+    chain's are built when `.witness` is first read, and then kept: `route`
+    holds the route's (K, x, y, u, v), u and v vertex ids, and `chain` the
+    chain's (K, x, y, rows), its simplices' vertex id rows, until then.
+    Both are chain witnesses (`_chain_witness`), a route's along its own
+    carrier rows (`_route_rows`), so the chain's exact optimum must be the
+    value bit for bit, else the read raises InternalConsistencyError.  A
+    witness is built from ids; its labels are made only when its
+    `carriers` or its points' label views are read.  Reading `.value`, or
+    `[0]`, builds nothing.  Unpacking, indexing, equality, hashing and repr
+    are the pair's.
     """
 
     __slots__ = ("value", "_witness", "_route", "_chain")
@@ -210,14 +215,10 @@ class PathResult:
     def witness(self) -> PathWitness:
         if self._witness is None:
             if self._route is not None:
-                witness = _route_witness(*self._route)
-                if abs(witness.length - self.value) > VALUE_TOL:
-                    raise InternalConsistencyError(
-                        f"route value {self.value!r} != its witness length {witness.length!r}"
-                    )
-            else:
-                witness = _chain_witness(*self._chain, self.value)
-            self._witness, self._route, self._chain = witness, None, None
+                K, x, y, u, v = self._route
+                self._chain = (K, x, y, _route_rows(K, x, y, u, v))
+            self._witness = _chain_witness(*self._chain, self.value)
+            self._route = self._chain = None
         return self._witness
 
     def __iter__(self):
@@ -439,7 +440,9 @@ def chain_lp(
     the fewest vertex switches along the faces, which a DP gives
     (`_switch_counts`); nothing caps those moves, so the optimum is a
     transport between x and y, solved in integers (`_chain_transport`) and
-    divided by its scale once.  The breakpoints follow each used (u, v)
+    divided by its scale once.  The chain's rows may be any faces with
+    supp(x) in the first and supp(y) in the last: the search's maximal
+    simplices or a route's carriers.  The breakpoints follow each used (u, v)
     pair's optimal positions; each is built from its (vertex id, mass /
     scale) pairs, normalized as `make_point` normalizes weights
     (`_normalised`).  Returns the value and one optimal breakpoint
@@ -578,42 +581,50 @@ def _vertex_route(x: BarycentricPoint, y: BarycentricPoint, priced: _WordTranspo
     )
 
 
-def _route_witness(
+def _route_rows(
     K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint, u: int, v: int
-) -> PathWitness:
-    """The vertex route's witness: huddle to vertex id u, walk the geodesic's ids to vertex id v, spread to y."""
-    points, rows = [x], []  # rows: each segment's carrier, as ascending vertex ids
+) -> tuple[tuple[int, ...], ...]:
+    """The vertex route's carrier rows: supp(x) unless x is the vertex u, the walk's edges, supp(y) unless y is v."""
     walk = geodesic(K, u, v)
-    if not (x.is_vertex and x.ids[0] == u):
-        points.append(_point_on(K, (u,), [1.0]))
-        rows.append(x.ids)
-    for prev, w in zip(walk, walk[1:]):
-        points.append(_point_on(K, (w,), [1.0]))
-        rows.append((prev, w) if prev < w else (w, prev))
-    if not (y.is_vertex and y.ids[0] == v):
-        points.append(y)
+    rows = [] if x.ids == (u,) else [x.ids]
+    rows += [(a, b) if a < b else (b, a) for a, b in zip(walk, walk[1:])]
+    if y.ids != (v,):
         rows.append(y.ids)
-    length = path_length(K, points, rows)
-    return PathWitness(points=tuple(points), rows=tuple(rows), length=length)
+    return tuple(rows)
 
 
 def _chain_witness(
     K: SimplicialComplex, x: BarycentricPoint, y: BarycentricPoint, rows: tuple[tuple[int, ...], ...], value: float
 ) -> PathWitness:
-    """A chain answer's witness: `chain_lp`'s breakpoints along the chain the search found.
+    """A path answer's witness: `chain_lp`'s breakpoints along the chain with these vertex id rows.
 
-    The chain comes as its simplices' vertex id rows, which are the
+    The rows are the chain the search found, for a chain answer, or the
+    route's carriers (`_route_rows`), for a route answer; they are the
     witness's carrier rows as they are.  The chain's optimum must be the
     answer's value bit for bit (the same integer transport over the same
     scale) and the witness's length within VALUE_TOL of it, or
     InternalConsistencyError is raised.
+
+    A route's rows carry its R exactly.  The route is a plan on them that
+    costs R, and a route is returned only when no chain's total is below R:
+    the rows' chain included, since a chain of maximal simplices holding
+    the rows meets in faces that hold the rows' faces, and so costs no more.
+    Its faces are single vertices, the ones the route passes.  When u != v
+    they are {u}, then each inner vertex of the walk, then {v}: a walk
+    vertex after u in supp(x), or before v in supp(y), would make a route
+    cheaper than R.  So the switch count from u' to v' is [u' != u] +
+    word(u, v) + [v' != v], and every plan costs (scale - a_u) +
+    word(u, v) * scale + (scale - b_v) = R, a and b the supplies and
+    demands (`_masses`), whatever the plan.  When u == v and both supports
+    are rows, their face is supp(x) & supp(y) = {u}: the mass on a shared
+    w != u could stay there, which would make the chain cheaper than R.
     """
     optimum, breakpoints = chain_lp(K, Chain(simplices=rows), x, y)
     points = (x, *breakpoints, y)
     length = path_length(K, points, rows)
     if optimum != value or abs(length - value) > VALUE_TOL:
         raise InternalConsistencyError(
-            f"search value {value}, chain optimum {optimum} and witness length {length} disagree"
+            f"answer value {value}, chain optimum {optimum} and witness length {length} disagree"
         )
     return PathWitness(points=points, rows=rows, length=length)
 
@@ -733,8 +744,9 @@ def _solve_by_search(
     transport over its switch-count DP's costs (`_switch_counts`,
     `_chain_transport`), is found equal to that total; a disagreement
     raises InternalConsistencyError.  Either answer's witness is built when
-    the caller first reads it (`PathResult`): a chain's by `chain_lp` and
-    `path_length`, checked again (`_chain_witness`).
+    the caller first reads it (`PathResult`), by `chain_lp` and
+    `path_length` along the chain found or along the route's carriers
+    (`_route_rows`), and checked again (`_chain_witness`).
 
     Without a ceiling the search's cutoff is R: a chain wins only with a
     total below R, and a tie goes to the route.  A ceiling (bilinear,

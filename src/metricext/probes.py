@@ -66,7 +66,10 @@ def make_ray(K: SimplicialComplex, vertices: Sequence[str]) -> RaySpec:
 
 def deepest_ray(K: SimplicialComplex, base: str) -> RaySpec:
     """Geodesic from base to a farthest vertex (lexicographic tie-break)."""
-    i = K.index[base]  # the ray's ids become labels here, for make_ray
+    i = K.index.get(base)
+    if i is None:
+        raise InvalidConfiguration(f"ray base {base!r} is not a vertex of the complex")
+    # the ray's ids become labels here, for make_ray
     return make_ray(K, [K.vertices[w] for w in geodesic(K, i, int(np.argmax(word_metric(K).row(i))))])
 
 

@@ -14,7 +14,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from metricext import build_complex, make_automorphism, make_point, pathmetric, simplex_l1, tripwire_log
-from metricext.complexes import Simplex, make_simplex
+from metricext.complexes import Simplex, _point_on, make_simplex
 from metricext.errors import DuplicateVertex, EmptySimplex, UnknownVertexInSimplex
 from metricext.generators import (
     _labels,
@@ -27,7 +27,7 @@ from metricext.generators import (
     simplex_complex,
     tree_complex,
 )
-from metricext.vertexmetrics import word_metric
+from metricext.vertexmetrics import geodesic, word_metric
 
 
 def edges(K):
@@ -386,6 +386,27 @@ def label_chain_witness(K, x, y, rows):
         assert set(carrier) >= set(a.support) | set(b.support)
         length += simplex_l1(a, b)
     return total / scale, points, carriers, length
+
+
+def route_witness(K, x, y, u, v):
+    """The vertex route's witness built by hand, as it was before a route's witness was its rows' chain's: the reference.
+
+    It huddles x to vertex id u, walks the geodesic's ids to vertex id v and
+    spreads to y, and needs no optimal chain: any (u, v) gives a path.
+    """
+    points, rows = [x], []  # rows: each segment's carrier, as ascending vertex ids
+    walk = geodesic(K, u, v)
+    if not (x.is_vertex and x.ids[0] == u):
+        points.append(_point_on(K, (u,), [1.0]))
+        rows.append(x.ids)
+    for prev, w in zip(walk, walk[1:]):
+        points.append(_point_on(K, (w,), [1.0]))
+        rows.append((prev, w) if prev < w else (w, prev))
+    if not (y.is_vertex and y.ids[0] == v):
+        points.append(y)
+        rows.append(y.ids)
+    length = pathmetric.path_length(K, points, rows)
+    return pathmetric.PathWitness(points=tuple(points), rows=tuple(rows), length=length)
 
 
 def assert_closed_form_bounds_are_the_lower_bounds(monkeypatch, pairs) -> int:

@@ -133,11 +133,12 @@ def test_queries_on_id_built_points_build_no_label_index(build):
 @pytest.mark.parametrize("build", [lambda: tree_complex(2, 6), lambda: rips_complex(cycle_complex(12), 2)],
                          ids=["tree", "rips"])
 def test_the_id_suites_build_no_label_index(build):
-    # the complex, vertex, path and extension suites draw, build and validate from ids alone;
-    # the oracle suite reads the label adjacency on purpose, and the probes take label rays
+    # the complex, vertex, path, extension and oracle suites draw, build and validate from ids
+    # alone (the oracle's grid reads the label adjacency, which maps no label to an id); the
+    # probes take label rays
     K = build()
     vm = word_vertex_metric(K)
-    for suite in ("complex", "vertex", "path", "extension"):
+    for suite in ("complex", "vertex", "path", "extension", "oracle"):
         assert all(r.ok for r in run_checks(K, vm, suite=suite)), suite
     assert "index" not in K.__dict__
 
@@ -348,15 +349,15 @@ class TestSearchCeiling:
 
     def test_the_route_decides_as_the_uncapped_search_on_the_pool(self, monkeypatch):
         # every answer, None or path, is the one the search gives without a
-        # ceiling; the search never builds the route's witness: R decides
+        # ceiling; the search never lays out the route's rows for a witness: R decides
         built = []
-        route_witness = pathmetric_module._route_witness
+        route_rows = pathmetric_module._route_rows
 
         def record(*args):
             built.append(sys._getframe(1).f_code.co_name)
-            return route_witness(*args)
+            return route_rows(*args)
 
-        monkeypatch.setattr(pathmetric_module, "_route_witness", record)
+        monkeypatch.setattr(pathmetric_module, "_route_rows", record)
         answers = []
         for q, K, x, y in pool_queries(("path-fleet",)):
             if q["kind"] == "ext":
@@ -475,13 +476,13 @@ class TestSearchCeiling:
     def test_the_route_decides_large_supports(self, monkeypatch, atoms):
         # the route's R decides whatever the supports' size: no witness is built
         calls = []
-        route_witness = pathmetric_module._route_witness
+        route_rows = pathmetric_module._route_rows
 
         def record(*args):
             calls.append(sys._getframe(1).f_code.co_name)
-            return route_witness(*args)
+            return route_rows(*args)
 
-        monkeypatch.setattr(pathmetric_module, "_route_witness", record)
+        monkeypatch.setattr(pathmetric_module, "_route_rows", record)
         K = simplex_on_a_path(64, 10)
         x = make_point(K, {f"s{i:02d}": 1.0 for i in range(atoms)})
         y = vertex_point(K, "p10")

@@ -62,6 +62,7 @@ from conftest import (
     incidence,
     label_chain_witness,
     pool_queries,
+    route_witness,
     search,
     simplex_on_a_path,
     tree_reflection,
@@ -363,7 +364,10 @@ def _assert_route_lengths(K, x, y):
 
     The exact length of the route through (u, v) is (1 - x_u) + word(u, v) +
     (1 - y_v), with x and y normalised exactly from their float weights;
-    the route is the least, ties going to the least (u, v).
+    the route is the least, ties going to the least (u, v).  A route
+    through any (u, v) is a path, but only the least one's rows carry an
+    optimal chain, so the witnesses come from the hand-laid reference
+    (`route_witness`).
     """
     table = word_metric(K)
     sx, sy = sum(Fraction(w) for _, w in x.pairs), sum(Fraction(w) for _, w in y.pairs)
@@ -371,7 +375,7 @@ def _assert_route_lengths(K, x, y):
     for u, xu in x.pairs:
         for v, yv in y.pairs:
             exact = (1 - Fraction(xu) / sx) + int(table.distance(u, v)) + (1 - Fraction(yv) / sy)
-            witness = pathmetric._route_witness(K, x, y, u, v)
+            witness = route_witness(K, x, y, u, v)
             assert abs(witness.length - float(exact)) <= VALUE_TOL, (x, y, u, v)
             lengths[u, v] = exact
     route, u, v = vertex_route(K, x, y)
@@ -416,43 +420,57 @@ class TestRouteLength:
         x = make_point(K, {v: w for v, w in zip(simplex[:atoms], rng.random(atoms) + 0.05)})
         extra = rng.multinomial(120, [1 / 8] * 8)  # a point of the 1/128 grid on the last 8 vertices
         on_grid = make_point(K, {v: (1 + int(e)) / 128 for v, e in zip(simplex[-8:], extra)})
+        routes = 0
         for y in (vertex_point(K, "p10"), vertex_point(K, "s63"), on_grid):
             _assert_route_lengths(K, x, y)
             _assert_route_lengths(K, y, x)
+            routes += _assert_lazy_route_is_the_route(K, x, y)
+            routes += _assert_lazy_route_is_the_route(K, x, y, chain_solver_distance)
+        # with s63 in supp(x) the route through it ties the chain over the simplex, and a tie
+        # goes to the route; without it the chain is shorter
+        assert routes == {60: 0, 61: 0, 64: 3}[atoms]
 
     def test_a_vertex_route_with_no_segment(self, path3):
         # x is e_u, y is e_v and u == v: no segment, and the length is 0.0
         x = vertex_point(path3, "v")
         assert vertex_route(path3, x, x) == (0, 1, 1)  # v's vertex id, both ends
-        assert pathmetric._route_witness(path3, x, x, 1, 1).length == 0.0
+        assert route_witness(path3, x, x, 1, 1).length == 0.0
         _assert_route_lengths(path3, x, x)
 
 
-def _assert_lazy_route_is_the_route(K, x, y) -> bool:
-    """Whether x, y is a route answer; if so its value is R / scale and its witness, built on read, the route's."""
-    got = l1_path_distance(K, x, y)
-    if got._route is None:  # a closed form or a chain, built with its answer
+def _assert_lazy_route_is_the_route(K, x, y, solve=l1_path_distance) -> bool:
+    """Whether x, y is a route answer; if so, both ways, its value is R / scale and its witness the reference's.
+
+    The witness, built on read, is the chain of the route's own carrier
+    rows.  The reference (`route_witness`) lays the route out by hand, as
+    route answers did before: their point pairs, rows, carriers and lengths
+    are equal bit for bit.
+    """
+    if solve(K, x, y)._route is None:  # a closed form or a chain, built with its answer
         return False
-    route, u, v = vertex_route(K, x, y)
-    assert got.value == route / pathmetric._word_transport(word_metric(K), x, y).scale, (x, y)
-    want = pathmetric._route_witness(K, x, y, u, v)
-    witness = got.witness
-    assert [p.key() for p in witness.points] == [p.key() for p in want.points], (x, y)
-    assert witness.carriers == want.carriers, (x, y)
-    assert witness.length == want.length and abs(witness.length - got.value) <= VALUE_TOL, (x, y)
+    for a, b in ((x, y), (y, x)):
+        got = solve(K, a, b)
+        assert got._route is not None, (a, b)
+        route, u, v = vertex_route(K, a, b)
+        assert got.value == route / pathmetric._word_transport(word_metric(K), a, b).scale, (a, b)
+        want = route_witness(K, a, b, u, v)
+        witness = got.witness
+        assert [p.pairs for p in witness.points] == [p.pairs for p in want.points], (a, b)
+        assert witness.rows == want.rows and witness.carriers == want.carriers, (a, b)
+        assert witness.length == want.length and abs(witness.length - got.value) <= VALUE_TOL, (a, b)
     return True
 
 
-def _counting_route_witness(monkeypatch) -> list:
-    """Patch `_route_witness` to record each call; the returned list fills as witnesses are built."""
+def _counting_route_rows(monkeypatch) -> list:
+    """Patch `_route_rows` to record each call; the returned list fills as route witnesses are built."""
     built = []
-    route_witness = pathmetric._route_witness
+    route_rows = pathmetric._route_rows
 
     def record(*args):
         built.append(args)
-        return route_witness(*args)
+        return route_rows(*args)
 
-    monkeypatch.setattr(pathmetric, "_route_witness", record)
+    monkeypatch.setattr(pathmetric, "_route_rows", record)
     return built
 
 
@@ -474,7 +492,7 @@ class TestLazyRouteWitness:
         _assert_lazy_route_is_the_route(K, x, y)
 
     def test_value_builds_nothing_and_witness_builds_once(self, monkeypatch):
-        built = _counting_route_witness(monkeypatch)
+        built = _counting_route_rows(monkeypatch)
         K = tree_complex(2, 4)
         vertices = (vertex_point(K, "t07"), vertex_point(K, "t12"))
         edges = (make_point(K, {"t03": 0.5, "t07": 0.5}), make_point(K, {"t05": 0.25, "t12": 0.75}))
@@ -490,7 +508,7 @@ class TestLazyRouteWitness:
 
     def test_the_extension_builds_a_route_when_its_witness_is_read(self, monkeypatch):
         # the extension never answers with a route (D <= C * route), so its cache is given one
-        built = _counting_route_witness(monkeypatch)
+        built = _counting_route_rows(monkeypatch)
         K = tree_complex(2, 4)
         M = ExtendedMetric(K, word_vertex_metric(K))
         x, y = vertex_point(K, "t07"), make_point(K, {"t05": 0.25, "t12": 0.75})
@@ -529,6 +547,33 @@ class TestLazyRouteWitness:
         assert got.value == 3.0 + 1e-6
         with pytest.raises(InternalConsistencyError, match="witness length 3.0"):
             got.witness
+
+    def test_a_value_one_ulp_off_the_route_raises(self):
+        # the route's witness is its rows' chain, whose exact optimum must be the value bit
+        # for bit; a float length within VALUE_TOL of it is not enough
+        K = tree_complex(2, 3)
+        x, y = make_point(K, {"t00": 0.25, "t01": 0.75}), make_point(K, {"t06": 0.5, "t14": 0.5})
+        exact = l1_path_distance(K, x, y)
+        route = exact._route
+        assert route is not None and exact.witness.length == exact.value == 3.25
+        for value in (math.nextafter(3.25, 0.0), math.nextafter(3.25, math.inf)):
+            with pytest.raises(InternalConsistencyError, match="chain optimum 3.25"):
+                pathmetric.PathResult(value, route=route).witness
+
+    def test_chain_solver_routes_on_shared_supports(self, complex_fleet):
+        # pairs of one simplex, which the chain solver sends past the closed forms: each of
+        # their routes has u == v, and its rows, the two supports, meet in {u} alone
+        rng = np.random.default_rng(39)
+        routes = same = 0
+        for K in complex_fleet.values():
+            for _ in range(40):
+                x, y = random_same_simplex_pair(K, rng)
+                if _assert_lazy_route_is_the_route(K, x, y, chain_solver_distance):
+                    routes += 1
+                    _, u, v = vertex_route(K, x, y)
+                    same += u == v
+                    assert u != v or set(x.ids) & set(y.ids) == {u}
+        assert (routes, same) == (196, 196)
 
 
 def _assert_lazy_chain_is_the_chain(K, x, y) -> bool:
@@ -653,7 +698,7 @@ def _assert_vertex_pairs_take_the_route(K):
         assert max(b for _, b in lower_bounds(K, x, y)) == table.distance(i, j)
         got = chain_solver_distance(K, x, y)
         assert got._route is not None  # the route, its witness not yet built
-        assert got == (table.distance(i, j), pathmetric._route_witness(K, x, y, i, j))
+        assert got == (table.distance(i, j), route_witness(K, x, y, i, j))
 
 
 class TestChainSolverAgainstClosedForms:
@@ -1146,7 +1191,7 @@ class TestIntegerSearchCore:
         for supply, demand, cost, (total, plan) in solved:
             _assert_plan(supply, demand, cost, total, plan)
             assert total == _dijkstra_transport(supply, demand, cost)[0]
-        assert len(solved) == 2 * 27
+        assert len(solved) == 2 * 27 + 78
 
     @given(
         xw=st.lists(weight, min_size=1, max_size=5),
@@ -1363,10 +1408,11 @@ class TestIntegerSearchCore:
         # decides every one, so none finds a flow or searches.  The path queries' searches
         # find 74 flows, one per zero pattern among the states their separable sum leaves
         # below the cutoff.  Each of the 27 chains found splits its DP's costs and finds one
-        # flow to check its optimum, and chain_lp does the same again when its witness is read
+        # flow to check its optimum, and chain_lp does the same again when its witness is
+        # read, as it does for each of the 78 routes, along the route's own rows
         assert floored == {"path": 0, "ext": 41, "witness": 0}
-        assert flows == {"path": 87 + 74 + 27, "ext": 0, "witness": 27}
-        assert split == {"path": 87 + 27, "ext": 41, "witness": 27}
+        assert flows == {"path": 87 + 74 + 27, "ext": 0, "witness": 27 + 78}
+        assert split == {"path": 87 + 27, "ext": 41, "witness": 27 + 78}
 
     @given(
         total=st.integers(0, 2**40),

@@ -44,6 +44,12 @@ class TestRays:
         with pytest.raises(InvalidConfiguration):
             make_ray(tree, [tree.vertices[0], tree.vertices[0]])
 
+    def test_an_unknown_base_is_invalid_for_either_ray(self, tree):
+        message = "ray base 'zz' is not a vertex of the complex"
+        for build in (lambda: make_ray(tree, ["zz"]), lambda: deepest_ray(tree, "zz")):
+            with pytest.raises(InvalidConfiguration, match=message):
+                build()
+
     def test_ray_needs_adjacency(self, path3):
         with pytest.raises(InvalidConfiguration):
             make_ray(path3, ["u", "w"])
